@@ -38,6 +38,7 @@ func storeEquivEndpoints() map[string]string {
 		}.Encode(),
 		"relfreq":        "/v1/relfreq?" + url.Values{"category": {"discount"}, "featured": {conj}}.Encode(),
 		"drilldown":      "/v1/drilldown?" + url.Values{"row": {weak}, "col": {res}, "limit": {"5"}}.Encode(),
+		"drilldown-all":  "/v1/drilldown?" + url.Values{"row": {weak}, "col": {res}, "limit": {"100000"}}.Encode(), // limit ≥ corpus: nothing truncates, order alone must agree
 		"trend":          "/v1/trend?" + url.Values{"dim": {weak}}.Encode(),
 		"concepts-cat":   "/v1/concepts?" + url.Values{"category": {"customer intention"}}.Encode(),
 		"concepts-field": "/v1/concepts?" + url.Values{"field": {"outcome"}}.Encode(),

@@ -5,228 +5,145 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"time"
 
 	"bivoc/internal/server"
 )
 
 // POST /v1/batch on the coordinator: many federated queries in one
-// request, answered with ONE batch scatter. Each sub-query is prepared
-// with the same prepare* function as its GET route, translated to its
-// shard-side form (associate → marginals/assoc and so on), and the
-// whole translated batch is POSTed to every shard's /v1/batch — so each
-// shard answers all sub-queries from one snapshot, and the federated
-// batch pays one scatter instead of one per sub-query. Sub-results are
-// merged by the same closures as the GET path, so a batched federated
-// answer is byte-identical to the equivalent single federated GET
-// (modulo the envelope's stripped trailing newline).
+// request, answered with ONE batch scatter. Each sub-query is planned
+// from the same endpoint table as its GET route, its shard-side form
+// (associate → marginals/assoc and so on) joins one translated batch,
+// and that batch is POSTed to every shard's /v1/batch — so each shard
+// answers all sub-queries from one snapshot, and the federated batch
+// pays one scatter instead of one per sub-query. Sub-results are merged
+// by the same plans as the GET path, so a batched federated answer is
+// byte-identical to the equivalent single federated GET (modulo the
+// envelope's stripped trailing newline).
 
-// BatchResponse answers /v1/batch on the coordinator. Generation and
-// Sealed fold the per-shard batch envelopes (min, AND) exactly like
-// every other federated response; FedStatus reports shards that were
-// down for the whole batch.
-type BatchResponse struct {
-	server.BatchResponse
-	FedStatus
-}
+// BatchResponse answers /v1/batch on the coordinator: the single-node
+// envelope, whose Generation and Sealed fold the per-shard envelopes
+// (min, AND) like every other federated response, and whose FedStatus
+// reports shards that were down for the whole batch.
+type BatchResponse = server.BatchResponse
 
-// batchErrorRaw renders a sub-query failure body in the coordinator's
-// error shape (ErrorResponse + FedStatus), newline-free for embedding.
-func batchErrorRaw(status int, err error, fs FedStatus) json.RawMessage {
-	body, _ := json.Marshal(ErrorResponse{
-		ErrorResponse: server.ErrorResponse{Error: err.Error(), Status: status},
-		FedStatus:     fs,
-	})
-	return body
-}
-
-// handleBatch answers POST /v1/batch by translating sub-queries to
-// their shard-side form, scattering one shard batch, and merging each
-// sub-query's replies with its GET-path merge closure.
+// handleBatch answers POST /v1/batch by scattering one shard batch of
+// the sub-queries' shard-side forms and merging each sub-query's replies
+// through its plan.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
-		c.badRequest(w, fmt.Errorf("decoding batch request: %w", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		c.badRequest(w, fmt.Errorf("batch request has no queries"))
-		return
-	}
-	if len(req.Queries) > server.MaxBatchQueries {
-		c.badRequest(w, fmt.Errorf("batch request has %d queries, limit is %d", len(req.Queries), server.MaxBatchQueries))
+	req, err := server.DecodeBatch(w, r)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err, server.FedStatus{})
 		return
 	}
 
-	// Prepare every sub-query; parse failures become per-sub 400 results
-	// and are excluded from the scatter.
+	// Plan every sub-query; parse failures become per-sub 400 results and
+	// stay out of the scatter (their plans stay nil).
 	results := make([]server.BatchResult, len(req.Queries))
-	plans := make([]fedPlan, len(req.Queries))
-	valid := make([]int, 0, len(req.Queries)) // indexes with a live plan
-	shardBatch := server.BatchRequest{}
+	plans := make([]*server.Plan, len(req.Queries))
+	var shardBatch server.BatchRequest
 	for i, bq := range req.Queries {
-		prep, ok := batchPlans[bq.Endpoint]
-		if !ok {
-			results[i] = server.BatchResult{
-				Status: http.StatusBadRequest,
-				Body:   batchErrorRaw(http.StatusBadRequest, fmt.Errorf("unknown batch endpoint %q", bq.Endpoint), FedStatus{}),
-			}
-			continue
-		}
-		plan, err := prep(c, url.Values(bq.Params))
+		p, err := c.eps.Plan(bq.Endpoint, url.Values(bq.Params))
 		if err != nil {
-			results[i] = server.BatchResult{
-				Status: http.StatusBadRequest,
-				Body:   batchErrorRaw(http.StatusBadRequest, err, FedStatus{}),
-			}
+			results[i] = server.NewBatchResult(nil, http.StatusBadRequest, err, server.FedStatus{})
 			continue
 		}
-		plans[i] = plan
-		valid = append(valid, i)
-		shardBatch.Queries = append(shardBatch.Queries, server.BatchQuery{
-			Endpoint: plan.shardPath[len("/v1/"):],
-			Params:   plan.shardQuery,
-		})
+		plans[i] = p
+		shardBatch.Queries = append(shardBatch.Queries, server.BatchQuery{Endpoint: p.ShardEndpoint, Params: p.ShardParams})
 	}
 
-	nShards := len(c.cfg.Shards)
-	genVec := make([]string, nShards)
-	var agg genAgg
-	var shardDown []bool
-	var missing []int
-	shardResults := make([][]server.BatchResult, nShards)
-	if len(valid) > 0 {
+	// With nothing to scatter (every sub-query failed to parse) the
+	// envelope still answers 200 with the per-sub errors, a zero head and
+	// the no-information vector.
+	genVec := c.blankVec()
+	var head server.Head
+	var down []int                                                  // shards that could not answer the batch at all
+	shardResults := make([][]server.BatchResult, len(c.cfg.Shards)) // nil for those
+	if len(shardBatch.Queries) > 0 {
 		payload, err := json.Marshal(shardBatch)
 		if err != nil {
-			c.writeError(w, nil, http.StatusInternalServerError, err, FedStatus{})
+			server.WriteError(w, http.StatusInternalServerError, err, server.FedStatus{})
 			return
 		}
-		replies := c.scatterPost(r.Context(), "/v1/batch", payload)
-		shardDown = make([]bool, nShards)
-		live := 0
-		for s := range replies {
-			rep := &replies[s]
+		head = server.MergedHead(server.FedStatus{})
+		for s, rep := range c.scatter(r.Context(), http.MethodPost, "/v1/batch", payload) {
 			if rep.down() || rep.status != http.StatusOK {
-				// A non-200 batch envelope from a shard means the shard
-				// could not answer the batch at all; treat it as down for
-				// this request, like any 5xx on the GET path.
-				shardDown[s] = true
-				missing = append(missing, s)
-				genVec[s] = "-"
+				// Any non-200 batch envelope means the shard could not
+				// answer the batch; it is down for this request, like a 5xx
+				// on the GET path.
+				down = append(down, s)
 				continue
 			}
 			var sr server.BatchResponse
-			if err := decodeShard(*rep, s, &sr); err != nil || len(sr.Results) != len(valid) {
-				if err == nil {
-					err = fmt.Errorf("shard %d: batch returned %d results for %d queries", s, len(sr.Results), len(valid))
-				}
-				c.writeError(w, genVec, http.StatusInternalServerError, err, FedStatus{Degraded: len(missing) > 0, MissingShards: missing})
+			err := decodeShard(rep, s, &sr)
+			if err == nil && len(sr.Results) != len(shardBatch.Queries) {
+				err = fmt.Errorf("shard %d: batch returned %d results for %d queries", s, len(sr.Results), len(shardBatch.Queries))
+			}
+			if err != nil {
+				w.Header().Set(server.GenerationHeader, joinVec(genVec))
+				server.WriteError(w, http.StatusInternalServerError, err, fedStatus(down))
 				return
 			}
 			shardResults[s] = sr.Results
 			genVec[s] = rep.gen
-			agg.add(sr.Generation, sr.Sealed)
-			live++
+			head.Fold(sr.Generation, sr.Sealed)
 		}
-		if live == 0 {
-			c.writeError(w, genVec, http.StatusServiceUnavailable,
-				fmt.Errorf("all %d shards unavailable", nShards),
-				FedStatus{Degraded: true, MissingShards: missing})
+		if len(down) == len(c.cfg.Shards) {
+			w.Header().Set(server.GenerationHeader, joinVec(genVec))
+			server.WriteError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("all %d shards unavailable", len(down)), fedStatus(down))
 			return
-		}
-	} else {
-		// Nothing to scatter (every sub-query failed to parse); the
-		// envelope still answers 200 with the per-sub errors and the
-		// wrapper's no-information vector.
-		for s := range genVec {
-			genVec[s] = "-"
 		}
 	}
 
 	vec := joinVec(genVec)
 	full := fullVec(genVec)
-	now := time.Now()
 	if full {
-		c.cache.observe(vec, now)
+		c.cache.observe(vec, time.Now())
 	}
-	for vi, i := range valid {
-		results[i] = c.mergeBatchSub(plans[i], vi, genVec, shardDown, shardResults, vec, full)
+	scattered := 0 // index of the next planned sub-query within the shard batch
+	for i, p := range plans {
+		if p != nil {
+			results[i] = c.mergeBatchSub(p, scattered, shardResults, vec, full)
+			scattered++
+		}
 	}
-
-	out := BatchResponse{
-		BatchResponse: server.BatchResponse{
-			Generation: agg.gen,
-			Sealed:     agg.sealed,
-			Results:    results,
-		},
-	}
-	if len(missing) > 0 {
-		out.FedStatus = FedStatus{Degraded: true, MissingShards: missing}
-	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		c.writeError(w, genVec, http.StatusInternalServerError, err, out.FedStatus)
-		return
-	}
-	w.Header().Set(server.GenerationHeader, vec)
-	server.WriteJSONBody(w, r, http.StatusOK, &server.CachedBody{Plain: append(body, '\n')})
+	c.writeOK(w, r, genVec, BatchResponse{
+		Generation: head.Generation,
+		Sealed:     head.Sealed,
+		Results:    results,
+		FedStatus:  fedStatus(down),
+	})
 }
 
 // mergeBatchSub folds one sub-query's per-shard batch results into a
-// federated sub-result, reusing the plan's GET-path merge closure over
-// a per-sub gather. Shard-level downs apply to every sub-query; a
-// per-sub shard 5xx degrades just that sub-query; a per-sub 4xx is
-// relayed verbatim (the query is equally the client's fault on every
-// shard).
-func (c *Coordinator) mergeBatchSub(plan fedPlan, vi int, genVec []string, shardDown []bool, shardResults [][]server.BatchResult, vec string, full bool) server.BatchResult {
-	g := &gather{replies: make([]shardReply, len(genVec)), genVec: make([]string, len(genVec))}
-	copy(g.genVec, genVec)
+// federated sub-result through the same merged path as a GET. A shard
+// down for the batch is missing from every sub-query; a per-sub shard 5xx
+// degrades just that sub-query; a per-sub 4xx is relayed verbatim (the
+// query is equally the client's fault on every shard).
+func (c *Coordinator) mergeBatchSub(p *server.Plan, sub int, shardResults [][]server.BatchResult, vec string, full bool) server.BatchResult {
+	var g gather
 	var relay *server.BatchResult
-	for s := range genVec {
-		if shardDown != nil && shardDown[s] {
-			g.missing = append(g.missing, s)
-			continue
-		}
-		sub := shardResults[s][vi]
+	for s, results := range shardResults {
 		switch {
-		case sub.Status >= 500:
+		case results == nil || results[sub].Status >= 500:
 			g.missing = append(g.missing, s)
-			g.genVec[s] = "-"
-		case sub.Status != http.StatusOK:
+		case results[sub].Status != http.StatusOK:
 			if relay == nil {
-				relay = &sub
+				relay = &results[sub]
 			}
 		default:
-			g.replies[s] = shardReply{status: sub.Status, gen: genVec[s], body: sub.Body}
-			g.live = append(g.live, s)
+			g.live = append(g.live, server.ShardBody{Shard: s, Body: results[sub].Body})
 		}
 	}
-	sort.Ints(g.missing)
 	if relay != nil {
-		return server.BatchResult{Status: relay.Status, Body: relay.Body}
+		return *relay
 	}
-	if len(g.live) == 0 {
-		return server.BatchResult{
-			Status: http.StatusServiceUnavailable,
-			Body: batchErrorRaw(http.StatusServiceUnavailable,
-				fmt.Errorf("all %d shards unavailable", len(genVec)),
-				FedStatus{Degraded: true, MissingShards: g.missing}),
-		}
+	cb, status, err := c.merged(p, &g)
+	// Only sub-results merged over the full fleet are cacheable — and they
+	// are exactly the bytes the single GET path would serve.
+	if err == nil && full && len(g.missing) == 0 {
+		c.cache.put(p.Key, vec, cb)
 	}
-	v, err := plan.merge(g)
-	if err != nil {
-		return server.BatchResult{Status: http.StatusInternalServerError, Body: batchErrorRaw(http.StatusInternalServerError, err, g.fedStatus())}
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return server.BatchResult{Status: http.StatusInternalServerError, Body: batchErrorRaw(http.StatusInternalServerError, err, g.fedStatus())}
-	}
-	// Only fully-merged sub-results over the full fleet are cacheable —
-	// and they are exactly the bytes the single GET path would serve.
-	if full && len(g.missing) == 0 {
-		c.cache.put(plan.key, vec, &server.CachedBody{Plain: append(append([]byte{}, body...), '\n')})
-	}
-	return server.BatchResult{Status: http.StatusOK, Body: body}
+	return server.NewBatchResult(cb, status, err, g.fedStatus())
 }

@@ -74,13 +74,6 @@ func (c Config) maxFanout() int {
 	return c.MaxFanout
 }
 
-func (c Config) confidence() float64 {
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		return 0.95
-	}
-	return c.Confidence
-}
-
 func (c Config) drainTimeout() time.Duration {
 	if c.DrainTimeout <= 0 {
 		return 5 * time.Second
@@ -102,36 +95,6 @@ func (c Config) cacheTTL() time.Duration {
 	return c.CacheTTL
 }
 
-func (c Config) readHeaderTimeout() time.Duration {
-	if c.ReadHeaderTimeout == 0 {
-		return 5 * time.Second
-	}
-	if c.ReadHeaderTimeout < 0 {
-		return 0
-	}
-	return c.ReadHeaderTimeout
-}
-
-func (c Config) readTimeout() time.Duration {
-	if c.ReadTimeout == 0 {
-		return 60 * time.Second
-	}
-	if c.ReadTimeout < 0 {
-		return 0
-	}
-	return c.ReadTimeout
-}
-
-func (c Config) maxHeaderBytes() int {
-	if c.MaxHeaderBytes == 0 {
-		return 1 << 20
-	}
-	if c.MaxHeaderBytes < 0 {
-		return 0
-	}
-	return c.MaxHeaderBytes
-}
-
 // Coordinator serves the /v1 API by scattering every query to all
 // shards and gathering on integer marginals. It holds no index of its
 // own and no per-shard state between requests — a shard that comes back
@@ -139,6 +102,7 @@ func (c Config) maxHeaderBytes() int {
 // coordinator restart or rejoin step.
 type Coordinator struct {
 	cfg    Config
+	eps    server.Endpoints
 	client *http.Client
 	mux    http.Handler
 	cache  *resultCache
@@ -165,6 +129,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
+		eps:       server.NewEndpoints(cfg.Confidence, cfg.AssociateWorkers, false),
 		client:    cfg.Client,
 		cache:     newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
 		slo:       server.NewSLORecorder(),
@@ -196,7 +161,7 @@ func (c *Coordinator) Start() error {
 		return fmt.Errorf("fed: listen %s: %w", addr, err)
 	}
 	hs := &http.Server{Handler: c.mux}
-	server.HardenHTTPServer(hs, c.cfg.readHeaderTimeout(), c.cfg.readTimeout(), c.cfg.maxHeaderBytes())
+	server.HardenHTTPServer(hs, c.cfg.ReadHeaderTimeout, c.cfg.ReadTimeout, c.cfg.MaxHeaderBytes)
 	c.lifeMu.Lock()
 	c.ln = ln
 	c.hs = hs
@@ -271,10 +236,11 @@ func (r shardReply) down() bool {
 	return r.err != nil || r.status >= 500
 }
 
-// scatter issues GET <shard><path>?<rawQuery> to every shard
-// concurrently — at most MaxFanout in flight, each bounded by
-// ShardTimeout — and returns one reply per shard, in shard order.
-func (c *Coordinator) scatter(ctx context.Context, path, rawQuery string) []shardReply {
+// scatter sends the same request — GET <shard><path>, or a POST of the
+// JSON payload when there is one — to every shard concurrently, at most
+// MaxFanout in flight and each bounded by ShardTimeout, and returns one
+// reply per shard, in shard order.
+func (c *Coordinator) scatter(ctx context.Context, method, path string, payload []byte) []shardReply {
 	replies := make([]shardReply, len(c.cfg.Shards))
 	sem := make(chan struct{}, c.cfg.maxFanout())
 	var wg sync.WaitGroup
@@ -284,32 +250,7 @@ func (c *Coordinator) scatter(ctx context.Context, path, rawQuery string) []shar
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			replies[i] = c.fetchShard(ctx, base+path+"?"+rawQuery)
-		}(i, base)
-	}
-	wg.Wait()
-	return replies
-}
-
-// fetchShard performs one bounded shard request.
-func (c *Coordinator) fetchShard(ctx context.Context, url string) shardReply {
-	return c.doShard(ctx, http.MethodGet, url, nil)
-}
-
-// scatterPost POSTs the same JSON payload to <shard><path> on every
-// shard — the batch fan-out — under the same MaxFanout semaphore and
-// per-shard timeout as scatter.
-func (c *Coordinator) scatterPost(ctx context.Context, path string, payload []byte) []shardReply {
-	replies := make([]shardReply, len(c.cfg.Shards))
-	sem := make(chan struct{}, c.cfg.maxFanout())
-	var wg sync.WaitGroup
-	for i, base := range c.cfg.Shards {
-		wg.Add(1)
-		go func(i int, base string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			replies[i] = c.doShard(ctx, http.MethodPost, base+path, payload)
+			replies[i] = c.doShard(ctx, method, base+path, payload)
 		}(i, base)
 	}
 	wg.Wait()

@@ -74,6 +74,9 @@ func fedQueries() []string {
 		"/v1/associate?" + url.Values{"row": {"topic"}, "col": {"parity=odd"}, "confidence": {"0.99"}}.Encode(),
 		"/v1/relfreq?" + url.Values{"category": {"topic"}, "featured": {"outcome=reservation"}}.Encode(),
 		"/v1/drilldown?" + url.Values{"row": {"austin[place]"}, "col": {"outcome=service"}}.Encode(),
+		// limit ≥ corpus size: every shard returns its whole cell, so the
+		// coordinator's re-sort alone decides the document order.
+		"/v1/drilldown?" + url.Values{"row": {"topic"}, "col": {"parity=even"}, "limit": {"100000"}}.Encode(),
 		"/v1/trend?" + url.Values{"dim": {"billing[topic]"}}.Encode(),
 		"/v1/concepts?category=topic",
 		"/v1/concepts?field=outcome",
@@ -231,6 +234,20 @@ func checkFedMatchesSingle(t *testing.T, singleBase, fedBase string, shards int)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: fed body diverges from single node\n fed: %s\nsingle: %s", q, got, want)
+		}
+		if strings.HasPrefix(q, "/v1/drilldown?") {
+			var dd server.DrillDownResponse
+			if err := json.Unmarshal(got, &dd); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(q, "limit=100000") && (dd.Truncated || len(dd.Docs) != dd.Count || dd.Count < 2*shards) {
+				t.Fatalf("%s: count=%d docs=%d truncated=%v, want the whole of a cell spanning every shard", q, dd.Count, len(dd.Docs), dd.Truncated)
+			}
+			for i := 1; i < len(dd.Docs); i++ {
+				if dd.Docs[i-1].ID >= dd.Docs[i].ID {
+					t.Fatalf("%s: doc IDs not ascending at %d: %q then %q", q, i, dd.Docs[i-1].ID, dd.Docs[i].ID)
+				}
+			}
 		}
 		vec := strings.Split(hdr.Get(server.GenerationHeader), ",")
 		if len(vec) != shards {
@@ -607,25 +624,49 @@ func TestFedAllShardsDown(t *testing.T) {
 	}
 }
 
-// TestFedLocalErrorsStructured pins coordinator-originated errors: the
-// same {"error", "status"} schema as the shards, plus the blank
-// generation vector (nothing was scattered).
+// TestFedLocalErrorsStructured pins rejections as one contract: a
+// malformed query gets the same {"error", "status"} 400 body, byte for
+// byte, from a single daemon's GET, its /v1/batch sub-result, the
+// coordinator's GET and the coordinator's /v1/batch sub-result — and the
+// coordinator rejects it locally, under the blank generation vector
+// (nothing was scattered).
 func TestFedLocalErrorsStructured(t *testing.T) {
 	docs := testDocs(30)
 	shard := startShard(t, docs, 0, 1, server.Config{})
 	waitIngestDone(t, shard)
 	coord := startCoordinator(t, Config{Shards: shardAddrs([]*server.Server{shard})})
-	fedBase := "http://" + coord.Addr()
+	monoBase, fedBase := "http://"+shard.Addr(), "http://"+coord.Addr()
 
-	for _, q := range []string{
-		"/v1/count",                           // missing dim
-		"/v1/trend?dim=a%5Bb%5D&dim=c%5Bd%5D", // two dims
-		"/v1/associate?row=topic&col=parity%3Deven&confidence=7", // bad confidence
-		"/v1/concepts", // neither category nor field
-	} {
+	cases := []server.BatchQuery{
+		{Endpoint: "count"}, // missing dim
+		{Endpoint: "trend", Params: url.Values{"dim": {"a[b]", "c[d]"}}},                                           // two dims
+		{Endpoint: "associate", Params: url.Values{"row": {"topic"}, "col": {"parity=even"}, "confidence": {"7"}}}, // bad confidence
+		{Endpoint: "drilldown", Params: url.Values{"row": {"topic"}, "col": {"parity=even"}, "limit": {"-2"}}},     // negative limit
+		{Endpoint: "concepts"}, // neither category nor field
+		{Endpoint: "concepts", Params: url.Values{"category": {"topic"}, "field": {"outcome"}}},                     // both
+		{Endpoint: "relfreq", Params: url.Values{"category": {"topic"}, "featured": {"parity=even", "parity=odd"}}}, // two featured
+		{Endpoint: "relfreq", Params: url.Values{"featured": {"parity=even"}}},                                      // missing category
+		{Endpoint: "count", Params: url.Values{"dim": {"[unclosed"}}},                                               // unparsable dim
+	}
+	batch := server.BatchRequest{Queries: append([]server.BatchQuery{}, cases...)}
+	batch.Queries = append(batch.Queries, server.BatchQuery{Endpoint: "nope"}, server.BatchQuery{Endpoint: "marginals/assoc"})
+	subBodies := func(base string) []server.BatchResult {
+		t.Helper()
+		status, _, body := postFedBatch(t, base, batch)
+		var env server.BatchResponse
+		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusOK || len(env.Results) != len(batch.Queries) {
+			t.Fatalf("%s/v1/batch: status %d, err %v, body %s", base, status, err, body)
+		}
+		return env.Results
+	}
+	monoSubs, fedSubs := subBodies(monoBase), subBodies(fedBase)
+
+	for i, c := range cases {
+		q := "/v1/" + c.Endpoint + "?" + url.Values(c.Params).Encode()
+		monoStatus, _, want := get(t, monoBase+q)
 		status, hdr, body := get(t, fedBase+q)
-		if status != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", q, status)
+		if status != http.StatusBadRequest || monoStatus != http.StatusBadRequest {
+			t.Fatalf("%s: status fed %d mono %d, want 400", q, status, monoStatus)
 		}
 		var fb fedBody
 		if err := json.Unmarshal(body, &fb); err != nil {
@@ -636,6 +677,100 @@ func TestFedLocalErrorsStructured(t *testing.T) {
 		}
 		if got := hdr.Get(server.GenerationHeader); got != "-" {
 			t.Fatalf("%s: generation vector %q, want \"-\"", q, got)
+		}
+		for name, got := range map[string][]byte{
+			"fed GET":    body,
+			"mono batch": append(append([]byte{}, monoSubs[i].Body...), '\n'),
+			"fed batch":  append(append([]byte{}, fedSubs[i].Body...), '\n'),
+		} {
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %s body diverges from mono GET\n got: %s\nwant: %s", q, name, got, want)
+			}
+		}
+		if monoSubs[i].Status != http.StatusBadRequest || fedSubs[i].Status != http.StatusBadRequest {
+			t.Errorf("%s: batch sub status mono %d fed %d, want 400", q, monoSubs[i].Status, fedSubs[i].Status)
+		}
+	}
+	// An unknown batch endpoint is the same rejection on both daemons; the
+	// shard-side wire endpoints are unknown to the coordinator only.
+	nope, wire := len(cases), len(cases)+1
+	if fedSubs[nope].Status != http.StatusBadRequest || !bytes.Equal(fedSubs[nope].Body, monoSubs[nope].Body) {
+		t.Errorf("unknown batch endpoint: fed %d %s, mono %d %s", fedSubs[nope].Status, fedSubs[nope].Body, monoSubs[nope].Status, monoSubs[nope].Body)
+	}
+	if want := `{"error":"unknown batch endpoint \"marginals/assoc\"","status":400}`; string(fedSubs[wire].Body) != want {
+		t.Errorf("wire endpoint through the coordinator batch: %s, want %s", fedSubs[wire].Body, want)
+	}
+}
+
+// TestFedShardShapeMismatch pins the merge's reply validation: a shard
+// whose counts or marginals are shorter or longer than the plan's
+// dimensions is a structured 500 naming the shard — on the GET and as a
+// batch sub-result — never a silent under-count or an index panic,
+// whichever side of a well-formed shard it sits on.
+func TestFedShardShapeMismatch(t *testing.T) {
+	// fakeShard answers the two shard-side queries with fixed bodies,
+	// directly and as /v1/batch sub-results.
+	fakeShard := func(count, assoc string) string {
+		bodies := map[string]string{"count": count, "marginals/assoc": assoc}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(server.GenerationHeader, "1")
+			w.Header().Set("Content-Type", "application/json")
+			if r.Method == http.MethodGet {
+				fmt.Fprintln(w, bodies[strings.TrimPrefix(r.URL.Path, "/v1/")])
+				return
+			}
+			var req server.BatchRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Error(err)
+			}
+			env := server.BatchResponse{Generation: 1, Sealed: true}
+			for _, q := range req.Queries {
+				env.Results = append(env.Results, server.BatchResult{Status: http.StatusOK, Body: json.RawMessage(bodies[q.Endpoint])})
+			}
+			json.NewEncoder(w).Encode(env)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	const head = `"generation":1,"sealed":true`
+	goodCount := `{` + head + `,"total":9,"dims":["parity=even","parity=odd"],"counts":[5,4]}`
+	goodAssoc := `{` + head + `,"rows":["a","b"],"cols":["c"],"marginals":{"n":9,"nver":[5,4],"nhor":[3],"ncell":[[2],[1]]}}`
+	assocWith := func(m string) string { return `{` + head + `,"rows":["a","b"],"cols":["c"],"marginals":` + m + `}` }
+
+	countQ := server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even", "parity=odd"}}}
+	assocQ := server.BatchQuery{Endpoint: "associate", Params: url.Values{"row": {"billing[topic]", "coverage[topic]"}, "col": {"parity=even"}}}
+	for _, c := range []struct {
+		name, count, assoc string
+	}{
+		{"short", `{` + head + `,"total":9,"dims":["parity=even"],"counts":[5]}`, assocWith(`{"n":9,"nver":[5],"nhor":[3],"ncell":[[2]]}`)},
+		{"long", `{` + head + `,"total":9,"dims":["a","b","c"],"counts":[5,4,3]}`, assocWith(`{"n":9,"nver":[5,4,3],"nhor":[3,1],"ncell":[[2,1],[1,0],[0,0]]}`)},
+		{"absent", `{` + head + `,"total":9}`, assocWith(`{"n":9}`)},
+		{"ragged", `{` + head + `,"total":9,"counts":[5,4,3]}`, assocWith(`{"n":9,"nver":[5,4],"nhor":[3],"ncell":[[2],[1,7]]}`)},
+	} {
+		for badAt := 0; badAt < 2; badAt++ {
+			t.Run(fmt.Sprintf("%s/bad-shard-%d", c.name, badAt), func(t *testing.T) {
+				addrs := []string{fakeShard(goodCount, goodAssoc), fakeShard(goodCount, goodAssoc)}
+				addrs[badAt] = fakeShard(c.count, c.assoc)
+				fedBase := "http://" + startCoordinator(t, Config{Shards: addrs}).Addr()
+				_, _, body := postFedBatch(t, fedBase, server.BatchRequest{Queries: []server.BatchQuery{countQ, assocQ}})
+				var env server.BatchResponse
+				if err := json.Unmarshal(body, &env); err != nil || len(env.Results) != 2 {
+					t.Fatalf("batch envelope: %v: %s", err, body)
+				}
+				for i, q := range []server.BatchQuery{countQ, assocQ} {
+					status, _, body := get(t, fedBase+"/v1/"+q.Endpoint+"?"+url.Values(q.Params).Encode())
+					var fb fedBody
+					if err := json.Unmarshal(body, &fb); err != nil {
+						t.Fatalf("%s: body not structured: %v: %s", q.Endpoint, err, body)
+					}
+					if status != http.StatusInternalServerError || fb.Status != status || !strings.HasPrefix(fb.Error, fmt.Sprintf("shard %d: ", badAt)) {
+						t.Errorf("%s: status %d body %s, want a structured 500 naming shard %d", q.Endpoint, status, body, badAt)
+					}
+					if sub := env.Results[i]; sub.Status != status || !bytes.Equal(append(append([]byte{}, sub.Body...), '\n'), body) {
+						t.Errorf("%s: batch sub-result %d %s diverges from GET %d %s", q.Endpoint, sub.Status, sub.Body, status, body)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,76 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
 	"time"
 
-	"bivoc/internal/mining"
 	"bivoc/internal/server"
 )
 
-// Federated response types: each embeds the single-node wire schema and
-// appends the federation status. Both FedStatus fields are omitted when
-// every shard answered, so a healthy federated response marshals
-// byte-identically to the single-node response over the same corpus —
-// the byte-identity contract the equivalence suites pin.
-//
-// The body `generation` is the minimum generation across live shards (a
-// conservative "every shard reflects at least this much ingest"); the
-// full per-shard vector rides the X-Bivoc-Generation header,
-// comma-joined in shard order with "-" for shards that did not answer.
-
-// FedStatus reports partial-failure degradation: Degraded is set and
-// MissingShards lists the shard indexes (in shard order) whose answers
-// are absent from this response. Absent entirely on healthy responses.
-type FedStatus struct {
-	Degraded      bool  `json:"degraded,omitempty"`
-	MissingShards []int `json:"missing_shards,omitempty"`
-}
-
-// CountResponse answers /v1/count on the coordinator.
-type CountResponse struct {
-	server.CountResponse
-	FedStatus
-}
-
-// AssociateResponse answers /v1/associate on the coordinator.
-type AssociateResponse struct {
-	server.AssociateResponse
-	FedStatus
-}
-
-// RelFreqResponse answers /v1/relfreq on the coordinator.
-type RelFreqResponse struct {
-	server.RelFreqResponse
-	FedStatus
-}
-
-// DrillDownResponse answers /v1/drilldown on the coordinator.
-type DrillDownResponse struct {
-	server.DrillDownResponse
-	FedStatus
-}
-
-// TrendResponse answers /v1/trend on the coordinator.
-type TrendResponse struct {
-	server.TrendResponse
-	FedStatus
-}
-
-// ConceptsResponse answers /v1/concepts on the coordinator.
-type ConceptsResponse struct {
-	server.ConceptsResponse
-	FedStatus
-}
-
-// ErrorResponse is the body of coordinator-originated errors (shard
-// client errors are relayed verbatim instead).
-type ErrorResponse struct {
-	server.ErrorResponse
-	FedStatus
-}
+// The coordinator has no query grammar of its own: every /v1 query is
+// planned by the endpoint table in internal/server, and what is here is
+// the transport around a plan — scatter its shard-side form, classify
+// the replies, let the plan merge the live ones, cache and write. The
+// response types are the single-node ones, whose trailing
+// server.FedStatus stays empty (and so invisible) while every shard
+// answers; the full per-shard generation vector rides the
+// X-Bivoc-Generation header, comma-joined in shard order with "-" for
+// shards that did not answer.
 
 // ShardHealth is one shard's line in the federated /healthz.
 type ShardHealth struct {
@@ -92,7 +36,7 @@ type HealthResponse struct {
 	Status string        `json:"status"` // ok | degraded
 	Docs   int           `json:"docs"`
 	Shards []ShardHealth `json:"shards"`
-	FedStatus
+	server.FedStatus
 }
 
 // ShardStatsz is one shard's section of the federated /statsz.
@@ -117,10 +61,11 @@ type StatszResponse struct {
 	Serving      server.ServingJSON    `json:"serving"`
 	ShardServing server.ServingJSON    `json:"shard_serving"`
 	Shards       []ShardStatsz         `json:"shards"`
-	FedStatus
+	server.FedStatus
 }
 
-// buildMux wires the coordinator routes. The wrapper stamps a
+// buildMux wires the coordinator routes: the public endpoints of the
+// table, /v1/batch, and the introspection pair. The wrapper stamps a
 // no-information generation vector ("-" per shard) so even locally
 // rejected requests and 404s carry the header; scattered handlers
 // overwrite it with the real per-shard vector. Every route runs through
@@ -130,136 +75,98 @@ func (c *Coordinator) buildMux() http.Handler {
 	route := func(method, path string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" "+path, c.slo.Wrap(path, h))
 	}
-	route("GET", "/v1/count", c.handleCount)
-	route("GET", "/v1/associate", c.handleAssociate)
-	route("GET", "/v1/relfreq", c.handleRelFreq)
-	route("GET", "/v1/drilldown", c.handleDrillDown)
-	route("GET", "/v1/trend", c.handleTrend)
-	route("GET", "/v1/concepts", c.handleConcepts)
+	for _, name := range c.eps.Names() {
+		route("GET", "/v1/"+name, c.handleQuery(name))
+	}
 	route("POST", "/v1/batch", c.handleBatch)
 	route("GET", "/healthz", c.handleHealthz)
 	route("GET", "/statsz", c.handleStatsz)
-	blank := make([]string, len(c.cfg.Shards))
-	for i := range blank {
-		blank[i] = "-"
-	}
-	blankVec := strings.Join(blank, ",")
+	blank := joinVec(c.blankVec())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.GenerationHeader, blankVec)
+		w.Header().Set(server.GenerationHeader, blank)
 		mux.ServeHTTP(w, r)
 	})
 }
 
-// gather is one scatter's classified result set.
+// blankVec is the generation vector of a fleet nobody has heard from.
+func (c *Coordinator) blankVec() []string {
+	vec := make([]string, len(c.cfg.Shards))
+	for i := range vec {
+		vec[i] = "-"
+	}
+	return vec
+}
+
+// gather is one query's classified shard replies.
 type gather struct {
-	replies []shardReply
-	live    []int    // shard indexes that answered 200
-	missing []int    // shard indexes that are down for this query
-	genVec  []string // per-shard generation, "-" for missing
+	live    []server.ShardBody // the 200 replies, in shard order
+	missing []int              // shards down for this query, in shard order
 }
 
-func (g *gather) fedStatus() FedStatus {
-	if len(g.missing) == 0 {
-		return FedStatus{}
-	}
-	return FedStatus{Degraded: true, MissingShards: g.missing}
+func (g *gather) fedStatus() server.FedStatus { return fedStatus(g.missing) }
+
+func fedStatus(missing []int) server.FedStatus {
+	return server.FedStatus{Degraded: len(missing) > 0, MissingShards: missing}
 }
 
-// genAgg folds live shards' body generations into the conservative
-// federated (generation, sealed) pair: minimum generation, sealed only
-// if every live shard is sealed.
-type genAgg struct {
-	gen    uint64
-	sealed bool
-	any    bool
-}
-
-func (a *genAgg) add(gen uint64, sealed bool) {
-	if !a.any {
-		a.gen, a.sealed, a.any = gen, sealed, true
-		return
-	}
-	if gen < a.gen {
-		a.gen = gen
-	}
-	a.sealed = a.sealed && sealed
-}
-
-// fanout scatters path?rawQuery to every shard and classifies the
-// replies. On a shard client error (4xx) it relays that shard's
-// structured error verbatim; with zero live shards it answers 503
-// degraded. In both cases the response is written and ok is false.
-func (c *Coordinator) fanout(w http.ResponseWriter, r *http.Request, path, rawQuery string) (g *gather, ok bool) {
-	replies := c.scatter(r.Context(), path, rawQuery)
-	g = &gather{replies: replies, genVec: make([]string, len(replies))}
-	var relay *shardReply
+// classify sorts one scatter's replies. A 200 is live; an unreachable,
+// timed-out or 5xx shard is missing ("-" in the vector). A client error
+// (4xx) is the query's fault the same way on every shard, so the first
+// one comes back as relay, to be passed on verbatim — except on the
+// introspection scatters (relayClientErrors false), which answer 200
+// whatever the shards say and count any non-200 as missing.
+func (c *Coordinator) classify(replies []shardReply, relayClientErrors bool) (g gather, genVec []string, relay *shardReply) {
+	genVec = c.blankVec()
 	for i := range replies {
 		rep := &replies[i]
 		switch {
-		case rep.down():
+		case rep.down() || (rep.status != http.StatusOK && !relayClientErrors):
 			g.missing = append(g.missing, i)
-			g.genVec[i] = "-"
 		case rep.status != http.StatusOK:
-			// The query is the client's fault the same way on every
-			// shard; remember the first structured error to relay.
-			g.genVec[i] = rep.gen
+			genVec[i] = rep.gen
 			if relay == nil {
 				relay = rep
 			}
 		default:
-			g.live = append(g.live, i)
-			g.genVec[i] = rep.gen
+			g.live = append(g.live, server.ShardBody{Shard: i, Body: rep.body})
+			genVec[i] = rep.gen
 		}
 	}
-	if relay != nil {
-		w.Header().Set(server.GenerationHeader, strings.Join(g.genVec, ","))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(relay.status)
-		w.Write(relay.body)
-		return g, false
-	}
-	if len(g.live) == 0 {
-		c.writeError(w, g.genVec, http.StatusServiceUnavailable,
-			fmt.Errorf("all %d shards unavailable", len(replies)),
-			FedStatus{Degraded: true, MissingShards: g.missing})
-		return g, false
-	}
-	return g, true
+	return g, genVec, relay
 }
 
-// writeOK writes a merged 200 response with the gathered generation
-// vector in the header, gzip-encoded when the client negotiated it.
-func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, g *gather, v any) {
+// merged folds a query's live replies into its federated body through
+// the plan's merge: a 503 when no shard answered (the only condition
+// that fails a query), a structured 500 when a reply breaks the wire
+// contract.
+func (c *Coordinator) merged(p *server.Plan, g *gather) (*server.CachedBody, int, error) {
+	if len(g.live) == 0 {
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("all %d shards unavailable", len(c.cfg.Shards))
+	}
+	v, err := p.Merge(g.live, g.fedStatus())
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
 	body, err := json.Marshal(v)
 	if err != nil {
-		c.writeError(w, g.genVec, http.StatusInternalServerError, err, g.fedStatus())
+		return nil, http.StatusInternalServerError, err
+	}
+	return &server.CachedBody{Plain: append(body, '\n')}, http.StatusOK, nil
+}
+
+// writeOK writes an introspection or envelope 200 under the gathered
+// generation vector, gzip-encoded when the client negotiated it.
+func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, genVec []string, v any) {
+	w.Header().Set(server.GenerationHeader, joinVec(genVec))
+	body, err := json.Marshal(v)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err, server.FedStatus{})
 		return
 	}
-	w.Header().Set(server.GenerationHeader, strings.Join(g.genVec, ","))
 	server.WriteJSONBody(w, r, http.StatusOK, &server.CachedBody{Plain: append(body, '\n')})
 }
 
-// writeError writes a coordinator-originated structured error. A nil
-// genVec leaves the wrapper's no-information header in place (local
-// parse errors never scattered).
-func (c *Coordinator) writeError(w http.ResponseWriter, genVec []string, status int, err error, fs FedStatus) {
-	if genVec != nil {
-		w.Header().Set(server.GenerationHeader, strings.Join(genVec, ","))
-	}
-	body, _ := json.Marshal(ErrorResponse{
-		ErrorResponse: server.ErrorResponse{Error: err.Error(), Status: status},
-		FedStatus:     fs,
-	})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func (c *Coordinator) badRequest(w http.ResponseWriter, err error) {
-	c.writeError(w, nil, http.StatusBadRequest, err, FedStatus{})
-}
-
-// decodeLive unmarshals one live shard reply, surfacing a shard that
+// decodeShard unmarshals one shard reply, surfacing a shard that
 // violates the wire contract as a coordinator-internal error.
 func decodeShard(rep shardReply, shard int, v any) error {
 	if err := json.Unmarshal(rep.body, v); err != nil {
@@ -268,417 +175,62 @@ func decodeShard(rep shardReply, shard int, v any) error {
 	return nil
 }
 
-// fedPlan is one parsed, canonicalized federated query: the
-// coordinator-cache key (built with server.CacheKey — the same
-// canonicalization the shard snapshot caches use), the shard-side
-// request to scatter, and the merge that folds the gathered replies
-// into the federated response value. Exactly one prepare* function per
-// endpoint, shared by the GET handler and /v1/batch.
-type fedPlan struct {
-	key        string
-	shardPath  string
-	shardQuery url.Values
-	merge      func(g *gather) (any, error)
-}
-
-// batchPlans dispatches a /v1/batch sub-query endpoint name to its
-// prepare function — the coordinator's public endpoints only (the
-// marginal endpoints are shard-side wire, not federated API).
-var batchPlans = map[string]func(*Coordinator, url.Values) (fedPlan, error){
-	"count":     (*Coordinator).prepareCount,
-	"associate": (*Coordinator).prepareAssociate,
-	"relfreq":   (*Coordinator).prepareRelFreq,
-	"drilldown": (*Coordinator).prepareDrillDown,
-	"trend":     (*Coordinator).prepareTrend,
-	"concepts":  (*Coordinator).prepareConcepts,
-}
-
-// respondPlanned is the shared federated query path: parse, consult the
-// generation-vector result cache — a hit serves the previously merged
-// bytes without touching any shard — and on a miss scatter, merge,
-// write, and (when every shard answered) observe the fresh vector and
-// memoize the body under it.
-func (c *Coordinator) respondPlanned(w http.ResponseWriter, r *http.Request, prep func(url.Values) (fedPlan, error)) {
-	plan, err := prep(r.URL.Query())
-	if err != nil {
-		c.badRequest(w, err)
-		return
-	}
-	if cb, vec, ok := c.cache.get(plan.key, time.Now()); ok {
+// handleQuery serves GET /v1/<name>: plan, consult the generation-vector
+// result cache — a hit serves the previously merged bytes without
+// touching any shard — and on a miss scatter the plan's shard-side form,
+// merge, write, and (when every shard answered) observe the fresh vector
+// and memoize the body under it. A parse failure never scatters, so it
+// keeps the wrapper's no-information vector.
+func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := c.eps.Plan(name, r.URL.Query())
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, err, server.FedStatus{})
+			return
+		}
+		if cb, vec, ok := c.cache.get(p.Key, time.Now()); ok {
+			w.Header().Set(server.GenerationHeader, vec)
+			server.WriteJSONBody(w, r, http.StatusOK, cb)
+			return
+		}
+		replies := c.scatter(r.Context(), http.MethodGet, "/v1/"+p.ShardEndpoint+"?"+p.ShardParams.Encode(), nil)
+		g, genVec, relay := c.classify(replies, true)
+		vec := joinVec(genVec)
 		w.Header().Set(server.GenerationHeader, vec)
-		server.WriteJSONBody(w, r, http.StatusOK, cb)
-		return
-	}
-	g, ok := c.fanout(w, r, plan.shardPath, plan.shardQuery.Encode())
-	if !ok {
-		return
-	}
-	v, err := plan.merge(g)
-	if err != nil {
-		c.writeError(w, g.genVec, http.StatusInternalServerError, err, g.fedStatus())
-		return
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		c.writeError(w, g.genVec, http.StatusInternalServerError, err, g.fedStatus())
-		return
-	}
-	cb := &server.CachedBody{Plain: append(body, '\n')}
-	vec := joinVec(g.genVec)
-	if fullVec(g.genVec) {
-		c.cache.observe(vec, time.Now())
-		// The CachedBody is shared with the cache, so a later
-		// gzip-accepting replay reuses the compression paid here (or
-		// pays it once, whichever request comes first).
-		c.cache.put(plan.key, vec, cb)
-	}
-	w.Header().Set(server.GenerationHeader, vec)
-	server.WriteJSONBody(w, r, http.StatusOK, cb)
-}
-
-// GET /v1/count — counts and totals sum across disjoint shards.
-func (c *Coordinator) prepareCount(q url.Values) (fedPlan, error) {
-	_, labels, err := server.ParseDimParams("dim", q["dim"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	return fedPlan{
-		key:        server.CacheKey("count", labels...),
-		shardPath:  "/v1/count",
-		shardQuery: url.Values{"dim": q["dim"]},
-		merge: func(g *gather) (any, error) {
-			out := CountResponse{
-				CountResponse: server.CountResponse{Dims: labels, Counts: make([]int, len(labels))},
-				FedStatus:     g.fedStatus(),
-			}
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.CountResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				out.Total += sr.Total
-				for j := 0; j < len(out.Counts) && j < len(sr.Counts); j++ {
-					out.Counts[j] += sr.Counts[j]
-				}
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			out.Generation, out.Sealed = agg.gen, agg.sealed
-			return out, nil
-		},
-	}, nil
-}
-
-func (c *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareCount)
-}
-
-// GET /v1/associate — shards return integer marginals
-// (/v1/marginals/assoc); the coordinator merges them by addition and
-// runs the Wilson float pipeline exactly once over the merged counts.
-func (c *Coordinator) prepareAssociate(q url.Values) (fedPlan, error) {
-	rows, rowLabels, err := server.ParseDimParams("row", q["row"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	cols, colLabels, err := server.ParseDimParams("col", q["col"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	confidence := c.cfg.confidence()
-	if cs := q.Get("confidence"); cs != "" {
-		cv, err := strconv.ParseFloat(cs, 64)
-		if err != nil || cv <= 0 || cv >= 1 {
-			return fedPlan{}, fmt.Errorf("confidence must be a number in (0,1), got %q", cs)
+		if relay != nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(relay.status)
+			w.Write(relay.body)
+			return
 		}
-		confidence = cv
-	}
-	return fedPlan{
-		key: server.CacheKey("associate",
-			strings.Join(rowLabels, "\x01"),
-			strings.Join(colLabels, "\x01"),
-			strconv.FormatFloat(confidence, 'g', -1, 64)),
-		shardPath:  "/v1/marginals/assoc",
-		shardQuery: url.Values{"row": q["row"], "col": q["col"]},
-		merge: func(g *gather) (any, error) {
-			parts := make([]mining.AssocMarginals, 0, len(g.live))
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.AssocMarginalsResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				parts = append(parts, sr.Marginals)
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			tbl := mining.FinalizeAssoc(rows, cols, confidence, c.cfg.AssociateWorkers,
-				mining.MergeAssocMarginals(parts...))
-			return AssociateResponse{
-				AssociateResponse: server.AssociateResponse{
-					Generation: agg.gen,
-					Sealed:     agg.sealed,
-					Confidence: tbl.Confidence,
-					Rows:       rowLabels,
-					Cols:       colLabels,
-					Cells:      server.AssocCellsJSON(tbl),
-				},
-				FedStatus: g.fedStatus(),
-			}, nil
-		},
-	}, nil
-}
-
-func (c *Coordinator) handleAssociate(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareAssociate)
-}
-
-// GET /v1/relfreq — merge integer relevancy marginals, then run the
-// ratio math once over the merged counts.
-func (c *Coordinator) prepareRelFreq(q url.Values) (fedPlan, error) {
-	category := q.Get("category")
-	if category == "" {
-		return fedPlan{}, fmt.Errorf("missing required parameter %q (a concept category)", "category")
-	}
-	featured, featLabels, err := server.ParseDimParams("featured", q["featured"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	if len(featured) > 1 {
-		return fedPlan{}, fmt.Errorf("featured must be a single dimension (use a ∧-conjunction for compound subsets)")
-	}
-	return fedPlan{
-		key:        server.CacheKey("relfreq", category, featLabels[0]),
-		shardPath:  "/v1/marginals/relfreq",
-		shardQuery: url.Values{"category": {category}, "featured": q["featured"]},
-		merge: func(g *gather) (any, error) {
-			parts := make([]mining.RelFreqMarginals, 0, len(g.live))
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.RelFreqMarginalsResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				parts = append(parts, sr.Marginals)
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			rel := mining.FinalizeRelFreq(mining.MergeRelFreqMarginals(parts...))
-			return RelFreqResponse{
-				RelFreqResponse: server.RelFreqResponse{
-					Generation: agg.gen,
-					Sealed:     agg.sealed,
-					Category:   category,
-					Featured:   featLabels[0],
-					Rows:       server.RelevancesJSON(rel),
-				},
-				FedStatus: g.fedStatus(),
-			}, nil
-		},
-	}, nil
-}
-
-func (c *Coordinator) handleRelFreq(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareRelFreq)
-}
-
-// GET /v1/drilldown — per-shard matches concatenate and re-sort by
-// document ID (IDs are unique across shards); the global top-limit is a
-// subset of the union of per-shard top-limits, and Count sums the full
-// per-shard cell sizes.
-func (c *Coordinator) prepareDrillDown(q url.Values) (fedPlan, error) {
-	rows, rowLabels, err := server.ParseDimParams("row", q["row"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	cols, colLabels, err := server.ParseDimParams("col", q["col"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	if len(rows) > 1 || len(cols) > 1 {
-		return fedPlan{}, fmt.Errorf("drilldown takes exactly one row and one col dimension")
-	}
-	limit := 50
-	if ls := q.Get("limit"); ls != "" {
-		limit, err = strconv.Atoi(ls)
-		if err != nil || limit < 0 {
-			return fedPlan{}, fmt.Errorf("limit must be a non-negative integer, got %q", ls)
+		cb, status, err := c.merged(p, &g)
+		if err != nil {
+			server.WriteError(w, status, err, g.fedStatus())
+			return
 		}
-	}
-	return fedPlan{
-		key:        server.CacheKey("drilldown", rowLabels[0], colLabels[0], strconv.Itoa(limit)),
-		shardPath:  "/v1/drilldown",
-		shardQuery: url.Values{"row": q["row"], "col": q["col"], "limit": {strconv.Itoa(limit)}},
-		merge: func(g *gather) (any, error) {
-			docs := []server.DocumentJSON{}
-			count := 0
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.DrillDownResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				docs = append(docs, sr.Docs...)
-				count += sr.Count
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			sortDocsByID(docs)
-			truncated := count > limit
-			if len(docs) > limit {
-				docs = docs[:limit]
-			}
-			return DrillDownResponse{
-				DrillDownResponse: server.DrillDownResponse{
-					Generation: agg.gen,
-					Sealed:     agg.sealed,
-					Row:        rowLabels[0],
-					Col:        colLabels[0],
-					Count:      count,
-					Truncated:  truncated,
-					Docs:       docs,
-				},
-				FedStatus: g.fedStatus(),
-			}, nil
-		},
-	}, nil
-}
-
-func (c *Coordinator) handleDrillDown(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareDrillDown)
-}
-
-func sortDocsByID(docs []server.DocumentJSON) {
-	// Insertion sort over already-sorted per-shard runs would do, but
-	// the slice is at most limit×shards long; keep it simple.
-	for i := 1; i < len(docs); i++ {
-		for j := i; j > 0 && docs[j].ID < docs[j-1].ID; j-- {
-			docs[j], docs[j-1] = docs[j-1], docs[j]
+		if fullVec(genVec) {
+			c.cache.observe(vec, time.Now())
+			// The CachedBody is shared with the cache, so a later
+			// gzip-accepting replay reuses the compression paid here (or
+			// pays it once, whichever request comes first).
+			c.cache.put(p.Key, vec, cb)
 		}
+		server.WriteJSONBody(w, r, status, cb)
 	}
-}
-
-// GET /v1/trend — per-shard time buckets sum; the slope is fitted once
-// over the merged series (identical to a single node's fit, because the
-// merged buckets are identical).
-func (c *Coordinator) prepareTrend(q url.Values) (fedPlan, error) {
-	dims, labels, err := server.ParseDimParams("dim", q["dim"])
-	if err != nil {
-		return fedPlan{}, err
-	}
-	if len(dims) > 1 {
-		return fedPlan{}, fmt.Errorf("trend takes exactly one dim")
-	}
-	return fedPlan{
-		key:        server.CacheKey("trend", labels[0]),
-		shardPath:  "/v1/trend",
-		shardQuery: url.Values{"dim": q["dim"]},
-		merge: func(g *gather) (any, error) {
-			parts := make([][]mining.TrendPoint, 0, len(g.live))
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.TrendResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				pts := make([]mining.TrendPoint, len(sr.Points))
-				for k, p := range sr.Points {
-					pts[k] = mining.TrendPoint{Time: p.Time, Count: p.Count}
-				}
-				parts = append(parts, pts)
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			merged := mining.MergeTrends(parts...)
-			return TrendResponse{
-				TrendResponse: server.TrendResponse{
-					Generation: agg.gen,
-					Sealed:     agg.sealed,
-					Dim:        labels[0],
-					Points:     server.TrendPointsJSON(merged),
-					Slope:      mining.TrendSlope(merged),
-				},
-				FedStatus: g.fedStatus(),
-			}, nil
-		},
-	}, nil
-}
-
-func (c *Coordinator) handleTrend(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareTrend)
-}
-
-// GET /v1/concepts — category vocabularies merge on document frequency
-// (shards return counted marginals); field vocabularies are order-free
-// string unions of the public endpoint's values.
-func (c *Coordinator) prepareConcepts(q url.Values) (fedPlan, error) {
-	category, field := q.Get("category"), q.Get("field")
-	if (category == "") == (field == "") {
-		return fedPlan{}, fmt.Errorf("pass exactly one of %q or %q", "category", "field")
-	}
-	finish := func(g *gather, agg genAgg, values []string) any {
-		if values == nil {
-			values = []string{}
-		}
-		return ConceptsResponse{
-			ConceptsResponse: server.ConceptsResponse{
-				Generation: agg.gen,
-				Sealed:     agg.sealed,
-				Category:   category,
-				Field:      field,
-				Values:     values,
-			},
-			FedStatus: g.fedStatus(),
-		}
-	}
-	plan := fedPlan{key: server.CacheKey("concepts", category, field)}
-	if category != "" {
-		plan.shardPath = "/v1/marginals/concepts"
-		plan.shardQuery = url.Values{"category": {category}}
-		plan.merge = func(g *gather) (any, error) {
-			parts := make([][]mining.ConceptCount, 0, len(g.live))
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.ConceptDFResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				parts = append(parts, sr.Concepts)
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			return finish(g, agg, mining.ConceptNames(mining.MergeConceptCounts(parts...))), nil
-		}
-	} else {
-		plan.shardPath = "/v1/concepts"
-		plan.shardQuery = url.Values{"field": {field}}
-		plan.merge = func(g *gather) (any, error) {
-			parts := make([][]string, 0, len(g.live))
-			var agg genAgg
-			for _, i := range g.live {
-				var sr server.ConceptsResponse
-				if err := decodeShard(g.replies[i], i, &sr); err != nil {
-					return nil, err
-				}
-				parts = append(parts, sr.Values)
-				agg.add(sr.Generation, sr.Sealed)
-			}
-			return finish(g, agg, mining.MergeFieldValues(parts...)), nil
-		}
-	}
-	return plan, nil
-}
-
-func (c *Coordinator) handleConcepts(w http.ResponseWriter, r *http.Request) {
-	c.respondPlanned(w, r, c.prepareConcepts)
 }
 
 // GET /healthz — always 200 while the coordinator serves; aggregates
 // per-shard health and degrades on any unreachable or degraded shard.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g, _ := c.gatherHealth(r)
+	replies := c.scatter(r.Context(), http.MethodGet, "/healthz", nil)
+	g, genVec, _ := c.classify(replies, false)
 	resp := HealthResponse{Status: "ok", Shards: make([]ShardHealth, len(c.cfg.Shards)), FedStatus: g.fedStatus()}
 	if resp.Degraded {
 		resp.Status = "degraded"
 	}
 	for i, addr := range c.cfg.Shards {
 		sh := ShardHealth{Shard: i, Addr: addr}
-		rep := g.replies[i]
+		rep := replies[i]
 		if rep.down() || rep.status != http.StatusOK {
 			sh.Status = "unreachable"
 			if rep.err != nil {
@@ -711,16 +263,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards[i] = sh
 	}
-	c.writeOK(w, r, g, resp)
+	c.writeOK(w, r, genVec, resp)
 }
 
 // GET /statsz — fleet-wide document/segment/cache sums plus each
 // shard's own stats section verbatim.
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	g, _ := c.gatherStatsz(r)
+	replies := c.scatter(r.Context(), http.MethodGet, "/statsz", nil)
+	g, genVec, _ := c.classify(replies, false)
 	fedHits, fedMisses, fedSize := c.cache.stats()
 	resp := StatszResponse{
-		Generations: g.genVec,
+		Generations: genVec,
 		FedCache: server.CacheStatsJSON{
 			Hits:     fedHits,
 			Misses:   fedMisses,
@@ -733,7 +286,7 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, addr := range c.cfg.Shards {
 		ss := ShardStatsz{Shard: i, Addr: addr}
-		rep := g.replies[i]
+		rep := replies[i]
 		if rep.down() || rep.status != http.StatusOK {
 			if rep.err != nil {
 				ss.Error = rep.err.Error()
@@ -759,30 +312,5 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		ss.Stats = &sr
 		resp.Shards[i] = ss
 	}
-	c.writeOK(w, r, g, resp)
-}
-
-// gatherHealth/gatherStatsz scatter without the fanout error shortcuts:
-// introspection endpoints answer 200 regardless of shard loss.
-func (c *Coordinator) gatherHealth(r *http.Request) (*gather, bool) {
-	return c.classify(c.scatter(r.Context(), "/healthz", "")), true
-}
-
-func (c *Coordinator) gatherStatsz(r *http.Request) (*gather, bool) {
-	return c.classify(c.scatter(r.Context(), "/statsz", "")), true
-}
-
-func (c *Coordinator) classify(replies []shardReply) *gather {
-	g := &gather{replies: replies, genVec: make([]string, len(replies))}
-	for i := range replies {
-		rep := &replies[i]
-		if rep.down() || rep.status != http.StatusOK {
-			g.missing = append(g.missing, i)
-			g.genVec[i] = "-"
-			continue
-		}
-		g.live = append(g.live, i)
-		g.genVec[i] = rep.gen
-	}
-	return g
+	c.writeOK(w, r, genVec, resp)
 }

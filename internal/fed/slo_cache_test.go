@@ -57,7 +57,7 @@ func TestFedMaxFanoutBoundsConcurrency(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		w.Header().Set(server.GenerationHeader, "1")
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"dim":["parity=even"],"count":0,"total":0,"generation":1,"sealed":true}`)
+		fmt.Fprintln(w, `{"generation":1,"sealed":true,"total":0,"dims":["parity=even"],"counts":[0]}`)
 	}))
 	t.Cleanup(counting.Close)
 

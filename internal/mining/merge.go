@@ -152,6 +152,17 @@ type AssocMarginals struct {
 	Ncell [][]int `json:"ncell"`
 }
 
+// Fits reports whether m is shaped for a rows × cols table — the
+// precondition of MergeAssocMarginals and FinalizeAssoc, which index by
+// position. Marginals decoded from another process must pass it first.
+func (m AssocMarginals) Fits(rows, cols int) bool {
+	ok := len(m.Nver) == rows && len(m.Nhor) == cols && len(m.Ncell) == rows
+	for _, row := range m.Ncell {
+		ok = ok && len(row) == cols
+	}
+	return ok
+}
+
 // MergeAssocMarginals merges association marginals from parts with
 // disjoint document sets (all parts computed for the same row/column
 // dimensions): every count adds. Zero parts yield the zero value.

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -15,16 +14,15 @@ import (
 // snapshot load so the whole batch is generation-consistent. The point
 // is transport amortization: BENCH_server pins HTTP+JSON framing as the
 // dominant per-request cost, so a dashboard issuing N small queries
-// pays it once instead of N times. Every sub-query runs through the
-// same prepare* function as its GET endpoint, hitting the same
-// snapshot-LRU entries under the same canonical keys — a dim queried
-// via batch and via /v1/count shares one cache line by construction.
+// pays it once instead of N times. Every sub-query is planned from the
+// same endpoint table as its GET route, hitting the same snapshot-LRU
+// entries under the same canonical keys — a dim queried via batch and
+// via /v1/count shares one cache line by construction.
 
 // MaxBatchQueries bounds the sub-queries of one /v1/batch request.
 const MaxBatchQueries = 1000
 
-// MaxBatchBytes bounds the /v1/batch request body (1 MiB); the
-// federation coordinator applies the same bound.
+// MaxBatchBytes bounds the /v1/batch request body (1 MiB).
 const MaxBatchBytes = 1 << 20
 
 // BatchQuery is one sub-query of a /v1/batch request: the /v1 endpoint
@@ -55,51 +53,45 @@ type BatchResponse struct {
 	Generation uint64        `json:"generation"`
 	Sealed     bool          `json:"sealed"`
 	Results    []BatchResult `json:"results"`
+	FedStatus
 }
 
-// errorRaw renders the body a failed sub-query contributes to the batch
-// envelope — the ErrorResponse bytes writeErr would send, minus the
-// trailing newline the envelope does not carry per-result.
-func errorRaw(status int, err error) json.RawMessage {
-	body, _ := json.Marshal(ErrorResponse{Error: err.Error(), Status: status})
-	return body
+// NewBatchResult wraps one sub-query's outcome — the body served, or the
+// status and error that replaced it — exactly as the GET route would
+// have answered, minus the trailing newline the envelope does not carry
+// per result.
+func NewBatchResult(cb *CachedBody, status int, err error, fs FedStatus) BatchResult {
+	if err != nil {
+		return BatchResult{Status: status, Body: ErrorBody(status, err, fs)}
+	}
+	return BatchResult{Status: status, Body: bytes.TrimSuffix(cb.Plain, []byte("\n"))}
 }
 
-// runBatchQuery answers one sub-query from sn, reusing the snapshot
-// cache under the canonical key. Counter contract matches respond:
-// exactly one hit or one miss per dispatched sub-query.
+// DecodeBatch reads a /v1/batch request under the body-size and
+// sub-query limits both daemons apply; every error is the caller's (400).
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, error) {
+	var req BatchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes)).Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding batch request: %w", err)
+	}
+	if len(req.Queries) == 0 {
+		return req, fmt.Errorf("batch request has no queries")
+	}
+	if len(req.Queries) > MaxBatchQueries {
+		return req, fmt.Errorf("batch request has %d queries, limit is %d", len(req.Queries), MaxBatchQueries)
+	}
+	return req, nil
+}
+
+// runBatchQuery answers one sub-query from sn through the same plan and
+// cached path as its GET route.
 func (s *Server) runBatchQuery(sn *snapshot, bq BatchQuery) BatchResult {
-	prep, ok := batchEndpoints[bq.Endpoint]
-	if !ok {
-		return BatchResult{
-			Status: http.StatusBadRequest,
-			Body:   errorRaw(http.StatusBadRequest, fmt.Errorf("unknown batch endpoint %q", bq.Endpoint)),
-		}
-	}
-	pq, err := prep(s, url.Values(bq.Params))
+	p, err := s.eps.Plan(bq.Endpoint, url.Values(bq.Params))
 	if err != nil {
-		return BatchResult{Status: http.StatusBadRequest, Body: errorRaw(http.StatusBadRequest, err)}
+		return NewBatchResult(nil, http.StatusBadRequest, err, FedStatus{})
 	}
-	if cb, ok := sn.cache.get(pq.key); ok {
-		s.hits.Add(1)
-		return BatchResult{Status: http.StatusOK, Body: bytes.TrimSuffix(cb.Plain, []byte("\n"))}
-	}
-	s.misses.Add(1)
-	v, err := pq.compute(sn)
-	if err != nil {
-		status := http.StatusInternalServerError
-		var bqe badQueryError
-		if errors.As(err, &bqe) {
-			status = http.StatusBadRequest
-		}
-		return BatchResult{Status: status, Body: errorRaw(status, err)}
-	}
-	body, err := marshalBody(v)
-	if err != nil {
-		return BatchResult{Status: http.StatusInternalServerError, Body: errorRaw(http.StatusInternalServerError, err)}
-	}
-	sn.cache.put(pq.key, &CachedBody{Plain: body})
-	return BatchResult{Status: http.StatusOK, Body: bytes.TrimSuffix(body, []byte("\n"))}
+	cb, status, err := s.answer(sn, p.Key, p.answerFrom)
+	return NewBatchResult(cb, status, err, FedStatus{})
 }
 
 // handleBatch answers POST /v1/batch. The envelope is 200 whenever the
@@ -109,18 +101,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch request has no queries"))
-		return
-	}
-	if len(req.Queries) > MaxBatchQueries {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch request has %d queries, limit is %d", len(req.Queries), MaxBatchQueries))
+	req, err := DecodeBatch(w, r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	sn := s.snap.Load()

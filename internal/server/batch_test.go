@@ -202,6 +202,40 @@ func TestBatchValidation(t *testing.T) {
 	if status, _ := get(t, base+"/v1/batch"); status != http.StatusMethodNotAllowed && status != http.StatusNotFound {
 		t.Errorf("GET /v1/batch: status = %d, want 405 or 404", status)
 	}
+
+	// A malformed sub-query is rejected inside a 200 envelope with the
+	// very body its GET route answers, and its valid sibling still runs.
+	bad := []BatchQuery{
+		{Endpoint: "count"},
+		{Endpoint: "trend", Params: map[string][]string{"dim": {"a[b]", "c[d]"}}},
+		{Endpoint: "associate", Params: map[string][]string{"row": {"topic"}, "col": {"parity=even"}, "confidence": {"7"}}},
+		{Endpoint: "drilldown", Params: map[string][]string{"row": {"topic"}, "col": {"parity=even"}, "limit": {"-2"}}},
+		{Endpoint: "concepts"},
+		{Endpoint: "concepts", Params: map[string][]string{"category": {"topic"}, "field": {"outcome"}}},
+		{Endpoint: "relfreq", Params: map[string][]string{"category": {"topic"}, "featured": {"parity=even", "parity=odd"}}},
+		{Endpoint: "marginals/assoc", Params: map[string][]string{"row": {"topic"}}},
+	}
+	queries := append(append([]BatchQuery{}, bad...),
+		BatchQuery{Endpoint: "nope"},
+		BatchQuery{Endpoint: "count", Params: map[string][]string{"dim": {"parity=even"}}})
+	status, body := postBatch(t, base, BatchRequest{Queries: queries})
+	var env BatchResponse
+	if err := json.Unmarshal(body, &env); err != nil || status != http.StatusOK || len(env.Results) != len(queries) {
+		t.Fatalf("batch of malformed sub-queries: status %d, err %v, body %s", status, err, body)
+	}
+	for i, bq := range bad {
+		getStatus, want := get(t, base+"/v1/"+bq.Endpoint+"?"+url.Values(bq.Params).Encode())
+		got := append(append([]byte{}, env.Results[i].Body...), '\n')
+		if getStatus != http.StatusBadRequest || env.Results[i].Status != getStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s %v: batch sub %d %s, GET %d %s", bq.Endpoint, bq.Params, env.Results[i].Status, got, getStatus, want)
+		}
+	}
+	if sub := env.Results[len(bad)]; sub.Status != http.StatusBadRequest || string(sub.Body) != `{"error":"unknown batch endpoint \"nope\"","status":400}` {
+		t.Errorf("unknown endpoint: %d %s", sub.Status, sub.Body)
+	}
+	if sub := env.Results[len(bad)+1]; sub.Status != http.StatusOK {
+		t.Errorf("valid sibling of malformed sub-queries: %d %s", sub.Status, sub.Body)
+	}
 }
 
 // TestStatszServingCounters pins the /statsz serving section: every

@@ -3,25 +3,25 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"time"
 
 	"bivoc/internal/mining"
 	"bivoc/internal/pipeline"
 )
 
-// Response types — the wire schema of the /v1 API. Every response
-// carries the generation and sealed flag of the single snapshot it was
-// computed from, so clients can detect swaps and correlate answers.
-// Dimensions are echoed in canonical form (mining.(Dim).CanonicalLabel),
-// which is also the form cache keys use.
+// Response types — the wire schema of the /v1 API on both daemons. Every
+// response opens with the generation and sealed flag of the data it was
+// computed from — one snapshot on bivocd; the minimum generation and the
+// AND of sealed over the live shards on bivocfed, whose full per-shard
+// vector rides GenerationHeader — so clients can detect swaps and
+// correlate answers, and closes with a FedStatus that only a degraded
+// federated answer fills in. Dimensions are echoed in canonical form
+// (mining.(Dim).CanonicalLabel), which is also the form cache keys use.
 
 // CountResponse answers /v1/count.
 type CountResponse struct {
@@ -30,6 +30,7 @@ type CountResponse struct {
 	Total      int      `json:"total"`
 	Dims       []string `json:"dims"`
 	Counts     []int    `json:"counts"`
+	FedStatus
 }
 
 // AssocCellJSON is one cell of an association table.
@@ -51,6 +52,7 @@ type AssociateResponse struct {
 	Rows       []string          `json:"rows"`
 	Cols       []string          `json:"cols"`
 	Cells      [][]AssocCellJSON `json:"cells"`
+	FedStatus
 }
 
 // RelevanceJSON is one row of a relative-frequency report.
@@ -70,6 +72,7 @@ type RelFreqResponse struct {
 	Category   string          `json:"category"`
 	Featured   string          `json:"featured"`
 	Rows       []RelevanceJSON `json:"rows"`
+	FedStatus
 }
 
 // ConceptJSON is one extracted concept of a drilled-down document.
@@ -95,6 +98,7 @@ type DrillDownResponse struct {
 	Count      int            `json:"count"`
 	Truncated  bool           `json:"truncated"`
 	Docs       []DocumentJSON `json:"docs"`
+	FedStatus
 }
 
 // TrendPointJSON is one time bucket of a trend.
@@ -110,6 +114,7 @@ type TrendResponse struct {
 	Dim        string           `json:"dim"`
 	Points     []TrendPointJSON `json:"points"`
 	Slope      float64          `json:"slope"`
+	FedStatus
 }
 
 // ConceptsResponse answers /v1/concepts: the vocabulary of a concept
@@ -120,6 +125,7 @@ type ConceptsResponse struct {
 	Category   string   `json:"category,omitempty"`
 	Field      string   `json:"field,omitempty"`
 	Values     []string `json:"values"`
+	FedStatus
 }
 
 // HealthResponse answers /healthz.
@@ -227,6 +233,7 @@ type StatszResponse struct {
 type ErrorResponse struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
+	FedStatus
 }
 
 // GenerationHeader is the response header carrying the serving snapshot
@@ -244,15 +251,9 @@ func (s *Server) buildMux() http.Handler {
 	route := func(method, path string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" "+path, s.slo.Wrap(path, h))
 	}
-	route("GET", "/v1/count", s.handleCount)
-	route("GET", "/v1/associate", s.handleAssociate)
-	route("GET", "/v1/relfreq", s.handleRelFreq)
-	route("GET", "/v1/drilldown", s.handleDrillDown)
-	route("GET", "/v1/trend", s.handleTrend)
-	route("GET", "/v1/concepts", s.handleConcepts)
-	route("GET", "/v1/marginals/concepts", s.handleConceptDF)
-	route("GET", "/v1/marginals/relfreq", s.handleRelFreqMarginals)
-	route("GET", "/v1/marginals/assoc", s.handleAssocMarginals)
+	for _, name := range s.eps.Names() {
+		route("GET", "/v1/"+name, s.handleQuery(name))
+	}
 	route("POST", "/v1/batch", s.handleBatch)
 	route("GET", "/healthz", s.handleHealthz)
 	route("GET", "/statsz", s.handleStatsz)
@@ -268,9 +269,21 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
+// ErrorBody renders an ErrorResponse without the trailing newline — the
+// form a /v1/batch sub-result embeds.
+func ErrorBody(status int, err error, fs FedStatus) json.RawMessage {
+	body, _ := json.Marshal(ErrorResponse{Error: err.Error(), Status: status, FedStatus: fs})
+	return body
+}
+
+// WriteError answers with a structured error. Errors are never cached or
+// compressed.
+func WriteError(w http.ResponseWriter, status int, err error, fs FedStatus) {
+	writeJSON(w, status, append(ErrorBody(status, err, fs), '\n'))
+}
+
 func writeErr(w http.ResponseWriter, status int, err error) {
-	body, _ := json.Marshal(ErrorResponse{Error: err.Error(), Status: status})
-	writeJSON(w, status, append(body, '\n'))
+	WriteError(w, status, err, FedStatus{})
 }
 
 // badQueryError marks a compute failure as the caller's fault (a
@@ -284,325 +297,75 @@ func (e badQueryError) Unwrap() error { return e.err }
 // badQuery wraps err so respond answers it with 400 Bad Request.
 func badQuery(err error) error { return badQueryError{err: err} }
 
-// respond is the shared query path: load the snapshot pointer exactly
-// once, consult that snapshot's cache under the canonical key, and on a
-// miss compute, marshal, and memoize the full response body. Because
-// both the index and the cache are reached through the single loaded
-// pointer, the response is self-consistent with exactly one generation
-// and a hit can never serve bytes from another generation.
+// answer is the one cached query path, shared by the GET routes and
+// /v1/batch: consult sn's cache under the canonical key, and on a miss
+// compute, marshal, and memoize the full response body. The caller
+// loaded sn exactly once, and both the index and the cache are reached
+// through it, so the response is self-consistent with exactly one
+// generation and a hit can never serve bytes from another generation.
 //
-// Counter contract: every request through here is exactly one hit or
-// one miss — a cache-get failure counts as a miss even when the compute
-// then fails, so hits+misses reconciles with requests served. Compute
-// failures are internal (500) unless marked with badQuery (400).
+// Counter contract: every call is exactly one hit or one miss — a
+// cache-get failure counts as a miss even when the compute then fails,
+// so hits+misses reconciles with queries served. Compute failures are
+// internal (500) unless marked with badQuery (400).
 //
 // The body is marshaled once through the pooled scratch buffer and
 // cached as a CachedBody, so a hit re-serves the same bytes — and, for
 // gzip-accepting clients, the same once-compressed encoding.
+func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) (any, error)) (*CachedBody, int, error) {
+	if cb, ok := sn.cache.get(key); ok {
+		s.hits.Add(1)
+		return cb, http.StatusOK, nil
+	}
+	s.misses.Add(1)
+	v, err := compute(sn)
+	if err != nil {
+		var bq badQueryError
+		if errors.As(err, &bq) {
+			return nil, http.StatusBadRequest, err
+		}
+		return nil, http.StatusInternalServerError, err
+	}
+	body, err := marshalBody(v)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	cb := &CachedBody{Plain: body}
+	sn.cache.put(key, cb)
+	return cb, http.StatusOK, nil
+}
+
+// respond answers one GET from the current snapshot through answer.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, compute func(sn *snapshot) (any, error)) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
 	sn := s.snap.Load()
 	w.Header().Set(GenerationHeader, strconv.FormatUint(sn.gen, 10))
-	if cb, ok := sn.cache.get(key); ok {
-		s.hits.Add(1)
-		WriteJSONBody(w, r, http.StatusOK, cb)
-		return
-	}
-	s.misses.Add(1)
-	v, err := compute(sn)
+	cb, status, err := s.answer(sn, key, compute)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var bq badQueryError
-		if errors.As(err, &bq) {
-			status = http.StatusBadRequest
-		}
 		writeErr(w, status, err)
 		return
 	}
-	body, err := marshalBody(v)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	cb := &CachedBody{Plain: body}
-	sn.cache.put(key, cb)
-	WriteJSONBody(w, r, http.StatusOK, cb)
+	WriteJSONBody(w, r, status, cb)
 }
 
-// respondPrepared runs a prepare function over the request's query
-// parameters and answers the prepared query through respond, mapping
-// parse failures to 400 — the single-query half of the shared
-// prepare*/respond machinery.
-func (s *Server) respondPrepared(w http.ResponseWriter, r *http.Request, prep func(url.Values) (preparedQuery, error)) {
-	pq, err := prep(r.URL.Query())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.respond(w, r, pq.key, pq.compute)
+// answerFrom is a plan's compute function over a snapshot.
+func (p *Plan) answerFrom(sn *snapshot) (any, error) {
+	return p.Local(sn.view, Head{Generation: sn.gen, Sealed: sn.sealed}), nil
 }
 
-// ParseDimParams parses every value of a repeated dimension query
-// parameter, returning the dims and their canonical labels. Exported
-// because the federation coordinator validates and canonicalizes the
-// same parameters before scattering them to shards.
-func ParseDimParams(param string, vals []string) ([]mining.Dim, []string, error) {
-	if len(vals) == 0 {
-		return nil, nil, fmt.Errorf("missing required parameter %q (a dimension label, e.g. %q or %q)",
-			param, "outcome=reservation", "weak start[customer intention]")
-	}
-	dims := make([]mining.Dim, len(vals))
-	labels := make([]string, len(vals))
-	for i, v := range vals {
-		d, err := mining.ParseDim(v)
+// handleQuery serves GET /v1/<name> from the endpoint table; parse
+// failures are 400s.
+func (s *Server) handleQuery(name string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := s.eps.Plan(name, r.URL.Query())
 		if err != nil {
-			return nil, nil, fmt.Errorf("parameter %s: %w", param, err)
+			writeErr(w, http.StatusBadRequest, err)
+			return
 		}
-		dims[i] = d
-		labels[i] = d.CanonicalLabel()
+		s.respond(w, r, p.Key, p.answerFrom)
 	}
-	return dims, labels, nil
-}
-
-// CacheKey builds a canonical cache key from the endpoint name and its
-// canonicalized parameters. Parameter order within one repeated key is
-// preserved (it is echoed in the response), so only dimension spelling
-// is canonicalized, not request shape. Exported because the federation
-// coordinator keys its generation-vector result cache with the same
-// canonical form — one canonicalization implementation for the single,
-// batch, and federated paths.
-func CacheKey(endpoint string, parts ...string) string {
-	return endpoint + "\x00" + strings.Join(parts, "\x00")
-}
-
-// preparedQuery is one parsed, canonicalized /v1 query: the
-// snapshot-LRU cache key plus the compute closure that answers it from
-// a snapshot. Exactly one prepare* function exists per endpoint and is
-// shared by the GET handler and the /v1/batch executor, so a dimension
-// queried either way lands on the same cache entry by construction.
-type preparedQuery struct {
-	key     string
-	compute func(sn *snapshot) (any, error)
-}
-
-// batchEndpoints dispatches a /v1/batch sub-query endpoint name to its
-// prepare function. The names are the /v1 paths without the prefix.
-var batchEndpoints = map[string]func(*Server, url.Values) (preparedQuery, error){
-	"count":              (*Server).prepareCount,
-	"associate":          (*Server).prepareAssociate,
-	"relfreq":            (*Server).prepareRelFreq,
-	"drilldown":          (*Server).prepareDrillDown,
-	"trend":              (*Server).prepareTrend,
-	"concepts":           (*Server).prepareConcepts,
-	"marginals/concepts": (*Server).prepareConceptDF,
-	"marginals/relfreq":  (*Server).prepareRelFreqMarginals,
-	"marginals/assoc":    (*Server).prepareAssocMarginals,
-}
-
-// GET /v1/count?dim=<label>[&dim=<label>...] — document counts for one
-// or more dimensions, plus the snapshot total, all from one generation.
-func (s *Server) prepareCount(q url.Values) (preparedQuery, error) {
-	dims, labels, err := ParseDimParams("dim", q["dim"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	return preparedQuery{key: CacheKey("count", labels...), compute: func(sn *snapshot) (any, error) {
-		counts := make([]int, len(dims))
-		for i, d := range dims {
-			counts[i] = sn.view.Count(d)
-		}
-		return CountResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Total:      sn.view.Len(),
-			Dims:       labels,
-			Counts:     counts,
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareCount)
-}
-
-// GET /v1/associate?row=<label>&...&col=<label>&...[&confidence=0.95] —
-// the §IV.D.2 two-dimensional association table.
-func (s *Server) prepareAssociate(q url.Values) (preparedQuery, error) {
-	rows, rowLabels, err := ParseDimParams("row", q["row"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	cols, colLabels, err := ParseDimParams("col", q["col"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	confidence := s.cfg.confidence()
-	if cs := q.Get("confidence"); cs != "" {
-		c, err := strconv.ParseFloat(cs, 64)
-		if err != nil || c <= 0 || c >= 1 {
-			return preparedQuery{}, fmt.Errorf("confidence must be a number in (0,1), got %q", cs)
-		}
-		confidence = c
-	}
-	key := CacheKey("associate",
-		strings.Join(rowLabels, "\x01"),
-		strings.Join(colLabels, "\x01"),
-		strconv.FormatFloat(confidence, 'g', -1, 64))
-	return preparedQuery{key: key, compute: func(sn *snapshot) (any, error) {
-		tbl := sn.view.AssociateN(rows, cols, confidence, s.cfg.AssociateWorkers)
-		return AssociateResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Confidence: tbl.Confidence,
-			Rows:       rowLabels,
-			Cols:       colLabels,
-			Cells:      AssocCellsJSON(tbl),
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleAssociate(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareAssociate)
-}
-
-// GET /v1/relfreq?category=<cat>&featured=<label> — the §IV.D.1
-// relevancy analysis: category concept densities inside the featured
-// subset versus the whole collection.
-func (s *Server) prepareRelFreq(q url.Values) (preparedQuery, error) {
-	category := q.Get("category")
-	if category == "" {
-		return preparedQuery{}, fmt.Errorf("missing required parameter %q (a concept category)", "category")
-	}
-	featured, featLabels, err := ParseDimParams("featured", q["featured"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	if len(featured) > 1 {
-		return preparedQuery{}, fmt.Errorf("featured must be a single dimension (use a ∧-conjunction for compound subsets)")
-	}
-	return preparedQuery{key: CacheKey("relfreq", category, featLabels[0]), compute: func(sn *snapshot) (any, error) {
-		rows := RelevancesJSON(sn.view.RelativeFrequency(category, featured[0]))
-		return RelFreqResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Category:   category,
-			Featured:   featLabels[0],
-			Rows:       rows,
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleRelFreq(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareRelFreq)
-}
-
-// GET /v1/drilldown?row=<label>&col=<label>[&limit=N] — Figure 4's
-// cell-to-documents navigation. limit bounds the returned documents
-// (default 50; Count is always the full cell size).
-func (s *Server) prepareDrillDown(q url.Values) (preparedQuery, error) {
-	rows, rowLabels, err := ParseDimParams("row", q["row"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	cols, colLabels, err := ParseDimParams("col", q["col"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	if len(rows) > 1 || len(cols) > 1 {
-		return preparedQuery{}, fmt.Errorf("drilldown takes exactly one row and one col dimension")
-	}
-	limit := 50
-	if ls := q.Get("limit"); ls != "" {
-		limit, err = strconv.Atoi(ls)
-		if err != nil || limit < 0 {
-			return preparedQuery{}, fmt.Errorf("limit must be a non-negative integer, got %q", ls)
-		}
-	}
-	key := CacheKey("drilldown", rowLabels[0], colLabels[0], strconv.Itoa(limit))
-	return preparedQuery{key: key, compute: func(sn *snapshot) (any, error) {
-		docs := sn.view.DrillDown(rows[0], cols[0])
-		n := len(docs)
-		truncated := false
-		if n > limit {
-			docs = docs[:limit]
-			truncated = true
-		}
-		out := DocumentsJSON(docs)
-		return DrillDownResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Row:        rowLabels[0],
-			Col:        colLabels[0],
-			Count:      n,
-			Truncated:  truncated,
-			Docs:       out,
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareDrillDown)
-}
-
-// GET /v1/trend?dim=<label> — per-time-bucket counts plus the fitted
-// slope (documents per bucket).
-func (s *Server) prepareTrend(q url.Values) (preparedQuery, error) {
-	dims, labels, err := ParseDimParams("dim", q["dim"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	if len(dims) > 1 {
-		return preparedQuery{}, fmt.Errorf("trend takes exactly one dim")
-	}
-	return preparedQuery{key: CacheKey("trend", labels[0]), compute: func(sn *snapshot) (any, error) {
-		pts := sn.view.Trend(dims[0])
-		points := TrendPointsJSON(pts)
-		return TrendResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Dim:        labels[0],
-			Points:     points,
-			Slope:      mining.TrendSlope(pts),
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareTrend)
-}
-
-// GET /v1/concepts?category=<cat> | ?field=<name> — the vocabulary of a
-// concept category (document-frequency order) or a structured field
-// (sorted values); the discovery endpoint analysts use to find
-// dimension labels to query with.
-func (s *Server) prepareConcepts(q url.Values) (preparedQuery, error) {
-	category, field := q.Get("category"), q.Get("field")
-	if (category == "") == (field == "") {
-		return preparedQuery{}, fmt.Errorf("pass exactly one of %q or %q", "category", "field")
-	}
-	return preparedQuery{key: CacheKey("concepts", category, field), compute: func(sn *snapshot) (any, error) {
-		resp := ConceptsResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Category:   category,
-			Field:      field,
-		}
-		if category != "" {
-			resp.Values = sn.view.ConceptsInCategory(category)
-		} else {
-			resp.Values = sn.view.FieldValues(field)
-		}
-		if resp.Values == nil {
-			resp.Values = []string{}
-		}
-		return resp, nil
-	}}, nil
-}
-
-func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareConcepts)
 }
 
 // GET /healthz — liveness plus the serving generation. Always 200 while
@@ -718,11 +481,10 @@ func memoryStats() MemoryStatsJSON {
 }
 
 // Wire converters — the single mapping from mining results onto the
-// JSON schema, shared by these handlers and the federation coordinator
-// (which rebuilds the same response shapes from merged marginals).
+// JSON schema.
 
-// AssocCellsJSON converts an association table's cells to wire form.
-func AssocCellsJSON(tbl *mining.AssocTable) [][]AssocCellJSON {
+// assocCellsJSON converts an association table's cells to wire form.
+func assocCellsJSON(tbl *mining.AssocTable) [][]AssocCellJSON {
 	cells := make([][]AssocCellJSON, len(tbl.Cells))
 	for i, row := range tbl.Cells {
 		cells[i] = make([]AssocCellJSON, len(row))
@@ -736,9 +498,9 @@ func AssocCellsJSON(tbl *mining.AssocTable) [][]AssocCellJSON {
 	return cells
 }
 
-// RelevancesJSON converts a relevancy report to wire form (non-nil
+// relevancesJSON converts a relevancy report to wire form (non-nil
 // even when empty).
-func RelevancesJSON(rel []mining.Relevance) []RelevanceJSON {
+func relevancesJSON(rel []mining.Relevance) []RelevanceJSON {
 	rows := make([]RelevanceJSON, len(rel))
 	for i, rr := range rel {
 		rows[i] = RelevanceJSON{
@@ -749,9 +511,9 @@ func RelevancesJSON(rel []mining.Relevance) []RelevanceJSON {
 	return rows
 }
 
-// DocumentsJSON converts drilled-down documents to wire form (non-nil
+// documentsJSON converts drilled-down documents to wire form (non-nil
 // even when empty).
-func DocumentsJSON(docs []mining.Document) []DocumentJSON {
+func documentsJSON(docs []mining.Document) []DocumentJSON {
 	out := make([]DocumentJSON, len(docs))
 	for i, d := range docs {
 		concepts := make([]ConceptJSON, len(d.Concepts))
@@ -763,9 +525,9 @@ func DocumentsJSON(docs []mining.Document) []DocumentJSON {
 	return out
 }
 
-// TrendPointsJSON converts trend buckets to wire form (non-nil even
+// trendPointsJSON converts trend buckets to wire form (non-nil even
 // when empty).
-func TrendPointsJSON(pts []mining.TrendPoint) []TrendPointJSON {
+func trendPointsJSON(pts []mining.TrendPoint) []TrendPointJSON {
 	points := make([]TrendPointJSON, len(pts))
 	for i, p := range pts {
 		points[i] = TrendPointJSON{Time: p.Time, Count: p.Count}
@@ -773,12 +535,7 @@ func TrendPointsJSON(pts []mining.TrendPoint) []TrendPointJSON {
 	return points
 }
 
-// Marginal endpoints — the shard-side federation wire. Each returns the
-// integer half of a split §IV.D operation (see internal/mining/merge.go)
-// so a coordinator can merge counts across shards by addition and run
-// the float pipeline exactly once over the merged marginals. The float
-// endpoints above stay byte-identical per shard; these carry no floats
-// at all.
+// Responses of the marginal endpoints, the shard-side federation wire.
 
 // ConceptDFResponse answers /v1/marginals/concepts: a category's
 // vocabulary with per-shard document frequencies, in report order.
@@ -805,93 +562,4 @@ type AssocMarginalsResponse struct {
 	Rows       []string              `json:"rows"`
 	Cols       []string              `json:"cols"`
 	Marginals  mining.AssocMarginals `json:"marginals"`
-}
-
-// GET /v1/marginals/concepts?category=<cat> — concept document
-// frequencies for one category (the counted form of /v1/concepts;
-// structured-field vocabularies merge order-free, so the coordinator
-// uses the public endpoint for those).
-func (s *Server) prepareConceptDF(q url.Values) (preparedQuery, error) {
-	category := q.Get("category")
-	if category == "" {
-		return preparedQuery{}, fmt.Errorf("missing required parameter %q (a concept category)", "category")
-	}
-	return preparedQuery{key: CacheKey("marginals/concepts", category), compute: func(sn *snapshot) (any, error) {
-		return ConceptDFResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Category:   category,
-			Concepts:   sn.view.ConceptDF(category),
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleConceptDF(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareConceptDF)
-}
-
-// GET /v1/marginals/relfreq?category=<cat>&featured=<label> — the
-// integer marginals of a relevancy analysis over this shard's documents.
-func (s *Server) prepareRelFreqMarginals(q url.Values) (preparedQuery, error) {
-	category := q.Get("category")
-	if category == "" {
-		return preparedQuery{}, fmt.Errorf("missing required parameter %q (a concept category)", "category")
-	}
-	featured, featLabels, err := ParseDimParams("featured", q["featured"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	if len(featured) > 1 {
-		return preparedQuery{}, fmt.Errorf("featured must be a single dimension (use a ∧-conjunction for compound subsets)")
-	}
-	return preparedQuery{key: CacheKey("marginals/relfreq", category, featLabels[0]), compute: func(sn *snapshot) (any, error) {
-		return RelFreqMarginalsResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Category:   category,
-			Featured:   featLabels[0],
-			Marginals:  sn.view.RelFreqMarginals(category, featured[0]),
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleRelFreqMarginals(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareRelFreqMarginals)
-}
-
-// GET /v1/marginals/assoc?row=<label>&...&col=<label>&... — the integer
-// marginals of an association table over this shard's documents
-// (confidence is a finalize-time input, so it does not appear here).
-func (s *Server) prepareAssocMarginals(q url.Values) (preparedQuery, error) {
-	rows, rowLabels, err := ParseDimParams("row", q["row"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	cols, colLabels, err := ParseDimParams("col", q["col"])
-	if err != nil {
-		return preparedQuery{}, err
-	}
-	key := CacheKey("marginals/assoc",
-		strings.Join(rowLabels, "\x01"),
-		strings.Join(colLabels, "\x01"))
-	return preparedQuery{key: key, compute: func(sn *snapshot) (any, error) {
-		return AssocMarginalsResponse{
-			Generation: sn.gen,
-			Sealed:     sn.sealed,
-			Rows:       rowLabels,
-			Cols:       colLabels,
-			Marginals:  sn.view.AssocMarginals(rows, cols),
-		}, nil
-	}}, nil
-}
-
-func (s *Server) handleAssocMarginals(w http.ResponseWriter, r *http.Request) {
-	s.respondPrepared(w, r, s.prepareAssocMarginals)
-}
-
-// QueryURL renders a /v1 query URL against base (scheme://host) with
-// properly escaped parameters — a convenience for clients and tests
-// building dimension-label URLs.
-func QueryURL(base, endpoint string, params url.Values) string {
-	return base + endpoint + "?" + params.Encode()
 }

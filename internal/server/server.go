@@ -140,13 +140,6 @@ func (c Config) cacheSize() int {
 	return c.CacheSize
 }
 
-func (c Config) confidence() float64 {
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		return 0.95
-	}
-	return c.Confidence
-}
-
 func (c Config) drainTimeout() time.Duration {
 	if c.DrainTimeout <= 0 {
 		return 5 * time.Second
@@ -154,44 +147,25 @@ func (c Config) drainTimeout() time.Duration {
 	return c.DrainTimeout
 }
 
-func (c Config) readHeaderTimeout() time.Duration {
-	if c.ReadHeaderTimeout == 0 {
-		return 5 * time.Second
-	}
-	if c.ReadHeaderTimeout < 0 {
-		return 0
-	}
-	return c.ReadHeaderTimeout
-}
-
-func (c Config) readTimeout() time.Duration {
-	if c.ReadTimeout == 0 {
-		return 60 * time.Second
-	}
-	if c.ReadTimeout < 0 {
-		return 0
-	}
-	return c.ReadTimeout
-}
-
-func (c Config) maxHeaderBytes() int {
-	if c.MaxHeaderBytes == 0 {
-		return 1 << 20
-	}
-	if c.MaxHeaderBytes < 0 {
-		return 0
-	}
-	return c.MaxHeaderBytes
-}
-
-// HardenHTTPServer applies the shared serving-tier hardening defaults to
-// hs: header/read timeouts so a slowloris client cannot pin connections,
-// and a header size bound. The federation coordinator hardens its own
-// http.Server with the same resolution rules.
+// HardenHTTPServer applies the serving-tier hardening both daemons share
+// to hs — header and read timeouts so a slowloris client cannot pin
+// connections, and a header size bound — resolving the raw Config values
+// here and nowhere else: zero picks the default (5s / 60s / 1 MiB),
+// negative switches that limit off (net/http's own behaviour).
 func HardenHTTPServer(hs *http.Server, readHeaderTimeout, readTimeout time.Duration, maxHeaderBytes int) {
-	hs.ReadHeaderTimeout = readHeaderTimeout
-	hs.ReadTimeout = readTimeout
-	hs.MaxHeaderBytes = maxHeaderBytes
+	hs.ReadHeaderTimeout = hardenLimit(readHeaderTimeout, 5*time.Second)
+	hs.ReadTimeout = hardenLimit(readTimeout, 60*time.Second)
+	hs.MaxHeaderBytes = hardenLimit(maxHeaderBytes, 1<<20)
+}
+
+func hardenLimit[T int | time.Duration](v, def T) T {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
 }
 
 // maxSegments resolves Config.MaxSegments: 0 picks the default bound,
@@ -231,6 +205,7 @@ type segment struct {
 // for finer control).
 type Server struct {
 	cfg Config
+	eps Endpoints
 	mux http.Handler
 
 	snap  atomic.Pointer[snapshot]
@@ -301,6 +276,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
+		eps:        NewEndpoints(cfg.Confidence, cfg.AssociateWorkers, true),
 		slo:        NewSLORecorder(),
 		ingestDone: make(chan struct{}),
 		serveDone:  make(chan struct{}),
@@ -700,7 +676,7 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen %s: %w", addr, err)
 	}
 	hs := &http.Server{Handler: s.mux}
-	HardenHTTPServer(hs, s.cfg.readHeaderTimeout(), s.cfg.readTimeout(), s.cfg.maxHeaderBytes())
+	HardenHTTPServer(hs, s.cfg.ReadHeaderTimeout, s.cfg.ReadTimeout, s.cfg.MaxHeaderBytes)
 	ictx, cancel := context.WithCancel(context.Background())
 	s.lifeMu.Lock()
 	s.ln = ln
