@@ -9,9 +9,13 @@
 //
 //	bivocd [-addr HOST:PORT] [-asr] [-notes] [-seed N] [-calls N]
 //	       [-days N] [-workers N] [-swap-interval D] [-swap-every N]
-//	       [-max-segments N] [-cache N] [-confidence P] [-assoc-workers N]
+//	       [-max-segments N] [-cache N] [-confidence P]
 //	       [-drain-timeout D] [-data-dir PATH] [-wal-sync N] [-shard I/N]
-//	       [-mmap] [-postings-budget BYTES]
+//	       [-mmap] [-postings-budget BYTES] [-pprof HOST:PORT]
+//
+// With -pprof the runtime profiles (net/http/pprof) are served on a
+// second listener at that address — off by default, and never on the
+// query listener.
 //
 // With -shard i/n the daemon ingests only the calls whose document ID
 // hashes onto shard i of n (see internal/fed); run n such daemons and
@@ -63,6 +67,7 @@ import (
 	"time"
 
 	"bivoc"
+	"bivoc/internal/server"
 )
 
 func main() {
@@ -78,13 +83,13 @@ func main() {
 	maxSegments := flag.Int("max-segments", 0, "compact the serving index past this many segments (0 = default 8, negative = never)")
 	cacheSize := flag.Int("cache", 0, "query-result cache entries per snapshot (0 = default 256, negative = off)")
 	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
-	assocWorkers := flag.Int("assoc-workers", 0, "workers per association-table request (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 	dataDir := flag.String("data-dir", "", "persistence directory: segments + ingest WAL (empty = in-memory only)")
 	walSync := flag.Int("wal-sync", 1, "fsync the ingest WAL every N documents (1 = every document)")
 	shard := flag.String("shard", "", "serve as shard i of n, as \"i/n\" (empty = serve everything); pair with bivocfed")
 	useMmap := flag.Bool("mmap", false, "serve sealed segments from mmap-backed postings with lazy decode (requires -data-dir)")
 	postingsBudget := flag.Int64("postings-budget", 0, "byte cap on cached decoded postings under -mmap (0 = default 64 MiB, negative = unbounded)")
+	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
 
 	if *useMmap && *dataDir == "" {
@@ -104,7 +109,6 @@ func main() {
 	cfg.SwapEvery = *swapEvery
 	cfg.MaxSegments = *maxSegments
 	cfg.CacheSize = *cacheSize
-	cfg.AssociateWorkers = *assocWorkers
 	cfg.DrainTimeout = *drainTimeout
 	cfg.Analysis.UseASR = *useASR
 	cfg.Analysis.UseNotes = *useNotes
@@ -138,6 +142,15 @@ func main() {
 		segDocs, walDocs, walDropped := s.RecoveryInfo()
 		fmt.Printf("bivocd: persistence at %s: recovered %d docs from segment, %d from WAL (%d torn bytes dropped)\n",
 			*dataDir, segDocs, walDocs, walDropped)
+	}
+	if *pprofAddr != "" {
+		bound, stopPprof, err := server.StartPprof(*pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bivocd:", err)
+			os.Exit(1)
+		}
+		defer stopPprof()
+		fmt.Printf("bivocd: pprof at http://%s/debug/pprof/\n", bound)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

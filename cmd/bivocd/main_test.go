@@ -33,7 +33,8 @@ func TestDaemonSmoke(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-calls", "20", "-days", "2",
-		"-swap-every", "8")
+		"-swap-every", "8",
+		"-pprof", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +45,10 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	defer cmd.Process.Kill()
 
-	// The daemon prints its bound address once the listener is live.
+	// The daemon prints its bound address once the listener is live, then
+	// the profile listener's.
 	sc := bufio.NewScanner(stdout)
-	var addr string
+	var addr, pprofBase string
 	lineCh := make(chan string, 8)
 	go func() {
 		for sc.Scan() {
@@ -55,14 +57,17 @@ func TestDaemonSmoke(t *testing.T) {
 		close(lineCh)
 	}()
 	deadline := time.After(30 * time.Second)
-	for addr == "" {
+	for addr == "" || pprofBase == "" {
 		select {
 		case line, ok := <-lineCh:
 			if !ok {
-				t.Fatal("daemon exited before announcing its address")
+				t.Fatal("daemon exited before announcing its addresses")
 			}
 			if _, rest, found := strings.Cut(line, "listening on "); found {
 				addr = strings.Fields(rest)[0]
+			}
+			if _, rest, found := strings.Cut(line, "pprof at "); found {
+				pprofBase = strings.TrimSuffix(rest, "/debug/pprof/")
 			}
 		case <-deadline:
 			t.Fatal("daemon did not announce its address in time")
@@ -74,6 +79,23 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatalf("announced address %q is not a concrete bound address (err %v)", addr, err)
 	}
 	base := "http://" + addr
+
+	// -pprof serves the runtime profiles on its own listener and nowhere
+	// else: the serving listener must not know the path.
+	for target, want := range map[string]int{
+		pprofBase + "/debug/pprof/heap": http.StatusOK,
+		base + "/debug/pprof/heap":      http.StatusNotFound,
+	} {
+		resp, err := http.Get(target)
+		if err != nil {
+			t.Fatalf("GET %s: %v", target, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", target, resp.StatusCode, want)
+		}
+	}
 
 	get := func(path string) []byte {
 		resp, err := http.Get(base + path)

@@ -10,8 +10,12 @@
 // Usage:
 //
 //	bivocfed -shards URL,URL,... [-addr HOST:PORT] [-shard-timeout D]
-//	         [-fanout N] [-confidence P] [-assoc-workers N]
-//	         [-cache-size N] [-cache-ttl D] [-drain-timeout D]
+//	         [-fanout N] [-confidence P] [-cache-size N] [-cache-ttl D]
+//	         [-drain-timeout D] [-pprof HOST:PORT]
+//
+// With -pprof the runtime profiles (net/http/pprof) are served on a
+// second listener at that address — off by default, and never on the
+// query listener.
 //
 // The -shards list is ordered: shard i of the list must be the daemon
 // ingesting with -shard i/n. A shard that is unreachable, times out, or
@@ -38,6 +42,7 @@ import (
 	"time"
 
 	"bivoc"
+	"bivoc/internal/server"
 )
 
 func main() {
@@ -46,10 +51,10 @@ func main() {
 	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard request timeout; a slower shard is treated as down for that query")
 	fanout := flag.Int("fanout", 0, "max concurrent shard requests per query (0 = all shards at once)")
 	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
-	assocWorkers := flag.Int("assoc-workers", 0, "workers per merged association table (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 0, "coordinator result-cache entries (0 = default 256, negative = off); a hit skips the scatter")
 	cacheTTL := flag.Duration("cache-ttl", 0, "how long a scatter-observed generation vector stays trusted (0 = default 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
+	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
 
 	var urls []string
@@ -64,15 +69,14 @@ func main() {
 	}
 
 	c, err := bivoc.NewFedCoordinator(bivoc.FedConfig{
-		Addr:             *addr,
-		Shards:           urls,
-		ShardTimeout:     *shardTimeout,
-		MaxFanout:        *fanout,
-		Confidence:       *confidence,
-		AssociateWorkers: *assocWorkers,
-		CacheSize:        *cacheSize,
-		CacheTTL:         *cacheTTL,
-		DrainTimeout:     *drainTimeout,
+		Addr:         *addr,
+		Shards:       urls,
+		ShardTimeout: *shardTimeout,
+		MaxFanout:    *fanout,
+		Confidence:   *confidence,
+		CacheSize:    *cacheSize,
+		CacheTTL:     *cacheTTL,
+		DrainTimeout: *drainTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)
@@ -84,6 +88,15 @@ func main() {
 	}
 	fmt.Printf("bivocfed: listening on %s (%d shards, timeout %v)\n",
 		c.Addr(), len(urls), *shardTimeout)
+	if *pprofAddr != "" {
+		bound, stopPprof, err := server.StartPprof(*pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bivocfed:", err)
+			os.Exit(1)
+		}
+		defer stopPprof()
+		fmt.Printf("bivocfed: pprof at http://%s/debug/pprof/\n", bound)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -66,7 +66,8 @@ func TestFedDaemonSmoke(t *testing.T) {
 
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-shards", strings.Join(shardURLs, ","))
+		"-shards", strings.Join(shardURLs, ","),
+		"-pprof", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +78,10 @@ func TestFedDaemonSmoke(t *testing.T) {
 	}
 	defer cmd.Process.Kill()
 
-	// The coordinator prints its bound address once the listener is live.
+	// The coordinator prints its bound address once the listener is live,
+	// then the profile listener's.
 	sc := bufio.NewScanner(stdout)
-	var addr string
+	var addr, pprofBase string
 	lineCh := make(chan string, 8)
 	go func() {
 		for sc.Scan() {
@@ -88,14 +90,17 @@ func TestFedDaemonSmoke(t *testing.T) {
 		close(lineCh)
 	}()
 	deadline := time.After(30 * time.Second)
-	for addr == "" {
+	for addr == "" || pprofBase == "" {
 		select {
 		case line, ok := <-lineCh:
 			if !ok {
-				t.Fatal("coordinator exited before announcing its address")
+				t.Fatal("coordinator exited before announcing its addresses")
 			}
 			if _, rest, found := strings.Cut(line, "listening on "); found {
 				addr = strings.Fields(rest)[0]
+			}
+			if _, rest, found := strings.Cut(line, "pprof at "); found {
+				pprofBase = strings.TrimSuffix(rest, "/debug/pprof/")
 			}
 		case <-deadline:
 			t.Fatal("coordinator did not announce its address in time")
@@ -107,6 +112,23 @@ func TestFedDaemonSmoke(t *testing.T) {
 		t.Fatalf("announced address %q is not a concrete bound address (err %v)", addr, err)
 	}
 	base := "http://" + addr
+
+	// -pprof serves the runtime profiles on its own listener and nowhere
+	// else: the serving listener must not know the path.
+	for target, want := range map[string]int{
+		pprofBase + "/debug/pprof/heap": http.StatusOK,
+		base + "/debug/pprof/heap":      http.StatusNotFound,
+	} {
+		resp, err := http.Get(target)
+		if err != nil {
+			t.Fatalf("GET %s: %v", target, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", target, resp.StatusCode, want)
+		}
+	}
 
 	get := func(path string) ([]byte, http.Header) {
 		resp, err := http.Get(base + path)

@@ -31,10 +31,6 @@ type ServeConfig struct {
 	MaxSegments int
 	// CacheSize bounds the per-snapshot query-result cache.
 	CacheSize int
-	// AssociateWorkers fans each /v1/associate cell grid across this
-	// many workers (0 = GOMAXPROCS); tables are byte-identical at any
-	// worker count.
-	AssociateWorkers int
 	// DrainTimeout bounds the graceful drain on shutdown.
 	DrainTimeout time.Duration
 	// ShardIndex/ShardCount run the daemon as one shard of a federated
@@ -137,18 +133,17 @@ func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 		}
 	}
 	return server.New(server.Config{
-		Addr:             cfg.Addr,
-		Source:           source,
-		PipelineStats:    p.Stats,
-		SwapInterval:     cfg.SwapInterval,
-		SwapEvery:        cfg.SwapEvery,
-		MaxSegments:      cfg.MaxSegments,
-		CacheSize:        cfg.CacheSize,
-		Confidence:       cfg.Analysis.Confidence,
-		AssociateWorkers: cfg.AssociateWorkers,
-		DrainTimeout:     cfg.DrainTimeout,
-		Persist:          st,
-		MapSegments:      cfg.MapSegments,
+		Addr:          cfg.Addr,
+		Source:        source,
+		PipelineStats: p.Stats,
+		SwapInterval:  cfg.SwapInterval,
+		SwapEvery:     cfg.SwapEvery,
+		MaxSegments:   cfg.MaxSegments,
+		CacheSize:     cfg.CacheSize,
+		Confidence:    cfg.Analysis.Confidence,
+		DrainTimeout:  cfg.DrainTimeout,
+		Persist:       st,
+		MapSegments:   cfg.MapSegments,
 	})
 }
 

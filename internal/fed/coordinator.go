@@ -35,9 +35,6 @@ type Config struct {
 	// Confidence is the default association confidence when the query
 	// does not pass one (default 0.95, mirroring the shard servers).
 	Confidence float64
-	// AssociateWorkers caps the workers finalizing one association
-	// table (0 = GOMAXPROCS).
-	AssociateWorkers int
 	// DrainTimeout bounds the graceful drain in Run (default 5s).
 	DrainTimeout time.Duration
 	// Client issues the shard requests (default: a dedicated pooled
@@ -129,7 +126,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		eps:       server.NewEndpoints(cfg.Confidence, cfg.AssociateWorkers, false),
+		eps:       server.NewEndpoints(cfg.Confidence, false),
 		client:    cfg.Client,
 		cache:     newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
 		slo:       server.NewSLORecorder(),

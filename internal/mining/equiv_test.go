@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bivoc/internal/annotate"
@@ -223,4 +224,124 @@ func TestAddInvalidatesPrepare(t *testing.T) {
 			after, before)
 	}
 	checkEquiv(t, w) // un-prepared again; must still match the oracle
+}
+
+// perCellAssocMarginals is the association oracle: every marginal is a
+// Count and every cell a CountBoth, one sorted merge (or gallop) per
+// cell — the extraction AssocMarginals used before it counted a
+// segment's cells in one pass.
+func perCellAssocMarginals(q Querier, rows, cols []Dim) AssocMarginals {
+	m := AssocMarginals{N: q.Len(), Nver: make([]int, len(rows)), Nhor: make([]int, len(cols)), Ncell: make([][]int, len(rows))}
+	for j, c := range cols {
+		m.Nhor[j] = q.Count(c)
+	}
+	for i, r := range rows {
+		m.Nver[i] = q.Count(r)
+		m.Ncell[i] = make([]int, len(cols))
+		for j, c := range cols {
+			m.Ncell[i][j] = q.CountBoth(r, c)
+		}
+	}
+	return m
+}
+
+// perConceptRelFreqMarginals is the relevancy oracle: one CountBoth per
+// concept of the category, the loop RelFreqMarginals used to run.
+func perConceptRelFreqMarginals(q Querier, category string, featured Dim) RelFreqMarginals {
+	m := RelFreqMarginals{N: q.Len(), SubsetSize: q.Count(featured)}
+	for _, c := range q.ConceptDF(category) {
+		m.Concepts = append(m.Concepts, ConceptMarginal{
+			Concept: c.Concept, InSubset: q.CountBoth(ConceptDim(category, c.Concept), featured), InAll: c.DF})
+	}
+	sort.Slice(m.Concepts, func(i, j int) bool { return m.Concepts[i].Concept < m.Concepts[j].Concept })
+	return m
+}
+
+// checkMarginalsEquiv pins the one-pass marginal extractions against the
+// per-cell oracles over one Querier.
+func checkMarginalsEquiv(t *testing.T, w *equivWorld, q Querier) {
+	t.Helper()
+	conj, conj3 := w.dims[11], w.dims[12]
+	wide := make([]Dim, markBits+1) // one column more than a mark word has bits
+	for j := range wide {
+		wide[j] = w.dims[j%len(w.dims)]
+	}
+	tables := []struct {
+		name       string
+		rows, cols []Dim
+	}{
+		{"leaf rows and columns", w.dims[:8], w.dims[8:11]},
+		{"the same column twice", []Dim{w.dims[0], w.dims[5]}, []Dim{w.dims[8], w.dims[9], w.dims[8]}},
+		{"a conjunction row", []Dim{conj, conj3, w.dims[5]}, []Dim{w.dims[8], w.dims[9]}},
+		{"a conjunction column", []Dim{w.dims[0], w.dims[5], w.dims[6]}, []Dim{conj, w.dims[9], conj3}},
+		{"wider than the mark word", w.dims[:3], wide},
+		{"the whole battery squared", w.dims, w.dims},
+		{"no rows", nil, w.dims[8:11]},
+	}
+	for _, tc := range tables {
+		got, want := q.AssocMarginals(tc.rows, tc.cols), perCellAssocMarginals(q, tc.rows, tc.cols)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AssocMarginals(%s) diverges from the per-cell oracle:\n got %#v\nwant %#v", tc.name, got, want)
+		}
+	}
+	for _, cat := range w.cats {
+		for _, d := range w.dims {
+			got, want := q.RelFreqMarginals(cat, d), perConceptRelFreqMarginals(q, cat, d)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("RelFreqMarginals(%q, %s) diverges from the per-concept oracle:\n got %#v\nwant %#v",
+					cat, d.Label(), got, want)
+			}
+		}
+	}
+}
+
+// TestOnePassMarginalsMatchPerCell is the association oracle over the
+// random worlds: monolithic and segmented (with an empty segment in the
+// set), raw and prepared, fast and naive. It also drives the mark pass
+// directly, to see that it leaves no document marked in the pooled
+// scratch.
+func TestOnePassMarginalsMatchPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(20160))
+	for trial := 0; trial < 4; trial++ {
+		ndocs := 30 + rng.Intn(150)
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("world-%d", trial), func(t *testing.T) {
+			w := newEquivWorld(rand.New(rand.NewSource(seed)), ndocs)
+			segs := partitionSegments(allDocs(w.ix), 3)
+			empty := NewIndex()
+			empty.Prepare()
+			set := NewSegmentSet(segs[0], empty, segs[1], segs[2])
+
+			checkMarginalsEquiv(t, w, w.ix) // raw index
+			w.ix.Prepare()
+			checkMarginalsEquiv(t, w, w.ix) // prepared: cold, then warm conjunction memo
+			checkMarginalsEquiv(t, w, w.ix)
+			checkMarginalsEquiv(t, w, set)
+			withNaive(func() {
+				checkMarginalsEquiv(t, w, w.ix)
+				checkMarginalsEquiv(t, w, set)
+			})
+
+			ctx := acquireQueryCtx()
+			defer releaseQueryCtx(ctx)
+			posts := w.ix.marginPostings(ctx, w.dims)
+			ncell := make([][]int, len(posts))
+			for i := range ncell {
+				ncell[i] = make([]int, len(posts))
+			}
+			ctx.countCells(ncell, w.ix.Len(), posts, posts)
+			for i, a := range posts {
+				for j, b := range posts {
+					if want := countIntersect(a, b); ncell[i][j] != want {
+						t.Fatalf("countCells[%d][%d] = %d, countIntersect %d", i, j, ncell[i][j], want)
+					}
+				}
+			}
+			for p, mark := range ctx.docMarks(w.ix.Len()) {
+				if mark != 0 {
+					t.Fatalf("countCells left document %d marked %#x", p, mark)
+				}
+			}
+		})
+	}
 }

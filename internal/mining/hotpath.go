@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -27,9 +28,14 @@ const gallopFactor = 16
 // accumulate into reusable []int buffers instead of per-call maps.
 type queryCtx struct {
 	naive bool
-	free  [][]int // reusable postings buffers
-	lists [][]int // reusable leaf-list headers for k-way intersection
+	free  [][]int  // reusable postings buffers
+	lists [][]int  // reusable leaf-list headers for k-way intersection
+	marks []uint64 // per-document mark words (see docMarks); all zero between uses
 }
+
+// markBits is the width of a document's mark word: the widest set of
+// lists one mark-then-probe pass can tell apart.
+const markBits = 64
 
 var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
 
@@ -60,6 +66,47 @@ func (ctx *queryCtx) putBuf(b []int) {
 		return
 	}
 	ctx.free = append(ctx.free, b)
+}
+
+// docMarks returns one zeroed mark word per document of an n-document
+// index. Marks are how a query counts many intersections in one pass
+// without writing through postings: set bit j on every document of list
+// j, then walk the other lists once and read off which marked lists each
+// document belongs to. The scratch grows to the largest segment queried
+// and is pooled with the context, so the caller must zero exactly the
+// words it set — by re-walking the lists it marked from, which costs
+// their length, not the segment's — before the context is released.
+func (ctx *queryCtx) docMarks(n int) []uint64 {
+	if cap(ctx.marks) < n {
+		ctx.marks = make([]uint64, n)
+	}
+	return ctx.marks[:n]
+}
+
+// countCells fills ncell[i][j] = |rows[i] ∩ cols[j]| in one pass over
+// every list (columns twice: mark, then clear) instead of one merge per
+// cell. len(cols) must not exceed markBits; n is the document count.
+func (ctx *queryCtx) countCells(ncell [][]int, n int, rows, cols [][]int) {
+	marks := ctx.docMarks(n)
+	for j, posts := range cols {
+		bit := uint64(1) << j
+		for _, p := range posts {
+			marks[p] |= bit
+		}
+	}
+	for i, posts := range rows {
+		cells := ncell[i]
+		for _, p := range posts {
+			for w := marks[p]; w != 0; w &= w - 1 {
+				cells[bits.TrailingZeros64(w)]++
+			}
+		}
+	}
+	for _, posts := range cols {
+		for _, p := range posts {
+			marks[p] = 0
+		}
+	}
 }
 
 // leafPostings returns the inverted list of a non-conjunction

@@ -41,28 +41,51 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // size, the featured subset's size, and each category concept's
 // frequency inside the subset and overall. Concepts are sorted by name
 // for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
+//
+// The in-subset counts come from one mark-then-probe pass: mark the
+// subset's documents, walk each concept's list once. The naive oracle
+// merges concept by concept.
 func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	subset, owned := segPostings(ix, ctx, featured)
 	m := RelFreqMarginals{N: ix.b.DocCount(), SubsetSize: len(subset)}
-	addConcept := func(canon string, posts []int) {
-		m.Concepts = append(m.Concepts, ConceptMarginal{
-			Concept:  canon,
-			InSubset: countIntersect(posts, subset),
-			InAll:    len(posts),
-		})
-	}
+	var entries []catEntry
 	if p := ix.prep; p != nil && !ctx.naive {
-		for _, e := range p.catEntries[category] {
-			addConcept(e.canon, ix.b.ConceptPostings(category, e.canon))
-		}
+		entries = p.catEntries[category]
 	} else {
-		ix.b.EachConcept(func(cat, canon string, _ int) {
+		ix.b.EachConcept(func(cat, canon string, df int) {
 			if cat == category {
-				addConcept(canon, ix.b.ConceptPostings(cat, canon))
+				entries = append(entries, catEntry{canon: canon, df: df})
 			}
 		})
+	}
+	var marks []uint64
+	if !ctx.naive {
+		marks = ctx.docMarks(m.N)
+		for _, p := range subset {
+			marks[p] = 1
+		}
+	}
+	if len(entries) > 0 {
+		m.Concepts = make([]ConceptMarginal, len(entries))
+	}
+	for k, e := range entries {
+		posts := ix.b.ConceptPostings(category, e.canon)
+		in := 0
+		if marks != nil {
+			for _, p := range posts {
+				in += int(marks[p])
+			}
+		} else {
+			in = countIntersect(posts, subset)
+		}
+		m.Concepts[k] = ConceptMarginal{Concept: e.canon, InSubset: in, InAll: len(posts)}
+	}
+	if marks != nil {
+		for _, p := range subset {
+			marks[p] = 0
+		}
 	}
 	if owned {
 		ctx.putBuf(subset)
@@ -71,19 +94,30 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	return m
 }
 
-// AssocMarginals extracts the integer marginals of an association table
-// over this index's documents: per-dimension counts and per-cell joint
-// counts, shaped rows × cols.
-func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
-	rowPosts := segMarginPostings(ix, ctx, rows)
-	colPosts := segMarginPostings(ix, ctx, cols)
+// segMarginPostings materializes one segment's postings for every
+// dimension of an association table: the naive oracle's lists under the
+// oracle flag, otherwise marginPostings (shared read-only views, with
+// scratch-owned conjunction results copied out).
+func segMarginPostings(ix *Index, ctx *queryCtx, dims []Dim) [][]int {
+	if ctx.naive {
+		out := make([][]int, len(dims))
+		for i, d := range dims {
+			out[i] = ix.postingsNaive(d)
+		}
+		return out
+	}
+	return ix.marginPostings(ctx, dims)
+}
+
+// newAssocMarginals shapes the marginals of a rows × cols table over n
+// documents from each dimension's postings: the per-dimension counts are
+// the list lengths, the cell counts start at zero.
+func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 	m := AssocMarginals{
-		N:     ix.b.DocCount(),
-		Nver:  make([]int, len(rows)),
-		Nhor:  make([]int, len(cols)),
-		Ncell: make([][]int, len(rows)),
+		N:     n,
+		Nver:  make([]int, len(rowPosts)),
+		Nhor:  make([]int, len(colPosts)),
+		Ncell: make([][]int, len(rowPosts)),
 	}
 	for i, posts := range rowPosts {
 		m.Nver[i] = len(posts)
@@ -91,8 +125,32 @@ func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	for j, posts := range colPosts {
 		m.Nhor[j] = len(posts)
 	}
+	cells := make([]int, len(rowPosts)*len(colPosts))
+	for i := range m.Ncell {
+		m.Ncell[i] = cells[i*len(colPosts) : (i+1)*len(colPosts) : (i+1)*len(colPosts)]
+	}
+	return m
+}
+
+// AssocMarginals extracts the integer marginals of an association table
+// over this index's documents: per-dimension counts and per-cell joint
+// counts, shaped rows × cols.
+//
+// The cells are counted in one pass (queryCtx.countCells): every
+// document is marked with the set of columns it matches, then each row's
+// postings are walked once. The naive oracle, and a table with more
+// columns than a mark word has bits, keep the merge per cell.
+func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
+	ctx := acquireQueryCtx()
+	defer releaseQueryCtx(ctx)
+	rowPosts := segMarginPostings(ix, ctx, rows)
+	colPosts := segMarginPostings(ix, ctx, cols)
+	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
+	if !ctx.naive && len(cols) <= markBits {
+		ctx.countCells(m.Ncell, m.N, rowPosts, colPosts)
+		return m
+	}
 	for i := range rows {
-		m.Ncell[i] = make([]int, len(cols))
 		for j := range cols {
 			m.Ncell[i][j] = countIntersect(rowPosts[i], colPosts[j])
 		}

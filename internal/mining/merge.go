@@ -1,9 +1,7 @@
 package mining
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"bivoc/internal/stats"
 )
@@ -196,29 +194,27 @@ func MergeAssocMarginals(parts ...AssocMarginals) AssocMarginals {
 // FinalizeAssoc runs the monolithic association float pipeline over
 // (merged) integer marginals: point index, Wilson intervals via
 // stats.WilsonIntervalZ on the merged counts — never averaged per-part
-// intervals — and within-row shares. The cell grid fans across workers
-// with the same striping as Index.AssociateN, and the table is
-// byte-identical at any worker count. m must be shaped for rows × cols.
-func FinalizeAssoc(rows, cols []Dim, confidence float64, workers int, m AssocMarginals) *AssocTable {
-	return assocTableFromMarginals(rows, cols, confidence, workers, m.N, m.Nver, m.Nhor,
-		func(i, j int) int { return m.Ncell[i][j] }, nil)
+// intervals — and within-row shares. m must be shaped for rows × cols.
+func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
+	return finalizeAssoc(rows, cols, confidence, m, nil)
 }
 
-// assocTableFromMarginals is the shared core of every association-table
-// build: Index.AssociateN, SegmentSet.AssociateN and FinalizeAssoc all
-// assemble their tables here, so there is exactly one copy of the cell
-// float math. ncell supplies each cell's joint count (a precomputed
-// merged count, or a live postings intersection — workers call it
-// concurrently, so it must be safe for concurrent reads). wilson, when
-// non-nil, overrides the marginal-interval source (the sealed-index
-// Wilson cache); it must be bit-identical to stats.WilsonIntervalZ.
-func assocTableFromMarginals(rows, cols []Dim, confidence float64, workers int,
-	n int, nver, nhor []int, ncell func(i, j int) int,
+// finalizeAssoc is the shared core of every association-table build:
+// Index.AssociateN, SegmentSet.AssociateN and the federation coordinator
+// all assemble their tables here, so there is exactly one copy of the
+// cell float math. Every count arrives precomputed, which leaves a cell
+// an integer lookup plus Wilson arithmetic — the grid runs serially;
+// fanning it out costs more than the handful of cells it would split.
+// wilson, when non-nil, overrides the marginal-interval source (the
+// sealed-index Wilson cache); it must be bit-identical to
+// stats.WilsonIntervalZ.
+func finalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals,
 	wilson func(successes int, z float64) stats.Interval) *AssocTable {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
 	z := stats.WilsonZ(confidence)
+	n := m.N
 	if wilson == nil {
 		wilson = func(successes int, z float64) stats.Interval {
 			return stats.WilsonIntervalZ(successes, n, z)
@@ -226,76 +222,39 @@ func assocTableFromMarginals(rows, cols []Dim, confidence float64, workers int,
 	}
 	tbl := &AssocTable{Rows: rows, Cols: cols, Confidence: confidence}
 	tbl.Cells = make([][]Cell, len(rows))
-	for i := range tbl.Cells {
-		tbl.Cells[i] = make([]Cell, len(cols))
-	}
 	verIv := make([]stats.Interval, len(rows))
 	horIv := make([]stats.Interval, len(cols))
 	for i := range rows {
-		verIv[i] = wilson(nver[i], z)
+		verIv[i] = wilson(m.Nver[i], z)
 	}
 	for j := range cols {
-		horIv[j] = wilson(nhor[j], z)
+		horIv[j] = wilson(m.Nhor[j], z)
 	}
-
-	// fill computes one cell from read-only inputs into its own slot —
-	// the float operation order every caller shares.
-	fill := func(i, j int) {
-		nc := ncell(i, j)
-		cell := Cell{
-			Row: rows[i], Col: cols[j],
-			Ncell: nc, Nver: nver[i], Nhor: nhor[j], N: n,
-		}
-		if n > 0 && nver[i] > 0 && nhor[j] > 0 {
-			pCell := float64(nc) / float64(n)
-			pVer := float64(nver[i]) / float64(n)
-			pHor := float64(nhor[j]) / float64(n)
-			if pVer > 0 && pHor > 0 {
-				cell.PointIndex = pCell / (pVer * pHor)
-			}
-			// Conservative (smallest) value of the index: lower bound
-			// of the cell density over upper bounds of the marginals.
-			cellIv := stats.WilsonIntervalZ(nc, n, z)
-			if verIv[i].Hi > 0 && horIv[j].Hi > 0 {
-				cell.LowerIndex = cellIv.Lo / (verIv[i].Hi * horIv[j].Hi)
-			}
-		}
-		tbl.Cells[i][j] = cell
-	}
-
-	cells := len(rows) * len(cols)
-	w := workers
-	if w <= 0 {
-		w = AssociateWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cells {
-		w = cells
-	}
-	if w <= 1 {
-		for k := 0; k < cells; k++ {
-			fill(k/len(cols), k%len(cols))
-		}
-	} else {
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < w; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				for k := wkr; k < cells; k += w {
-					fill(k/len(cols), k%len(cols))
-				}
-			}(wkr)
-		}
-		wg.Wait()
-	}
-
 	for i := range rows {
-		rowTotal := 0
+		tbl.Cells[i] = make([]Cell, len(cols))
+		nver, rowTotal := m.Nver[i], 0
 		for j := range cols {
-			rowTotal += tbl.Cells[i][j].Ncell
+			nc, nhor := m.Ncell[i][j], m.Nhor[j]
+			cell := Cell{
+				Row: rows[i], Col: cols[j],
+				Ncell: nc, Nver: nver, Nhor: nhor, N: n,
+			}
+			if n > 0 && nver > 0 && nhor > 0 {
+				pCell := float64(nc) / float64(n)
+				pVer := float64(nver) / float64(n)
+				pHor := float64(nhor) / float64(n)
+				if pVer > 0 && pHor > 0 {
+					cell.PointIndex = pCell / (pVer * pHor)
+				}
+				// Conservative (smallest) value of the index: lower bound
+				// of the cell density over upper bounds of the marginals.
+				cellIv := stats.WilsonIntervalZ(nc, n, z)
+				if verIv[i].Hi > 0 && horIv[j].Hi > 0 {
+					cell.LowerIndex = cellIv.Lo / (verIv[i].Hi * horIv[j].Hi)
+				}
+			}
+			tbl.Cells[i][j] = cell
+			rowTotal += nc
 		}
 		if rowTotal > 0 {
 			for j := range cols {

@@ -80,12 +80,20 @@ func checkMergeEquiv(t *testing.T, w *equivWorld, segs []*Index) {
 	if got, want := am, ix.AssocMarginals(rows, cols); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MergeAssocMarginals = %#v, monolithic %#v", got, want)
 	}
+	// Byte-identical at any worker count: the monolithic grid stripes its
+	// live intersections across workers, while FinalizeAssoc and the folded
+	// SegmentSet path (marginals + finalize) take their counts precomputed
+	// and run serially whatever they are asked for.
+	set := NewSegmentSet(segs...)
 	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
-		want := ix.AssociateN(rows, cols, conf, 1)
+		want := FinalizeAssoc(rows, cols, conf, am)
 		for _, workers := range []int{1, 4, 8} {
-			got := FinalizeAssoc(rows, cols, conf, workers, am)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("FinalizeAssoc(conf=%v, workers=%d) diverges from monolithic:\n got %#v\nwant %#v",
+			if got := ix.AssociateN(rows, cols, conf, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("FinalizeAssoc(conf=%v) diverges from monolithic at workers=%d:\n got %#v\nwant %#v",
+					conf, workers, want, got)
+			}
+			if got := set.AssociateN(rows, cols, conf, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("SegmentSet.AssociateN(conf=%v, workers=%d) diverges from FinalizeAssoc:\n got %#v\nwant %#v",
 					conf, workers, got, want)
 			}
 		}
@@ -142,7 +150,7 @@ func TestMergeHelpersDegenerate(t *testing.T) {
 	rows := []Dim{CategoryDim("issue")}
 	cols := []Dim{FieldDim("outcome", "x")}
 	shaped := AssocMarginals{Nver: []int{0}, Nhor: []int{0}, Ncell: [][]int{{0}}}
-	tbl := FinalizeAssoc(rows, cols, 0.95, 4, shaped)
+	tbl := FinalizeAssoc(rows, cols, 0.95, shaped)
 	if tbl.Cells[0][0].N != 0 || tbl.Cells[0][0].PointIndex != 0 {
 		t.Fatalf("FinalizeAssoc(zero marginals) cell = %#v, want zero cell", tbl.Cells[0][0])
 	}

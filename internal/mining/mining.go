@@ -17,8 +17,11 @@ package mining
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"bivoc/internal/annotate"
 	"bivoc/internal/stats"
@@ -174,19 +177,41 @@ func (ix *Index) CountBoth(a, b Dim) int {
 
 // DrillDown returns the documents matching both dimensions — the
 // cell-to-documents navigation of Figure 4 ("one can drill down through
-// table cells right upto individual documents").
+// table cells right upto individual documents") — sorted by ID. It is
+// the unlimited case of DrillDownLimit.
 func (ix *Index) DrillDown(a, b Dim) []Document {
+	docs, _ := ix.DrillDownLimit(a, b, -1)
+	return docs
+}
+
+// DrillDownLimit returns the size of the cell of documents matching both
+// dimensions and its first limit documents in ID order (all of them when
+// limit is negative). The count comes from the positions intersection;
+// on a sealed segment, where position order is ID order (see idOrdered),
+// only the first limit positions are materialized — over a mapped
+// backing each one is a full record decode. Any other index, and the
+// naive oracle, materialize and sort the whole cell before truncating.
+func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	if ctx.naive {
-		return ix.drillDownNaive(a, b)
+		cell := ix.drillDownNaive(a, b)
+		return firstDocs(cell, limit), len(cell)
 	}
 	pa, ownedA := ix.resolve(ctx, a)
 	pb, ownedB := ix.resolve(ctx, b)
 	both := intersectInto(ctx.getBuf(), pa, pb)
-	var out []Document
-	for _, p := range both {
-		out = append(out, ix.b.Doc(p))
+	count = len(both)
+	take := both
+	inOrder := limit >= 0 && limit < count && ix.idOrdered()
+	if inOrder {
+		take = both[:limit]
+	}
+	if len(take) > 0 {
+		docs = make([]Document, len(take))
+		for i, p := range take {
+			docs[i] = ix.b.Doc(p)
+		}
 	}
 	ctx.putBuf(both)
 	if ownedB {
@@ -195,8 +220,20 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 	if ownedA {
 		ctx.putBuf(pa)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	if !inOrder {
+		docs = firstDocs(docs, limit)
+	}
+	return docs, count
+}
+
+// firstDocs sorts docs by ID and truncates them to limit; a negative
+// limit keeps them all.
+func firstDocs(docs []Document, limit int) []Document {
+	slices.SortFunc(docs, func(x, y Document) int { return strings.Compare(x.ID, y.ID) })
+	if limit >= 0 && limit < len(docs) {
+		return docs[:limit]
+	}
+	return docs
 }
 
 // ConceptsInCategory returns the distinct canonical forms of a category,
@@ -282,8 +319,7 @@ type AssocTable struct {
 // AssociateWorkers is the package default for the parallel cell grid
 // when Associate (or AssociateN with workers == 0) builds a table; 0 or
 // negative means GOMAXPROCS. Tables are byte-identical at any worker
-// count, so this is purely a throughput knob (cmd/bivocd exposes it as
-// -assoc-workers).
+// count, so this is purely a throughput knob.
 var AssociateWorkers int
 
 // Associate builds the two-dimensional association table between row
@@ -295,10 +331,11 @@ func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 }
 
 // AssociateN is Associate with an explicit worker count for the cell
-// grid (0 falls back to AssociateWorkers, then GOMAXPROCS). Every cell
-// is a pure function of hoisted, read-only marginals written to its own
-// slot, so the assembled table is byte-identical at any worker count —
-// the same guarantee the streaming pipeline makes for ingest.
+// grid (0 falls back to AssociateWorkers, then GOMAXPROCS). Here a cell
+// is a live postings intersection, so the joint counts are striped
+// across workers — each a pure function of hoisted, read-only postings
+// written to its own slot, so the table is byte-identical at any worker
+// count — and the shared serial core finishes the float math.
 func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, workers int) *AssocTable {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
@@ -308,28 +345,46 @@ func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, workers int) *
 	if ctx.naive {
 		return ix.associateNaive(rows, cols, confidence)
 	}
-	n := ix.b.DocCount()
 	// Hoist every marginal out of the cell loop: postings and counts are
 	// derived once per row and once per column (the naive path recomputes
-	// each column's count and interval in every row), then the shared
-	// merge core assembles the table — cell joint counts intersect live
-	// inside its worker grid, and marginal intervals come from the sealed
-	// index's Wilson cache, bit-identical to stats.WilsonIntervalZ.
+	// each column's count and interval in every row). Marginal intervals
+	// come from the sealed index's Wilson cache, bit-identical to
+	// stats.WilsonIntervalZ.
 	rowPosts := ix.marginPostings(ctx, rows)
 	colPosts := ix.marginPostings(ctx, cols)
-	nver := make([]int, len(rows))
-	nhor := make([]int, len(cols))
-	for i := range rows {
-		nver[i] = len(rowPosts[i])
+	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
+
+	cells := len(rows) * len(cols)
+	w := workers
+	if w <= 0 {
+		w = AssociateWorkers
 	}
-	for j := range cols {
-		nhor[j] = len(colPosts[j])
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return assocTableFromMarginals(rows, cols, confidence, workers, n, nver, nhor,
-		func(i, j int) int { return countIntersect(rowPosts[i], colPosts[j]) },
-		func(successes int, z float64) stats.Interval {
-			return ix.wilsonMarginal(successes, n, confidence, z)
-		})
+	w = min(w, cells)
+	stripe := func(wkr int) {
+		for k := wkr; k < cells; k += w {
+			i, j := k/len(cols), k%len(cols)
+			m.Ncell[i][j] = countIntersect(rowPosts[i], colPosts[j])
+		}
+	}
+	if w <= 1 {
+		stripe(0)
+	} else {
+		var wg sync.WaitGroup
+		for wkr := 0; wkr < w; wkr++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stripe(wkr)
+			}()
+		}
+		wg.Wait()
+	}
+	return finalizeAssoc(rows, cols, confidence, m, func(successes int, z float64) stats.Interval {
+		return ix.wilsonMarginal(successes, m.N, confidence, z)
+	})
 }
 
 // marginPostings materializes the postings of every dimension for the

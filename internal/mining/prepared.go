@@ -18,7 +18,8 @@ import (
 //     drill-down conjunctions analysts re-issue ("weak start ∧
 //     outcome=reservation") intersect once per snapshot;
 //   - cached Wilson intervals for the marginal counts Associate keeps
-//     re-deriving across tables served at one confidence level.
+//     re-deriving across tables served at one confidence level;
+//   - whether position order is document-ID order (see idOrdered).
 //
 // The precomputed lists are immutable after prepare; the two memo maps
 // are guarded by mu because sealed indexes are queried from many server
@@ -31,6 +32,9 @@ type prepared struct {
 	mu     sync.RWMutex
 	conj   map[string][]int
 	wilson map[wilsonKey]stats.Interval
+
+	orderOnce sync.Once
+	ordered   bool
 }
 
 // catEntry is one canonical concept of a category with its document
@@ -92,6 +96,34 @@ func (ix *Index) Prepare() {
 		sort.Strings(vals)
 	}
 	ix.prep = p
+}
+
+// idOrdered reports whether document positions are in strictly
+// increasing ID order — what StreamIndex.Seal and MergeSegments build,
+// and what lets a limited drill-down stop at its first limit positions.
+// Seal and MergeSegments record it as they build (sealedFrom). An index
+// Prepared over a backing opened from disk finds out by one DocID walk
+// the first time a limited drill-down asks, never at Prepare: that would
+// put a per-document pass on the open path of a mapped segment. An index
+// that is not Prepared, or whose IDs are out of order (built by hand
+// with Add), reports false and drills down through the whole cell.
+func (ix *Index) idOrdered() bool {
+	p := ix.prep
+	if p == nil {
+		return false
+	}
+	p.orderOnce.Do(func() {
+		prev := ""
+		for i, n := 0, ix.b.DocCount(); i < n; i++ {
+			id := ix.b.DocID(i)
+			if i > 0 && id <= prev {
+				return
+			}
+			prev = id
+		}
+		p.ordered = true
+	})
+	return p.ordered
 }
 
 // conjCached returns the memoized postings of a canonicalized

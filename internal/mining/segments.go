@@ -1,9 +1,5 @@
 package mining
 
-import (
-	"sort"
-)
-
 // This file implements the LSM-style segmented index: instead of one
 // monolithic Index resealed per snapshot swap (O(corpus)), the serving
 // layer holds N immutable sealed segments and publishes a swap by
@@ -30,6 +26,7 @@ type Querier interface {
 	Count(d Dim) int
 	CountBoth(a, b Dim) int
 	DrillDown(a, b Dim) []Document
+	DrillDownLimit(a, b Dim, limit int) (docs []Document, count int)
 	ConceptsInCategory(category string) []string
 	FieldValues(field string) []string
 	RelativeFrequency(category string, featured Dim) []Relevance
@@ -88,13 +85,7 @@ func MergeSegments(segs ...*Index) *Index {
 			docs = append(docs, ix.b.Doc(i))
 		}
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	out := NewIndex()
-	for _, d := range docs {
-		out.Add(d)
-	}
-	out.Prepare()
-	return out
+	return sealedFrom(docs)
 }
 
 // segPostings resolves a dimension's postings inside one segment,
@@ -129,16 +120,24 @@ func (s *SegmentSet) CountBoth(a, b Dim) int {
 	return n
 }
 
-// DrillDown concatenates the per-segment matches and re-sorts by
-// document ID — the same total order the monolithic index returns,
-// because IDs are unique across segments.
+// DrillDown is the unlimited case of DrillDownLimit.
 func (s *SegmentSet) DrillDown(a, b Dim) []Document {
-	var out []Document
+	docs, _ := s.DrillDownLimit(a, b, -1)
+	return docs
+}
+
+// DrillDownLimit sums the per-segment cell sizes and returns the cell's
+// first limit documents in ID order (all when limit is negative) — the
+// same total order the monolithic index returns, because IDs are unique
+// across segments: the cell's first limit documents are among each
+// segment's own first limit, so that is all a segment materializes.
+func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	for _, ix := range s.segs {
-		out = append(out, ix.DrillDown(a, b)...)
+		part, n := ix.DrillDownLimit(a, b, limit)
+		docs = append(docs, part...)
+		count += n
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return firstDocs(docs, limit), count
 }
 
 // ConceptDF merges per-segment document frequencies per canonical form
@@ -191,11 +190,7 @@ func (s *SegmentSet) RelativeFrequency(category string, featured Dim) []Relevanc
 // over zero segments.
 func (s *SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	if len(s.segs) == 0 {
-		m := AssocMarginals{Nver: make([]int, len(rows)), Nhor: make([]int, len(cols)), Ncell: make([][]int, len(rows))}
-		for i := range m.Ncell {
-			m.Ncell[i] = make([]int, len(cols))
-		}
-		return m
+		return newAssocMarginals(0, make([][]int, len(rows)), make([][]int, len(cols)))
 	}
 	parts := make([]AssocMarginals, len(s.segs))
 	for i, ix := range s.segs {
@@ -207,59 +202,17 @@ func (s *SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
 // AssociateN builds the association table from marginals merged across
 // segments: per-dimension counts and per-cell joint counts are summed
 // as integers, and only then does each cell run the monolithic float
-// pipeline (assocTableFromMarginals — point index, Wilson intervals
-// from the merged counts via stats.WilsonIntervalZ, never averaged
-// per-segment intervals). The cell grid fans across workers exactly
-// like the monolithic path, and the table is byte-identical at any
-// worker count.
-func (s *SegmentSet) AssociateN(rows, cols []Dim, confidence float64, workers int) *AssocTable {
-	// Materialize every marginal's postings once per segment; merged
-	// marginal counts follow by summing lengths, and the shared core's
-	// worker grid intersects cell joint counts per segment on the fly.
-	segRow := make([][][]int, len(s.segs)) // [seg][row]postings
-	segCol := make([][][]int, len(s.segs)) // [seg][col]postings
-	for si, ix := range s.segs {
-		ctx := acquireQueryCtx()
-		segRow[si] = segMarginPostings(ix, ctx, rows)
-		segCol[si] = segMarginPostings(ix, ctx, cols)
-		releaseQueryCtx(ctx)
-	}
-	nver := make([]int, len(rows))
-	nhor := make([]int, len(cols))
-	for si := range s.segs {
-		for i := range rows {
-			nver[i] += len(segRow[si][i])
-		}
-		for j := range cols {
-			nhor[j] += len(segCol[si][j])
-		}
-	}
-	return assocTableFromMarginals(rows, cols, confidence, workers, s.total, nver, nhor,
-		func(i, j int) int {
-			ncell := 0
-			for si := range s.segs {
-				ncell += countIntersect(segRow[si][i], segCol[si][j])
-			}
-			return ncell
-		}, nil)
+// pipeline (FinalizeAssoc — point index, Wilson intervals from the
+// merged counts via stats.WilsonIntervalZ, never averaged per-segment
+// intervals). These are the same two steps a federation coordinator
+// takes over its shards' marginals. The worker count belongs to the
+// Querier signature; with every count precomputed there is no grid left
+// to fan out.
+func (s *SegmentSet) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
+	return FinalizeAssoc(rows, cols, confidence, s.AssocMarginals(rows, cols))
 }
 
-// segMarginPostings materializes one segment's postings for every
-// dimension, outliving the queryCtx: scratch-owned conjunction results
-// are copied out, everything else aliases segment-internal (read-only)
-// lists.
-func segMarginPostings(ix *Index, ctx *queryCtx, dims []Dim) [][]int {
-	if ctx.naive {
-		out := make([][]int, len(dims))
-		for i, d := range dims {
-			out[i] = ix.postingsNaive(d)
-		}
-		return out
-	}
-	return ix.marginPostings(ctx, dims)
-}
-
-// Associate is AssociateN with the package-default worker count.
+// Associate is AssociateN at the package-default worker count.
 func (s *SegmentSet) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 	return s.AssociateN(rows, cols, confidence, 0)
 }

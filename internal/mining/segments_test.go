@@ -54,6 +54,8 @@ func checkSegmentEquiv(t *testing.T, w *equivWorld, set *SegmentSet) {
 		if got, want := set.DrillDown(a, b), ix.DrillDown(a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("DrillDown(%s, %s) diverges from monolithic", a.Label(), b.Label())
 		}
+		checkDrillDownLimit(t, set, ix.DrillDown(a, b), a, b)
+		checkDrillDownLimit(t, ix, ix.DrillDown(a, b), a, b)
 	}
 	for _, cat := range w.cats {
 		if got, want := set.ConceptsInCategory(cat), ix.ConceptsInCategory(cat); !reflect.DeepEqual(got, want) {
@@ -86,6 +88,66 @@ func checkSegmentEquiv(t *testing.T, w *equivWorld, set *SegmentSet) {
 	}
 	if got, want := set.AssociateN(nil, cols, 0.95, 8), ix.AssociateN(nil, cols, 0.95, 8); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AssociateN with no rows diverges from monolithic")
+	}
+}
+
+// checkDrillDownLimit is the drill-down oracle: at every limit the
+// limit-aware path returns the whole cell's size and exactly the first
+// limit documents of the unlimited, ID-sorted cell — which is all a
+// response needs for its count, its truncated flag and its docs. The
+// dimension battery puts conjunctions on either side of the pair.
+func checkDrillDownLimit(t *testing.T, q Querier, cell []Document, a, b Dim) {
+	t.Helper()
+	for _, limit := range []int{0, 1, 5, 50, len(cell), len(cell) + 1} {
+		docs, count := q.DrillDownLimit(a, b, limit)
+		if count != len(cell) {
+			t.Fatalf("DrillDownLimit(%s, %s, %d) count = %d, cell holds %d", a.Label(), b.Label(), limit, count, len(cell))
+		}
+		want := cell[:min(limit, len(cell))]
+		if len(docs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(docs, want)) {
+			t.Fatalf("DrillDownLimit(%s, %s, %d) is not the cell's first %d documents:\n got %v\nwant %v",
+				a.Label(), b.Label(), limit, len(want), docIDs(docs), docIDs(want))
+		}
+	}
+}
+
+func docIDs(docs []Document) []string {
+	ids := make([]string, len(docs))
+	for i, d := range docs {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
+// TestDrillDownLimitOutOfOrderIndex pins the fallback: an index built
+// by Add in descending-ID order has no position order to stop early on,
+// so a limited drill-down must still sort the whole cell — alone, and as
+// one segment among ordered ones.
+func TestDrillDownLimitOutOfOrderIndex(t *testing.T) {
+	w := newEquivWorld(rand.New(rand.NewSource(77)), 120)
+	docs := allDocs(w.ix)
+	w.ix.Prepare()
+	reversed := NewIndex()
+	for i := len(docs)/2 - 1; i >= 0; i-- {
+		reversed.Add(docs[i])
+	}
+	reversed.Prepare()
+	if reversed.idOrdered() {
+		t.Fatal("an index built in descending-ID order reports ID-ordered positions")
+	}
+	ordered := partitionSegments(docs[len(docs)/2:], 2)
+	if !ordered[0].idOrdered() {
+		t.Fatal("a segment built in ascending-ID order does not report ID-ordered positions")
+	}
+	half := NewIndex()
+	for _, d := range docs[:len(docs)/2] {
+		half.Add(d)
+	}
+	set := NewSegmentSet(append([]*Index{reversed}, ordered...)...)
+	for i, a := range w.dims {
+		b := w.dims[(i*7+3)%len(w.dims)]
+		checkDrillDownLimit(t, reversed, half.DrillDown(a, b), a, b)
+		checkDrillDownLimit(t, set, w.ix.DrillDown(a, b), a, b)
 	}
 }
 

@@ -168,17 +168,28 @@ func (s *StreamIndex) Seal() *Index {
 	for i, n := 0, s.ix.Len(); i < n; i++ {
 		docs = append(docs, s.ix.b.Doc(i))
 	}
+	s.ix = sealedFrom(docs)
+	return s.ix
+}
+
+// sealedFrom builds the sealed segment of docs: indexed in ID order, so
+// the result does not depend on the order they arrived in, and Prepared,
+// because a sealed index is immutable and concurrently queried (category
+// vocabularies, conjunction memoization, Wilson marginal cache — see
+// Index.Prepare). It records whether the IDs turned out strictly
+// increasing, which spares the first limited drill-down its walk (see
+// idOrdered).
+func sealedFrom(docs []Document) *Index {
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	rebuilt := NewIndex()
-	for _, d := range docs {
-		rebuilt.Add(d)
+	ix := NewIndex()
+	ordered := true
+	for i, d := range docs {
+		ordered = ordered && (i == 0 || docs[i-1].ID < d.ID)
+		ix.Add(d)
 	}
-	// A sealed index is immutable and concurrently queried, so it carries
-	// the prepared query caches: category vocabularies, conjunction
-	// memoization, Wilson marginal cache (see Index.Prepare).
-	rebuilt.Prepare()
-	s.ix = rebuilt
-	return rebuilt
+	ix.Prepare()
+	ix.prep.orderOnce.Do(func() { ix.prep.ordered = ordered })
+	return ix
 }
 
 // SealChecked is Seal plus the dead-letter accounting invariant: the

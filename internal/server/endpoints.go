@@ -105,18 +105,17 @@ func (p *Plan) Merge(live []ShardBody, fs FedStatus) (any, error) {
 // finalize-time settings that daemon configures.
 type Endpoints struct {
 	confidence float64 // association confidence when a query passes none
-	workers    int     // association cell-grid workers (0 = mining default)
 	wire       bool    // also serve the shard-side marginals/* endpoints
 }
 
 // NewEndpoints resolves the default association confidence (0.95 unless
 // it lies in (0,1)). wire selects the shard-side marginal endpoints in
 // addition to the six public ones.
-func NewEndpoints(confidence float64, assocWorkers int, wire bool) Endpoints {
+func NewEndpoints(confidence float64, wire bool) Endpoints {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	return Endpoints{confidence: confidence, workers: assocWorkers, wire: wire}
+	return Endpoints{confidence: confidence, wire: wire}
 }
 
 // endpointTable is keyed by endpoint name: the /v1 path without the
@@ -286,7 +285,7 @@ func (e Endpoints) associate(q url.Values) (*Plan, error) {
 		ShardEndpoint: "marginals/assoc",
 		ShardParams:   url.Values{"row": q["row"], "col": q["col"]},
 		local: func(v mining.Querier, h Head) any {
-			return respond(h, v.AssociateN(rows.dims, cols.dims, confidence, e.workers))
+			return respond(h, v.AssociateN(rows.dims, cols.dims, confidence, 0))
 		},
 		merge: func(live []ShardBody, h *Head) (any, error) {
 			parts := make([]mining.AssocMarginals, len(live))
@@ -301,7 +300,7 @@ func (e Endpoints) associate(q url.Values) (*Plan, error) {
 				}
 				parts[k] = sr.Marginals
 			}
-			return respond(*h, mining.FinalizeAssoc(rows.dims, cols.dims, confidence, e.workers,
+			return respond(*h, mining.FinalizeAssoc(rows.dims, cols.dims, confidence,
 				mining.MergeAssocMarginals(parts...))), nil
 		},
 	}, nil
@@ -372,8 +371,8 @@ func (e Endpoints) drillDown(q url.Values) (*Plan, error) {
 		ShardEndpoint: "drilldown",
 		ShardParams:   url.Values{"row": q["row"], "col": q["col"], "limit": {strconv.Itoa(limit)}},
 		local: func(v mining.Querier, h Head) any {
-			cell := v.DrillDown(rows.dims[0], cols.dims[0])
-			return respond(h, len(cell), documentsJSON(cell[:min(len(cell), limit)]))
+			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
+			return respond(h, count, documentsJSON(docs))
 		},
 		// Document IDs are unique across shards, so the first limit of the
 		// whole cell are among the shards' own first limit, re-sorted.

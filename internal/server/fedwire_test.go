@@ -196,7 +196,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 		t.Fatalf("wire AssocMarginals = %#v, direct %#v", am.Marginals, want)
 	}
 	// Finalizing the wire marginals reproduces the monolithic table.
-	tbl := mining.FinalizeAssoc(rowDims, colDims, 0.95, 4, am.Marginals)
+	tbl := mining.FinalizeAssoc(rowDims, colDims, 0.95, am.Marginals)
 	want := ix.AssociateN(rowDims, colDims, 0.95, 1)
 	if !reflect.DeepEqual(tbl, want) {
 		t.Fatalf("FinalizeAssoc(wire marginals) diverges from direct AssociateN")

@@ -5,19 +5,23 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Response-body encoding. Every /v1 body is marshaled exactly once into
 // its canonical plain bytes (marshalBody, pooled scratch) and wrapped in
 // a CachedBody; the gzip form is derived lazily from those bytes and
 // memoized, so a cached response compresses once no matter how many
-// gzip-accepting clients replay it. Decompressing a gzip response
-// always yields the exact plain bytes — compression is an encoding of
-// the response, never a different response — which is what lets the
-// byte-identity suites compare daemons across the flag.
+// gzip-accepting clients replay it — and a deflate state is allocated
+// at most once per processor, not once per body: the writers are parked
+// between bodies (gzipWriters). Decompressing a gzip response always
+// yields the exact plain bytes — compression is an encoding of the
+// response, never a different response — which is what lets the
+// byte-identity suites compare daemons whatever each client negotiated.
 
 // GzipMinSize is the smallest plain body worth compressing: below it
 // the gzip envelope (header + CRC trailer) eats the savings and the
@@ -36,15 +40,56 @@ type CachedBody struct {
 	gz   []byte
 }
 
+// gzipWriters parks the process's deflate states between bodies; at most
+// GOMAXPROCS are ever built (gzipBuilt). A flate compressor carries its
+// hash chains inline (0.8 MB with its window and token buffers), so
+// allocating one per body — every cache miss of 256 bytes or more — was
+// most of a miss's allocation and fed the collector accordingly. The set
+// is fixed rather than a sync.Pool so that what it holds is bounded and
+// does not depend on when the last collection ran.
+//
+// Bodies compress at the default level, as they always have, so the
+// bytes on the wire are unchanged. BestSpeed would spare Reset the 640 KB
+// of hash chains it clears per body, but a BestSpeed state is half as
+// large again and its output 7% bigger (CHANGES.md, PR 16, has the
+// mono_miss numbers at both).
+var (
+	gzipWriters = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
+	gzipBuilt   atomic.Int32
+)
+
+// takeGzipWriter returns a parked writer if there is one, so the process
+// holds as many as bodies have ever compressed at once and no more;
+// builds one while fewer than GOMAXPROCS exist; and otherwise waits for
+// one to come back — compression is pure computation, so with a writer
+// per processor the wait never idles one. The caller Resets the writer
+// onto its destination and sends it back to gzipWriters when done.
+func takeGzipWriter() *gzip.Writer {
+	select {
+	case zw := <-gzipWriters:
+		return zw
+	default:
+	}
+	if int(gzipBuilt.Add(1)) <= cap(gzipWriters) {
+		return gzip.NewWriter(nil)
+	}
+	gzipBuilt.Add(-1)
+	return <-gzipWriters
+}
+
 // Gzip returns the gzip encoding of Plain, compressing on the first
 // call and memoizing the result (safe for concurrent use).
 func (cb *CachedBody) Gzip() []byte {
 	cb.once.Do(func() {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		zw.Write(cb.Plain)
+		buf := bodyScratch.Get().(*bytes.Buffer)
+		defer bodyScratch.Put(buf)
+		buf.Reset()
+		zw := takeGzipWriter()
+		defer func() { gzipWriters <- zw }()
+		zw.Reset(buf)
+		zw.Write(cb.Plain) // writes to a bytes.Buffer cannot fail
 		zw.Close()
-		cb.gz = buf.Bytes()
+		cb.gz = append([]byte(nil), buf.Bytes()...)
 	})
 	return cb.gz
 }
@@ -96,8 +141,8 @@ func WriteJSONBody(w http.ResponseWriter, r *http.Request, status int, cb *Cache
 	w.Write(cb.Plain)
 }
 
-// bodyScratch pools the marshal working buffers so a cache miss does
-// not allocate a fresh growth-sized buffer per response.
+// bodyScratch pools the marshal and compress working buffers so a cache
+// miss does not allocate a fresh growth-sized buffer per response.
 var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // marshalBody renders v in the canonical response framing — exactly

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"bivoc/internal/mining"
@@ -191,5 +193,56 @@ func TestMarshalBodyAllocs(t *testing.T) {
 	})
 	if pooled > baseline {
 		t.Errorf("marshalBody allocates %.1f objects/op, json.Marshal+append baseline is %.1f", pooled, baseline)
+	}
+}
+
+// TestGzipAllocs pins the allocate-once half of the compression
+// contract, next to the marshal one above. A flate compressor is 0.8 MB
+// of state; compressing through a parked one must cost a body no more
+// than its scratch and its compressed copy, bodies compressed one after
+// another must share one writer, and however many are compressed at once
+// no more writers are built than there are processors.
+func TestGzipAllocs(t *testing.T) {
+	plain := bytes.Repeat([]byte(`{"ncell":12,"nver":340,"nhor":95,"n":1500,"point_index":1.31,"lower_index":0.87,"row_share":0.25},`), 21)
+	if len(plain) < 2000 || len(plain) > 2200 {
+		t.Fatalf("test body is %d bytes, want about 2 KB", len(plain))
+	}
+	compress := func() {
+		cb := &CachedBody{Plain: plain}
+		if gz := cb.Gzip(); len(gz) == 0 || len(gz) >= len(plain) {
+			t.Errorf("2 KB of repetitive JSON compressed to %d bytes", len(gz))
+		}
+	}
+	compress() // builds a writer unless an earlier test has
+	if got := gunzip(t, (&CachedBody{Plain: plain}).Gzip()); !bytes.Equal(got, plain) {
+		t.Fatal("a reused writer's output does not decompress to the plain body")
+	}
+
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		compress()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 16<<10 {
+		t.Errorf("CachedBody.Gzip allocates %d bytes per 2 KB body, want under 16 KB (a fresh deflate state is about 800 KB)", perCall)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			compress()
+		}()
+	}
+	wg.Wait()
+	built := int(gzipBuilt.Load())
+	if len(gzipWriters) != built {
+		t.Fatalf("%d of %d writers came back after 64 concurrent calls", len(gzipWriters), built)
+	}
+	if built < 1 || built > runtime.GOMAXPROCS(0) {
+		t.Errorf("the free list holds %d writers after 64 concurrent calls, want 1..GOMAXPROCS (%d)", built, runtime.GOMAXPROCS(0))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,56 +77,50 @@ func sealCorpus(t *testing.T, docs []mining.Document, queries []string) (string,
 
 // TestMappedDaemonServesIdenticalBytes boots a materialized and a
 // mapped daemon over copies of the same sealed corpus and requires
-// every endpoint body to match the original run byte for byte, across
-// associate worker counts and on the naive-sets oracle. Caching is
-// disabled so the oracle pass actually recomputes.
+// every endpoint body to match the original run byte for byte, on the
+// fast path and on the naive-sets oracle. Caching is disabled so the
+// oracle pass actually recomputes.
 func TestMappedDaemonServesIdenticalBytes(t *testing.T) {
 	docs := testDocs(150)
 	queries := persistQueries()
 	dir, want := sealCorpus(t, docs, queries)
 
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			mat := startServer(t, Config{
-				Source:           resumableSource(docs, nil),
-				Persist:          openStore(t, copyStoreDir(t, dir)),
-				AssociateWorkers: workers,
-				CacheSize:        -1,
-			})
-			mapSt := openMappedStore(t, copyStoreDir(t, dir))
-			mapped := startServer(t, Config{
-				Source:           resumableSource(docs, nil),
-				Persist:          mapSt,
-				MapSegments:      true,
-				AssociateWorkers: workers,
-				CacheSize:        -1,
-			})
-			waitIngestDone(t, mat)
-			waitIngestDone(t, mapped)
+	mat := startServer(t, Config{
+		Source:    resumableSource(docs, nil),
+		Persist:   openStore(t, copyStoreDir(t, dir)),
+		CacheSize: -1,
+	})
+	mapSt := openMappedStore(t, copyStoreDir(t, dir))
+	mapped := startServer(t, Config{
+		Source:      resumableSource(docs, nil),
+		Persist:     mapSt,
+		MapSegments: true,
+		CacheSize:   -1,
+	})
+	waitIngestDone(t, mat)
+	waitIngestDone(t, mapped)
 
-			if st := mapSt.Stats(); st.MappedSegments < 1 {
-				t.Fatalf("mapped daemon recovered without mapping: %+v", st)
-			}
-
-			matBase, mapBase := "http://"+mat.Addr(), "http://"+mapped.Addr()
-			got := fetchAll(t, mapBase, queries)
-			compareAll(t, "mapped vs seed run", want, got)
-			compareAll(t, "mapped vs materialized", fetchAll(t, matBase, queries), got)
-
-			// Oracle pass: the naive set implementations must agree with
-			// themselves across the backing too.
-			old := mining.UseNaiveSets
-			mining.UseNaiveSets = true
-			naiveMat := fetchAll(t, matBase, queries)
-			naiveMap := fetchAll(t, mapBase, queries)
-			mining.UseNaiveSets = old
-			compareAll(t, "naive oracle mapped vs materialized", naiveMat, naiveMap)
-			compareAll(t, "naive oracle vs fast path", want, naiveMap)
-
-			shutdownServer(t, mat)
-			shutdownServer(t, mapped)
-		})
+	if st := mapSt.Stats(); st.MappedSegments < 1 {
+		t.Fatalf("mapped daemon recovered without mapping: %+v", st)
 	}
+
+	matBase, mapBase := "http://"+mat.Addr(), "http://"+mapped.Addr()
+	got := fetchAll(t, mapBase, queries)
+	compareAll(t, "mapped vs seed run", want, got)
+	compareAll(t, "mapped vs materialized", fetchAll(t, matBase, queries), got)
+
+	// Oracle pass: the naive set implementations must agree with
+	// themselves across the backing too.
+	old := mining.UseNaiveSets
+	mining.UseNaiveSets = true
+	naiveMat := fetchAll(t, matBase, queries)
+	naiveMap := fetchAll(t, mapBase, queries)
+	mining.UseNaiveSets = old
+	compareAll(t, "naive oracle mapped vs materialized", naiveMat, naiveMap)
+	compareAll(t, "naive oracle vs fast path", want, naiveMap)
+
+	shutdownServer(t, mat)
+	shutdownServer(t, mapped)
 }
 
 // TestMappedStatszSections pins the observability added with mapped
@@ -237,4 +233,76 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 
 	shutdownServer(t, mat)
 	shutdownServer(t, mapped)
+}
+
+// countingBacking counts the full record decodes a query makes.
+type countingBacking struct {
+	mining.Backing
+	decoded *atomic.Int64
+}
+
+func (b countingBacking) Doc(i int) mining.Document {
+	b.decoded.Add(1)
+	return b.Backing.Doc(i)
+}
+
+// TestMappedDrillDownDecodesLimit is the drill-down oracle over mapped
+// segments: at every limit the limit-aware path over a mapped
+// SegmentSet returns the heap set's unlimited cell truncated to limit
+// with the same count — and decodes at most limit records per segment to
+// do it, where the whole-cell path decoded every match.
+func TestMappedDrillDownDecodesLimit(t *testing.T) {
+	docs := testDocs(240)
+	dir := t.TempDir()
+	const nsegs = 3
+	var heap, mapped []*mining.Index
+	decoded := make([]*atomic.Int64, nsegs)
+	for k := 0; k < nsegs; k++ {
+		seg := batchIndex(docs[k*len(docs)/nsegs : (k+1)*len(docs)/nsegs])
+		path := filepath.Join(dir, fmt.Sprintf("seg-%d.seg", k))
+		if err := os.WriteFile(path, store.EncodeSegment(seg.Export()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := store.OpenMapped(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		decoded[k] = new(atomic.Int64)
+		ix := mining.FromBacking(countingBacking{Backing: m, decoded: decoded[k]})
+		ix.Prepare()
+		heap, mapped = append(heap, seg), append(mapped, ix)
+	}
+	heapSet, mappedSet := mining.NewSegmentSet(heap...), mining.NewSegmentSet(mapped...)
+
+	topic := mining.ConceptDim("topic", "billing")
+	outcome := mining.FieldDim("outcome", "reservation")
+	parity := mining.FieldDim("parity", "even")
+	pairs := [][2]mining.Dim{
+		{topic, outcome},
+		{mining.AndDim(topic, parity), outcome}, // a conjunction as the row
+		{outcome, mining.AndDim(topic, parity)}, // and as the column
+	}
+	for _, pair := range pairs {
+		cell := heapSet.DrillDown(pair[0], pair[1])
+		if len(cell) < 6 {
+			t.Fatalf("cell %s × %s holds %d documents — too few to truncate", pair[0].Label(), pair[1].Label(), len(cell))
+		}
+		for _, limit := range []int{0, 1, 5, 50, len(cell), len(cell) + 1} {
+			for _, d := range decoded {
+				d.Store(0)
+			}
+			got, count := mappedSet.DrillDownLimit(pair[0], pair[1], limit)
+			want := cell[:min(limit, len(cell))]
+			if count != len(cell) || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("mapped DrillDownLimit(%s, %s, %d) = %d docs of %d, want the first %d of %d",
+					pair[0].Label(), pair[1].Label(), limit, len(got), count, len(want), len(cell))
+			}
+			for k, d := range decoded {
+				if n := d.Load(); n > int64(limit) {
+					t.Errorf("limit %d decoded %d records of segment %d", limit, n, k)
+				}
+			}
+		}
+	}
 }

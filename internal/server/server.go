@@ -98,10 +98,6 @@ type Config struct {
 	// Confidence is the association-interval confidence used when a
 	// query does not pass its own. Default 0.95.
 	Confidence float64
-	// AssociateWorkers fans the /v1/associate cell grid across this many
-	// workers per request (0 = mining package default, which resolves to
-	// GOMAXPROCS). Tables are byte-identical at any worker count.
-	AssociateWorkers int
 	// DrainTimeout bounds the graceful drain of in-flight requests
 	// during Run's shutdown. Default 5s.
 	DrainTimeout time.Duration
@@ -276,7 +272,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		eps:        NewEndpoints(cfg.Confidence, cfg.AssociateWorkers, true),
+		eps:        NewEndpoints(cfg.Confidence, true),
 		slo:        NewSLORecorder(),
 		ingestDone: make(chan struct{}),
 		serveDone:  make(chan struct{}),

@@ -299,9 +299,10 @@ func (m *Mapped) docReader(i int) (reader, error) {
 func (m *Mapped) DocCount() int { return m.env.docCount }
 
 // Doc implements mining.Backing: the i-th document decoded out of the
-// mapping. Document decode is off the hot count/associate path (only
-// drill-downs and compaction re-encodes materialize documents), so
-// results are not cached.
+// mapping, a full record decode every time — results are not cached.
+// Counts, tables and trends never call it; a drill-down does, on its
+// miss path, which is why it decodes only the documents it returns
+// (mining.DrillDownLimit); a compaction's re-encode decodes them all.
 func (m *Mapped) Doc(i int) mining.Document {
 	r, err := m.docReader(i)
 	if err != nil {
