@@ -9,21 +9,19 @@
 // paper-vs-measured numbers in EXPERIMENTS.md come from
 // `cmd/experiments`, which uses the full default corpora.
 //
+// These are the measurements no metric of the repository's benchmark
+// covers (paper tables, ablations, ASR-on decoding); nothing records
+// their output. Serving, mining, storage, federation and ingest numbers
+// come from cmd/bivocbench (`make bench`), declared in BENCHMARK.json.
+//
 // Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem -run='^$'
 package bivoc_test
 
 import (
-	"context"
-	"io"
-	"net/http"
-	"net/url"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"bivoc"
 	"bivoc/internal/rng"
@@ -523,124 +521,6 @@ func BenchmarkPipelineCallAnalysis(b *testing.B) {
 				calls = ca.Index.Len()
 			}
 			b.ReportMetric(float64(calls)*float64(b.N)/b.Elapsed().Seconds(), "calls/s")
-		})
-	}
-}
-
-// Analysis-only variant (no recognizer): the annotate stage dominates,
-// so this isolates pipeline overhead at high item rates.
-func BenchmarkPipelineCallAnalysisNoASR(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			cfg := bivoc.DefaultCallAnalysisConfig()
-			cfg.UseASR = false
-			cfg.World.CallsPerDay = 400
-			cfg.World.Days = 2
-			cfg.Workers = workers
-			var calls int
-			for i := 0; i < b.N; i++ {
-				ca, err := bivoc.RunCallAnalysis(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls = ca.Index.Len()
-			}
-			b.ReportMetric(float64(calls)*float64(b.N)/b.Elapsed().Seconds(), "calls/s")
-		})
-	}
-}
-
-// --- Serving layer: /v1/count over real HTTP, cold vs cached ---
-// "cached" hits one hot URL, so after the first request every reply is
-// a cache hit from the snapshot's LRU; "cold" disables the cache, so
-// every request recomputes against the index. 1/4/8 concurrent clients
-// share the iteration budget. Recorded in BENCH_server.json
-// (`make bench-server`).
-
-// benchQueryServer brings up a sealed query daemon over a mid-size
-// world and tears it down with the benchmark.
-func benchQueryServer(b *testing.B, cacheSize int) *bivoc.QueryServer {
-	b.Helper()
-	cfg := bivoc.DefaultServeConfig()
-	cfg.Analysis.World.CallsPerDay = 100
-	cfg.Analysis.World.Days = 4
-	cfg.Addr = "127.0.0.1:0"
-	cfg.CacheSize = cacheSize
-	s, err := bivoc.NewQueryServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			b.Error(err)
-		}
-	})
-	select {
-	case <-s.IngestDone():
-	case <-time.After(60 * time.Second):
-		b.Fatal("ingest did not seal")
-	}
-	return s
-}
-
-func serverQueryClients(b *testing.B, u string, clients int) {
-	tr := &http.Transport{MaxIdleConnsPerHost: clients}
-	client := &http.Client{Transport: tr}
-	var iter atomic.Int64
-	var wg sync.WaitGroup
-	// The server runs in-process, so allocs/op covers both sides of the
-	// request — the gate on the pooled respond/marshal path.
-	b.ReportAllocs()
-	b.ResetTimer()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter.Add(1) <= int64(b.N) {
-				resp, err := client.Get(u)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Errorf("status %d", resp.StatusCode)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	// Unpooled dialed-but-unused conns would make the server's graceful
-	// drain wait out the StateNew grace period; close them now.
-	tr.CloseIdleConnections()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-func BenchmarkServerQuery(b *testing.B) {
-	q := url.Values{"dim": {
-		"outcome=reservation",
-		"weak start[customer intention]",
-	}}.Encode()
-	for _, mode := range []struct {
-		name  string
-		cache int // 0 = default LRU, negative = disabled
-	}{{"cached", 0}, {"cold", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := benchQueryServer(b, mode.cache)
-			u := "http://" + s.Addr() + "/v1/count?" + q
-			for _, clients := range []int{1, 4, 8} {
-				b.Run("clients="+itoa(clients), func(b *testing.B) {
-					serverQueryClients(b, u, clients)
-				})
-			}
 		})
 	}
 }

@@ -42,9 +42,6 @@
 package bivoc
 
 import (
-	"context"
-
-	"bivoc/internal/annotate"
 	"bivoc/internal/asr"
 	"bivoc/internal/churn"
 	"bivoc/internal/core"
@@ -81,22 +78,12 @@ func RunCallAnalysis(cfg CallAnalysisConfig) (*CallAnalysis, error) {
 	return core.RunCallAnalysis(cfg)
 }
 
-// RunCallAnalysisContext is RunCallAnalysis with cancellation: cancel
-// ctx and the streaming pipeline aborts promptly.
-func RunCallAnalysisContext(ctx context.Context, cfg CallAnalysisConfig) (*CallAnalysis, error) {
-	return core.RunCallAnalysisContext(ctx, cfg)
-}
-
 // --- Streaming pipeline surface ---
 
 // StreamMonitor is the live view handed to CallAnalysisConfig.Monitor
 // while a streaming run is in flight: per-stage counters plus the
 // query-while-indexing mining index.
 type StreamMonitor = core.StreamMonitor
-
-// PipelineStageStats is one stage's counter snapshot (in/out/skipped/
-// errors, queue depth and capacity, latency).
-type PipelineStageStats = pipeline.StageStats
 
 // StreamIndex is the incremental, concurrency-safe mining index: Add
 // documents from pipeline workers while association tables and relevancy
@@ -124,23 +111,13 @@ type QueryServer = server.Server
 func DefaultServeConfig() ServeConfig { return core.DefaultServeConfig() }
 
 // NewQueryServer builds an unstarted query server from cfg; pair
-// Start/Shutdown, or use Serve for the blocking daemon loop.
+// Start/Shutdown, or use its Run for the blocking daemon loop.
 func NewQueryServer(cfg ServeConfig) (*QueryServer, error) { return core.NewServeServer(cfg) }
-
-// Serve runs the query daemon until ctx is cancelled, then drains
-// in-flight requests and stops the ingest pipeline cleanly.
-func Serve(ctx context.Context, cfg ServeConfig) error { return core.Serve(ctx, cfg) }
-
-// ParseDim parses a dimension label — `canonical[category]`,
-// `field=value`, a bare category, or a " ∧ "-joined conjunction — into
-// the Dim it renders from: ParseDim(d.Label()) == d. This is the query
-// syntax of the daemon's dim/row/col/featured parameters.
-func ParseDim(label string) (Dim, error) { return mining.ParseDim(label) }
 
 // --- Federation (bivocfed) ---
 
 // FedConfig configures the scatter-gather federation coordinator: the
-// shard base URLs (in ShardOf placement order), per-shard timeout,
+// shard base URLs (in shard-index order), per-shard timeout,
 // fan-out bound and default association confidence.
 type FedConfig = fed.Config
 
@@ -153,11 +130,6 @@ type FedCoordinator = fed.Coordinator
 // NewFedCoordinator builds an unstarted federation coordinator; pair
 // Start/Shutdown, or use its Run for the blocking daemon loop.
 func NewFedCoordinator(cfg FedConfig) (*FedCoordinator, error) { return fed.NewCoordinator(cfg) }
-
-// ShardOf maps a document ID onto one of n shards — the placement
-// contract shared by sharded bivocd ingest (ServeConfig.ShardIndex/
-// ShardCount) and the coordinator's shard list.
-func ShardOf(docID string, shards int) int { return fed.ShardOf(docID, shards) }
 
 // --- Fault tolerance ---
 
@@ -261,19 +233,10 @@ func RunChurnExperiment(cfg ChurnExperimentConfig) (*ChurnExperimentResult, erro
 	return core.RunChurnExperiment(cfg)
 }
 
-// RunChurnExperimentContext is RunChurnExperiment with cancellation.
-func RunChurnExperimentContext(ctx context.Context, cfg ChurnExperimentConfig) (*ChurnExperimentResult, error) {
-	return core.RunChurnExperimentContext(ctx, cfg)
-}
-
 // --- Building blocks re-exported for custom pipelines ---
 
-// Channel operating points for the ASR substrate.
-var (
-	CleanChannel      = asr.CleanChannel
-	TelephoneChannel  = asr.TelephoneChannel
-	CallCenterChannel = asr.CallCenterChannel
-)
+// CallCenterChannel is the ASR substrate's call-centre operating point.
+var CallCenterChannel = asr.CallCenterChannel
 
 // ChannelConfig parameterizes the acoustic noisy channel.
 type ChannelConfig = asr.ChannelConfig
@@ -299,18 +262,6 @@ type Spotter = asr.Spotter
 // NewSpotter returns a keyword spotter over a lexicon's pronunciations.
 func NewSpotter(lex *asr.Lexicon) *Spotter { return asr.NewSpotter(lex) }
 
-// AnnotationEngine is the §IV.C dictionary + pattern annotator.
-type AnnotationEngine = annotate.Engine
-
-// NewCarRentalAnnotationEngine builds the §V annotation engine (vehicle
-// dictionary, cities, discount vocabulary, value-selling patterns).
-func NewCarRentalAnnotationEngine() *AnnotationEngine {
-	return core.BuildCarRentalAnnotator()
-}
-
-// MiningIndex is the concept/field inverted index of §IV.D.
-type MiningIndex = mining.Index
-
 // MiningDocument is one indexed VoC item: extracted concepts, linked
 // structured fields, and a time bucket.
 type MiningDocument = mining.Document
@@ -329,10 +280,6 @@ func CategoryDim(category string) Dim { return mining.CategoryDim(category) }
 
 // FieldDim returns a structured-field dimension.
 func FieldDim(field, value string) Dim { return mining.FieldDim(field, value) }
-
-// AndDim returns the conjunction of dimensions — a document matches only
-// if it matches every child.
-func AndDim(dims ...Dim) Dim { return mining.AndDim(dims...) }
 
 // CarRentalConfig sizes the synthetic car-rental world.
 type CarRentalConfig = synth.CarRentalConfig
@@ -380,28 +327,11 @@ func NewCustomerLinker(db *warehouse.DB) (*LinkerEngine, error) {
 // name and city inventories.
 func NewCarRentalAnnotators() *LinkerAnnotators { return core.NewCarRentalAnnotators() }
 
-// WarehouseDB is the structured-database substrate.
-type WarehouseDB = warehouse.DB
-
 // LinkerToken is a typed identity token extracted from a document.
 type LinkerToken = linker.Token
 
-// LinkerTokenType classifies identity tokens by their annotator.
-type LinkerTokenType = linker.TokenType
-
-// Token types (see LinkerTokenType).
-const (
-	TokName   = linker.TokName
-	TokDigits = linker.TokDigits
-	TokAmount = linker.TokAmount
-	TokPlace  = linker.TokPlace
-)
-
 // LinkerGoldLabel is the true entity behind an evaluation document.
 type LinkerGoldLabel = linker.GoldLabel
-
-// LinkerAttribute names one matchable column of one entity type.
-type LinkerAttribute = linker.Attribute
 
 // DriverDetector finds churn-driver mentions in message text (§VI).
 type DriverDetector = churn.DriverDetector

@@ -14,8 +14,10 @@
 //
 // Without -target the harness boots its own fleet over a synthetic
 // corpus: a single bivocd-equivalent server ("mono"), a sharded fleet
-// behind a coordinator ("fed-<k>"), or both. `make bench-load` runs the
-// self-boot sweep and records BENCH_load.json.
+// behind a coordinator ("fed-<k>"), or both. This is the overload
+// instrument — offers past the capacity knee, which the closed-loop
+// cmd/bivocbench never makes; the repository's recorded numbers are
+// cmd/bivocbench's (BENCHMARK.json), not this command's output.
 package main
 
 import (
@@ -108,11 +110,11 @@ type sweepRun struct {
 	load.Report
 }
 
-// reportDescription heads the BENCH_load.json document so the recorded
-// numbers explain their own methodology.
-const reportDescription = "Open-loop load sweep (cmd/bivocload): arrivals pre-scheduled at the offered rate, latency measured from each request's scheduled arrival (coordinated-omission corrected), so a saturated target shows queueing delay in the percentiles instead of silently throttling the generator. The achieved-vs-offered knee is the target's capacity. Targets are self-booted over the same synthetic corpus: one daemon (mono) and a sharded federation behind a coordinator (fed-k). The mixed sweep is the dashboard-style query blend synthesized from the live /v1/concepts vocabulary; the count sweep is single-dim /v1/count only — the transport-dominated workload where /v1/batch amortization shows up as a higher sustainable query rate per HTTP request. batch=1 issues single GETs; batch=N groups N queries per /v1/batch POST at the same offered query rate. Reproduce with `make bench-load`."
+// reportDescription heads the JSON report so the numbers explain their
+// own methodology.
+const reportDescription = "Open-loop load sweep (cmd/bivocload): arrivals pre-scheduled at the offered rate, latency measured from each request's scheduled arrival (coordinated-omission corrected), so a saturated target shows queueing delay in the percentiles instead of silently throttling the generator. The achieved-vs-offered knee is the target's capacity. Targets are self-booted over the same synthetic corpus: one daemon (mono) and a sharded federation behind a coordinator (fed-k). The mixed sweep is the dashboard-style query blend synthesized from the live /v1/concepts vocabulary; the count sweep is single-dim /v1/count only — the transport-dominated workload where /v1/batch amortization shows up as a higher sustainable query rate per HTTP request. batch=1 issues single GETs; batch=N groups N queries per /v1/batch POST at the same offered query rate."
 
-// report is the BENCH_load.json document.
+// report is the JSON document -out (or stdout) receives.
 type report struct {
 	Description string     `json:"description"`
 	Date        string     `json:"date"`

@@ -95,7 +95,7 @@ func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 		}
 	}
 
-	restore := setMiningMode(false, 0)
+	restore := setMiningMode(false)
 	defer restore()
 	mono, stopMono := runSealedServer(t, storeEquivConfig(""))
 	want := make(map[string]string, len(names))
@@ -114,7 +114,7 @@ func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		for _, n := range []int{1, 4} {
 			t.Run(fmt.Sprintf("naive=%v/shards-%d", naive, n), func(t *testing.T) {
-				restore := setMiningMode(naive, 0)
+				restore := setMiningMode(naive)
 				defer restore()
 				addr, stop := fedFleet(t, n)
 				defer stop()

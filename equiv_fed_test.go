@@ -65,7 +65,7 @@ func fedFleet(t *testing.T, n int) (addr string, stop func()) {
 // (/healthz is excluded: the federated body legitimately reports
 // per-shard health instead of the single-daemon shape.)
 func TestFedEndpointsMatchSingleDaemon(t *testing.T) {
-	restore := setMiningMode(false, 0)
+	restore := setMiningMode(false)
 	defer restore()
 	endpoints := storeEquivEndpoints()
 	delete(endpoints, "healthz")
@@ -81,7 +81,7 @@ func TestFedEndpointsMatchSingleDaemon(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		for _, n := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("naive=%v/shards-%d", naive, n), func(t *testing.T) {
-				restore := setMiningMode(naive, 0)
+				restore := setMiningMode(naive)
 				defer restore()
 				addr, stop := fedFleet(t, n)
 				defer stop()

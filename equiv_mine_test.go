@@ -16,21 +16,16 @@ import (
 // End-to-end equivalence for the analytics hot path: the full pipelines
 // (RunCallAnalysis, RunChurnExperiment) and every bivocd endpoint must
 // produce byte-identical output whether mining queries run through the
-// naive hash-set oracle or the sorted-postings fast path, at any
-// Associate worker count. Complements the per-operation property suite
-// in internal/mining.
+// naive hash-set oracle or the sorted-postings fast path. Complements
+// the per-operation property suite in internal/mining.
 
-// setMiningMode flips the package-level analytics knobs and returns a
+// setMiningMode flips the package-level oracle flag and returns a
 // restore func for defer.
-func setMiningMode(naive bool, workers int) func() {
-	oldNaive, oldWorkers := mining.UseNaiveSets, mining.AssociateWorkers
-	mining.UseNaiveSets, mining.AssociateWorkers = naive, workers
-	return func() { mining.UseNaiveSets, mining.AssociateWorkers = oldNaive, oldWorkers }
+func setMiningMode(naive bool) func() {
+	old := mining.UseNaiveSets
+	mining.UseNaiveSets = naive
+	return func() { mining.UseNaiveSets = old }
 }
-
-// assocWorkerCounts are the fan-outs the determinism contract is pinned
-// at: sequential, moderate, and more workers than some tables have cells.
-var assocWorkerCounts = []int{1, 4, 8}
 
 // callAnalysisReports runs the call-analysis pipeline and materializes
 // every §IV.D report the core layer derives from its index.
@@ -58,22 +53,20 @@ func callAnalysisReports(t *testing.T) map[string]any {
 }
 
 func TestCallAnalysisNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(true, 0)
+	restore := setMiningMode(true)
 	defer restore()
 	want := callAnalysisReports(t)
-	for _, workers := range assocWorkerCounts {
-		mining.UseNaiveSets, mining.AssociateWorkers = false, workers
-		got := callAnalysisReports(t)
-		for name, w := range want {
-			if !reflect.DeepEqual(got[name], w) {
-				t.Errorf("workers=%d: report %q diverges from naive oracle", workers, name)
-			}
+	mining.UseNaiveSets = false
+	got := callAnalysisReports(t)
+	for name, w := range want {
+		if !reflect.DeepEqual(got[name], w) {
+			t.Errorf("report %q diverges from naive oracle", name)
 		}
 	}
 }
 
 func TestChurnExperimentNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(true, 0)
+	restore := setMiningMode(true)
 	defer restore()
 	cfg := bivoc.DefaultChurnExperimentConfig()
 	cfg.World.NumCustomers = 300
@@ -83,16 +76,13 @@ func TestChurnExperimentNaiveFastEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range assocWorkerCounts {
-		mining.UseNaiveSets, mining.AssociateWorkers = false, workers
-		got, err := bivoc.RunChurnExperiment(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: churn result diverges from naive oracle:\n got %+v\nwant %+v",
-				workers, got, want)
-		}
+	mining.UseNaiveSets = false
+	got, err := bivoc.RunChurnExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("churn result diverges from naive oracle:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -102,7 +92,7 @@ func TestChurnExperimentNaiveFastEquivalence(t *testing.T) {
 // answer the same URL from both implementations. The response cache is
 // disabled so each request really recomputes.
 func TestServerEndpointsNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(false, 0)
+	restore := setMiningMode(false)
 	defer restore()
 	cfg := bivoc.DefaultServeConfig()
 	cfg.Analysis.World.CallsPerDay = 60
@@ -165,12 +155,8 @@ func TestServerEndpointsNaiveFastEquivalence(t *testing.T) {
 		mining.UseNaiveSets = true
 		want := fetch(path)
 		mining.UseNaiveSets = false
-		for _, workers := range assocWorkerCounts {
-			mining.AssociateWorkers = workers
-			if got := fetch(path); got != want {
-				t.Errorf("%s (workers=%d): body diverges from naive oracle:\n got %s\nwant %s",
-					name, workers, got, want)
-			}
+		if got := fetch(path); got != want {
+			t.Errorf("%s: body diverges from naive oracle:\n got %s\nwant %s", name, got, want)
 		}
 	}
 }

@@ -9,16 +9,14 @@ import (
 	"time"
 
 	"bivoc"
-	"bivoc/internal/mining"
 )
 
 // End-to-end equivalence for the persistence subsystem: a bivocd warm
 // restart — where the index is decoded from an on-disk segment instead
 // of rebuilt by the ingest pipeline — must answer every endpoint
-// byte-identically to the in-memory daemon, at every Associate worker
-// count. This is the acceptance gate that lets the segment format
-// change representation (varint deltas, interned strings) without any
-// observable difference at the API.
+// byte-identically to the in-memory daemon. This is the acceptance gate
+// that lets the segment format change representation (varint deltas,
+// interned strings) without any observable difference at the API.
 
 // storeEquivEndpoints is the full bivocd surface the disk-loaded index
 // is pinned against: the six /v1 analytics endpoints (concepts counted
@@ -110,9 +108,9 @@ func fetchBody(t *testing.T, addr, path string) string {
 // engagement through three daemon incarnations — pure in-memory,
 // persistence-enabled first boot, and a warm restart whose index came
 // off disk — and requires byte-identical bodies across all of them on
-// every endpoint, at Associate worker counts {1, 4, 8}.
+// every endpoint.
 func TestServerEndpointsDiskMemoryEquivalence(t *testing.T) {
-	restore := setMiningMode(false, 0)
+	restore := setMiningMode(false)
 	defer restore()
 	endpoints := storeEquivEndpoints()
 	dir := t.TempDir()
@@ -147,12 +145,8 @@ func TestServerEndpointsDiskMemoryEquivalence(t *testing.T) {
 		t.Errorf("warm restart recovered (%d, %d, %d), want (180, 0, 0)", segDocs, walDocs, walDropped)
 	}
 	for name, path := range endpoints {
-		for _, workers := range assocWorkerCounts {
-			mining.AssociateWorkers = workers
-			if got := fetchBody(t, disk2.Addr(), path); got != want[name] {
-				t.Errorf("disk-loaded (workers=%d): %s diverges from in-memory daemon:\n got %s\nwant %s",
-					workers, name, got, want[name])
-			}
+		if got := fetchBody(t, disk2.Addr(), path); got != want[name] {
+			t.Errorf("disk-loaded: %s diverges from in-memory daemon:\n got %s\nwant %s", name, got, want[name])
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // resultCache is the coordinator-side result cache, keyed on (canonical
 // query key, generation vector). The shards' own caches live behind a
-// scatter (~1 RTT per query, BENCH_fed.json); this one sits in front of
-// it, so a hit skips the scatter entirely.
+// scatter (~1 RTT per query; fed.self_ms plus fed.slowest_shard_ms in
+// cmd/bivocbench's budget); this one sits in front of it, so a hit skips
+// the scatter entirely (fed.cache_hit_ratio).
 //
 // Correctness rests on the generation vector. A cached body was merged
 // from one exact per-shard generation vector; it may be served again

@@ -161,8 +161,8 @@ func TestOpenLoopChargesQueueing(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadHarness keeps the harness inside `make bench-build`: one
-// short open-loop run per iteration.
+// BenchmarkLoadHarness times the harness itself: one short open-loop run
+// per iteration.
 func BenchmarkLoadHarness(b *testing.B) {
 	base := loadTestServer(b, 200)
 	vocab, err := DiscoverVocab(nil, base, []string{"topic"}, []string{"parity", "outcome"})

@@ -13,8 +13,8 @@ import (
 // The naive-vs-fast equivalence suite: the hash-set implementations in
 // naive.go are the oracle, and every analytics entry point must return
 // byte-identical results from the sorted-postings fast path — on raw
-// indexes, on Prepared indexes (first call populates the caches, repeat
-// calls hit them), and at any Associate worker count.
+// indexes and on Prepared indexes (first call populates the conjunction
+// memo, repeat calls hit it).
 
 // withNaive runs fn with the naive oracle implementations selected.
 func withNaive(fn func()) {
@@ -104,6 +104,22 @@ func newEquivWorld(rng *rand.Rand, ndocs int) *equivWorld {
 	}
 }
 
+// over is the same query battery aimed at another index holding the
+// world's documents.
+func (w *equivWorld) over(ix *Index) *equivWorld {
+	return &equivWorld{ix: ix, dims: w.dims, cats: w.cats, fields: w.fields}
+}
+
+// wideDims is a column list one wider than a mark word has bits: the
+// table AssocMarginals counts per cell instead of in one mark pass.
+func (w *equivWorld) wideDims() []Dim {
+	wide := make([]Dim, markBits+1)
+	for j := range wide {
+		wide[j] = w.dims[j%len(w.dims)]
+	}
+	return wide
+}
+
 // checkEquiv pins every analytics entry point: the fast-path result must
 // be deeply (bit-for-bit on floats) equal to the naive oracle's.
 func checkEquiv(t *testing.T, w *equivWorld) {
@@ -158,31 +174,37 @@ func checkEquiv(t *testing.T, w *equivWorld) {
 			t.Fatalf("FieldValues(%q) = %#v, naive %#v", f, got, wantV)
 		}
 	}
+	// Association tables: a plain one, one that repeats a column, one
+	// wider than a mark word (the per-cell fallback of AssocMarginals),
+	// and the degenerate table with no rows (which must not divide by
+	// zero either).
 	rows := []Dim{w.dims[0], w.dims[2], w.dims[4], w.dims[11]}
 	cols := []Dim{w.dims[8], w.dims[9], w.dims[10]}
-	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
-		var want *AssocTable
-		withNaive(func() { want = ix.Associate(rows, cols, conf) })
-		for _, workers := range []int{1, 4, 8} {
-			got := ix.AssociateN(rows, cols, conf, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("AssociateN(conf=%v, workers=%d) diverges from naive:\n got %#v\nwant %#v",
-					conf, workers, got, want)
+	for _, tc := range []struct {
+		name       string
+		rows, cols []Dim
+	}{
+		{"plain", rows, cols},
+		{"a repeated column", rows, []Dim{w.dims[8], w.dims[9], w.dims[8]}},
+		{"65 columns", rows, w.wideDims()},
+		{"no rows", nil, cols},
+	} {
+		for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
+			var want *AssocTable
+			withNaive(func() { want = ix.Associate(tc.rows, tc.cols, conf) })
+			if got := ix.AssociateN(tc.rows, tc.cols, conf, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("AssociateN(%s, conf=%v) diverges from naive:\n got %#v\nwant %#v",
+					tc.name, conf, got, want)
 			}
 		}
-	}
-	// Degenerate tables must also agree (and not divide by zero).
-	var wantEmpty *AssocTable
-	withNaive(func() { wantEmpty = ix.Associate(nil, cols, 0.95) })
-	if got := ix.AssociateN(nil, cols, 0.95, 8); !reflect.DeepEqual(got, wantEmpty) {
-		t.Fatalf("AssociateN with no rows diverges from naive")
 	}
 }
 
 // TestNaiveFastEquivalence is the core property suite: over random
 // worlds, the fast path must be indistinguishable from the hash-set
-// oracle, before Prepare, after Prepare (twice, so memoized conjunction
-// and Wilson caches are exercised on both the miss and the hit path).
+// oracle, before Prepare, after Prepare (twice, so the conjunction memo
+// is exercised on both the miss and the hit path), and on the live
+// index inside an unsealed StreamIndex.
 func TestNaiveFastEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20090))
 	for trial := 0; trial < 6; trial++ {
@@ -194,8 +216,12 @@ func TestNaiveFastEquivalence(t *testing.T) {
 			checkEquiv(t, w) // raw index: no prepared caches
 			w.ix.Prepare()
 			w.ix.Prepare()   // Prepare is idempotent
-			checkEquiv(t, w) // prepared: cold caches
-			checkEquiv(t, w) // prepared: warm conjunction + Wilson caches
+			checkEquiv(t, w) // prepared: cold memo
+			checkEquiv(t, w) // prepared: warm memo
+
+			live := NewStreamIndex()
+			live.AddBatch(allDocs(w.ix))
+			live.Snapshot(func(ix *Index) { checkEquiv(t, w.over(ix)) })
 		})
 	}
 }
@@ -262,10 +288,6 @@ func perConceptRelFreqMarginals(q Querier, category string, featured Dim) RelFre
 func checkMarginalsEquiv(t *testing.T, w *equivWorld, q Querier) {
 	t.Helper()
 	conj, conj3 := w.dims[11], w.dims[12]
-	wide := make([]Dim, markBits+1) // one column more than a mark word has bits
-	for j := range wide {
-		wide[j] = w.dims[j%len(w.dims)]
-	}
 	tables := []struct {
 		name       string
 		rows, cols []Dim
@@ -274,7 +296,7 @@ func checkMarginalsEquiv(t *testing.T, w *equivWorld, q Querier) {
 		{"the same column twice", []Dim{w.dims[0], w.dims[5]}, []Dim{w.dims[8], w.dims[9], w.dims[8]}},
 		{"a conjunction row", []Dim{conj, conj3, w.dims[5]}, []Dim{w.dims[8], w.dims[9]}},
 		{"a conjunction column", []Dim{w.dims[0], w.dims[5], w.dims[6]}, []Dim{conj, w.dims[9], conj3}},
-		{"wider than the mark word", w.dims[:3], wide},
+		{"wider than the mark word", w.dims[:3], w.wideDims()},
 		{"the whole battery squared", w.dims, w.dims},
 		{"no rows", nil, w.dims[8:11]},
 	}

@@ -140,12 +140,13 @@ func (ix *Index) resolve(ctx *queryCtx, d Dim) (posts []int, owned bool) {
 			return posts, false
 		}
 		res, resOwned := ix.intersectFast(ctx, d.And)
-		stored := append([]int(nil), res...) // never alias scratch into the memo
-		if resOwned {
-			ctx.putBuf(res)
+		if stored, ok := p.conjStore(key, res); ok {
+			if resOwned {
+				ctx.putBuf(res)
+			}
+			return stored, false
 		}
-		p.conjStore(key, stored)
-		return stored, false
+		return res, resOwned
 	}
 	return ix.intersectFast(ctx, d.And)
 }

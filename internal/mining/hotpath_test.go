@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -68,7 +69,7 @@ func runQueryBattery(ix *Index, w *equivWorld) {
 				vals[j] = "clobbered"
 			}
 		}
-		tbl := ix.AssociateN(w.dims[:4], w.dims[8:11], 0.95, 4)
+		tbl := ix.AssociateN(w.dims[:4], w.dims[8:11], 0.95, 0)
 		for i := range tbl.Cells {
 			for j := range tbl.Cells[i] {
 				tbl.Cells[i][j].N = -1
@@ -131,5 +132,76 @@ func TestConjunctionMemoStability(t *testing.T) {
 	withNaive(func() { naive = w.ix.Count(a) })
 	if first != naive {
 		t.Fatalf("memoized conjunction Count=%d, naive %d", first, naive)
+	}
+}
+
+// TestConjunctionMemoBounded offers a prepared index ten times its memo
+// budget in distinct conjunctions — pairs and triples of real leaves,
+// then as many more tagged with a leaf nobody carries as it takes. The
+// memo must stop at its budget with its accounting exact, and every
+// answer, memoized or recomputed past the budget, must still equal the
+// naive oracle's.
+func TestConjunctionMemoBounded(t *testing.T) {
+	w := newEquivWorld(rand.New(rand.NewSource(17)), 150)
+	w.ix.Prepare()
+	p := w.ix.prep
+	if p.conjLimit != conjBudget(w.ix.Len()) || p.conjLimit < conjWordsFloor {
+		t.Fatalf("memo limit %d, want conjBudget(%d) = %d", p.conjLimit, w.ix.Len(), conjBudget(w.ix.Len()))
+	}
+
+	var leaves []Dim
+	for _, d := range w.dims {
+		if len(d.And) == 0 {
+			leaves = append(leaves, d)
+		}
+	}
+	var conjs []Dim
+	for i, a := range leaves {
+		for j := i + 1; j < len(leaves); j++ {
+			conjs = append(conjs, AndDim(a, leaves[j]))
+			for k := j + 1; k < len(leaves); k++ {
+				conjs = append(conjs, AndDim(a, leaves[j], leaves[k]))
+			}
+		}
+	}
+	offered := 0
+	withNaive(func() {
+		for _, d := range conjs {
+			offered += conjCost(d.CanonicalLabel(), w.ix.postingsNaive(d))
+		}
+	})
+	for n := 0; offered < 10*p.conjLimit; n++ {
+		d := AndDim(leaves[n%len(leaves)], FieldDim("tag", fmt.Sprint(n)))
+		conjs = append(conjs, d)
+		offered += conjCost(d.CanonicalLabel(), nil)
+	}
+
+	partner := CategoryDim("issue")
+	want := make([][2]int, len(conjs))
+	withNaive(func() {
+		for i, d := range conjs {
+			want[i] = [2]int{w.ix.Count(d), w.ix.CountBoth(d, partner)}
+		}
+	})
+	for pass := 0; pass < 2; pass++ { // the second pass hits what the first stored
+		for i, d := range conjs {
+			if got := [2]int{w.ix.Count(d), w.ix.CountBoth(d, partner)}; got != want[i] {
+				t.Fatalf("pass %d: %s: Count, CountBoth = %v, naive %v", pass, d.Label(), got, want[i])
+			}
+			if p.conjWords > p.conjLimit {
+				t.Fatalf("pass %d: memo holds %d words after %s, budget %d", pass, p.conjWords, d.Label(), p.conjLimit)
+			}
+		}
+	}
+	held := 0
+	for key, posts := range p.conj {
+		held += conjCost(key, posts)
+	}
+	if held != p.conjWords {
+		t.Fatalf("memo accounts for %d words, its entries cost %d", p.conjWords, held)
+	}
+	if len(p.conj) == 0 || len(p.conj) >= len(conjs) || p.conjWords < p.conjLimit*9/10 {
+		t.Fatalf("memo holds %d of %d conjunctions in %d of %d words — the bound was never reached",
+			len(p.conj), len(conjs), p.conjWords, p.conjLimit)
 	}
 }

@@ -94,19 +94,23 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	return m
 }
 
-// segMarginPostings materializes one segment's postings for every
-// dimension of an association table: the naive oracle's lists under the
-// oracle flag, otherwise marginPostings (shared read-only views, with
-// scratch-owned conjunction results copied out).
-func segMarginPostings(ix *Index, ctx *queryCtx, dims []Dim) [][]int {
-	if ctx.naive {
-		out := make([][]int, len(dims))
-		for i, d := range dims {
-			out[i] = ix.postingsNaive(d)
+// marginPostings materializes the postings of every dimension of an
+// association table for the lifetime of one AssocMarginals call: leaf and
+// memoized lists (and the naive oracle's lists, under the oracle flag)
+// are shared read-only views; scratch-computed conjunctions are copied
+// out so the scratch can be reused.
+func (ix *Index) marginPostings(ctx *queryCtx, dims []Dim) [][]int {
+	out := make([][]int, len(dims))
+	for i, d := range dims {
+		posts, owned := segPostings(ix, ctx, d)
+		if owned {
+			out[i] = append([]int(nil), posts...)
+			ctx.putBuf(posts)
+		} else {
+			out[i] = posts
 		}
-		return out
 	}
-	return ix.marginPostings(ctx, dims)
+	return out
 }
 
 // newAssocMarginals shapes the marginals of a rows × cols table over n
@@ -143,8 +147,8 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	rowPosts := segMarginPostings(ix, ctx, rows)
-	colPosts := segMarginPostings(ix, ctx, cols)
+	rowPosts := ix.marginPostings(ctx, rows)
+	colPosts := ix.marginPostings(ctx, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
 	if !ctx.naive && len(cols) <= markBits {
 		ctx.countCells(m.Ncell, m.N, rowPosts, colPosts)

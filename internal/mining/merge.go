@@ -191,44 +191,29 @@ func MergeAssocMarginals(parts ...AssocMarginals) AssocMarginals {
 	return out
 }
 
-// FinalizeAssoc runs the monolithic association float pipeline over
-// (merged) integer marginals: point index, Wilson intervals via
+// FinalizeAssoc runs the association float pipeline over (merged)
+// integer marginals: point index, Wilson intervals via
 // stats.WilsonIntervalZ on the merged counts — never averaged per-part
 // intervals — and within-row shares. m must be shaped for rows × cols.
-func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
-	return finalizeAssoc(rows, cols, confidence, m, nil)
-}
-
-// finalizeAssoc is the shared core of every association-table build:
 // Index.AssociateN, SegmentSet.AssociateN and the federation coordinator
 // all assemble their tables here, so there is exactly one copy of the
-// cell float math. Every count arrives precomputed, which leaves a cell
-// an integer lookup plus Wilson arithmetic — the grid runs serially;
-// fanning it out costs more than the handful of cells it would split.
-// wilson, when non-nil, overrides the marginal-interval source (the
-// sealed-index Wilson cache); it must be bit-identical to
-// stats.WilsonIntervalZ.
-func finalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals,
-	wilson func(successes int, z float64) stats.Interval) *AssocTable {
+// cell float math; every count arrives precomputed, which leaves a cell
+// an integer lookup plus Wilson arithmetic.
+func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
 	z := stats.WilsonZ(confidence)
 	n := m.N
-	if wilson == nil {
-		wilson = func(successes int, z float64) stats.Interval {
-			return stats.WilsonIntervalZ(successes, n, z)
-		}
-	}
 	tbl := &AssocTable{Rows: rows, Cols: cols, Confidence: confidence}
 	tbl.Cells = make([][]Cell, len(rows))
 	verIv := make([]stats.Interval, len(rows))
 	horIv := make([]stats.Interval, len(cols))
 	for i := range rows {
-		verIv[i] = wilson(m.Nver[i], z)
+		verIv[i] = stats.WilsonIntervalZ(m.Nver[i], n, z)
 	}
 	for j := range cols {
-		horIv[j] = wilson(m.Nhor[j], z)
+		horIv[j] = stats.WilsonIntervalZ(m.Nhor[j], n, z)
 	}
 	for i := range rows {
 		tbl.Cells[i] = make([]Cell, len(cols))

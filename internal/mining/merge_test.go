@@ -80,22 +80,16 @@ func checkMergeEquiv(t *testing.T, w *equivWorld, segs []*Index) {
 	if got, want := am, ix.AssocMarginals(rows, cols); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MergeAssocMarginals = %#v, monolithic %#v", got, want)
 	}
-	// Byte-identical at any worker count: the monolithic grid stripes its
-	// live intersections across workers, while FinalizeAssoc and the folded
-	// SegmentSet path (marginals + finalize) take their counts precomputed
-	// and run serially whatever they are asked for.
+	// One pipeline, three entries: finalizing the merged per-part marginals
+	// equals the monolithic table and the segmented one.
 	set := NewSegmentSet(segs...)
 	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
 		want := FinalizeAssoc(rows, cols, conf, am)
-		for _, workers := range []int{1, 4, 8} {
-			if got := ix.AssociateN(rows, cols, conf, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("FinalizeAssoc(conf=%v) diverges from monolithic at workers=%d:\n got %#v\nwant %#v",
-					conf, workers, want, got)
-			}
-			if got := set.AssociateN(rows, cols, conf, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("SegmentSet.AssociateN(conf=%v, workers=%d) diverges from FinalizeAssoc:\n got %#v\nwant %#v",
-					conf, workers, got, want)
-			}
+		if got := ix.AssociateN(rows, cols, conf, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FinalizeAssoc(conf=%v) diverges from monolithic:\n got %#v\nwant %#v", conf, want, got)
+		}
+		if got := set.AssociateN(rows, cols, conf, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SegmentSet.AssociateN(conf=%v) diverges from FinalizeAssoc:\n got %#v\nwant %#v", conf, got, want)
 		}
 	}
 }

@@ -17,14 +17,11 @@ package mining
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"bivoc/internal/annotate"
-	"bivoc/internal/stats"
 )
 
 // Document is one indexed VoC item: its extracted concepts, the
@@ -316,93 +313,25 @@ type AssocTable struct {
 	Confidence float64
 }
 
-// AssociateWorkers is the package default for the parallel cell grid
-// when Associate (or AssociateN with workers == 0) builds a table; 0 or
-// negative means GOMAXPROCS. Tables are byte-identical at any worker
-// count, so this is purely a throughput knob.
-var AssociateWorkers int
-
 // Associate builds the two-dimensional association table between row
 // and column dimensions at the given confidence level for the interval
-// estimate (0 < confidence < 1; 0.95 is typical). The cell grid is
-// fanned across AssociateWorkers workers.
+// estimate (0 < confidence < 1; anything else means 0.95).
 func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 	return ix.AssociateN(rows, cols, confidence, 0)
 }
 
-// AssociateN is Associate with an explicit worker count for the cell
-// grid (0 falls back to AssociateWorkers, then GOMAXPROCS). Here a cell
-// is a live postings intersection, so the joint counts are striped
-// across workers — each a pure function of hoisted, read-only postings
-// written to its own slot, so the table is byte-identical at any worker
-// count — and the shared serial core finishes the float math.
-func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, workers int) *AssocTable {
-	if confidence <= 0 || confidence >= 1 {
-		confidence = 0.95
-	}
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
-	if ctx.naive {
+// AssociateN is Associate under the Querier signature: the joint counts
+// come from AssocMarginals and the float math from FinalizeAssoc, the
+// same two steps SegmentSet and the federation coordinator take. The
+// last parameter is ignored (see Querier).
+func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
+	if UseNaiveSets {
+		if confidence <= 0 || confidence >= 1 {
+			confidence = 0.95
+		}
 		return ix.associateNaive(rows, cols, confidence)
 	}
-	// Hoist every marginal out of the cell loop: postings and counts are
-	// derived once per row and once per column (the naive path recomputes
-	// each column's count and interval in every row). Marginal intervals
-	// come from the sealed index's Wilson cache, bit-identical to
-	// stats.WilsonIntervalZ.
-	rowPosts := ix.marginPostings(ctx, rows)
-	colPosts := ix.marginPostings(ctx, cols)
-	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
-
-	cells := len(rows) * len(cols)
-	w := workers
-	if w <= 0 {
-		w = AssociateWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	w = min(w, cells)
-	stripe := func(wkr int) {
-		for k := wkr; k < cells; k += w {
-			i, j := k/len(cols), k%len(cols)
-			m.Ncell[i][j] = countIntersect(rowPosts[i], colPosts[j])
-		}
-	}
-	if w <= 1 {
-		stripe(0)
-	} else {
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < w; wkr++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				stripe(wkr)
-			}()
-		}
-		wg.Wait()
-	}
-	return finalizeAssoc(rows, cols, confidence, m, func(successes int, z float64) stats.Interval {
-		return ix.wilsonMarginal(successes, m.N, confidence, z)
-	})
-}
-
-// marginPostings materializes the postings of every dimension for the
-// lifetime of one Associate call: leaf and memoized lists are shared
-// read-only views; scratch-computed conjunctions are copied out so the
-// scratch can be reused.
-func (ix *Index) marginPostings(ctx *queryCtx, dims []Dim) [][]int {
-	out := make([][]int, len(dims))
-	for i, d := range dims {
-		posts, owned := ix.resolve(ctx, d)
-		if owned {
-			out[i] = append([]int(nil), posts...)
-			ctx.putBuf(posts)
-		} else {
-			out[i] = posts
-		}
-	}
-	return out
+	return FinalizeAssoc(rows, cols, confidence, ix.AssocMarginals(rows, cols))
 }
 
 // StrongestCells returns all cells ordered by descending LowerIndex —

@@ -3,8 +3,6 @@ package mining
 import (
 	"sort"
 	"sync"
-
-	"bivoc/internal/stats"
 )
 
 // prepared carries the query structures a sealed index precomputes so
@@ -16,22 +14,22 @@ import (
 //     discovery endpoint) instead of full map scans with a sort;
 //   - memoized conjunction postings keyed by Dim.CanonicalLabel, so the
 //     drill-down conjunctions analysts re-issue ("weak start ∧
-//     outcome=reservation") intersect once per snapshot;
-//   - cached Wilson intervals for the marginal counts Associate keeps
-//     re-deriving across tables served at one confidence level;
+//     outcome=reservation") intersect once per snapshot, up to a
+//     budget proportional to the segment (see conjStore);
 //   - whether position order is document-ID order (see idOrdered).
 //
-// The precomputed lists are immutable after prepare; the two memo maps
-// are guarded by mu because sealed indexes are queried from many server
-// handlers at once.
+// The precomputed lists are immutable after prepare; the memo is guarded
+// by mu because sealed indexes are queried from many server handlers at
+// once.
 type prepared struct {
 	catEntries map[string][]catEntry
 	catNames   map[string][]string
 	fieldVals  map[string][]string
 
-	mu     sync.RWMutex
-	conj   map[string][]int
-	wilson map[wilsonKey]stats.Interval
+	mu        sync.RWMutex
+	conj      map[string][]int
+	conjWords int // what conj holds, in conjCost units
+	conjLimit int // conjBudget of the segment, fixed at Prepare
 
 	orderOnce sync.Once
 	ordered   bool
@@ -49,15 +47,27 @@ type catEntry struct {
 	df    int
 }
 
-// wilsonKey caches one marginal interval; the trial count n is the
-// index's document count, fixed per index, so it is not part of the key.
-type wilsonKey struct {
-	successes  int
-	confidence float64
-}
+// The conjunction memo's budget. Every distinct conjunction a client
+// sends adds an entry, and the operands are the client's to vary, so the
+// memo is capped at a constant multiple of the segment it belongs to:
+// conjWordsPerDoc 8-byte words per document (cmd/bivocbench's 2000-query
+// pool fills 11 of them on a 5000-document segment), with a floor so a
+// segment of a few documents still memoizes a working set.
+const (
+	conjWordsPerDoc = 64
+	conjWordsFloor  = 1 << 14
+)
+
+func conjBudget(docs int) int { return max(conjWordsFloor, conjWordsPerDoc*docs) }
+
+// conjCost is what one memo entry is charged against the budget, in
+// 8-byte words: its postings, its key, and the map slot with the two
+// headers. An empty result is not free — its key alone is as long as
+// the client chose to make it.
+func conjCost(key string, posts []int) int { return len(posts) + len(key)/8 + 8 }
 
 // Prepare precomputes the sealed-index query structures above. It is
-// idempotent and is called automatically by StreamIndex.Seal; batch
+// idempotent and is called automatically by Seal; batch
 // builders that assemble an Index by hand (core.RunEmailCategoryAnalysis)
 // call it once indexing is done. Prepare must happen-before any
 // concurrent queries, and a later Add drops the prepared state (the
@@ -71,7 +81,7 @@ func (ix *Index) Prepare() {
 		catNames:   make(map[string][]string),
 		fieldVals:  make(map[string][]string),
 		conj:       make(map[string][]int),
-		wilson:     make(map[wilsonKey]stats.Interval),
+		conjLimit:  conjBudget(ix.b.DocCount()),
 	}
 	ix.b.EachConcept(func(cat, canon string, df int) {
 		p.catEntries[cat] = append(p.catEntries[cat], catEntry{canon: canon, df: df})
@@ -99,9 +109,8 @@ func (ix *Index) Prepare() {
 }
 
 // idOrdered reports whether document positions are in strictly
-// increasing ID order — what StreamIndex.Seal and MergeSegments build,
-// and what lets a limited drill-down stop at its first limit positions.
-// Seal and MergeSegments record it as they build (sealedFrom). An index
+// increasing ID order — what lets a limited drill-down stop at its first
+// limit positions. Seal builds that order and records it. An index
 // Prepared over a backing opened from disk finds out by one DocID walk
 // the first time a limited drill-down asks, never at Prepare: that would
 // put a per-document pass on the open path of a mapped segment. An index
@@ -135,36 +144,26 @@ func (p *prepared) conjCached(key string) ([]int, bool) {
 	return posts, ok
 }
 
-// conjStore memoizes a conjunction's postings. posts must be a private
-// copy (never a scratch buffer). First store wins so concurrent misses
-// publish one canonical slice.
-func (p *prepared) conjStore(key string, posts []int) {
+// conjStore memoizes a private copy of a conjunction's postings (res may
+// be a scratch buffer) and returns the memoized slice; the first store
+// wins, so concurrent misses share one canonical slice. Once the memo
+// has reached its budget it stores nothing more and reports false — the
+// caller answers from res, and the next request for that conjunction
+// intersects again. There is no eviction: a panel of repeated
+// conjunctions fits many times over, and what does not fit is not a
+// panel.
+func (p *prepared) conjStore(key string, res []int) ([]int, bool) {
 	p.mu.Lock()
-	if _, ok := p.conj[key]; !ok {
-		p.conj[key] = posts
+	defer p.mu.Unlock()
+	if posts, ok := p.conj[key]; ok {
+		return posts, true
 	}
-	p.mu.Unlock()
-}
-
-// wilsonMarginal returns the Wilson interval for a marginal count,
-// served from the sealed index's cache when prepared. z must equal
-// stats.WilsonZ(confidence); results are bit-identical to
-// stats.WilsonInterval for the same arguments.
-func (ix *Index) wilsonMarginal(successes, n int, confidence, z float64) stats.Interval {
-	p := ix.prep
-	if p == nil {
-		return stats.WilsonIntervalZ(successes, n, z)
+	cost := conjCost(key, res)
+	if p.conjWords+cost > p.conjLimit {
+		return nil, false
 	}
-	key := wilsonKey{successes, confidence}
-	p.mu.RLock()
-	iv, ok := p.wilson[key]
-	p.mu.RUnlock()
-	if ok {
-		return iv
-	}
-	iv = stats.WilsonIntervalZ(successes, n, z)
-	p.mu.Lock()
-	p.wilson[key] = iv
-	p.mu.Unlock()
-	return iv
+	posts := append([]int(nil), res...)
+	p.conj[key] = posts
+	p.conjWords += cost
+	return posts, true
 }

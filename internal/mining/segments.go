@@ -1,5 +1,7 @@
 package mining
 
+import "sort"
+
 // This file implements the LSM-style segmented index: instead of one
 // monolithic Index resealed per snapshot swap (O(corpus)), the serving
 // layer holds N immutable sealed segments and publishes a swap by
@@ -21,6 +23,13 @@ package mining
 // exposes, plus the marginal extractions behind the shard-side
 // /v1/marginals/* wire (see merge.go). A snapshot can hold either
 // implementation; responses are byte-identical for the same corpus.
+//
+// AssociateN's workers parameter is ignored by both implementations: a
+// table is one pass over each segment's postings (AssocMarginals) plus
+// FinalizeAssoc, and there has been no cell grid to fan out since the
+// cells stopped being one merge each. It is still in the signature only
+// because cmd/bivocbench, which a product change may not edit, calls the
+// method with four arguments; it goes with the next benchmark change.
 type Querier interface {
 	Len() int
 	Count(d Dim) int
@@ -74,10 +83,38 @@ func (s *SegmentSet) SegmentLens() []int {
 	return out
 }
 
+// Seal builds the sealed segment of docs. It is the one way a segment is
+// made — a daemon's publish, its recovered WAL tail, StreamIndex.Seal
+// and MergeSegments all end here: docs is sorted by ID in place and
+// indexed in that order, so the result does not depend on the order the
+// documents arrived in and positions are in ID order (see idOrdered),
+// then Prepared, because a sealed index is immutable and concurrently
+// queried. A repeated document ID panics: it means an upstream retry
+// delivered an item twice, or two segments under compaction overlap,
+// and every count over the segment would be silently wrong.
+func Seal(docs []Document) *Index {
+	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
+	ix := NewIndex()
+	for i, d := range docs {
+		if i > 0 && docs[i-1].ID == d.ID {
+			panicDuplicateID("Seal", d.ID)
+		}
+		ix.Add(d)
+	}
+	ix.Prepare()
+	ix.prep.orderOnce.Do(func() { ix.prep.ordered = true })
+	return ix
+}
+
+func panicDuplicateID(op, id string) {
+	panic("mining: " + op + ": duplicate document ID " + id +
+		" (an upstream retry delivered the same item twice?)")
+}
+
 // MergeSegments compacts segments into one sealed segment holding the
-// union of their documents (sorted by ID, the same order StreamIndex.Seal
-// produces). Every query result over the merged segment is identical to
-// the fan-in over its inputs, so compaction is invisible to readers.
+// union of their documents. Every query result over the merged segment
+// is identical to the fan-in over its inputs, so compaction is invisible
+// to readers.
 func MergeSegments(segs ...*Index) *Index {
 	var docs []Document
 	for _, ix := range segs {
@@ -85,7 +122,7 @@ func MergeSegments(segs ...*Index) *Index {
 			docs = append(docs, ix.b.Doc(i))
 		}
 	}
-	return sealedFrom(docs)
+	return Seal(docs)
 }
 
 // segPostings resolves a dimension's postings inside one segment,
@@ -205,14 +242,13 @@ func (s *SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
 // pipeline (FinalizeAssoc — point index, Wilson intervals from the
 // merged counts via stats.WilsonIntervalZ, never averaged per-segment
 // intervals). These are the same two steps a federation coordinator
-// takes over its shards' marginals. The worker count belongs to the
-// Querier signature; with every count precomputed there is no grid left
-// to fan out.
+// takes over its shards' marginals. The last parameter is ignored (see
+// Querier).
 func (s *SegmentSet) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
 	return FinalizeAssoc(rows, cols, confidence, s.AssocMarginals(rows, cols))
 }
 
-// Associate is AssociateN at the package-default worker count.
+// Associate is AssociateN without the ignored parameter.
 func (s *SegmentSet) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 	return s.AssociateN(rows, cols, confidence, 0)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -77,16 +79,12 @@ func checkSegmentEquiv(t *testing.T, w *equivWorld, set *SegmentSet) {
 	rows := []Dim{w.dims[0], w.dims[2], w.dims[4], w.dims[11]}
 	cols := []Dim{w.dims[8], w.dims[9], w.dims[10]}
 	for _, conf := range []float64{0, 0.90, 0.95, 0.99} {
-		want := ix.AssociateN(rows, cols, conf, 1)
-		for _, workers := range []int{1, 4, 8} {
-			got := set.AssociateN(rows, cols, conf, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("AssociateN(conf=%v, workers=%d) diverges from monolithic:\n got %#v\nwant %#v",
-					conf, workers, got, want)
-			}
+		got, want := set.AssociateN(rows, cols, conf, 0), ix.AssociateN(rows, cols, conf, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AssociateN(conf=%v) diverges from monolithic:\n got %#v\nwant %#v", conf, got, want)
 		}
 	}
-	if got, want := set.AssociateN(nil, cols, 0.95, 8), ix.AssociateN(nil, cols, 0.95, 8); !reflect.DeepEqual(got, want) {
+	if got, want := set.AssociateN(nil, cols, 0.95, 0), ix.AssociateN(nil, cols, 0.95, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AssociateN with no rows diverges from monolithic")
 	}
 }
@@ -166,7 +164,7 @@ func TestSegmentSetMatchesMonolithic(t *testing.T) {
 				checkSegmentEquiv(t, w, set) // raw monolithic baseline
 				w.ix.Prepare()
 				checkSegmentEquiv(t, w, set) // prepared baseline, cold caches
-				checkSegmentEquiv(t, w, set) // warm conjunction + Wilson caches
+				checkSegmentEquiv(t, w, set) // warm conjunction memo
 				withNaive(func() { checkSegmentEquiv(t, w, set) })
 			})
 		}
@@ -225,7 +223,7 @@ func TestSegmentSetEdgeCases(t *testing.T) {
 	if got := empty.Trend(CategoryDim("issue")); got == nil || len(got) != 0 {
 		t.Fatalf("empty Trend = %#v, want non-nil empty", got)
 	}
-	tbl := empty.AssociateN([]Dim{CategoryDim("issue")}, []Dim{FieldDim("outcome", "x")}, 0.95, 4)
+	tbl := empty.AssociateN([]Dim{CategoryDim("issue")}, []Dim{FieldDim("outcome", "x")}, 0.95, 0)
 	if tbl.Cells[0][0].N != 0 || tbl.Cells[0][0].PointIndex != 0 {
 		t.Fatalf("empty AssociateN cell = %#v, want zero cell", tbl.Cells[0][0])
 	}
@@ -240,4 +238,71 @@ func TestSegmentSetEdgeCases(t *testing.T) {
 		ix.Prepare()
 	}
 	checkSegmentEquiv(t, w, NewSegmentSet(padded...))
+}
+
+// TestSealMatchesStreamIndex is the sealer oracle: whatever order a
+// batch arrives in, Seal builds the index StreamIndex{AddBatch; Seal}
+// builds — the same documents at the same positions under the same
+// postings (Export), positions recorded as ID-ordered, and every
+// checkEquiv query equal to the naive oracle's answer over it.
+func TestSealMatchesStreamIndex(t *testing.T) {
+	w := newEquivWorld(rand.New(rand.NewSource(20171)), 200)
+	docs := allDocs(w.ix)
+	si := NewStreamIndex()
+	si.AddBatch(docs)
+	want := si.Seal()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4; trial++ {
+		shuffled := append([]Document(nil), docs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		got := Seal(shuffled)
+		if !reflect.DeepEqual(got.Export(), want.Export()) {
+			t.Fatalf("trial %d: Seal over a shuffled batch differs from StreamIndex{AddBatch; Seal}", trial)
+		}
+		if got.prep == nil || !got.idOrdered() {
+			t.Fatalf("trial %d: sealed index is not Prepared with ID-ordered positions", trial)
+		}
+		checkEquiv(t, w.over(got))
+		checkSegmentEquiv(t, w.over(want), NewSegmentSet(got))
+	}
+}
+
+// TestSealDuplicateIDPanics: the tripwire StreamIndex.Add carries for
+// retrying pipelines holds on the direct route too, with the same
+// message, wherever in the batch the repeat sits.
+func TestSealDuplicateIDPanics(t *testing.T) {
+	docs := streamCorpus(6)
+	batch := append(append([]Document(nil), docs...), docs[2])
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "duplicate document ID " + docs[2].ID + " (an upstream retry delivered the same item twice?)"; !strings.Contains(msg, want) {
+			t.Fatalf("Seal over a repeated ID panicked with %q, want a message containing %q", msg, want)
+		}
+	}()
+	Seal(batch)
+}
+
+// TestSealBuildsOnce pins what sealing a batch directly is for: the
+// StreamIndex route indexes the batch on AddBatch and again on Seal, so
+// the direct route must allocate clearly less than it — at most 0.6 of
+// its bytes on a publish-sized batch.
+func TestSealBuildsOnce(t *testing.T) {
+	docs := allDocs(newEquivWorld(rand.New(rand.NewSource(3)), 1500).ix)
+	allocated := func(build func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	batch := append([]Document(nil), docs...)
+	direct := allocated(func() { Seal(batch) })
+	stream := allocated(func() {
+		si := NewStreamIndex()
+		si.AddBatch(docs)
+		si.Seal()
+	})
+	if float64(direct) > 0.6*float64(stream) {
+		t.Fatalf("Seal allocated %d bytes, StreamIndex{AddBatch; Seal} %d: more than 0.6 of it", direct, stream)
+	}
 }

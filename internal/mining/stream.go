@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -69,8 +68,7 @@ func (s *StreamIndex) add(doc Document, op string) {
 		panic("mining: StreamIndex." + op + " after Seal")
 	}
 	if _, dup := s.ids[doc.ID]; dup {
-		panic("mining: StreamIndex." + op + ": duplicate document ID " + doc.ID +
-			" (an upstream retry delivered the same item twice?)")
+		panicDuplicateID("StreamIndex."+op, doc.ID)
 	}
 	s.ids[doc.ID] = struct{}{}
 	s.ix.Add(doc)
@@ -153,10 +151,10 @@ func (s *StreamIndex) Snapshot(fn func(ix *Index)) {
 }
 
 // Seal ends the stream: further Adds panic, and the returned *Index
-// holds every document rebuilt in ID order, so the result is identical
-// no matter how pipeline scheduling interleaved the Adds. Queries on the
-// StreamIndex keep working against the sealed contents. Seal is
-// idempotent.
+// holds every document rebuilt in ID order (the package-level Seal), so
+// the result is identical no matter how pipeline scheduling interleaved
+// the Adds. Queries on the StreamIndex keep working against the sealed
+// contents. Seal is idempotent.
 func (s *StreamIndex) Seal() *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,28 +166,8 @@ func (s *StreamIndex) Seal() *Index {
 	for i, n := 0, s.ix.Len(); i < n; i++ {
 		docs = append(docs, s.ix.b.Doc(i))
 	}
-	s.ix = sealedFrom(docs)
+	s.ix = Seal(docs)
 	return s.ix
-}
-
-// sealedFrom builds the sealed segment of docs: indexed in ID order, so
-// the result does not depend on the order they arrived in, and Prepared,
-// because a sealed index is immutable and concurrently queried (category
-// vocabularies, conjunction memoization, Wilson marginal cache — see
-// Index.Prepare). It records whether the IDs turned out strictly
-// increasing, which spares the first limited drill-down its walk (see
-// idOrdered).
-func sealedFrom(docs []Document) *Index {
-	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	ix := NewIndex()
-	ordered := true
-	for i, d := range docs {
-		ordered = ordered && (i == 0 || docs[i-1].ID < d.ID)
-		ix.Add(d)
-	}
-	ix.Prepare()
-	ix.prep.orderOnce.Do(func() { ix.prep.ordered = ordered })
-	return ix
 }
 
 // SealChecked is Seal plus the dead-letter accounting invariant: the

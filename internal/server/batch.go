@@ -12,9 +12,10 @@ import (
 
 // POST /v1/batch — many /v1 queries in one request, answered from one
 // snapshot load so the whole batch is generation-consistent. The point
-// is transport amortization: BENCH_server pins HTTP+JSON framing as the
-// dominant per-request cost, so a dashboard issuing N small queries
-// pays it once instead of N times. Every sub-query is planned from the
+// is transport amortization: HTTP+JSON framing is the dominant
+// per-request cost (cmd/bivocbench: server.http_miss_ms against
+// server.batch_per_sub_ms), so a dashboard issuing N small queries pays
+// it once instead of N times. Every sub-query is planned from the
 // same endpoint table as its GET route, hitting the same snapshot-LRU
 // entries under the same canonical keys — a dim queried via batch and
 // via /v1/count shares one cache line by construction.

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -293,16 +294,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The gen-0 view covers the WAL tail too, through a temporary
 	// segment that is NOT added to the live list — the tail stays in
-	// pending and becomes a real (and durable) segment at the first
-	// publish.
+	// pending (Seal sorts its argument, hence the clone) and becomes a
+	// real (and durable) segment at the first publish.
 	view := make([]*mining.Index, 0, len(s.segs)+1)
 	for _, seg := range s.segs {
 		view = append(view, seg.ix)
 	}
 	if len(s.pending) > 0 {
-		si := mining.NewStreamIndex()
-		si.AddBatch(s.pending)
-		view = append(view, si.Seal())
+		view = append(view, mining.Seal(slices.Clone(s.pending)))
 	}
 	s.snap.Store(&snapshot{
 		gen:   0,
@@ -355,13 +354,10 @@ func (s *Server) publishPending(sealed, persist bool) {
 		return
 	}
 	if len(batch) > 0 {
-		// Seal through StreamIndex: AddBatch enforces ID uniqueness and
-		// Seal rebuilds in ID order and runs mining's Prepare step, so
-		// every segment carries the sealed-index query caches (category
-		// vocabularies, conjunction memo, Wilson marginal cache).
-		si := mining.NewStreamIndex()
-		si.AddBatch(batch)
-		seg := segment{ix: si.Seal()}
+		// The drained batch is this function's alone, so mining.Seal may
+		// sort it in place: one build, in ID order, Prepared, and a panic
+		// if the source delivered an ID twice.
+		seg := segment{ix: mining.Seal(batch)}
 		if persist && s.cfg.Persist != nil {
 			if st, err := s.cfg.Persist.AppendSegment(seg.ix); err != nil {
 				s.setPersistErr(err)

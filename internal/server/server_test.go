@@ -49,12 +49,15 @@ func testDocs(n int) []mining.Document {
 	return docs
 }
 
-// batchIndex is the ground truth the snapshots must match: the plain
-// sealed index over the same documents.
+// batchIndex is the ground truth the snapshots must match: one plain
+// index over the same documents, built by Add alone.
 func batchIndex(docs []mining.Document) *mining.Index {
-	si := mining.NewStreamIndex()
-	si.AddBatch(docs)
-	return si.Seal()
+	ix := mining.NewIndex()
+	for _, d := range docs {
+		ix.Add(d)
+	}
+	ix.Prepare()
+	return ix
 }
 
 func sliceSource(docs []mining.Document) DocSource {

@@ -60,9 +60,9 @@ var _ mining.Backing = (*Mapped)(nil)
 
 // OpenMapped maps a segment file and builds its offset-directory
 // lookup tables. cache may be shared across segments (nil gets a
-// private default-budget cache). Only version-2 segments can be
-// mapped; legacy files and any validation failure return an IsCorrupt
-// error so callers can fall back to the materializing LoadSegment.
+// private default-budget cache). Any validation failure returns an
+// IsCorrupt error so callers can fall back to the materializing
+// LoadSegment for the definitive verdict.
 func OpenMapped(path string, cache *PostingsCache) (*Mapped, error) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {
@@ -83,9 +83,6 @@ func newMapped(path string, data []byte, unmap func([]byte) error, cache *Postin
 	env, err := checkEnvelope(data)
 	if err != nil {
 		return nil, err
-	}
-	if env.version != SegmentVersion {
-		return nil, corruptf("segment version %d has no offset directory (cannot map)", env.version)
 	}
 	if cache == nil {
 		cache = NewPostingsCache(0)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bivoc/internal/mining"
@@ -123,9 +124,10 @@ func TestOpenMappedRejectsDamage(t *testing.T) {
 }
 
 // TestOpenMappedRejectsLegacy builds a version-1 file (no directory)
-// out of a version-2 segment's body; the eager decoder must accept it,
-// the mapped reader must refuse it with IsCorrupt so the store's
-// fallback engages.
+// out of a version-2 segment's body. Nothing writes that format any
+// more and nothing reads it: the eager decoder and the mapped reader
+// both refuse it with IsCorrupt, and a recovery that finds one in its
+// lineage skips it like any other damaged generation.
 func TestOpenMappedRejectsLegacy(t *testing.T) {
 	ix := sealedIndex(corpus(40, 24))
 	v2 := EncodeSegment(ix.Export())
@@ -133,53 +135,69 @@ func TestOpenMappedRejectsLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const legacyVersion = 1
 	var v1 []byte
 	v1 = append(v1, segMagic[:]...)
-	v1 = binary.LittleEndian.AppendUint32(v1, segLegacyVersion)
+	v1 = binary.LittleEndian.AppendUint32(v1, legacyVersion)
 	v1 = append(v1, v2[segHeaderLen:env.bodyEnd]...) // body without directory
 	bodyLen := uint64(len(v1) - segHeaderLen)
 	crc := crc32.ChecksumIEEE(v1)
 	v1 = binary.LittleEndian.AppendUint64(v1, bodyLen)
 	v1 = binary.LittleEndian.AppendUint64(v1, uint64(ix.Len()))
-	v1 = binary.LittleEndian.AppendUint32(v1, segLegacyVersion)
+	v1 = binary.LittleEndian.AppendUint32(v1, legacyVersion)
 	v1 = binary.LittleEndian.AppendUint32(v1, crc)
 
-	snap, err := DecodeSegment(v1)
-	if err != nil {
-		t.Fatalf("eager decoder rejects legacy file: %v", err)
+	rejected := func(reader string, err error) {
+		t.Helper()
+		switch {
+		case err == nil:
+			t.Fatalf("%s accepted a version-1 segment", reader)
+		case !IsCorrupt(err):
+			t.Fatalf("%s: legacy rejection is not IsCorrupt: %v", reader, err)
+		case !strings.Contains(err.Error(), "unsupported segment version 1"):
+			t.Fatalf("%s rejected the file for another reason: %v", reader, err)
+		}
 	}
-	legacy, err := mining.FromSnapshot(snap)
+	_, err = DecodeSegment(v1)
+	rejected("eager decoder", err)
+
+	// Put the file where a lineage expects generation 1.
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Prepare()
-	indexQueriesEqual(t, legacy, ix)
-
-	path := filepath.Join(t.TempDir(), "legacy.seg")
+	stat, err := st.AppendSegment(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.segmentPath(stat.SegmentGen)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := OpenMapped(path, nil); err == nil {
+	m, err := OpenMapped(path, nil)
+	if err == nil {
 		m.Close()
-		t.Fatal("mapped reader accepted a version-1 segment")
-	} else if !IsCorrupt(err) {
-		t.Fatalf("legacy rejection is not IsCorrupt: %v", err)
 	}
+	rejected("mapped reader", err)
 
-	// The store-level loader transparently materializes it instead.
-	st, err := Open(t.TempDir(), Options{MapSegments: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, mapSegs := range []bool{false, true} {
+		st, err := Open(dir, Options{MapSegments: mapSegs})
+		if err != nil {
+			t.Fatalf("MapSegments=%v: %v", mapSegs, err)
+		}
+		rec := st.Recovered()
+		if len(rec.Segments) != 0 || len(rec.SkippedSegments) != 1 || rec.SkippedSegments[0] != filepath.Base(path) {
+			t.Errorf("MapSegments=%v: recovered %d segments, skipped %v; want the version-1 file skipped",
+				mapSegs, len(rec.Segments), rec.SkippedSegments)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer st.Close()
-	lix, _, m, err := st.loadOrMap(path)
-	if err != nil {
-		t.Fatalf("loadOrMap on legacy file: %v", err)
-	}
-	if m != nil {
-		t.Fatal("legacy file reported as mapped")
-	}
-	indexQueriesEqual(t, lix, ix)
 }
 
 // TestStoreMappedRecovery: a store opened with MapSegments serves its

@@ -59,18 +59,17 @@ import (
 // index byte-identical to the one written, or it errors; it never
 // panics and never silently loads wrong data.
 //
-// Version 1 files are identical minus the directory and trailer;
-// DecodeSegment still reads them (pre-existing data directories), but
-// the encoder only writes version 2 and OpenMapped requires it.
+// Version 2 is the only version read or written: a file of any other
+// version (version 1 had no directory and trailer; nothing has written
+// it since the directory arrived) is rejected as corrupt by both
+// readers, and recovery skips it like any other damaged generation.
 
 var segMagic = [4]byte{'B', 'V', 'S', 'G'}
 
 const (
-	// SegmentVersion is the current on-disk format version. Readers
-	// also accept segLegacyVersion; anything else is rejected rather
-	// than guessed at.
-	SegmentVersion   = 2
-	segLegacyVersion = 1 // version-1 files carry no offset directory
+	// SegmentVersion is the on-disk format version; a file of any other
+	// version is rejected rather than guessed at.
+	SegmentVersion = 2
 
 	segHeaderLen  = 8  // magic + version
 	segFooterLen  = 24 // bodyLen + docCount + version + crc32
@@ -235,19 +234,18 @@ func writePostings(w *writer, posts []int) {
 // segEnvelope is the validated fixed-size frame of a segment file —
 // everything a reader learns before touching a single body varint.
 type segEnvelope struct {
-	version  uint32
 	docCount int
 	bodyEnd  int // offset one past the varint-encoded body
-	// Version-2 directory geometry (zero for legacy files):
+	// Directory geometry:
 	dirStart                        int
 	nStrs, nDocs, nConc, nCat, nFld int
 }
 
-// checkEnvelope validates magic, version, footer geometry, and CRC,
-// and for version-2 files the directory trailer: the directory
-// sections must exactly fill the span between body and trailer. This
-// is the complete up-front validation OpenMapped performs before
-// serving lazily; everything past it is bounds-checked per read.
+// checkEnvelope validates magic, version, footer geometry, CRC and the
+// directory trailer: the directory sections must exactly fill the span
+// between body and trailer. This is the complete up-front validation
+// OpenMapped performs before serving lazily; everything past it is
+// bounds-checked per read.
 func checkEnvelope(data []byte) (segEnvelope, error) {
 	var e segEnvelope
 	if len(data) < segHeaderLen+segFooterLen {
@@ -256,14 +254,13 @@ func checkEnvelope(data []byte) (segEnvelope, error) {
 	if [4]byte(data[:4]) != segMagic {
 		return e, corruptf("bad segment magic %q", data[:4])
 	}
-	e.version = binary.LittleEndian.Uint32(data[4:8])
-	if e.version != SegmentVersion && e.version != segLegacyVersion {
-		return e, corruptf("unsupported segment version %d (want %d or %d)",
-			e.version, segLegacyVersion, SegmentVersion)
+	version := binary.LittleEndian.Uint32(data[4:8])
+	if version != SegmentVersion {
+		return e, corruptf("unsupported segment version %d (want %d)", version, SegmentVersion)
 	}
 	foot := data[len(data)-segFooterLen:]
 	bodyLen := binary.LittleEndian.Uint64(foot[0:8])
-	if v := binary.LittleEndian.Uint32(foot[16:20]); v != e.version {
+	if v := binary.LittleEndian.Uint32(foot[16:20]); v != version {
 		return e, corruptf("footer version %d disagrees with header", v)
 	}
 	if bodyLen != uint64(len(data)-segHeaderLen-segFooterLen) {
@@ -280,10 +277,6 @@ func checkEnvelope(data []byte) (segEnvelope, error) {
 	}
 	e.docCount = dc
 	e.bodyEnd = len(data) - segFooterLen
-	if e.version == segLegacyVersion {
-		return e, nil
-	}
-
 	if e.bodyEnd-segHeaderLen < dirTrailerLen {
 		return e, corruptf("segment too short for directory trailer")
 	}
@@ -308,10 +301,10 @@ func checkEnvelope(data []byte) (segEnvelope, error) {
 
 // DecodeSegment parses segment bytes back into an index snapshot,
 // validating the envelope (magic, version, length, CRC) before the body
-// and bounds-checking every reference inside it. For version-2 files
-// the offset directory is rebuilt from the body and must match the
-// stored bytes exactly, so a file this function accepts is served
-// identically by the mapped reader. Errors satisfy IsCorrupt; the
+// and bounds-checking every reference inside it. The offset directory
+// is rebuilt from the body and must match the stored bytes exactly, so
+// a file this function accepts is served identically by the mapped
+// reader. Errors satisfy IsCorrupt; the
 // function never panics on any input.
 func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	env, err := checkEnvelope(data)
@@ -320,12 +313,9 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	}
 
 	r := &reader{buf: data[:env.bodyEnd], off: segHeaderLen}
-	// dir re-accumulates the offset directory while the body decodes
-	// (version 2 only); compared against the stored bytes at the end.
-	var dir *writer
-	if env.version == SegmentVersion {
-		dir = &writer{buf: make([]byte, 0, len(data)-segFooterLen-env.bodyEnd)}
-	}
+	// dir re-accumulates the offset directory while the body decodes;
+	// compared against the stored bytes at the end.
+	dir := &writer{buf: make([]byte, 0, len(data)-segFooterLen-env.bodyEnd)}
 
 	nStrs, err := r.count("string table")
 	if err != nil {
@@ -333,9 +323,7 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	}
 	strs := make([]string, nStrs)
 	for i := range strs {
-		if dir != nil {
-			dir.u32(uint32(r.off))
-		}
+		dir.u32(uint32(r.off))
 		if strs[i], err = r.str(); err != nil {
 			return nil, err
 		}
@@ -364,9 +352,7 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	}
 	snap := &mining.IndexSnapshot{Docs: make([]mining.Document, nDocs)}
 	for i := range snap.Docs {
-		if dir != nil {
-			dir.u32(uint32(r.off))
-		}
+		dir.u32(uint32(r.off))
 		d := &snap.Docs[i]
 		if d.ID, err = str("doc id"); err != nil {
 			return nil, err
@@ -443,12 +429,10 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 		if err != nil {
 			return [2]string{}, nil, err
 		}
-		if dir != nil {
-			dir.u32(uint32(ref0))
-			dir.u32(uint32(ref1))
-			dir.u32(uint32(listOff))
-			dir.u32(uint32(len(posts)))
-		}
+		dir.u32(uint32(ref0))
+		dir.u32(uint32(ref1))
+		dir.u32(uint32(listOff))
+		dir.u32(uint32(len(posts)))
 		return [2]string{k0, k1}, posts, nil
 	}
 
@@ -490,16 +474,14 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	if r.remaining() != 0 {
 		return nil, corruptf("%d trailing bytes after segment body", r.remaining())
 	}
-	if dir != nil {
-		dir.u32(uint32(env.dirStart))
-		dir.u32(uint32(nStrs))
-		dir.u32(uint32(nDocs))
-		dir.u32(uint32(nConc))
-		dir.u32(uint32(nCat))
-		dir.u32(uint32(nField))
-		if stored := data[env.dirStart : len(data)-segFooterLen]; !bytes.Equal(dir.buf, stored) {
-			return nil, corruptf("offset directory disagrees with body")
-		}
+	dir.u32(uint32(env.dirStart))
+	dir.u32(uint32(nStrs))
+	dir.u32(uint32(nDocs))
+	dir.u32(uint32(nConc))
+	dir.u32(uint32(nCat))
+	dir.u32(uint32(nField))
+	if stored := data[env.dirStart : len(data)-segFooterLen]; !bytes.Equal(dir.buf, stored) {
+		return nil, corruptf("offset directory disagrees with body")
 	}
 	return snap, nil
 }

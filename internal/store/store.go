@@ -25,8 +25,8 @@ type Options struct {
 	// mappings (OpenMapped) instead of materializing them on the heap:
 	// recovery touches O(#postings lists) per segment instead of
 	// O(corpus), and resident memory tracks the hot query set rather
-	// than the corpus. Segments that cannot be mapped (legacy version-1
-	// files, damage) silently fall back to the materializing loader.
+	// than the corpus. A segment that cannot be mapped (damage) silently
+	// falls back to the materializing loader.
 	MapSegments bool
 	// PostingsBudget caps the decoded-postings cache shared by the
 	// mapped segments, in bytes. 0 uses DefaultPostingsBudget. Ignored
@@ -292,11 +292,11 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // loadOrMap opens one segment file the way the store is configured:
 // mapped (zero-copy, lazy) when MapSegments is on, else materialized.
-// A file that cannot be mapped — a legacy version-1 segment, or
-// damage — falls back to the materializing loader, which re-validates
-// from scratch and yields the definitive IsCorrupt verdict; the
-// fallback can never serve different bytes because DecodeSegment
-// refuses any file whose offset directory disagrees with its body.
+// A file that cannot be mapped (damage) falls back to the materializing
+// loader, which re-validates from scratch and yields the definitive
+// IsCorrupt verdict; the fallback can never serve different bytes
+// because DecodeSegment refuses any file whose offset directory
+// disagrees with its body.
 // Called during Open (single-threaded) and from MapSegment (s.mu
 // must not be held — mapping does file I/O).
 func (s *Store) loadOrMap(path string) (*mining.Index, int64, *Mapped, error) {

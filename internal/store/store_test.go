@@ -77,10 +77,32 @@ func indexQueriesEqual(t *testing.T, got, want mining.Querier) {
 	if !reflect.DeepEqual(got.RelativeFrequency("discount", conj), want.RelativeFrequency("discount", conj)) {
 		t.Error("RelativeFrequency diverges")
 	}
-	rows := []mining.Dim{weak, mining.ConceptDim("intent", "strong start")}
-	cols := []mining.Dim{res, mining.FieldDim("outcome", "unbooked")}
-	if !reflect.DeepEqual(got.AssociateN(rows, cols, 0.95, 1), want.AssociateN(rows, cols, 0.95, 1)) {
-		t.Error("Associate diverges")
+	// Association tables against the naive oracle over want: the plain
+	// table, one with no rows, one that repeats a column, and one wider
+	// than the 64 columns a single mark pass counts (the per-cell
+	// fallback) — over whatever backing got reads through.
+	rows := []mining.Dim{weak, mining.ConceptDim("intent", "strong start"), conj}
+	unb := mining.FieldDim("outcome", "unbooked")
+	cycle := []mining.Dim{res, unb, mining.FieldDim("agent", "A3"), conj}
+	wide := make([]mining.Dim, 65)
+	for j := range wide {
+		wide[j] = cycle[j%len(cycle)]
+	}
+	for _, tc := range []struct {
+		name       string
+		rows, cols []mining.Dim
+	}{
+		{"2 columns", rows, []mining.Dim{res, unb}},
+		{"no rows", nil, []mining.Dim{res, unb}},
+		{"a repeated column", rows, []mining.Dim{res, unb, res}},
+		{"65 columns", rows, wide},
+	} {
+		mining.UseNaiveSets = true
+		oracle := want.AssociateN(tc.rows, tc.cols, 0.95, 0)
+		mining.UseNaiveSets = false
+		if !reflect.DeepEqual(got.AssociateN(tc.rows, tc.cols, 0.95, 0), oracle) {
+			t.Errorf("AssociateN(%s) diverges from the naive oracle", tc.name)
+		}
 	}
 	for _, cat := range []string{"intent", "discount", "place"} {
 		if !reflect.DeepEqual(got.ConceptsInCategory(cat), want.ConceptsInCategory(cat)) {
