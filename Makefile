@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-module examples smoke loc
+.PHONY: check vet build test race short bench bench-module examples smoke loc knobs
 
 check: vet build race examples smoke bench-module
 
@@ -51,9 +51,10 @@ examples:
 
 # Black-box daemon checks: build cmd/bivocd (and cmd/bivocfed over a
 # two-shard fleet), start them, query /healthz and /v1/count, SIGINT,
-# require a clean exit — plus one short bivocload self-boot sweep. The
-# bivocd pattern also matches TestDaemonSmokeMapped, which restarts a
-# durable daemon under -mmap and pins recovery from mapped segments.
+# require a clean exit — plus one short bivocload sweep against a daemon
+# the test boots. The bivocd pattern also matches TestDaemonSmokeMapped,
+# which restarts a durable daemon under -mmap and pins recovery from
+# mapped segments.
 smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 ./cmd/bivocd
 	$(GO) test -run TestFedDaemonSmoke -count=1 ./cmd/bivocfed
@@ -63,3 +64,22 @@ smoke:
 # change reports in CHANGES.md.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/bivocbench/' | xargs cat | wc -l
+
+# What an operator or caller can set, counted over the same files as loc
+# (git ls-files, no tests, no cmd/bivocbench) — the other figures a
+# consolidation change reports:
+#   flags   lines calling a flag.Xxx( definer: every flag.<Name>( except
+#           flag.Parse(
+#   fields  field lines (a tab, then an identifier — so embedded structs
+#           count and comments, blanks and nested fields do not) inside
+#           every `type <Name>(Config|Options|Policy) struct {` block
+#   vars    exported package-level variables: `var Xxx` lines, and
+#           capitalised lines of a `var (` block
+KNOB_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/bivocbench/'
+knobs:
+	@$(KNOB_FILES) | xargs cat | grep -E '\bflag\.[A-Z][A-Za-z0-9]*\(' | grep -vc 'flag\.Parse(' | sed 's/^/flags  /'
+	@$(KNOB_FILES) | xargs awk 'FNR == 1 { s = 0 } \
+		/^type [A-Za-z0-9_]*(Config|Options|Policy) struct \{/ { s = 1; next } \
+		s && /^\}/ { s = 0 } s && /^\t[A-Za-z_]/ { n++ } END { print "fields " n + 0 }'
+	@$(KNOB_FILES) | xargs awk 'FNR == 1 { v = 0 } /^var [A-Z]/ { n++ } \
+		/^var \($$/ { v = 1; next } v && /^\)/ { v = 0 } v && /^\t[A-Z]/ { n++ } END { print "vars   " n + 0 }'

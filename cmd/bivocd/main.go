@@ -56,14 +56,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"bivoc"
@@ -109,7 +106,6 @@ func main() {
 	cfg.SwapEvery = *swapEvery
 	cfg.MaxSegments = *maxSegments
 	cfg.CacheSize = *cacheSize
-	cfg.DrainTimeout = *drainTimeout
 	cfg.Analysis.UseASR = *useASR
 	cfg.Analysis.UseNotes = *useNotes
 	cfg.Analysis.World.Seed = *seed
@@ -140,30 +136,17 @@ func main() {
 	}
 	if *dataDir != "" {
 		segDocs, walDocs, walDropped := s.RecoveryInfo()
-		fmt.Printf("bivocd: persistence at %s: recovered %d docs from segment, %d from WAL (%d torn bytes dropped)\n",
+		fmt.Printf("bivocd: persistence at %s: recovered %d docs from segment, %d from WAL (%d torn bytes dropped)",
 			*dataDir, segDocs, walDocs, walDropped)
-	}
-	if *pprofAddr != "" {
-		bound, stopPprof, err := server.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bivocd:", err)
-			os.Exit(1)
+		if unmapped := s.EagerFallbacks(); len(unmapped) > 0 {
+			fmt.Printf("; would not map, loaded eagerly: %s", strings.Join(unmapped, " "))
 		}
-		defer stopPprof()
-		fmt.Printf("bivocd: pprof at http://%s/debug/pprof/\n", bound)
+		fmt.Println()
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	fmt.Println("bivocd: shutting down, draining in-flight requests")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := s.Shutdown(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "bivocd: shutdown:", err)
+	if err := server.RunUntilSignal("bivocd", *pprofAddr, *drainTimeout, s.Shutdown); err != nil {
+		fmt.Fprintln(os.Stderr, "bivocd:", err)
 		os.Exit(1)
 	}
-	fmt.Println("bivocd: stopped cleanly")
 }
 
 // parseShard parses the -shard flag: "" means not sharded (0 of 1),

@@ -32,13 +32,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"bivoc"
@@ -76,7 +73,6 @@ func main() {
 		Confidence:   *confidence,
 		CacheSize:    *cacheSize,
 		CacheTTL:     *cacheTTL,
-		DrainTimeout: *drainTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)
@@ -88,25 +84,8 @@ func main() {
 	}
 	fmt.Printf("bivocfed: listening on %s (%d shards, timeout %v)\n",
 		c.Addr(), len(urls), *shardTimeout)
-	if *pprofAddr != "" {
-		bound, stopPprof, err := server.StartPprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bivocfed:", err)
-			os.Exit(1)
-		}
-		defer stopPprof()
-		fmt.Printf("bivocfed: pprof at http://%s/debug/pprof/\n", bound)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	fmt.Println("bivocfed: shutting down, draining in-flight requests")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := c.Shutdown(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "bivocfed: shutdown:", err)
+	if err := server.RunUntilSignal("bivocfed", *pprofAddr, *drainTimeout, c.Shutdown); err != nil {
+		fmt.Fprintln(os.Stderr, "bivocfed:", err)
 		os.Exit(1)
 	}
-	fmt.Println("bivocfed: stopped cleanly")
 }

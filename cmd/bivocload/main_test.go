@@ -1,17 +1,22 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"bivoc/internal/core"
 )
 
 // TestLoadSmoke is the black-box harness check `make smoke` runs: build
-// the real binary, self-boot a tiny mono + two-shard fed fleet, sweep
-// one rate at two batch sizes, and require a clean exit with a
-// well-formed, error-free JSON report.
+// the real binary, boot a small call-analysis daemon in the test, point
+// -target at it, sweep one rate at two batch sizes with the default
+// vocabulary flags, and require a clean exit with a well-formed,
+// error-free JSON report.
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the load harness binary")
@@ -23,11 +28,33 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatalf("go build: %v", err)
 	}
 
+	cfg := core.DefaultServeConfig()
+	cfg.Addr = "127.0.0.1:0"
+	cfg.Analysis.World.CallsPerDay = 60
+	cfg.Analysis.World.Days = 2
+	s, err := core.NewServeServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	select {
+	case <-s.IngestDone():
+	case <-time.After(time.Minute):
+		t.Fatal("ingest did not seal")
+	}
+
 	outPath := filepath.Join(t.TempDir(), "report.json")
 	cmd := exec.Command(bin,
-		"-boot", "both",
-		"-shards", "2",
-		"-docs", "400",
+		"-target", "http://"+s.Addr(),
 		"-qps", "300",
 		"-batch", "1,8",
 		"-duration", "300ms",
@@ -44,10 +71,9 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep struct {
-		Docs int `json:"docs"`
-		Runs []struct {
-			Target      string  `json:"target"`
-			Mix         string  `json:"mix"`
+		Target string `json:"target"`
+		Pool   int    `json:"pool"`
+		Runs   []struct {
 			OfferedQPS  float64 `json:"offered_qps"`
 			AchievedQPS float64 `json:"achieved_qps"`
 			Requests    int     `json:"requests"`
@@ -63,30 +89,28 @@ func TestLoadSmoke(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("report is not JSON: %v\n%s", err, raw)
 	}
-	if rep.Docs != 400 {
-		t.Fatalf("report docs = %d, want 400", rep.Docs)
+	if rep.Target != "http://"+s.Addr() || rep.Pool != 32 {
+		t.Fatalf("report target %q pool %d, want %q and 32", rep.Target, rep.Pool, "http://"+s.Addr())
 	}
-	// 2 targets (mono, fed-2) x 2 batch sizes x 1 rate.
-	if len(rep.Runs) != 4 {
-		t.Fatalf("report has %d runs, want 4:\n%s", len(rep.Runs), raw)
+	// 2 batch sizes x 1 rate.
+	if len(rep.Runs) != 2 || rep.Runs[0].Batch != 1 || rep.Runs[1].Batch != 8 {
+		t.Fatalf("report runs are not batch 1 then batch 8:\n%s", raw)
 	}
-	seen := map[string]int{}
 	for _, r := range rep.Runs {
-		seen[r.Target]++
-		if r.Mix != "mixed" {
-			t.Fatalf("%s batch=%d: mix %q, want mixed", r.Target, r.Batch, r.Mix)
-		}
 		if r.Errors != 0 || r.SubErrors != 0 || r.Degraded != 0 {
-			t.Fatalf("%s batch=%d: errors=%d sub_errors=%d degraded=%d, want clean", r.Target, r.Batch, r.Errors, r.SubErrors, r.Degraded)
+			t.Fatalf("batch=%d: errors=%d sub_errors=%d degraded=%d, want clean", r.Batch, r.Errors, r.SubErrors, r.Degraded)
 		}
 		if r.Requests == 0 || r.Queries != r.Requests*r.Batch || r.AchievedQPS <= 0 {
-			t.Fatalf("%s batch=%d: implausible run %+v", r.Target, r.Batch, r)
+			t.Fatalf("batch=%d: implausible run %+v", r.Batch, r)
 		}
 		if r.P50US <= 0 || r.P999US < r.P50US {
-			t.Fatalf("%s batch=%d: implausible percentiles %+v", r.Target, r.Batch, r)
+			t.Fatalf("batch=%d: implausible percentiles %+v", r.Batch, r)
 		}
 	}
-	if seen["mono"] != 2 || seen["fed-2"] != 2 {
-		t.Fatalf("report targets %v, want mono and fed-2 twice each", seen)
+
+	// Without a target there is nothing to drive: a usage error, not a
+	// fleet booted on the side.
+	if err := exec.Command(bin, "-qps", "300").Run(); err == nil {
+		t.Error("bivocload without -target exited 0")
 	}
 }

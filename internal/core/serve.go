@@ -31,8 +31,6 @@ type ServeConfig struct {
 	MaxSegments int
 	// CacheSize bounds the per-snapshot query-result cache.
 	CacheSize int
-	// DrainTimeout bounds the graceful drain on shutdown.
-	DrainTimeout time.Duration
 	// ShardIndex/ShardCount run the daemon as one shard of a federated
 	// fleet: only calls whose document ID hashes onto ShardIndex (per
 	// fed.ShardOf, out of ShardCount) are ingested — filtered before the
@@ -78,8 +76,8 @@ func DefaultServeConfig() ServeConfig {
 // NewServeServer builds the query server: it generates the synthetic
 // world, assembles the same staged pipeline RunCallAnalysis uses, and
 // wires its sink to the server's ingest loop, with pipeline stage
-// counters surfaced on /statsz. The server is unstarted; use Run (or
-// Start/Shutdown).
+// counters surfaced on /statsz. The server is unstarted; use Start and
+// Shutdown.
 func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
 		return nil, fmt.Errorf("core: ShardIndex %d out of range for %d shards", cfg.ShardIndex, cfg.ShardCount)
@@ -141,18 +139,7 @@ func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 		MaxSegments:   cfg.MaxSegments,
 		CacheSize:     cfg.CacheSize,
 		Confidence:    cfg.Analysis.Confidence,
-		DrainTimeout:  cfg.DrainTimeout,
 		Persist:       st,
 		MapSegments:   cfg.MapSegments,
 	})
-}
-
-// Serve runs the query daemon until ctx is cancelled, then drains
-// in-flight requests and stops the ingest pipeline cleanly.
-func Serve(ctx context.Context, cfg ServeConfig) error {
-	s, err := NewServeServer(cfg)
-	if err != nil {
-		return err
-	}
-	return s.Run(ctx)
 }

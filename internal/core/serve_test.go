@@ -309,25 +309,3 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	})
 }
-
-// TestServeStopsOnCancel covers the blocking facade: Serve runs until
-// the context is cancelled and shuts down cleanly.
-func TestServeStopsOnCancel(t *testing.T) {
-	cfg := DefaultServeConfig()
-	cfg.Analysis.World.CallsPerDay = 5
-	cfg.Analysis.World.Days = 2
-	cfg.Addr = "127.0.0.1:0"
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- Serve(ctx, cfg) }()
-	time.Sleep(200 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve returned %v after cancel", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("Serve did not return after cancel")
-	}
-}

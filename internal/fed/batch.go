@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"time"
 
 	"bivoc/internal/server"
 )
@@ -16,16 +15,10 @@ import (
 // (associate → marginals/assoc and so on) joins one translated batch,
 // and that batch is POSTed to every shard's /v1/batch — so each shard
 // answers all sub-queries from one snapshot, and the federated batch
-// pays one scatter instead of one per sub-query. Sub-results are merged
-// by the same plans as the GET path, so a batched federated answer is
-// byte-identical to the equivalent single federated GET (modulo the
-// envelope's stripped trailing newline).
-
-// BatchResponse answers /v1/batch on the coordinator: the single-node
-// envelope, whose Generation and Sealed fold the per-shard envelopes
-// (min, AND) like every other federated response, and whose FedStatus
-// reports shards that were down for the whole batch.
-type BatchResponse = server.BatchResponse
+// pays one scatter instead of one per sub-query. Each sub-query's
+// replies go through fold, the function a GET's replies go through, so a
+// batched federated answer is byte-identical to the equivalent single
+// federated GET (modulo the envelope's stripped trailing newline).
 
 // handleBatch answers POST /v1/batch by scattering one shard batch of
 // the sub-queries' shard-side forms and merging each sub-query's replies
@@ -96,54 +89,21 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	vec := joinVec(genVec)
-	full := fullVec(genVec)
-	if full {
-		c.cache.observe(vec, time.Now())
-	}
+	vec, full := c.observe(genVec)
 	scattered := 0 // index of the next planned sub-query within the shard batch
 	for i, p := range plans {
 		if p != nil {
-			results[i] = c.mergeBatchSub(p, scattered, shardResults, vec, full)
+			results[i] = c.fold(p, scattered, shardResults, vec, full).batchResult()
 			scattered++
 		}
 	}
-	c.writeOK(w, r, genVec, BatchResponse{
+	// The single-node envelope: Generation and Sealed fold the per-shard
+	// envelopes (min, AND) like every other federated response, FedStatus
+	// reports the shards that were down for the whole batch.
+	c.writeOK(w, r, genVec, server.BatchResponse{
 		Generation: head.Generation,
 		Sealed:     head.Sealed,
 		Results:    results,
 		FedStatus:  fedStatus(down),
 	})
-}
-
-// mergeBatchSub folds one sub-query's per-shard batch results into a
-// federated sub-result through the same merged path as a GET. A shard
-// down for the batch is missing from every sub-query; a per-sub shard 5xx
-// degrades just that sub-query; a per-sub 4xx is relayed verbatim (the
-// query is equally the client's fault on every shard).
-func (c *Coordinator) mergeBatchSub(p *server.Plan, sub int, shardResults [][]server.BatchResult, vec string, full bool) server.BatchResult {
-	var g gather
-	var relay *server.BatchResult
-	for s, results := range shardResults {
-		switch {
-		case results == nil || results[sub].Status >= 500:
-			g.missing = append(g.missing, s)
-		case results[sub].Status != http.StatusOK:
-			if relay == nil {
-				relay = &results[sub]
-			}
-		default:
-			g.live = append(g.live, server.ShardBody{Shard: s, Body: results[sub].Body})
-		}
-	}
-	if relay != nil {
-		return *relay
-	}
-	cb, status, err := c.merged(p, &g)
-	// Only sub-results merged over the full fleet are cacheable — and they
-	// are exactly the bytes the single GET path would serve.
-	if err == nil && full && len(g.missing) == 0 {
-		c.cache.put(p.Key, vec, cb)
-	}
-	return server.NewBatchResult(cb, status, err, g.fedStatus())
 }

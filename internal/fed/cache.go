@@ -1,11 +1,11 @@
 package fed
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 	"time"
 
+	"bivoc/internal/lru"
 	"bivoc/internal/server"
 )
 
@@ -34,28 +34,25 @@ import (
 // re-observing the vector, and only then do hits resume. Equivalence
 // suites pin that a hit serves bytes identical to an uncached scatter.
 type resultCache struct {
-	mu  sync.Mutex
-	cap int
-	ttl time.Duration
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	ttl     time.Duration
+	entries *lru.Cache[string, resultEntry]
 
-	trusted   string // last fully-live generation vector, comma-joined
-	trustedAt time.Time
-
+	mu           sync.Mutex
+	trusted      string // last fully-live generation vector, comma-joined
+	trustedAt    time.Time
 	hits, misses uint64
 }
 
 type resultEntry struct {
-	key  string
 	vec  string // comma-joined generation vector the body was merged from
 	body *server.CachedBody
 }
 
-// newResultCache returns a cache holding at most capacity entries
-// (capacity < 1 disables caching entirely).
+// newResultCache returns a cache holding at most capacity bodies
+// (capacity < 1 disables caching entirely: nothing is kept, so nothing
+// hits).
 func newResultCache(capacity int, ttl time.Duration) *resultCache {
-	return &resultCache{cap: capacity, ttl: ttl, ll: list.New(), m: make(map[string]*list.Element)}
+	return &resultCache{ttl: ttl, entries: lru.New[string, resultEntry](int64(capacity))}
 }
 
 // fullVec reports whether vec has an entry from every shard (no "-"
@@ -72,9 +69,6 @@ func fullVec(vec []string) bool {
 // observe records a fully-live generation vector seen by a scatter,
 // refreshing the trust window. Called with the comma-joined vector.
 func (c *resultCache) observe(vec string, now time.Time) {
-	if c.cap < 1 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.trusted = vec
@@ -85,52 +79,28 @@ func (c *resultCache) observe(vec string, now time.Time) {
 // the trusted vector and the trust is fresh. The returned vec is the
 // vector the body was merged from (== the trusted vector on a hit).
 func (c *resultCache) get(key string, now time.Time) (body *server.CachedBody, vec string, ok bool) {
-	if c.cap < 1 {
-		return nil, "", false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.trusted == "" || now.Sub(c.trustedAt) > c.ttl {
-		c.misses++
-		return nil, "", false
+	if c.trusted != "" && now.Sub(c.trustedAt) <= c.ttl {
+		if e, found := c.entries.Get(key); found && e.vec == c.trusted {
+			c.hits++
+			return e.body, e.vec, true
+		}
 	}
-	el, found := c.m[key]
-	if !found || el.Value.(*resultEntry).vec != c.trusted {
-		c.misses++
-		return nil, "", false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*resultEntry).body, c.trusted, true
+	c.misses++
+	return nil, "", false
 }
 
-// put stores a body merged from the given fully-live vector, evicting
-// the least recently used entry when full.
+// put stores a body merged from the given fully-live vector.
 func (c *resultCache) put(key, vec string, body *server.CachedBody) {
-	if c.cap < 1 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*resultEntry)
-		e.vec, e.body = vec, body
-		return
-	}
-	c.m[key] = c.ll.PushFront(&resultEntry{key: key, vec: vec, body: body})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*resultEntry).key)
-	}
+	c.entries.Put(key, resultEntry{vec: vec, body: body}, 1)
 }
 
 // stats returns the cumulative hit/miss counters and current size.
 func (c *resultCache) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	return c.hits, c.misses, c.entries.Len()
 }
 
 // joinVec renders a generation vector in header form.

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bivoc/internal/server"
@@ -35,8 +33,6 @@ type Config struct {
 	// Confidence is the default association confidence when the query
 	// does not pass one (default 0.95, mirroring the shard servers).
 	Confidence float64
-	// DrainTimeout bounds the graceful drain in Run (default 5s).
-	DrainTimeout time.Duration
 	// Client issues the shard requests (default: a dedicated pooled
 	// client).
 	Client *http.Client
@@ -49,12 +45,6 @@ type Config struct {
 	// fleets never advance, so the only cost of the TTL there is one
 	// refreshing scatter per quiet period.
 	CacheTTL time.Duration
-	// ReadHeaderTimeout / ReadTimeout / MaxHeaderBytes harden the
-	// coordinator's http.Server exactly like the shard daemon's
-	// (defaults 5s / 60s / 1 MiB; negative disables).
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	MaxHeaderBytes    int
 }
 
 func (c Config) shardTimeout() time.Duration {
@@ -69,13 +59,6 @@ func (c Config) maxFanout() int {
 		return len(c.Shards)
 	}
 	return c.MaxFanout
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.DrainTimeout
 }
 
 func (c Config) cacheSize() int {
@@ -104,14 +87,7 @@ type Coordinator struct {
 	mux    http.Handler
 	cache  *resultCache
 	slo    *server.SLORecorder
-
-	started   atomic.Bool
-	lifeMu    sync.Mutex
-	ln        net.Listener
-	hs        *http.Server
-	serveDone chan struct{}
-	serveErr  error
-	errMu     sync.Mutex
+	life   server.Lifecycle
 }
 
 // NewCoordinator validates the config and builds a coordinator.
@@ -125,12 +101,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		eps:       server.NewEndpoints(cfg.Confidence, false),
-		client:    cfg.Client,
-		cache:     newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
-		slo:       server.NewSLORecorder(),
-		serveDone: make(chan struct{}),
+		cfg:    cfg,
+		eps:    server.NewEndpoints(cfg.Confidence, false),
+		client: cfg.Client,
+		cache:  newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
+		slo:    server.NewSLORecorder(),
 	}
 	if c.client == nil {
 		// DisableCompression keeps shard replies plain: the coordinator
@@ -146,43 +121,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Start listens on Config.Addr and serves the federated API. It returns
 // once the listener is live; use Addr for the bound address.
 func (c *Coordinator) Start() error {
-	if !c.started.CompareAndSwap(false, true) {
-		return errors.New("fed: Start called twice")
+	if err := c.life.Start(c.cfg.Addr, c.mux); err != nil {
+		return fmt.Errorf("fed: %w", err)
 	}
-	addr := c.cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fed: listen %s: %w", addr, err)
-	}
-	hs := &http.Server{Handler: c.mux}
-	server.HardenHTTPServer(hs, c.cfg.ReadHeaderTimeout, c.cfg.ReadTimeout, c.cfg.MaxHeaderBytes)
-	c.lifeMu.Lock()
-	c.ln = ln
-	c.hs = hs
-	c.lifeMu.Unlock()
-	go func() {
-		defer close(c.serveDone)
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			c.errMu.Lock()
-			c.serveErr = err
-			c.errMu.Unlock()
-		}
-	}()
 	return nil
 }
 
 // Addr returns the bound listen address, or "" before Start.
-func (c *Coordinator) Addr() string {
-	c.lifeMu.Lock()
-	defer c.lifeMu.Unlock()
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
-}
+func (c *Coordinator) Addr() string { return c.life.Addr() }
 
 // Handler returns the HTTP API (also useful without Start, e.g. under
 // httptest).
@@ -191,29 +137,10 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // Shutdown gracefully stops a Started coordinator; ctx bounds the drain
 // of in-flight requests.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.lifeMu.Lock()
-	hs := c.hs
-	c.lifeMu.Unlock()
-	if hs == nil {
-		return errors.New("fed: Shutdown before Start")
+	if err := c.life.Shutdown(ctx); err != nil {
+		return fmt.Errorf("fed: %w", err)
 	}
-	err := hs.Shutdown(ctx)
-	<-c.serveDone
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return errors.Join(err, c.serveErr)
-}
-
-// Run starts the coordinator and serves until ctx is cancelled, then
-// drains within Config.DrainTimeout.
-func (c *Coordinator) Run(ctx context.Context) error {
-	if err := c.Start(); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.drainTimeout())
-	defer cancel()
-	return c.Shutdown(dctx)
+	return nil
 }
 
 // shardReply is one shard's answer to a scatter: an HTTP response
@@ -231,6 +158,18 @@ type shardReply struct {
 // relayed.
 func (r shardReply) down() bool {
 	return r.err != nil || r.status >= 500
+}
+
+// failure says why an introspection scatter (/healthz, /statsz, which
+// answer 200 whatever the shards say) cannot use this reply; "" for a 200.
+func (r shardReply) failure() string {
+	switch {
+	case r.err != nil:
+		return r.err.Error()
+	case r.status != http.StatusOK:
+		return fmt.Sprintf("status %d", r.status)
+	}
+	return ""
 }
 
 // scatter sends the same request — GET <shard><path>, or a POST of the

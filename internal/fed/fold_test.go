@@ -1,0 +1,153 @@
+package fed
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"bivoc/internal/server"
+)
+
+// stubShard answers every request the same way: GETs with status and
+// body (plus the newline a daemon ends a body with), /v1/batch POSTs
+// with batchStatus and, when that is 200, an envelope holding one
+// sub-result of status and body per sub-query.
+func stubShard(t *testing.T, gen string, status, batchStatus int, body string) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(server.GenerationHeader, gen)
+		w.Header().Set("Content-Type", "application/json")
+		if r.Method == http.MethodGet {
+			w.WriteHeader(status)
+			io.WriteString(w, body+"\n")
+			return
+		}
+		w.WriteHeader(batchStatus)
+		if batchStatus != http.StatusOK {
+			io.WriteString(w, body+"\n")
+			return
+		}
+		var req server.BatchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("stub shard: %v", err)
+		}
+		env := server.BatchResponse{Generation: 7, Sealed: true}
+		for range req.Queries {
+			env.Results = append(env.Results, server.BatchResult{Status: status, Body: json.RawMessage(body)})
+		}
+		json.NewEncoder(w).Encode(env)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestFedGetAndBatchShareOneFold: whatever the shards reply, a GET and
+// the same query as a batch sub-query come out of the same fold — same
+// status, same body (the envelope drops the trailing newline), same
+// generation vector — and neither leaves anything in the cache unless
+// the whole fleet answered 200.
+func TestFedGetAndBatchShareOneFold(t *testing.T) {
+	const k = 3
+	docs := testDocs(90)
+	live := startShard(t, docs, 0, k, server.Config{})
+	waitIngestDone(t, live)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	const failing = `{"error":"wedged","status":500}`
+	const rejected = `{"error":"no such dimension","status":400}`
+
+	params := url.Values{"dim": {"parity=even", "topic"}}
+	for _, tc := range []struct {
+		name       string
+		shards     []string
+		wantStatus int
+		wantVec    string
+		wantBody   func(body []byte) bool
+	}{
+		{
+			name:       "one shard down, one answering 500",
+			shards:     []string{"http://" + live.Addr(), dead, stubShard(t, "9", 500, 500, failing)},
+			wantStatus: http.StatusOK,
+			wantVec:    "1,-,-",
+			wantBody: func(body []byte) bool {
+				var fb fedBody
+				return json.Unmarshal(body, &fb) == nil && fb.Degraded && len(fb.MissingShards) == 2 &&
+					fb.MissingShards[0] == 1 && fb.MissingShards[1] == 2
+			},
+		},
+		{
+			name: "every shard rejects the query",
+			shards: []string{
+				stubShard(t, "7", 400, 200, rejected),
+				stubShard(t, "7", 400, 200, `{"error":"second shard's wording","status":400}`),
+				stubShard(t, "7", 400, 200, rejected),
+			},
+			wantStatus: http.StatusBadRequest,
+			wantVec:    "7,7,7",
+			wantBody:   func(body []byte) bool { return string(body) == rejected+"\n" }, // the first shard's, verbatim
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := startCoordinator(t, Config{Shards: tc.shards})
+			fedBase := "http://" + coord.Addr()
+			for round := 0; round < 2; round++ { // a second round would hit anything the first one cached
+				status, hdr, body := get(t, fedBase+"/v1/count?"+params.Encode())
+				if status != tc.wantStatus || hdr.Get(server.GenerationHeader) != tc.wantVec || !tc.wantBody(body) {
+					t.Fatalf("GET: status %d, vector %q, body %s", status, hdr.Get(server.GenerationHeader), body)
+				}
+				bstatus, bhdr, bbody := postFedBatch(t, fedBase, server.BatchRequest{Queries: []server.BatchQuery{{Endpoint: "count", Params: params}}})
+				var env server.BatchResponse
+				if err := json.Unmarshal(bbody, &env); err != nil || bstatus != http.StatusOK || len(env.Results) != 1 {
+					t.Fatalf("batch: status %d, body %s (%v)", bstatus, bbody, err)
+				}
+				if got := bhdr.Get(server.GenerationHeader); got != hdr.Get(server.GenerationHeader) {
+					t.Errorf("batch vector %q, GET vector %q", got, hdr.Get(server.GenerationHeader))
+				}
+				if sub := env.Results[0]; sub.Status != status || !bytes.Equal(append(sub.Body, '\n'), body) {
+					t.Errorf("batch sub-result = %d %s\nGET             = %d %s", sub.Status, sub.Body, status, body)
+				}
+			}
+			if sr := fedStatsz(t, fedBase); sr.FedCache.Size != 0 || sr.FedCache.Hits != 0 {
+				t.Errorf("a reply not merged over the whole fleet reached the cache: %+v", sr.FedCache)
+			}
+		})
+	}
+}
+
+// TestCoordinatorLifecycle: the coordinator's Start, Addr and Shutdown
+// are the shared listener's, under its own name.
+func TestCoordinatorLifecycle(t *testing.T) {
+	c, err := NewCoordinator(Config{Shards: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Addr() != "" {
+		t.Errorf("Addr before Start = %q", c.Addr())
+	}
+	if err := c.Shutdown(context.Background()); err == nil || err.Error() != "fed: Shutdown before Start" {
+		t.Errorf("Shutdown before Start: %v", err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err == nil || err.Error() != "fed: Start called twice" {
+		t.Errorf("second Start: %v", err)
+	}
+	if !strings.HasPrefix(c.Addr(), "127.0.0.1:") {
+		t.Errorf("Addr = %q", c.Addr())
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+}

@@ -11,8 +11,8 @@ import (
 
 // The coordinator has no query grammar of its own: every /v1 query is
 // planned by the endpoint table in internal/server, and what is here is
-// the transport around a plan — scatter its shard-side form, classify
-// the replies, let the plan merge the live ones, cache and write. The
+// the transport around a plan — scatter its shard-side form, fold the
+// replies (the plan merges the live ones), cache and write. The
 // response types are the single-node ones, whose trailing
 // server.FedStatus stays empty (and so invisible) while every shard
 // answers; the full per-shard generation vector rides the
@@ -97,61 +97,104 @@ func (c *Coordinator) blankVec() []string {
 	return vec
 }
 
-// gather is one query's classified shard replies.
-type gather struct {
-	live    []server.ShardBody // the 200 replies, in shard order
-	missing []int              // shards down for this query, in shard order
-}
-
-func (g *gather) fedStatus() server.FedStatus { return fedStatus(g.missing) }
-
 func fedStatus(missing []int) server.FedStatus {
 	return server.FedStatus{Degraded: len(missing) > 0, MissingShards: missing}
 }
 
-// classify sorts one scatter's replies. A 200 is live; an unreachable,
-// timed-out or 5xx shard is missing ("-" in the vector). A client error
-// (4xx) is the query's fault the same way on every shard, so the first
-// one comes back as relay, to be passed on verbatim — except on the
-// introspection scatters (relayClientErrors false), which answer 200
-// whatever the shards say and count any non-200 as missing.
-func (c *Coordinator) classify(replies []shardReply, relayClientErrors bool) (g gather, genVec []string, relay *shardReply) {
+// classify sorts an introspection scatter's replies: a 200 contributes
+// its generation to the vector, anything else is missing ("-").
+func (c *Coordinator) classify(replies []shardReply) (missing []int, genVec []string) {
 	genVec = c.blankVec()
-	for i := range replies {
-		rep := &replies[i]
-		switch {
-		case rep.down() || (rep.status != http.StatusOK && !relayClientErrors):
-			g.missing = append(g.missing, i)
-		case rep.status != http.StatusOK:
-			genVec[i] = rep.gen
-			if relay == nil {
-				relay = rep
-			}
-		default:
-			g.live = append(g.live, server.ShardBody{Shard: i, Body: rep.body})
+	for i, rep := range replies {
+		if rep.failure() != "" {
+			missing = append(missing, i)
+		} else {
 			genVec[i] = rep.gen
 		}
 	}
-	return g, genVec, relay
+	return missing, genVec
 }
 
-// merged folds a query's live replies into its federated body through
-// the plan's merge: a 503 when no shard answered (the only condition
-// that fails a query), a structured 500 when a reply breaks the wire
-// contract.
-func (c *Coordinator) merged(p *server.Plan, g *gather) (*server.CachedBody, int, error) {
-	if len(g.live) == 0 {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("all %d shards unavailable", len(c.cfg.Shards))
+// outcome is one federated query's answer in the form both routes can
+// write: a shard's 4xx to pass on as it came, or the merged body, or the
+// status and error that took its place.
+type outcome struct {
+	relay  *server.BatchResult
+	body   *server.CachedBody
+	status int
+	err    error
+	fs     server.FedStatus
+}
+
+// write answers a GET with the outcome; the caller has set the generation
+// vector. A relayed or local error is sent plain, as a daemon sends one.
+func (o outcome) write(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case o.relay != nil:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(o.relay.Status)
+		w.Write(o.relay.Body)
+	case o.err != nil:
+		server.WriteError(w, o.status, o.err, o.fs)
+	default:
+		server.WriteJSONBody(w, r, o.status, o.body)
 	}
-	v, err := p.Merge(g.live, g.fedStatus())
+}
+
+// batchResult is the outcome as one sub-result of a /v1/batch envelope.
+func (o outcome) batchResult() server.BatchResult {
+	if o.relay != nil {
+		return *o.relay
+	}
+	return server.NewBatchResult(o.body, o.status, o.err, o.fs)
+}
+
+// fold decides one query's outcome from its per-shard results — the sub-th
+// of each shard's batch, or a GET's replies as one-result lists.
+// results[s] is nil when shard s was down for the whole request and a 5xx
+// result makes it missing for this query only; the first 4xx is the
+// query's fault the same way on every shard, so it is relayed verbatim;
+// otherwise the plan merges the 200s, a 503 when there are none (the only
+// condition that fails a query) and a structured 500 when one breaks the
+// wire contract. A body merged over the whole fleet (full: vec has no
+// gap) is memoized under vec, shared with the cache so that a later
+// gzip-accepting replay reuses the compression whichever request pays it.
+func (c *Coordinator) fold(p *server.Plan, sub int, results [][]server.BatchResult, vec string, full bool) outcome {
+	var live []server.ShardBody
+	var missing []int
+	var relay *server.BatchResult
+	for s, rs := range results {
+		switch {
+		case rs == nil || rs[sub].Status >= 500:
+			missing = append(missing, s)
+		case rs[sub].Status != http.StatusOK:
+			if relay == nil {
+				relay = &rs[sub]
+			}
+		default:
+			live = append(live, server.ShardBody{Shard: s, Body: rs[sub].Body})
+		}
+	}
+	if relay != nil {
+		return outcome{relay: relay}
+	}
+	fs := fedStatus(missing)
+	if len(live) == 0 {
+		return outcome{status: http.StatusServiceUnavailable, err: fmt.Errorf("all %d shards unavailable", len(c.cfg.Shards)), fs: fs}
+	}
+	var body []byte
+	v, err := p.Merge(live, fs)
+	if err == nil {
+		body, err = json.Marshal(v)
+	}
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return outcome{status: http.StatusInternalServerError, err: err, fs: fs}
 	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
+	cb := &server.CachedBody{Plain: append(body, '\n')}
+	if full && len(missing) == 0 {
+		c.cache.put(p.Key, vec, cb)
 	}
-	return &server.CachedBody{Plain: append(body, '\n')}, http.StatusOK, nil
+	return outcome{body: cb, status: http.StatusOK, fs: fs}
 }
 
 // writeOK writes an introspection or envelope 200 under the gathered
@@ -177,10 +220,9 @@ func decodeShard(rep shardReply, shard int, v any) error {
 
 // handleQuery serves GET /v1/<name>: plan, consult the generation-vector
 // result cache — a hit serves the previously merged bytes without
-// touching any shard — and on a miss scatter the plan's shard-side form,
-// merge, write, and (when every shard answered) observe the fresh vector
-// and memoize the body under it. A parse failure never scatters, so it
-// keeps the wrapper's no-information vector.
+// touching any shard — and on a miss scatter the plan's shard-side form
+// and write what fold makes of the replies. A parse failure never
+// scatters, so it keeps the wrapper's no-information vector.
 func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		p, err := c.eps.Plan(name, r.URL.Query())
@@ -194,50 +236,46 @@ func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 			return
 		}
 		replies := c.scatter(r.Context(), http.MethodGet, "/v1/"+p.ShardEndpoint+"?"+p.ShardParams.Encode(), nil)
-		g, genVec, relay := c.classify(replies, true)
-		vec := joinVec(genVec)
+		genVec := c.blankVec()
+		ones := make([]server.BatchResult, len(replies))
+		results := make([][]server.BatchResult, len(replies))
+		for s, rep := range replies {
+			if !rep.down() {
+				genVec[s] = rep.gen
+				ones[s] = server.BatchResult{Status: rep.status, Body: rep.body}
+				results[s] = ones[s : s+1]
+			}
+		}
+		vec, full := c.observe(genVec)
 		w.Header().Set(server.GenerationHeader, vec)
-		if relay != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(relay.status)
-			w.Write(relay.body)
-			return
-		}
-		cb, status, err := c.merged(p, &g)
-		if err != nil {
-			server.WriteError(w, status, err, g.fedStatus())
-			return
-		}
-		if fullVec(genVec) {
-			c.cache.observe(vec, time.Now())
-			// The CachedBody is shared with the cache, so a later
-			// gzip-accepting replay reuses the compression paid here (or
-			// pays it once, whichever request comes first).
-			c.cache.put(p.Key, vec, cb)
-		}
-		server.WriteJSONBody(w, r, status, cb)
+		c.fold(p, 0, results, vec, full).write(w, r)
 	}
+}
+
+// observe renders a scatter's generation vector in header form and, when
+// every shard answered, refreshes the cache's trust in it.
+func (c *Coordinator) observe(genVec []string) (vec string, full bool) {
+	vec, full = joinVec(genVec), fullVec(genVec)
+	if full {
+		c.cache.observe(vec, time.Now())
+	}
+	return vec, full
 }
 
 // GET /healthz — always 200 while the coordinator serves; aggregates
 // per-shard health and degrades on any unreachable or degraded shard.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	replies := c.scatter(r.Context(), http.MethodGet, "/healthz", nil)
-	g, genVec, _ := c.classify(replies, false)
-	resp := HealthResponse{Status: "ok", Shards: make([]ShardHealth, len(c.cfg.Shards)), FedStatus: g.fedStatus()}
+	missing, genVec := c.classify(replies)
+	resp := HealthResponse{Status: "ok", Shards: make([]ShardHealth, len(c.cfg.Shards)), FedStatus: fedStatus(missing)}
 	if resp.Degraded {
 		resp.Status = "degraded"
 	}
 	for i, addr := range c.cfg.Shards {
 		sh := ShardHealth{Shard: i, Addr: addr}
 		rep := replies[i]
-		if rep.down() || rep.status != http.StatusOK {
+		if sh.Error = rep.failure(); sh.Error != "" {
 			sh.Status = "unreachable"
-			if rep.err != nil {
-				sh.Error = rep.err.Error()
-			} else {
-				sh.Error = fmt.Sprintf("status %d", rep.status)
-			}
 			resp.Shards[i] = sh
 			continue
 		}
@@ -270,7 +308,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shard's own stats section verbatim.
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	replies := c.scatter(r.Context(), http.MethodGet, "/statsz", nil)
-	g, genVec, _ := c.classify(replies, false)
+	missing, genVec := c.classify(replies)
 	fedHits, fedMisses, fedSize := c.cache.stats()
 	resp := StatszResponse{
 		Generations: genVec,
@@ -282,17 +320,12 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		},
 		Serving:   c.slo.Snapshot(),
 		Shards:    make([]ShardStatsz, len(c.cfg.Shards)),
-		FedStatus: g.fedStatus(),
+		FedStatus: fedStatus(missing),
 	}
 	for i, addr := range c.cfg.Shards {
 		ss := ShardStatsz{Shard: i, Addr: addr}
 		rep := replies[i]
-		if rep.down() || rep.status != http.StatusOK {
-			if rep.err != nil {
-				ss.Error = rep.err.Error()
-			} else {
-				ss.Error = fmt.Sprintf("status %d", rep.status)
-			}
+		if ss.Error = rep.failure(); ss.Error != "" {
 			resp.Shards[i] = ss
 			continue
 		}

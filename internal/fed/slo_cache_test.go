@@ -442,7 +442,7 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 			t.Fatalf("batch vector %q has gaps on a healthy fleet", hdr.Get(server.GenerationHeader))
 		}
 	}
-	var env BatchResponse
+	var env server.BatchResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 		t.Fatalf("batch hit %d shard batch endpoints, want %d", got, k)
 	}
 
-	checkSubs := func(env BatchResponse, wantDegraded bool) {
+	checkSubs := func(env server.BatchResponse, wantDegraded bool) {
 		t.Helper()
 		for i, c := range cases {
 			sub := env.Results[i]
@@ -506,7 +506,7 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 	if vec := strings.Split(hdr.Get(server.GenerationHeader), ","); len(vec) != k || vec[1] != "-" {
 		t.Fatalf("degraded batch vector %q, want '-' at shard 1", hdr.Get(server.GenerationHeader))
 	}
-	env = BatchResponse{}
+	env = server.BatchResponse{}
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestFedBatchPopulatesCoordinatorCache(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d, body %s", status, body)
 	}
-	var env BatchResponse
+	var env server.BatchResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestFedBatchValidation(t *testing.T) {
 	if got := hdr.Get(server.GenerationHeader); got != "-" {
 		t.Fatalf("all-invalid batch vector %q, want \"-\"", got)
 	}
-	var env BatchResponse
+	var env server.BatchResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +708,7 @@ func TestFedBatchAndCacheMidIngest(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: batch status %d, body %s", phase, status, body)
 		}
-		var env BatchResponse
+		var env server.BatchResponse
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,10 +87,26 @@ func TestOpenLoopRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eps := server.NewEndpoints(0, false)
+	keys := map[string]bool{}
 	for i := range queries {
 		if queries[i].Endpoint != again[i].Endpoint {
 			t.Fatalf("query synthesis is not deterministic at index %d", i)
 		}
+		p, err := eps.Plan(queries[i].Endpoint, url.Values(queries[i].Params))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[p.Key] {
+			t.Errorf("pool holds %s twice under the daemon's cache key", getPath(queries[i]))
+		}
+		keys[p.Key] = true
+	}
+	// One field of two values has a few dozen queries in it, not 1000: the
+	// pool must say so instead of repeating itself.
+	small := Vocab{Fields: map[string][]string{"parity": vocab.Fields["parity"]}}
+	if _, err := SynthesizeQueries(small, 1000, 1); err == nil || !strings.Contains(err.Error(), "distinct queries") {
+		t.Errorf("a 1000-query pool from a two-label vocabulary: err = %v", err)
 	}
 
 	for _, batch := range []int{1, 8} {

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+
+	"bivoc/internal/server"
 )
 
 // Vocab is a live label vocabulary pulled from a daemon's /v1/concepts
@@ -74,7 +76,10 @@ func DiscoverVocab(client *http.Client, base string, categories, fields []string
 // the vocabulary: counts (single dims and ∧-conjunctions), trends,
 // association tables, relative frequencies, drill-downs, and concept
 // listings, weighted toward the cheap count/trend traffic a dashboard
-// generates.
+// generates. The pool is distinct under the daemon's own canonical cache
+// key (server.Plan.Key), so cycling a pool larger than a result cache
+// misses it every time, however the labels were spelled. A vocabulary too
+// small to yield n distinct queries is an error.
 func SynthesizeQueries(v Vocab, n int, seed int64) ([]QuerySpec, error) {
 	cats := sortedKeys(v.Categories)
 	flds := sortedKeys(v.Fields)
@@ -106,8 +111,15 @@ func SynthesizeQueries(v Vocab, n int, seed int64) ([]QuerySpec, error) {
 		}
 	}
 
+	eps := server.NewEndpoints(0, false)
+	seen := make(map[string]bool, n)
 	out := make([]QuerySpec, 0, n)
-	for len(out) < n {
+	// A draw that repeats a key already in the pool is thrown away; a
+	// vocabulary that keeps repeating itself has run out of queries.
+	for draws := 0; len(out) < n; draws++ {
+		if draws >= 50*n {
+			return nil, fmt.Errorf("load: the discovered vocabulary yields only %d distinct queries in %d draws, %d wanted: lower -pool or name more -categories and -fields", len(out), draws, n)
+		}
 		var q QuerySpec
 		switch pick := rng.Intn(100); {
 		case pick < 30: // multi-dim count
@@ -152,37 +164,14 @@ func SynthesizeQueries(v Vocab, n int, seed int64) ([]QuerySpec, error) {
 				q = QuerySpec{Endpoint: "concepts", Params: url.Values{"field": {flds[rng.Intn(len(flds))]}}}
 			}
 		}
-		out = append(out, q)
-	}
-	return out, nil
-}
-
-// SynthesizeCountQueries builds a deterministic pool of n single-dim
-// /v1/count queries — the cheapest endpoint, where per-query compute is
-// a few index lookups and HTTP+JSON transport dominates. Sweeping this
-// pool batched vs. unbatched isolates the transport amortization
-// /v1/batch buys.
-func SynthesizeCountQueries(v Vocab, n int, seed int64) ([]QuerySpec, error) {
-	cats := sortedKeys(v.Categories)
-	flds := sortedKeys(v.Fields)
-	if len(cats) == 0 && len(flds) == 0 {
-		return nil, fmt.Errorf("load: empty vocabulary")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]QuerySpec, n)
-	for i := range out {
-		var d string
-		switch {
-		case len(flds) == 0 || (len(cats) > 0 && rng.Intn(2) == 0):
-			c := cats[rng.Intn(len(cats))]
-			vals := v.Categories[c]
-			d = vals[rng.Intn(len(vals))] + "[" + c + "]"
-		default:
-			f := flds[rng.Intn(len(flds))]
-			vals := v.Fields[f]
-			d = f + "=" + vals[rng.Intn(len(vals))]
+		p, err := eps.Plan(q.Endpoint, url.Values(q.Params))
+		if err != nil {
+			return nil, fmt.Errorf("load: synthesized a query the daemon would reject: %w", err)
 		}
-		out[i] = QuerySpec{Endpoint: "count", Params: url.Values{"dim": {d}}}
+		if !seen[p.Key] {
+			seen[p.Key] = true
+			out = append(out, q)
+		}
 	}
 	return out, nil
 }

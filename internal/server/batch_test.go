@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
 	"net/http"
 	"net/url"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -276,43 +272,6 @@ func TestStatszServingCounters(t *testing.T) {
 		if len(es.LatencyBucketsUS) != len(SLOBucketBoundsUS)+1 {
 			t.Errorf("%s: %d buckets, want %d", name, len(es.LatencyBucketsUS), len(SLOBucketBoundsUS)+1)
 		}
-	}
-}
-
-// TestSlowHeaderClientDisconnected pins the slowloris hardening: a
-// client that dials and then trickles (or never sends) its request
-// header is cut off once ReadHeaderTimeout elapses, instead of pinning
-// the connection forever.
-func TestSlowHeaderClientDisconnected(t *testing.T) {
-	s := startServer(t, Config{
-		Source:            sliceSource(testDocs(10)),
-		ReadHeaderTimeout: 150 * time.Millisecond,
-	})
-	waitIngestDone(t, s)
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Start a request line but never finish the header section.
-	if _, err := fmt.Fprintf(conn, "GET /v1/count HTTP/1.1\r\nHost: x\r\nX-Slow:"); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	_, err = conn.Read(buf)
-	if err == nil {
-		t.Fatal("expected the server to close the slow-header connection, got bytes instead")
-	}
-	// A deadline error here means the server never closed the
-	// connection — exactly the slowloris pin this hardening removes.
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatal("server left the slow-header connection open past ReadHeaderTimeout")
-	}
-	// The server must still answer well-formed requests afterwards.
-	if status, _ := get(t, "http://"+s.Addr()+"/healthz"); status != http.StatusOK {
-		t.Fatalf("healthz after slowloris cutoff: status = %d", status)
 	}
 }
 

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"container/list"
-	"sync"
-)
+import "bivoc/internal/lru"
 
 // lruCache memoizes marshaled query responses for ONE index snapshot.
 // Each snapshot owns its own cache, so swapping the snapshot pointer
@@ -17,62 +14,15 @@ import (
 // gzip form, derived lazily inside the CachedBody, is compressed at
 // most once per cached body.
 type lruCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	c *lru.Cache[string, *CachedBody]
 }
 
-type lruEntry struct {
-	key  string
-	body *CachedBody
-}
-
-// newLRUCache returns a cache holding at most capacity entries
+// newLRUCache returns a cache holding at most capacity bodies
 // (capacity < 1 disables caching: every get misses, puts are dropped).
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRUCache(capacity int) lruCache {
+	return lruCache{lru.New[string, *CachedBody](int64(capacity))}
 }
 
-// get returns the cached body for key and marks it most recently used.
-func (c *lruCache) get(key string) (*CachedBody, bool) {
-	if c.cap < 1 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
-}
-
-// put stores body under key, evicting the least recently used entry
-// when the cache is full.
-func (c *lruCache) put(key string, body *CachedBody) {
-	if c.cap < 1 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).body = body
-		return
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, body: body})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*lruEntry).key)
-	}
-}
-
-// len returns the number of cached entries.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c lruCache) get(key string) (*CachedBody, bool) { return c.c.Get(key) }
+func (c lruCache) put(key string, body *CachedBody)   { c.c.Put(key, body, 1) }
+func (c lruCache) len() int                           { return c.c.Len() }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"runtime"
@@ -286,17 +285,6 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	WriteError(w, status, err, FedStatus{})
 }
 
-// badQueryError marks a compute failure as the caller's fault (a
-// malformed or unanswerable query), mapping it to 400; unmarked errors
-// are internal and map to 500.
-type badQueryError struct{ err error }
-
-func (e badQueryError) Error() string { return e.err.Error() }
-func (e badQueryError) Unwrap() error { return e.err }
-
-// badQuery wraps err so respond answers it with 400 Bad Request.
-func badQuery(err error) error { return badQueryError{err: err} }
-
 // answer is the one cached query path, shared by the GET routes and
 // /v1/batch: consult sn's cache under the canonical key, and on a miss
 // compute, marshal, and memoize the full response body. The caller
@@ -305,28 +293,20 @@ func badQuery(err error) error { return badQueryError{err: err} }
 // generation and a hit can never serve bytes from another generation.
 //
 // Counter contract: every call is exactly one hit or one miss — a
-// cache-get failure counts as a miss even when the compute then fails,
-// so hits+misses reconciles with queries served. Compute failures are
-// internal (500) unless marked with badQuery (400).
+// cache-get failure counts as a miss even when the marshal then fails
+// (the one way a miss can fail, a 500), so hits+misses reconciles with
+// queries served.
 //
 // The body is marshaled once through the pooled scratch buffer and
 // cached as a CachedBody, so a hit re-serves the same bytes — and, for
 // gzip-accepting clients, the same once-compressed encoding.
-func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) (any, error)) (*CachedBody, int, error) {
+func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) any) (*CachedBody, int, error) {
 	if cb, ok := sn.cache.get(key); ok {
 		s.hits.Add(1)
 		return cb, http.StatusOK, nil
 	}
 	s.misses.Add(1)
-	v, err := compute(sn)
-	if err != nil {
-		var bq badQueryError
-		if errors.As(err, &bq) {
-			return nil, http.StatusBadRequest, err
-		}
-		return nil, http.StatusInternalServerError, err
-	}
-	body, err := marshalBody(v)
+	body, err := marshalBody(compute(sn))
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -336,7 +316,7 @@ func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) (an
 }
 
 // respond answers one GET from the current snapshot through answer.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, compute func(sn *snapshot) (any, error)) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, compute func(sn *snapshot) any) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
@@ -351,8 +331,8 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, com
 }
 
 // answerFrom is a plan's compute function over a snapshot.
-func (p *Plan) answerFrom(sn *snapshot) (any, error) {
-	return p.Local(sn.view, Head{Generation: sn.gen, Sealed: sn.sealed}), nil
+func (p *Plan) answerFrom(sn *snapshot) any {
+	return p.Local(sn.view, Head{Generation: sn.gen, Sealed: sn.sealed})
 }
 
 // handleQuery serves GET /v1/<name> from the endpoint table; parse

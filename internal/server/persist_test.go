@@ -239,8 +239,8 @@ func TestPersistCrashMidIngestRecovers(t *testing.T) {
 	// and completes the stream; the seal writes the first segment.
 	var emitted atomic.Int64
 	st2 := openStore(t, dir)
-	if rec := st2.Recovered(); rec.Index != nil || len(rec.WALDocs) != crashAt {
-		t.Fatalf("recovery = segment %v + %d WAL docs, want nil + %d", rec.Index, len(rec.WALDocs), crashAt)
+	if rec := st2.Recovered(); len(rec.Segments) != 0 || len(rec.WALDocs) != crashAt {
+		t.Fatalf("recovery = %d segments + %d WAL docs, want none + %d", len(rec.Segments), len(rec.WALDocs), crashAt)
 	}
 	s2 := startServer(t, Config{Source: resumableSource(docs, &emitted), Persist: st2})
 	waitIngestDone(t, s2)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"net/url"
@@ -246,43 +245,40 @@ func TestHealthzDegradedOnPersistFailure(t *testing.T) {
 
 // TestRespondCounterReconciliation is the satellite-3 regression:
 // every request through respond is exactly one hit or one miss — error
-// responses included — and compute failures are 500 unless marked as
-// the caller's fault with badQuery (then 400).
+// responses included — and a body that will not marshal, the one way a
+// miss can fail, is a 500 that leaves nothing in the cache.
 func TestRespondCounterReconciliation(t *testing.T) {
 	s, err := New(Config{Source: sliceSource(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requests := 0
-	do := func(key string, compute func(sn *snapshot) (any, error)) int {
+	do := func(key string, v any) int {
 		rec := httptest.NewRecorder()
-		s.respond(rec, nil, key, compute)
+		s.respond(rec, nil, key, func(*snapshot) any { return v })
 		requests++
 		return rec.Code
 	}
 
-	if code := do("ok", func(sn *snapshot) (any, error) { return map[string]int{"x": 1}, nil }); code != 200 {
+	if code := do("ok", map[string]int{"x": 1}); code != 200 {
 		t.Fatalf("successful compute: status %d", code)
 	}
-	if code := do("ok", func(sn *snapshot) (any, error) { return map[string]int{"x": 1}, nil }); code != 200 {
+	if code := do("ok", map[string]int{"x": 1}); code != 200 {
 		t.Fatalf("cached compute: status %d", code)
 	}
-	if code := do("boom", func(sn *snapshot) (any, error) { return nil, errors.New("index wedged") }); code != 500 {
-		t.Errorf("internal compute error: status %d, want 500", code)
+	if code := do("boom", make(chan int)); code != 500 {
+		t.Errorf("unmarshalable body: status %d, want 500", code)
 	}
-	if code := do("bad", func(sn *snapshot) (any, error) { return nil, badQuery(errors.New("no such dimension")) }); code != 400 {
-		t.Errorf("bad-query compute error: status %d, want 400", code)
-	}
-	// A failed compute must not poison the cache: the retry recomputes
+	// A failed miss must not poison the cache: the retry recomputes
 	// (another miss), and a subsequent success is cacheable.
-	if code := do("boom", func(sn *snapshot) (any, error) { return map[string]int{"x": 2}, nil }); code != 200 {
+	if code := do("boom", map[string]int{"x": 2}); code != 200 {
 		t.Errorf("retry after error: status %d", code)
 	}
 	hits, misses := s.CacheStats()
 	if int(hits+misses) != requests {
 		t.Errorf("hits(%d)+misses(%d) = %d, want %d: every request is exactly one hit or miss", hits, misses, hits+misses, requests)
 	}
-	if hits != 1 || misses != 4 {
-		t.Errorf("hits=%d misses=%d, want 1/4 (one cached repeat; errors count as misses)", hits, misses)
+	if hits != 1 || misses != 3 {
+		t.Errorf("hits=%d misses=%d, want 1/3 (one cached repeat; errors count as misses)", hits, misses)
 	}
 }

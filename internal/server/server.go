@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"slices"
 	"sync"
@@ -99,9 +98,6 @@ type Config struct {
 	// Confidence is the association-interval confidence used when a
 	// query does not pass its own. Default 0.95.
 	Confidence float64
-	// DrainTimeout bounds the graceful drain of in-flight requests
-	// during Run's shutdown. Default 5s.
-	DrainTimeout time.Duration
 	// Persist, when set, makes the daemon durable: the store's recovered
 	// state (live segments + WAL tail) seeds the first snapshot and the
 	// ingest skip set, every ingested document is WAL-appended, every
@@ -117,17 +113,6 @@ type Config struct {
 	// remap fails the heap index keeps serving. Recovery-time mapping is
 	// governed by the store's own Options.MapSegments.
 	MapSegments bool
-	// ReadHeaderTimeout bounds how long a connection may take to deliver
-	// its request headers (default 5s; negative disables). Without it a
-	// slowloris client trickling header bytes pins a connection — and its
-	// goroutine — forever.
-	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading an entire request including the body
-	// (default 60s; negative disables).
-	ReadTimeout time.Duration
-	// MaxHeaderBytes bounds request header size (default 1 MiB; negative
-	// falls back to net/http's own default).
-	MaxHeaderBytes int
 }
 
 func (c Config) cacheSize() int {
@@ -135,34 +120,6 @@ func (c Config) cacheSize() int {
 		return 256
 	}
 	return c.CacheSize
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.DrainTimeout
-}
-
-// HardenHTTPServer applies the serving-tier hardening both daemons share
-// to hs — header and read timeouts so a slowloris client cannot pin
-// connections, and a header size bound — resolving the raw Config values
-// here and nowhere else: zero picks the default (5s / 60s / 1 MiB),
-// negative switches that limit off (net/http's own behaviour).
-func HardenHTTPServer(hs *http.Server, readHeaderTimeout, readTimeout time.Duration, maxHeaderBytes int) {
-	hs.ReadHeaderTimeout = hardenLimit(readHeaderTimeout, 5*time.Second)
-	hs.ReadTimeout = hardenLimit(readTimeout, 60*time.Second)
-	hs.MaxHeaderBytes = hardenLimit(maxHeaderBytes, 1<<20)
-}
-
-func hardenLimit[T int | time.Duration](v, def T) T {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // maxSegments resolves Config.MaxSegments: 0 picks the default bound,
@@ -185,7 +142,7 @@ type snapshot struct {
 	gen    uint64
 	view   mining.Querier
 	sealed bool // true once the source is exhausted: the corpus is final
-	cache  *lruCache
+	cache  lruCache
 }
 
 // segment is one live immutable segment: a sealed, Prepared index plus
@@ -198,8 +155,7 @@ type segment struct {
 }
 
 // Server owns the segment list, the snapshot pointer, the ingest loop
-// and the HTTP API. Create with New, run with Run (or Start + Shutdown
-// for finer control).
+// and the HTTP API. Create with New, run with Start, stop with Shutdown.
 type Server struct {
 	cfg Config
 	eps Endpoints
@@ -228,17 +184,13 @@ type Server struct {
 	hits, misses atomic.Uint64
 	slo          *SLORecorder
 
-	started    atomic.Bool
-	lifeMu     sync.Mutex // guards ln, hs, ingestStop (Start may run in another goroutine, e.g. under Run)
-	ln         net.Listener
-	hs         *http.Server
+	life       Lifecycle
+	ingestCtx  context.Context // cancelled by Shutdown
 	ingestStop context.CancelFunc
 	ingestDone chan struct{}
-	serveDone  chan struct{}
 
 	errMu      sync.Mutex
 	ingestErr  error
-	serveErr   error
 	persistErr error
 
 	// Recovered warm-start state (nil / empty without Config.Persist):
@@ -254,10 +206,10 @@ type Server struct {
 // recoveryInfo summarizes what a warm start adopted from disk, for
 // /statsz and the daemon's startup line.
 type recoveryInfo struct {
-	segmentDocs int
-	walDocs     int
-	walDropped  int64
-	skipped     []string
+	segmentDocs    int
+	walDocs        int
+	walDropped     int64
+	eagerFallbacks []string
 }
 
 // New returns an unstarted server. Without persistence the initial
@@ -276,16 +228,16 @@ func New(cfg Config) (*Server, error) {
 		eps:        NewEndpoints(cfg.Confidence, true),
 		slo:        NewSLORecorder(),
 		ingestDone: make(chan struct{}),
-		serveDone:  make(chan struct{}),
 	}
+	s.ingestCtx, s.ingestStop = context.WithCancel(context.Background())
 	if cfg.Persist != nil {
 		rec := cfg.Persist.Recovered()
 		s.recIDs = rec.IDs()
 		s.recInfo = recoveryInfo{
-			segmentDocs: rec.SegmentDocs,
-			walDocs:     len(rec.WALDocs),
-			walDropped:  rec.WALDropped,
-			skipped:     rec.SkippedSegments,
+			segmentDocs:    rec.SegmentDocs,
+			walDocs:        len(rec.WALDocs),
+			walDropped:     rec.WALDropped,
+			eagerFallbacks: rec.EagerFallbacks,
 		}
 		for _, seg := range rec.Segments {
 			s.segs = append(s.segs, segment{ix: seg.Index, diskGen: seg.Gen})
@@ -318,6 +270,10 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) RecoveryInfo() (segmentDocs, walDocs int, walDropped int64) {
 	return s.recInfo.segmentDocs, s.recInfo.walDocs, s.recInfo.walDropped
 }
+
+// EagerFallbacks names the recovered segment files the store was asked
+// to map and loaded onto the heap instead (store.Recovery).
+func (s *Server) EagerFallbacks() []string { return s.recInfo.eagerFallbacks }
 
 // viewLocked builds the fan-in view over the current live segments.
 // Caller holds pubMu.
@@ -645,39 +601,30 @@ func (s *Server) setPersistErr(err error) {
 	s.errMu.Unlock()
 }
 
-// PersistErr returns the first persistence-layer failure, if any.
+// PersistErr returns the first persistence-layer failure, if any: a
+// write this server saw fail, else a lazy decode a mapped segment saw
+// fail (which answers empty from then on, at 200).
 func (s *Server) PersistErr() error {
 	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.persistErr
+	err := s.persistErr
+	s.errMu.Unlock()
+	if err == nil && s.cfg.Persist != nil {
+		err = s.cfg.Persist.Err()
+	}
+	return err
 }
 
 // Start listens on Config.Addr and launches the ingest loop and the
 // HTTP server. It returns once the listener is live; use Addr for the
-// bound address. Pair with Shutdown.
+// bound address. Pair with Shutdown. A Start that could not bind has
+// started nothing and may be tried again.
 func (s *Server) Start() error {
-	if !s.started.CompareAndSwap(false, true) {
-		return errors.New("server: Start called twice")
+	if err := s.life.Start(s.cfg.Addr, s.mux); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	addr := s.cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	hs := &http.Server{Handler: s.mux}
-	HardenHTTPServer(hs, s.cfg.ReadHeaderTimeout, s.cfg.ReadTimeout, s.cfg.MaxHeaderBytes)
-	ictx, cancel := context.WithCancel(context.Background())
-	s.lifeMu.Lock()
-	s.ln = ln
-	s.hs = hs
-	s.ingestStop = cancel
-	s.lifeMu.Unlock()
 	go func() {
 		defer close(s.ingestDone)
-		if err := s.runIngest(ictx); err != nil {
+		if err := s.runIngest(s.ingestCtx); err != nil {
 			// An ingest failure degrades the daemon, it does not kill
 			// it: the last good snapshot keeps serving, and /healthz
 			// and /statsz surface the error.
@@ -686,27 +633,12 @@ func (s *Server) Start() error {
 			s.errMu.Unlock()
 		}
 	}()
-	go func() {
-		defer close(s.serveDone)
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.errMu.Lock()
-			s.serveErr = err
-			s.errMu.Unlock()
-		}
-	}()
 	return nil
 }
 
 // Addr returns the bound listen address, or "" before Start has bound
 // the listener. Safe to poll from other goroutines.
-func (s *Server) Addr() string {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.life.Addr() }
 
 // Handler returns the HTTP API (also useful without Start, e.g. under
 // httptest).
@@ -745,16 +677,12 @@ func (s *Server) IngestErr() error {
 // compaction finishes before the store closes. ctx bounds the HTTP
 // drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.lifeMu.Lock()
-	hs, stopIngest := s.hs, s.ingestStop
-	s.lifeMu.Unlock()
-	if hs == nil {
+	if s.Addr() == "" {
 		return errors.New("server: Shutdown before Start")
 	}
-	stopIngest()
-	err := hs.Shutdown(ctx) // drains in-flight requests
+	s.ingestStop()
+	err := s.life.Shutdown(ctx) // drains in-flight requests
 	<-s.ingestDone
-	<-s.serveDone
 	// Ingest is done, so no new compactor can launch; wait out the one
 	// that may still be merging before releasing the store it writes to.
 	s.compactWG.Wait()
@@ -763,20 +691,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// sync and release the WAL handle.
 		err = errors.Join(err, s.cfg.Persist.Close())
 	}
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return errors.Join(err, s.serveErr)
-}
-
-// Run starts the server and blocks until ctx is cancelled, then shuts
-// down gracefully (bounded by Config.DrainTimeout). The usual daemon
-// entry point: wire ctx to SIGINT/SIGTERM.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout())
-	defer cancel()
-	return s.Shutdown(dctx)
+	return err
 }

@@ -131,42 +131,3 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	t.Logf("%d in-flight requests drained across shutdown", drained)
 }
-
-// TestRunStopsOnContextCancel covers the daemon entry point: Run blocks
-// until the context is cancelled, then drains and returns nil.
-func TestRunStopsOnContextCancel(t *testing.T) {
-	s, err := New(Config{Source: sliceSource(testDocs(30))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
-
-	// Wait until it serves, confirm liveness, then cancel.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Addr() == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("Run never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitIngestDone(t, s)
-	var h HealthResponse
-	getOK(t, "http://"+s.Addr()+"/healthz", &h)
-	if h.Status != "ok" {
-		t.Fatalf("healthz status %q before cancel", h.Status)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("Run returned %v after context cancel", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after context cancel")
-	}
-	if _, err := testClient.Get("http://" + s.Addr() + "/healthz"); err == nil {
-		t.Error("listener still accepting after Run returned")
-	}
-}

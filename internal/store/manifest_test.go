@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,11 +60,8 @@ func TestAppendSegmentLineage(t *testing.T) {
 	if len(rec.Segments) != 3 || rec.SegmentGen != 3 || rec.SegmentDocs != 90 {
 		t.Fatalf("recovered %d segments, gen %d, %d docs; want 3/3/90", len(rec.Segments), rec.SegmentGen, rec.SegmentDocs)
 	}
-	if rec.Index != nil {
-		t.Error("Recovery.Index set for a multi-segment lineage, want nil (use Segments)")
-	}
-	if got := rec.Docs(); len(got) != 90 {
-		t.Fatalf("recovered %d docs, want 90", len(got))
+	if got := rec.IDs(); len(got) != 90 {
+		t.Fatalf("recovered %d document IDs, want 90", len(got))
 	}
 	// Fan-in over the recovered segments must match the full corpus.
 	set := mining.NewSegmentSet(func() []*mining.Index {
@@ -187,7 +185,7 @@ func TestManifestMissingFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteSegment(sealedIndex(docs)); err != nil {
+	if _, err := st.ReplaceSegments(nil, sealedIndex(docs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -203,7 +201,62 @@ func TestManifestMissingFallsBack(t *testing.T) {
 	}
 	defer st2.Close()
 	rec := st2.Recovered()
-	if rec.Index == nil || rec.SegmentGen != 1 || rec.SegmentDocs != 50 {
-		t.Fatalf("manifest-less recovery = gen %d, %d docs (index nil=%v); want gen 1 with 50", rec.SegmentGen, rec.SegmentDocs, rec.Index == nil)
+	if len(rec.Segments) != 1 || rec.SegmentGen != 1 || rec.SegmentDocs != 50 {
+		t.Fatalf("manifest-less recovery = %d segments, gen %d, %d docs; want one, gen 1 with 50", len(rec.Segments), rec.SegmentGen, rec.SegmentDocs)
+	}
+}
+
+// TestAppendIsReplaceNothing pins the one mutator: a lineage built with
+// AppendSegment and one built with ReplaceSegments(nil, …) leave the
+// same files holding the same bytes, and report the same stats.
+func TestAppendIsReplaceNothing(t *testing.T) {
+	batches := segmentBatches(corpus(90, 13), 30)
+	build := func(add func(*Store, *mining.Index) (Stats, error)) (string, Stats) {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last Stats
+		for _, ix := range batches {
+			if last, err = add(st, ix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, last
+	}
+	appended, statsA := build((*Store).AppendSegment)
+	replaced, statsR := build(func(st *Store, ix *mining.Index) (Stats, error) { return st.ReplaceSegments(nil, ix) })
+
+	if statsA.SegmentGen != statsR.SegmentGen || statsA.SegmentDocs != statsR.SegmentDocs ||
+		statsA.SegmentBytes != statsR.SegmentBytes || len(statsA.Segments) != len(statsR.Segments) {
+		t.Errorf("stats differ: append %+v, replace %+v", statsA, statsR)
+	}
+	entries, err := os.ReadDir(appended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadDir(replaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(other) || len(entries) != 5 { // three segments, MANIFEST, wal.log
+		t.Fatalf("append left %d files, replace %d; want 5 each", len(entries), len(other))
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(appended, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(replaced, e.Name()))
+		if err != nil {
+			t.Fatalf("replace did not write what append wrote: %v", err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between the two directories", e.Name())
+		}
 	}
 }

@@ -205,9 +205,6 @@ func (m *Mapped) Err() error {
 	return nil
 }
 
-// Path returns the mapped file's path.
-func (m *Mapped) Path() string { return m.path }
-
 // Bytes returns the size of the mapping.
 func (m *Mapped) Bytes() int64 { return int64(len(m.data)) }
 

@@ -218,7 +218,7 @@ func TestStoreMappedRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.WriteSegment(ix); err != nil {
+	if _, err := st.ReplaceSegments(nil, ix); err != nil {
 		t.Fatal(err)
 	}
 	// No ResetWAL: the WAL still covers the same documents, so recovery
@@ -230,13 +230,14 @@ func TestStoreMappedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := st2.Recovered()
-	if rec.Index == nil || len(rec.WALDocs) != 0 {
-		t.Fatalf("mapped recovery: index=%v wal=%d", rec.Index != nil, len(rec.WALDocs))
+	recovered := soleSegment(t, rec)
+	if len(rec.WALDocs) != 0 {
+		t.Fatalf("mapped recovery: wal=%d", len(rec.WALDocs))
 	}
-	if _, ok := rec.Index.Backing().(*Mapped); !ok {
-		t.Fatalf("recovered index backing is %T, want *Mapped", rec.Index.Backing())
+	if _, ok := recovered.Backing().(*Mapped); !ok {
+		t.Fatalf("recovered index backing is %T, want *Mapped", recovered.Backing())
 	}
-	indexQueriesEqual(t, rec.Index, ix)
+	indexQueriesEqual(t, recovered, ix)
 	stats := st2.Stats()
 	if stats.MappedSegments != 1 || stats.MappedBytes <= 0 {
 		t.Fatalf("stats: %d mapped segments, %d bytes", stats.MappedSegments, stats.MappedBytes)
@@ -266,8 +267,8 @@ func TestStoreMappedRecovery(t *testing.T) {
 	}
 	defer st3.Close()
 	rec3 := st3.Recovered()
-	if rec3.Index != nil || len(rec3.SkippedSegments) == 0 {
-		t.Fatalf("damaged segment not skipped: index=%v skipped=%v", rec3.Index != nil, rec3.SkippedSegments)
+	if len(rec3.Segments) != 0 || len(rec3.SkippedSegments) == 0 {
+		t.Fatalf("damaged segment not skipped: segments=%d skipped=%v", len(rec3.Segments), rec3.SkippedSegments)
 	}
 	if len(rec3.WALDocs) != len(docs) {
 		t.Fatalf("WAL fallback recovered %d docs, want %d", len(rec3.WALDocs), len(docs))
@@ -400,5 +401,66 @@ func TestMappedHotQueryAllocs(t *testing.T) {
 	}
 	if after.Misses != before.Misses {
 		t.Fatalf("hot queries missed the cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestStoreReportsMappingFailure: a lazy decode that fails on a live
+// mapping makes that mapping answer empty from then on, so the store
+// must say so — first error kept, still readable after Close — and a
+// mapped store that has served every read cleanly must say nothing.
+func TestStoreReportsMappingFailure(t *testing.T) {
+	dir := t.TempDir()
+	ix := sealedIndex(corpus(80, 29))
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReplaceSegments(nil, ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir, Options{MapSegments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := st2.Recovered()
+	if len(rec.EagerFallbacks) != 0 {
+		t.Fatalf("clean segment recorded as an eager fallback: %v", rec.EagerFallbacks)
+	}
+	recovered := soleSegment(t, rec)
+	indexQueriesEqual(t, recovered, ix)
+	if err := st2.Err(); err != nil {
+		t.Fatalf("clean mapped store reports %v", err)
+	}
+
+	m := recovered.Backing().(*Mapped)
+	m.fail(corruptf("first"))
+	m.fail(corruptf("second"))
+	err = st2.Err()
+	if err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "first") {
+		t.Fatalf("store reports %v, want the mapping's first failure", err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := st2.Err(); after == nil || after.Error() != err.Error() {
+		t.Fatalf("after Close the store reports %v, want %v", after, err)
+	}
+}
+
+// TestAdoptRecordsEagerFallback: a segment a MapSegments store holds
+// without a mapping is one that would not map and was loaded instead;
+// recovery names it.
+func TestAdoptRecordsEagerFallback(t *testing.T) {
+	ix := sealedIndex(corpus(5, 30))
+	for _, mapSegs := range []bool{false, true} {
+		s, rec := &Store{dir: "d", mapSegs: mapSegs}, &Recovery{}
+		s.adopt(rec, 7, s.segmentPath(7), ix, 1, nil)
+		if got := len(rec.EagerFallbacks); (got == 1) != mapSegs {
+			t.Errorf("MapSegments=%v: EagerFallbacks = %v", mapSegs, rec.EagerFallbacks)
+		}
 	}
 }

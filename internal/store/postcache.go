@@ -1,24 +1,21 @@
 package store
 
-import "sync"
+import (
+	"sync/atomic"
+
+	"bivoc/internal/lru"
+)
 
 // PostingsCache is the byte-budgeted LRU of decoded postings lists
 // shared by a Store's mapped segments. Keys are (mapping, file offset)
 // — immutable for the life of a mapping, so entries never go stale;
 // superseded segments simply stop being asked for and age out. The
 // cached []int slices are handed to queries as read-only views and are
-// never recycled (a reader may hold one past eviction); only the LRU
-// node bookkeeping is pooled, so a steady-state hit allocates nothing.
+// never recycled (a reader may hold one past eviction).
 type PostingsCache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	hits    uint64
-	misses  uint64
-	entries map[postKey]*postEntry
-	// Intrusive LRU list: front = most recently used.
-	front, back *postEntry
-	free        *postEntry // pooled nodes, chained via next
+	budget       int64
+	lists        *lru.Cache[postKey, []int]
+	hits, misses atomic.Uint64
 }
 
 // postKey identifies one decoded list: the mapping's id plus the
@@ -26,12 +23,6 @@ type PostingsCache struct {
 type postKey struct {
 	seg uint64
 	off uint32
-}
-
-type postEntry struct {
-	key        postKey
-	posts      []int
-	prev, next *postEntry
 }
 
 // postEntryOverhead approximates the per-entry bookkeeping cost (map
@@ -49,103 +40,30 @@ func NewPostingsCache(budget int64) *PostingsCache {
 	if budget <= 0 {
 		budget = DefaultPostingsBudget
 	}
-	return &PostingsCache{budget: budget, entries: map[postKey]*postEntry{}}
-}
-
-func entryCost(posts []int) int64 {
-	return int64(len(posts))*8 + postEntryOverhead
+	return &PostingsCache{budget: budget, lists: lru.New[postKey, []int](budget)}
 }
 
 // get returns the cached list and promotes it.
 func (c *PostingsCache) get(key postKey) ([]int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
+	posts, ok := c.lists.Get(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
-	c.hits++
-	c.moveToFront(e)
-	return e.posts, true
+	return posts, ok
 }
 
-// put publishes a freshly decoded list, evicting from the cold end
-// until the budget holds, and returns the canonical slice: if another
-// goroutine decoded the same list first, its copy wins and the
-// caller's is dropped, so all readers share one allocation.
+// put publishes a freshly decoded list and returns the slice to serve:
+// the one already cached when another goroutine decoded the same list
+// first, so readers share one allocation, else the caller's. A list
+// larger than the whole budget is served but not retained.
 func (c *PostingsCache) put(key postKey, posts []int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.moveToFront(e)
-		return e.posts
+	if cached, ok := c.lists.Get(key); ok {
+		return cached
 	}
-	e := c.newEntry()
-	e.key, e.posts = key, posts
-	c.entries[key] = e
-	c.pushFront(e)
-	c.bytes += entryCost(posts)
-	for c.bytes > c.budget && c.back != nil && c.back != e {
-		c.evict(c.back)
-	}
-	if c.bytes > c.budget {
-		// A single list larger than the whole budget: serve it but do
-		// not retain it.
-		c.evict(e)
-	}
+	c.lists.Put(key, posts, int64(len(posts))*8+postEntryOverhead)
 	return posts
-}
-
-func (c *PostingsCache) evict(e *postEntry) {
-	c.bytes -= entryCost(e.posts)
-	delete(c.entries, e.key)
-	c.unlink(e)
-	e.posts = nil // the slice may outlive the entry in a reader; drop only our ref
-	e.prev = nil
-	e.next = c.free
-	c.free = e
-}
-
-func (c *PostingsCache) newEntry() *postEntry {
-	if e := c.free; e != nil {
-		c.free = e.next
-		e.next = nil
-		return e
-	}
-	return &postEntry{}
-}
-
-func (c *PostingsCache) pushFront(e *postEntry) {
-	e.prev, e.next = nil, c.front
-	if c.front != nil {
-		c.front.prev = e
-	}
-	c.front = e
-	if c.back == nil {
-		c.back = e
-	}
-}
-
-func (c *PostingsCache) unlink(e *postEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.back = e.prev
-	}
-}
-
-func (c *PostingsCache) moveToFront(e *postEntry) {
-	if c.front == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // PostingsCacheStats is a point-in-time snapshot for /statsz.
@@ -159,13 +77,11 @@ type PostingsCacheStats struct {
 
 // StatsSnapshot returns the cache's current occupancy and hit counters.
 func (c *PostingsCache) StatsSnapshot() PostingsCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return PostingsCacheStats{
-		Bytes:   c.bytes,
+		Bytes:   c.lists.Used(),
 		Budget:  c.budget,
-		Entries: len(c.entries),
-		Hits:    c.hits,
-		Misses:  c.misses,
+		Entries: c.lists.Len(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
 	}
 }

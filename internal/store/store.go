@@ -25,8 +25,8 @@ type Options struct {
 	// mappings (OpenMapped) instead of materializing them on the heap:
 	// recovery touches O(#postings lists) per segment instead of
 	// O(corpus), and resident memory tracks the hot query set rather
-	// than the corpus. A segment that cannot be mapped (damage) silently
-	// falls back to the materializing loader.
+	// than the corpus. A segment that cannot be mapped (damage) falls
+	// back to the materializing loader (Recovery.EagerFallbacks).
 	MapSegments bool
 	// PostingsBudget caps the decoded-postings cache shared by the
 	// mapped segments, in bytes. 0 uses DefaultPostingsBudget. Ignored
@@ -55,11 +55,6 @@ type RecoveredSegment struct {
 type Recovery struct {
 	// Segments are the recovered live segments, ascending by generation.
 	Segments []RecoveredSegment
-	// Index is the segment-loaded index when exactly one segment was
-	// recovered (the single-lineage shape WriteSegment maintains); nil
-	// when there are no segments or when the lineage holds several (use
-	// Segments).
-	Index *mining.Index
 	// SegmentGen is the newest recovered generation; SegmentDocs is the
 	// total document count across recovered segments.
 	SegmentGen  uint64
@@ -74,21 +69,9 @@ type Recovery struct {
 	// SkippedSegments names segment files that failed validation and
 	// were passed over for an older generation.
 	SkippedSegments []string
-}
-
-// Docs returns segment documents followed by the WAL tail — everything
-// durable, in the order the serving layer should re-adopt it.
-func (r *Recovery) Docs() []mining.Document {
-	var out []mining.Document
-	if r.SegmentDocs > 0 {
-		out = make([]mining.Document, 0, r.SegmentDocs+len(r.WALDocs))
-		for _, seg := range r.Segments {
-			for i := 0; i < seg.Index.Len(); i++ {
-				out = append(out, seg.Index.Doc(i))
-			}
-		}
-	}
-	return append(out, r.WALDocs...)
+	// EagerFallbacks names segment files that would not map under
+	// MapSegments but did load: they are served from the heap.
+	EagerFallbacks []string
 }
 
 // IDs returns the set of durable document IDs — the ingest skip set
@@ -149,9 +132,9 @@ type segMeta struct {
 
 // Store is one data directory: the live segment lineage (named by the
 // MANIFEST file) plus the ingest WAL. WAL appends and stats reads are
-// safe for concurrent use; the segment mutators (WriteSegment,
-// AppendSegment, ReplaceSegments) must be serialized by the caller —
-// the serving layer holds its publish lock across them.
+// safe for concurrent use; calls of the segment mutator (ReplaceSegments,
+// and AppendSegment, its no-removal case) must be serialized by the
+// caller — the serving layer holds its publish lock across them.
 type Store struct {
 	dir       string
 	syncEvery int
@@ -219,8 +202,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			rec.SkippedSegments = append(rec.SkippedSegments, filepath.Base(path))
 			continue
 		}
-		rec.Segments = append(rec.Segments, RecoveredSegment{Gen: gen, Index: ix})
-		s.segments = append(s.segments, segMeta{gen: gen, path: path, bytes: size, docs: ix.Len(), mapped: m})
+		s.adopt(rec, gen, path, ix, size, m)
 	}
 	if len(rec.Segments) == 0 {
 		// No manifest, or everything it named was unreadable: fall back
@@ -239,8 +221,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				rec.SkippedSegments = append(rec.SkippedSegments, filepath.Base(path))
 				continue
 			}
-			rec.Segments = append(rec.Segments, RecoveredSegment{Gen: gens[i], Index: ix})
-			s.segments = append(s.segments, segMeta{gen: gens[i], path: path, bytes: size, docs: ix.Len(), mapped: m})
+			s.adopt(rec, gens[i], path, ix, size, m)
 			break
 		}
 	}
@@ -249,9 +230,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		if seg.Gen > rec.SegmentGen {
 			rec.SegmentGen = seg.Gen
 		}
-	}
-	if len(rec.Segments) == 1 {
-		rec.Index = rec.Segments[0].Index
 	}
 	walPath := filepath.Join(dir, "wal.log")
 	walDocs, goodLen, dropped, err := replayWAL(walPath)
@@ -290,6 +268,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// adopt enters one segment loadOrMap opened into the recovery and the
+// live lineage, noting a file that MapSegments asked to map and did not.
+func (s *Store) adopt(rec *Recovery, gen uint64, path string, ix *mining.Index, size int64, m *Mapped) {
+	rec.Segments = append(rec.Segments, RecoveredSegment{Gen: gen, Index: ix})
+	s.segments = append(s.segments, segMeta{gen: gen, path: path, bytes: size, docs: ix.Len(), mapped: m})
+	if s.mapSegs && m == nil {
+		rec.EagerFallbacks = append(rec.EagerFallbacks, filepath.Base(path))
+	}
+}
+
 // loadOrMap opens one segment file the way the store is configured:
 // mapped (zero-copy, lazy) when MapSegments is on, else materialized.
 // A file that cannot be mapped (damage) falls back to the materializing
@@ -297,8 +285,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // IsCorrupt verdict; the fallback can never serve different bytes
 // because DecodeSegment refuses any file whose offset directory
 // disagrees with its body.
-// Called during Open (single-threaded) and from MapSegment (s.mu
-// must not be held — mapping does file I/O).
+// Called during Open only; s.mu must not be held.
 func (s *Store) loadOrMap(path string) (*mining.Index, int64, *Mapped, error) {
 	if s.mapSegs {
 		m, err := OpenMapped(path, s.cache)
@@ -356,15 +343,27 @@ func (s *Store) MapSegment(gen uint64) (*mining.Index, error) {
 	return ix, nil
 }
 
+// Err returns the sticky error of the first mapping that has one: a
+// mapped segment that failed a lazy decode answers empty from then on
+// (Mapped.fail), and this is how the serving layer gets to hear of it.
+// Nil for a store without mappings; still readable after Close.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.mappings {
+		if err := m.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Recovered returns what Open reconstructed from disk.
 func (s *Store) Recovered() *Recovery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rec
 }
-
-// Dir returns the data directory path.
-func (s *Store) Dir() string { return s.dir }
 
 // cleanOrphans removes *.tmp files left by interrupted atomic writes.
 func (s *Store) cleanOrphans() error {
@@ -497,88 +496,22 @@ func (s *Store) writeSegmentFile(gen uint64, data []byte) error {
 	return syncDir(s.dir)
 }
 
-// nextGenLocked allocates the next segment generation (never reusing a
-// number any file on disk has carried, damaged ones included).
-func (s *Store) nextGenLocked() uint64 { return s.maxGen + 1 }
-
-// liveGensLocked returns the current live generations.
-func (s *Store) liveGensLocked() []uint64 {
-	gens := make([]uint64, len(s.segments))
-	for i, m := range s.segments {
-		gens[i] = m.gen
-	}
-	return gens
-}
-
-// WriteSegment atomically persists a sealed index as the next segment
-// generation and makes it the entire live lineage (the single-segment
-// shape batch runs use). Older generations beyond one fallback are
-// pruned. The WAL is untouched — call ResetWAL once the segment is
-// durable (a crash in between is handled by recovery's dedup).
-func (s *Store) WriteSegment(ix *mining.Index) (Stats, error) {
-	data := EncodeSegment(ix.Export())
-	s.mu.Lock()
-	gen := s.nextGenLocked()
-	s.mu.Unlock()
-
-	if err := s.writeSegmentFile(gen, data); err != nil {
-		return Stats{}, err
-	}
-	if err := s.writeManifest([]uint64{gen}); err != nil {
-		return Stats{}, err
-	}
-
-	s.mu.Lock()
-	s.maxGen = gen
-	s.segments = []segMeta{{gen: gen, path: s.segmentPath(gen), bytes: int64(len(data)), docs: ix.Len()}}
-	s.lastSeal = time.Now()
-	s.mu.Unlock()
-
-	// Keep the previous generation as a fallback against latent media
-	// corruption; prune everything older.
-	gens, err := s.scanSegments()
-	if err == nil {
-		for _, g := range gens {
-			if g+1 < gen {
-				os.Remove(s.segmentPath(g))
-			}
-		}
-	}
-	return s.Stats(), nil
-}
-
 // AppendSegment atomically persists a sealed index as a new segment
 // appended to the live lineage — the per-publish path of the segmented
 // serving layer: each snapshot swap durably adds only the documents
 // sealed by that swap. The WAL is untouched (it keeps covering
 // everything until the final seal resets it).
 func (s *Store) AppendSegment(ix *mining.Index) (Stats, error) {
-	data := EncodeSegment(ix.Export())
-	s.mu.Lock()
-	gen := s.nextGenLocked()
-	live := append(s.liveGensLocked(), gen)
-	s.mu.Unlock()
-
-	if err := s.writeSegmentFile(gen, data); err != nil {
-		return Stats{}, err
-	}
-	if err := s.writeManifest(live); err != nil {
-		return Stats{}, err
-	}
-
-	s.mu.Lock()
-	s.maxGen = gen
-	s.segments = append(s.segments, segMeta{gen: gen, path: s.segmentPath(gen), bytes: int64(len(data)), docs: ix.Len()})
-	s.lastSeal = time.Now()
-	s.mu.Unlock()
-	return s.Stats(), nil
+	return s.ReplaceSegments(nil, ix)
 }
 
-// ReplaceSegments atomically persists a compacted index as a new
-// segment that supersedes the removed generations: the merged segment
-// is written first, then the manifest swaps the lineage, then the
-// superseded files are deleted. A crash at any point leaves a manifest
-// whose lineage covers the same documents.
+// ReplaceSegments is the one segment-lineage mutator: it atomically
+// persists ix as the next generation — numbered past every file the
+// directory has carried, damaged ones included — superseding the removed
+// generations (a compaction's inputs; none for an append). The new
+// segment is written first, then the manifest swaps the lineage, then
+// the superseded files are deleted. A crash at any point leaves a
+// manifest whose lineage covers the same documents.
 func (s *Store) ReplaceSegments(removed []uint64, ix *mining.Index) (Stats, error) {
 	data := EncodeSegment(ix.Export())
 	rm := make(map[uint64]bool, len(removed))
@@ -586,7 +519,7 @@ func (s *Store) ReplaceSegments(removed []uint64, ix *mining.Index) (Stats, erro
 		rm[g] = true
 	}
 	s.mu.Lock()
-	gen := s.nextGenLocked()
+	gen := s.maxGen + 1
 	var live []uint64
 	for _, m := range s.segments {
 		if !rm[m.gen] {
@@ -751,12 +684,13 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
+	// The closed mappings stay listed: Err still reads their verdicts, and
+	// closing one twice is a no-op.
 	for _, m := range s.mappings {
 		if merr := m.Close(); err == nil {
 			err = merr
 		}
 	}
-	s.mappings = nil
 	if s.wal == nil {
 		return err
 	}

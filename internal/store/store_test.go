@@ -114,6 +114,16 @@ func indexQueriesEqual(t *testing.T, got, want mining.Querier) {
 	}
 }
 
+// soleSegment returns the index of a recovery that must hold exactly one
+// segment.
+func soleSegment(t *testing.T, rec *Recovery) *mining.Index {
+	t.Helper()
+	if len(rec.Segments) != 1 {
+		t.Fatalf("recovered %d segments (skipped %v), want exactly one", len(rec.Segments), rec.SkippedSegments)
+	}
+	return rec.Segments[0].Index
+}
+
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	ix := sealedIndex(corpus(200, 1))
 	snap, err := DecodeSegment(EncodeSegment(ix.Export()))
@@ -171,10 +181,10 @@ func TestStoreWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := st.Recovered(); rec.Index != nil || len(rec.WALDocs) != 0 {
+	if rec := st.Recovered(); len(rec.Segments) != 0 || len(rec.WALDocs) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
-	info, err := st.WriteSegment(ix)
+	info, err := st.ReplaceSegments(nil, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +201,10 @@ func TestStoreWriteLoadRoundTrip(t *testing.T) {
 	}
 	defer st2.Close()
 	rec := st2.Recovered()
-	if rec.Index == nil || rec.SegmentGen != 1 || len(rec.WALDocs) != 0 {
+	if rec.SegmentGen != 1 || len(rec.WALDocs) != 0 {
 		t.Fatalf("recovery: gen=%d docs=%d wal=%d", rec.SegmentGen, rec.SegmentDocs, len(rec.WALDocs))
 	}
-	indexQueriesEqual(t, rec.Index, ix)
+	indexQueriesEqual(t, soleSegment(t, rec), ix)
 }
 
 func TestWALAppendReplay(t *testing.T) {
@@ -219,7 +229,7 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 	defer st2.Close()
 	rec := st2.Recovered()
-	if rec.Index != nil {
+	if len(rec.Segments) != 0 {
 		t.Fatal("no segment was written, but recovery has one")
 	}
 	if !reflect.DeepEqual(rec.WALDocs, docs) {
@@ -296,7 +306,7 @@ func TestRecoveryDedupSegmentAndWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.WriteSegment(sealedIndex(docs)); err != nil {
+	if _, err := st.ReplaceSegments(nil, sealedIndex(docs)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: no ResetWAL.
@@ -308,19 +318,21 @@ func TestRecoveryDedupSegmentAndWAL(t *testing.T) {
 	}
 	defer st2.Close()
 	rec := st2.Recovered()
-	if rec.Index == nil || rec.Index.Len() != len(docs) {
-		t.Fatalf("segment not recovered: %+v", rec)
+	if got := soleSegment(t, rec).Len(); got != len(docs) {
+		t.Fatalf("segment recovered with %d docs, want %d", got, len(docs))
 	}
 	if len(rec.WALDocs) != 0 {
 		t.Fatalf("WAL docs not deduplicated against segment: %d left", len(rec.WALDocs))
 	}
-	if got := len(rec.Docs()); got != len(docs) {
-		t.Fatalf("Docs() = %d, want %d", got, len(docs))
+	if got := len(rec.IDs()); got != len(docs) {
+		t.Fatalf("IDs() = %d, want %d", got, len(docs))
 	}
 }
 
-// TestSegmentFallback damages the newest segment and requires recovery
-// to fall back to the previous generation.
+// TestSegmentFallback damages the only segment the manifest names and
+// requires recovery to fall back to the previous generation's file —
+// the directory a crash leaves between a replacement's manifest swap and
+// the unlink of what it superseded.
 func TestSegmentFallback(t *testing.T) {
 	dir := t.TempDir()
 	docsA, docsB := corpus(30, 8), corpus(45, 9)
@@ -328,14 +340,23 @@ func TestSegmentFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteSegment(sealedIndex(docsA)); err != nil {
+	infoA, err := st.ReplaceSegments(nil, sealedIndex(docsA))
+	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := st.WriteSegment(sealedIndex(docsB))
+	segA, err := os.ReadFile(infoA.SegmentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := st.ReplaceSegments([]uint64{infoA.SegmentGen}, sealedIndex(docsB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
+	// The crash: generation 1 was never unlinked.
+	if err := os.WriteFile(infoA.SegmentPath, segA, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Flip a byte in the newest segment.
 	data, err := os.ReadFile(info.SegmentPath)
@@ -353,15 +374,15 @@ func TestSegmentFallback(t *testing.T) {
 	}
 	defer st2.Close()
 	rec := st2.Recovered()
-	if rec.SegmentGen != 1 || rec.Index == nil || rec.Index.Len() != len(docsA) {
+	if rec.SegmentGen != 1 || soleSegment(t, rec).Len() != len(docsA) {
 		t.Fatalf("fallback failed: gen=%d docs=%v", rec.SegmentGen, rec.SegmentDocs)
 	}
 	if len(rec.SkippedSegments) != 1 {
 		t.Fatalf("SkippedSegments = %v, want one entry", rec.SkippedSegments)
 	}
 	// The next segment write must not collide with the damaged gen 2.
-	if info, err := st2.WriteSegment(sealedIndex(docsB)); err != nil || info.SegmentGen != 3 {
-		t.Fatalf("next WriteSegment: gen=%d err=%v", info.SegmentGen, err)
+	if info, err := st2.ReplaceSegments(nil, sealedIndex(docsB)); err != nil || info.SegmentGen != 3 {
+		t.Fatalf("next ReplaceSegments: gen=%d err=%v", info.SegmentGen, err)
 	}
 }
 
@@ -373,7 +394,7 @@ func TestOrphanCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteSegment(sealedIndex(corpus(10, 10))); err != nil {
+	if _, err := st.ReplaceSegments(nil, sealedIndex(corpus(10, 10))); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -390,13 +411,13 @@ func TestOrphanCleanup(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Error("orphaned temp file survived Open")
 	}
-	if rec := st2.Recovered(); rec.Index == nil || rec.Index.Len() != 10 {
+	if soleSegment(t, st2.Recovered()).Len() != 10 {
 		t.Error("real segment did not survive orphan cleanup")
 	}
 }
 
-// TestSegmentPruning: after several seals only the newest segment and
-// one fallback generation remain on disk.
+// TestSegmentPruning: after several seals, each superseding the one
+// before, only the live generation remains on disk.
 func TestSegmentPruning(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -404,17 +425,20 @@ func TestSegmentPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	var prev []uint64
 	for i := 0; i < 4; i++ {
-		if _, err := st.WriteSegment(sealedIndex(corpus(10+i, int64(i)))); err != nil {
+		info, err := st.ReplaceSegments(prev, sealedIndex(corpus(10+i, int64(i))))
+		if err != nil {
 			t.Fatal(err)
 		}
+		prev = []uint64{info.SegmentGen}
 	}
 	gens, err := st.scanSegments()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gens, []uint64{3, 4}) {
-		t.Fatalf("segments on disk after pruning: %v, want [3 4]", gens)
+	if !reflect.DeepEqual(gens, []uint64{4}) {
+		t.Fatalf("segments on disk after pruning: %v, want [4]", gens)
 	}
 }
 
