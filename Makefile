@@ -1,15 +1,20 @@
-# Standard gate for every change: `make check` runs vet, build, and the
-# full test suite under the race detector. CI and pre-commit should both
-# use it.
+# Standard gate for every change: `make check` runs vet, the gofmt check,
+# build, and the full test suite under the race detector. CI and
+# pre-commit should both use it.
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-module examples smoke loc knobs
+.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke loc knobs
 
-check: vet build race examples smoke bench-module
+check: vet fmt build race examples smoke bench-module
 
 vet:
 	$(GO) vet ./...
+
+# Fails, naming the files, when a tracked Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -28,6 +33,14 @@ race:
 # Quick loop while developing: skips the slow ASR decodes.
 short:
 	$(GO) test -short ./...
+
+# Ten seconds of each fuzzer past its seeds (`go test` alone runs only
+# those). -fuzz takes one package per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDim$$' -fuzztime 10s ./internal/mining
 
 # The repository's benchmark, declared in BENCHMARK.json: five workloads,
 # five end-to-end metrics and the per-layer budget, printed by

@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bivoc/internal/server"
@@ -46,6 +46,16 @@ type Config struct {
 	// refreshing scatter per quiet period.
 	CacheTTL time.Duration
 }
+
+// shardIdleConns is how many idle connections the default client keeps
+// per shard: well past any concurrency one coordinator serves, so that a
+// wave of requests finds the connections the last wave returned. A quiet
+// coordinator lets go of them after IdleConnTimeout.
+const shardIdleConns = 256
+
+// maxReplyPresize caps the read buffer a shard's Content-Length may
+// reserve up front; a longer reply grows the buffer as it arrives.
+const maxReplyPresize = 1 << 20
 
 func (c Config) shardTimeout() time.Duration {
 	if c.ShardTimeout <= 0 {
@@ -88,6 +98,10 @@ type Coordinator struct {
 	cache  *resultCache
 	slo    *server.SLORecorder
 	life   server.Lifecycle
+
+	// The scatter section of /statsz: /v1/shard requests sent, reply bytes
+	// read, and replies (or partials inside them) rejected as malformed.
+	scatterRequests, scatterBytes, scatterMalformed atomic.Uint64
 }
 
 // NewCoordinator validates the config and builds a coordinator.
@@ -102,17 +116,24 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		eps:    server.NewEndpoints(cfg.Confidence, false),
+		eps:    server.NewEndpoints(cfg.Confidence),
 		client: cfg.Client,
 		cache:  newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
 		slo:    server.NewSLORecorder(),
 	}
 	if c.client == nil {
-		// DisableCompression keeps shard replies plain: the coordinator
-		// re-marshals merged results anyway, so decompressing scatters
-		// would burn shard CPU for loopback-sized hops. Client-facing
-		// coordinator responses still negotiate gzip on their own.
-		c.client = &http.Client{Transport: &http.Transport{DisableCompression: true}}
+		// DisableCompression keeps shard replies plain: compressing and
+		// decompressing scatters would burn CPU on both sides for
+		// loopback-sized hops. Client-facing coordinator responses still
+		// negotiate gzip on their own. The idle pool is sized per shard:
+		// net/http's default of two would close, and the next wave dial
+		// again, every connection past the second that concurrent requests
+		// hand back.
+		c.client = &http.Client{Transport: &http.Transport{
+			DisableCompression:  true,
+			MaxIdleConnsPerHost: shardIdleConns,
+			IdleConnTimeout:     90 * time.Second,
+		}}
 	}
 	c.mux = c.buildMux()
 	return c, nil
@@ -135,33 +156,28 @@ func (c *Coordinator) Addr() string { return c.life.Addr() }
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // Shutdown gracefully stops a Started coordinator; ctx bounds the drain
-// of in-flight requests.
+// of in-flight requests. The shard connections left idle are closed.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	if err := c.life.Shutdown(ctx); err != nil {
 		return fmt.Errorf("fed: %w", err)
 	}
+	c.client.CloseIdleConnections()
 	return nil
 }
 
-// shardReply is one shard's answer to a scatter: an HTTP response
-// (status, generation header, body) or a transport error.
+// shardReply is one shard's answer to a fan-out: an HTTP response
+// (status, generation header, content type, body) or a transport error.
 type shardReply struct {
 	status int
 	gen    string
+	ctype  string
 	body   []byte
 	err    error
 }
 
-// down reports whether this reply means the shard is unusable for the
-// query: unreachable, timed out, or failing internally (5xx). Client
-// errors (4xx) are not down — they are the query's fault and are
-// relayed.
-func (r shardReply) down() bool {
-	return r.err != nil || r.status >= 500
-}
-
-// failure says why an introspection scatter (/healthz, /statsz, which
-// answer 200 whatever the shards say) cannot use this reply; "" for a 200.
+// failure says why this reply cannot be used — the shard is unreachable,
+// timed out, or answered anything but 200, which on every route the
+// coordinator asks means it could not answer; "" for a 200.
 func (r shardReply) failure() string {
 	switch {
 	case r.err != nil:
@@ -172,11 +188,10 @@ func (r shardReply) failure() string {
 	return ""
 }
 
-// scatter sends the same request — GET <shard><path>, or a POST of the
-// JSON payload when there is one — to every shard concurrently, at most
-// MaxFanout in flight and each bounded by ShardTimeout, and returns one
-// reply per shard, in shard order.
-func (c *Coordinator) scatter(ctx context.Context, method, path string, payload []byte) []shardReply {
+// fanout runs ask against every shard concurrently, at most MaxFanout in
+// flight and each bounded by ShardTimeout, and returns one reply per
+// shard, in shard order.
+func (c *Coordinator) fanout(ctx context.Context, ask func(ctx context.Context, base string) (*http.Request, error)) []shardReply {
 	replies := make([]shardReply, len(c.cfg.Shards))
 	sem := make(chan struct{}, c.cfg.maxFanout())
 	var wg sync.WaitGroup
@@ -186,37 +201,58 @@ func (c *Coordinator) scatter(ctx context.Context, method, path string, payload 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			replies[i] = c.doShard(ctx, method, base+path, payload)
+			sctx, cancel := context.WithTimeout(ctx, c.cfg.shardTimeout())
+			defer cancel()
+			req, err := ask(sctx, base)
+			if err != nil {
+				replies[i] = shardReply{err: err}
+				return
+			}
+			replies[i] = c.roundTrip(req)
 		}(i, base)
 	}
 	wg.Wait()
 	return replies
 }
 
-// doShard performs one bounded shard request (GET with a nil payload,
-// POST with a JSON body otherwise).
-func (c *Coordinator) doShard(ctx context.Context, method, url string, payload []byte) shardReply {
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.shardTimeout())
-	defer cancel()
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(sctx, method, url, rd)
-	if err != nil {
-		return shardReply{err: err}
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+// roundTrip performs one shard request and reads the whole reply, into a
+// buffer sized from Content-Length when the shard declares one.
+func (c *Coordinator) roundTrip(req *http.Request) shardReply {
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return shardReply{err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxReplyPresize)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return shardReply{err: err}
 	}
-	return shardReply{status: resp.StatusCode, gen: resp.Header.Get(server.GenerationHeader), body: body}
+	return shardReply{status: resp.StatusCode, gen: resp.Header.Get(server.GenerationHeader),
+		ctype: resp.Header.Get("Content-Type"), body: buf.Bytes()}
+}
+
+// scatter is the query path's one request form: the JSON BatchRequest,
+// POSTed to every shard's /v1/shard.
+func (c *Coordinator) scatter(ctx context.Context, payload []byte) []shardReply {
+	replies := c.fanout(ctx, func(ctx context.Context, base string) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/shard", bytes.NewReader(payload))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		return req, err
+	})
+	c.scatterRequests.Add(uint64(len(replies)))
+	for _, rep := range replies {
+		c.scatterBytes.Add(uint64(len(rep.body)))
+	}
+	return replies
+}
+
+// introspect GETs path (/healthz or /statsz, which stay JSON) from every
+// shard.
+func (c *Coordinator) introspect(ctx context.Context, path string) []shardReply {
+	return c.fanout(ctx, func(ctx context.Context, base string) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	})
 }

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -552,6 +554,7 @@ func TestFedSlowShardTimesOut(t *testing.T) {
 	waitIngestDone(t, fast...)
 
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shardQueries(t, r) // a server sees its client leave only after reading the request
 		select {
 		case <-time.After(2 * time.Second):
 		case <-r.Context().Done():
@@ -691,86 +694,211 @@ func TestFedLocalErrorsStructured(t *testing.T) {
 			t.Errorf("%s: batch sub status mono %d fed %d, want 400", q, monoSubs[i].Status, fedSubs[i].Status)
 		}
 	}
-	// An unknown batch endpoint is the same rejection on both daemons; the
-	// shard-side wire endpoints are unknown to the coordinator only.
-	nope, wire := len(cases), len(cases)+1
-	if fedSubs[nope].Status != http.StatusBadRequest || !bytes.Equal(fedSubs[nope].Body, monoSubs[nope].Body) {
-		t.Errorf("unknown batch endpoint: fed %d %s, mono %d %s", fedSubs[nope].Status, fedSubs[nope].Body, monoSubs[nope].Status, monoSubs[nope].Body)
-	}
-	if want := `{"error":"unknown batch endpoint \"marginals/assoc\"","status":400}`; string(fedSubs[wire].Body) != want {
-		t.Errorf("wire endpoint through the coordinator batch: %s, want %s", fedSubs[wire].Body, want)
+	// An unknown batch endpoint is the same rejection on both daemons, and
+	// what was once the shard-side wire is as unknown as any other name, to
+	// both.
+	for i, name := range []string{"nope", "marginals/assoc"} {
+		want := fmt.Sprintf(`{"error":"unknown batch endpoint \"%s\"","status":400}`, name)
+		for daemon, sub := range map[string]server.BatchResult{"mono": monoSubs[len(cases)+i], "fed": fedSubs[len(cases)+i]} {
+			if sub.Status != http.StatusBadRequest || string(sub.Body) != want {
+				t.Errorf("%s batch, endpoint %q: %d %s, want 400 %s", daemon, name, sub.Status, sub.Body, want)
+			}
+		}
 	}
 }
 
-// TestFedShardShapeMismatch pins the merge's reply validation: a shard
-// whose counts or marginals are shorter or longer than the plan's
-// dimensions is a structured 500 naming the shard — on the GET and as a
-// batch sub-result — never a silent under-count or an index panic,
+// TestFedShardShapeMismatch pins what the coordinator makes of a shard
+// that breaks the exchange — a reply that is no frame, a partial cut
+// short or with bytes to spare, counts or marginals shorter or longer
+// than the plan's dimensions, a drill-down announcing more documents than
+// it may, a document or a relayed error that is not JSON: a structured
+// 500 naming the shard, on the GET and as the batch sub-result, never a
+// silent under-count, an index panic or bytes passed on unchecked,
 // whichever side of a well-formed shard it sits on.
 func TestFedShardShapeMismatch(t *testing.T) {
-	// fakeShard answers the two shard-side queries with fixed bodies,
-	// directly and as /v1/batch sub-results.
-	fakeShard := func(count, assoc string) string {
-		bodies := map[string]string{"count": count, "marginals/assoc": assoc}
+	// fakeShard answers /v1/shard with one result per sub-query, looked up
+	// by endpoint name, in a frame that mangle may damage; it serves
+	// nothing else.
+	type fake struct {
+		results map[string]server.ShardResult
+		ctype   string
+		mangle  func(frame []byte) []byte
+	}
+	fakeShard := func(f fake) string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(server.GenerationHeader, "1")
-			w.Header().Set("Content-Type", "application/json")
-			if r.Method == http.MethodGet {
-				fmt.Fprintln(w, bodies[strings.TrimPrefix(r.URL.Path, "/v1/")])
+			if r.URL.Path != "/v1/shard" {
+				http.NotFound(w, r)
 				return
 			}
-			var req server.BatchRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				t.Error(err)
+			frame := server.ShardFrame{Generation: 1, Sealed: true}
+			for _, q := range shardQueries(t, r) {
+				frame.Results = append(frame.Results, f.results[q.Endpoint])
 			}
-			env := server.BatchResponse{Generation: 1, Sealed: true}
-			for _, q := range req.Queries {
-				env.Results = append(env.Results, server.BatchResult{Status: http.StatusOK, Body: json.RawMessage(bodies[q.Endpoint])})
+			b := frame.Append(nil)
+			if f.mangle != nil {
+				b = f.mangle(b)
 			}
-			json.NewEncoder(w).Encode(env)
+			w.Header().Set(server.GenerationHeader, "1")
+			w.Header().Set("Content-Type", cmp.Or(f.ctype, server.FrameContentType))
+			w.Write(b)
 		}))
 		t.Cleanup(ts.Close)
 		return ts.URL
 	}
-	const head = `"generation":1,"sealed":true`
-	goodCount := `{` + head + `,"total":9,"dims":["parity=even","parity=odd"],"counts":[5,4]}`
-	goodAssoc := `{` + head + `,"rows":["a","b"],"cols":["c"],"marginals":{"n":9,"nver":[5,4],"nhor":[3],"ncell":[[2],[1]]}}`
-	assocWith := func(m string) string { return `{` + head + `,"rows":["a","b"],"cols":["c"],"marginals":` + m + `}` }
-
+	ok := func(partial []byte) server.ShardResult {
+		return server.ShardResult{Status: http.StatusOK, Body: partial}
+	}
+	doc := func(id string) server.ShardDoc {
+		return server.ShardDoc{ID: id, JSON: []byte(`{"id":"` + id + `","fields":{},"time":0,"concepts":[]}`)}
+	}
+	good := map[string]server.ShardResult{
+		"count":     ok(server.AppendCountPartial(nil, 9, []int{5, 4})),
+		"associate": ok(server.AppendAssocPartial(nil, mining.AssocMarginals{N: 9, Nver: []int{5, 4}, Nhor: []int{3}, Ncell: [][]int{{2}, {1}}})),
+		"drilldown": ok(server.AppendDrillDownPartial(nil, 5, []server.ShardDoc{doc("doc-1"), doc("doc-2")})),
+	}
 	countQ := server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even", "parity=odd"}}}
 	assocQ := server.BatchQuery{Endpoint: "associate", Params: url.Values{"row": {"billing[topic]", "coverage[topic]"}, "col": {"parity=even"}}}
+	drillQ := server.BatchQuery{Endpoint: "drilldown", Params: url.Values{"row": {"topic"}, "col": {"parity=even"}, "limit": {"2"}}}
+	queries := []server.BatchQuery{countQ, assocQ, drillQ}
+
+	// with is the good shard answering some endpoints otherwise.
+	with := func(results map[string]server.ShardResult) fake {
+		f := fake{results: map[string]server.ShardResult{}}
+		for name, res := range good {
+			f.results[name] = res
+		}
+		for name, res := range results {
+			f.results[name] = res
+		}
+		return f
+	}
+	shapes := func(total int, counts []int, m mining.AssocMarginals) fake {
+		return with(map[string]server.ShardResult{
+			"count": ok(server.AppendCountPartial(nil, total, counts)), "associate": ok(server.AppendAssocPartial(nil, m))})
+	}
+	each := func(edit func(server.ShardResult) server.ShardResult) fake {
+		f := with(nil)
+		for name, res := range f.results {
+			f.results[name] = edit(res)
+		}
+		return f
+	}
+	drill := func(count int, docs ...server.ShardDoc) fake {
+		return with(map[string]server.ShardResult{"drilldown": ok(server.AppendDrillDownPartial(nil, count, docs))})
+	}
 	for _, c := range []struct {
-		name, count, assoc string
+		name   string
+		bad    fake
+		breaks []server.BatchQuery // every query when nil
 	}{
-		{"short", `{` + head + `,"total":9,"dims":["parity=even"],"counts":[5]}`, assocWith(`{"n":9,"nver":[5],"nhor":[3],"ncell":[[2]]}`)},
-		{"long", `{` + head + `,"total":9,"dims":["a","b","c"],"counts":[5,4,3]}`, assocWith(`{"n":9,"nver":[5,4,3],"nhor":[3,1],"ncell":[[2,1],[1,0],[0,0]]}`)},
-		{"absent", `{` + head + `,"total":9}`, assocWith(`{"n":9}`)},
-		{"ragged", `{` + head + `,"total":9,"counts":[5,4,3]}`, assocWith(`{"n":9,"nver":[5,4],"nhor":[3],"ncell":[[2],[1,7]]}`)},
+		{name: "short", bad: shapes(9, []int{5}, mining.AssocMarginals{N: 9, Nver: []int{5}, Nhor: []int{3}, Ncell: [][]int{{2}}}), breaks: queries[:2]},
+		{name: "long", bad: shapes(9, []int{5, 4, 3}, mining.AssocMarginals{N: 9, Nver: []int{5, 4, 3}, Nhor: []int{3, 1}, Ncell: [][]int{{2, 1}, {1, 0}, {0, 0}}}), breaks: queries[:2]},
+		{name: "absent", bad: shapes(9, nil, mining.AssocMarginals{N: 9}), breaks: queries[:2]},
+		{name: "ragged", bad: shapes(9, []int{5, 4, 3}, mining.AssocMarginals{N: 9, Nver: []int{5, 4}, Nhor: []int{3}, Ncell: [][]int{{2}, {1, 7}}}), breaks: queries[:2]},
+		{name: "content-type", bad: fake{results: good, ctype: "application/json"}},
+		{name: "version", bad: fake{results: good, mangle: func(b []byte) []byte { b[0]++; return b }}},
+		{name: "result-count", bad: fake{results: good, mangle: func(b []byte) []byte {
+			f, err := server.ReadShardFrame(b)
+			if err != nil {
+				t.Error(err)
+			}
+			f.Results = append(f.Results, f.Results[0])
+			return f.Append(nil)
+		}}},
+		{name: "truncated-frame", bad: fake{results: good, mangle: func(b []byte) []byte { return b[:len(b)-1] }}},
+		{name: "truncated-partial", bad: each(func(r server.ShardResult) server.ShardResult { return ok(r.Body[:len(r.Body)-1]) })},
+		{name: "empty-partial", bad: each(func(server.ShardResult) server.ShardResult { return ok(nil) })},
+		{name: "trailing-bytes", bad: each(func(r server.ShardResult) server.ShardResult { return ok(append(r.Body[:len(r.Body):len(r.Body)], 0)) })},
+		{name: "drilldown-over-limit", bad: drill(5, doc("doc-1"), doc("doc-2"), doc("doc-3")), breaks: queries[2:]},
+		{name: "drilldown-over-count", bad: drill(1, doc("doc-1"), doc("doc-2")), breaks: queries[2:]},
+		{name: "drilldown-not-json", bad: drill(5, server.ShardDoc{ID: "doc-0", JSON: []byte(`{"id":"doc-0"`)}), breaks: queries[2:]},
+		{name: "relay-not-json", bad: each(func(server.ShardResult) server.ShardResult {
+			return server.ShardResult{Status: http.StatusBadRequest, Body: []byte(`{"error":"cut sho`)}
+		})},
+		{name: "relay-not-4xx", bad: each(func(server.ShardResult) server.ShardResult {
+			return server.ShardResult{Status: 42, Body: []byte(`{"error":"odd","status":42}`)}
+		})},
 	} {
 		for badAt := 0; badAt < 2; badAt++ {
 			t.Run(fmt.Sprintf("%s/bad-shard-%d", c.name, badAt), func(t *testing.T) {
-				addrs := []string{fakeShard(goodCount, goodAssoc), fakeShard(goodCount, goodAssoc)}
-				addrs[badAt] = fakeShard(c.count, c.assoc)
+				addrs := []string{fakeShard(with(nil)), fakeShard(with(nil))}
+				addrs[badAt] = fakeShard(c.bad)
 				fedBase := "http://" + startCoordinator(t, Config{Shards: addrs}).Addr()
-				_, _, body := postFedBatch(t, fedBase, server.BatchRequest{Queries: []server.BatchQuery{countQ, assocQ}})
+				_, _, body := postFedBatch(t, fedBase, server.BatchRequest{Queries: queries})
 				var env server.BatchResponse
-				if err := json.Unmarshal(body, &env); err != nil || len(env.Results) != 2 {
+				if err := json.Unmarshal(body, &env); err != nil || len(env.Results) != len(queries) {
 					t.Fatalf("batch envelope: %v: %s", err, body)
 				}
-				for i, q := range []server.BatchQuery{countQ, assocQ} {
+				breaks := c.breaks
+				if breaks == nil {
+					breaks = queries
+				}
+				noFrame := c.bad.mangle != nil || c.bad.ctype != ""
+				for i, q := range queries {
 					status, _, body := get(t, fedBase+"/v1/"+q.Endpoint+"?"+url.Values(q.Params).Encode())
 					var fb fedBody
 					if err := json.Unmarshal(body, &fb); err != nil {
 						t.Fatalf("%s: body not structured: %v: %s", q.Endpoint, err, body)
 					}
-					if status != http.StatusInternalServerError || fb.Status != status || !strings.HasPrefix(fb.Error, fmt.Sprintf("shard %d: ", badAt)) {
+					broken := slices.ContainsFunc(breaks, func(b server.BatchQuery) bool { return b.Endpoint == q.Endpoint })
+					switch {
+					case !broken && status != http.StatusOK:
+						t.Errorf("%s: status %d body %s, want the two good partials merged", q.Endpoint, status, body)
+					case broken && (status != http.StatusInternalServerError || fb.Status != status || !strings.HasPrefix(fb.Error, fmt.Sprintf("shard %d: ", badAt))):
 						t.Errorf("%s: status %d body %s, want a structured 500 naming shard %d", q.Endpoint, status, body, badAt)
 					}
-					if sub := env.Results[i]; sub.Status != status || !bytes.Equal(append(append([]byte{}, sub.Body...), '\n'), body) {
+					// The sub-result is the GET's body — except that what is wrong
+					// with a whole frame may be worded in its sizes, which differ
+					// between a frame of three results and a frame of one.
+					sub := env.Results[i]
+					var sb fedBody
+					if err := json.Unmarshal(sub.Body, &sb); err != nil {
+						t.Fatalf("%s: batch sub-result not structured: %v: %s", q.Endpoint, err, sub.Body)
+					}
+					same := bytes.Equal(append(append([]byte{}, sub.Body...), '\n'), body)
+					if noFrame {
+						same = sb.Status == fb.Status && strings.HasPrefix(sb.Error, fmt.Sprintf("shard %d: decoding frame: ", badAt)) == strings.HasPrefix(fb.Error, fmt.Sprintf("shard %d: decoding frame: ", badAt))
+					}
+					if sub.Status != status || !same {
 						t.Errorf("%s: batch sub-result %d %s diverges from GET %d %s", q.Endpoint, sub.Status, sub.Body, status, body)
 					}
 				}
+				// A reply that is no frame is turned down once per request (the
+				// batch, and each GET); a frame with a bad result in it, once per
+				// query that meets it.
+				want := 2 * len(breaks)
+				if noFrame {
+					want = 1 + len(queries)
+				}
+				if sr := fedStatsz(t, fedBase); sr.Scatter.Malformed != uint64(want) {
+					t.Errorf("scatter section counts %d malformed replies, want %d", sr.Scatter.Malformed, want)
+				}
 			})
 		}
+	}
+}
+
+// TestFedShardFrameKeepsNewlineBytes: a partial that ends in 0x0A — a
+// count of 10 in last position — crosses the frame and the coordinator
+// whole: nothing on that path trims a newline the way a batch envelope
+// trims a JSON body's.
+func TestFedShardFrameKeepsNewlineBytes(t *testing.T) {
+	partial := server.AppendCountPartial(nil, 10, []int{10})
+	if partial[len(partial)-1] != '\n' {
+		t.Fatalf("the fixture partial %q does not end in a newline byte", partial)
+	}
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveFrame(w, uniformFrame(1, shardQueries(t, r), http.StatusOK, partial))
+	}))
+	t.Cleanup(shard.Close)
+	fedBase := "http://" + startCoordinator(t, Config{Shards: []string{shard.URL, shard.URL}}).Addr()
+	q := server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even"}}}
+	const want = `{"generation":1,"sealed":true,"total":20,"dims":["parity=even"],"counts":[20]}`
+	if status, _, body := get(t, fedBase+"/v1/count?"+url.Values(q.Params).Encode()); status != http.StatusOK || string(body) != want+"\n" {
+		t.Errorf("GET: %d %s, want %s", status, body, want)
+	}
+	_, _, body := postFedBatch(t, fedBase, server.BatchRequest{Queries: []server.BatchQuery{q, q}})
+	if want := `{"generation":1,"sealed":true,"results":[{"status":200,"body":` + want + `},{"status":200,"body":` + want + `}]}` + "\n"; string(body) != want {
+		t.Errorf("batch: %s, want %s", body, want)
 	}
 }

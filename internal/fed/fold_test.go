@@ -9,40 +9,60 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
 	"bivoc/internal/server"
 )
 
-// stubShard answers every request the same way: GETs with status and
-// body (plus the newline a daemon ends a body with), /v1/batch POSTs
-// with batchStatus and, when that is 200, an envelope holding one
-// sub-result of status and body per sub-query.
-func stubShard(t *testing.T, gen string, status, batchStatus int, body string) string {
+// serveFrame answers a /v1/shard request with the frame.
+func serveFrame(w http.ResponseWriter, f server.ShardFrame) {
+	w.Header().Set(server.GenerationHeader, strconv.FormatUint(f.Generation, 10))
+	w.Header().Set("Content-Type", server.FrameContentType)
+	w.Write(f.Append(nil))
+}
+
+// uniformFrame is a sealed frame answering every query alike.
+func uniformFrame(gen uint64, queries []server.BatchQuery, status int, body []byte) server.ShardFrame {
+	frame := server.ShardFrame{Generation: gen, Sealed: true}
+	for range queries {
+		frame.Results = append(frame.Results, server.ShardResult{Status: status, Body: body})
+	}
+	return frame
+}
+
+// shardQueries decodes the request a coordinator sent to /v1/shard.
+func shardQueries(t *testing.T, r *http.Request) []server.BatchQuery {
+	t.Helper()
+	var req server.BatchRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || r.Method != http.MethodPost || r.URL.Path != "/v1/shard" {
+		t.Errorf("fake shard: %s %s: %v", r.Method, r.URL.Path, err)
+	}
+	return req.Queries
+}
+
+// stubShard answers every /v1/shard request the same way: with
+// frameStatus and, when that is 200, a frame at generation gen holding
+// one sub-result of status and body per sub-query; any other frameStatus
+// is sent with body (plus the newline a daemon ends a JSON body with). It
+// serves nothing else.
+func stubShard(t *testing.T, gen uint64, status, frameStatus int, body string) string {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.GenerationHeader, gen)
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodGet {
-			w.WriteHeader(status)
+		if r.URL.Path != "/v1/shard" {
+			http.NotFound(w, r)
+			return
+		}
+		queries := shardQueries(t, r)
+		if frameStatus != http.StatusOK {
+			w.Header().Set(server.GenerationHeader, strconv.FormatUint(gen, 10))
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(frameStatus)
 			io.WriteString(w, body+"\n")
 			return
 		}
-		w.WriteHeader(batchStatus)
-		if batchStatus != http.StatusOK {
-			io.WriteString(w, body+"\n")
-			return
-		}
-		var req server.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("stub shard: %v", err)
-		}
-		env := server.BatchResponse{Generation: 7, Sealed: true}
-		for range req.Queries {
-			env.Results = append(env.Results, server.BatchResult{Status: status, Body: json.RawMessage(body)})
-		}
-		json.NewEncoder(w).Encode(env)
+		serveFrame(w, uniformFrame(gen, queries, status, []byte(body)))
 	}))
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -67,6 +87,11 @@ func TestFedGetAndBatchShareOneFold(t *testing.T) {
 	const failing = `{"error":"wedged","status":500}`
 	const rejected = `{"error":"no such dimension","status":400}`
 
+	missingOneAndTwo := func(body []byte) bool {
+		var fb fedBody
+		return json.Unmarshal(body, &fb) == nil && fb.Degraded && len(fb.MissingShards) == 2 &&
+			fb.MissingShards[0] == 1 && fb.MissingShards[1] == 2
+	}
 	params := url.Values{"dim": {"parity=even", "topic"}}
 	for _, tc := range []struct {
 		name       string
@@ -77,21 +102,26 @@ func TestFedGetAndBatchShareOneFold(t *testing.T) {
 	}{
 		{
 			name:       "one shard down, one answering 500",
-			shards:     []string{"http://" + live.Addr(), dead, stubShard(t, "9", 500, 500, failing)},
+			shards:     []string{"http://" + live.Addr(), dead, stubShard(t, 9, 500, 500, failing)},
 			wantStatus: http.StatusOK,
 			wantVec:    "1,-,-",
-			wantBody: func(body []byte) bool {
-				var fb fedBody
-				return json.Unmarshal(body, &fb) == nil && fb.Degraded && len(fb.MissingShards) == 2 &&
-					fb.MissingShards[0] == 1 && fb.MissingShards[1] == 2
-			},
+			wantBody:   missingOneAndTwo,
+		},
+		{
+			// The frame is sound, so its generation is known; the query's
+			// result in it is a 5xx, so the shard is missing for the query.
+			name:       "one shard down, one failing the query inside its frame",
+			shards:     []string{"http://" + live.Addr(), dead, stubShard(t, 9, 500, 200, failing)},
+			wantStatus: http.StatusOK,
+			wantVec:    "1,-,9",
+			wantBody:   missingOneAndTwo,
 		},
 		{
 			name: "every shard rejects the query",
 			shards: []string{
-				stubShard(t, "7", 400, 200, rejected),
-				stubShard(t, "7", 400, 200, `{"error":"second shard's wording","status":400}`),
-				stubShard(t, "7", 400, 200, rejected),
+				stubShard(t, 7, 400, 200, rejected),
+				stubShard(t, 7, 400, 200, `{"error":"second shard's wording","status":400}`),
+				stubShard(t, 7, 400, 200, rejected),
 			},
 			wantStatus: http.StatusBadRequest,
 			wantVec:    "7,7,7",

@@ -1,9 +1,12 @@
 package fed
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"bivoc/internal/server"
@@ -11,8 +14,8 @@ import (
 
 // The coordinator has no query grammar of its own: every /v1 query is
 // planned by the endpoint table in internal/server, and what is here is
-// the transport around a plan — scatter its shard-side form, fold the
-// replies (the plan merges the live ones), cache and write. The
+// the transport around a plan — exchange the query for the shards'
+// partials, fold them (the plan merges the live ones), cache and write. The
 // response types are the single-node ones, whose trailing
 // server.FedStatus stays empty (and so invisible) while every shard
 // answers; the full per-shard generation vector rides the
@@ -58,10 +61,21 @@ type StatszResponse struct {
 	Generations  []string              `json:"generations"`
 	Cache        server.CacheStatsJSON `json:"cache"`
 	FedCache     server.CacheStatsJSON `json:"fed_cache"`
+	Scatter      ScatterStatsJSON      `json:"scatter"`
 	Serving      server.ServingJSON    `json:"serving"`
 	ShardServing server.ServingJSON    `json:"shard_serving"`
 	Shards       []ShardStatsz         `json:"shards"`
 	server.FedStatus
+}
+
+// ScatterStatsJSON is the scatter section of /statsz: the query path's
+// traffic between daemons, which no longer shows up as JSON anywhere —
+// /v1/shard requests sent, bytes of reply read, and replies (or partials
+// inside them) rejected as malformed.
+type ScatterStatsJSON struct {
+	Requests   uint64 `json:"requests"`
+	ReplyBytes uint64 `json:"reply_bytes"`
+	Malformed  uint64 `json:"malformed"`
 }
 
 // buildMux wires the coordinator routes: the public endpoints of the
@@ -119,7 +133,7 @@ func (c *Coordinator) classify(replies []shardReply) (missing []int, genVec []st
 // write: a shard's 4xx to pass on as it came, or the merged body, or the
 // status and error that took its place.
 type outcome struct {
-	relay  *server.BatchResult
+	relay  *server.ShardResult
 	body   *server.CachedBody
 	status int
 	err    error
@@ -127,13 +141,15 @@ type outcome struct {
 }
 
 // write answers a GET with the outcome; the caller has set the generation
-// vector. A relayed or local error is sent plain, as a daemon sends one.
+// vector. A relayed or local error is sent plain, as a daemon sends one —
+// the relayed one with the newline a frame does not carry.
 func (o outcome) write(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case o.relay != nil:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(o.relay.Status)
 		w.Write(o.relay.Body)
+		io.WriteString(w, "\n")
 	case o.err != nil:
 		server.WriteError(w, o.status, o.err, o.fs)
 	default:
@@ -144,61 +160,128 @@ func (o outcome) write(w http.ResponseWriter, r *http.Request) {
 // batchResult is the outcome as one sub-result of a /v1/batch envelope.
 func (o outcome) batchResult() server.BatchResult {
 	if o.relay != nil {
-		return *o.relay
+		return server.BatchResult{Status: o.relay.Status, Body: o.relay.Body}
 	}
 	return server.NewBatchResult(o.body, o.status, o.err, o.fs)
 }
 
-// fold decides one query's outcome from its per-shard results — the sub-th
-// of each shard's batch, or a GET's replies as one-result lists.
-// results[s] is nil when shard s was down for the whole request and a 5xx
-// result makes it missing for this query only; the first 4xx is the
-// query's fault the same way on every shard, so it is relayed verbatim;
-// otherwise the plan merges the 200s, a 503 when there are none (the only
-// condition that fails a query) and a structured 500 when one breaks the
-// wire contract. A body merged over the whole fleet (full: vec has no
-// gap) is memoized under vec, shared with the cache so that a later
-// gzip-accepting replay reuses the compression whichever request pays it.
-func (c *Coordinator) fold(p *server.Plan, sub int, results [][]server.BatchResult, vec string, full bool) outcome {
-	var live []server.ShardBody
-	var missing []int
-	var relay *server.BatchResult
-	for s, rs := range results {
-		switch {
-		case rs == nil || rs[sub].Status >= 500:
-			missing = append(missing, s)
-		case rs[sub].Status != http.StatusOK:
-			if relay == nil {
-				relay = &rs[sub]
-			}
-		default:
-			live = append(live, server.ShardBody{Shard: s, Body: rs[sub].Body})
+// shardAnswer is what one shard contributed to an exchange: its frame;
+// or nothing, because it is down for the whole request (both nil); or the
+// error that names it, because its reply is not the frame asked for.
+type shardAnswer struct {
+	frame *server.ShardFrame
+	err   error
+}
+
+// exchange asks every shard for its partials of the planned sub-queries —
+// one /v1/shard request each, a GET being a batch of one — and sorts the
+// replies: a frame of one result per query contributes its generation to
+// the vector; a shard that is unreachable or answers anything but 200 is
+// down for this request; a 200 that is anything else is malformed.
+func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery) (answers []shardAnswer, genVec []string, down []int) {
+	// Marshalling strings cannot fail.
+	payload, _ := json.Marshal(server.BatchRequest{Queries: queries})
+	answers, genVec = make([]shardAnswer, len(c.cfg.Shards)), c.blankVec()
+	for s, rep := range c.scatter(ctx, payload) {
+		if rep.failure() != "" {
+			down = append(down, s)
+			continue
 		}
+		frame, err := readFrame(rep, len(queries))
+		if err != nil {
+			c.scatterMalformed.Add(1)
+			answers[s].err = fmt.Errorf("shard %d: %w", s, err)
+			continue
+		}
+		answers[s].frame = &frame
+		genVec[s] = strconv.FormatUint(frame.Generation, 10)
 	}
-	if relay != nil {
-		return outcome{relay: relay}
+	return answers, genVec, down
+}
+
+// readFrame decodes a 200 reply to a request of n sub-queries; its
+// results alias the reply's buffer.
+func readFrame(rep shardReply, n int) (server.ShardFrame, error) {
+	if rep.ctype != server.FrameContentType {
+		return server.ShardFrame{}, fmt.Errorf("reply is %q, not a %s", rep.ctype, server.FrameContentType)
 	}
-	fs := fedStatus(missing)
-	if len(live) == 0 {
-		return outcome{status: http.StatusServiceUnavailable, err: fmt.Errorf("all %d shards unavailable", len(c.cfg.Shards)), fs: fs}
-	}
-	var body []byte
-	v, err := p.Merge(live, fs)
-	if err == nil {
-		body, err = json.Marshal(v)
+	frame, err := server.ReadShardFrame(rep.body)
+	if err == nil && len(frame.Results) != n {
+		err = fmt.Errorf("%d results for %d queries", len(frame.Results), n)
 	}
 	if err != nil {
+		return server.ShardFrame{}, fmt.Errorf("decoding frame: %w", err)
+	}
+	return frame, nil
+}
+
+// fold decides one query's outcome from the sub-th result of every
+// shard's frame. A shard that was down for the whole request, or whose
+// result is a 5xx, is missing for this query; a malformed reply fails it
+// with a structured 500 naming the shard; the first 4xx is the query's
+// fault the same way on every shard, so it is relayed as it came, once
+// checked to be JSON; otherwise the plan merges the 200s, a 503 when
+// there are none (the only condition that fails a query) and a structured
+// 500 when a partial breaks the exchange. A body merged over the whole
+// fleet (full: vec has no gap) is memoized under vec, shared with the
+// cache so that a later gzip-accepting replay reuses the compression
+// whichever request pays it. Results alias their replies' buffers; the
+// merged body, the one thing kept, does not.
+func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec string, full bool) outcome {
+	var live []server.ShardBody
+	var missing []int
+	var relay *server.ShardResult
+	var err error
+	malformed := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	for s, a := range answers {
+		if a.err != nil {
+			malformed(a.err)
+			continue
+		}
+		if a.frame == nil {
+			missing = append(missing, s)
+			continue
+		}
+		switch res := &a.frame.Results[sub]; {
+		case res.Status == http.StatusOK:
+			live = append(live, server.ShardBody{Shard: s, Generation: a.frame.Generation,
+				Sealed: a.frame.Sealed, Body: res.Body})
+		case res.Status >= 500:
+			missing = append(missing, s)
+		case res.Status < 400 || !json.Valid(res.Body):
+			c.scatterMalformed.Add(1)
+			malformed(fmt.Errorf("shard %d: status %d result is not a JSON error to relay", s, res.Status))
+		case relay == nil:
+			relay = res
+		}
+	}
+	fs := fedStatus(missing)
+	switch {
+	case err != nil:
+		return outcome{status: http.StatusInternalServerError, err: err, fs: fs}
+	case relay != nil:
+		return outcome{relay: relay}
+	case len(live) == 0:
+		return outcome{status: http.StatusServiceUnavailable, err: fmt.Errorf("all %d shards unavailable", len(c.cfg.Shards)), fs: fs}
+	}
+	body, err := p.Merge(live, fs)
+	if err != nil {
+		c.scatterMalformed.Add(1)
 		return outcome{status: http.StatusInternalServerError, err: err, fs: fs}
 	}
-	cb := &server.CachedBody{Plain: append(body, '\n')}
+	cb := &server.CachedBody{Plain: body}
 	if full && len(missing) == 0 {
 		c.cache.put(p.Key, vec, cb)
 	}
 	return outcome{body: cb, status: http.StatusOK, fs: fs}
 }
 
-// writeOK writes an introspection or envelope 200 under the gathered
-// generation vector, gzip-encoded when the client negotiated it.
+// writeOK writes an introspection 200 under the gathered generation
+// vector, gzip-encoded when the client negotiated it.
 func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, genVec []string, v any) {
 	w.Header().Set(server.GenerationHeader, joinVec(genVec))
 	body, err := json.Marshal(v)
@@ -209,8 +292,8 @@ func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, genVec []s
 	server.WriteJSONBody(w, r, http.StatusOK, &server.CachedBody{Plain: append(body, '\n')})
 }
 
-// decodeShard unmarshals one shard reply, surfacing a shard that
-// violates the wire contract as a coordinator-internal error.
+// decodeShard unmarshals one shard's introspection reply, surfacing a
+// shard that answers anything else as a coordinator-internal error.
 func decodeShard(rep shardReply, shard int, v any) error {
 	if err := json.Unmarshal(rep.body, v); err != nil {
 		return fmt.Errorf("shard %d: decoding response: %w", shard, err)
@@ -220,12 +303,13 @@ func decodeShard(rep shardReply, shard int, v any) error {
 
 // handleQuery serves GET /v1/<name>: plan, consult the generation-vector
 // result cache — a hit serves the previously merged bytes without
-// touching any shard — and on a miss scatter the plan's shard-side form
-// and write what fold makes of the replies. A parse failure never
+// touching any shard — and on a miss exchange the query as a batch of one
+// and write what fold makes of the frames. A parse failure never
 // scatters, so it keeps the wrapper's no-information vector.
 func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		p, err := c.eps.Plan(name, r.URL.Query())
+		q := r.URL.Query()
+		p, err := c.eps.Plan(name, q)
 		if err != nil {
 			server.WriteError(w, http.StatusBadRequest, err, server.FedStatus{})
 			return
@@ -235,20 +319,10 @@ func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 			server.WriteJSONBody(w, r, http.StatusOK, cb)
 			return
 		}
-		replies := c.scatter(r.Context(), http.MethodGet, "/v1/"+p.ShardEndpoint+"?"+p.ShardParams.Encode(), nil)
-		genVec := c.blankVec()
-		ones := make([]server.BatchResult, len(replies))
-		results := make([][]server.BatchResult, len(replies))
-		for s, rep := range replies {
-			if !rep.down() {
-				genVec[s] = rep.gen
-				ones[s] = server.BatchResult{Status: rep.status, Body: rep.body}
-				results[s] = ones[s : s+1]
-			}
-		}
+		answers, genVec, _ := c.exchange(r.Context(), []server.BatchQuery{{Endpoint: name, Params: q}})
 		vec, full := c.observe(genVec)
 		w.Header().Set(server.GenerationHeader, vec)
-		c.fold(p, 0, results, vec, full).write(w, r)
+		c.fold(p, 0, answers, vec, full).write(w, r)
 	}
 }
 
@@ -265,7 +339,7 @@ func (c *Coordinator) observe(genVec []string) (vec string, full bool) {
 // GET /healthz — always 200 while the coordinator serves; aggregates
 // per-shard health and degrades on any unreachable or degraded shard.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	replies := c.scatter(r.Context(), http.MethodGet, "/healthz", nil)
+	replies := c.introspect(r.Context(), "/healthz")
 	missing, genVec := c.classify(replies)
 	resp := HealthResponse{Status: "ok", Shards: make([]ShardHealth, len(c.cfg.Shards)), FedStatus: fedStatus(missing)}
 	if resp.Degraded {
@@ -307,7 +381,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // GET /statsz — fleet-wide document/segment/cache sums plus each
 // shard's own stats section verbatim.
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	replies := c.scatter(r.Context(), http.MethodGet, "/statsz", nil)
+	replies := c.introspect(r.Context(), "/statsz")
 	missing, genVec := c.classify(replies)
 	fedHits, fedMisses, fedSize := c.cache.stats()
 	resp := StatszResponse{
@@ -317,6 +391,11 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Misses:   fedMisses,
 			Size:     fedSize,
 			Capacity: c.cfg.cacheSize(),
+		},
+		Scatter: ScatterStatsJSON{
+			Requests:   c.scatterRequests.Load(),
+			ReplyBytes: c.scatterBytes.Load(),
+			Malformed:  c.scatterMalformed.Load(),
 		},
 		Serving:   c.slo.Snapshot(),
 		Shards:    make([]ShardStatsz, len(c.cfg.Shards)),

@@ -3,11 +3,13 @@ package fed
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,9 +57,7 @@ func TestFedMaxFanoutBoundsConcurrency(t *testing.T) {
 			}
 		}
 		time.Sleep(30 * time.Millisecond)
-		w.Header().Set(server.GenerationHeader, "1")
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"generation":1,"sealed":true,"total":0,"dims":["parity=even"],"counts":[0]}`)
+		serveFrame(w, uniformFrame(1, shardQueries(t, r), http.StatusOK, server.AppendCountPartial(nil, 0, []int{0})))
 	}))
 	t.Cleanup(counting.Close)
 
@@ -103,7 +103,10 @@ func TestFedMaxFanoutBoundsConcurrency(t *testing.T) {
 func TestFedMaxFanoutBoundsSlowShards(t *testing.T) {
 	const shards, fanout = 6, 2
 	timeout := 100 * time.Millisecond
+	// A server notices that its client has gone only once it has read the
+	// request it was sent, as a daemon does before anything else.
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shardQueries(t, r)
 		<-r.Context().Done()
 	}))
 	t.Cleanup(hung.Close)
@@ -138,6 +141,58 @@ func TestFedMaxFanoutBoundsSlowShards(t *testing.T) {
 	}
 	if elapsed > 10*timeout {
 		t.Fatalf("scatter over hung shards took %v, want ~%v", elapsed, 3*timeout)
+	}
+}
+
+// TestFedDefaultClientReusesShardConnections pins the default client's
+// idle pool, which no other test meets (startCoordinator substitutes a
+// client with keep-alives off): after a warm-up wave, 20 waves of 16
+// concurrent queries open no more than 16 connections to the shard in
+// all. With net/http's default of two idle connections per host, every
+// wave closed 14 of the connections it returned and the next dialed them
+// again — about 250 dials for the 320 requests.
+func TestFedDefaultClientReusesShardConnections(t *testing.T) {
+	const concurrency, waves = 16, 20
+	var dials atomic.Int64
+	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveFrame(w, uniformFrame(1, shardQueries(t, r), http.StatusOK, server.AppendCountPartial(nil, 0, []int{0})))
+	}))
+	shard.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	shard.Start()
+	t.Cleanup(shard.Close)
+
+	c, err := NewCoordinator(Config{Shards: []string{shard.URL}, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := c.Handler()
+	wave := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < concurrency; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/count?dim=parity%3Deven", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("status %d, body %s", rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	wave()
+	warm := dials.Load()
+	for i := 0; i < waves; i++ {
+		wave()
+	}
+	if got := dials.Load() - warm; got > concurrency {
+		t.Errorf("%d requests at concurrency %d opened %d connections after the %d of the warm-up wave, want at most %d",
+			waves*concurrency, concurrency, got, warm, concurrency)
 	}
 }
 
@@ -193,9 +248,11 @@ func TestFedCacheHitSkipsScatter(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("first query: status %d", status)
 	}
-	scattered := shardEndpointRequests(t, "/v1/count", shards...)
-	if scattered != k {
-		t.Fatalf("first query hit %d shard count endpoints, want %d", scattered, k)
+	// A federated GET is a batch of one: it counts under the shards'
+	// /v1/shard, the one route the coordinator asks, not under /v1/count.
+	scattered := shardEndpointRequests(t, "/v1/shard", shards...)
+	if scattered != k || shardEndpointRequests(t, "/v1/count", shards...) != 0 {
+		t.Fatalf("first query hit %d shard exchange endpoints, want %d (and no /v1/count)", scattered, k)
 	}
 
 	status, hdr2, body2 := get(t, q)
@@ -208,8 +265,8 @@ func TestFedCacheHitSkipsScatter(t *testing.T) {
 	if v1, v2 := hdr1.Get(server.GenerationHeader), hdr2.Get(server.GenerationHeader); v1 != v2 {
 		t.Fatalf("cached generation vector %q, want %q", v2, v1)
 	}
-	if again := shardEndpointRequests(t, "/v1/count", shards...); again != scattered {
-		t.Fatalf("cache hit still scattered: shard count requests %d → %d", scattered, again)
+	if again := shardEndpointRequests(t, "/v1/shard", shards...); again != scattered {
+		t.Fatalf("cache hit still scattered: shard exchange requests %d → %d", scattered, again)
 	}
 
 	sr := fedStatsz(t, fedBase)
@@ -344,8 +401,8 @@ func TestFedDegradedNeverCached(t *testing.T) {
 			t.Fatalf("degraded query %d vector %q has no gap", i, vec)
 		}
 	}
-	if got := shardEndpointRequests(t, "/v1/count", shards[0]); got != 2 {
-		t.Fatalf("live shard served %d count requests, want 2 (degraded queries must scatter every time)", got)
+	if got := shardEndpointRequests(t, "/v1/shard", shards[0]); got != 2 {
+		t.Fatalf("live shard served %d exchange requests, want 2 (degraded queries must scatter every time)", got)
 	}
 	sr := fedStatsz(t, fedBase)
 	if sr.FedCache.Size != 0 || sr.FedCache.Hits != 0 {
@@ -452,10 +509,13 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 	if !env.Sealed || env.Degraded {
 		t.Fatalf("healthy sealed batch envelope: sealed=%v degraded=%v", env.Sealed, env.Degraded)
 	}
-	// One scatter for the whole batch: each shard's batch endpoint ran
-	// once and its GET query endpoints not at all.
-	if got := shardEndpointRequests(t, "/v1/batch", shards...); got != k {
-		t.Fatalf("batch hit %d shard batch endpoints, want %d", got, k)
+	// One scatter for the whole batch: each shard's exchange endpoint ran
+	// once and its public endpoints not at all.
+	if got := shardEndpointRequests(t, "/v1/shard", shards...); got != k {
+		t.Fatalf("batch hit %d shard exchange endpoints, want %d", got, k)
+	}
+	if got := shardEndpointRequests(t, "/v1/batch", shards...) + shardEndpointRequests(t, "/v1/count", shards...); got != 0 {
+		t.Fatalf("batch hit %d public shard endpoints, want none", got)
 	}
 
 	checkSubs := func(env server.BatchResponse, wantDegraded bool) {
@@ -549,13 +609,13 @@ func TestFedBatchPopulatesCoordinatorCache(t *testing.T) {
 		t.Fatalf("batch sub failed: %s", env.Results[0].Body)
 	}
 
-	before := shardEndpointRequests(t, "/v1/count", shards...)
+	before := shardEndpointRequests(t, "/v1/shard", shards...)
 	gs, _, got := get(t, fedBase+"/v1/count?dim="+url.QueryEscape(getDim))
 	if gs != http.StatusOK {
 		t.Fatalf("GET after batch: status %d", gs)
 	}
-	if after := shardEndpointRequests(t, "/v1/count", shards...); after != before {
-		t.Fatalf("GET after batch scattered (%d → %d shard count requests), want coordinator cache hit", before, after)
+	if after := shardEndpointRequests(t, "/v1/shard", shards...); after != before || before != k {
+		t.Fatalf("GET after batch scattered (%d → %d shard exchange requests), want coordinator cache hit", before, after)
 	}
 	if want := append(append([]byte{}, env.Results[0].Body...), '\n'); !bytes.Equal(got, want) {
 		t.Fatalf("cached GET diverges from batch sub-result\n  get: %s\nbatch: %s", got, want)
@@ -619,7 +679,8 @@ func TestFedBatchValidation(t *testing.T) {
 // TestFedStatszServingSections pins the SLO sections of the federated
 // /statsz: the coordinator's own per-endpoint counters and the
 // element-wise sum of the shards', with bucket totals matching request
-// totals.
+// totals — and its scatter section, which counts the exchange nothing
+// else shows: requests sent, reply bytes read, replies turned down.
 func TestFedStatszServingSections(t *testing.T) {
 	const k = 2
 	docs := testDocs(60)
@@ -656,17 +717,79 @@ func TestFedStatszServingSections(t *testing.T) {
 			t.Fatalf("serving[%s]: bucket sum %d != requests %d", path, sum, es.Requests)
 		}
 	}
-	// The shards saw one count scatter (the first; two were coordinator
-	// cache hits) and one batch scatter — k requests each, plus the
-	// trend scatter.
-	if es := sr.ShardServing.Endpoints["/v1/count"]; es.Requests != k {
-		t.Fatalf("shard_serving[/v1/count] = %d requests, want %d", es.Requests, k)
+	// The shards saw three scatters of k requests each — one count (the
+	// first; two were coordinator cache hits), the trend and the batch —
+	// all on /v1/shard, the one route the coordinator asks on the query
+	// path: a federated GET no longer counts under the shards' /v1/count.
+	if es := sr.ShardServing.Endpoints["/v1/shard"]; es.Requests != 3*k {
+		t.Fatalf("shard_serving[/v1/shard] = %d requests, want %d", es.Requests, 3*k)
 	}
-	if es := sr.ShardServing.Endpoints["/v1/batch"]; es.Requests != k {
-		t.Fatalf("shard_serving[/v1/batch] = %d requests, want %d", es.Requests, k)
+	for _, path := range []string{"/v1/count", "/v1/trend", "/v1/batch"} {
+		if es := sr.ShardServing.Endpoints[path]; es.Requests != 0 {
+			t.Fatalf("shard_serving[%s] = %d requests, want none", path, es.Requests)
+		}
 	}
-	if es := sr.ShardServing.Endpoints["/v1/trend"]; es.Requests != k {
-		t.Fatalf("shard_serving[/v1/trend] = %d requests, want %d", es.Requests, k)
+	if sr.Scatter.Requests != 3*k || sr.Scatter.Malformed != 0 {
+		t.Fatalf("scatter section %+v after three scatters of a healthy fleet", sr.Scatter)
+	}
+
+	// One GET and one batch over a fleet with a third shard that answers
+	// 200 with something that is no frame: each sends three requests,
+	// reads what the shards send for it — asked of them directly here —
+	// and turns one reply down.
+	const garbage = "not a frame\n"
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", server.FrameContentType)
+		io.WriteString(w, garbage)
+	}))
+	t.Cleanup(broken.Close)
+	fedBase = "http://" + startCoordinator(t, Config{Shards: append(shardAddrs(shards), broken.URL)}).Addr()
+	frameBytes := func(queries ...server.BatchQuery) (n uint64) {
+		payload, err := json.Marshal(server.BatchRequest{Queries: queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range shards {
+			resp, err := testClient.Post("http://"+s.Addr()+"/v1/shard", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("shard /v1/shard: %d %v", resp.StatusCode, err)
+			}
+			n += uint64(len(body))
+		}
+		return n + uint64(len(garbage))
+	}
+	getQ := server.BatchQuery{Endpoint: "relfreq", Params: url.Values{"category": {"topic"}, "featured": {"parity=even"}}}
+	batchQs := []server.BatchQuery{
+		{Endpoint: "count", Params: url.Values{"dim": {"parity=odd"}}},
+		{Endpoint: "drilldown", Params: url.Values{"row": {"topic"}, "col": {"parity=even"}}},
+	}
+	var want ScatterStatsJSON
+	for _, step := range []struct {
+		ask        func() (int, http.Header, []byte)
+		wantStatus int // the batch is a 200 envelope of 500s
+		bytes      uint64
+	}{
+		{func() (int, http.Header, []byte) {
+			return get(t, fedBase+"/v1/"+getQ.Endpoint+"?"+url.Values(getQ.Params).Encode())
+		}, http.StatusInternalServerError, frameBytes(getQ)},
+		{func() (int, http.Header, []byte) {
+			return postFedBatch(t, fedBase, server.BatchRequest{Queries: batchQs})
+		}, http.StatusOK, frameBytes(batchQs...)},
+	} {
+		if status, _, body := step.ask(); status != step.wantStatus || !bytes.Contains(body, []byte(`"shard 2: `)) {
+			t.Fatalf("with a shard that sends no frame: %d %s", status, body)
+		}
+		want.Requests += k + 1
+		want.ReplyBytes += step.bytes
+		want.Malformed++
+		if got := fedStatsz(t, fedBase).Scatter; got != want {
+			t.Fatalf("scatter section %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func TestLinkNaiveOracleEquivalence(t *testing.T) {
 		{{Text: "mary", Type: TokName}, {Text: "150", Type: TokAmount}},
 		{{Text: "4111222233334444", Type: TokDigits}},
 		{{Text: "robert", Type: TokName}, {Text: "robert", Type: TokName}}, // duplicate tokens share memo
-		{{Text: "zzzz", Type: TokName}},                                   // no candidates anywhere
+		{{Text: "zzzz", Type: TokName}},                                    // no candidates anywhere
 		{},
 	}
 	defer func() { UseNaiveSimilarity = false }()

@@ -87,7 +87,7 @@ func TestOpenLoopRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := server.NewEndpoints(0, false)
+	eps := server.NewEndpoints(0)
 	keys := map[string]bool{}
 	for i := range queries {
 		if queries[i].Endpoint != again[i].Endpoint {

@@ -111,7 +111,7 @@ func SynthesizeQueries(v Vocab, n int, seed int64) ([]QuerySpec, error) {
 		}
 	}
 
-	eps := server.NewEndpoints(0, false)
+	eps := server.NewEndpoints(0)
 	seen := make(map[string]bool, n)
 	out := make([]QuerySpec, 0, n)
 	// A draw that repeats a key already in the pool is thrown away; a

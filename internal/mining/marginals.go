@@ -5,9 +5,9 @@ import "sort"
 // Marginal extraction — the integer halves of the split operations in
 // merge.go, as implemented by the monolithic Index. SegmentSet carries
 // the fan-in versions (merge the per-segment extractions), and the
-// serving layer exposes these on the shard-side /v1/marginals/*
-// endpoints so a federation coordinator can finish the float math once
-// over merged counts.
+// serving layer sends these to a federation coordinator as the partials
+// of its /v1/shard exchange, so that the coordinator can finish the float
+// math once over merged counts.
 
 // ConceptDF returns a category's vocabulary with document frequencies,
 // in report order (frequency descending, ties lexicographic) — the

@@ -15,16 +15,15 @@ import (
 // assembled from N parts is byte-identical to the same operation over
 // the union corpus. Both in-process segment fan-in (SegmentSet) and the
 // cross-process federation coordinator (internal/fed) call exactly
-// these helpers; neither carries its own copy of the math.
-//
-// The marginal types carry JSON tags because they are also the wire
-// format of the shard-side /v1/marginals/* endpoints.
+// these helpers; neither carries its own copy of the math. Between
+// daemons the marginal types travel as the partials of the /v1/shard
+// exchange (internal/server/partials.go).
 
 // ConceptCount is one concept's document frequency within a category —
 // the merged-df unit behind ConceptsInCategory's report order.
 type ConceptCount struct {
-	Concept string `json:"concept"`
-	DF      int    `json:"df"`
+	Concept string
+	DF      int
 }
 
 // MergeConceptCounts sums document frequencies per concept across parts
@@ -64,9 +63,9 @@ func ConceptNames(counts []ConceptCount) []string {
 // relative-frequency report: its document frequency inside the featured
 // subset and in the whole part.
 type ConceptMarginal struct {
-	Concept  string `json:"concept"`
-	InSubset int    `json:"in_subset"`
-	InAll    int    `json:"in_all"`
+	Concept  string
+	InSubset int
+	InAll    int
 }
 
 // RelFreqMarginals are the integer marginals of one relative-frequency
@@ -74,9 +73,9 @@ type ConceptMarginal struct {
 // subset's size within it, and per-concept counts (sorted by concept
 // for a deterministic wire form).
 type RelFreqMarginals struct {
-	N          int               `json:"n"`
-	SubsetSize int               `json:"subset_size"`
-	Concepts   []ConceptMarginal `json:"concepts"`
+	N          int
+	SubsetSize int
+	Concepts   []ConceptMarginal
 }
 
 // MergeRelFreqMarginals merges relative-frequency marginals from parts
@@ -144,10 +143,10 @@ func FinalizeRelFreq(m RelFreqMarginals) []Relevance {
 // over some document set: the part's size, per-row and per-column
 // dimension counts, and the per-cell joint counts ([row][col]).
 type AssocMarginals struct {
-	N     int     `json:"n"`
-	Nver  []int   `json:"nver"`
-	Nhor  []int   `json:"nhor"`
-	Ncell [][]int `json:"ncell"`
+	N     int
+	Nver  []int
+	Nhor  []int
+	Ncell [][]int
 }
 
 // Fits reports whether m is shaped for a rows × cols table — the

@@ -38,18 +38,18 @@ func TestParseDimLeafForms(t *testing.T) {
 
 func TestParseDimErrors(t *testing.T) {
 	for _, label := range []string{
-		"",                      // empty
-		"]",                     // ']' without '['
-		"x]",                    // ditto
-		"[cat]",                 // empty canonical
-		"canon[]",               // empty category
-		"=v",                    // empty field name
-		"a ∧ ",                  // empty conjunct
-		" ∧ a",                  // empty conjunct
-		"a=b[c]",                // '=' inside a concept canonical — ambiguous
-		"f=v]",                  // reserved ']' inside a field value
-		"a∧b",                   // bare '∧' without the separator spacing
-		"nested[ca[t]",          // reserved '[' inside a component
+		"",             // empty
+		"]",            // ']' without '['
+		"x]",           // ditto
+		"[cat]",        // empty canonical
+		"canon[]",      // empty category
+		"=v",           // empty field name
+		"a ∧ ",         // empty conjunct
+		" ∧ a",         // empty conjunct
+		"a=b[c]",       // '=' inside a concept canonical — ambiguous
+		"f=v]",         // reserved ']' inside a field value
+		"a∧b",          // bare '∧' without the separator spacing
+		"nested[ca[t]", // reserved '[' inside a component
 	} {
 		if d, err := ParseDim(label); err == nil {
 			t.Errorf("ParseDim(%q) = %#v, want error", label, d)

@@ -20,8 +20,8 @@ import "sort"
 
 // Querier is the read side shared by the monolithic *Index and the
 // segmented *SegmentSet: every analytics entry point the serving layer
-// exposes, plus the marginal extractions behind the shard-side
-// /v1/marginals/* wire (see merge.go). A snapshot can hold either
+// exposes, plus the marginal extractions a shard answers a federation
+// coordinator with (see merge.go). A snapshot can hold either
 // implementation; responses are byte-identical for the same corpus.
 //
 // AssociateN's workers parameter is ignored by both implementations: a

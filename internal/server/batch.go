@@ -28,8 +28,8 @@ const MaxBatchBytes = 1 << 20
 
 // BatchQuery is one sub-query of a /v1/batch request: the /v1 endpoint
 // name without the prefix ("count", "associate", "relfreq",
-// "drilldown", "trend", "concepts", "marginals/...") plus the query
-// parameters that endpoint takes as a GET.
+// "drilldown", "trend", "concepts") plus the query parameters that
+// endpoint takes as a GET.
 type BatchQuery struct {
 	Endpoint string              `json:"endpoint"`
 	Params   map[string][]string `json:"params"`
@@ -55,6 +55,37 @@ type BatchResponse struct {
 	Sealed     bool          `json:"sealed"`
 	Results    []BatchResult `json:"results"`
 	FedStatus
+}
+
+// Encode renders the envelope's body — byte for byte what marshalBody
+// makes of it — without passing the sub-bodies through the encoder again:
+// each is compact, escaped encoding/json output already (a body a daemon
+// rendered, an ErrorBody, or a shard's relayed error the coordinator has
+// checked), so it is copied between the head and tail of the envelope
+// marshalled without results.
+func (resp BatchResponse) Encode() ([]byte, error) {
+	results := resp.Results
+	if results == nil {
+		return marshalBody(resp)
+	}
+	resp.Results = []BatchResult{}
+	shell, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	const open, mid, null = `{"status":`, `,"body":`, "null"
+	const wrap = len(open) + len("-9223372036854775808") + len(mid) + len("}") // around a sub-body, at most
+	size := 0
+	for _, res := range results {
+		size += wrap + max(len(res.Body), len(null))
+	}
+	return spliceList(shell, "results", len(results), size, func(b []byte, i int) []byte {
+		b = append(strconv.AppendInt(append(b, open...), int64(results[i].Status), 10), mid...)
+		if len(results[i].Body) == 0 {
+			return append(b, null+"}"...)
+		}
+		return append(append(b, results[i].Body...), '}')
+	}), nil
 }
 
 // NewBatchResult wraps one sub-query's outcome — the body served, or the
@@ -117,7 +148,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, bq := range req.Queries {
 		resp.Results[i] = s.runBatchQuery(sn, bq)
 	}
-	body, err := marshalBody(resp)
+	body, err := resp.Encode()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -45,9 +47,6 @@ func batchTestQueries() []BatchQuery {
 		{Endpoint: "trend", Params: map[string][]string{"dim": {"austin[place]"}}},
 		{Endpoint: "concepts", Params: map[string][]string{"category": {"topic"}}},
 		{Endpoint: "concepts", Params: map[string][]string{"field": {"outcome"}}},
-		{Endpoint: "marginals/concepts", Params: map[string][]string{"category": {"topic"}}},
-		{Endpoint: "marginals/relfreq", Params: map[string][]string{"category": {"topic"}, "featured": {"parity=odd"}}},
-		{Endpoint: "marginals/assoc", Params: map[string][]string{"row": {"billing[topic]"}, "col": {"parity=even"}}},
 	}
 }
 
@@ -209,11 +208,15 @@ func TestBatchValidation(t *testing.T) {
 		{Endpoint: "concepts"},
 		{Endpoint: "concepts", Params: map[string][]string{"category": {"topic"}, "field": {"outcome"}}},
 		{Endpoint: "relfreq", Params: map[string][]string{"category": {"topic"}, "featured": {"parity=even", "parity=odd"}}},
-		{Endpoint: "marginals/assoc", Params: map[string][]string{"row": {"topic"}}},
 	}
-	queries := append(append([]BatchQuery{}, bad...),
-		BatchQuery{Endpoint: "nope"},
-		BatchQuery{Endpoint: "count", Params: map[string][]string{"dim": {"parity=even"}}})
+	// The marginals/* names were the shard-side wire once; a public batch
+	// does not know them any more than it knows "nope".
+	unknown := []string{"nope", "marginals/assoc", "marginals/relfreq", "marginals/concepts", "shard"}
+	queries := append([]BatchQuery{}, bad...)
+	for _, name := range unknown {
+		queries = append(queries, BatchQuery{Endpoint: name, Params: map[string][]string{"row": {"topic"}, "col": {"parity=even"}, "category": {"topic"}}})
+	}
+	queries = append(queries, BatchQuery{Endpoint: "count", Params: map[string][]string{"dim": {"parity=even"}}})
 	status, body := postBatch(t, base, BatchRequest{Queries: queries})
 	var env BatchResponse
 	if err := json.Unmarshal(body, &env); err != nil || status != http.StatusOK || len(env.Results) != len(queries) {
@@ -226,10 +229,13 @@ func TestBatchValidation(t *testing.T) {
 			t.Errorf("%s %v: batch sub %d %s, GET %d %s", bq.Endpoint, bq.Params, env.Results[i].Status, got, getStatus, want)
 		}
 	}
-	if sub := env.Results[len(bad)]; sub.Status != http.StatusBadRequest || string(sub.Body) != `{"error":"unknown batch endpoint \"nope\"","status":400}` {
-		t.Errorf("unknown endpoint: %d %s", sub.Status, sub.Body)
+	for i, name := range unknown {
+		want := fmt.Sprintf(`{"error":"unknown batch endpoint %s","status":400}`, strings.ReplaceAll(strconv.Quote(name), `"`, `\"`))
+		if sub := env.Results[len(bad)+i]; sub.Status != http.StatusBadRequest || string(sub.Body) != want {
+			t.Errorf("unknown endpoint %s: %d %s, want %s", name, sub.Status, sub.Body, want)
+		}
 	}
-	if sub := env.Results[len(bad)+1]; sub.Status != http.StatusOK {
+	if sub := env.Results[len(queries)-1]; sub.Status != http.StatusOK {
 		t.Errorf("valid sibling of malformed sub-queries: %d %s", sub.Status, sub.Body)
 	}
 }

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/url"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,10 +16,12 @@ import (
 // The /v1 endpoint table. Each query's grammar — parameter names,
 // limits, defaults, error strings, canonical cache key — is written
 // here once and parsed into a Plan that either daemon can run: bivocd
-// answers it from its local segments (Plan.Local), bivocfed scatters its
-// shard-side form and folds the replies (Plan.Merge). Both ways end in
-// the same response constructor, so a federated body can differ from a
-// single-node one only in its trailing FedStatus.
+// answers it from its local segments (Plan.Local), or — asked by a
+// coordinator over /v1/shard — with its partial, the mergeable share of
+// the answer it holds; bivocfed adds the shards' partials up and
+// finalizes once (Plan.Merge). Both ways end in the same response
+// constructor, so a federated body can differ from a single-node one
+// only in its trailing FedStatus.
 
 // FedStatus closes a federated response that some shards did not
 // contribute to: Degraded is set and MissingShards lists their indexes in
@@ -53,24 +55,35 @@ func (h *Head) Fold(gen uint64, sealed bool) {
 	h.Sealed = h.Sealed && sealed
 }
 
-// ShardBody is one live shard's 200 reply to a plan's shard-side query.
+// ShardBody is one live shard's partial for a plan — a 200 sub-result of
+// its /v1/shard frame — under that frame's generation and sealed flag.
 type ShardBody struct {
-	Shard int
-	Body  []byte
+	Shard      int
+	Generation uint64
+	Sealed     bool
+	Body       []byte
 }
 
-// decode unmarshals the reply into v. A shard that violates the wire
-// contract surfaces as a "shard i: …" error, which the coordinator
-// answers as a structured 500.
-func (sb ShardBody) decode(v any) error {
-	if err := json.Unmarshal(sb.Body, v); err != nil {
-		return sb.errorf("decoding response: %w", err)
-	}
-	return nil
-}
-
+// errorf names the shard in an error about its partial. A shard that
+// violates the exchange surfaces this way, and the coordinator answers a
+// structured 500.
 func (sb ShardBody) errorf(format string, args ...any) error {
 	return fmt.Errorf("shard %d: %w", sb.Shard, fmt.Errorf(format, args...))
+}
+
+// decodeParts reads every live shard's partial with read. One that is
+// cut short, over-announces a count or has bytes left over is an error
+// naming its shard.
+func decodeParts[T any](live []ShardBody, read func(*frameReader) T) ([]T, error) {
+	parts := make([]T, len(live))
+	for k, sb := range live {
+		r := frameReader{b: sb.Body}
+		parts[k] = read(&r)
+		if err := r.done(); err != nil {
+			return nil, sb.errorf("decoding partial: %w", err)
+		}
+	}
+	return parts, nil
 }
 
 // Plan is one parsed, canonicalized /v1 query.
@@ -79,69 +92,66 @@ type Plan struct {
 	// coordinator's result cache, the GET routes and /v1/batch — a
 	// dimension queried any of those ways lands on one entry.
 	Key string
-	// ShardEndpoint and ShardParams are the query a coordinator sends each
-	// shard (associate asks for marginals/assoc, and so on). Empty on the
-	// shard-side wire endpoints themselves.
-	ShardEndpoint string
-	ShardParams   url.Values
+	// partKey is set where Key holds what only finalizing reads (an
+	// association's confidence): the key of the partial without it, so
+	// that queries differing in that alone share one partial.
+	partKey string
 
-	local func(v mining.Querier, h Head) any
-	merge func(live []ShardBody, h *Head) (any, error)
+	local   func(v mining.Querier, h Head) any
+	partial func(b []byte, v mining.Querier) ([]byte, error)
+	merge   func(live []ShardBody, h Head) ([]byte, error)
 }
 
 // Local answers the plan from one snapshot's view.
 func (p *Plan) Local(v mining.Querier, h Head) any { return p.local(v, h) }
 
-// Merge answers the plan from the live shards' replies to its shard-side
-// query (at least one): integer marginals add, and the float pipeline
-// runs once over the sums. A reply whose shape disagrees with the plan
-// is an error, never a silent under-count.
-func (p *Plan) Merge(live []ShardBody, fs FedStatus) (any, error) {
+// partialKey is the snapshot-LRU key of the plan's partial, distinct from
+// the public body's (no endpoint name contains a colon).
+func (p *Plan) partialKey() string { return "shard:" + cmp.Or(p.partKey, p.Key) }
+
+// Merge renders the plan's response body from the live shards' partials
+// (at least one): integers add, the float pipeline runs once over the
+// sums, and documents already encoded are copied through. A partial whose
+// shape disagrees with the plan is an error, never a silent under-count.
+func (p *Plan) Merge(live []ShardBody, fs FedStatus) ([]byte, error) {
 	h := MergedHead(fs)
-	return p.merge(live, &h)
+	for _, sb := range live {
+		h.Fold(sb.Generation, sb.Sealed)
+	}
+	return p.merge(live, h)
 }
 
 // Endpoints is the endpoint table as one daemon serves it, bound to the
 // finalize-time settings that daemon configures.
 type Endpoints struct {
 	confidence float64 // association confidence when a query passes none
-	wire       bool    // also serve the shard-side marginals/* endpoints
 }
 
 // NewEndpoints resolves the default association confidence (0.95 unless
-// it lies in (0,1)). wire selects the shard-side marginal endpoints in
-// addition to the six public ones.
-func NewEndpoints(confidence float64, wire bool) Endpoints {
+// it lies in (0,1)).
+func NewEndpoints(confidence float64) Endpoints {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	return Endpoints{confidence: confidence, wire: wire}
+	return Endpoints{confidence: confidence}
 }
 
 // endpointTable is keyed by endpoint name: the /v1 path without the
-// prefix, which is also the name /v1/batch sub-queries use.
-var endpointTable = map[string]struct {
-	plan func(Endpoints, url.Values) (*Plan, error)
-	wire bool
-}{
-	"count":              {plan: Endpoints.count},
-	"associate":          {plan: Endpoints.associate},
-	"relfreq":            {plan: Endpoints.relFreq},
-	"drilldown":          {plan: Endpoints.drillDown},
-	"trend":              {plan: Endpoints.trend},
-	"concepts":           {plan: Endpoints.concepts},
-	"marginals/concepts": {plan: Endpoints.conceptDF, wire: true},
-	"marginals/relfreq":  {plan: Endpoints.relFreqMarginals, wire: true},
-	"marginals/assoc":    {plan: Endpoints.assocMarginals, wire: true},
+// prefix, which is also the name /v1/batch and /v1/shard sub-queries use.
+var endpointTable = map[string]func(Endpoints, url.Values) (*Plan, error){
+	"count":     Endpoints.count,
+	"associate": Endpoints.associate,
+	"relfreq":   Endpoints.relFreq,
+	"drilldown": Endpoints.drillDown,
+	"trend":     Endpoints.trend,
+	"concepts":  Endpoints.concepts,
 }
 
-// Names lists the endpoints this daemon serves, sorted.
+// Names lists the endpoints, sorted.
 func (e Endpoints) Names() []string {
-	var names []string
-	for name, ep := range endpointTable {
-		if e.wire || !ep.wire {
-			names = append(names, name)
-		}
+	names := make([]string, 0, len(endpointTable))
+	for name := range endpointTable {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
@@ -150,11 +160,11 @@ func (e Endpoints) Names() []string {
 // Plan parses the parameters of one query to the named endpoint. Every
 // error is the caller's fault (400).
 func (e Endpoints) Plan(name string, q url.Values) (*Plan, error) {
-	ep, ok := endpointTable[name]
-	if !ok || (ep.wire && !e.wire) {
+	plan, ok := endpointTable[name]
+	if !ok {
 		return nil, fmt.Errorf("unknown batch endpoint %q", name)
 	}
-	return ep.plan(e, q)
+	return plan(e, q)
 }
 
 // dimList is one repeated dimension parameter, parsed: the dims and
@@ -228,41 +238,45 @@ func (e Endpoints) count(q url.Values) (*Plan, error) {
 		return CountResponse{Generation: h.Generation, Sealed: h.Sealed,
 			Total: total, Dims: dl.labels, Counts: counts, FedStatus: h.FedStatus}
 	}
+	counts := func(v mining.Querier) []int {
+		counts := make([]int, len(dl.dims))
+		for i, d := range dl.dims {
+			counts[i] = v.Count(d)
+		}
+		return counts
+	}
 	return &Plan{
-		Key:           cacheKey("count", dl.labels...),
-		ShardEndpoint: "count",
-		ShardParams:   url.Values{"dim": q["dim"]},
+		Key: cacheKey("count", dl.labels...),
 		local: func(v mining.Querier, h Head) any {
-			counts := make([]int, len(dl.dims))
-			for i, d := range dl.dims {
-				counts[i] = v.Count(d)
-			}
-			return respond(h, v.Len(), counts)
+			return respond(h, v.Len(), counts(v))
 		},
-		merge: func(live []ShardBody, h *Head) (any, error) {
+		partial: func(b []byte, v mining.Querier) ([]byte, error) {
+			return AppendCountPartial(b, v.Len(), counts(v)), nil
+		},
+		merge: func(live []ShardBody, h Head) ([]byte, error) {
+			parts, err := decodeParts(live, readCountPartial)
+			if err != nil {
+				return nil, err
+			}
 			total, counts := 0, make([]int, len(dl.dims))
-			for _, sb := range live {
-				var sr CountResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
+			for k, part := range parts {
+				if len(part.counts) != len(counts) {
+					return nil, live[k].errorf("%d counts for %d dims", len(part.counts), len(counts))
 				}
-				h.Fold(sr.Generation, sr.Sealed)
-				if len(sr.Counts) != len(counts) {
-					return nil, sb.errorf("%d counts for %d dims", len(sr.Counts), len(counts))
-				}
-				total += sr.Total
-				for j, n := range sr.Counts {
+				total += part.total
+				for j, n := range part.counts {
 					counts[j] += n
 				}
 			}
-			return respond(*h, total, counts), nil
+			return marshalBody(respond(h, total, counts))
 		},
 	}, nil
 }
 
 // /v1/associate?row=<label>&...&col=<label>&...[&confidence=0.95] — the
 // §IV.D.2 two-dimensional association table. Shards return integer
-// marginals; the Wilson float pipeline runs once over their sum.
+// marginals; the Wilson float pipeline runs once over their sum, which is
+// the only place confidence is read.
 func (e Endpoints) associate(q url.Values) (*Plan, error) {
 	rows, cols, err := rowsCols(q)
 	if err != nil {
@@ -279,29 +293,28 @@ func (e Endpoints) associate(q url.Values) (*Plan, error) {
 		return AssociateResponse{Generation: h.Generation, Sealed: h.Sealed, Confidence: tbl.Confidence,
 			Rows: rows.labels, Cols: cols.labels, Cells: assocCellsJSON(tbl), FedStatus: h.FedStatus}
 	}
+	rowKey, colKey := strings.Join(rows.labels, "\x01"), strings.Join(cols.labels, "\x01")
 	return &Plan{
-		Key: cacheKey("associate", strings.Join(rows.labels, "\x01"), strings.Join(cols.labels, "\x01"),
-			strconv.FormatFloat(confidence, 'g', -1, 64)),
-		ShardEndpoint: "marginals/assoc",
-		ShardParams:   url.Values{"row": q["row"], "col": q["col"]},
+		Key:     cacheKey("associate", rowKey, colKey, strconv.FormatFloat(confidence, 'g', -1, 64)),
+		partKey: cacheKey("associate", rowKey, colKey),
 		local: func(v mining.Querier, h Head) any {
 			return respond(h, v.AssociateN(rows.dims, cols.dims, confidence, 0))
 		},
-		merge: func(live []ShardBody, h *Head) (any, error) {
-			parts := make([]mining.AssocMarginals, len(live))
-			for k, sb := range live {
-				var sr AssocMarginalsResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
-				}
-				h.Fold(sr.Generation, sr.Sealed)
-				if !sr.Marginals.Fits(len(rows.dims), len(cols.dims)) {
-					return nil, sb.errorf("association marginals are not %d×%d", len(rows.dims), len(cols.dims))
-				}
-				parts[k] = sr.Marginals
+		partial: func(b []byte, v mining.Querier) ([]byte, error) {
+			return AppendAssocPartial(b, v.AssocMarginals(rows.dims, cols.dims)), nil
+		},
+		merge: func(live []ShardBody, h Head) ([]byte, error) {
+			parts, err := decodeParts(live, readAssocPartial)
+			if err != nil {
+				return nil, err
 			}
-			return respond(*h, mining.FinalizeAssoc(rows.dims, cols.dims, confidence,
-				mining.MergeAssocMarginals(parts...))), nil
+			for k, part := range parts {
+				if !part.Fits(len(rows.dims), len(cols.dims)) {
+					return nil, live[k].errorf("association marginals are not %d×%d", len(rows.dims), len(cols.dims))
+				}
+			}
+			return marshalBody(respond(h, mining.FinalizeAssoc(rows.dims, cols.dims, confidence,
+				mining.MergeAssocMarginals(parts...))))
 		},
 	}, nil
 }
@@ -320,23 +333,19 @@ func (e Endpoints) relFreq(q url.Values) (*Plan, error) {
 			Category: category, Featured: label, Rows: relevancesJSON(rel), FedStatus: h.FedStatus}
 	}
 	return &Plan{
-		Key:           cacheKey("relfreq", category, label),
-		ShardEndpoint: "marginals/relfreq",
-		ShardParams:   url.Values{"category": {category}, "featured": q["featured"]},
+		Key: cacheKey("relfreq", category, label),
 		local: func(v mining.Querier, h Head) any {
 			return respond(h, v.RelativeFrequency(category, featured))
 		},
-		merge: func(live []ShardBody, h *Head) (any, error) {
-			parts := make([]mining.RelFreqMarginals, len(live))
-			for k, sb := range live {
-				var sr RelFreqMarginalsResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
-				}
-				h.Fold(sr.Generation, sr.Sealed)
-				parts[k] = sr.Marginals
+		partial: func(b []byte, v mining.Querier) ([]byte, error) {
+			return appendRelFreqPartial(b, v.RelFreqMarginals(category, featured)), nil
+		},
+		merge: func(live []ShardBody, h Head) ([]byte, error) {
+			parts, err := decodeParts(live, readRelFreqPartial)
+			if err != nil {
+				return nil, err
 			}
-			return respond(*h, mining.FinalizeRelFreq(mining.MergeRelFreqMarginals(parts...))), nil
+			return marshalBody(respond(h, mining.FinalizeRelFreq(mining.MergeRelFreqMarginals(parts...))))
 		},
 	}, nil
 }
@@ -361,34 +370,42 @@ func (e Endpoints) drillDown(q url.Values) (*Plan, error) {
 	}
 	// docs holds the cell's first documents in ID order, at least limit of
 	// them when the cell has that many.
-	respond := func(h Head, count int, docs []DocumentJSON) any {
+	respond := func(h Head, count int, docs []DocumentJSON) DrillDownResponse {
 		return DrillDownResponse{Generation: h.Generation, Sealed: h.Sealed,
 			Row: rows.labels[0], Col: cols.labels[0], Count: count, Truncated: count > limit,
 			Docs: docs[:min(len(docs), limit)], FedStatus: h.FedStatus}
 	}
 	return &Plan{
-		Key:           cacheKey("drilldown", rows.labels[0], cols.labels[0], strconv.Itoa(limit)),
-		ShardEndpoint: "drilldown",
-		ShardParams:   url.Values{"row": q["row"], "col": q["col"], "limit": {strconv.Itoa(limit)}},
+		Key: cacheKey("drilldown", rows.labels[0], cols.labels[0], strconv.Itoa(limit)),
 		local: func(v mining.Querier, h Head) any {
 			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
 			return respond(h, count, documentsJSON(docs))
 		},
+		partial: func(b []byte, v mining.Querier) ([]byte, error) {
+			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
+			return appendDocumentsPartial(b, count, docs[:min(len(docs), limit)])
+		},
 		// Document IDs are unique across shards, so the first limit of the
-		// whole cell are among the shards' own first limit, re-sorted.
-		merge: func(live []ShardBody, h *Head) (any, error) {
-			count, docs := 0, []DocumentJSON{}
-			for _, sb := range live {
-				var sr DrillDownResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
-				}
-				h.Fold(sr.Generation, sr.Sealed)
-				count += sr.Count
-				docs = append(docs, sr.Docs...)
+		// whole cell are among the shards' own first limit, re-sorted. The
+		// kept documents are copied into the body as the shards encoded
+		// them, between the head and tail of the response marshalled
+		// without any.
+		merge: func(live []ShardBody, h Head) ([]byte, error) {
+			count, docs, err := mergeDrillDownPartials(live, limit)
+			if err != nil {
+				return nil, err
 			}
-			slices.SortFunc(docs, func(a, b DocumentJSON) int { return strings.Compare(a.ID, b.ID) })
-			return respond(*h, count, docs), nil
+			shell, err := json.Marshal(respond(h, count, []DocumentJSON{}))
+			if err != nil {
+				return nil, err
+			}
+			size := 0
+			for _, d := range docs {
+				size += len(d.json)
+			}
+			return spliceList(shell, "docs", len(docs), size, func(b []byte, i int) []byte {
+				return append(b, docs[i].json...)
+			}), nil
 		},
 	}, nil
 }
@@ -409,26 +426,19 @@ func (e Endpoints) trend(q url.Values) (*Plan, error) {
 			Points: trendPointsJSON(pts), Slope: mining.TrendSlope(pts), FedStatus: h.FedStatus}
 	}
 	return &Plan{
-		Key:           cacheKey("trend", dl.labels[0]),
-		ShardEndpoint: "trend",
-		ShardParams:   url.Values{"dim": q["dim"]},
+		Key: cacheKey("trend", dl.labels[0]),
 		local: func(v mining.Querier, h Head) any {
 			return respond(h, v.Trend(dl.dims[0]))
 		},
-		merge: func(live []ShardBody, h *Head) (any, error) {
-			parts := make([][]mining.TrendPoint, len(live))
-			for k, sb := range live {
-				var sr TrendResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
-				}
-				h.Fold(sr.Generation, sr.Sealed)
-				parts[k] = make([]mining.TrendPoint, len(sr.Points))
-				for i, p := range sr.Points {
-					parts[k][i] = mining.TrendPoint(p)
-				}
+		partial: func(b []byte, v mining.Querier) ([]byte, error) {
+			return appendTrendPartial(b, v.Trend(dl.dims[0])), nil
+		},
+		merge: func(live []ShardBody, h Head) ([]byte, error) {
+			parts, err := decodeParts(live, readTrendPartial)
+			if err != nil {
+				return nil, err
 			}
-			return respond(*h, mining.MergeTrends(parts...)), nil
+			return marshalBody(respond(h, mining.MergeTrends(parts...)))
 		},
 	}, nil
 }
@@ -437,8 +447,8 @@ func (e Endpoints) trend(q url.Values) (*Plan, error) {
 // concept category (document-frequency order) or a structured field
 // (sorted values); the discovery endpoint analysts use to find dimension
 // labels to query with. A category's order needs its merged document
-// frequencies, so shards are asked for the counted form; field values
-// union order-free from the public endpoint.
+// frequencies, so its partial is the counted form; field values union
+// order-free.
 func (e Endpoints) concepts(q url.Values) (*Plan, error) {
 	category, field := q.Get("category"), q.Get("field")
 	if (category == "") == (field == "") {
@@ -453,80 +463,29 @@ func (e Endpoints) concepts(q url.Values) (*Plan, error) {
 	}
 	p := &Plan{Key: cacheKey("concepts", category, field)}
 	if category != "" {
-		p.ShardEndpoint, p.ShardParams = "marginals/concepts", url.Values{"category": {category}}
 		p.local = func(v mining.Querier, h Head) any { return respond(h, v.ConceptsInCategory(category)) }
-		p.merge = func(live []ShardBody, h *Head) (any, error) {
-			parts := make([][]mining.ConceptCount, len(live))
-			for k, sb := range live {
-				var sr ConceptDFResponse
-				if err := sb.decode(&sr); err != nil {
-					return nil, err
-				}
-				h.Fold(sr.Generation, sr.Sealed)
-				parts[k] = sr.Concepts
+		p.partial = func(b []byte, v mining.Querier) ([]byte, error) {
+			return appendConceptDFPartial(b, v.ConceptDF(category)), nil
+		}
+		p.merge = func(live []ShardBody, h Head) ([]byte, error) {
+			parts, err := decodeParts(live, readConceptDFPartial)
+			if err != nil {
+				return nil, err
 			}
-			return respond(*h, mining.ConceptNames(mining.MergeConceptCounts(parts...))), nil
+			return marshalBody(respond(h, mining.ConceptNames(mining.MergeConceptCounts(parts...))))
 		}
 		return p, nil
 	}
-	p.ShardEndpoint, p.ShardParams = "concepts", url.Values{"field": {field}}
 	p.local = func(v mining.Querier, h Head) any { return respond(h, v.FieldValues(field)) }
-	p.merge = func(live []ShardBody, h *Head) (any, error) {
-		parts := make([][]string, len(live))
-		for k, sb := range live {
-			var sr ConceptsResponse
-			if err := sb.decode(&sr); err != nil {
-				return nil, err
-			}
-			h.Fold(sr.Generation, sr.Sealed)
-			parts[k] = sr.Values
+	p.partial = func(b []byte, v mining.Querier) ([]byte, error) {
+		return appendStringsPartial(b, v.FieldValues(field)), nil
+	}
+	p.merge = func(live []ShardBody, h Head) ([]byte, error) {
+		parts, err := decodeParts(live, readStringsPartial)
+		if err != nil {
+			return nil, err
 		}
-		return respond(*h, mining.MergeFieldValues(parts...)), nil
+		return marshalBody(respond(h, mining.MergeFieldValues(parts...)))
 	}
 	return p, nil
-}
-
-// Marginal endpoints — the shard-side federation wire. Each returns the
-// integer half of a split §IV.D operation (see internal/mining/merge.go),
-// so they carry no floats at all and have no shard-side form of their own.
-
-// /v1/marginals/concepts?category=<cat> — concept document frequencies
-// for one category (the counted form of /v1/concepts).
-func (e Endpoints) conceptDF(q url.Values) (*Plan, error) {
-	category, err := requiredCategory(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Key: cacheKey("marginals/concepts", category), local: func(v mining.Querier, h Head) any {
-		return ConceptDFResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Category: category, Concepts: v.ConceptDF(category)}
-	}}, nil
-}
-
-// /v1/marginals/relfreq?category=<cat>&featured=<label> — the integer
-// marginals of a relevancy analysis over this shard's documents.
-func (e Endpoints) relFreqMarginals(q url.Values) (*Plan, error) {
-	category, featured, label, err := categoryFeatured(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Key: cacheKey("marginals/relfreq", category, label), local: func(v mining.Querier, h Head) any {
-		return RelFreqMarginalsResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Category: category, Featured: label, Marginals: v.RelFreqMarginals(category, featured)}
-	}}, nil
-}
-
-// /v1/marginals/assoc?row=<label>&...&col=<label>&... — the integer
-// marginals of an association table over this shard's documents
-// (confidence is a finalize-time input, so it does not appear here).
-func (e Endpoints) assocMarginals(q url.Values) (*Plan, error) {
-	rows, cols, err := rowsCols(q)
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey("marginals/assoc", strings.Join(rows.labels, "\x01"), strings.Join(cols.labels, "\x01"))
-	return &Plan{Key: key, local: func(v mining.Querier, h Head) any {
-		return AssocMarginalsResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Rows: rows.labels, Cols: cols.labels, Marginals: v.AssocMarginals(rows.dims, cols.dims)}
-	}}, nil
 }

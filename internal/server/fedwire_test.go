@@ -1,21 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/url"
 	"reflect"
 	"strings"
 	"testing"
 
+	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
 )
 
 // The federation wire suite: the generation header every response must
 // carry, the structured error bodies the coordinator relays, and the
-// /v1/marginals/* endpoints it merges across shards.
+// partials of the /v1/shard exchange it merges across shards.
 
 // getWithHeader fetches a URL and returns status, the generation
 // header, and the body.
@@ -56,13 +59,10 @@ func TestGenerationHeaderOnEveryResponse(t *testing.T) {
 		{"/v1/drilldown?row=" + row + "&col=" + dim, 200},
 		{"/v1/trend?dim=" + dim, 200},
 		{"/v1/concepts?category=topic", 200},
-		{"/v1/marginals/concepts?category=topic", 200},
-		{"/v1/marginals/relfreq?category=topic&featured=" + dim, 200},
-		{"/v1/marginals/assoc?row=" + row + "&col=" + dim, 200},
 		{"/healthz", 200},
 		{"/statsz", 200},
-		{"/v1/count", 400},              // missing dim: parse error path
-		{"/v1/count?dim=%5Bnope", 400},  // unparsable dimension
+		{"/v1/count", 400},             // missing dim: parse error path
+		{"/v1/count?dim=%5Bnope", 400}, // unparsable dimension
 		{"/v1/definitely-not-a-route", 404},
 	}
 	for _, u := range urls {
@@ -109,9 +109,6 @@ func TestErrorBodiesAreStructuredJSON(t *testing.T) {
 		{"/v1/relfreq?featured=" + url.QueryEscape("outcome=reservation"), http.StatusBadRequest, "category"},
 		{"/v1/trend?dim=a%5Bb%5D&dim=c%5Bd%5D", http.StatusBadRequest, "exactly one"},
 		{"/v1/drilldown?row=a%5Bb%5D&col=c%5Bd%5D&limit=-2", http.StatusBadRequest, "limit"},
-		{"/v1/marginals/relfreq?category=topic", http.StatusBadRequest, "featured"},
-		{"/v1/marginals/assoc?row=a%5Bb%5D", http.StatusBadRequest, "col"},
-		{"/v1/marginals/concepts", http.StatusBadRequest, "category"},
 	}
 	for _, c := range cases {
 		resp, err := testClient.Get(base + c.path)
@@ -139,66 +136,262 @@ func TestErrorBodiesAreStructuredJSON(t *testing.T) {
 	}
 }
 
-// TestMarginalEndpointsMatchDirectIndex pins the shard-side federation
-// wire against direct mining calls over the same corpus: the integer
-// marginals on the wire are exactly what the merge helpers expect, and
-// finalizing them reproduces the float endpoints.
-func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
-	docs := testDocs(90)
-	ix := batchIndex(docs)
-	s := startServer(t, Config{Source: sliceSource(docs)})
-	waitIngestDone(t, s)
-	base := "http://" + s.Addr()
-
-	featured, err := mining.ParseDim("outcome=reservation")
+// postShard POSTs queries to the daemon's /v1/shard and decodes the frame.
+func postShard(t *testing.T, base string, queries ...BatchQuery) ShardFrame {
+	t.Helper()
+	resp, err := testClient.Post(base+"/v1/shard", "application/json", bytes.NewReader(mustJSON(t, BatchRequest{Queries: queries})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowDims := make([]mining.Dim, 0, 2)
-	for _, l := range []string{"billing[topic]", "coverage[topic]"} {
-		d, err := mining.ParseDim(l)
-		if err != nil {
-			t.Fatal(err)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != FrameContentType {
+		t.Fatalf("POST /v1/shard: status %d, Content-Type %q, body %q", resp.StatusCode, ct, body)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+		t.Fatalf("POST /v1/shard: Content-Length %q for %d bytes", cl, len(body))
+	}
+	frame, err := ReadShardFrame(body)
+	if err != nil {
+		t.Fatalf("POST /v1/shard: %v (frame %q)", err, body)
+	}
+	if len(frame.Results) != len(queries) {
+		t.Fatalf("POST /v1/shard: %d results for %d queries", len(frame.Results), len(queries))
+	}
+	if got := frame.Append(nil); !bytes.Equal(got, body) {
+		t.Fatalf("frame re-encodes to %q, was %q", got, body)
+	}
+	return frame
+}
+
+// partialWorld is a random corpus in the manner of internal/mining's
+// equivalence worlds (which are private to that package's tests): a few
+// categories with overlapping vocabularies, optional fields, time buckets
+// on both sides of zero, and strings JSON has to escape.
+func partialWorld(seed int64, ndocs int) []mining.Document {
+	rng := rand.New(rand.NewSource(seed))
+	canon := map[string][]string{
+		"issue":     {"billing", "outage", "up<grade>", "can&cel", "roam\"ing"},
+		"brand":     {"acme", "globex", "ini\u2028tech"},
+		"sentiment": {"positive", "negative"},
+	}
+	fieldVals := map[string][]string{
+		"outcome": {"reservation", "walk\\away", "callback"},
+		"agent":   {"A1", "A2", "A3", "A\xff4"},
+	}
+	docs := make([]mining.Document, ndocs)
+	for i := range docs {
+		var concepts []annotate.Concept
+		for _, cat := range []string{"issue", "brand", "sentiment"} {
+			for _, cn := range canon[cat] {
+				if rng.Intn(4) == 0 {
+					concepts = append(concepts, annotate.Concept{Category: cat, Canonical: cn})
+				}
+			}
 		}
-		rowDims = append(rowDims, d)
+		fields := map[string]string{}
+		for _, f := range []string{"outcome", "agent"} {
+			if vals := fieldVals[f]; rng.Intn(5) != 0 {
+				fields[f] = vals[rng.Intn(len(vals))]
+			}
+		}
+		docs[i] = mining.Document{ID: fmt.Sprintf("doc-%04d", i), Concepts: concepts, Fields: fields, Time: rng.Intn(9) - 3}
 	}
-	colDims := []mining.Dim{featured}
+	return docs
+}
 
-	var cdf ConceptDFResponse
-	getOK(t, base+"/v1/marginals/concepts?category=topic", &cdf)
-	if want := ix.ConceptDF("topic"); !reflect.DeepEqual(cdf.Concepts, want) {
-		t.Fatalf("wire ConceptDF = %#v, direct %#v", cdf.Concepts, want)
-	}
+// sameList is reflect.DeepEqual, except that an empty list equals a nil
+// one: a partial carries a length, not whether the slice behind it was
+// allocated.
+func sameList[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
 
-	var rf RelFreqMarginalsResponse
-	getOK(t, base+"/v1/marginals/relfreq?category=topic&featured="+url.QueryEscape("outcome=reservation"), &rf)
-	if want := ix.RelFreqMarginals("topic", featured); !reflect.DeepEqual(rf.Marginals, want) {
-		t.Fatalf("wire RelFreqMarginals = %#v, direct %#v", rf.Marginals, want)
+// TestMarginalEndpointsMatchDirectIndex pins the exchange between daemons
+// against direct mining calls over the same corpus, on random worlds:
+// every partial /v1/shard sends decodes to exactly what the mining.Querier
+// call behind it returns and re-encodes to the bytes sent; the second
+// request, served from the snapshot LRU, sends the same frame; and
+// finalizing the decoded marginals reproduces the float endpoints.
+func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
+	dims := func(labels ...string) []mining.Dim {
+		out := make([]mining.Dim, len(labels))
+		for i, l := range labels {
+			d, err := mining.ParseDim(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = d
+		}
+		return out
 	}
-	// Finalizing the wire marginals reproduces the float endpoint.
-	var rel RelFreqResponse
-	getOK(t, base+"/v1/relfreq?category=topic&featured="+url.QueryEscape("outcome=reservation"), &rel)
-	fin := mining.FinalizeRelFreq(rf.Marginals)
-	if len(fin) != len(rel.Rows) {
-		t.Fatalf("finalized relfreq has %d rows, endpoint %d", len(fin), len(rel.Rows))
-	}
-	for i, r := range fin {
-		got := rel.Rows[i]
-		if r.Concept != got.Concept || r.InSubset != got.InSubset || r.Ratio != got.Ratio {
-			t.Fatalf("finalized row %d = %+v, endpoint %+v", i, r, got)
+	read := func(body []byte, decode func(*frameReader)) {
+		t.Helper()
+		r := frameReader{b: body}
+		decode(&r)
+		if err := r.done(); err != nil {
+			t.Fatalf("partial %q: %v", body, err)
 		}
 	}
+	for seed := int64(0); seed < 4; seed++ {
+		t.Run(fmt.Sprintf("world-%d", seed), func(t *testing.T) {
+			docs := partialWorld(seed, 60+int(seed)*70)
+			ix := batchIndex(docs)
+			s := startServer(t, Config{Source: sliceSource(docs)})
+			waitIngestDone(t, s)
+			base := "http://" + s.Addr()
 
-	var am AssocMarginalsResponse
-	getOK(t, base+"/v1/marginals/assoc?row="+url.QueryEscape("billing[topic]")+
-		"&row="+url.QueryEscape("coverage[topic]")+"&col="+url.QueryEscape("outcome=reservation"), &am)
-	if want := ix.AssocMarginals(rowDims, colDims); !reflect.DeepEqual(am.Marginals, want) {
-		t.Fatalf("wire AssocMarginals = %#v, direct %#v", am.Marginals, want)
-	}
-	// Finalizing the wire marginals reproduces the monolithic table.
-	tbl := mining.FinalizeAssoc(rowDims, colDims, 0.95, am.Marginals)
-	want := ix.AssociateN(rowDims, colDims, 0.95, 1)
-	if !reflect.DeepEqual(tbl, want) {
-		t.Fatalf("FinalizeAssoc(wire marginals) diverges from direct AssociateN")
+			countDims := []string{"billing[issue]", "issue", "outcome=reservation", "no-such[issue]", "billing[issue] ∧ agent=A2"}
+			rowLabels, colLabels := []string{"billing[issue]", "outage[issue]", "brand"}, []string{"outcome=reservation", "sentiment"}
+			queries := []BatchQuery{
+				{Endpoint: "count", Params: url.Values{"dim": countDims}},
+				{Endpoint: "trend", Params: url.Values{"dim": {"issue"}}},
+				{Endpoint: "concepts", Params: url.Values{"category": {"issue"}}},
+				{Endpoint: "concepts", Params: url.Values{"category": {"missing-category"}}},
+				{Endpoint: "concepts", Params: url.Values{"field": {"agent"}}},
+				{Endpoint: "concepts", Params: url.Values{"field": {"missing-field"}}},
+				{Endpoint: "relfreq", Params: url.Values{"category": {"issue"}, "featured": {"outcome=reservation"}}},
+				{Endpoint: "associate", Params: url.Values{"row": rowLabels, "col": colLabels, "confidence": {"0.9"}}},
+				{Endpoint: "drilldown", Params: url.Values{"row": {"issue"}, "col": {"brand"}, "limit": {"7"}}},
+				{Endpoint: "drilldown", Params: url.Values{"row": {"no-such[issue]"}, "col": {"brand"}}},
+				{Endpoint: "nope"},
+				{Endpoint: "count"},
+			}
+			frame := postShard(t, base, queries...)
+			if again := postShard(t, base, queries...); !reflect.DeepEqual(again, frame) {
+				t.Fatalf("the frame served from the snapshot LRU differs:\n%+v\n%+v", again, frame)
+			}
+			if gen, _, sealed := s.SnapshotInfo(); frame.Generation != gen || frame.Sealed != sealed {
+				t.Fatalf("frame head %d/%v, snapshot %d/%v", frame.Generation, frame.Sealed, gen, sealed)
+			}
+			for i, res := range frame.Results[:len(queries)-2] {
+				if res.Status != http.StatusOK {
+					t.Fatalf("sub %d (%s): status %d, body %s", i, queries[i].Endpoint, res.Status, res.Body)
+				}
+			}
+			// A rejected sub-query carries the body its GET route sends, less
+			// the newline.
+			for i, want := range map[int]string{len(queries) - 2: `{"error":"unknown batch endpoint \"nope\"","status":400}`} {
+				if res := frame.Results[i]; res.Status != http.StatusBadRequest || string(res.Body) != want {
+					t.Errorf("sub %d: %d %s, want 400 %s", i, res.Status, res.Body, want)
+				}
+			}
+			_, wantMissingDim := get(t, base+"/v1/count")
+			if res := frame.Results[len(queries)-1]; res.Status != http.StatusBadRequest || string(res.Body)+"\n" != string(wantMissingDim) {
+				t.Errorf("count without dim: %d %s, GET answers %s", res.Status, res.Body, wantMissingDim)
+			}
+
+			read(frame.Results[0].Body, func(r *frameReader) {
+				got := readCountPartial(r)
+				want := make([]int, len(countDims))
+				for i, d := range dims(countDims...) {
+					want[i] = ix.Count(d)
+				}
+				if got.total != ix.Len() || !sameList(got.counts, want) {
+					t.Errorf("count partial %+v, direct %d %v", got, ix.Len(), want)
+				}
+				if re := AppendCountPartial(nil, got.total, got.counts); !bytes.Equal(re, frame.Results[0].Body) {
+					t.Errorf("count partial re-encodes to %q, was %q", re, frame.Results[0].Body)
+				}
+			})
+			read(frame.Results[1].Body, func(r *frameReader) {
+				got := readTrendPartial(r)
+				if want := ix.Trend(dims("issue")[0]); !sameList(got, want) {
+					t.Errorf("trend partial %v, direct %v", got, want)
+				}
+				if re := appendTrendPartial(nil, got); !bytes.Equal(re, frame.Results[1].Body) {
+					t.Errorf("trend partial re-encodes to %q, was %q", re, frame.Results[1].Body)
+				}
+			})
+			for i, category := range map[int]string{2: "issue", 3: "missing-category"} {
+				read(frame.Results[i].Body, func(r *frameReader) {
+					got := readConceptDFPartial(r)
+					if want := ix.ConceptDF(category); !sameList(got, want) {
+						t.Errorf("ConceptDF(%s) partial %v, direct %v", category, got, want)
+					}
+					if re := appendConceptDFPartial(nil, got); !bytes.Equal(re, frame.Results[i].Body) {
+						t.Errorf("ConceptDF partial re-encodes to %q, was %q", re, frame.Results[i].Body)
+					}
+				})
+			}
+			for i, field := range map[int]string{4: "agent", 5: "missing-field"} {
+				read(frame.Results[i].Body, func(r *frameReader) {
+					got := readStringsPartial(r)
+					if want := ix.FieldValues(field); !sameList(got, want) {
+						t.Errorf("FieldValues(%s) partial %q, direct %q", field, got, want)
+					}
+					if re := appendStringsPartial(nil, got); !bytes.Equal(re, frame.Results[i].Body) {
+						t.Errorf("field values partial re-encodes to %q, was %q", re, frame.Results[i].Body)
+					}
+				})
+			}
+			read(frame.Results[6].Body, func(r *frameReader) {
+				got := readRelFreqPartial(r)
+				want := ix.RelFreqMarginals("issue", dims("outcome=reservation")[0])
+				if got.N != want.N || got.SubsetSize != want.SubsetSize || !sameList(got.Concepts, want.Concepts) {
+					t.Errorf("relfreq partial %+v, direct %+v", got, want)
+				}
+				if re := appendRelFreqPartial(nil, got); !bytes.Equal(re, frame.Results[6].Body) {
+					t.Errorf("relfreq partial re-encodes to %q, was %q", re, frame.Results[6].Body)
+				}
+				// Finalizing the decoded marginals reproduces the float endpoint.
+				var rel RelFreqResponse
+				getOK(t, base+"/v1/relfreq?"+url.Values(queries[6].Params).Encode(), &rel)
+				if fin := relevancesJSON(mining.FinalizeRelFreq(got)); !sameList(fin, rel.Rows) {
+					t.Errorf("finalized relfreq partial %+v, endpoint %+v", fin, rel.Rows)
+				}
+			})
+			read(frame.Results[7].Body, func(r *frameReader) {
+				got := readAssocPartial(r)
+				rows, cols := dims(rowLabels...), dims(colLabels...)
+				if want := ix.AssocMarginals(rows, cols); !reflect.DeepEqual(got, want) {
+					t.Errorf("assoc partial %+v, direct %+v", got, want)
+				}
+				if re := AppendAssocPartial(nil, got); !bytes.Equal(re, frame.Results[7].Body) {
+					t.Errorf("assoc partial re-encodes to %q, was %q", re, frame.Results[7].Body)
+				}
+				// Finalizing the decoded marginals reproduces the monolithic
+				// table at the query's confidence, which the partial is free of.
+				if !reflect.DeepEqual(mining.FinalizeAssoc(rows, cols, 0.9, got), ix.AssociateN(rows, cols, 0.9, 1)) {
+					t.Errorf("FinalizeAssoc(partial) diverges from direct AssociateN")
+				}
+			})
+			for i, q := range map[int]struct {
+				row, col string
+				limit    int
+			}{8: {"issue", "brand", 7}, 9: {"no-such[issue]", "brand", 50}} {
+				read(frame.Results[i].Body, func(r *frameReader) {
+					got := readDrillDownPartial(q.limit)(r)
+					wantDocs, wantCount := ix.DrillDownLimit(dims(q.row)[0], dims(q.col)[0], q.limit)
+					if got.count != wantCount || len(got.docs) != len(wantDocs) {
+						t.Fatalf("drilldown partial: count %d with %d docs, direct %d with %d", got.count, len(got.docs), wantCount, len(wantDocs))
+					}
+					encoded := make([]ShardDoc, len(got.docs))
+					for k, d := range got.docs {
+						if want, _ := json.Marshal(documentsJSON(wantDocs[k : k+1])[0]); string(d.id) != wantDocs[k].ID || !bytes.Equal(d.json, want) {
+							t.Errorf("drilldown doc %d: %s %s, direct %s %s", k, d.id, d.json, wantDocs[k].ID, want)
+						}
+						encoded[k] = ShardDoc{ID: string(d.id), JSON: d.json}
+					}
+					if re := AppendDrillDownPartial(nil, got.count, encoded); !bytes.Equal(re, frame.Results[i].Body) {
+						t.Errorf("drilldown partial re-encodes to %q, was %q", re, frame.Results[i].Body)
+					}
+				})
+			}
+
+			// A query that differs only in what finalizing reads shares the
+			// partial: the association at another confidence is a cache hit.
+			hitsBefore := s.hits.Load()
+			other := BatchQuery{Endpoint: "associate", Params: url.Values{"row": rowLabels, "col": colLabels, "confidence": {"0.99"}}}
+			if f := postShard(t, base, other); !bytes.Equal(f.Results[0].Body, frame.Results[7].Body) {
+				t.Errorf("association partial at another confidence differs")
+			}
+			if got := s.hits.Load() - hitsBefore; got != 1 {
+				t.Errorf("association partial at another confidence: %d cache hits, want 1", got)
+			}
+		})
 	}
 }

@@ -158,3 +158,22 @@ func marshalBody(v any) ([]byte, error) {
 	}
 	return append([]byte(nil), buf.Bytes()...), nil
 }
+
+// spliceList renders a response whose one list is already encoded. shell
+// is the response marshalled with that list empty ("field":[]); elem
+// appends the i-th of the list's n elements, at most size bytes in all.
+// The result — allocated once, newline-terminated like every body — is what
+// marshalling the response with the list filled in would have produced.
+// Only fields that hold no strings may follow the list (FedStatus does),
+// so the last occurrence of the empty list is the list.
+func spliceList(shell []byte, field string, n, size int, elem func(b []byte, i int) []byte) []byte {
+	at := bytes.LastIndex(shell, []byte(`"`+field+`":[]`)) + len(field) + 4
+	b := append(make([]byte, 0, len(shell)+size+max(n-1, 0)+1), shell[:at]...)
+	for i := range n {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(b, i)
+	}
+	return append(append(b, shell[at:]...), '\n')
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -254,6 +255,7 @@ func (s *Server) buildMux() http.Handler {
 		route("GET", "/v1/"+name, s.handleQuery(name))
 	}
 	route("POST", "/v1/batch", s.handleBatch)
+	route("POST", "/v1/shard", s.handleShard)
 	route("GET", "/healthz", s.handleHealthz)
 	route("GET", "/statsz", s.handleStatsz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -285,28 +287,29 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	WriteError(w, status, err, FedStatus{})
 }
 
-// answer is the one cached query path, shared by the GET routes and
-// /v1/batch: consult sn's cache under the canonical key, and on a miss
-// compute, marshal, and memoize the full response body. The caller
+// answer is the one cached query path, shared by the GET routes,
+// /v1/batch and /v1/shard: consult sn's cache under the canonical key,
+// and on a miss render and memoize the bytes to send — a full response
+// body, or for /v1/shard the plan's partial under its own key. The caller
 // loaded sn exactly once, and both the index and the cache are reached
 // through it, so the response is self-consistent with exactly one
 // generation and a hit can never serve bytes from another generation.
 //
 // Counter contract: every call is exactly one hit or one miss — a
-// cache-get failure counts as a miss even when the marshal then fails
+// cache-get failure counts as a miss even when the render then fails
 // (the one way a miss can fail, a 500), so hits+misses reconciles with
 // queries served.
 //
-// The body is marshaled once through the pooled scratch buffer and
+// The bytes are rendered once through the pooled scratch buffer and
 // cached as a CachedBody, so a hit re-serves the same bytes — and, for
 // gzip-accepting clients, the same once-compressed encoding.
-func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) any) (*CachedBody, int, error) {
+func (s *Server) answer(sn *snapshot, key string, render func(sn *snapshot) ([]byte, error)) (*CachedBody, int, error) {
 	if cb, ok := sn.cache.get(key); ok {
 		s.hits.Add(1)
 		return cb, http.StatusOK, nil
 	}
 	s.misses.Add(1)
-	body, err := marshalBody(compute(sn))
+	body, err := render(sn)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -316,13 +319,13 @@ func (s *Server) answer(sn *snapshot, key string, compute func(sn *snapshot) any
 }
 
 // respond answers one GET from the current snapshot through answer.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, compute func(sn *snapshot) any) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, render func(sn *snapshot) ([]byte, error)) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
 	sn := s.snap.Load()
 	w.Header().Set(GenerationHeader, strconv.FormatUint(sn.gen, 10))
-	cb, status, err := s.answer(sn, key, compute)
+	cb, status, err := s.answer(sn, key, render)
 	if err != nil {
 		writeErr(w, status, err)
 		return
@@ -330,9 +333,23 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, com
 	WriteJSONBody(w, r, status, cb)
 }
 
-// answerFrom is a plan's compute function over a snapshot.
-func (p *Plan) answerFrom(sn *snapshot) any {
-	return p.Local(sn.view, Head{Generation: sn.gen, Sealed: sn.sealed})
+// answerFrom renders a plan's response body over a snapshot.
+func (p *Plan) answerFrom(sn *snapshot) ([]byte, error) {
+	return marshalBody(p.Local(sn.view, Head{Generation: sn.gen, Sealed: sn.sealed}))
+}
+
+// partialFrom renders a plan's partial over a snapshot, appended in the
+// pooled scratch buffer and copied out exact-size like a marshalled body.
+func (p *Plan) partialFrom(sn *snapshot) ([]byte, error) {
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	defer bodyScratch.Put(buf)
+	buf.Reset()
+	b, err := p.partial(buf.AvailableBuffer(), sn.view)
+	if err != nil {
+		return nil, err
+	}
+	buf.Write(b) // keeps for the pool whatever b grew past the buffer
+	return append([]byte(nil), b...), nil
 }
 
 // handleQuery serves GET /v1/<name> from the endpoint table; parse
@@ -513,33 +530,4 @@ func trendPointsJSON(pts []mining.TrendPoint) []TrendPointJSON {
 		points[i] = TrendPointJSON{Time: p.Time, Count: p.Count}
 	}
 	return points
-}
-
-// Responses of the marginal endpoints, the shard-side federation wire.
-
-// ConceptDFResponse answers /v1/marginals/concepts: a category's
-// vocabulary with per-shard document frequencies, in report order.
-type ConceptDFResponse struct {
-	Generation uint64                `json:"generation"`
-	Sealed     bool                  `json:"sealed"`
-	Category   string                `json:"category"`
-	Concepts   []mining.ConceptCount `json:"concepts"`
-}
-
-// RelFreqMarginalsResponse answers /v1/marginals/relfreq.
-type RelFreqMarginalsResponse struct {
-	Generation uint64                  `json:"generation"`
-	Sealed     bool                    `json:"sealed"`
-	Category   string                  `json:"category"`
-	Featured   string                  `json:"featured"`
-	Marginals  mining.RelFreqMarginals `json:"marginals"`
-}
-
-// AssocMarginalsResponse answers /v1/marginals/assoc.
-type AssocMarginalsResponse struct {
-	Generation uint64                `json:"generation"`
-	Sealed     bool                  `json:"sealed"`
-	Rows       []string              `json:"rows"`
-	Cols       []string              `json:"cols"`
-	Marginals  mining.AssocMarginals `json:"marginals"`
 }

@@ -176,13 +176,24 @@ func TestPersistWarmRestartServesIdenticalBytes(t *testing.T) {
 
 	var emitted atomic.Int64
 	st2 := openStore(t, dir)
-	s2 := startServer(t, Config{Source: resumableSource(docs, &emitted), Persist: st2})
+	// The source waits at a gate, so that "before ingest has done anything"
+	// is a state the test holds rather than a race it usually wins.
+	gate, src := make(chan struct{}), resumableSource(docs, &emitted)
+	s2 := startServer(t, Config{Persist: st2, Source: func(ctx context.Context, already func(string) bool, emit func(mining.Document) error) error {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		return src(ctx, already, emit)
+	}})
 
 	// Before ingest has done anything, the recovered snapshot already
 	// serves the full corpus at generation zero.
 	if gen, n, _ := s2.SnapshotInfo(); gen != 0 || n != len(docs) {
 		t.Errorf("pre-ingest recovered snapshot gen=%d docs=%d, want gen 0 over %d docs", gen, n, len(docs))
 	}
+	close(gate)
 	waitIngestDone(t, s2)
 
 	if got := emitted.Load(); got != 0 {

@@ -255,7 +255,7 @@ func TestRespondCounterReconciliation(t *testing.T) {
 	requests := 0
 	do := func(key string, v any) int {
 		rec := httptest.NewRecorder()
-		s.respond(rec, nil, key, func(*snapshot) any { return v })
+		s.respond(rec, nil, key, func(*snapshot) ([]byte, error) { return marshalBody(v) })
 		requests++
 		return rec.Code
 	}

@@ -225,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		eps:        NewEndpoints(cfg.Confidence, true),
+		eps:        NewEndpoints(cfg.Confidence),
 		slo:        NewSLORecorder(),
 		ingestDone: make(chan struct{}),
 	}
