@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke loc knobs
+.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke golden loc knobs knobs-check
 
-check: vet fmt build race examples smoke bench-module
+check: vet fmt knobs-check build race examples smoke golden bench-module
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,7 @@ short:
 # Ten seconds of each fuzzer past its seeds (`go test` alone runs only
 # those). -fuzz takes one package per invocation.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime 10s ./internal/mining
 	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/store
@@ -67,20 +68,33 @@ examples:
 # require a clean exit — plus one short bivocload sweep against a daemon
 # the test boots. The bivocd pattern also matches TestDaemonSmokeMapped,
 # which restarts a durable daemon under -mmap and pins recovery from
-# mapped segments.
+# mapped segments, and both patterns their daemon's …SignalAtStartup,
+# which interrupts it the instant it announces its address.
 smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 ./cmd/bivocd
 	$(GO) test -run TestFedDaemonSmoke -count=1 ./cmd/bivocfed
 	$(GO) test -run TestLoadSmoke -count=1 ./cmd/bivocload
 
+# The paper's numbers as this reproduction measures them: the whole of
+# `experiments -exp all` (small scale, seed 2009; the run is bit-identical)
+# against the committed stdout. About three minutes, most of it the four
+# ASR experiments' decoding, so it is not race-instrumented and not in
+# tier-1; cmd/experiments' own test checks the four sections that take
+# under a second against the same file.
+golden:
+	$(GO) run ./cmd/experiments -exp all | diff - cmd/experiments/testdata/all_small_2009.golden
+
 # Non-test Go lines outside cmd/bivocbench: the figure a consolidation
-# change reports in CHANGES.md.
+# change reports in CHANGES.md. internal/voctest is test support (the
+# shared world and comparator of the equivalence suites; only _test.go
+# files import it) and is left out like them.
+PRODUCT_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/bivocbench/' -e '^internal/voctest/'
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/bivocbench/' | xargs cat | wc -l
+	@$(PRODUCT_FILES) | xargs cat | wc -l
 
 # What an operator or caller can set, counted over the same files as loc
-# (git ls-files, no tests, no cmd/bivocbench) — the other figures a
-# consolidation change reports:
+# (git ls-files, no tests, no test support, no cmd/bivocbench) — the other
+# figures a consolidation change reports:
 #   flags   lines calling a flag.Xxx( definer: every flag.<Name>( except
 #           flag.Parse(
 #   fields  field lines (a tab, then an identifier — so embedded structs
@@ -88,11 +102,17 @@ loc:
 #           every `type <Name>(Config|Options|Policy) struct {` block
 #   vars    exported package-level variables: `var Xxx` lines, and
 #           capitalised lines of a `var (` block
-KNOB_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cmd/bivocbench/'
 knobs:
-	@$(KNOB_FILES) | xargs cat | grep -E '\bflag\.[A-Z][A-Za-z0-9]*\(' | grep -vc 'flag\.Parse(' | sed 's/^/flags  /'
-	@$(KNOB_FILES) | xargs awk 'FNR == 1 { s = 0 } \
+	@$(PRODUCT_FILES) | xargs cat | grep -E '\bflag\.[A-Z][A-Za-z0-9]*\(' | grep -vc 'flag\.Parse(' | sed 's/^/flags  /'
+	@$(PRODUCT_FILES) | xargs awk 'FNR == 1 { s = 0 } \
 		/^type [A-Za-z0-9_]*(Config|Options|Policy) struct \{/ { s = 1; next } \
 		s && /^\}/ { s = 0 } s && /^\t[A-Za-z_]/ { n++ } END { print "fields " n + 0 }'
-	@$(KNOB_FILES) | xargs awk 'FNR == 1 { v = 0 } /^var [A-Z]/ { n++ } \
+	@$(PRODUCT_FILES) | xargs awk 'FNR == 1 { v = 0 } /^var [A-Z]/ { n++ } \
 		/^var \($$/ { v = 1; next } v && /^\)/ { v = 0 } v && /^\t[A-Z]/ { n++ } END { print "vars   " n + 0 }'
+
+# The knob count is held: KNOBS holds the three lines `make knobs` printed
+# when it was last changed on purpose. A change that adds a flag, a
+# Config/Options/Policy field or an exported variable fails here until it
+# edits KNOBS in the same diff, where a reviewer sees the number move.
+knobs-check:
+	@$(MAKE) -s knobs | diff KNOBS - || { echo "make knobs (>) differs from the committed baseline KNOBS (<): if the change is meant, update KNOBS in this diff"; exit 1; }

@@ -125,6 +125,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bivocd:", err)
 		os.Exit(1)
 	}
+	// Before Start: from the first line printed on, a signal drains.
+	ctx, stop := server.NotifySignals()
+	defer stop()
 	if err := s.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "bivocd:", err)
 		os.Exit(1)
@@ -143,7 +146,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if err := server.RunUntilSignal("bivocd", *pprofAddr, *drainTimeout, s.Shutdown); err != nil {
+	if err := server.RunUntilSignal(ctx, "bivocd", *pprofAddr, *drainTimeout, s.Shutdown); err != nil {
 		fmt.Fprintln(os.Stderr, "bivocd:", err)
 		os.Exit(1)
 	}

@@ -381,3 +381,35 @@ func TestDaemonSmokeMapped(t *testing.T) {
 		t.Error("-mmap without -data-dir did not fail")
 	}
 }
+
+// TestDaemonSmokeSignalAtStartup is the regression test for the start-up
+// signal race behind the TestDaemonSmokeMapped flake ("exited non-zero
+// after SIGINT: signal: interrupt"): the daemon used to print its address
+// lines, and serve, before it had a SIGINT handler, so a signal landing in
+// that gap killed it with the default disposition. A warm -mmap restart is
+// the shortest path to a serving daemon, so that is what gets interrupted
+// the instant its address line is read, over and over; every time it must
+// drain, say so, and exit 0.
+func TestDaemonSmokeSignalAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := filepath.Join(t.TempDir(), "bivocd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("go build: %v", err)
+	}
+	args := []string{
+		"-addr", "127.0.0.1:0",
+		"-calls", "20", "-days", "2",
+		"-data-dir", filepath.Join(t.TempDir(), "data"),
+		"-mmap",
+	}
+	cold := startDaemon(t, bin, args...)
+	cold.waitSealedTotal(40)
+	cold.stop()
+	for i := 0; i < 10; i++ {
+		startDaemon(t, bin, args...).stop()
+	}
+}

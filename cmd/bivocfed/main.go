@@ -78,13 +78,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)
 		os.Exit(1)
 	}
+	// Before Start: from the first line printed on, a signal drains.
+	ctx, stop := server.NotifySignals()
+	defer stop()
 	if err := c.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("bivocfed: listening on %s (%d shards, timeout %v)\n",
 		c.Addr(), len(urls), *shardTimeout)
-	if err := server.RunUntilSignal("bivocfed", *pprofAddr, *drainTimeout, c.Shutdown); err != nil {
+	if err := server.RunUntilSignal(ctx, "bivocfed", *pprofAddr, *drainTimeout, c.Shutdown); err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)
 		os.Exit(1)
 	}

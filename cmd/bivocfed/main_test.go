@@ -222,3 +222,51 @@ drain:
 		t.Error("coordinator did not report a clean stop")
 	}
 }
+
+// TestFedDaemonSmokeSignalAtStartup is the coordinator's half of the
+// start-up signal regression (see cmd/bivocd): interrupted the instant its
+// address line is read, over and over, it must drain, say so, and exit 0 —
+// the handler is installed before the listener is announced. No shard
+// needs to be up for that: the coordinator dials none until it is asked.
+func TestFedDaemonSmokeSignalAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the coordinator binary")
+	}
+	bin := filepath.Join(t.TempDir(), "bivocfed")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("go build: %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-shards", "http://127.0.0.1:1")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		hung := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+		var lines []string
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+			if strings.Contains(sc.Text(), "listening on ") {
+				if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Stdout is at EOF, so Wait races nothing out of the pipe.
+		err = cmd.Wait()
+		hung.Stop()
+		if err != nil {
+			t.Fatalf("run %d: coordinator exited non-zero after SIGINT at start-up: %v (stdout %q)", i, err, lines)
+		}
+		if len(lines) == 0 || !strings.Contains(lines[len(lines)-1], "stopped cleanly") {
+			t.Fatalf("run %d: coordinator did not report a clean stop: %q", i, lines)
+		}
+	}
+}

@@ -81,8 +81,10 @@ func postBatch(t *testing.T, addr string, queries []server.BatchQuery) []server.
 // path against the single-daemon GET oracle: mono /v1/batch, federated
 // /v1/batch at shard counts {1, 4}, and the coordinator's
 // generation-keyed cache (each endpoint fetched twice — uncached
-// scatter, then hit), in both fast and naive analytics modes.
+// scatter, then hit) — against the single daemon's GET bodies
+// (naive=false) and against the naive oracle's (naive=true).
 func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
+	t.Parallel()
 	names, queries := storeEquivBatchQueries()
 	endpoints := storeEquivEndpoints()
 	delete(endpoints, "healthz")
@@ -95,18 +97,15 @@ func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 		}
 	}
 
-	restore := setMiningMode(false)
-	defer restore()
 	mono, stopMono := runSealedServer(t, storeEquivConfig(""))
-	want := make(map[string]string, len(names))
-	for _, name := range names {
-		want[name] = fetchBody(t, mono.Addr(), endpoints[name])
-	}
+	oracles := equivOracles(t, mono, endpoints)
 
-	// Mono batch: the same snapshot, one request.
+	// Mono batch: the same snapshot, one request — held to both.
 	for i, sub := range postBatch(t, mono.Addr(), queries) {
-		if got := string(sub.Body) + "\n"; got != want[names[i]] {
-			t.Errorf("mono batch %s diverges from GET:\n got %s\nwant %s", names[i], got, want[names[i]])
+		for naive, want := range oracles {
+			if got := string(sub.Body) + "\n"; got != want[names[i]] {
+				t.Errorf("mono batch %s diverges from the GET oracle (naive=%v):\n got %s\nwant %s", names[i], naive, got, want[names[i]])
+			}
 		}
 	}
 	stopMono()
@@ -114,8 +113,8 @@ func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		for _, n := range []int{1, 4} {
 			t.Run(fmt.Sprintf("naive=%v/shards-%d", naive, n), func(t *testing.T) {
-				restore := setMiningMode(naive)
-				defer restore()
+				t.Parallel()
+				want := oracles[naive]
 				addr, stop := fedFleet(t, n)
 				defer stop()
 

@@ -59,35 +59,47 @@ func fedFleet(t *testing.T, n int) (addr string, stop func()) {
 	return c.Addr(), stopAll
 }
 
+// equivOracles returns the two things a fleet over storeEquivConfig's
+// corpus is held to, by name of endpoint: under naive=false the bodies of
+// mono, one live daemon that ingested everything, under naive=true the
+// bodies the naive oracle renders in the test process.
+func equivOracles(t *testing.T, mono *bivoc.QueryServer, endpoints map[string]string) map[bool]map[string]string {
+	t.Helper()
+	cfg := storeEquivConfig("").Analysis
+	single := make(map[string]string, len(endpoints))
+	for name, path := range endpoints {
+		single[name] = fetchBody(t, mono.Addr(), path)
+	}
+	return map[bool]map[string]string{
+		false: single,
+		true:  oracleBodies(t, analysisOracle(t, cfg), cfg.Confidence, mono.Generation(), endpoints),
+	}
+}
+
 // TestFedEndpointsMatchSingleDaemon is the scale-out contract over the
-// real pipeline: shard counts {1, 2, 4, 8}, fast and naive analytics,
-// every /v1 endpoint byte-identical to the single-daemon oracle.
-// (/healthz is excluded: the federated body legitimately reports
-// per-shard health instead of the single-daemon shape.)
+// real pipeline: shard counts {1, 2, 4, 8}, every /v1 endpoint
+// byte-identical to the single-daemon bodies (naive=false) and to the
+// naive oracle's (naive=true). (/healthz is excluded: the federated body
+// legitimately reports per-shard health instead of the single-daemon
+// shape.)
 func TestFedEndpointsMatchSingleDaemon(t *testing.T) {
-	restore := setMiningMode(false)
-	defer restore()
+	t.Parallel()
 	endpoints := storeEquivEndpoints()
 	delete(endpoints, "healthz")
-
-	// Oracle: one daemon over the whole corpus.
 	mono, stopMono := runSealedServer(t, storeEquivConfig(""))
-	want := make(map[string]string, len(endpoints))
-	for name, path := range endpoints {
-		want[name] = fetchBody(t, mono.Addr(), path)
-	}
+	oracles := equivOracles(t, mono, endpoints)
 	stopMono()
 
 	for _, naive := range []bool{false, true} {
 		for _, n := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("naive=%v/shards-%d", naive, n), func(t *testing.T) {
-				restore := setMiningMode(naive)
-				defer restore()
+				t.Parallel()
+				want := oracles[naive]
 				addr, stop := fedFleet(t, n)
 				defer stop()
 				for name, path := range endpoints {
 					if got := fetchBody(t, addr, path); got != want[name] {
-						t.Errorf("%s diverges from single daemon:\n got %s\nwant %s", name, got, want[name])
+						t.Errorf("%s diverges from its oracle:\n got %s\nwant %s", name, got, want[name])
 					}
 				}
 				// The fleet really is partitioned: the aggregated /statsz

@@ -1,36 +1,66 @@
 package bivoc_test
 
 import (
-	"context"
-	"io"
-	"net/http"
 	"net/url"
 	"reflect"
 	"testing"
-	"time"
 
 	"bivoc"
 	"bivoc/internal/mining"
+	"bivoc/internal/server"
+	"bivoc/internal/voctest"
 )
 
-// End-to-end equivalence for the analytics hot path: the full pipelines
-// (RunCallAnalysis, RunChurnExperiment) and every bivocd endpoint must
-// produce byte-identical output whether mining queries run through the
-// naive hash-set oracle or the sorted-postings fast path. Complements
-// the per-operation property suite in internal/mining.
+// End-to-end equivalence for the analytics hot path: every §IV.D report
+// the call-analysis pipeline derives from its index, and every bivocd
+// endpoint over the same corpus, must be byte-identical to what the naive
+// hash-set oracle — the NaiveIndex view of the index the batch pipeline
+// builds — says. Complements the per-operation property suite in
+// internal/mining.
 
-// setMiningMode flips the package-level oracle flag and returns a
-// restore func for defer.
-func setMiningMode(naive bool) func() {
-	old := mining.UseNaiveSets
-	mining.UseNaiveSets = naive
-	return func() { mining.UseNaiveSets = old }
+// analysisOracle runs the batch call-analysis pipeline for a serving
+// configuration's corpus and returns the naive view of its index: the
+// daemon "serves the same index those runs build" (core.ServeConfig), so
+// this is the monolithic oracle of every daemon and fleet booted from cfg.
+func analysisOracle(t *testing.T, cfg bivoc.CallAnalysisConfig) *mining.NaiveIndex {
+	t.Helper()
+	ca, err := bivoc.RunCallAnalysis(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ca.Index.Naive()
 }
 
-// callAnalysisReports runs the call-analysis pipeline and materializes
-// every §IV.D report the core layer derives from its index.
-func callAnalysisReports(t *testing.T) map[string]any {
+// oracleBodies renders what a sealed daemon (or healthy fleet) at
+// generation gen must answer to each named /v1 path: the endpoint table's
+// Plan.Local over the naive view, marshalled in the test process.
+func oracleBodies(t *testing.T, naive mining.Querier, confidence float64, gen uint64, endpoints map[string]string) map[string]string {
 	t.Helper()
+	paths := make([]string, 0, len(endpoints))
+	for _, path := range endpoints {
+		paths = append(paths, path)
+	}
+	bodies := voctest.Bodies(t, paths, func(endpoint string, params url.Values) (any, error) {
+		plan, err := server.NewEndpoints(confidence).Plan(endpoint, params)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Local(naive, server.Head{Generation: gen, Sealed: true}), nil
+	})
+	out := make(map[string]string, len(endpoints))
+	for name, path := range endpoints {
+		out[name] = string(bodies[path])
+	}
+	return out
+}
+
+// TestCallAnalysisNaiveFastEquivalence runs the call-analysis pipeline
+// once and asks the naive view of its index for every report the core
+// layer derives from it: each association table again from the rows,
+// columns and confidence the fast table carries, the relevancy report,
+// a drill-down, a trend and a vocabulary.
+func TestCallAnalysisNaiveFastEquivalence(t *testing.T) {
+	t.Parallel()
 	cfg := bivoc.DefaultCallAnalysisConfig()
 	cfg.UseASR = false
 	cfg.World.CallsPerDay = 80
@@ -39,124 +69,52 @@ func callAnalysisReports(t *testing.T) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]any{
+	naive := ca.Index.Naive()
+	for name, tbl := range map[string]*mining.AssocTable{
 		"intent-outcome":   ca.IntentOutcomeTable(),
 		"agent-utterance":  ca.AgentUtteranceTable(),
 		"location-vehicle": ca.LocationVehicleTable(),
-		"weak-drivers":     ca.WeakStartConversionDrivers(),
-		"drilldown": ca.Index.DrillDown(
-			bivoc.ConceptDim("customer intention", "weak start"),
-			bivoc.FieldDim("outcome", "reservation")),
-		"trend":    ca.Index.Trend(bivoc.FieldDim("outcome", "reservation")),
-		"concepts": ca.Index.ConceptsInCategory("discount"),
-	}
-}
-
-func TestCallAnalysisNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(true)
-	defer restore()
-	want := callAnalysisReports(t)
-	mining.UseNaiveSets = false
-	got := callAnalysisReports(t)
-	for name, w := range want {
-		if !reflect.DeepEqual(got[name], w) {
-			t.Errorf("report %q diverges from naive oracle", name)
+	} {
+		if tbl.Cells[0][0].N != 240 {
+			t.Errorf("report %q is over %d calls, want 240", name, tbl.Cells[0][0].N)
+		}
+		if want := naive.AssociateN(tbl.Rows, tbl.Cols, tbl.Confidence, 0); !reflect.DeepEqual(tbl, want) {
+			t.Errorf("report %q diverges from naive oracle:\n got %+v\nwant %+v", name, tbl, want)
 		}
 	}
-}
-
-func TestChurnExperimentNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(true)
-	defer restore()
-	cfg := bivoc.DefaultChurnExperimentConfig()
-	cfg.World.NumCustomers = 300
-	cfg.World.Emails = 600
-	cfg.World.SMS = 0
-	want, err := bivoc.RunChurnExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
+	weak := bivoc.ConceptDim("customer intention", "weak start")
+	res := bivoc.FieldDim("outcome", "reservation")
+	drivers := ca.WeakStartConversionDrivers()
+	if len(drivers) == 0 {
+		t.Error("no weak-start conversion drivers: nothing compared")
 	}
-	mining.UseNaiveSets = false
-	got, err := bivoc.RunChurnExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("churn result diverges from naive oracle:\n got %+v\nwant %+v", got, want)
+	for name, pair := range map[string][2]any{
+		"weak-drivers": {drivers, naive.RelativeFrequency("discount", mining.AndDim(weak, res))},
+		"drilldown":    {ca.Index.DrillDown(weak, res), naive.DrillDown(weak, res)},
+		"trend":        {ca.Index.Trend(res), naive.Trend(res)},
+		"concepts":     {ca.Index.ConceptsInCategory("discount"), naive.ConceptsInCategory("discount")},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("report %q diverges from naive oracle:\n got %+v\nwant %+v", name, pair[0], pair[1])
+		}
 	}
 }
 
 // TestServerEndpointsNaiveFastEquivalence drives every bivocd analytics
-// endpoint against one sealed daemon, toggling the oracle flag between
-// requests: queries sample the flag per call, so a single server can
-// answer the same URL from both implementations. The response cache is
-// disabled so each request really recomputes.
+// endpoint against one sealed daemon and requires each body to be the
+// bytes the naive oracle renders for the same plan. The response cache is
+// disabled so each request really hits the index.
 func TestServerEndpointsNaiveFastEquivalence(t *testing.T) {
-	restore := setMiningMode(false)
-	defer restore()
-	cfg := bivoc.DefaultServeConfig()
-	cfg.Analysis.World.CallsPerDay = 60
-	cfg.Analysis.World.Days = 3
-	cfg.Addr = "127.0.0.1:0"
-	cfg.CacheSize = -1 // no LRU: every request must hit the index
-	s, err := bivoc.NewQueryServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Error(err)
-		}
-	}()
-	select {
-	case <-s.IngestDone():
-	case <-time.After(60 * time.Second):
-		t.Fatal("ingest did not seal")
-	}
-
-	weak := "weak start[customer intention]"
-	strong := "strong start[customer intention]"
-	res := "outcome=reservation"
-	unb := "outcome=unbooked"
-	conj := weak + " ∧ " + res
-	endpoints := map[string]string{
-		"count": "/v1/count?" + url.Values{"dim": {res, weak, conj}}.Encode(),
-		"associate": "/v1/associate?" + url.Values{
-			"row": {strong, weak}, "col": {res, unb}, "confidence": {"0.9"},
-		}.Encode(),
-		"relfreq":        "/v1/relfreq?" + url.Values{"category": {"discount"}, "featured": {conj}}.Encode(),
-		"drilldown":      "/v1/drilldown?" + url.Values{"row": {weak}, "col": {res}, "limit": {"5"}}.Encode(),
-		"trend":          "/v1/trend?" + url.Values{"dim": {weak}}.Encode(),
-		"concepts-cat":   "/v1/concepts?" + url.Values{"category": {"customer intention"}}.Encode(),
-		"concepts-field": "/v1/concepts?" + url.Values{"field": {"outcome"}}.Encode(),
-	}
-	fetch := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + s.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
-		}
-		return string(body)
-	}
+	t.Parallel()
+	cfg := storeEquivConfig("")
+	s, stop := runSealedServer(t, cfg)
+	defer stop()
+	endpoints := storeEquivEndpoints()
+	delete(endpoints, "healthz")
+	want := oracleBodies(t, analysisOracle(t, cfg.Analysis), cfg.Analysis.Confidence, s.Generation(), endpoints)
 	for name, path := range endpoints {
-		mining.UseNaiveSets = true
-		want := fetch(path)
-		mining.UseNaiveSets = false
-		if got := fetch(path); got != want {
-			t.Errorf("%s: body diverges from naive oracle:\n got %s\nwant %s", name, got, want)
+		if got := fetchBody(t, s.Addr(), path); got != want[name] {
+			t.Errorf("%s: body diverges from naive oracle:\n got %s\nwant %s", name, got, want[name])
 		}
 	}
 }

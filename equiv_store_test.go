@@ -110,8 +110,7 @@ func fetchBody(t *testing.T, addr, path string) string {
 // off disk — and requires byte-identical bodies across all of them on
 // every endpoint.
 func TestServerEndpointsDiskMemoryEquivalence(t *testing.T) {
-	restore := setMiningMode(false)
-	defer restore()
+	t.Parallel()
 	endpoints := storeEquivEndpoints()
 	dir := t.TempDir()
 

@@ -131,12 +131,19 @@ type msgJob struct {
 // is pure, and all stateful accounting happens afterwards in corpus
 // order, so cfg.Workers never changes the result.
 func RunChurnExperimentContext(ctx context.Context, cfg ChurnExperimentConfig) (*ChurnExperimentResult, error) {
+	return runChurnExperiment(ctx, cfg, newSubscriberLinker)
+}
+
+// runChurnExperiment is the experiment over whatever engine newLinker
+// builds on the world's warehouse: newSubscriberLinker from the exported
+// entry points, its naive view from the equivalence test.
+func runChurnExperiment(ctx context.Context, cfg ChurnExperimentConfig, newLinker func(*warehouse.DB) (*linker.Engine, error)) (*ChurnExperimentResult, error) {
 	world, err := synth.NewTelecomWorld(cfg.World)
 	if err != nil {
 		return nil, err
 	}
 	cleaner := clean.NewCleaner()
-	engine, err := newSubscriberLinker(world.DB)
+	engine, err := newLinker(world.DB)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"bivoc/internal/server"
+	"bivoc/internal/voctest"
 )
 
 // serveFrame answers a /v1/shard request with the frame.
@@ -75,7 +76,7 @@ func stubShard(t *testing.T, gen uint64, status, frameStatus int, body string) s
 // the whole fleet answered 200.
 func TestFedGetAndBatchShareOneFold(t *testing.T) {
 	const k = 3
-	docs := testDocs(90)
+	docs := voctest.ParityDocs(90)
 	live := startShard(t, docs, 0, k, server.Config{})
 	waitIngestDone(t, live)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

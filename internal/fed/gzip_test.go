@@ -10,6 +10,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/server"
+	"bivoc/internal/voctest"
 )
 
 // TestFedGzipNegotiation pins response compression on the coordinator:
@@ -17,7 +18,7 @@ import (
 // byte-identical to the plain response, both on a fresh scatter and on
 // a result-cache replay, and coordinator errors stay plain.
 func TestFedGzipNegotiation(t *testing.T) {
-	docs := testDocs(120)
+	docs := voctest.ParityDocs(120)
 	const shards = 2
 	var servers []*server.Server
 	for i := 0; i < shards; i++ {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bivoc/internal/server"
+	"bivoc/internal/voctest"
 )
 
 // inflightTransport counts concurrent RoundTrips. RoundTrip runs inside
@@ -234,7 +235,7 @@ func fedStatsz(t *testing.T, fedBase string) StatszResponse {
 // generation vector of the first, without a single shard request.
 func TestFedCacheHitSkipsScatter(t *testing.T) {
 	const k = 2
-	docs := testDocs(80)
+	docs := voctest.ParityDocs(80)
 	shards := make([]*server.Server, k)
 	for i := range shards {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
@@ -302,7 +303,7 @@ func pollDim(t *testing.T, fedBase, dim string, want int) {
 // the next query scatters fresh bytes.
 func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
 	const k, cut, total = 2, 60, 120
-	docs := testDocs(total)
+	docs := voctest.ParityDocs(total)
 	gate := make(chan struct{})
 	shards := make([]*server.Server, k)
 	for i := range shards {
@@ -373,7 +374,7 @@ func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
 // never enter the coordinator cache.
 func TestFedDegradedNeverCached(t *testing.T) {
 	const k = 2
-	docs := testDocs(80)
+	docs := voctest.ParityDocs(80)
 	shards := make([]*server.Server, k)
 	for i := range shards {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
@@ -464,7 +465,7 @@ func fedBatchCases() []struct {
 // federated query, from one scatter, on healthy and degraded fleets.
 func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 	const k = 2
-	docs := testDocs(100)
+	docs := voctest.ParityDocs(100)
 	shards := make([]*server.Server, k)
 	for i := range shards {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
@@ -582,7 +583,7 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 // scatters nothing.
 func TestFedBatchPopulatesCoordinatorCache(t *testing.T) {
 	const k = 2
-	docs := testDocs(80)
+	docs := voctest.ParityDocs(80)
 	shards := make([]*server.Server, k)
 	for i := range shards {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
@@ -624,7 +625,7 @@ func TestFedBatchPopulatesCoordinatorCache(t *testing.T) {
 
 // TestFedBatchValidation pins the envelope-level error contract.
 func TestFedBatchValidation(t *testing.T) {
-	docs := testDocs(30)
+	docs := voctest.ParityDocs(30)
 	shard := startShard(t, docs, 0, 1, server.Config{})
 	waitIngestDone(t, shard)
 	coord := startCoordinator(t, Config{Shards: shardAddrs([]*server.Server{shard})})
@@ -683,7 +684,7 @@ func TestFedBatchValidation(t *testing.T) {
 // else shows: requests sent, reply bytes read, replies turned down.
 func TestFedStatszServingSections(t *testing.T) {
 	const k = 2
-	docs := testDocs(60)
+	docs := voctest.ParityDocs(60)
 	shards := make([]*server.Server, k)
 	for i := range shards {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
@@ -799,7 +800,7 @@ func TestFedStatszServingSections(t *testing.T) {
 // identical bytes — then again after the release and seal.
 func TestFedBatchAndCacheMidIngest(t *testing.T) {
 	const k, cut, total = 2, 60, 120
-	docs := testDocs(total)
+	docs := voctest.ParityDocs(total)
 	gate := make(chan struct{})
 	shards := make([]*server.Server, k)
 	for i := range shards {

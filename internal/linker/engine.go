@@ -35,6 +35,20 @@ type Engine struct {
 	// hotpath.go) to key cached scores without hashing Attribute structs.
 	attrOrder []Attribute
 	attrIndex map[Attribute]int
+	// naive is set only on the view Naive returns (see sim).
+	naive bool
+}
+
+// Naive returns the engine's oracle view: the same tables, routing and
+// weight map (LearnWeights and SetWeight on either move both), whose
+// link calls run the same candidate generation and Threshold-Algorithm
+// walk but score every pair with the recompute-everything similarity()
+// instead of the warehouse-cached match features. No product path calls
+// it; the equivalence tests hold one beside the engine it came from.
+func (e *Engine) Naive() *Engine {
+	view := *e
+	view.naive = true
+	return &view
 }
 
 // Config declares the attribute routing for an engine.

@@ -11,8 +11,9 @@ import (
 
 // The equivalence contract of the linking hot path: the cached-feature
 // similarity (featSim), the memoized TA merge, and the heap-based top-k
-// must all be byte-identical to the naive recompute-everything oracle
-// kept alive behind UseNaiveSimilarity.
+// must all be byte-identical to the naive recompute-everything oracle:
+// the view Engine.Naive returns, which walks the same lists and scores
+// with similarity().
 
 // propSchema has one column per MatchKind so the property test exercises
 // every similarity branch.
@@ -59,6 +60,7 @@ func randomSurface(rng *rand.Rand) string {
 // MatchKinds, the cached-feature similarity must equal the naive
 // recomputation exactly (==, not within epsilon).
 func TestSimilarityFeatureEquivalence(t *testing.T) {
+	t.Parallel()
 	_, tab := propTable(t)
 	rng := rand.New(rand.NewSource(42))
 	const rows = 40
@@ -103,7 +105,9 @@ func TestSimilarityFeatureEquivalence(t *testing.T) {
 // TestLinkNaiveOracleEquivalence compares every public link entry point
 // against the naive oracle on the shared fixture.
 func TestLinkNaiveOracleEquivalence(t *testing.T) {
+	t.Parallel()
 	e := testEngine(t, testDB(t))
+	naive := e.Naive()
 	docs := [][]Token{
 		{{Text: "jon", Type: TokName}, {Text: "smth", Type: TokName}, {Text: "987654", Type: TokDigits}},
 		{{Text: "mary", Type: TokName}, {Text: "150", Type: TokAmount}},
@@ -112,24 +116,36 @@ func TestLinkNaiveOracleEquivalence(t *testing.T) {
 		{{Text: "zzzz", Type: TokName}},                                    // no candidates anywhere
 		{},
 	}
-	defer func() { UseNaiveSimilarity = false }()
+	check := func(di, k int, doc []Token) {
+		t.Helper()
+		if got, want := e.Link(doc, k), naive.Link(doc, k); !reflect.DeepEqual(got, want) {
+			t.Errorf("doc %d k=%d Link: got %v want %v", di, k, got, want)
+		}
+		if got, want := e.LinkFullScan(doc, k), naive.LinkFullScan(doc, k); !reflect.DeepEqual(got, want) {
+			t.Errorf("doc %d k=%d LinkFullScan: got %v want %v", di, k, got, want)
+		}
+		if got, want := e.LinkTable(doc, "customers", k), naive.LinkTable(doc, "customers", k); !reflect.DeepEqual(got, want) {
+			t.Errorf("doc %d k=%d LinkTable: got %v want %v", di, k, got, want)
+		}
+	}
 	for di, doc := range docs {
 		for _, k := range []int{1, 2, 3} {
-			UseNaiveSimilarity = true
-			wantLink := e.Link(doc, k)
-			wantScan := e.LinkFullScan(doc, k)
-			wantTab := e.LinkTable(doc, "customers", k)
-			UseNaiveSimilarity = false
-			if got := e.Link(doc, k); !reflect.DeepEqual(got, wantLink) {
-				t.Errorf("doc %d k=%d Link: got %v want %v", di, k, got, wantLink)
-			}
-			if got := e.LinkFullScan(doc, k); !reflect.DeepEqual(got, wantScan) {
-				t.Errorf("doc %d k=%d LinkFullScan: got %v want %v", di, k, got, wantScan)
-			}
-			if got := e.LinkTable(doc, "customers", k); !reflect.DeepEqual(got, wantTab) {
-				t.Errorf("doc %d k=%d LinkTable: got %v want %v", di, k, got, wantTab)
-			}
+			check(di, k, doc)
 		}
+	}
+	// The view shares the weight map: weights set or learned through
+	// either engine move both, so the comparison holds after it too.
+	at := Attribute{Table: "customers", Column: "name"}
+	e.SetWeight(at, 0.9)
+	if naive.Weight(at) != 0.9 {
+		t.Fatalf("SetWeight on the engine did not reach its naive view: %v", naive.Weight(at))
+	}
+	naive.LearnWeights(docs, 2)
+	if !reflect.DeepEqual(e.Weights(), naive.Weights()) {
+		t.Fatalf("LearnWeights on the naive view did not move the engine:\n%v\n%v", e.Weights(), naive.Weights())
+	}
+	for di, doc := range docs {
+		check(di, 2, doc)
 	}
 }
 
@@ -137,6 +153,7 @@ func TestLinkNaiveOracleEquivalence(t *testing.T) {
 // LinkIndividualBest against a reference implementation of the original
 // algorithm (one LinkTable call per token).
 func TestLinkIndividualBestPinned(t *testing.T) {
+	t.Parallel()
 	e := testEngine(t, testDB(t))
 	reference := func(tokens []Token, table string) (Match, bool) {
 		votes := map[warehouse.RowID]int{}
@@ -176,6 +193,7 @@ func TestLinkIndividualBestPinned(t *testing.T) {
 // TestTopKMatchesSortTruncate cross-checks the bounded heap against the
 // sort-and-truncate baseline on random match streams.
 func TestTopKMatchesSortTruncate(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(5)

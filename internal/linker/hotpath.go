@@ -9,14 +9,6 @@ import (
 	"bivoc/internal/warehouse"
 )
 
-// UseNaiveSimilarity forces link calls to score with the naive
-// recompute-everything similarity instead of warehouse-cached match
-// features. It exists as a test oracle: equivalence tests flip it to
-// prove the optimized path is byte-identical to the original. The flag
-// is read once per link call (into the call's linkCtx), so concurrent
-// link calls each see a consistent setting.
-var UseNaiveSimilarity bool
-
 // tokenFeats caches the derived forms of one document token for the
 // lifetime of a single link call: the lowercase text plus, lazily, its
 // phone sequence, trigram set, digit string and parsed amount — exactly
@@ -91,13 +83,12 @@ type ctxAttr struct {
 // similarity memo, the candidate buffer — lives here.
 type linkCtx struct {
 	e      *Engine
-	naive  bool
 	byText map[string]*tokenFeats
 	buf    []warehouse.RowID
 }
 
 func (e *Engine) newLinkCtx() *linkCtx {
-	return &linkCtx{e: e, naive: UseNaiveSimilarity, byText: make(map[string]*tokenFeats)}
+	return &linkCtx{e: e, byText: make(map[string]*tokenFeats)}
 }
 
 // tokenFeats returns the (shared) feature cache of a token text.
@@ -162,7 +153,7 @@ func (ctx *linkCtx) sim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float6
 		return v
 	}
 	var v float64
-	if ctx.naive {
+	if ctx.e.naive {
 		v = similarity(ca.kind, tf.text, ca.tab.GetString(row, ca.col))
 	} else {
 		v = ctx.featSim(tf, ca, row)
@@ -178,7 +169,7 @@ func (ctx *linkCtx) sim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float6
 // featSim is similarity() over cached features. Every branch performs
 // the same float operations in the same order as the naive path on the
 // same (lowercased) inputs, so results are bit-for-bit identical — the
-// equivalence tests in linker_equiv_test.go enforce this.
+// equivalence tests in equiv_test.go enforce this.
 func (ctx *linkCtx) featSim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float64 {
 	f := &ca.feats[row]
 	switch ca.kind {

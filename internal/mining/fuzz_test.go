@@ -1,0 +1,36 @@
+package mining_test
+
+import (
+	"testing"
+
+	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
+)
+
+// FuzzEngineEquivalence is the equivalence suites with the world left to
+// the fuzzer: the world of seed with ndocs documents, and every
+// configuration of the fast engine — raw, Prepared with a cold and then a
+// warm conjunction memo, a SegmentSet of 1 to 12 segments chosen by k
+// (past the document count the last ones are empty), and the single
+// segment MergeSegments compacts them into — against the naive view of
+// one monolithic index, through the same comparator.
+func FuzzEngineEquivalence(f *testing.F) {
+	f.Add(int64(0), uint8(0), uint8(0))       // the empty corpus
+	f.Add(int64(1), uint8(1), uint8(7))       // one document, seven empty segments
+	f.Add(int64(20090), uint8(120), uint8(1)) // two segments
+	f.Add(int64(20097), uint8(255), uint8(11))
+	f.Add(int64(-41), uint8(64), uint8(3))
+	f.Add(int64(80081), uint8(9), uint8(8)) // as many segments as documents
+	f.Fuzz(func(t *testing.T, seed int64, ndocs, k uint8) {
+		w := voctest.NewWorld(seed, int(ndocs))
+		naive := oracle(w)
+		ix := w.Index()
+		voctest.CheckQueriers(t, ix, naive, w)
+		ix.Prepare()
+		voctest.CheckQueriers(t, ix, naive, w)
+		voctest.CheckQueriers(t, ix, naive, w)
+		segs := w.Segments(1 + int(k)%12)
+		voctest.CheckQueriers(t, mining.NewSegmentSet(segs...), naive, w)
+		voctest.CheckQueriers(t, mining.MergeSegments(segs...), naive, w)
+	})
+}

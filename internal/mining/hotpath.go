@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-// UseNaiveSets forces every query call to run on the original hash-set
-// implementations (naive.go) instead of the sorted-postings set algebra
-// in this file. It exists as a test oracle, exactly like
-// linker.UseNaiveSimilarity: equivalence tests flip it to prove the
-// fast path is byte-identical to the original. The flag is read once
-// per query call (into the call's queryCtx), so concurrent queries each
-// see a consistent setting.
-var UseNaiveSets bool
-
 // gallopFactor is the size disparity at which a pair intersection
 // switches from the linear merge to galloping (exponential probe +
 // binary search) through the longer list. Below it the merge's
@@ -27,7 +18,6 @@ const gallopFactor = 16
 // the set algebra needs lives here, pooled across calls: intersections
 // accumulate into reusable []int buffers instead of per-call maps.
 type queryCtx struct {
-	naive bool
 	free  [][]int  // reusable postings buffers
 	lists [][]int  // reusable leaf-list headers for k-way intersection
 	marks []uint64 // per-document mark words (see docMarks); all zero between uses
@@ -39,13 +29,7 @@ const markBits = 64
 
 var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
 
-// acquireQueryCtx returns a pooled scratch context with the oracle flag
-// sampled once for the whole call.
-func acquireQueryCtx() *queryCtx {
-	ctx := queryCtxPool.Get().(*queryCtx)
-	ctx.naive = UseNaiveSets
-	return ctx
-}
+func acquireQueryCtx() *queryCtx { return queryCtxPool.Get().(*queryCtx) }
 
 func releaseQueryCtx(ctx *queryCtx) { queryCtxPool.Put(ctx) }
 
@@ -113,14 +97,14 @@ func (ctx *queryCtx) countCells(ncell [][]int, n int, rows, cols [][]int) {
 // dimension. The result aliases backing-internal storage (or, on a
 // mapped segment, its decoded-postings cache): read-only (see the
 // postings contract on Index).
-func (ix *Index) leafPostings(d Dim) []int {
+func leafPostings(b Backing, d Dim) []int {
 	switch {
 	case d.Field != "":
-		return ix.b.FieldPostings(d.Field, d.Value)
+		return b.FieldPostings(d.Field, d.Value)
 	case d.Canonical != "":
-		return ix.b.ConceptPostings(d.Category, d.Canonical)
+		return b.ConceptPostings(d.Category, d.Canonical)
 	default:
-		return ix.b.CategoryPostings(d.Category)
+		return b.CategoryPostings(d.Category)
 	}
 }
 
@@ -130,7 +114,7 @@ func (ix *Index) leafPostings(d Dim) []int {
 // index-internal list or a memoized conjunction).
 func (ix *Index) resolve(ctx *queryCtx, d Dim) (posts []int, owned bool) {
 	if len(d.And) == 0 {
-		return ix.leafPostings(d), false
+		return leafPostings(ix.b, d), false
 	}
 	if p := ix.prep; p != nil {
 		// Sealed index: memoize the conjunction under its canonical
@@ -156,7 +140,7 @@ func (ix *Index) resolve(ctx *queryCtx, d Dim) (posts []int, owned bool) {
 // associative: ∩(a, ∩(b, c)) = ∩(a, b, c).
 func (ix *Index) gatherLeafLists(d Dim, lists [][]int) [][]int {
 	if len(d.And) == 0 {
-		return append(lists, ix.leafPostings(d))
+		return append(lists, leafPostings(ix.b, d))
 	}
 	for _, c := range d.And {
 		lists = ix.gatherLeafLists(c, lists)

@@ -1,78 +1,77 @@
-package mining
+package mining_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
+
+	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // snapshotPostings deep-copies every inverted list in the index so a
 // test can later prove no query wrote through them.
-func snapshotPostings(ix *Index) map[string][]int {
+func snapshotPostings(ix *mining.Index) map[string][]int {
 	snap := map[string][]int{}
-	ix.b.EachConcept(func(cat, canon string, _ int) {
-		snap["concept/"+cat+"/"+canon] = append([]int(nil), ix.b.ConceptPostings(cat, canon)...)
-	})
-	ix.b.EachCategory(func(cat string, _ int) {
-		snap["cat/"+cat] = append([]int(nil), ix.b.CategoryPostings(cat)...)
-	})
-	ix.b.EachField(func(f, v string, _ int) {
-		snap["field/"+f+"/"+v] = append([]int(nil), ix.b.FieldPostings(f, v)...)
-	})
-	return snap
-}
-
-// allDocs returns the index's documents in position order — the test
-// helper replacement for reaching into the backing's document slice.
-func allDocs(ix *Index) []Document {
-	docs := make([]Document, ix.Len())
-	for i := range docs {
-		docs[i] = ix.Doc(i)
+	ex := ix.Export()
+	for _, e := range ex.Concepts {
+		snap["concept/"+e.Key[0]+"/"+e.Key[1]] = append([]int(nil), e.Posts...)
 	}
-	return docs
+	for _, e := range ex.Categories {
+		snap["cat/"+e.Category] = append([]int(nil), e.Posts...)
+	}
+	for _, e := range ex.Fields {
+		snap["field/"+e.Key[0]+"/"+e.Key[1]] = append([]int(nil), e.Posts...)
+	}
+	return snap
 }
 
 // runQueryBattery drives every analytics entry point, including repeat
 // calls that hit the prepared caches, and mutates every slice a query
 // returns — if any of them aliases index internals, the comparison
 // against the pre-battery snapshot will catch it.
-func runQueryBattery(ix *Index, w *equivWorld) {
+func runQueryBattery(ix *mining.Index, w *voctest.World) {
 	for range [2]int{} { // twice: cache-miss then cache-hit paths
-		for _, d := range w.dims {
+		for _, d := range w.Dims {
 			ix.Count(d)
-			for _, pt := range ix.Trend(d) {
-				_ = pt
+			pts := ix.Trend(d)
+			for j := range pts {
+				pts[j].Count = -1
 			}
 		}
-		for i, a := range w.dims {
-			b := w.dims[(i+5)%len(w.dims)]
-			ix.CountBoth(a, b)
-			docs := ix.DrillDown(a, b)
+		for _, p := range w.Pairs {
+			ix.CountBoth(p[0], p[1])
+			docs := ix.DrillDown(p[0], p[1])
 			for j := range docs {
 				docs[j].ID = "clobbered"
 			}
 		}
-		for _, cat := range w.cats {
+		for _, cat := range w.Cats {
 			names := ix.ConceptsInCategory(cat)
 			for j := range names {
 				names[j] = "clobbered"
 			}
-			rel := ix.RelativeFrequency(cat, w.dims[11])
+			rel := ix.RelativeFrequency(cat, w.Dims[11])
 			for j := range rel {
 				rel[j].Concept = "clobbered"
 			}
+			df := ix.ConceptDF(cat)
+			for j := range df {
+				df[j].Concept = "clobbered"
+			}
 		}
-		for _, f := range w.fields {
+		for _, f := range w.Fields {
 			vals := ix.FieldValues(f)
 			for j := range vals {
 				vals[j] = "clobbered"
 			}
 		}
-		tbl := ix.AssociateN(w.dims[:4], w.dims[8:11], 0.95, 0)
-		for i := range tbl.Cells {
-			for j := range tbl.Cells[i] {
-				tbl.Cells[i][j].N = -1
+		for _, tc := range w.Tables {
+			tbl := ix.AssociateN(tc.Rows, tc.Cols, 0.95, 0)
+			for i := range tbl.Cells {
+				for j := range tbl.Cells[i] {
+					tbl.Cells[i][j].N = -1
+				}
 			}
 		}
 	}
@@ -85,14 +84,16 @@ func runQueryBattery(ix *Index, w *equivWorld) {
 // of writing through resolved postings; this test fails if any query
 // mutates an inverted list or hands a caller a slice that aliases one.
 func TestQueriesNeverMutatePostings(t *testing.T) {
+	t.Parallel()
 	for _, prepare := range []bool{false, true} {
-		w := newEquivWorld(rand.New(rand.NewSource(42)), 120)
+		w := voctest.NewWorld(42, 120)
+		ix := w.Index()
 		if prepare {
-			w.ix.Prepare()
+			ix.Prepare()
 		}
-		before := snapshotPostings(w.ix)
-		runQueryBattery(w.ix, w)
-		after := snapshotPostings(w.ix)
+		before := snapshotPostings(ix)
+		runQueryBattery(ix, w)
+		after := snapshotPostings(ix)
 		if !reflect.DeepEqual(before, after) {
 			for k, b := range before {
 				if !reflect.DeepEqual(b, after[k]) {
@@ -104,7 +105,7 @@ func TestQueriesNeverMutatePostings(t *testing.T) {
 		}
 		// Results must still match the oracle after the battery mutated
 		// every returned slice — i.e. callers got copies, not cache views.
-		checkEquiv(t, w)
+		voctest.CheckQueriers(t, ix, oracle(w), w)
 	}
 }
 
@@ -114,24 +115,24 @@ func TestQueriesNeverMutatePostings(t *testing.T) {
 // results, and the cached postings are not scratch that later queries
 // recycle.
 func TestConjunctionMemoStability(t *testing.T) {
-	w := newEquivWorld(rand.New(rand.NewSource(99)), 150)
-	w.ix.Prepare()
-	a := AndDim(ConceptDim("issue", "billing"), FieldDim("outcome", "reservation"))
-	b := AndDim(FieldDim("outcome", "reservation"), ConceptDim("issue", "billing"))
+	t.Parallel()
+	w := voctest.NewWorld(99, 150)
+	ix := w.Index()
+	ix.Prepare()
+	a := mining.AndDim(mining.ConceptDim("issue", "billing"), mining.FieldDim("outcome", "reservation"))
+	b := mining.AndDim(mining.FieldDim("outcome", "reservation"), mining.ConceptDim("issue", "billing"))
 	if a.CanonicalLabel() != b.CanonicalLabel() {
 		t.Fatalf("reordered conjunctions canonicalize differently: %q vs %q",
 			a.CanonicalLabel(), b.CanonicalLabel())
 	}
-	first := w.ix.Count(a)
+	first := ix.Count(a)
 	// Churn the scratch pools with unrelated queries.
-	runQueryBattery(w.ix, w)
-	if got := w.ix.Count(b); got != first {
+	runQueryBattery(ix, w)
+	if got := ix.Count(b); got != first {
 		t.Fatalf("memoized conjunction unstable: first Count=%d, after churn Count=%d", first, got)
 	}
-	var naive int
-	withNaive(func() { naive = w.ix.Count(a) })
-	if first != naive {
-		t.Fatalf("memoized conjunction Count=%d, naive %d", first, naive)
+	if naive := oracle(w).Count(a); first != naive || first == 0 {
+		t.Fatalf("memoized conjunction Count=%d, naive %d (and neither may be 0)", first, naive)
 	}
 }
 
@@ -142,66 +143,61 @@ func TestConjunctionMemoStability(t *testing.T) {
 // answer, memoized or recomputed past the budget, must still equal the
 // naive oracle's.
 func TestConjunctionMemoBounded(t *testing.T) {
-	w := newEquivWorld(rand.New(rand.NewSource(17)), 150)
-	w.ix.Prepare()
-	p := w.ix.prep
-	if p.conjLimit != conjBudget(w.ix.Len()) || p.conjLimit < conjWordsFloor {
-		t.Fatalf("memo limit %d, want conjBudget(%d) = %d", p.conjLimit, w.ix.Len(), conjBudget(w.ix.Len()))
+	t.Parallel()
+	w := voctest.NewWorld(17, 150)
+	ix, naive := w.Index(), oracle(w)
+	ix.Prepare()
+	_, _, limit := ix.ConjMemo()
+	if limit != mining.ConjBudget(ix.Len()) || limit < mining.ConjWordsFloor {
+		t.Fatalf("memo limit %d, want conjBudget(%d) = %d", limit, ix.Len(), mining.ConjBudget(ix.Len()))
 	}
 
-	var leaves []Dim
-	for _, d := range w.dims {
+	var leaves []mining.Dim
+	for _, d := range w.Dims {
 		if len(d.And) == 0 {
 			leaves = append(leaves, d)
 		}
 	}
-	var conjs []Dim
+	var conjs []mining.Dim
 	for i, a := range leaves {
 		for j := i + 1; j < len(leaves); j++ {
-			conjs = append(conjs, AndDim(a, leaves[j]))
+			conjs = append(conjs, mining.AndDim(a, leaves[j]))
 			for k := j + 1; k < len(leaves); k++ {
-				conjs = append(conjs, AndDim(a, leaves[j], leaves[k]))
+				conjs = append(conjs, mining.AndDim(a, leaves[j], leaves[k]))
 			}
 		}
 	}
 	offered := 0
-	withNaive(func() {
-		for _, d := range conjs {
-			offered += conjCost(d.CanonicalLabel(), w.ix.postingsNaive(d))
-		}
-	})
-	for n := 0; offered < 10*p.conjLimit; n++ {
-		d := AndDim(leaves[n%len(leaves)], FieldDim("tag", fmt.Sprint(n)))
+	for _, d := range conjs {
+		offered += mining.ConjCost(d.CanonicalLabel(), naive.Count(d))
+	}
+	for n := 0; offered < 10*limit; n++ {
+		d := mining.AndDim(leaves[n%len(leaves)], mining.FieldDim("tag", fmt.Sprint(n)))
 		conjs = append(conjs, d)
-		offered += conjCost(d.CanonicalLabel(), nil)
+		offered += mining.ConjCost(d.CanonicalLabel(), 0)
 	}
 
-	partner := CategoryDim("issue")
+	partner := mining.CategoryDim("issue")
 	want := make([][2]int, len(conjs))
-	withNaive(func() {
-		for i, d := range conjs {
-			want[i] = [2]int{w.ix.Count(d), w.ix.CountBoth(d, partner)}
-		}
-	})
+	for i, d := range conjs {
+		want[i] = [2]int{naive.Count(d), naive.CountBoth(d, partner)}
+	}
 	for pass := 0; pass < 2; pass++ { // the second pass hits what the first stored
 		for i, d := range conjs {
-			if got := [2]int{w.ix.Count(d), w.ix.CountBoth(d, partner)}; got != want[i] {
+			if got := [2]int{ix.Count(d), ix.CountBoth(d, partner)}; got != want[i] {
 				t.Fatalf("pass %d: %s: Count, CountBoth = %v, naive %v", pass, d.Label(), got, want[i])
 			}
-			if p.conjWords > p.conjLimit {
-				t.Fatalf("pass %d: memo holds %d words after %s, budget %d", pass, p.conjWords, d.Label(), p.conjLimit)
+			if _, words, _ := ix.ConjMemo(); words > limit {
+				t.Fatalf("pass %d: memo holds %d words after %s, budget %d", pass, words, d.Label(), limit)
 			}
 		}
 	}
-	held := 0
-	for key, posts := range p.conj {
-		held += conjCost(key, posts)
+	entries, words, _ := ix.ConjMemo()
+	if held := ix.ConjMemoHeld(); held != words {
+		t.Fatalf("memo accounts for %d words, its entries cost %d", words, held)
 	}
-	if held != p.conjWords {
-		t.Fatalf("memo accounts for %d words, its entries cost %d", p.conjWords, held)
-	}
-	if len(p.conj) == 0 || len(p.conj) >= len(conjs) || p.conjWords < p.conjLimit*9/10 {
+	if entries == 0 || entries >= len(conjs) || words < limit*9/10 {
 		t.Fatalf("memo holds %d of %d conjunctions in %d of %d words — the bound was never reached",
-			len(p.conj), len(conjs), p.conjWords, p.conjLimit)
+			entries, len(conjs), words, limit)
 	}
 }

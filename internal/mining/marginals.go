@@ -13,27 +13,10 @@ import "sort"
 // in report order (frequency descending, ties lexicographic) — the
 // counted form of ConceptsInCategory.
 func (ix *Index) ConceptDF(category string) []ConceptCount {
-	if p := ix.prep; p != nil && !UseNaiveSets {
-		entries := p.catEntries[category]
-		out := make([]ConceptCount, len(entries))
-		for i, e := range entries {
-			out[i] = ConceptCount{Concept: e.canon, DF: e.df}
-		}
-		return out
+	if p := ix.prep; p != nil {
+		return append([]ConceptCount{}, p.catEntries[category]...)
 	}
-	out := []ConceptCount{} // non-nil even when the category is absent
-	ix.b.EachConcept(func(cat, canon string, df int) {
-		if cat == category {
-			out = append(out, ConceptCount{Concept: canon, DF: df})
-		}
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DF != out[j].DF {
-			return out[i].DF > out[j].DF
-		}
-		return out[i].Concept < out[j].Concept
-	})
-	return out
+	return scanConceptDF(ix.b, category)
 }
 
 // RelFreqMarginals extracts the integer marginals of a
@@ -43,49 +26,35 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
 //
 // The in-subset counts come from one mark-then-probe pass: mark the
-// subset's documents, walk each concept's list once. The naive oracle
-// merges concept by concept.
+// subset's documents, walk each concept's list once.
 func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	subset, owned := segPostings(ix, ctx, featured)
+	subset, owned := ix.resolve(ctx, featured)
 	m := RelFreqMarginals{N: ix.b.DocCount(), SubsetSize: len(subset)}
-	var entries []catEntry
-	if p := ix.prep; p != nil && !ctx.naive {
+	var entries []ConceptCount
+	if p := ix.prep; p != nil {
 		entries = p.catEntries[category]
 	} else {
-		ix.b.EachConcept(func(cat, canon string, df int) {
-			if cat == category {
-				entries = append(entries, catEntry{canon: canon, df: df})
-			}
-		})
+		entries = scanConceptDF(ix.b, category)
 	}
-	var marks []uint64
-	if !ctx.naive {
-		marks = ctx.docMarks(m.N)
-		for _, p := range subset {
-			marks[p] = 1
-		}
+	marks := ctx.docMarks(m.N)
+	for _, p := range subset {
+		marks[p] = 1
 	}
 	if len(entries) > 0 {
 		m.Concepts = make([]ConceptMarginal, len(entries))
 	}
 	for k, e := range entries {
-		posts := ix.b.ConceptPostings(category, e.canon)
+		posts := ix.b.ConceptPostings(category, e.Concept)
 		in := 0
-		if marks != nil {
-			for _, p := range posts {
-				in += int(marks[p])
-			}
-		} else {
-			in = countIntersect(posts, subset)
+		for _, p := range posts {
+			in += int(marks[p])
 		}
-		m.Concepts[k] = ConceptMarginal{Concept: e.canon, InSubset: in, InAll: len(posts)}
+		m.Concepts[k] = ConceptMarginal{Concept: e.Concept, InSubset: in, InAll: len(posts)}
 	}
-	if marks != nil {
-		for _, p := range subset {
-			marks[p] = 0
-		}
+	for _, p := range subset {
+		marks[p] = 0
 	}
 	if owned {
 		ctx.putBuf(subset)
@@ -96,13 +65,12 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 
 // marginPostings materializes the postings of every dimension of an
 // association table for the lifetime of one AssocMarginals call: leaf and
-// memoized lists (and the naive oracle's lists, under the oracle flag)
-// are shared read-only views; scratch-computed conjunctions are copied
-// out so the scratch can be reused.
+// memoized lists are shared read-only views; scratch-computed
+// conjunctions are copied out so the scratch can be reused.
 func (ix *Index) marginPostings(ctx *queryCtx, dims []Dim) [][]int {
 	out := make([][]int, len(dims))
 	for i, d := range dims {
-		posts, owned := segPostings(ix, ctx, d)
+		posts, owned := ix.resolve(ctx, d)
 		if owned {
 			out[i] = append([]int(nil), posts...)
 			ctx.putBuf(posts)
@@ -142,15 +110,15 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 //
 // The cells are counted in one pass (queryCtx.countCells): every
 // document is marked with the set of columns it matches, then each row's
-// postings are walked once. The naive oracle, and a table with more
-// columns than a mark word has bits, keep the merge per cell.
+// postings are walked once. A table with more columns than a mark word
+// has bits keeps the merge per cell.
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	rowPosts := ix.marginPostings(ctx, rows)
 	colPosts := ix.marginPostings(ctx, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
-	if !ctx.naive && len(cols) <= markBits {
+	if len(cols) <= markBits {
 		ctx.countCells(m.Ncell, m.N, rowPosts, colPosts)
 		return m
 	}

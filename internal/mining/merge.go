@@ -41,13 +41,19 @@ func MergeConceptCounts(parts ...[]ConceptCount) []ConceptCount {
 	for concept, n := range df {
 		out = append(out, ConceptCount{Concept: concept, DF: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DF != out[j].DF {
-			return out[i].DF > out[j].DF
-		}
-		return out[i].Concept < out[j].Concept
-	})
+	sortReportOrder(out)
 	return out
+}
+
+// sortReportOrder puts a vocabulary in report order: frequency
+// descending, ties lexicographic.
+func sortReportOrder(counts []ConceptCount) {
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].DF != counts[j].DF {
+			return counts[i].DF > counts[j].DF
+		}
+		return counts[i].Concept < counts[j].Concept
+	})
 }
 
 // ConceptNames projects a merged vocabulary onto its concept names.

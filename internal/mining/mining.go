@@ -139,9 +139,6 @@ func (ix *Index) DocID(i int) string { return ix.b.DocID(i) }
 func (ix *Index) Count(d Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	if ctx.naive {
-		return len(ix.postingsNaive(d))
-	}
 	posts, owned := ix.resolve(ctx, d)
 	n := len(posts)
 	if owned {
@@ -157,9 +154,6 @@ func (ix *Index) Count(d Dim) int {
 func (ix *Index) CountBoth(a, b Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	if ctx.naive {
-		return ix.countBothNaive(a, b)
-	}
 	pa, ownedA := ix.resolve(ctx, a)
 	pb, ownedB := ix.resolve(ctx, b)
 	n := countIntersect(pa, pb)
@@ -186,15 +180,11 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 // limit is negative). The count comes from the positions intersection;
 // on a sealed segment, where position order is ID order (see idOrdered),
 // only the first limit positions are materialized — over a mapped
-// backing each one is a full record decode. Any other index, and the
-// naive oracle, materialize and sort the whole cell before truncating.
+// backing each one is a full record decode. Any other index materializes
+// and sorts the whole cell before truncating.
 func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	if ctx.naive {
-		cell := ix.drillDownNaive(a, b)
-		return firstDocs(cell, limit), len(cell)
-	}
 	pa, ownedA := ix.resolve(ctx, a)
 	pb, ownedB := ix.resolve(ctx, b)
 	both := intersectInto(ctx.getBuf(), pa, pb)
@@ -237,19 +227,19 @@ func firstDocs(docs []Document, limit int) []Document {
 // sorted by document frequency (descending, ties lexicographic). On a
 // Prepared index this is a precomputed lookup.
 func (ix *Index) ConceptsInCategory(category string) []string {
-	if p := ix.prep; p != nil && !UseNaiveSets {
+	if p := ix.prep; p != nil {
 		names := p.catNames[category]
 		out := make([]string, len(names))
 		copy(out, names)
 		return out
 	}
-	return ix.conceptsInCategoryNaive(category)
+	return ConceptNames(scanConceptDF(ix.b, category))
 }
 
 // FieldValues returns the distinct values of a structured field, sorted.
 // On a Prepared index this is a precomputed lookup.
 func (ix *Index) FieldValues(field string) []string {
-	if p := ix.prep; p != nil && !UseNaiveSets {
+	if p := ix.prep; p != nil {
 		vals := p.fieldVals[field]
 		if len(vals) == 0 {
 			return nil
@@ -258,7 +248,7 @@ func (ix *Index) FieldValues(field string) []string {
 		copy(out, vals)
 		return out
 	}
-	return ix.fieldValuesNaive(field)
+	return scanFieldValues(ix.b, field)
 }
 
 // Relevance is one row of a relative-frequency report.
@@ -280,9 +270,6 @@ type Relevance struct {
 // math lives in FinalizeRelFreq — the shared merge pipeline — over the
 // integer marginals this index extracts.
 func (ix *Index) RelativeFrequency(category string, featured Dim) []Relevance {
-	if UseNaiveSets {
-		return ix.relativeFrequencyNaive(category, featured)
-	}
 	return FinalizeRelFreq(ix.RelFreqMarginals(category, featured))
 }
 
@@ -325,12 +312,6 @@ func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 // same two steps SegmentSet and the federation coordinator take. The
 // last parameter is ignored (see Querier).
 func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
-	if UseNaiveSets {
-		if confidence <= 0 || confidence >= 1 {
-			confidence = 0.95
-		}
-		return ix.associateNaive(rows, cols, confidence)
-	}
 	return FinalizeAssoc(rows, cols, confidence, ix.AssocMarginals(rows, cols))
 }
 
@@ -387,9 +368,6 @@ type TrendPoint struct {
 func (ix *Index) Trend(d Dim) []TrendPoint {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	if ctx.naive {
-		return ix.trendNaive(d)
-	}
 	posts, owned := ix.resolve(ctx, d)
 	counts := map[int]int{}
 	for _, p := range posts {

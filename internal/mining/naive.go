@@ -6,37 +6,44 @@ import (
 	"bivoc/internal/stats"
 )
 
-// This file preserves the original hash-set implementations of the
-// query engine, verbatim, behind the UseNaiveSets oracle flag (the same
-// shape as linker.UseNaiveSimilarity): equivalence tests flip the flag
-// to prove the sorted-postings fast path in hotpath.go returns
-// byte-identical results. Nothing here is reached unless UseNaiveSets
-// is set when a query call acquires its queryCtx.
+// NaiveIndex is the reference Querier: the original hash-set query
+// engine, kept as the oracle every fast path is pinned to. It reads the
+// Backing of the Index it was taken from and nothing else of it — no
+// prepared caches, no conjunction memo, no pooled scratch, no one-pass
+// marginals: every count materializes a set, a limited drill-down sorts
+// the whole cell and then truncates, an association table recomputes
+// each column marginal and its Wilson interval once per row, and the
+// marginal extractions are one CountBoth per cell or per concept.
+//
+// No product path constructs one. The equivalence suites compare each
+// fast configuration — raw, Prepared, live, segmented, compacted, mapped,
+// served by a daemon or a fleet — with the naive view of one monolithic
+// index over the same documents.
+type NaiveIndex struct{ b Backing }
 
-// postingsNaive returns the document positions matching a dimension.
-func (ix *Index) postingsNaive(d Dim) []int {
+var _ Querier = (*NaiveIndex)(nil)
+
+// Naive returns the oracle view over the index's backing, heap or
+// mapped: what the index holds, the view holds.
+func (ix *Index) Naive() *NaiveIndex { return &NaiveIndex{b: ix.b} }
+
+// postings returns the document positions matching a dimension.
+func (n *NaiveIndex) postings(d Dim) []int {
 	if len(d.And) > 0 {
-		return ix.intersectNaive(d.And)
+		return n.intersect(d.And)
 	}
-	switch {
-	case d.Field != "":
-		return ix.b.FieldPostings(d.Field, d.Value)
-	case d.Canonical != "":
-		return ix.b.ConceptPostings(d.Category, d.Canonical)
-	default:
-		return ix.b.CategoryPostings(d.Category)
-	}
+	return leafPostings(n.b, d)
 }
 
-// intersectNaive returns document positions matching every dimension,
+// intersect returns document positions matching every dimension,
 // smallest-list-first for efficiency.
-func (ix *Index) intersectNaive(dims []Dim) []int {
+func (n *NaiveIndex) intersect(dims []Dim) []int {
 	if len(dims) == 0 {
 		return nil
 	}
 	lists := make([][]int, len(dims))
 	for i, d := range dims {
-		lists[i] = ix.postingsNaive(d)
+		lists[i] = n.postings(d)
 	}
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	current := map[int]bool{}
@@ -63,10 +70,16 @@ func (ix *Index) intersectNaive(dims []Dim) []int {
 	return out
 }
 
-// countBothNaive counts documents matching both dimensions through a
+// Len returns the number of documents behind the view.
+func (n *NaiveIndex) Len() int { return n.b.DocCount() }
+
+// Count materializes the dimension's postings and returns their number.
+func (n *NaiveIndex) Count(d Dim) int { return len(n.postings(d)) }
+
+// CountBoth counts documents matching both dimensions through a
 // materialized hash set.
-func (ix *Index) countBothNaive(a, b Dim) int {
-	pa, pb := ix.postingsNaive(a), ix.postingsNaive(b)
+func (n *NaiveIndex) CountBoth(a, b Dim) int {
+	pa, pb := n.postings(a), n.postings(b)
 	if len(pa) > len(pb) {
 		pa, pb = pb, pa
 	}
@@ -74,19 +87,19 @@ func (ix *Index) countBothNaive(a, b Dim) int {
 	for _, p := range pa {
 		set[p] = true
 	}
-	n := 0
+	c := 0
 	for _, p := range pb {
 		if set[p] {
-			n++
+			c++
 		}
 	}
-	return n
+	return c
 }
 
-// drillDownNaive returns the documents matching both dimensions via a
-// hash-set membership scan.
-func (ix *Index) drillDownNaive(a, b Dim) []Document {
-	pa, pb := ix.postingsNaive(a), ix.postingsNaive(b)
+// DrillDown returns the documents matching both dimensions via a
+// hash-set membership scan, sorted by ID.
+func (n *NaiveIndex) DrillDown(a, b Dim) []Document {
+	pa, pb := n.postings(a), n.postings(b)
 	set := make(map[int]bool, len(pa))
 	for _, p := range pa {
 		set[p] = true
@@ -94,42 +107,53 @@ func (ix *Index) drillDownNaive(a, b Dim) []Document {
 	var out []Document
 	for _, p := range pb {
 		if set[p] {
-			out = append(out, ix.b.Doc(p))
+			out = append(out, n.b.Doc(p))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// conceptsInCategoryNaive scans the concept map for the category.
-func (ix *Index) conceptsInCategoryNaive(category string) []string {
-	type cc struct {
-		canon string
-		n     int
+// DrillDownLimit sorts the whole cell, then truncates it.
+func (n *NaiveIndex) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
+	cell := n.DrillDown(a, b)
+	if limit >= 0 && limit < len(cell) {
+		return cell[:limit], len(cell)
 	}
-	var all []cc
-	ix.b.EachConcept(func(cat, canon string, df int) {
+	return cell, len(cell)
+}
+
+// ConceptsInCategory, ConceptDF and FieldValues scan the backing's
+// vocabulary — what an index that was never Prepared does too.
+func (n *NaiveIndex) ConceptsInCategory(category string) []string {
+	return ConceptNames(scanConceptDF(n.b, category))
+}
+
+func (n *NaiveIndex) ConceptDF(category string) []ConceptCount {
+	return scanConceptDF(n.b, category)
+}
+
+func (n *NaiveIndex) FieldValues(field string) []string { return scanFieldValues(n.b, field) }
+
+// scanConceptDF scans the concept map for the category's vocabulary and
+// puts it in report order (frequency descending, ties lexicographic).
+// Non-nil even when the category is absent.
+func scanConceptDF(b Backing, category string) []ConceptCount {
+	out := []ConceptCount{}
+	b.EachConcept(func(cat, canon string, df int) {
 		if cat == category {
-			all = append(all, cc{canon, df})
+			out = append(out, ConceptCount{Concept: canon, DF: df})
 		}
 	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].canon < all[j].canon
-	})
-	out := make([]string, len(all))
-	for i, c := range all {
-		out[i] = c.canon
-	}
+	sortReportOrder(out)
 	return out
 }
 
-// fieldValuesNaive scans the field map for the field's values.
-func (ix *Index) fieldValuesNaive(field string) []string {
+// scanFieldValues scans the field map for the field's values, sorted;
+// nil when the field is absent.
+func scanFieldValues(b Backing, field string) []string {
 	var out []string
-	ix.b.EachField(func(f, value string, _ int) {
+	b.EachField(func(f, value string, _ int) {
 		if f == field {
 			out = append(out, value)
 		}
@@ -138,20 +162,21 @@ func (ix *Index) fieldValuesNaive(field string) []string {
 	return out
 }
 
-// relativeFrequencyNaive is the hash-set relevancy analysis.
-func (ix *Index) relativeFrequencyNaive(category string, featured Dim) []Relevance {
-	subset := ix.postingsNaive(featured)
+// RelativeFrequency is the hash-set relevancy analysis, with its own
+// ratio math (FinalizeRelFreq is part of what it is the oracle for).
+func (n *NaiveIndex) RelativeFrequency(category string, featured Dim) []Relevance {
+	subset := n.postings(featured)
 	subSet := make(map[int]bool, len(subset))
 	for _, p := range subset {
 		subSet[p] = true
 	}
-	n := ix.b.DocCount()
+	total := n.b.DocCount()
 	var out []Relevance
-	ix.b.EachConcept(func(cat, canon string, _ int) {
+	n.b.EachConcept(func(cat, canon string, _ int) {
 		if cat != category {
 			return
 		}
-		posts := ix.b.ConceptPostings(cat, canon)
+		posts := n.b.ConceptPostings(cat, canon)
 		inSub := 0
 		for _, p := range posts {
 			if subSet[p] {
@@ -161,11 +186,11 @@ func (ix *Index) relativeFrequencyNaive(category string, featured Dim) []Relevan
 		r := Relevance{
 			Concept:  canon,
 			InSubset: inSub, SubsetSize: len(subset),
-			InAll: len(posts), N: n,
+			InAll: len(posts), N: total,
 		}
-		if len(subset) > 0 && len(posts) > 0 && n > 0 {
+		if len(subset) > 0 && len(posts) > 0 && total > 0 {
 			pSub := float64(inSub) / float64(len(subset))
-			pAll := float64(len(posts)) / float64(n)
+			pAll := float64(len(posts)) / float64(total)
 			r.Ratio = pSub / pAll
 		}
 		out = append(out, r)
@@ -179,35 +204,39 @@ func (ix *Index) relativeFrequencyNaive(category string, featured Dim) []Relevan
 	return out
 }
 
-// associateNaive builds the association table sequentially, recomputing
+// AssociateN builds the association table sequentially, recomputing
 // every column marginal (and its Wilson interval) once per row — the
-// original shape the hoisted fast path is proven against.
-func (ix *Index) associateNaive(rows, cols []Dim, confidence float64) *AssocTable {
-	n := ix.b.DocCount()
+// original shape the hoisted FinalizeAssoc pipeline is proven against.
+// The last parameter is ignored (see Querier).
+func (n *NaiveIndex) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
+	if confidence <= 0 || confidence >= 1 {
+		confidence = 0.95
+	}
+	total := n.b.DocCount()
 	tbl := &AssocTable{Rows: rows, Cols: cols, Confidence: confidence}
 	tbl.Cells = make([][]Cell, len(rows))
 	for i, rd := range rows {
 		tbl.Cells[i] = make([]Cell, len(cols))
-		nver := len(ix.postingsNaive(rd))
+		nver := n.Count(rd)
 		for j, cd := range cols {
-			nhor := len(ix.postingsNaive(cd))
-			ncell := ix.countBothNaive(rd, cd)
+			nhor := n.Count(cd)
+			ncell := n.CountBoth(rd, cd)
 			cell := Cell{
 				Row: rd, Col: cd,
-				Ncell: ncell, Nver: nver, Nhor: nhor, N: n,
+				Ncell: ncell, Nver: nver, Nhor: nhor, N: total,
 			}
-			if n > 0 && nver > 0 && nhor > 0 {
-				pCell := float64(ncell) / float64(n)
-				pVer := float64(nver) / float64(n)
-				pHor := float64(nhor) / float64(n)
+			if total > 0 && nver > 0 && nhor > 0 {
+				pCell := float64(ncell) / float64(total)
+				pVer := float64(nver) / float64(total)
+				pHor := float64(nhor) / float64(total)
 				if pVer > 0 && pHor > 0 {
 					cell.PointIndex = pCell / (pVer * pHor)
 				}
 				// Conservative (smallest) value of the index: lower bound
 				// of the cell density over upper bounds of the marginals.
-				cellIv := stats.WilsonInterval(ncell, n, confidence)
-				verIv := stats.WilsonInterval(nver, n, confidence)
-				horIv := stats.WilsonInterval(nhor, n, confidence)
+				cellIv := stats.WilsonInterval(ncell, total, confidence)
+				verIv := stats.WilsonInterval(nver, total, confidence)
+				horIv := stats.WilsonInterval(nhor, total, confidence)
 				if verIv.Hi > 0 && horIv.Hi > 0 {
 					cell.LowerIndex = cellIv.Lo / (verIv.Hi * horIv.Hi)
 				}
@@ -227,11 +256,11 @@ func (ix *Index) associateNaive(rows, cols []Dim, confidence float64) *AssocTabl
 	return tbl
 }
 
-// trendNaive buckets the naive postings by document time.
-func (ix *Index) trendNaive(d Dim) []TrendPoint {
+// Trend buckets the naive postings by document time.
+func (n *NaiveIndex) Trend(d Dim) []TrendPoint {
 	counts := map[int]int{}
-	for _, p := range ix.postingsNaive(d) {
-		counts[ix.b.DocTime(p)]++
+	for _, p := range n.postings(d) {
+		counts[n.b.DocTime(p)]++
 	}
 	out := make([]TrendPoint, 0, len(counts))
 	for t, c := range counts {
@@ -239,4 +268,33 @@ func (ix *Index) trendNaive(d Dim) []TrendPoint {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
+}
+
+// RelFreqMarginals is one CountBoth per concept of the category — the
+// loop the one-pass extraction replaced.
+func (n *NaiveIndex) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
+	m := RelFreqMarginals{N: n.Len(), SubsetSize: n.Count(featured)}
+	for _, c := range n.ConceptDF(category) {
+		m.Concepts = append(m.Concepts, ConceptMarginal{Concept: c.Concept,
+			InSubset: n.CountBoth(ConceptDim(category, c.Concept), featured), InAll: c.DF})
+	}
+	sort.Slice(m.Concepts, func(i, j int) bool { return m.Concepts[i].Concept < m.Concepts[j].Concept })
+	return m
+}
+
+// AssocMarginals is a Count per dimension and a CountBoth per cell — the
+// extraction the one-pass mark-then-probe count replaced.
+func (n *NaiveIndex) AssocMarginals(rows, cols []Dim) AssocMarginals {
+	m := AssocMarginals{N: n.Len(), Nver: make([]int, len(rows)), Nhor: make([]int, len(cols)), Ncell: make([][]int, len(rows))}
+	for j, c := range cols {
+		m.Nhor[j] = n.Count(c)
+	}
+	for i, r := range rows {
+		m.Nver[i] = n.Count(r)
+		m.Ncell[i] = make([]int, len(cols))
+		for j, c := range cols {
+			m.Ncell[i][j] = n.CountBoth(r, c)
+		}
+	}
+	return m
 }

@@ -22,7 +22,13 @@ import (
 // by mu because sealed indexes are queried from many server handlers at
 // once.
 type prepared struct {
-	catEntries map[string][]catEntry
+	// catEntries holds each category's vocabulary in ConceptsInCategory
+	// order (frequency desc, ties lexicographic). It deliberately carries
+	// the df, not the postings: over a mapped backing, holding every
+	// category's lists here would materialize the whole segment at Prepare
+	// time — consumers that need the actual list (RelFreqMarginals) fetch
+	// it through the backing on demand instead.
+	catEntries map[string][]ConceptCount
 	catNames   map[string][]string
 	fieldVals  map[string][]string
 
@@ -33,18 +39,6 @@ type prepared struct {
 
 	orderOnce sync.Once
 	ordered   bool
-}
-
-// catEntry is one canonical concept of a category with its document
-// frequency, held in ConceptsInCategory order (frequency desc, ties
-// lexicographic). It deliberately carries the df, not the postings:
-// over a mapped backing, holding every category's lists here would
-// materialize the whole segment at Prepare time — consumers that need
-// the actual list (RelFreqMarginals) fetch it through the backing on
-// demand instead.
-type catEntry struct {
-	canon string
-	df    int
 }
 
 // The conjunction memo's budget. Every distinct conjunction a client
@@ -77,27 +71,18 @@ func (ix *Index) Prepare() {
 		return
 	}
 	p := &prepared{
-		catEntries: make(map[string][]catEntry),
+		catEntries: make(map[string][]ConceptCount),
 		catNames:   make(map[string][]string),
 		fieldVals:  make(map[string][]string),
 		conj:       make(map[string][]int),
 		conjLimit:  conjBudget(ix.b.DocCount()),
 	}
 	ix.b.EachConcept(func(cat, canon string, df int) {
-		p.catEntries[cat] = append(p.catEntries[cat], catEntry{canon: canon, df: df})
+		p.catEntries[cat] = append(p.catEntries[cat], ConceptCount{Concept: canon, DF: df})
 	})
 	for cat, entries := range p.catEntries {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].df != entries[j].df {
-				return entries[i].df > entries[j].df
-			}
-			return entries[i].canon < entries[j].canon
-		})
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.canon
-		}
-		p.catNames[cat] = names
+		sortReportOrder(entries)
+		p.catNames[cat] = ConceptNames(entries)
 	}
 	ix.b.EachField(func(field, value string, _ int) {
 		p.fieldVals[field] = append(p.fieldVals[field], value)

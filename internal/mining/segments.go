@@ -15,8 +15,9 @@ import "sort"
 //     averaging per-segment floats.
 //
 // That merge discipline is what makes a SegmentSet byte-identical to a
-// monolithic Index over the same corpus (the oracle pinned by
-// segments_test.go at segment counts {1, 2, 8} and across compactions).
+// monolithic Index over the same corpus (pinned by segments_test.go
+// against the monolithic NaiveIndex at segment counts {1, 2, 8} and
+// across compactions).
 
 // Querier is the read side shared by the monolithic *Index and the
 // segmented *SegmentSet: every analytics entry point the serving layer
@@ -123,17 +124,6 @@ func MergeSegments(segs ...*Index) *Index {
 		}
 	}
 	return Seal(docs)
-}
-
-// segPostings resolves a dimension's postings inside one segment,
-// honoring the per-call oracle flag: the naive hash-set path also
-// returns position-sorted lists, so countIntersect works on either.
-// Ownership as in resolve (naive results are never scratch-owned).
-func segPostings(ix *Index, ctx *queryCtx, d Dim) (posts []int, owned bool) {
-	if ctx.naive {
-		return ix.postingsNaive(d), false
-	}
-	return ix.resolve(ctx, d)
 }
 
 // Len returns the total number of documents across segments.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // postBatch POSTs a BatchRequest and returns status + body.
@@ -64,7 +65,8 @@ func singlePath(endpoint string) string { return "/v1/" + endpoint }
 // endpoint returns (modulo the trailing newline the envelope strips),
 // and the whole batch is answered from one generation.
 func TestBatchMatchesSingleQueries(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(120))})
+	t.Parallel()
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(120))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
@@ -126,7 +128,7 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 // follow-up GET /v1/count on the very same snapshot-LRU entry, and vice
 // versa — one prepare* implementation, one cache key, both paths.
 func TestBatchSharesCacheWithSingleQueries(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(60))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(60))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
@@ -171,7 +173,7 @@ func TestBatchSharesCacheWithSingleQueries(t *testing.T) {
 
 // TestBatchValidation pins the envelope-level error paths.
 func TestBatchValidation(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(10))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(10))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
@@ -244,7 +246,7 @@ func TestBatchValidation(t *testing.T) {
 // wrapped route counts its requests and buckets its latency, and the
 // bucket totals reconcile with the request count.
 func TestStatszServingCounters(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(30))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(30))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
@@ -298,7 +300,7 @@ func TestBatchMatchesSingleQueriesMidIngest(t *testing.T) {
 	}
 	s := startServer(t, Config{Source: src, SwapEvery: firstBatch})
 	base := "http://" + s.Addr()
-	docs := testDocs(total)
+	docs := voctest.ParityDocs(total)
 
 	compare := func(phase string, wantSealed bool) {
 		t.Helper()

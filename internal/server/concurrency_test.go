@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // TestConcurrentQueriesDuringSwaps is the torn-read suite: N client
@@ -32,7 +33,7 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 		swapEvery = 25
 		clients   = 8
 	)
-	docs := testDocs(totalDocs)
+	docs := voctest.ParityDocs(totalDocs)
 	// Trickle the docs so the swaps interleave with queries instead of
 	// finishing before the clients ramp up.
 	src := func(ctx context.Context, _ func(string) bool, emit func(mining.Document) error) error {
@@ -153,7 +154,7 @@ func TestCacheNeverServesStaleGeneration(t *testing.T) {
 	s := startServer(t, Config{Source: src, SwapEvery: swapEvery})
 	u := "http://" + s.Addr() + "/v1/count?" +
 		url.Values{"dim": {"parity=even", "parity=odd"}}.Encode()
-	docs := testDocs(100)
+	docs := voctest.ParityDocs(100)
 
 	var r CountResponse
 	for batch := 0; batch < 10; batch++ {

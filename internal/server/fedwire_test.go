@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"reflect"
 	"strings"
 	"testing"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // The federation wire suite: the generation header every response must
@@ -41,7 +40,7 @@ func getWithHeader(t *testing.T, rawurl string) (int, string, []byte) {
 // errors, even unknown routes — carries X-Bivoc-Generation, and on
 // generation-bearing bodies the header agrees with the body.
 func TestGenerationHeaderOnEveryResponse(t *testing.T) {
-	docs := testDocs(60)
+	docs := voctest.ParityDocs(60)
 	s := startServer(t, Config{Source: sliceSource(docs)})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
@@ -96,7 +95,7 @@ func TestGenerationHeaderOnEveryResponse(t *testing.T) {
 // non-200 reply is {"error": "...", "status": N} with the HTTP status
 // echoed in the body, so the coordinator can relay shard errors.
 func TestErrorBodiesAreStructuredJSON(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(20))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(20))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
@@ -167,42 +166,6 @@ func postShard(t *testing.T, base string, queries ...BatchQuery) ShardFrame {
 	return frame
 }
 
-// partialWorld is a random corpus in the manner of internal/mining's
-// equivalence worlds (which are private to that package's tests): a few
-// categories with overlapping vocabularies, optional fields, time buckets
-// on both sides of zero, and strings JSON has to escape.
-func partialWorld(seed int64, ndocs int) []mining.Document {
-	rng := rand.New(rand.NewSource(seed))
-	canon := map[string][]string{
-		"issue":     {"billing", "outage", "up<grade>", "can&cel", "roam\"ing"},
-		"brand":     {"acme", "globex", "ini\u2028tech"},
-		"sentiment": {"positive", "negative"},
-	}
-	fieldVals := map[string][]string{
-		"outcome": {"reservation", "walk\\away", "callback"},
-		"agent":   {"A1", "A2", "A3", "A\xff4"},
-	}
-	docs := make([]mining.Document, ndocs)
-	for i := range docs {
-		var concepts []annotate.Concept
-		for _, cat := range []string{"issue", "brand", "sentiment"} {
-			for _, cn := range canon[cat] {
-				if rng.Intn(4) == 0 {
-					concepts = append(concepts, annotate.Concept{Category: cat, Canonical: cn})
-				}
-			}
-		}
-		fields := map[string]string{}
-		for _, f := range []string{"outcome", "agent"} {
-			if vals := fieldVals[f]; rng.Intn(5) != 0 {
-				fields[f] = vals[rng.Intn(len(vals))]
-			}
-		}
-		docs[i] = mining.Document{ID: fmt.Sprintf("doc-%04d", i), Concepts: concepts, Fields: fields, Time: rng.Intn(9) - 3}
-	}
-	return docs
-}
-
 // sameList is reflect.DeepEqual, except that an empty list equals a nil
 // one: a partial carries a length, not whether the slice behind it was
 // allocated.
@@ -217,6 +180,7 @@ func sameList[T any](a, b []T) bool {
 // request, served from the snapshot LRU, sends the same frame; and
 // finalizing the decoded marginals reproduces the float endpoints.
 func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
+	t.Parallel()
 	dims := func(labels ...string) []mining.Dim {
 		out := make([]mining.Dim, len(labels))
 		for i, l := range labels {
@@ -238,7 +202,8 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprintf("world-%d", seed), func(t *testing.T) {
-			docs := partialWorld(seed, 60+int(seed)*70)
+			t.Parallel()
+			docs := voctest.NewWorld(seed, 60+int(seed)*70).Docs
 			ix := batchIndex(docs)
 			s := startServer(t, Config{Source: sliceSource(docs)})
 			waitIngestDone(t, s)

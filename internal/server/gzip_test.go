@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 func TestAcceptsGzip(t *testing.T) {
@@ -84,7 +85,7 @@ func gunzip(t *testing.T, data []byte) []byte {
 // identical to the plain response, small bodies and errors stay plain,
 // and every /v1 response varies on Accept-Encoding.
 func TestGzipNegotiation(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(120))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(120))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 

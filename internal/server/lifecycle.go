@@ -104,12 +104,22 @@ func pprofMux() http.Handler {
 	return mux
 }
 
+// NotifySignals installs the handler a daemon main runs under: the
+// context is done at the first SIGINT or SIGTERM. A main calls it before
+// it starts (and announces) its listener and hands the context to
+// RunUntilSignal, so that there is no moment at which the daemon has
+// printed an address, or answered a request, while a signal would still
+// take the default disposition and kill it without a drain.
+func NotifySignals() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+}
+
 // RunUntilSignal is how both daemon mains end, once their listener is
 // up: serve the profiles at pprofAddr if one is given (":0" works, the
-// bound address is printed), block until SIGINT or SIGTERM, then run
-// shutdown under the drain bound and say "stopped cleanly". name
+// bound address is printed), block until ctx — NotifySignals' — is done,
+// then run shutdown under the drain bound and say "stopped cleanly". name
 // prefixes every line it prints.
-func RunUntilSignal(name, pprofAddr string, drain time.Duration, shutdown func(context.Context) error) error {
+func RunUntilSignal(ctx context.Context, name, pprofAddr string, drain time.Duration, shutdown func(context.Context) error) error {
 	if pprofAddr != "" {
 		var pp Lifecycle
 		if err := pp.Start(pprofAddr, pprofMux()); err != nil {
@@ -122,8 +132,6 @@ func RunUntilSignal(name, pprofAddr string, drain time.Duration, shutdown func(c
 		defer pp.Shutdown(expired)
 		fmt.Printf("%s: pprof at http://%s/debug/pprof/\n", name, pp.Addr())
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	fmt.Printf("%s: shutting down, draining in-flight requests\n", name)
 	dctx, cancel := context.WithTimeout(context.Background(), drain)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bivoc/internal/voctest"
 )
 
 func okHandler() http.Handler {
@@ -119,7 +121,7 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 // refuses a second Start.
 func TestServerStartsAfterFailedBind(t *testing.T) {
 	addr, release := occupy(t)
-	s, err := New(Config{Addr: addr, Source: sliceSource(testDocs(12))})
+	s, err := New(Config{Addr: addr, Source: sliceSource(voctest.ParityDocs(12))})
 	if err != nil {
 		t.Fatal(err)
 	}

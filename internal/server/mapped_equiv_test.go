@@ -12,14 +12,15 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/store"
+	"bivoc/internal/voctest"
 )
 
 // Byte-identity acceptance suite for mmap-backed serving: a daemon
 // recovering its corpus through mapped segments must answer every /v1
-// endpoint with exactly the bytes a materialized daemon serves — on the
-// fast query paths and the naive oracle, at any associate worker
-// count, and across a compaction that swaps the merged heap index for
-// a mapped view of the freshly written segment.
+// endpoint with exactly the bytes a materialized daemon serves, which are
+// the bytes the naive oracle renders in the test process — and keep doing
+// so across a compaction that swaps the merged heap index for a mapped
+// view of the freshly written segment.
 
 func openMappedStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
@@ -77,50 +78,62 @@ func sealCorpus(t *testing.T, docs []mining.Document, queries []string) (string,
 
 // TestMappedDaemonServesIdenticalBytes boots a materialized and a
 // mapped daemon over copies of the same sealed corpus and requires
-// every endpoint body to match the original run byte for byte, on the
-// fast path and on the naive-sets oracle. Caching is disabled so the
-// oracle pass actually recomputes.
+// every endpoint body to match the original run byte for byte, and every
+// /v1 body of all three to be what Plan.Local renders over the naive view
+// of one monolithic index of the documents (oracleBodies) — on the parity
+// corpus and on a random world with its whole URL battery. Caching is
+// disabled so every request really recomputes.
 func TestMappedDaemonServesIdenticalBytes(t *testing.T) {
-	docs := testDocs(150)
-	queries := persistQueries()
-	dir, want := sealCorpus(t, docs, queries)
+	t.Parallel()
+	random := voctest.NewWorld(20211, 150)
+	for _, tc := range []struct {
+		name    string
+		docs    []mining.Document
+		queries []string
+	}{
+		{"parity corpus", voctest.ParityDocs(150), persistQueries()},
+		{"random world", random.Docs, append(random.URLs(), "/healthz")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			docs, queries := tc.docs, tc.queries
+			dir, want := sealCorpus(t, docs, queries)
 
-	mat := startServer(t, Config{
-		Source:    resumableSource(docs, nil),
-		Persist:   openStore(t, copyStoreDir(t, dir)),
-		CacheSize: -1,
-	})
-	mapSt := openMappedStore(t, copyStoreDir(t, dir))
-	mapped := startServer(t, Config{
-		Source:      resumableSource(docs, nil),
-		Persist:     mapSt,
-		MapSegments: true,
-		CacheSize:   -1,
-	})
-	waitIngestDone(t, mat)
-	waitIngestDone(t, mapped)
+			mat := startServer(t, Config{
+				Source:    resumableSource(docs, nil),
+				Persist:   openStore(t, copyStoreDir(t, dir)),
+				CacheSize: -1,
+			})
+			mapSt := openMappedStore(t, copyStoreDir(t, dir))
+			mapped := startServer(t, Config{
+				Source:      resumableSource(docs, nil),
+				Persist:     mapSt,
+				MapSegments: true,
+				CacheSize:   -1,
+			})
+			waitIngestDone(t, mat)
+			waitIngestDone(t, mapped)
 
-	if st := mapSt.Stats(); st.MappedSegments < 1 {
-		t.Fatalf("mapped daemon recovered without mapping: %+v", st)
+			if st := mapSt.Stats(); st.MappedSegments < 1 {
+				t.Fatalf("mapped daemon recovered without mapping: %+v", st)
+			}
+
+			matBase, mapBase := "http://"+mat.Addr(), "http://"+mapped.Addr()
+			got := fetchAll(t, mapBase, queries)
+			compareAll(t, "mapped vs seed run", want, got)
+			compareAll(t, "mapped vs materialized", fetchAll(t, matBase, queries), got)
+
+			oracle := oracleBodies(t, docs, mapped.Generation(), queries)
+			if len(oracle) != len(queries)-1 {
+				t.Fatalf("the oracle rendered %d of %d queries", len(oracle), len(queries))
+			}
+			compareAll(t, "mapped vs naive oracle", oracle, got)
+			compareAll(t, "heap seed run vs naive oracle", oracle, want)
+
+			shutdownServer(t, mat)
+			shutdownServer(t, mapped)
+		})
 	}
-
-	matBase, mapBase := "http://"+mat.Addr(), "http://"+mapped.Addr()
-	got := fetchAll(t, mapBase, queries)
-	compareAll(t, "mapped vs seed run", want, got)
-	compareAll(t, "mapped vs materialized", fetchAll(t, matBase, queries), got)
-
-	// Oracle pass: the naive set implementations must agree with
-	// themselves across the backing too.
-	old := mining.UseNaiveSets
-	mining.UseNaiveSets = true
-	naiveMat := fetchAll(t, matBase, queries)
-	naiveMap := fetchAll(t, mapBase, queries)
-	mining.UseNaiveSets = old
-	compareAll(t, "naive oracle mapped vs materialized", naiveMat, naiveMap)
-	compareAll(t, "naive oracle vs fast path", want, naiveMap)
-
-	shutdownServer(t, mat)
-	shutdownServer(t, mapped)
 }
 
 // TestMappedStatszSections pins the observability added with mapped
@@ -128,7 +141,7 @@ func TestMappedDaemonServesIdenticalBytes(t *testing.T) {
 // daemon's store section carries mapped-segment and postings-cache
 // counters (which a materialized daemon omits).
 func TestMappedStatszSections(t *testing.T) {
-	docs := testDocs(60)
+	docs := voctest.ParityDocs(60)
 	queries := persistQueries()
 	dir, _ := sealCorpus(t, docs, queries)
 
@@ -166,7 +179,7 @@ func TestMappedStatszSections(t *testing.T) {
 	shutdownServer(t, s)
 
 	// A materialized daemon reports memory but no mapping counters.
-	plain := startServer(t, Config{Source: sliceSource(testDocs(10))})
+	plain := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(10))})
 	waitIngestDone(t, plain)
 	var psz StatszResponse
 	getOK(t, "http://"+plain.Addr()+"/statsz", &psz)
@@ -184,8 +197,9 @@ func TestMappedStatszSections(t *testing.T) {
 // swapped its merged heap index for a mapped view of the compacted
 // segment.
 func TestMappedDaemonCompactionIdentical(t *testing.T) {
-	seed := testDocs(150)
-	all := testDocs(300) // same first 150 IDs; the suffix is fresh ingest
+	t.Parallel()
+	seed := voctest.ParityDocs(150)
+	all := voctest.ParityDocs(300) // same first 150 IDs; the suffix is fresh ingest
 	queries := persistQueries()
 	dir, _ := sealCorpus(t, seed, queries)
 
@@ -252,7 +266,8 @@ func (b countingBacking) Doc(i int) mining.Document {
 // with the same count — and decodes at most limit records per segment to
 // do it, where the whole-cell path decoded every match.
 func TestMappedDrillDownDecodesLimit(t *testing.T) {
-	docs := testDocs(240)
+	t.Parallel()
+	docs := voctest.ParityDocs(240)
 	dir := t.TempDir()
 	const nsegs = 3
 	var heap, mapped []*mining.Index

@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"bivoc/internal/voctest"
 )
 
 // TestHealthzDegradedOnMappedDecodeFailure: a mapped segment whose
@@ -18,7 +20,7 @@ import (
 // clean mapped daemon is "ok". (Only a real mapping sees the overwrite,
 // hence the build tag: elsewhere a "mapped" segment is read once.)
 func TestHealthzDegradedOnMappedDecodeFailure(t *testing.T) {
-	docs := testDocs(150)
+	docs := voctest.ParityDocs(150)
 	dir, _ := sealCorpus(t, docs, nil)
 	st := openMappedStore(t, dir)
 	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st, MapSegments: true, CacheSize: -1})

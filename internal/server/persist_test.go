@@ -14,6 +14,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/store"
+	"bivoc/internal/voctest"
 )
 
 // resumableSource is a persistence-aware sliceSource: it honors the
@@ -116,7 +117,7 @@ func compareAll(t *testing.T, label string, want, got map[string][]byte) {
 // the segment — is reset.
 func TestPersistSealWritesSegmentAndResetsWAL(t *testing.T) {
 	dir := t.TempDir()
-	docs := testDocs(90)
+	docs := voctest.ParityDocs(90)
 	st := openStore(t, dir)
 	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st})
 	waitIngestDone(t, s)
@@ -161,7 +162,7 @@ func TestPersistSealWritesSegmentAndResetsWAL(t *testing.T) {
 // byte-identically to the original in-memory run.
 func TestPersistWarmRestartServesIdenticalBytes(t *testing.T) {
 	dir := t.TempDir()
-	docs := testDocs(120)
+	docs := voctest.ParityDocs(120)
 	queries := persistQueries()
 
 	st1 := openStore(t, dir)
@@ -219,7 +220,7 @@ func TestPersistWarmRestartServesIdenticalBytes(t *testing.T) {
 func TestPersistCrashMidIngestRecovers(t *testing.T) {
 	const crashAt, total = 37, 110
 	dir := t.TempDir()
-	docs := testDocs(total)
+	docs := voctest.ParityDocs(total)
 	queries := persistQueries()
 
 	// Control: same corpus, no persistence, no crash.
@@ -281,7 +282,7 @@ func TestPersistCrashMidIngestRecovers(t *testing.T) {
 // absent without a store, and carrying segment/WAL/recovery state with
 // one.
 func TestPersistStatszStoreSection(t *testing.T) {
-	plain := startServer(t, Config{Source: sliceSource(testDocs(10))})
+	plain := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(10))})
 	waitIngestDone(t, plain)
 	var noStore StatszResponse
 	getOK(t, "http://"+plain.Addr()+"/statsz", &noStore)
@@ -290,7 +291,7 @@ func TestPersistStatszStoreSection(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	docs := testDocs(60)
+	docs := voctest.ParityDocs(60)
 	st := openStore(t, dir)
 	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st})
 	waitIngestDone(t, s)
@@ -325,7 +326,7 @@ func TestPersistStatszStoreSection(t *testing.T) {
 // the WAL already holds everything accepted so far.
 func TestPersistWALAppendedBeforeSeal(t *testing.T) {
 	dir := t.TempDir()
-	docs := testDocs(30)
+	docs := voctest.ParityDocs(30)
 	feed := make(chan mining.Document)
 	src := func(ctx context.Context, _ func(string) bool, emit func(mining.Document) error) error {
 		for d := range feed {
@@ -367,7 +368,7 @@ func TestPersistWALAppendedBeforeSeal(t *testing.T) {
 // RAM, and /statsz surfaces the persistence error.
 func TestPersistErrorDegradesNotKills(t *testing.T) {
 	dir := t.TempDir()
-	docs := testDocs(40)
+	docs := voctest.ParityDocs(40)
 	st := openStore(t, dir)
 	// Close the store's WAL behind the server's back: every AppendWAL
 	// from now on fails the way a dead disk would.

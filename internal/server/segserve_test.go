@@ -5,84 +5,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"net/url"
-	"reflect"
 	"testing"
 	"time"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
-// segQueries exercises every /v1 endpoint family (both /v1/concepts
-// modes included) against the testDoc corpus.
-func segQueries() []string {
-	return []string{
-		"/v1/count?" + url.Values{"dim": {"parity=even", "parity=odd", "topic", "austin[place]"}}.Encode(),
-		"/v1/associate?" + url.Values{"row": {"billing[topic]", "coverage[topic]", "roadside[topic]"}, "col": {"outcome=reservation", "outcome=unbooked", "outcome=service"}}.Encode(),
-		"/v1/associate?" + url.Values{"row": {"topic"}, "col": {"parity=odd"}, "confidence": {"0.99"}}.Encode(),
-		"/v1/relfreq?" + url.Values{"category": {"topic"}, "featured": {"outcome=reservation"}}.Encode(),
-		"/v1/drilldown?" + url.Values{"row": {"austin[place]"}, "col": {"outcome=service"}}.Encode(),
-		"/v1/trend?" + url.Values{"dim": {"billing[topic]"}}.Encode(),
-		"/v1/concepts?category=topic",
-		"/v1/concepts?field=outcome",
-	}
-}
-
-// normalizeBody strips the snapshot-identity fields (generation,
-// sealed) so servers that reached the same corpus through different
-// swap cadences can be compared; everything else — including float
-// formatting, which Go re-renders identically through a decode/encode
-// round trip — must match.
-func normalizeBody(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("unmarshal %s: %v", body, err)
-	}
-	delete(m, "generation")
-	delete(m, "sealed")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestSegmentedServerMatchesMonolithic is the serving-layer half of the
-// tentpole oracle: the same corpus ingested under swap cadences that
-// leave 1, 2 and 8 live segments answers every endpoint identically to
-// a single-segment (monolithic) server, with compaction disabled so the
-// segment counts are exact.
+// tentpole oracle: a random world ingested under swap cadences that
+// leave 1, 2 and 8 live segments answers every URL of the world's battery
+// with exactly the bytes the naive view of one monolithic index renders
+// (oracleBodies), with compaction disabled so the segment counts are
+// exact.
 func TestSegmentedServerMatchesMonolithic(t *testing.T) {
+	t.Parallel()
 	const total = 80
-	docs := testDocs(total)
-
-	mono := startServer(t, Config{Source: sliceSource(docs), MaxSegments: -1})
-	waitIngestDone(t, mono)
-	want := make(map[string][]byte)
-	for _, q := range segQueries() {
-		_, body := get(t, "http://"+mono.Addr()+q)
-		want[q] = normalizeBody(t, body)
-	}
+	w := voctest.NewWorld(20212, total)
 
 	for _, segs := range []int{1, 2, 8} {
-		segs := segs
 		t.Run(fmt.Sprintf("segments-%d", segs), func(t *testing.T) {
-			s := startServer(t, Config{Source: sliceSource(docs), SwapEvery: total / segs, MaxSegments: -1})
+			t.Parallel()
+			s := startServer(t, Config{Source: sliceSource(w.Docs), SwapEvery: total / segs, MaxSegments: -1})
 			waitIngestDone(t, s)
 			segDocs, compactions := s.SegmentInfo()
 			if len(segDocs) != segs || compactions != 0 {
 				t.Fatalf("segment layout = %v (compactions %d), want %d segments, none compacted", segDocs, compactions, segs)
 			}
-			for _, q := range segQueries() {
-				status, body := get(t, "http://"+s.Addr()+q)
-				if status != 200 {
-					t.Fatalf("GET %s: status %d: %s", q, status, body)
-				}
-				if got := normalizeBody(t, body); !reflect.DeepEqual(got, want[q]) {
-					t.Errorf("GET %s diverges from monolithic:\n got %s\nwant %s", q, got, want[q])
-				}
-			}
+			compareAll(t, "segmented daemon vs naive oracle",
+				oracleBodies(t, w.Docs, s.Generation(), w.URLs()), fetchAll(t, "http://"+s.Addr(), w.URLs()))
 		})
 	}
 }
@@ -90,14 +41,13 @@ func TestSegmentedServerMatchesMonolithic(t *testing.T) {
 // TestCompactionBoundsSegmentsAndPreservesAnswers pins the background
 // compactor: past MaxSegments the segment count comes back under the
 // bound, the served generation does not move (compaction is invisible),
-// and every endpoint still answers byte-identically to the monolithic
-// baseline.
+// and every URL of the world's battery still draws the bytes the
+// monolithic naive oracle renders.
 func TestCompactionBoundsSegmentsAndPreservesAnswers(t *testing.T) {
+	t.Parallel()
 	const total, maxSegs = 80, 3
-	docs := testDocs(total)
-
-	mono := startServer(t, Config{Source: sliceSource(docs), MaxSegments: -1})
-	waitIngestDone(t, mono)
+	w := voctest.NewWorld(20213, total)
+	docs := w.Docs
 
 	s := startServer(t, Config{Source: sliceSource(docs), SwapEvery: 10, MaxSegments: maxSegs})
 	waitIngestDone(t, s)
@@ -125,13 +75,8 @@ func TestCompactionBoundsSegmentsAndPreservesAnswers(t *testing.T) {
 	if docsTotal != total {
 		t.Errorf("compacted segments hold %d docs (%v), want %d", docsTotal, segDocs, total)
 	}
-	for _, q := range segQueries() {
-		_, monoBody := get(t, "http://"+mono.Addr()+q)
-		_, segBody := get(t, "http://"+s.Addr()+q)
-		if !reflect.DeepEqual(normalizeBody(t, segBody), normalizeBody(t, monoBody)) {
-			t.Errorf("GET %s diverges after compaction", q)
-		}
-	}
+	compareAll(t, "compacted daemon vs naive oracle",
+		oracleBodies(t, docs, s.Generation(), w.URLs()), fetchAll(t, "http://"+s.Addr(), w.URLs()))
 
 	var statsz StatszResponse
 	getOK(t, "http://"+s.Addr()+"/statsz", &statsz)
@@ -148,7 +93,7 @@ func TestCompactionBoundsSegmentsAndPreservesAnswers(t *testing.T) {
 // at the 10th new doc (60 % 20 == 0) instead of the 20th.
 func TestWarmRestartSwapEveryCadence(t *testing.T) {
 	dir := t.TempDir()
-	docs := testDocs(70)
+	docs := voctest.ParityDocs(70)
 
 	st1 := openStore(t, dir)
 	s1 := startServer(t, Config{Source: sliceSource(docs[:50]), Persist: st1})
@@ -225,7 +170,7 @@ func TestHealthzDegradedOnPersistFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every AppendWAL on the closed store fails, setting PersistErr.
-	s := startServer(t, Config{Source: sliceSource(testDocs(10)), Persist: st})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(10)), Persist: st})
 	waitIngestDone(t, s)
 	if s.PersistErr() == nil {
 		t.Fatal("closed store did not surface a persistence error")

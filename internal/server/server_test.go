@@ -4,60 +4,38 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"testing"
 	"time"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
-
-var testTopics = []string{"billing", "coverage", "roadside", "upgrade"}
-
-// testDoc builds the i-th deterministic document: every doc carries a
-// parity field (so parity=even + parity=odd must equal the total — the
-// torn-read invariant), an outcome field, topic concepts and a time
-// bucket.
-func testDoc(i int) mining.Document {
-	parity := "even"
-	if i%2 == 1 {
-		parity = "odd"
-	}
-	outcome := []string{"reservation", "unbooked", "service"}[i%3]
-	concepts := []annotate.Concept{
-		{Category: "topic", Canonical: testTopics[i%len(testTopics)]},
-	}
-	if i%5 == 0 {
-		concepts = append(concepts, annotate.Concept{Category: "place", Canonical: "austin"})
-	}
-	return mining.Document{
-		ID:       fmt.Sprintf("doc-%05d", i),
-		Concepts: concepts,
-		Fields:   map[string]string{"parity": parity, "outcome": outcome},
-		Time:     i / 10,
-	}
-}
-
-func testDocs(n int) []mining.Document {
-	docs := make([]mining.Document, n)
-	for i := range docs {
-		docs[i] = testDoc(i)
-	}
-	return docs
-}
 
 // batchIndex is the ground truth the snapshots must match: one plain
 // index over the same documents, built by Add alone.
 func batchIndex(docs []mining.Document) *mining.Index {
-	ix := mining.NewIndex()
-	for _, d := range docs {
-		ix.Add(d)
-	}
+	ix := voctest.Index(docs)
 	ix.Prepare()
 	return ix
+}
+
+// oracleBodies renders what a sealed daemon at generation gen over docs
+// must answer to each /v1 query of a battery: the endpoint table's
+// Plan.Local over the naive view of one monolithic index, marshalled in
+// the test process — it shares nothing with a daemon but the documents.
+func oracleBodies(t *testing.T, docs []mining.Document, gen uint64, queries []string) map[string][]byte {
+	t.Helper()
+	naive := voctest.Index(docs).Naive()
+	return voctest.Bodies(t, queries, func(endpoint string, params url.Values) (any, error) {
+		plan, err := NewEndpoints(0).Plan(endpoint, params)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Local(naive, Head{Generation: gen, Sealed: true}), nil
+	})
 }
 
 func sliceSource(docs []mining.Document) DocSource {
@@ -151,7 +129,8 @@ func mustJSON(t *testing.T, v any) []byte {
 // corpus, waits for the sealed snapshot, and pins every /v1 endpoint's
 // response byte-identical to the equivalent direct mining.Index calls.
 func TestEndpointsMatchDirectIndex(t *testing.T) {
-	docs := testDocs(120)
+	t.Parallel()
+	docs := voctest.ParityDocs(120)
 	s := startServer(t, Config{Source: sliceSource(docs)})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
@@ -366,7 +345,7 @@ func TestMidIngestSnapshotMatchesBatch(t *testing.T) {
 	}
 	s := startServer(t, Config{Source: src, SwapEvery: firstBatch})
 	base := "http://" + s.Addr()
-	docs := testDocs(total)
+	docs := voctest.ParityDocs(total)
 
 	for _, d := range docs[:firstBatch] {
 		feed <- d
@@ -428,7 +407,7 @@ func TestCacheHitsAreByteIdenticalAndInvalidatedOnSwap(t *testing.T) {
 	}
 	s := startServer(t, Config{Source: src, SwapEvery: 10})
 	base := "http://" + s.Addr()
-	docs := testDocs(20)
+	docs := voctest.ParityDocs(20)
 	u := base + "/v1/count?" + url.Values{"dim": {"parity=even", "parity=odd"}}.Encode()
 
 	for _, d := range docs[:10] {
@@ -487,7 +466,7 @@ func TestCacheHitsAreByteIdenticalAndInvalidatedOnSwap(t *testing.T) {
 
 // TestCacheLRUEviction pins the eviction order with a capacity-2 cache.
 func TestCacheLRUEviction(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(12)), CacheSize: 2})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(12)), CacheSize: 2})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 	qa := base + "/v1/count?dim=" + url.QueryEscape("parity=even")

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // frameDecoders is every decoder of the exchange — the envelope and each
@@ -185,7 +186,7 @@ func TestShardFrameSeeds(t *testing.T) {
 // on as it is — through the snapshot LRU, where a JSON body's newline is
 // trimmed for the batch envelope, and through the frame.
 func TestShardFrameKeepsNewlineAndEmptyBodies(t *testing.T) {
-	s := startServer(t, Config{Source: sliceSource(testDocs(20))})
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(20))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 	q := BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even"}}}
@@ -265,10 +266,13 @@ func (e errString) Error() string { return string(e) }
 func TestDrillDownSpliceMatchesMarshal(t *testing.T) {
 	var docs []mining.Document
 	for i, s := range nastyStrings {
-		docs = append(docs, partialWorld(int64(i), 3)...)
+		docs = append(docs, voctest.NewWorld(int64(i), 3).Docs...)
 		for k := range docs[len(docs)-3:] {
 			d := &docs[len(docs)-3+k]
 			d.ID = string(rune('a'+i)) + d.ID + s
+			if d.Fields == nil {
+				d.Fields = map[string]string{}
+			}
 			d.Fields["note"] = s
 			d.Fields[s] = "key"
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // TestGracefulShutdownDrainsInFlight proves the shutdown contract: once
@@ -29,7 +30,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 				return ctx.Err()
 			case <-time.After(time.Millisecond):
 			}
-			if err := emit(testDoc(i)); err != nil {
+			if err := emit(voctest.ParityDoc(i)); err != nil {
 				return err
 			}
 		}

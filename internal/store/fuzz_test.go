@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // FuzzSegmentDecode throws arbitrary bytes at the segment reader. The
@@ -21,9 +22,9 @@ func FuzzSegmentDecode(f *testing.F) {
 	// interesting almost-valid neighborhoods (truncations, bit flips).
 	seeds := [][]byte{
 		EncodeSegment(sealedIndex(nil).Export()),
-		EncodeSegment(sealedIndex(corpus(1, 1)).Export()),
-		EncodeSegment(sealedIndex(corpus(25, 2)).Export()),
-		EncodeSegment(sealedIndex(corpus(120, 3)).Export()),
+		EncodeSegment(sealedIndex(voctest.NewWorld(1, 1).Docs).Export()),
+		EncodeSegment(sealedIndex(voctest.NewWorld(2, 25).Docs).Export()),
+		EncodeSegment(sealedIndex(voctest.NewWorld(3, 120).Docs).Export()),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -158,7 +159,7 @@ func FuzzWALReplay(f *testing.F) {
 	var good []byte
 	good = append(good, walMagic[:]...)
 	good = append(good, 1, 0, 0, 0)
-	for _, d := range corpus(8, 4) {
+	for _, d := range voctest.NewWorld(4, 8).Docs {
 		good = append(good, appendWALRecord(nil, d)...)
 	}
 	f.Add(good)

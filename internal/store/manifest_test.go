@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // segmentBatches splits a corpus into sealed per-batch indexes, the
@@ -27,8 +28,10 @@ func segmentBatches(docs []mining.Document, size int) []*mining.Index {
 // accumulate, stats report per-segment and total state, and a reopen
 // recovers every live segment via the manifest.
 func TestAppendSegmentLineage(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	docs := corpus(90, 7)
+	w := voctest.NewWorld(7, 90)
+	docs := w.Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -64,14 +67,11 @@ func TestAppendSegmentLineage(t *testing.T) {
 		t.Fatalf("recovered %d document IDs, want 90", len(got))
 	}
 	// Fan-in over the recovered segments must match the full corpus.
-	set := mining.NewSegmentSet(func() []*mining.Index {
-		var ixs []*mining.Index
-		for _, seg := range rec.Segments {
-			ixs = append(ixs, seg.Index)
-		}
-		return ixs
-	}()...)
-	indexQueriesEqual(t, set, sealedIndex(docs))
+	var ixs []*mining.Index
+	for _, seg := range rec.Segments {
+		ixs = append(ixs, seg.Index)
+	}
+	voctest.CheckQueriers(t, mining.NewSegmentSet(ixs...), w.Index().Naive(), w)
 }
 
 // TestReplaceSegmentsCompaction pins the compaction path: the merged
@@ -79,7 +79,7 @@ func TestAppendSegmentLineage(t *testing.T) {
 // are deleted, and a reopen sees the compacted lineage.
 func TestReplaceSegmentsCompaction(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(80, 11)
+	docs := voctest.NewWorld(11, 80).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestReplaceSegmentsCompaction(t *testing.T) {
 // load and the loss is reported.
 func TestManifestDamagedSegmentSkipped(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(60, 3)
+	docs := voctest.NewWorld(3, 60).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestManifestDamagedSegmentSkipped(t *testing.T) {
 // newest readable one.
 func TestManifestMissingFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(50, 5)
+	docs := voctest.NewWorld(5, 50).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestManifestMissingFallsBack(t *testing.T) {
 // AppendSegment and one built with ReplaceSegments(nil, …) leave the
 // same files holding the same bytes, and report the same stats.
 func TestAppendIsReplaceNothing(t *testing.T) {
-	batches := segmentBatches(corpus(90, 13), 30)
+	batches := segmentBatches(voctest.NewWorld(13, 90).Docs, 30)
 	build := func(add func(*Store, *mining.Index) (Stats, error)) (string, Stats) {
 		dir := t.TempDir()
 		st, err := Open(dir, Options{})

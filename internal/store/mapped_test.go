@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
 
 // writeSegmentFile encodes ix and writes it where a test wants it.
@@ -24,11 +25,13 @@ func writeSegFile(t *testing.T, path string, ix *mining.Index) []byte {
 }
 
 // TestMappedSegmentEquivalence pins the tentpole invariant at the store
-// layer: an index served from a mapped segment answers every query —
-// fast path and naive oracle — exactly as the materialized index the
-// segment was written from, and re-exports to the identical bytes.
+// layer: an index served from a mapped segment answers every query of the
+// battery exactly as the naive oracle over the documents the segment was
+// written from, and re-exports to the identical bytes.
 func TestMappedSegmentEquivalence(t *testing.T) {
-	ix := sealedIndex(corpus(200, 21))
+	t.Parallel()
+	w := voctest.NewWorld(21, 200)
+	ix := sealedIndex(w.Docs)
 	path := filepath.Join(t.TempDir(), "seg.seg")
 	data := writeSegFile(t, path, ix)
 
@@ -40,7 +43,9 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 	mapped := mining.FromBacking(m)
 	mapped.Prepare()
 
-	indexQueriesEqual(t, mapped, ix)
+	naive := w.Index().Naive()
+	voctest.CheckQueriers(t, mapped, naive, w) // cold postings cache and memo
+	voctest.CheckQueriers(t, mapped, naive, w) // warm
 	if err := m.Err(); err != nil {
 		t.Fatalf("sticky error after clean queries: %v", err)
 	}
@@ -63,33 +68,29 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 	}
 }
 
-// TestMappedOracleEquivalence runs the mapped index against the naive
-// set-algebra oracle — the same equivalence discipline the mining
-// package pins for the materialized backing.
+// TestMappedOracleEquivalence holds the mapped backing to the oracle
+// without the sealed-index caches: an index over the mapping that was
+// never Prepared answers by scanning the backing's vocabulary and
+// decoding postings on every touch, and must still say what the naive
+// view of the heap index says. So must the naive view taken over the
+// mapping itself (Index.Naive reads whatever backing the index has) —
+// the mapped reader under an engine that shares no access pattern with
+// the fast path.
 func TestMappedOracleEquivalence(t *testing.T) {
-	ix := sealedIndex(corpus(150, 22))
+	t.Parallel()
+	w := voctest.NewWorld(22, 150)
 	path := filepath.Join(t.TempDir(), "seg.seg")
-	writeSegFile(t, path, ix)
+	writeSegFile(t, path, sealedIndex(w.Docs))
 	m, err := OpenMapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mapped := mining.FromBacking(m)
-	mapped.Prepare()
-
-	weak := mining.ConceptDim("intent", "weak start")
-	res := mining.FieldDim("outcome", "reservation")
-	conj := mining.AndDim(weak, res)
-	mining.UseNaiveSets = true
-	naiveCount := mapped.Count(conj)
-	naiveRel := mapped.RelativeFrequency("discount", conj)
-	mining.UseNaiveSets = false
-	if got := mapped.Count(conj); got != naiveCount {
-		t.Fatalf("mapped fast Count %d, naive %d", got, naiveCount)
-	}
-	if got := mapped.RelativeFrequency("discount", conj); !reflect.DeepEqual(got, naiveRel) {
-		t.Fatal("mapped fast RelativeFrequency diverges from naive")
+	naive := w.Index().Naive()
+	voctest.CheckQueriers(t, mining.FromBacking(m), naive, w)
+	voctest.CheckQueriers(t, mining.FromBacking(m).Naive(), naive, w)
+	if err := m.Err(); err != nil {
+		t.Fatalf("sticky error after clean queries: %v", err)
 	}
 }
 
@@ -98,7 +99,7 @@ func TestMappedOracleEquivalence(t *testing.T) {
 // the envelope, before any lazy read could serve them.
 func TestOpenMappedRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
-	good := EncodeSegment(sealedIndex(corpus(60, 23)).Export())
+	good := EncodeSegment(sealedIndex(voctest.NewWorld(23, 60).Docs).Export())
 	check := func(name string, data []byte) {
 		t.Helper()
 		path := filepath.Join(dir, name+".seg")
@@ -129,7 +130,7 @@ func TestOpenMappedRejectsDamage(t *testing.T) {
 // both refuse it with IsCorrupt, and a recovery that finds one in its
 // lineage skips it like any other damaged generation.
 func TestOpenMappedRejectsLegacy(t *testing.T) {
-	ix := sealedIndex(corpus(40, 24))
+	ix := sealedIndex(voctest.NewWorld(24, 40).Docs)
 	v2 := EncodeSegment(ix.Export())
 	env, err := checkEnvelope(v2)
 	if err != nil {
@@ -205,8 +206,10 @@ func TestOpenMappedRejectsLegacy(t *testing.T) {
 // mapped set — and a corrupted segment falls back to the materializing
 // loader's verdict, then WAL recovery, never wrong bytes.
 func TestStoreMappedRecovery(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	docs := corpus(120, 25)
+	w := voctest.NewWorld(25, 120)
+	docs := w.Docs
 	ix := sealedIndex(docs)
 
 	st, err := Open(dir, Options{})
@@ -237,7 +240,8 @@ func TestStoreMappedRecovery(t *testing.T) {
 	if _, ok := recovered.Backing().(*Mapped); !ok {
 		t.Fatalf("recovered index backing is %T, want *Mapped", recovered.Backing())
 	}
-	indexQueriesEqual(t, recovered, ix)
+	voctest.CheckQueriers(t, recovered, w.Index().Naive(), w)
+	voctest.CheckQueriers(t, recovered, w.Index().Naive(), w) // again, from the postings cache
 	stats := st2.Stats()
 	if stats.MappedSegments != 1 || stats.MappedBytes <= 0 {
 		t.Fatalf("stats: %d mapped segments, %d bytes", stats.MappedSegments, stats.MappedBytes)
@@ -279,11 +283,10 @@ func TestStoreMappedRecovery(t *testing.T) {
 // segments, replace them with a merged one, remap the new generation,
 // and require the mapping to answer exactly as the merged index.
 func TestStoreMapSegmentRemap(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	docsA, docsB := corpus(60, 26), corpus(90, 27)
-	for i := range docsB {
-		docsB[i].ID = fmt.Sprintf("b-%05d", i) // disjoint IDs across segments
-	}
+	w := voctest.NewWorld(26, 150)
+	docsA, docsB := w.Docs[:60], w.Docs[60:]
 	st, err := Open(dir, Options{MapSegments: true})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +311,7 @@ func TestStoreMapSegmentRemap(t *testing.T) {
 	if _, ok := remapped.Backing().(*Mapped); !ok {
 		t.Fatalf("remapped backing is %T", remapped.Backing())
 	}
-	indexQueriesEqual(t, remapped, merged)
+	voctest.CheckQueriers(t, remapped, w.Index().Naive(), w)
 	if got := st.Stats(); got.MappedSegments != 1 {
 		t.Fatalf("stats after remap: %d mapped segments", got.MappedSegments)
 	}
@@ -377,9 +380,9 @@ func TestPostingsCacheBudget(t *testing.T) {
 // set is decoded, repeated counts over a mapped index stay on the
 // cache path (hits, no new decoded bytes).
 func TestMappedHotQueryAllocs(t *testing.T) {
-	ix := sealedIndex(corpus(300, 28))
+	w := voctest.NewWorld(28, 300)
 	path := filepath.Join(t.TempDir(), "seg.seg")
-	writeSegFile(t, path, ix)
+	writeSegFile(t, path, sealedIndex(w.Docs))
 	cache := NewPostingsCache(0)
 	m, err := OpenMapped(path, cache)
 	if err != nil {
@@ -389,8 +392,10 @@ func TestMappedHotQueryAllocs(t *testing.T) {
 	mapped := mining.FromBacking(m)
 	mapped.Prepare()
 
-	dim := mining.AndDim(mining.ConceptDim("intent", "weak start"), mining.FieldDim("outcome", "reservation"))
-	mapped.Count(dim) // warm: decodes + conjunction memo
+	dim := w.Dims[11]           // a conjunction of two leaves
+	if mapped.Count(dim) == 0 { // warm: decodes + conjunction memo
+		t.Fatalf("%s matches nothing in this world", dim.Label())
+	}
 	before := cache.StatsSnapshot()
 	for i := 0; i < 50; i++ {
 		mapped.Count(dim)
@@ -409,8 +414,10 @@ func TestMappedHotQueryAllocs(t *testing.T) {
 // must say so — first error kept, still readable after Close — and a
 // mapped store that has served every read cleanly must say nothing.
 func TestStoreReportsMappingFailure(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	ix := sealedIndex(corpus(80, 29))
+	w := voctest.NewWorld(29, 80)
+	ix := sealedIndex(w.Docs)
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +438,7 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 		t.Fatalf("clean segment recorded as an eager fallback: %v", rec.EagerFallbacks)
 	}
 	recovered := soleSegment(t, rec)
-	indexQueriesEqual(t, recovered, ix)
+	voctest.CheckQueriers(t, recovered, w.Index().Naive(), w)
 	if err := st2.Err(); err != nil {
 		t.Fatalf("clean mapped store reports %v", err)
 	}
@@ -455,7 +462,7 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 // without a mapping is one that would not map and was loaded instead;
 // recovery names it.
 func TestAdoptRecordsEagerFallback(t *testing.T) {
-	ix := sealedIndex(corpus(5, 30))
+	ix := sealedIndex(voctest.NewWorld(30, 5).Docs)
 	for _, mapSegs := range []bool{false, true} {
 		s, rec := &Store{dir: "d", mapSegs: mapSegs}, &Recovery{}
 		s.adopt(rec, 7, s.segmentPath(7), ix, 1, nil)

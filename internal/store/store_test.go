@@ -3,46 +3,14 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/voctest"
 )
-
-// corpus builds n deterministic documents spanning every dimension
-// family (several concept categories, fields, time buckets).
-func corpus(n int, seed int64) []mining.Document {
-	rnd := rand.New(rand.NewSource(seed))
-	cats := []string{"intent", "discount", "place"}
-	canon := []string{"weak start", "strong start", "aaa", "coupon", "austin"}
-	outcomes := []string{"reservation", "unbooked", "service"}
-	docs := make([]mining.Document, n)
-	for i := range docs {
-		var cs []annotate.Concept
-		for j := 0; j < rnd.Intn(4); j++ {
-			cs = append(cs, annotate.Concept{
-				Category:  cats[rnd.Intn(len(cats))],
-				Canonical: canon[rnd.Intn(len(canon))],
-				Start:     rnd.Intn(20),
-				End:       20 + rnd.Intn(20),
-			})
-		}
-		docs[i] = mining.Document{
-			ID:       fmt.Sprintf("doc-%05d", i),
-			Concepts: cs,
-			Fields: map[string]string{
-				"outcome": outcomes[rnd.Intn(len(outcomes))],
-				"agent":   fmt.Sprintf("A%d", rnd.Intn(5)),
-			},
-			Time: rnd.Intn(10),
-		}
-	}
-	return docs
-}
 
 // sealedIndex builds the sealed, Prepared index over docs — the object
 // segments persist.
@@ -50,68 +18,6 @@ func sealedIndex(docs []mining.Document) *mining.Index {
 	si := mining.NewStreamIndex()
 	si.AddBatch(docs)
 	return si.Seal()
-}
-
-// indexQueriesEqual compares two queriers (monolithic indexes or
-// segment sets) across every query family and reports the first
-// divergence.
-func indexQueriesEqual(t *testing.T, got, want mining.Querier) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("Len: got %d want %d", got.Len(), want.Len())
-	}
-	weak := mining.ConceptDim("intent", "weak start")
-	res := mining.FieldDim("outcome", "reservation")
-	conj := mining.AndDim(weak, res)
-	for _, d := range []mining.Dim{weak, res, conj, mining.CategoryDim("discount")} {
-		if a, b := got.Count(d), want.Count(d); a != b {
-			t.Errorf("Count(%s): got %d want %d", d.Label(), a, b)
-		}
-		if !reflect.DeepEqual(got.Trend(d), want.Trend(d)) {
-			t.Errorf("Trend(%s) diverges", d.Label())
-		}
-	}
-	if !reflect.DeepEqual(got.DrillDown(weak, res), want.DrillDown(weak, res)) {
-		t.Error("DrillDown diverges")
-	}
-	if !reflect.DeepEqual(got.RelativeFrequency("discount", conj), want.RelativeFrequency("discount", conj)) {
-		t.Error("RelativeFrequency diverges")
-	}
-	// Association tables against the naive oracle over want: the plain
-	// table, one with no rows, one that repeats a column, and one wider
-	// than the 64 columns a single mark pass counts (the per-cell
-	// fallback) — over whatever backing got reads through.
-	rows := []mining.Dim{weak, mining.ConceptDim("intent", "strong start"), conj}
-	unb := mining.FieldDim("outcome", "unbooked")
-	cycle := []mining.Dim{res, unb, mining.FieldDim("agent", "A3"), conj}
-	wide := make([]mining.Dim, 65)
-	for j := range wide {
-		wide[j] = cycle[j%len(cycle)]
-	}
-	for _, tc := range []struct {
-		name       string
-		rows, cols []mining.Dim
-	}{
-		{"2 columns", rows, []mining.Dim{res, unb}},
-		{"no rows", nil, []mining.Dim{res, unb}},
-		{"a repeated column", rows, []mining.Dim{res, unb, res}},
-		{"65 columns", rows, wide},
-	} {
-		mining.UseNaiveSets = true
-		oracle := want.AssociateN(tc.rows, tc.cols, 0.95, 0)
-		mining.UseNaiveSets = false
-		if !reflect.DeepEqual(got.AssociateN(tc.rows, tc.cols, 0.95, 0), oracle) {
-			t.Errorf("AssociateN(%s) diverges from the naive oracle", tc.name)
-		}
-	}
-	for _, cat := range []string{"intent", "discount", "place"} {
-		if !reflect.DeepEqual(got.ConceptsInCategory(cat), want.ConceptsInCategory(cat)) {
-			t.Errorf("ConceptsInCategory(%s) diverges", cat)
-		}
-	}
-	if !reflect.DeepEqual(got.FieldValues("outcome"), want.FieldValues("outcome")) {
-		t.Error("FieldValues diverges")
-	}
 }
 
 // soleSegment returns the index of a recovery that must hold exactly one
@@ -125,8 +31,9 @@ func soleSegment(t *testing.T, rec *Recovery) *mining.Index {
 }
 
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
-	ix := sealedIndex(corpus(200, 1))
-	snap, err := DecodeSegment(EncodeSegment(ix.Export()))
+	t.Parallel()
+	w := voctest.NewWorld(1, 200)
+	snap, err := DecodeSegment(EncodeSegment(sealedIndex(w.Docs).Export()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +42,11 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.Prepare()
-	indexQueriesEqual(t, got, ix)
+	voctest.CheckQueriers(t, got, w.Index().Naive(), w)
 }
 
 func TestSegmentEncodeDeterministic(t *testing.T) {
-	ix := sealedIndex(corpus(100, 2))
+	ix := sealedIndex(voctest.NewWorld(2, 100).Docs)
 	if !bytes.Equal(EncodeSegment(ix.Export()), EncodeSegment(ix.Export())) {
 		t.Error("two encodings of the same index differ")
 	}
@@ -148,7 +55,7 @@ func TestSegmentEncodeDeterministic(t *testing.T) {
 // TestSegmentDecodeRejectsDamage flips, truncates and contaminates real
 // segment bytes and requires a clean error (IsCorrupt) every time.
 func TestSegmentDecodeRejectsDamage(t *testing.T) {
-	good := EncodeSegment(sealedIndex(corpus(60, 3)).Export())
+	good := EncodeSegment(sealedIndex(voctest.NewWorld(3, 60).Docs).Export())
 	check := func(name string, data []byte) {
 		t.Helper()
 		if _, err := DecodeSegment(data); err == nil {
@@ -173,8 +80,10 @@ func TestSegmentDecodeRejectsDamage(t *testing.T) {
 }
 
 func TestStoreWriteLoadRoundTrip(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	docs := corpus(150, 4)
+	w := voctest.NewWorld(4, 150)
+	docs := w.Docs
 	ix := sealedIndex(docs)
 
 	st, err := Open(dir, Options{})
@@ -204,12 +113,12 @@ func TestStoreWriteLoadRoundTrip(t *testing.T) {
 	if rec.SegmentGen != 1 || len(rec.WALDocs) != 0 {
 		t.Fatalf("recovery: gen=%d docs=%d wal=%d", rec.SegmentGen, rec.SegmentDocs, len(rec.WALDocs))
 	}
-	indexQueriesEqual(t, soleSegment(t, rec), ix)
+	voctest.CheckQueriers(t, soleSegment(t, rec), w.Index().Naive(), w)
 }
 
 func TestWALAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(40, 5)
+	docs := voctest.NewWorld(5, 40).Docs
 	st, err := Open(dir, Options{SyncEvery: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +151,7 @@ func TestWALAppendReplay(t *testing.T) {
 // and the reopened WAL must truncate the tail and keep appending.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(20, 6)
+	docs := voctest.NewWorld(6, 20).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +205,7 @@ func TestWALTornTail(t *testing.T) {
 // recovery must keep each exactly once (segment copy wins).
 func TestRecoveryDedupSegmentAndWAL(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(30, 7)
+	docs := voctest.NewWorld(7, 30).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +244,7 @@ func TestRecoveryDedupSegmentAndWAL(t *testing.T) {
 // the unlink of what it superseded.
 func TestSegmentFallback(t *testing.T) {
 	dir := t.TempDir()
-	docsA, docsB := corpus(30, 8), corpus(45, 9)
+	docsA, docsB := voctest.NewWorld(8, 30).Docs, voctest.NewWorld(9, 45).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +303,7 @@ func TestOrphanCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReplaceSegments(nil, sealedIndex(corpus(10, 10))); err != nil {
+	if _, err := st.ReplaceSegments(nil, sealedIndex(voctest.NewWorld(10, 10).Docs)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -427,7 +336,7 @@ func TestSegmentPruning(t *testing.T) {
 	defer st.Close()
 	var prev []uint64
 	for i := 0; i < 4; i++ {
-		info, err := st.ReplaceSegments(prev, sealedIndex(corpus(10+i, int64(i))))
+		info, err := st.ReplaceSegments(prev, sealedIndex(voctest.NewWorld(int64(i), 10+i).Docs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +355,7 @@ func TestSegmentPruning(t *testing.T) {
 // working.
 func TestResetWAL(t *testing.T) {
 	dir := t.TempDir()
-	docs := corpus(12, 11)
+	docs := voctest.NewWorld(11, 12).Docs
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
