@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke golden loc knobs knobs-check
+.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke golden loc knobs knobs-check wire-check
 
-check: vet fmt knobs-check build race examples smoke golden bench-module
+check: vet fmt knobs-check wire-check build race examples smoke golden bench-module
 
 vet:
 	$(GO) vet ./...
@@ -15,6 +15,16 @@ vet:
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# One byte reader: internal/wire is the only product code that reads or
+# writes a varint, so every segment, WAL record, frame and partial is
+# decoded under the same checks. Fails, naming file and line, when an
+# encoding/binary varint call appears in a tracked non-test Go file
+# outside it (cmd/bivocbench is its own module and measures, not decodes).
+wire-check:
+	@out=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^internal/wire/' -e '^cmd/bivocbench/' \
+		| xargs grep -n -E 'binary\.(Put|Append)?(Uvarint|Varint)' /dev/null); \
+		if [ -n "$$out" ]; then echo "varint calls outside internal/wire:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -42,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDim$$' -fuzztime 10s ./internal/mining
+	$(GO) test -run '^$$' -fuzz '^FuzzWireReader$$' -fuzztime 10s ./internal/wire
 
 # The repository's benchmark, declared in BENCHMARK.json: five workloads,
 # five end-to-end metrics and the per-layer budget, printed by

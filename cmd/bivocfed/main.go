@@ -10,7 +10,7 @@
 // Usage:
 //
 //	bivocfed -shards URL,URL,... [-addr HOST:PORT] [-shard-timeout D]
-//	         [-fanout N] [-confidence P] [-cache-size N] [-cache-ttl D]
+//	         [-confidence P] [-cache-size N] [-cache-ttl D]
 //	         [-drain-timeout D] [-pprof HOST:PORT]
 //
 // With -pprof the runtime profiles (net/http/pprof) are served on a
@@ -46,7 +46,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "HTTP listen address (use :0 for a free port)")
 	shards := flag.String("shards", "", "comma-separated shard base URLs, in shard order (required)")
 	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard request timeout; a slower shard is treated as down for that query")
-	fanout := flag.Int("fanout", 0, "max concurrent shard requests per query (0 = all shards at once)")
 	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
 	cacheSize := flag.Int("cache-size", 0, "coordinator result-cache entries (0 = default 256, negative = off); a hit skips the scatter")
 	cacheTTL := flag.Duration("cache-ttl", 0, "how long a scatter-observed generation vector stays trusted (0 = default 1s)")
@@ -69,7 +68,6 @@ func main() {
 		Addr:         *addr,
 		Shards:       urls,
 		ShardTimeout: *shardTimeout,
-		MaxFanout:    *fanout,
 		Confidence:   *confidence,
 		CacheSize:    *cacheSize,
 		CacheTTL:     *cacheTTL,

@@ -27,9 +27,6 @@ type Config struct {
 	// ShardTimeout bounds each per-shard request of a scatter (default
 	// 5s). A shard that exceeds it is treated as down for that query.
 	ShardTimeout time.Duration
-	// MaxFanout caps how many shard requests one scatter runs
-	// concurrently (default: all shards at once).
-	MaxFanout int
 	// Confidence is the default association confidence when the query
 	// does not pass one (default 0.95, mirroring the shard servers).
 	Confidence float64
@@ -62,13 +59,6 @@ func (c Config) shardTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return c.ShardTimeout
-}
-
-func (c Config) maxFanout() int {
-	if c.MaxFanout <= 0 || c.MaxFanout > len(c.Shards) {
-		return len(c.Shards)
-	}
-	return c.MaxFanout
 }
 
 func (c Config) cacheSize() int {
@@ -188,19 +178,15 @@ func (r shardReply) failure() string {
 	return ""
 }
 
-// fanout runs ask against every shard concurrently, at most MaxFanout in
-// flight and each bounded by ShardTimeout, and returns one reply per
-// shard, in shard order.
+// fanout runs ask against every shard at once, each bounded by
+// ShardTimeout, and returns one reply per shard, in shard order.
 func (c *Coordinator) fanout(ctx context.Context, ask func(ctx context.Context, base string) (*http.Request, error)) []shardReply {
 	replies := make([]shardReply, len(c.cfg.Shards))
-	sem := make(chan struct{}, c.cfg.maxFanout())
 	var wg sync.WaitGroup
 	for i, base := range c.cfg.Shards {
 		wg.Add(1)
 		go func(i int, base string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			sctx, cancel := context.WithTimeout(ctx, c.cfg.shardTimeout())
 			defer cancel()
 			req, err := ask(sctx, base)

@@ -18,133 +18,6 @@ import (
 	"bivoc/internal/voctest"
 )
 
-// inflightTransport counts concurrent RoundTrips. RoundTrip runs inside
-// the scatter semaphore, so its observed maximum is exactly the
-// concurrency the coordinator allowed.
-type inflightTransport struct {
-	base     http.RoundTripper
-	inflight atomic.Int64
-	maxSeen  atomic.Int64
-	total    atomic.Int64
-}
-
-func (t *inflightTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	n := t.inflight.Add(1)
-	defer t.inflight.Add(-1)
-	t.total.Add(1)
-	for {
-		m := t.maxSeen.Load()
-		if n <= m || t.maxSeen.CompareAndSwap(m, n) {
-			break
-		}
-	}
-	return t.base.RoundTrip(req)
-}
-
-// TestFedMaxFanoutBoundsConcurrency pins the scatter semaphore: with
-// MaxFanout 2 over six shards, at most two shard requests are ever in
-// flight — measured both coordinator-side (the transport) and
-// shard-side (a counting handler) — and the overlap really happens.
-func TestFedMaxFanoutBoundsConcurrency(t *testing.T) {
-	const shards, fanout = 6, 2
-	var handlerInflight, handlerMax atomic.Int64
-	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := handlerInflight.Add(1)
-		defer handlerInflight.Add(-1)
-		for {
-			m := handlerMax.Load()
-			if n <= m || handlerMax.CompareAndSwap(m, n) {
-				break
-			}
-		}
-		time.Sleep(30 * time.Millisecond)
-		serveFrame(w, uniformFrame(1, shardQueries(t, r), http.StatusOK, server.AppendCountPartial(nil, 0, []int{0})))
-	}))
-	t.Cleanup(counting.Close)
-
-	tr := &inflightTransport{base: &http.Transport{DisableKeepAlives: true}}
-	addrs := make([]string, shards)
-	for i := range addrs {
-		addrs[i] = counting.URL
-	}
-	coord := startCoordinator(t, Config{
-		Shards:    addrs,
-		MaxFanout: fanout,
-		Client:    &http.Client{Transport: tr},
-	})
-
-	start := time.Now()
-	status, _, body := get(t, "http://"+coord.Addr()+"/v1/count?dim="+url.QueryEscape("parity=even"))
-	elapsed := time.Since(start)
-	if status != http.StatusOK {
-		t.Fatalf("status %d, body %s", status, body)
-	}
-	if got := tr.maxSeen.Load(); got > fanout {
-		t.Fatalf("transport saw %d concurrent shard requests, semaphore bound is %d", got, fanout)
-	}
-	if got := handlerMax.Load(); got > fanout {
-		t.Fatalf("shard saw %d concurrent requests, semaphore bound is %d", got, fanout)
-	}
-	if got := handlerMax.Load(); got < fanout {
-		t.Fatalf("shard never saw %d overlapping requests (max %d) — scatter is serialized", fanout, got)
-	}
-	if got := tr.total.Load(); got != shards {
-		t.Fatalf("scatter issued %d shard requests, want %d", got, shards)
-	}
-	// Six 30ms shards two at a time need at least three waves.
-	if elapsed < 80*time.Millisecond {
-		t.Fatalf("scatter finished in %v — faster than MaxFanout %d allows", elapsed, fanout)
-	}
-}
-
-// TestFedMaxFanoutBoundsSlowShards pins the semaphore under timeouts: a
-// hung shard holds its slot for the full ShardTimeout, so six hung
-// shards at fanout 2 drain in three timeout waves, never more than two
-// in flight.
-func TestFedMaxFanoutBoundsSlowShards(t *testing.T) {
-	const shards, fanout = 6, 2
-	timeout := 100 * time.Millisecond
-	// A server notices that its client has gone only once it has read the
-	// request it was sent, as a daemon does before anything else.
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shardQueries(t, r)
-		<-r.Context().Done()
-	}))
-	t.Cleanup(hung.Close)
-
-	tr := &inflightTransport{base: &http.Transport{DisableKeepAlives: true}}
-	addrs := make([]string, shards)
-	for i := range addrs {
-		addrs[i] = hung.URL
-	}
-	coord := startCoordinator(t, Config{
-		Shards:       addrs,
-		MaxFanout:    fanout,
-		ShardTimeout: timeout,
-		Client:       &http.Client{Transport: tr},
-	})
-
-	start := time.Now()
-	status, _, body := get(t, "http://"+coord.Addr()+"/v1/count?dim="+url.QueryEscape("parity=even"))
-	elapsed := time.Since(start)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("status %d with every shard hung, want 503 (body %s)", status, body)
-	}
-	if got := tr.maxSeen.Load(); got > fanout {
-		t.Fatalf("transport saw %d concurrent shard requests during timeouts, bound is %d", got, fanout)
-	}
-	if got := tr.total.Load(); got != shards {
-		t.Fatalf("scatter issued %d shard requests, want %d", got, shards)
-	}
-	// ceil(6/2) = 3 timeout waves; unbounded fan-out would finish in ~1.
-	if elapsed < 3*timeout-20*time.Millisecond {
-		t.Fatalf("six hung shards drained in %v — semaphore did not serialize the waves", elapsed)
-	}
-	if elapsed > 10*timeout {
-		t.Fatalf("scatter over hung shards took %v, want ~%v", elapsed, 3*timeout)
-	}
-}
-
 // TestFedDefaultClientReusesShardConnections pins the default client's
 // idle pool, which no other test meets (startCoordinator substitutes a
 // client with keep-alives off): after a warm-up wave, 20 waves of 16

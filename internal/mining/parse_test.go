@@ -176,6 +176,9 @@ func FuzzParseDim(f *testing.F) {
 	f.Add("c=d ∧ a[b]")
 	f.Add("x[y] ∧ x[y]")
 	f.Add("e ∧ c=d ∧ a[b] ∧ e")
+	// Not valid UTF-8: the grammar is over bytes and in-process callers may
+	// pass any (the daemons refuse such a parameter before it gets here).
+	f.Add("agent=A\xff4")
 	f.Fuzz(func(t *testing.T, label string) {
 		d, err := ParseDim(label)
 		if err != nil {

@@ -9,8 +9,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // The /v1 endpoint table. Each query's grammar — parameter names,
@@ -74,12 +76,12 @@ func (sb ShardBody) errorf(format string, args ...any) error {
 // decodeParts reads every live shard's partial with read. One that is
 // cut short, over-announces a count or has bytes left over is an error
 // naming its shard.
-func decodeParts[T any](live []ShardBody, read func(*frameReader) T) ([]T, error) {
+func decodeParts[T any](live []ShardBody, read func(*wire.Reader) T) ([]T, error) {
 	parts := make([]T, len(live))
 	for k, sb := range live {
-		r := frameReader{b: sb.Body}
+		r := wire.NewReader(sb.Body)
 		parts[k] = read(&r)
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, sb.errorf("decoding partial: %w", err)
 		}
 	}
@@ -176,6 +178,19 @@ type dimList struct {
 	labels []string
 }
 
+// checkUTF8 refuses a parameter value that is not valid UTF-8. Neither
+// daemon could echo it in a JSON body, and a coordinator could not hand it
+// to its shards (the /v1/shard request is JSON, which turns the byte into
+// U+FFFD and so into a label that matches nothing): a 400 at the one
+// place both parse, not two different answers. The value is quoted with
+// its bytes escaped, so the error itself is ASCII.
+func checkUTF8(param, v string) error {
+	if !utf8.ValidString(v) {
+		return fmt.Errorf("parameter %s: %+q is not valid UTF-8", param, v)
+	}
+	return nil
+}
+
 func parseDims(param string, vals []string) (dimList, error) {
 	if len(vals) == 0 {
 		return dimList{}, fmt.Errorf("missing required parameter %q (a dimension label, e.g. %q or %q)",
@@ -183,6 +198,9 @@ func parseDims(param string, vals []string) (dimList, error) {
 	}
 	l := dimList{dims: make([]mining.Dim, len(vals)), labels: make([]string, len(vals))}
 	for i, v := range vals {
+		if err := checkUTF8(param, v); err != nil {
+			return dimList{}, err
+		}
 		d, err := mining.ParseDim(v)
 		if err != nil {
 			return dimList{}, fmt.Errorf("parameter %s: %w", param, err)
@@ -220,7 +238,7 @@ func requiredCategory(q url.Values) (string, error) {
 	if category == "" {
 		return "", fmt.Errorf("missing required parameter %q (a concept category)", "category")
 	}
-	return category, nil
+	return category, checkUTF8("category", category)
 }
 
 func cacheKey(endpoint string, parts ...string) string {
@@ -453,6 +471,9 @@ func (e Endpoints) concepts(q url.Values) (*Plan, error) {
 	category, field := q.Get("category"), q.Get("field")
 	if (category == "") == (field == "") {
 		return nil, fmt.Errorf("pass exactly one of %q or %q", "category", "field")
+	}
+	if err := cmp.Or(checkUTF8("category", category), checkUTF8("field", field)); err != nil {
+		return nil, err
 	}
 	respond := func(h Head, values []string) any {
 		if values == nil {

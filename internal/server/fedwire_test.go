@@ -13,6 +13,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
+	"bivoc/internal/wire"
 )
 
 // The federation wire suite: the generation header every response must
@@ -192,11 +193,11 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 		}
 		return out
 	}
-	read := func(body []byte, decode func(*frameReader)) {
+	read := func(body []byte, decode func(*wire.Reader)) {
 		t.Helper()
-		r := frameReader{b: body}
+		r := wire.NewReader(body)
 		decode(&r)
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			t.Fatalf("partial %q: %v", body, err)
 		}
 	}
@@ -249,7 +250,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				t.Errorf("count without dim: %d %s, GET answers %s", res.Status, res.Body, wantMissingDim)
 			}
 
-			read(frame.Results[0].Body, func(r *frameReader) {
+			read(frame.Results[0].Body, func(r *wire.Reader) {
 				got := readCountPartial(r)
 				want := make([]int, len(countDims))
 				for i, d := range dims(countDims...) {
@@ -262,7 +263,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 					t.Errorf("count partial re-encodes to %q, was %q", re, frame.Results[0].Body)
 				}
 			})
-			read(frame.Results[1].Body, func(r *frameReader) {
+			read(frame.Results[1].Body, func(r *wire.Reader) {
 				got := readTrendPartial(r)
 				if want := ix.Trend(dims("issue")[0]); !sameList(got, want) {
 					t.Errorf("trend partial %v, direct %v", got, want)
@@ -272,7 +273,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				}
 			})
 			for i, category := range map[int]string{2: "issue", 3: "missing-category"} {
-				read(frame.Results[i].Body, func(r *frameReader) {
+				read(frame.Results[i].Body, func(r *wire.Reader) {
 					got := readConceptDFPartial(r)
 					if want := ix.ConceptDF(category); !sameList(got, want) {
 						t.Errorf("ConceptDF(%s) partial %v, direct %v", category, got, want)
@@ -283,7 +284,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				})
 			}
 			for i, field := range map[int]string{4: "agent", 5: "missing-field"} {
-				read(frame.Results[i].Body, func(r *frameReader) {
+				read(frame.Results[i].Body, func(r *wire.Reader) {
 					got := readStringsPartial(r)
 					if want := ix.FieldValues(field); !sameList(got, want) {
 						t.Errorf("FieldValues(%s) partial %q, direct %q", field, got, want)
@@ -293,7 +294,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 					}
 				})
 			}
-			read(frame.Results[6].Body, func(r *frameReader) {
+			read(frame.Results[6].Body, func(r *wire.Reader) {
 				got := readRelFreqPartial(r)
 				want := ix.RelFreqMarginals("issue", dims("outcome=reservation")[0])
 				if got.N != want.N || got.SubsetSize != want.SubsetSize || !sameList(got.Concepts, want.Concepts) {
@@ -309,7 +310,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 					t.Errorf("finalized relfreq partial %+v, endpoint %+v", fin, rel.Rows)
 				}
 			})
-			read(frame.Results[7].Body, func(r *frameReader) {
+			read(frame.Results[7].Body, func(r *wire.Reader) {
 				got := readAssocPartial(r)
 				rows, cols := dims(rowLabels...), dims(colLabels...)
 				if want := ix.AssocMarginals(rows, cols); !reflect.DeepEqual(got, want) {
@@ -328,7 +329,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				row, col string
 				limit    int
 			}{8: {"issue", "brand", 7}, 9: {"no-such[issue]", "brand", 50}} {
-				read(frame.Results[i].Body, func(r *frameReader) {
+				read(frame.Results[i].Body, func(r *wire.Reader) {
 					got := readDrillDownPartial(q.limit)(r)
 					wantDocs, wantCount := ix.DrillDownLimit(dims(q.row)[0], dims(q.col)[0], q.limit)
 					if got.count != wantCount || len(got.docs) != len(wantDocs) {

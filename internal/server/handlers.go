@@ -509,7 +509,9 @@ func relevancesJSON(rel []mining.Relevance) []RelevanceJSON {
 }
 
 // documentsJSON converts drilled-down documents to wire form (non-nil
-// even when empty).
+// even when empty). A document without fields or concepts says {} and
+// [], never null: the heap holds whichever map its source built and the
+// store decodes no fields to a nil one, and the two must marshal alike.
 func documentsJSON(docs []mining.Document) []DocumentJSON {
 	out := make([]DocumentJSON, len(docs))
 	for i, d := range docs {
@@ -517,7 +519,11 @@ func documentsJSON(docs []mining.Document) []DocumentJSON {
 		for j, c := range d.Concepts {
 			concepts[j] = ConceptJSON{Category: c.Category, Canonical: c.Canonical}
 		}
-		out[i] = DocumentJSON{ID: d.ID, Fields: d.Fields, Time: d.Time, Concepts: concepts}
+		fields := d.Fields
+		if fields == nil {
+			fields = map[string]string{}
+		}
+		out[i] = DocumentJSON{ID: d.ID, Fields: fields, Time: d.Time, Concepts: concepts}
 	}
 	return out
 }

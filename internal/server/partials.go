@@ -3,16 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"slices"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // Partials — the share of a query's answer one daemon holds, as the
 // sub-results of a /v1/shard frame carry it: exactly what the
-// mining.Querier calls SegmentSet merges by return, written as varints
-// and length-prefixed strings in field order. A partial has no head of
+// mining.Querier calls SegmentSet merges by return, written as
+// internal/wire's varints and length-prefixed strings in field order. A partial has no head of
 // its own (the generation and sealed flag are the frame's) and no floats:
 // ratios, Wilson intervals and slopes are computed once, by whoever holds
 // the sums. Each shape's writer and reader sit side by side here; the
@@ -31,60 +31,60 @@ type countPartial struct {
 
 // AppendCountPartial appends a count query's partial.
 func AppendCountPartial(b []byte, total int, counts []int) []byte {
-	return appendInts(appendInt(b, total), counts)
+	return wire.AppendInts(wire.AppendInt(b, total), counts)
 }
 
-func readCountPartial(r *frameReader) countPartial {
-	return countPartial{total: r.int(), counts: r.ints()}
+func readCountPartial(r *wire.Reader) countPartial {
+	return countPartial{total: r.Int(), counts: r.Ints()}
 }
 
 // Trend points: uvarint n, then n of (zigzag time, uvarint count).
 func appendTrendPartial(b []byte, pts []mining.TrendPoint) []byte {
-	return appendList(b, pts, func(b []byte, p mining.TrendPoint) []byte {
-		return appendInt(appendSigned(b, p.Time), p.Count)
+	return wire.AppendList(b, pts, func(b []byte, p mining.TrendPoint) []byte {
+		return wire.AppendInt(wire.AppendSigned(b, p.Time), p.Count)
 	})
 }
 
-func readTrendPartial(r *frameReader) []mining.TrendPoint {
-	return readList(r, 2, func(r *frameReader) mining.TrendPoint {
-		return mining.TrendPoint{Time: r.signed(), Count: r.int()}
+func readTrendPartial(r *wire.Reader) []mining.TrendPoint {
+	return wire.List(r, 2, func(r *wire.Reader) mining.TrendPoint {
+		return mining.TrendPoint{Time: r.Signed(), Count: r.Int()}
 	})
 }
 
 // A category's vocabulary: uvarint n, then n of (concept, uvarint df).
 func appendConceptDFPartial(b []byte, concepts []mining.ConceptCount) []byte {
-	return appendList(b, concepts, func(b []byte, c mining.ConceptCount) []byte {
-		return appendInt(appendBytes(b, c.Concept), c.DF)
+	return wire.AppendList(b, concepts, func(b []byte, c mining.ConceptCount) []byte {
+		return wire.AppendInt(wire.AppendBytes(b, c.Concept), c.DF)
 	})
 }
 
-func readConceptDFPartial(r *frameReader) []mining.ConceptCount {
-	return readList(r, 2, func(r *frameReader) mining.ConceptCount {
-		return mining.ConceptCount{Concept: r.string(), DF: r.int()}
+func readConceptDFPartial(r *wire.Reader) []mining.ConceptCount {
+	return wire.List(r, 2, func(r *wire.Reader) mining.ConceptCount {
+		return mining.ConceptCount{Concept: r.String(), DF: r.Int()}
 	})
 }
 
 // A field's values: uvarint n, then n strings.
 func appendStringsPartial(b []byte, values []string) []byte {
-	return appendList(b, values, appendBytes[string])
+	return wire.AppendList(b, values, wire.AppendBytes[string])
 }
 
-func readStringsPartial(r *frameReader) []string {
-	return readList(r, 1, (*frameReader).string)
+func readStringsPartial(r *wire.Reader) []string {
+	return wire.List(r, 1, (*wire.Reader).String)
 }
 
 // Relative-frequency marginals: uvarint N, uvarint subset size, uvarint
 // n, then n of (concept, uvarint in-subset, uvarint in-all).
 func appendRelFreqPartial(b []byte, m mining.RelFreqMarginals) []byte {
-	return appendList(appendInt(appendInt(b, m.N), m.SubsetSize), m.Concepts, func(b []byte, c mining.ConceptMarginal) []byte {
-		return appendInt(appendInt(appendBytes(b, c.Concept), c.InSubset), c.InAll)
+	return wire.AppendList(wire.AppendInt(wire.AppendInt(b, m.N), m.SubsetSize), m.Concepts, func(b []byte, c mining.ConceptMarginal) []byte {
+		return wire.AppendInt(wire.AppendInt(wire.AppendBytes(b, c.Concept), c.InSubset), c.InAll)
 	})
 }
 
-func readRelFreqPartial(r *frameReader) mining.RelFreqMarginals {
-	return mining.RelFreqMarginals{N: r.int(), SubsetSize: r.int(),
-		Concepts: readList(r, 3, func(r *frameReader) mining.ConceptMarginal {
-			return mining.ConceptMarginal{Concept: r.string(), InSubset: r.int(), InAll: r.int()}
+func readRelFreqPartial(r *wire.Reader) mining.RelFreqMarginals {
+	return mining.RelFreqMarginals{N: r.Int(), SubsetSize: r.Int(),
+		Concepts: wire.List(r, 3, func(r *wire.Reader) mining.ConceptMarginal {
+			return mining.ConceptMarginal{Concept: r.String(), InSubset: r.Int(), InAll: r.Int()}
 		})}
 }
 
@@ -93,12 +93,12 @@ func readRelFreqPartial(r *frameReader) mining.RelFreqMarginals {
 // each row of cells as a list — every list with its own length, so that
 // the reader can hand AssocMarginals.Fits whatever shape was sent.
 func AppendAssocPartial(b []byte, m mining.AssocMarginals) []byte {
-	return appendList(appendInts(appendInts(appendInt(b, m.N), m.Nver), m.Nhor), m.Ncell, appendInts)
+	return wire.AppendList(wire.AppendInts(wire.AppendInts(wire.AppendInt(b, m.N), m.Nver), m.Nhor), m.Ncell, wire.AppendInts)
 }
 
-func readAssocPartial(r *frameReader) mining.AssocMarginals {
-	return mining.AssocMarginals{N: r.int(), Nver: r.ints(), Nhor: r.ints(),
-		Ncell: readList(r, 1, (*frameReader).ints)}
+func readAssocPartial(r *wire.Reader) mining.AssocMarginals {
+	return mining.AssocMarginals{N: r.Int(), Nver: r.Ints(), Nhor: r.Ints(),
+		Ncell: wire.List(r, 1, (*wire.Reader).Ints)}
 }
 
 // ShardDoc is one drill-down document inside a partial: the ID the
@@ -112,8 +112,8 @@ type ShardDoc struct {
 // cell size, uvarint n, then n of (ID, encoded document) — the cell's
 // first documents in ID order, at most the query's limit.
 func AppendDrillDownPartial(b []byte, count int, docs []ShardDoc) []byte {
-	return appendList(appendInt(b, count), docs, func(b []byte, d ShardDoc) []byte {
-		return appendBytes(appendBytes(b, d.ID), d.JSON)
+	return wire.AppendList(wire.AppendInt(b, count), docs, func(b []byte, d ShardDoc) []byte {
+		return wire.AppendBytes(wire.AppendBytes(b, d.ID), d.JSON)
 	})
 }
 
@@ -155,13 +155,13 @@ type shardDoc struct {
 // readDrillDownPartial reads a drill-down partial for a query with the
 // given limit; a shard may not send more documents than the limit, or
 // than its own cell holds.
-func readDrillDownPartial(limit int) func(*frameReader) drillDownPartial {
-	return func(r *frameReader) drillDownPartial {
-		p := drillDownPartial{count: r.int(), docs: readList(r, 2, func(r *frameReader) shardDoc {
-			return shardDoc{id: r.bytes(), json: r.bytes()}
+func readDrillDownPartial(limit int) func(*wire.Reader) drillDownPartial {
+	return func(r *wire.Reader) drillDownPartial {
+		p := drillDownPartial{count: r.Int(), docs: wire.List(r, 2, func(r *wire.Reader) shardDoc {
+			return shardDoc{id: r.Bytes(), json: r.Bytes()}
 		})}
 		if len(p.docs) > min(p.count, limit) {
-			r.fail(fmt.Sprintf("%d documents for a cell of %d at limit %d", len(p.docs), p.count, limit))
+			r.Failf("%d documents for a cell of %d at limit %d", len(p.docs), p.count, limit)
 		}
 		return p
 	}

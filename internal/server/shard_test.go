@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
+	"bivoc/internal/wire"
 )
 
 // frameDecoders is every decoder of the exchange — the envelope and each
@@ -57,11 +59,11 @@ var frameDecoders = []struct {
 	})},
 }
 
-func partialDecoder[T any](read func(*frameReader) T, encode func(T) ([]byte, int)) func([]byte) ([]byte, int, error) {
+func partialDecoder[T any](read func(*wire.Reader) T, encode func(T) ([]byte, int)) func([]byte) ([]byte, int, error) {
 	return func(in []byte) ([]byte, int, error) {
-		r := frameReader{b: in}
+		r := wire.NewReader(in)
 		p := read(&r)
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, 0, err
 		}
 		re, n := encode(p)
@@ -93,7 +95,7 @@ func frameSeeds() [][]byte {
 // of 2^60 where a list's length goes, trailing bytes, an unknown version,
 // a flag byte that is neither 0 nor 1, a varint with a padding byte.
 func hostileInputs() [][]byte {
-	huge := binary.AppendUvarint(nil, 1<<60)
+	huge := wire.AppendUvarint(nil, 1<<60)
 	out := [][]byte{
 		nil,
 		append([]byte{frameVersion, 1, 1}, huge...), // a frame of 2^60 results
@@ -178,6 +180,49 @@ func TestShardFrameSeeds(t *testing.T) {
 		if limit := uint64(64*len(in) + 1024); perDecode > limit {
 			t.Errorf("decoding %q allocates %d bytes a decoder, limit %d", in, perDecode, limit)
 		}
+	}
+}
+
+// TestShardFrameIsThePinnedBytes: a frame holding a refusal and one
+// partial of each of the seven shapes hashes to what ShardFrame.Append and
+// the partial writers wrote before they moved onto internal/wire (computed
+// at PR 21's commit, ec586e0). A change to the hash is a change of what
+// daemons of one fleet say to each other.
+func TestShardFrameIsThePinnedBytes(t *testing.T) {
+	frame := frameSeeds()[0]
+	const size, pinned = 171, "33423b09552164a4dba7f11520bfd49cbb7be80e57ae4b4596a8c5321d4c1775"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(frame)); len(frame) != size || sum != pinned {
+		t.Errorf("the frame is %d bytes hashing to %s, pinned are %d bytes hashing to %s", len(frame), sum, size, pinned)
+	}
+}
+
+// TestDamagedShardFrame: that frame cut anywhere is refused. A frame
+// carries no checksum, so a flipped bit may leave a well-formed frame
+// saying something else; what must hold of every single-bit flip is that
+// it is refused or read as exactly the bytes that arrived — decoding
+// neither panics nor loses nor invents anything on the way.
+func TestDamagedShardFrame(t *testing.T) {
+	frame := frameSeeds()[0]
+	for cut := range frame {
+		if _, err := ReadShardFrame(frame[:cut:cut]); err == nil {
+			t.Errorf("the frame cut at %d of %d is accepted", cut, len(frame))
+		}
+	}
+	refused := 0
+	for i := range frame {
+		for bit := range 8 {
+			in := append([]byte(nil), frame...)
+			in[i] ^= 1 << bit
+			f, err := ReadShardFrame(in)
+			if err != nil {
+				refused++
+			} else if re := f.Append(nil); !bytes.Equal(re, in) {
+				t.Errorf("bit %d of byte %d flipped: accepted, re-encodes to %q, was %q", bit, i, re, in)
+			}
+		}
+	}
+	if refused == 0 {
+		t.Error("no single-bit flip of the frame is refused")
 	}
 }
 

@@ -23,10 +23,14 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+
+	"bivoc/internal/annotate"
+	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // errCorrupt is wrapped by every decoder error so callers can
@@ -38,97 +42,111 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errCorrupt, fmt.Sprintf(format, args...))
 }
 
+// corrupt is a wire.Reader's verdict as the store reports it: nil, or
+// the first failure wrapping errCorrupt.
+func corrupt(err error) error {
+	if err == nil {
+		return nil
+	}
+	return corruptf("%v", err)
+}
+
 // IsCorrupt reports whether err marks damaged on-disk data (as opposed
 // to an I/O failure reaching it).
 func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 
-// writer accumulates the binary encoding: unsigned and zigzag varints,
-// length-prefixed byte strings. All integers are varint — segment files
-// for delta-encoded postings are dominated by small numbers.
-type writer struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
-}
+// The document record, as segments and the WAL both hold it: id · time
+// signed · concepts (count, then category · canonical · start signed ·
+// end signed) · fields (count, key-sorted, then name · value). What a
+// string is belongs to the container — inline bytes in the WAL, a
+// reference into the string table in a segment — so the record's one
+// writer and one reader take it as a parameter.
 
-func (w *writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
-
-func (w *writer) varint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// u32 appends a fixed-width little-endian uint32 — the segment offset
-// directory is fixed-width so a mapped reader can index it without
-// decoding (see segment.go).
-func (w *writer) u32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-// reader decodes the writer's encoding with strict bounds checking:
-// every accessor returns an error instead of panicking, whatever the
-// input bytes — the contract FuzzSegmentDecode enforces.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, corruptf("truncated uvarint at offset %d", r.off)
+// appendDocument appends d's record, writing every string with str.
+func appendDocument(b []byte, d mining.Document, str func([]byte, string) []byte) []byte {
+	b = wire.AppendSigned(str(b, d.ID), d.Time)
+	b = wire.AppendInt(b, len(d.Concepts))
+	for _, c := range d.Concepts {
+		b = wire.AppendSigned(wire.AppendSigned(str(str(b, c.Category), c.Canonical), c.Start), c.End)
 	}
-	r.off += n
-	return v, nil
+	keys := make([]string, 0, len(d.Fields))
+	for k := range d.Fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = wire.AppendInt(b, len(keys))
+	for _, k := range keys {
+		b = str(str(b, k), d.Fields[k])
+	}
+	return b
 }
 
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, corruptf("truncated varint at offset %d", r.off)
+// readDocument reads one record, every string with str (which fails r
+// when a reference does not resolve). A document without concepts or
+// without fields decodes to a nil slice or map. A repeated field name
+// is a failure.
+func readDocument(r *wire.Reader, str func() string) mining.Document {
+	d := mining.Document{ID: str(), Time: r.Signed()}
+	if n := r.Count(1); n > 0 {
+		d.Concepts = make([]annotate.Concept, n)
+		for i := range d.Concepts {
+			d.Concepts[i] = annotate.Concept{Category: str(), Canonical: str(), Start: r.Signed(), End: r.Signed()}
+		}
 	}
-	r.off += n
-	return v, nil
+	if n := r.Count(1); n > 0 {
+		d.Fields = make(map[string]string, n)
+		for range n {
+			k, v := str(), str()
+			if _, dup := d.Fields[k]; dup {
+				r.Failf("document %q repeats field %q", d.ID, k)
+			}
+			d.Fields[k] = v
+		}
+	}
+	return d
 }
 
-// count reads a length/count prefix and sanity-bounds it: a count can
-// never exceed the bytes remaining, so a bit-flipped length cannot make
-// the decoder attempt a giant allocation.
-func (r *reader) count(what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+// appendPostings appends one sorted postings list: its length, then each
+// position as the delta from the one before (the first from -1), so that
+// sorted lists of nearby document positions encode in about a byte an
+// entry.
+func appendPostings(b []byte, posts []int) []byte {
+	b = wire.AppendInt(b, len(posts))
+	prev := -1
+	for _, p := range posts {
+		b = wire.AppendInt(b, p-prev)
+		prev = p
 	}
-	if v > uint64(len(r.buf)-r.off) {
-		return 0, corruptf("%s count %d exceeds remaining %d bytes", what, v, len(r.buf)-r.off)
-	}
-	return int(v), nil
+	return b
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.count("string length")
-	if err != nil {
-		return "", err
+// readPostings reads one delta-encoded list of strictly increasing
+// positions inside [0, nDocs); a want that is not negative is the length
+// a directory entry promised. Deltas are held to 1..MaxInt32, which
+// keeps prev+delta from wrapping on any platform.
+func readPostings(r *wire.Reader, want, nDocs int) []int {
+	n := r.Count(1)
+	if want >= 0 && n != want && r.Err() == nil {
+		r.Failf("postings list has %d entries, directory says %d", n, want)
 	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-// intFromU converts a decoded uvarint into a non-negative int, guarding
-// 32-bit overflow.
-func intFromU(v uint64, what string) (int, error) {
-	if v > uint64(math.MaxInt32) {
-		return 0, corruptf("%s %d out of range", what, v)
+	if n == 0 || r.Err() != nil {
+		return nil
 	}
-	return int(v), nil
+	posts := make([]int, n)
+	prev := -1
+	for i := range posts {
+		delta := r.Int()
+		if delta == 0 || delta > math.MaxInt32 {
+			r.Failf("postings delta %d after position %d", delta, prev)
+			return nil
+		}
+		p := prev + delta
+		if p >= nDocs {
+			r.Failf("postings position %d beyond %d documents", p, nDocs)
+			return nil
+		}
+		posts[i] = p
+		prev = p
+	}
+	return posts
 }

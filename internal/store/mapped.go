@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // Mapped is the zero-copy read path over a sealed segment file: the
@@ -37,8 +37,9 @@ type Mapped struct {
 	cache *PostingsCache
 	env   segEnvelope
 
-	strOffs []byte // directory sections, aliasing data
-	docOffs []byte
+	body    []byte // the records between header and directory, aliasing data
+	strOffs []byte // directory sections, aliasing data: u32 tables that
+	docOffs []byte // are indexed, not streamed (one lookup per read)
 
 	concept  map[[2]string]dirEntry
 	category map[string]dirEntry
@@ -95,104 +96,85 @@ func newMapped(path string, data []byte, unmap func([]byte) error, cache *Postin
 		cache: cache,
 		env:   env,
 	}
-	off := env.dirStart
-	m.strOffs = data[off : off+4*env.nStrs]
-	off += 4 * env.nStrs
-	m.docOffs = data[off : off+4*env.nDocs]
-	off += 4 * env.nDocs
-	concDir := data[off : off+dirEntryLen*env.nConc]
-	off += dirEntryLen * env.nConc
-	catDir := data[off : off+dirEntryLen*env.nCat]
-	off += dirEntryLen * env.nCat
-	fldDir := data[off : off+dirEntryLen*env.nFld]
+	docOffs := env.dirStart + 4*env.nStrs
+	lists := docOffs + 4*env.nDocs
+	m.body, m.strOffs, m.docOffs = data[segHeaderLen:env.bodyEnd], data[env.dirStart:docOffs], data[docOffs:lists]
+	dir := wire.ReaderAt(data[:lists+dirEntryLen*(env.nConc+env.nCat+env.nFld)], lists)
 
 	m.concept = make(map[[2]string]dirEntry, env.nConc)
 	m.category = make(map[string]dirEntry, env.nCat)
 	m.field = make(map[[2]string]dirEntry, env.nFld)
-	for i := 0; i < env.nConc; i++ {
-		k, e, err := m.dirEntryAt(concDir, i, true)
-		if err != nil {
-			return nil, err
-		}
+	for range env.nConc {
+		k, e := m.dirEntry(&dir, 2)
 		if _, dup := m.concept[k]; dup {
-			return nil, corruptf("directory repeats concept key %q/%q", k[0], k[1])
+			dir.Failf("directory repeats concept key %q/%q", k[0], k[1])
 		}
 		m.concept[k] = e
 	}
-	for i := 0; i < env.nCat; i++ {
-		k, e, err := m.dirEntryAt(catDir, i, false)
-		if err != nil {
-			return nil, err
-		}
+	for range env.nCat {
+		k, e := m.dirEntry(&dir, 1)
 		if _, dup := m.category[k[0]]; dup {
-			return nil, corruptf("directory repeats category key %q", k[0])
+			dir.Failf("directory repeats category key %q", k[0])
 		}
 		m.category[k[0]] = e
 	}
-	for i := 0; i < env.nFld; i++ {
-		k, e, err := m.dirEntryAt(fldDir, i, true)
-		if err != nil {
-			return nil, err
-		}
+	for range env.nFld {
+		k, e := m.dirEntry(&dir, 2)
 		if _, dup := m.field[k]; dup {
-			return nil, corruptf("directory repeats field key %q=%q", k[0], k[1])
+			dir.Failf("directory repeats field key %q=%q", k[0], k[1])
 		}
 		m.field[k] = e
+	}
+	if err := dir.Done(); err != nil {
+		return nil, corrupt(err)
 	}
 	return m, nil
 }
 
-// dirEntryAt decodes the i-th fixed-width directory entry of one
-// family section, resolving its key strings.
-func (m *Mapped) dirEntryAt(section []byte, i int, twoKeys bool) ([2]string, dirEntry, error) {
-	raw := section[i*dirEntryLen : (i+1)*dirEntryLen]
-	var k [2]string
-	var err error
-	if k[0], err = m.strAt(binary.LittleEndian.Uint32(raw[0:4])); err != nil {
-		return k, dirEntry{}, err
+// dirEntry reads the next fixed-width directory entry, resolving the
+// one or two strings of its key.
+func (m *Mapped) dirEntry(dir *wire.Reader, parts int) (k [2]string, e dirEntry) {
+	refs := [2]uint32{dir.U32(), dir.U32()}
+	for i := range parts {
+		k[i] = m.strAt(dir, uint64(refs[i]))
 	}
-	if twoKeys {
-		if k[1], err = m.strAt(binary.LittleEndian.Uint32(raw[4:8])); err != nil {
-			return k, dirEntry{}, err
-		}
-	}
-	e := dirEntry{
-		off: binary.LittleEndian.Uint32(raw[8:12]),
-		df:  binary.LittleEndian.Uint32(raw[12:16]),
-	}
+	e = dirEntry{off: dir.U32(), df: dir.U32()}
 	if int(e.df) > m.env.docCount {
-		return k, dirEntry{}, corruptf("directory df %d exceeds %d documents", e.df, m.env.docCount)
+		dir.Failf("directory df %d exceeds %d documents", e.df, m.env.docCount)
 	}
-	return k, e, nil
+	return k, e
 }
 
 // strAt resolves one string-table reference through the offset
-// directory, bounds-checked against the body.
-func (m *Mapped) strAt(ref uint32) (string, error) {
-	if int(ref) >= m.env.nStrs {
-		return "", corruptf("string ref %d out of table (size %d)", ref, m.env.nStrs)
+// directory, bounds-checked against the body; a reference that does not
+// resolve fails r, the reader it was read from.
+func (m *Mapped) strAt(r *wire.Reader, ref uint64) string {
+	if r.Err() != nil {
+		return ""
 	}
-	off := binary.LittleEndian.Uint32(m.strOffs[4*ref:])
-	r, err := m.bodyReader(off)
-	if err != nil {
-		return "", err
+	if ref >= uint64(m.env.nStrs) {
+		r.Failf("string ref %d out of table (size %d)", ref, m.env.nStrs)
+		return ""
 	}
-	return r.str()
+	at := m.bodyReader(binary.LittleEndian.Uint32(m.strOffs[4*ref:]))
+	s := at.String()
+	if err := at.Err(); err != nil {
+		r.Failf("string %d: %v", ref, err)
+	}
+	return s
 }
 
-// bodyReader positions a bounds-checked reader at an absolute offset
-// inside the body section.
-func (m *Mapped) bodyReader(off uint32) (reader, error) {
-	if int64(off) < segHeaderLen || int64(off) >= int64(m.env.bodyEnd) {
-		return reader{}, corruptf("directory offset %d outside body [%d, %d)", off, segHeaderLen, m.env.bodyEnd)
-	}
-	return reader{buf: m.data[:m.env.bodyEnd], off: int(off)}, nil
+// bodyReader positions a reader at an absolute file offset, which must
+// lie inside the body section (past the header, before the directory);
+// one outside it is the reader's first failure.
+func (m *Mapped) bodyReader(off uint32) wire.Reader {
+	return wire.ReaderAt(m.body, int(off)-segHeaderLen)
 }
 
 // fail records the first lazy-decode contract violation; queries after
 // it keep returning empty results rather than wrong ones.
 func (m *Mapped) fail(err error) {
-	boxed := fmt.Errorf("store: mapped segment %s: %w", m.path, err)
+	boxed := fmt.Errorf("store: mapped segment %s: %w", m.path, corrupt(err))
 	m.failure.CompareAndSwap(nil, &boxed)
 }
 
@@ -233,60 +215,31 @@ func (m *Mapped) postings(e dirEntry) []int {
 	if posts, ok := m.cache.get(key); ok {
 		return posts
 	}
-	posts, err := m.decodeList(e)
-	if err != nil {
-		m.fail(err)
+	r := m.bodyReader(e.off)
+	posts := readPostings(&r, int(e.df), m.env.docCount)
+	if m.failed(&r) {
 		return nil
 	}
 	return m.cache.put(key, posts)
 }
 
-// decodeList decodes one delta-encoded postings list at a directory
-// entry, enforcing the same contract as the eager loader: the stored
-// count must match the directory's df and positions must be strictly
-// increasing inside [0, docCount).
-func (m *Mapped) decodeList(e dirEntry) ([]int, error) {
-	r, err := m.bodyReader(e.off)
-	if err != nil {
-		return nil, err
+// docReader positions a reader at the i-th document record; an i that is
+// no document's gets a failed reader.
+func (m *Mapped) docReader(i int) wire.Reader {
+	off := uint32(0) // outside the body
+	if uint(i) < uint(m.env.nDocs) {
+		off = binary.LittleEndian.Uint32(m.docOffs[4*i:])
 	}
-	n, err := r.count("postings")
-	if err != nil {
-		return nil, err
-	}
-	if n != int(e.df) {
-		return nil, corruptf("postings list has %d entries, directory says %d", n, e.df)
-	}
-	posts := make([]int, n)
-	prev := -1
-	for i := range posts {
-		dv, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		delta, err := intFromU(dv, "postings delta")
-		if err != nil {
-			return nil, err
-		}
-		if delta == 0 {
-			return nil, corruptf("zero postings delta (duplicate position %d)", prev)
-		}
-		p := prev + delta
-		if p >= m.env.docCount {
-			return nil, corruptf("postings position %d beyond %d documents", p, m.env.docCount)
-		}
-		posts[i] = p
-		prev = p
-	}
-	return posts, nil
+	return m.bodyReader(off)
 }
 
-// docReader positions a reader at the i-th document record.
-func (m *Mapped) docReader(i int) (reader, error) {
-	if i < 0 || i >= m.env.nDocs {
-		return reader{}, corruptf("document index %d out of range (%d documents)", i, m.env.nDocs)
+// failed reports whether a lazy read went wrong, recording the failure.
+func (m *Mapped) failed(r *wire.Reader) bool {
+	if r.Err() == nil {
+		return false
 	}
-	return m.bodyReader(binary.LittleEndian.Uint32(m.docOffs[4*i:]))
+	m.fail(r.Err())
+	return true
 }
 
 // DocCount implements mining.Backing.
@@ -298,14 +251,9 @@ func (m *Mapped) DocCount() int { return m.env.docCount }
 // miss path, which is why it decodes only the documents it returns
 // (mining.DrillDownLimit); a compaction's re-encode decodes them all.
 func (m *Mapped) Doc(i int) mining.Document {
-	r, err := m.docReader(i)
-	if err != nil {
-		m.fail(err)
-		return mining.Document{}
-	}
-	d, err := m.decodeDoc(&r)
-	if err != nil {
-		m.fail(err)
+	r := m.docReader(i)
+	d := readDocument(&r, func() string { return m.strAt(&r, r.Uvarint()) })
+	if m.failed(&r) {
 		return mining.Document{}
 	}
 	return d
@@ -314,19 +262,9 @@ func (m *Mapped) Doc(i int) mining.Document {
 // DocID implements mining.Backing: one string-ref read instead of a
 // full record decode.
 func (m *Mapped) DocID(i int) string {
-	r, err := m.docReader(i)
-	if err != nil {
-		m.fail(err)
-		return ""
-	}
-	idRef, err := r.uvarint()
-	if err != nil {
-		m.fail(err)
-		return ""
-	}
-	id, err := m.strAt(uint32(idRef))
-	if err != nil {
-		m.fail(err)
+	r := m.docReader(i)
+	id := m.strAt(&r, r.Uvarint())
+	if m.failed(&r) {
 		return ""
 	}
 	return id
@@ -335,93 +273,11 @@ func (m *Mapped) DocID(i int) string {
 // DocTime implements mining.Backing: skips the id ref and reads the
 // time varint — two varint reads per matching document on Trend.
 func (m *Mapped) DocTime(i int) int {
-	r, err := m.docReader(i)
-	if err != nil {
-		m.fail(err)
-		return 0
-	}
-	if _, err := r.uvarint(); err != nil { // id ref
-		m.fail(err)
-		return 0
-	}
-	tm, err := r.varint()
-	if err != nil {
-		m.fail(err)
-		return 0
-	}
-	return int(tm)
-}
-
-// decodeDoc decodes one document record, mirroring DecodeSegment's
-// per-document loop with directory-resolved strings.
-func (m *Mapped) decodeDoc(r *reader) (mining.Document, error) {
-	var d mining.Document
-	str := func(what string) (string, error) {
-		ref, err := r.uvarint()
-		if err != nil {
-			return "", err
-		}
-		if ref > 1<<32-1 {
-			return "", corruptf("%s string ref %d out of table (size %d)", what, ref, m.env.nStrs)
-		}
-		return m.strAt(uint32(ref))
-	}
-	var err error
-	if d.ID, err = str("doc id"); err != nil {
-		return d, err
-	}
-	tm, err := r.varint()
-	if err != nil {
-		return d, err
-	}
-	d.Time = int(tm)
-	nc, err := r.count("concept")
-	if err != nil {
-		return d, err
-	}
-	if nc > 0 {
-		d.Concepts = make([]annotate.Concept, nc)
-		for j := range d.Concepts {
-			c := &d.Concepts[j]
-			if c.Category, err = str("concept category"); err != nil {
-				return d, err
-			}
-			if c.Canonical, err = str("concept canonical"); err != nil {
-				return d, err
-			}
-			start, err := r.varint()
-			if err != nil {
-				return d, err
-			}
-			end, err := r.varint()
-			if err != nil {
-				return d, err
-			}
-			c.Start, c.End = int(start), int(end)
-		}
-	}
-	nf, err := r.count("field")
-	if err != nil {
-		return d, err
-	}
-	if nf > 0 {
-		d.Fields = make(map[string]string, nf)
-		for j := 0; j < nf; j++ {
-			k, err := str("field name")
-			if err != nil {
-				return d, err
-			}
-			v, err := str("field value")
-			if err != nil {
-				return d, err
-			}
-			if _, dup := d.Fields[k]; dup {
-				return d, corruptf("document %q repeats field %q", d.ID, k)
-			}
-			d.Fields[k] = v
-		}
-	}
-	return d, nil
+	r := m.docReader(i)
+	r.Uvarint() // id ref
+	tm := r.Signed()
+	m.failed(&r)
+	return tm
 }
 
 // ConceptPostings implements mining.Backing.

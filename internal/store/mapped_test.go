@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -52,7 +53,7 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 
 	// Per-document accessors agree with the materialized docs.
 	for i := 0; i < ix.Len(); i++ {
-		if !reflect.DeepEqual(mapped.Doc(i), ix.Doc(i)) {
+		if want := voctest.AsStored([]mining.Document{ix.Doc(i)})[0]; !reflect.DeepEqual(mapped.Doc(i), want) {
 			t.Fatalf("Doc(%d) diverges", i)
 		}
 		if mapped.DocID(i) != ix.Doc(i).ID || m.DocTime(i) != ix.Doc(i).Time {
@@ -444,8 +445,8 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 	}
 
 	m := recovered.Backing().(*Mapped)
-	m.fail(corruptf("first"))
-	m.fail(corruptf("second"))
+	m.fail(errors.New("first"))
+	m.fail(errors.New("second"))
 	err = st2.Err()
 	if err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "first") {
 		t.Fatalf("store reports %v, want the mapping's first failure", err)

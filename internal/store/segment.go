@@ -2,12 +2,12 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"sort"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // Segment format, version 2. A segment is the complete serialization of
@@ -83,103 +83,71 @@ const (
 // mining.Export, and document fields are emitted key-sorted).
 func EncodeSegment(snap *mining.IndexSnapshot) []byte {
 	strs, ref := buildStringTable(snap)
+	strRef := func(b []byte, s string) []byte { return wire.AppendUvarint(b, ref[s]) }
 
-	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.buf = append(w.buf, segMagic[:]...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, SegmentVersion)
+	b := wire.AppendU32(append(make([]byte, 0, 1<<16), segMagic[:]...), SegmentVersion)
+	// The directory accumulates aside, in its stored order, while the
+	// records it locates stream into the body.
+	dir := make([]byte, 0, 4*(len(strs)+len(snap.Docs))+dirEntryLen*(len(snap.Concepts)+len(snap.Categories)+len(snap.Fields)))
 
-	w.uvarint(uint64(len(strs)))
-	strOffs := make([]uint32, len(strs))
-	for i, s := range strs {
-		strOffs[i] = uint32(len(w.buf))
-		w.str(s)
+	b = wire.AppendInt(b, len(strs))
+	for _, s := range strs {
+		dir = wire.AppendU32(dir, uint32(len(b)))
+		b = wire.AppendBytes(b, s)
 	}
-
-	w.uvarint(uint64(len(snap.Docs)))
-	docOffs := make([]uint32, len(snap.Docs))
-	fieldKeys := make([]string, 0, 8)
-	for i, d := range snap.Docs {
-		docOffs[i] = uint32(len(w.buf))
-		w.uvarint(ref[d.ID])
-		w.varint(int64(d.Time))
-		w.uvarint(uint64(len(d.Concepts)))
-		for _, c := range d.Concepts {
-			w.uvarint(ref[c.Category])
-			w.uvarint(ref[c.Canonical])
-			w.varint(int64(c.Start))
-			w.varint(int64(c.End))
-		}
-		fieldKeys = fieldKeys[:0]
-		for k := range d.Fields {
-			fieldKeys = append(fieldKeys, k)
-		}
-		sort.Strings(fieldKeys)
-		w.uvarint(uint64(len(fieldKeys)))
-		for _, k := range fieldKeys {
-			w.uvarint(ref[k])
-			w.uvarint(ref[d.Fields[k]])
-		}
+	b = wire.AppendInt(b, len(snap.Docs))
+	for _, d := range snap.Docs {
+		dir = wire.AppendU32(dir, uint32(len(b)))
+		b = appendDocument(b, d, strRef)
 	}
-
-	// Postings-list directory entries accumulate aside while the lists
-	// stream into the body, then follow the string/doc offsets.
-	dir := &writer{}
-	entry := func(k0, k1 uint64, df int) {
-		dir.u32(uint32(k0))
-		dir.u32(uint32(k1))
-		dir.u32(uint32(len(w.buf)))
-		dir.u32(uint32(df))
+	list := func(posts []int, key ...string) {
+		var refs [2]uint64
+		for i, k := range key {
+			refs[i] = ref[k]
+			b = wire.AppendUvarint(b, refs[i])
+		}
+		dir = appendDirEntry(dir, refs, len(b), len(posts))
+		b = appendPostings(b, posts)
 	}
-
-	w.uvarint(uint64(len(snap.Concepts)))
+	b = wire.AppendInt(b, len(snap.Concepts))
 	for _, e := range snap.Concepts {
-		w.uvarint(ref[e.Key[0]])
-		w.uvarint(ref[e.Key[1]])
-		entry(ref[e.Key[0]], ref[e.Key[1]], len(e.Posts))
-		writePostings(w, e.Posts)
+		list(e.Posts, e.Key[0], e.Key[1])
 	}
-	w.uvarint(uint64(len(snap.Categories)))
+	b = wire.AppendInt(b, len(snap.Categories))
 	for _, e := range snap.Categories {
-		w.uvarint(ref[e.Category])
-		entry(ref[e.Category], 0, len(e.Posts))
-		writePostings(w, e.Posts)
+		list(e.Posts, e.Category)
 	}
-	w.uvarint(uint64(len(snap.Fields)))
+	b = wire.AppendInt(b, len(snap.Fields))
 	for _, e := range snap.Fields {
-		w.uvarint(ref[e.Key[0]])
-		w.uvarint(ref[e.Key[1]])
-		entry(ref[e.Key[0]], ref[e.Key[1]], len(e.Posts))
-		writePostings(w, e.Posts)
+		list(e.Posts, e.Key[0], e.Key[1])
 	}
 
-	dirStart := uint32(len(w.buf))
-	for _, off := range strOffs {
-		w.u32(off)
+	dirStart := len(b)
+	b = append(b, dir...)
+	for _, n := range []int{dirStart, len(strs), len(snap.Docs), len(snap.Concepts), len(snap.Categories), len(snap.Fields)} {
+		b = wire.AppendU32(b, uint32(n))
 	}
-	for _, off := range docOffs {
-		w.u32(off)
-	}
-	w.buf = append(w.buf, dir.buf...)
-	w.u32(dirStart)
-	w.u32(uint32(len(strs)))
-	w.u32(uint32(len(snap.Docs)))
-	w.u32(uint32(len(snap.Concepts)))
-	w.u32(uint32(len(snap.Categories)))
-	w.u32(uint32(len(snap.Fields)))
-	if uint64(len(w.buf)) > 1<<32-1 {
+	if uint64(len(b)) > math.MaxUint32 {
 		// The directory addresses the file with uint32 offsets; a
 		// segment past 4 GiB would wrap them silently. The serving
 		// layer seals far below this — fail loudly, not subtly.
 		panic("store: segment exceeds the 4 GiB uint32 offset space")
 	}
 
-	bodyLen := uint64(len(w.buf) - segHeaderLen)
-	crc := crc32.ChecksumIEEE(w.buf)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, bodyLen)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(len(snap.Docs)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, SegmentVersion)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
-	return w.buf
+	crc := crc32.ChecksumIEEE(b)
+	b = wire.AppendU64(b, uint64(len(b)-segHeaderLen))
+	b = wire.AppendU64(b, uint64(len(snap.Docs)))
+	return wire.AppendU32(wire.AppendU32(b, SegmentVersion), crc)
+}
+
+// appendDirEntry appends one postings list's fixed-width directory
+// entry: its key refs (the second 0 where the key has one part), the
+// offset of its count prefix and its length.
+func appendDirEntry(dir []byte, refs [2]uint64, listOff, df int) []byte {
+	for _, v := range []uint64{refs[0], refs[1], uint64(listOff), uint64(df)} {
+		dir = wire.AppendU32(dir, uint32(v))
+	}
+	return dir
 }
 
 // buildStringTable collects every string a snapshot references, sorted
@@ -221,16 +189,6 @@ func buildStringTable(snap *mining.IndexSnapshot) ([]string, map[string]uint64) 
 	return strs, ref
 }
 
-// writePostings emits one sorted postings list as varint deltas.
-func writePostings(w *writer, posts []int) {
-	w.uvarint(uint64(len(posts)))
-	prev := -1
-	for _, p := range posts {
-		w.uvarint(uint64(p - prev))
-		prev = p
-	}
-}
-
 // segEnvelope is the validated fixed-size frame of a segment file —
 // everything a reader learns before touching a single body varint.
 type segEnvelope struct {
@@ -254,46 +212,42 @@ func checkEnvelope(data []byte) (segEnvelope, error) {
 	if [4]byte(data[:4]) != segMagic {
 		return e, corruptf("bad segment magic %q", data[:4])
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
+	head := wire.ReaderAt(data, 4)
+	version := head.U32()
 	if version != SegmentVersion {
 		return e, corruptf("unsupported segment version %d (want %d)", version, SegmentVersion)
 	}
-	foot := data[len(data)-segFooterLen:]
-	bodyLen := binary.LittleEndian.Uint64(foot[0:8])
-	if v := binary.LittleEndian.Uint32(foot[16:20]); v != version {
-		return e, corruptf("footer version %d disagrees with header", v)
+	footAt := len(data) - segFooterLen
+	foot := wire.ReaderAt(data, footAt)
+	bodyLen, docCount, footVersion, wantCRC := foot.U64(), foot.U64(), foot.U32(), foot.U32()
+	if footVersion != version {
+		return e, corruptf("footer version %d disagrees with header", footVersion)
 	}
-	if bodyLen != uint64(len(data)-segHeaderLen-segFooterLen) {
-		return e, corruptf("footer body length %d, file has %d body bytes",
-			bodyLen, len(data)-segHeaderLen-segFooterLen)
+	if bodyLen != uint64(footAt-segHeaderLen) {
+		return e, corruptf("footer body length %d, file has %d body bytes", bodyLen, footAt-segHeaderLen)
 	}
-	wantCRC := binary.LittleEndian.Uint32(foot[20:24])
-	if got := crc32.ChecksumIEEE(data[:len(data)-segFooterLen]); got != wantCRC {
+	if got := crc32.ChecksumIEEE(data[:footAt]); got != wantCRC {
 		return e, corruptf("checksum mismatch: file %08x, computed %08x", wantCRC, got)
 	}
-	dc, err := intFromU(binary.LittleEndian.Uint64(foot[8:16]), "footer document count")
-	if err != nil {
-		return e, err
+	if docCount > math.MaxInt32 {
+		return e, corruptf("footer document count %d out of range", docCount)
 	}
-	e.docCount = dc
-	e.bodyEnd = len(data) - segFooterLen
-	if e.bodyEnd-segHeaderLen < dirTrailerLen {
+	e.docCount = int(docCount)
+	trailerAt := footAt - dirTrailerLen
+	if trailerAt < segHeaderLen {
 		return e, corruptf("segment too short for directory trailer")
 	}
-	tr := data[e.bodyEnd-dirTrailerLen : e.bodyEnd]
-	e.dirStart = int(binary.LittleEndian.Uint32(tr[0:4]))
-	e.nStrs = int(binary.LittleEndian.Uint32(tr[4:8]))
-	e.nDocs = int(binary.LittleEndian.Uint32(tr[8:12]))
-	e.nConc = int(binary.LittleEndian.Uint32(tr[12:16]))
-	e.nCat = int(binary.LittleEndian.Uint32(tr[16:20]))
-	e.nFld = int(binary.LittleEndian.Uint32(tr[20:24]))
+	tr := wire.ReaderAt(data, trailerAt)
+	for _, f := range []*int{&e.dirStart, &e.nStrs, &e.nDocs, &e.nConc, &e.nCat, &e.nFld} {
+		*f = int(tr.U32())
+	}
 	if e.nDocs != e.docCount {
 		return e, corruptf("directory trailer has %d documents, footer says %d", e.nDocs, e.docCount)
 	}
 	dirBytes := 4*(e.nStrs+e.nDocs) + dirEntryLen*(e.nConc+e.nCat+e.nFld)
-	if e.dirStart < segHeaderLen || e.dirStart+dirBytes != e.bodyEnd-dirTrailerLen {
+	if e.dirStart < segHeaderLen || e.dirStart+dirBytes != trailerAt {
 		return e, corruptf("directory geometry invalid: start %d, %d directory bytes, trailer at %d",
-			e.dirStart, dirBytes, e.bodyEnd-dirTrailerLen)
+			e.dirStart, dirBytes, trailerAt)
 	}
 	e.bodyEnd = e.dirStart
 	return e, nil
@@ -311,211 +265,73 @@ func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	r := &reader{buf: data[:env.bodyEnd], off: segHeaderLen}
+	r := wire.ReaderAt(data[:env.bodyEnd], segHeaderLen)
+	stored := data[env.dirStart : len(data)-segFooterLen]
 	// dir re-accumulates the offset directory while the body decodes;
 	// compared against the stored bytes at the end.
-	dir := &writer{buf: make([]byte, 0, len(data)-segFooterLen-env.bodyEnd)}
+	dir := make([]byte, 0, len(stored))
 
-	nStrs, err := r.count("string table")
-	if err != nil {
-		return nil, err
-	}
-	strs := make([]string, nStrs)
+	strs := make([]string, r.Count(1))
 	for i := range strs {
-		dir.u32(uint32(r.off))
-		if strs[i], err = r.str(); err != nil {
-			return nil, err
-		}
+		dir = wire.AppendU32(dir, uint32(r.Offset()))
+		strs[i] = r.String()
 	}
-	strRef := func(what string) (uint64, string, error) {
-		idx, err := r.uvarint()
-		if err != nil {
-			return 0, "", err
-		}
+	strRef := func() (uint64, string) {
+		idx := r.Uvarint()
 		if idx >= uint64(len(strs)) {
-			return 0, "", corruptf("%s string ref %d out of table (size %d)", what, idx, len(strs))
+			r.Failf("string ref %d out of table (size %d)", idx, len(strs))
+			return 0, ""
 		}
-		return idx, strs[idx], nil
+		return idx, strs[idx]
 	}
-	str := func(what string) (string, error) {
-		_, s, err := strRef(what)
-		return s, err
+	str := func() string {
+		_, s := strRef()
+		return s
 	}
 
-	nDocs, err := r.count("document")
-	if err != nil {
-		return nil, err
-	}
-	if nDocs != env.docCount {
-		return nil, corruptf("body has %d documents, footer says %d", nDocs, env.docCount)
+	nDocs := r.Count(1)
+	if nDocs != env.docCount && r.Err() == nil {
+		r.Failf("body has %d documents, footer says %d", nDocs, env.docCount)
 	}
 	snap := &mining.IndexSnapshot{Docs: make([]mining.Document, nDocs)}
 	for i := range snap.Docs {
-		dir.u32(uint32(r.off))
-		d := &snap.Docs[i]
-		if d.ID, err = str("doc id"); err != nil {
-			return nil, err
-		}
-		tm, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		d.Time = int(tm)
-		nc, err := r.count("concept")
-		if err != nil {
-			return nil, err
-		}
-		if nc > 0 {
-			d.Concepts = make([]annotate.Concept, nc)
-			for j := range d.Concepts {
-				c := &d.Concepts[j]
-				if c.Category, err = str("concept category"); err != nil {
-					return nil, err
-				}
-				if c.Canonical, err = str("concept canonical"); err != nil {
-					return nil, err
-				}
-				start, err := r.varint()
-				if err != nil {
-					return nil, err
-				}
-				end, err := r.varint()
-				if err != nil {
-					return nil, err
-				}
-				c.Start, c.End = int(start), int(end)
-			}
-		}
-		nf, err := r.count("field")
-		if err != nil {
-			return nil, err
-		}
-		if nf > 0 {
-			d.Fields = make(map[string]string, nf)
-			for j := 0; j < nf; j++ {
-				k, err := str("field name")
-				if err != nil {
-					return nil, err
-				}
-				v, err := str("field value")
-				if err != nil {
-					return nil, err
-				}
-				if _, dup := d.Fields[k]; dup {
-					return nil, corruptf("document %q repeats field %q", d.ID, k)
-				}
-				d.Fields[k] = v
-			}
-		}
+		dir = wire.AppendU32(dir, uint32(r.Offset()))
+		snap.Docs[i] = readDocument(&r, str)
 	}
 
-	// readKeyed decodes one postings list with a one- or two-part key,
+	// list decodes one postings list under a one- or two-part key,
 	// mirroring the encoder's directory entry as it goes.
-	readKeyed := func(what0, what1 string) ([2]string, []int, error) {
-		ref0, k0, err := strRef(what0)
-		if err != nil {
-			return [2]string{}, nil, err
+	list := func(parts int) (key [2]string, posts []int) {
+		var refs [2]uint64
+		for i := range parts {
+			refs[i], key[i] = strRef()
 		}
-		var ref1 uint64
-		var k1 string
-		if what1 != "" {
-			if ref1, k1, err = strRef(what1); err != nil {
-				return [2]string{}, nil, err
-			}
-		}
-		listOff := r.off
-		posts, err := readPostings(r, nDocs)
-		if err != nil {
-			return [2]string{}, nil, err
-		}
-		dir.u32(uint32(ref0))
-		dir.u32(uint32(ref1))
-		dir.u32(uint32(listOff))
-		dir.u32(uint32(len(posts)))
-		return [2]string{k0, k1}, posts, nil
+		listOff := r.Offset()
+		posts = readPostings(&r, -1, nDocs)
+		dir = appendDirEntry(dir, refs, listOff, len(posts))
+		return key, posts
 	}
-
-	nConc, err := r.count("concept postings")
-	if err != nil {
-		return nil, err
-	}
-	snap.Concepts = make([]mining.KeyedPostings, nConc)
+	snap.Concepts = make([]mining.KeyedPostings, r.Count(1))
 	for i := range snap.Concepts {
-		e := &snap.Concepts[i]
-		if e.Key, e.Posts, err = readKeyed("postings category", "postings canonical"); err != nil {
-			return nil, err
-		}
+		snap.Concepts[i].Key, snap.Concepts[i].Posts = list(2)
 	}
-	nCat, err := r.count("category postings")
-	if err != nil {
-		return nil, err
-	}
-	snap.Categories = make([]mining.CatPostings, nCat)
+	snap.Categories = make([]mining.CatPostings, r.Count(1))
 	for i := range snap.Categories {
-		e := &snap.Categories[i]
-		key, posts, err := readKeyed("postings category", "")
-		if err != nil {
-			return nil, err
-		}
-		e.Category, e.Posts = key[0], posts
+		key, posts := list(1)
+		snap.Categories[i] = mining.CatPostings{Category: key[0], Posts: posts}
 	}
-	nField, err := r.count("field postings")
-	if err != nil {
-		return nil, err
-	}
-	snap.Fields = make([]mining.KeyedPostings, nField)
+	snap.Fields = make([]mining.KeyedPostings, r.Count(1))
 	for i := range snap.Fields {
-		e := &snap.Fields[i]
-		if e.Key, e.Posts, err = readKeyed("postings field", "postings value"); err != nil {
-			return nil, err
-		}
+		snap.Fields[i].Key, snap.Fields[i].Posts = list(2)
 	}
-	if r.remaining() != 0 {
-		return nil, corruptf("%d trailing bytes after segment body", r.remaining())
+	if err := r.Done(); err != nil {
+		return nil, corrupt(err)
 	}
-	dir.u32(uint32(env.dirStart))
-	dir.u32(uint32(nStrs))
-	dir.u32(uint32(nDocs))
-	dir.u32(uint32(nConc))
-	dir.u32(uint32(nCat))
-	dir.u32(uint32(nField))
-	if stored := data[env.dirStart : len(data)-segFooterLen]; !bytes.Equal(dir.buf, stored) {
+	for _, n := range []int{env.dirStart, len(strs), nDocs, len(snap.Concepts), len(snap.Categories), len(snap.Fields)} {
+		dir = wire.AppendU32(dir, uint32(n))
+	}
+	if !bytes.Equal(dir, stored) {
 		return nil, corruptf("offset directory disagrees with body")
 	}
 	return snap, nil
-}
-
-// readPostings decodes one delta-encoded list, enforcing strictly
-// increasing positions inside [0, nDocs).
-func readPostings(r *reader, nDocs int) ([]int, error) {
-	n, err := r.count("postings")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	posts := make([]int, n)
-	prev := -1
-	for i := range posts {
-		dv, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		delta, err := intFromU(dv, "postings delta")
-		if err != nil {
-			return nil, err
-		}
-		if delta == 0 {
-			return nil, corruptf("zero postings delta (duplicate position %d)", prev)
-		}
-		p := prev + delta
-		if p >= nDocs {
-			return nil, corruptf("postings position %d beyond %d documents", p, nDocs)
-		}
-		posts[i] = p
-		prev = p
-	}
-	return posts, nil
 }

@@ -141,7 +141,7 @@ func TestWALAppendReplay(t *testing.T) {
 	if len(rec.Segments) != 0 {
 		t.Fatal("no segment was written, but recovery has one")
 	}
-	if !reflect.DeepEqual(rec.WALDocs, docs) {
+	if !reflect.DeepEqual(rec.WALDocs, voctest.AsStored(docs)) {
 		t.Fatalf("WAL replay returned %d docs, want %d (or content diverges)", len(rec.WALDocs), len(docs))
 	}
 }
@@ -195,7 +195,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	if got := st3.Recovered().WALDocs; !reflect.DeepEqual(got, docs[:11]) {
+	if got := st3.Recovered().WALDocs; !reflect.DeepEqual(got, voctest.AsStored(docs[:11])) {
 		t.Fatalf("after truncate+append: %d docs, want 11 matching", len(got))
 	}
 }

@@ -1,15 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
+	"bivoc/internal/wire"
 )
 
 // Write-ahead log, version 1. The WAL extends the pipeline's failure
@@ -41,97 +39,8 @@ const (
 
 // appendWALRecord encodes one document as a WAL record into buf.
 func appendWALRecord(buf []byte, doc mining.Document) []byte {
-	w := &writer{buf: make([]byte, 0, 256)}
-	w.str(doc.ID)
-	w.varint(int64(doc.Time))
-	w.uvarint(uint64(len(doc.Concepts)))
-	for _, c := range doc.Concepts {
-		w.str(c.Category)
-		w.str(c.Canonical)
-		w.varint(int64(c.Start))
-		w.varint(int64(c.End))
-	}
-	keys := make([]string, 0, len(doc.Fields))
-	for k := range doc.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		w.str(doc.Fields[k])
-	}
-
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(w.buf)))
-	buf = append(buf, hdr[:n]...)
-	buf = append(buf, w.buf...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(w.buf))
-}
-
-// decodeWALPayload parses one record payload back into a document.
-func decodeWALPayload(payload []byte) (mining.Document, error) {
-	r := &reader{buf: payload}
-	var doc mining.Document
-	var err error
-	if doc.ID, err = r.str(); err != nil {
-		return doc, err
-	}
-	tm, err := r.varint()
-	if err != nil {
-		return doc, err
-	}
-	doc.Time = int(tm)
-	nc, err := r.count("concept")
-	if err != nil {
-		return doc, err
-	}
-	if nc > 0 {
-		doc.Concepts = make([]annotate.Concept, nc)
-		for i := range doc.Concepts {
-			c := &doc.Concepts[i]
-			if c.Category, err = r.str(); err != nil {
-				return doc, err
-			}
-			if c.Canonical, err = r.str(); err != nil {
-				return doc, err
-			}
-			start, err := r.varint()
-			if err != nil {
-				return doc, err
-			}
-			end, err := r.varint()
-			if err != nil {
-				return doc, err
-			}
-			c.Start, c.End = int(start), int(end)
-		}
-	}
-	nf, err := r.count("field")
-	if err != nil {
-		return doc, err
-	}
-	if nf > 0 {
-		doc.Fields = make(map[string]string, nf)
-		for i := 0; i < nf; i++ {
-			k, err := r.str()
-			if err != nil {
-				return doc, err
-			}
-			v, err := r.str()
-			if err != nil {
-				return doc, err
-			}
-			if _, dup := doc.Fields[k]; dup {
-				return doc, corruptf("WAL document %q repeats field %q", doc.ID, k)
-			}
-			doc.Fields[k] = v
-		}
-	}
-	if r.remaining() != 0 {
-		return doc, corruptf("%d trailing bytes in WAL record for %q", r.remaining(), doc.ID)
-	}
-	return doc, nil
+	payload := appendDocument(make([]byte, 0, 256), doc, wire.AppendBytes[string])
+	return wire.AppendU32(wire.AppendBytes(buf, payload), crc32.ChecksumIEEE(payload))
 }
 
 // replayWAL reads every intact record from a WAL file. It returns the
@@ -163,35 +72,27 @@ func replayWALData(data []byte) (docs []mining.Document, goodLen int64, dropped 
 	if [4]byte(data[:4]) != walMagic {
 		return nil, 0, 0, corruptf("bad WAL magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != walVersion {
+	r := wire.ReaderAt(data, 4)
+	if v := r.U32(); v != walVersion {
 		return nil, 0, 0, corruptf("unsupported WAL version %d (want %d)", v, walVersion)
 	}
-	off := int64(walHeaderLen)
-	for off < int64(len(data)) {
-		plen, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			break // torn tail: length prefix incomplete
+	good := walHeaderLen
+	for good < len(data) {
+		payload, sum := r.Bytes(), r.U32()
+		if r.Err() != nil || crc32.ChecksumIEEE(payload) != sum {
+			break // torn tail: a record cut short, or one that fails its CRC
 		}
-		rem := int64(len(data)) - off - int64(n)
-		if rem < 4 || plen > uint64(rem-4) {
-			break // torn tail: record shorter than payload + CRC
-		}
-		start := off + int64(n)
-		payload := data[start : start+int64(plen)]
-		want := binary.LittleEndian.Uint32(data[start+int64(plen) : start+int64(plen)+4])
-		if crc32.ChecksumIEEE(payload) != want {
-			break // torn or bit-flipped record
-		}
-		doc, derr := decodeWALPayload(payload)
-		if derr != nil {
+		rec := wire.NewReader(payload)
+		doc := readDocument(&rec, rec.String)
+		if err := rec.Done(); err != nil {
 			// CRC passed but the payload does not parse: written by a
 			// different codec, not a torn tail. Refuse the whole log.
-			return nil, 0, 0, fmt.Errorf("store: WAL record at offset %d: %w", off, derr)
+			return nil, 0, 0, fmt.Errorf("store: WAL record at offset %d: %w", good, corrupt(err))
 		}
 		docs = append(docs, doc)
-		off = start + int64(plen) + 4
+		good = r.Offset()
 	}
-	return docs, off, int64(len(data)) - off, nil
+	return docs, int64(good), int64(len(data) - good), nil
 }
 
 // openWALForAppend opens (creating if needed) the WAL positioned for
@@ -207,8 +108,7 @@ func openWALForAppend(path string, goodLen int64) (*os.File, int64, error) {
 			f.Close()
 			return nil, 0, fmt.Errorf("store: truncating WAL: %w", err)
 		}
-		hdr := append([]byte{}, walMagic[:]...)
-		hdr = binary.LittleEndian.AppendUint32(hdr, walVersion)
+		hdr := wire.AppendU32(append([]byte(nil), walMagic[:]...), walVersion)
 		if _, err := f.WriteAt(hdr, 0); err != nil {
 			f.Close()
 			return nil, 0, fmt.Errorf("store: writing WAL header: %w", err)

@@ -171,6 +171,56 @@ func TestCheckQueriersDetectsDivergence(t *testing.T) {
 	if len(rec.reports) != 0 {
 		t.Errorf("the unperturbed Querier drew reports: %q", rec.reports)
 	}
+	// The one thing about a document the comparator does not tell apart:
+	// which map a document without fields holds.
+	swapped := 0
+	swap := func(docs []mining.Document) []mining.Document {
+		docs = append([]mining.Document(nil), docs...)
+		for i, d := range docs {
+			if d.Fields == nil {
+				docs[i].Fields = map[string]string{}
+				swapped++
+			} else if len(d.Fields) == 0 {
+				docs[i].Fields = nil
+				swapped++
+			}
+		}
+		return docs
+	}
+	voctest.CheckQueriers(rec, skewed{Querier: ix,
+		drill:   func(_, _ mining.Dim, docs []mining.Document) []mining.Document { return swap(docs) },
+		limited: func(_, _ mining.Dim, _ int, docs []mining.Document) []mining.Document { return swap(docs) },
+	}, naive, w)
+	if len(rec.reports) != 0 || swapped == 0 {
+		t.Errorf("%d field-less documents handed over in the other form drew reports: %q", swapped, rec.reports)
+	}
+}
+
+// TestWorldHoldsBothFieldlessForms: the worlds that the mapped-restart
+// suite of internal/server (20211) and the fleet of internal/fed (20214)
+// boot hold a document with a nil Fields map and one with an empty map,
+// and the URL battery drills down, in full, into a cell each is in — so a
+// suite that compares bodies across a restart sees how both are rendered.
+func TestWorldHoldsBothFieldlessForms(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []int64{20211, 20214} {
+		w := voctest.NewWorld(seed, 150)
+		if len(w.Fieldless) != 2 {
+			t.Fatalf("world %d: %d field-less cells, want 2", seed, len(w.Fieldless))
+		}
+		naive, urls := w.Index().Naive(), strings.Join(w.URLs(), "\n")
+		for k, p := range w.Fieldless {
+			found := false
+			for _, d := range naive.DrillDown(p[0], p[1]) {
+				found = found || (len(d.Fields) == 0 && (d.Fields == nil) == (k == 0))
+			}
+			q := url.Values{"row": {p[0].Label()}, "col": {p[1].Label()}, "limit": {"100000"}}
+			if !found || !strings.Contains(urls, "/v1/drilldown?"+q.Encode()) {
+				t.Errorf("world %d, field-less cell %d (nil map: %v): document found %v, in the URL battery %v",
+					seed, k, k == 0, found, strings.Contains(urls, q.Encode()))
+			}
+		}
+	}
 }
 
 // TestWorldIsAFunctionOfItsSeed: the same seed and size give the same

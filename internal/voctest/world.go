@@ -47,7 +47,8 @@ var (
 
 // NotUTF8 is the one dimension of the battery whose label is not valid
 // UTF-8 (documents carry the value; URL-escaped it is %FF). It sits in
-// one pair and in no tree or table.
+// one pair and in no tree or table, and in no URL: a Querier takes any
+// bytes, the daemons answer such a parameter 400.
 var NotUTF8 = mining.FieldDim("agent", "A\xff4")
 
 // Table is one association table of a world's battery.
@@ -76,10 +77,13 @@ type World struct {
 	Trees []mining.Dim
 	// Pairs are the (row, col) operands of CountBoth and the drill-downs,
 	// with conjunctions and trees on either side.
-	Pairs  [][2]mining.Dim
-	Cats   []string // categories, one of them absent from the corpus
-	Fields []string // field names, one of them absent
-	Tables []Table
+	Pairs [][2]mining.Dim
+	// Fieldless are the cells (the last of Pairs) of the first document that
+	// holds a nil Fields map and the first that holds an empty one.
+	Fieldless [][2]mining.Dim
+	Cats      []string // categories, one of them absent from the corpus
+	Fields    []string // field names, one of them absent
+	Tables    []Table
 }
 
 // Wide is the width of the battery's widest table: one more column than a
@@ -92,6 +96,9 @@ const Wide = 65
 func NewWorld(seed int64, ndocs int) *World {
 	rng := rand.New(rand.NewSource(seed))
 	docs := make([]mining.Document, ndocs)
+	// fieldless holds, per document without fields, a cell of few documents
+	// that it is in: everything it says, against its first category.
+	var fieldless [][2]mining.Dim
 	for i := range docs {
 		var concepts []annotate.Concept
 		for _, cat := range worldCats {
@@ -106,9 +113,11 @@ func NewWorld(seed int64, ndocs int) *World {
 		if len(concepts) > 0 && rng.Intn(3) == 0 {
 			concepts = append(concepts, concepts[rng.Intn(len(concepts))])
 		}
-		// A document without fields carries a nil map, and one without
-		// concepts a nil slice: the form the WAL and segment codecs decode
-		// to, so that a document is deeply equal to its own round trip.
+		// A document without concepts carries a nil slice, the form the
+		// store decodes to. One without fields carries a nil map (what the
+		// store decodes to) or an empty one (what a source that always
+		// makes the map hands over), turn about: the two must answer every
+		// query alike, and CheckQueriers tells them apart nowhere.
 		var fields map[string]string
 		for _, f := range worldFields {
 			if vals := worldFieldVals[f]; rng.Intn(5) != 0 {
@@ -117,6 +126,16 @@ func NewWorld(seed int64, ndocs int) *World {
 				}
 				fields[f] = vals[rng.Intn(len(vals))]
 			}
+		}
+		if fields == nil && len(concepts) > 0 {
+			if len(fieldless)%2 == 1 {
+				fields = map[string]string{}
+			}
+			all := make([]mining.Dim, len(concepts))
+			for j, c := range concepts {
+				all[j] = mining.ConceptDim(c.Category, c.Canonical)
+			}
+			fieldless = append(fieldless, [2]mining.Dim{mining.AndDim(all...), mining.CategoryDim(concepts[0].Category)})
 		}
 		docs[i] = mining.Document{ID: fmt.Sprintf("doc-%04d", i), Concepts: concepts, Fields: fields, Time: rng.Intn(9) - 3}
 	}
@@ -166,6 +185,8 @@ func NewWorld(seed int64, ndocs int) *World {
 		w.Pairs = append(w.Pairs, [2]mining.Dim{t, leaf}, [2]mining.Dim{leaf, t}, [2]mining.Dim{t, w.Trees[(k+1)%len(w.Trees)]})
 	}
 	w.Pairs = append(w.Pairs, [2]mining.Dim{NotUTF8, d[5]})
+	w.Fieldless = fieldless[:min(len(fieldless), 2)]
+	w.Pairs = append(w.Pairs, w.Fieldless...)
 
 	wide := make([]mining.Dim, Wide)
 	for j := range wide {
@@ -189,9 +210,9 @@ func NewWorld(seed int64, ndocs int) *World {
 
 // randomLeaf picks a concept, category or field dimension, now and then
 // one nothing in the corpus carries — but never the value that is not
-// UTF-8: only NotUTF8 names that one, so that a suite which cannot carry
-// it in a query (the coordinator's JSON /v1/shard request) loses one pair
-// of the battery and not every tree that happened to draw it.
+// UTF-8: only NotUTF8 names that one, so that the URL battery (the daemons
+// refuse such a label) loses one pair and not every tree that happened to
+// draw it.
 func randomLeaf(rng *rand.Rand) mining.Dim {
 	pick := func(vals []string, absent string) string {
 		if rng.Intn(8) == 0 {
@@ -299,8 +320,13 @@ func (w *World) URLs() []string {
 		urls = append(urls, "/v1/concepts?"+url.Values{"field": {f}}.Encode())
 	}
 	for i, p := range w.Pairs {
+		if !utf8.ValidString(p[0].Label() + p[1].Label()) {
+			continue
+		}
 		q := url.Values{"row": {p[0].Label()}, "col": {p[1].Label()}}
-		if i%3 != 0 {
+		if i >= len(w.Pairs)-len(w.Fieldless) {
+			q.Set("limit", "100000") // the whole cell, so that the field-less document is in the body
+		} else if i%3 != 0 {
 			q.Set("limit", []string{"0", "7", "100000"}[i%3])
 		}
 		urls = append(urls, "/v1/drilldown?"+q.Encode())
