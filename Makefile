@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDim$$' -fuzztime 10s ./internal/mining
 	$(GO) test -run '^$$' -fuzz '^FuzzWireReader$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDigitLCS$$' -fuzztime 10s ./internal/fuzzy
 
 # The repository's benchmark, declared in BENCHMARK.json: five workloads,
 # five end-to-end metrics and the per-layer budget, printed by

@@ -12,6 +12,7 @@
 package fuzzy
 
 import (
+	"math/bits"
 	"strings"
 )
 
@@ -285,6 +286,9 @@ func DigitSimilarityDigits(od, rd string) float64 {
 func DigitString(s string) string { return digitsOf(s) }
 
 func digitsOf(s string) string {
+	if strings.IndexFunc(s, func(r rune) bool { return r < '0' || r > '9' }) < 0 {
+		return s // an extracted digit token: nothing to strip, nothing to copy
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] >= '0' && s[i] <= '9' {
@@ -294,20 +298,47 @@ func digitsOf(s string) string {
 	return b.String()
 }
 
+// lcsLen returns the length of the longest common subsequence of a and b.
+// Digit strings of at most 64 bytes (every phone and card number) take the
+// bit-parallel recurrence of Allison-Dix as tightened by Hyyrö: row i of
+// the DP is one word whose zero bits mark where the LCS length steps up,
+// so a column costs an AND, an ADD and an OR instead of len(a) cells. Both
+// paths count the same integer.
 func lcsLen(a, b string) int {
-	la, lb := len(a), len(b)
-	// Digit strings (phone/card numbers) are short; stack rows keep the
-	// DP allocation-free on the linking hot path.
-	var pBuf, cBuf [64]int
-	var prev, curr []int
-	if lb+1 > len(pBuf) {
-		prev = make([]int, lb+1)
-		curr = make([]int, lb+1)
-	} else {
-		prev = pBuf[:lb+1]
-		curr = cBuf[:lb+1]
+	if len(a) > len(b) {
+		a, b = b, a // the LCS is symmetric; the shorter side is the word
 	}
-	for i := 1; i <= la; i++ {
+	if len(a) > 64 {
+		return lcsLenDP(a, b)
+	}
+	var match [10]uint64 // match[d] has bit i set where a[i] == '0'+d
+	for i := 0; i < len(a); i++ {
+		d := a[i] - '0'
+		if d > 9 {
+			return lcsLenDP(a, b)
+		}
+		match[d] |= 1 << i
+	}
+	v := ^uint64(0)
+	for j := 0; j < len(b); j++ {
+		d := b[j] - '0'
+		if d > 9 {
+			continue // matches nothing in an all-digit a
+		}
+		u := v & match[d]
+		v = (v + u) | (v - u)
+	}
+	// Carries only travel upward, so the low len(a) bits are exact.
+	return bits.OnesCount64(^v << (64 - len(a)))
+}
+
+// lcsLenDP is the two-row dynamic program, for input lcsLen's word cannot
+// hold.
+func lcsLenDP(a, b string) int {
+	lb := len(b)
+	prev := make([]int, lb+1)
+	curr := make([]int, lb+1)
+	for i := 1; i <= len(a); i++ {
 		for j := 1; j <= lb; j++ {
 			if a[i-1] == b[j-1] {
 				curr[j] = prev[j-1] + 1
@@ -318,9 +349,6 @@ func lcsLen(a, b string) int {
 			}
 		}
 		prev, curr = curr, prev
-		for j := range curr {
-			curr[j] = 0
-		}
 	}
 	return prev[lb]
 }

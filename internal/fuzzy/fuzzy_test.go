@@ -2,6 +2,8 @@ package fuzzy
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -286,4 +288,88 @@ func TestTokenSetSimilarity(t *testing.T) {
 	if TokenSetSimilarity("a", "") != 0 {
 		t.Error("one empty should score 0")
 	}
+}
+
+// lcsRef is the textbook full-table LCS, the reference both lcsLen paths
+// are held to.
+func lcsRef(a, b string) int {
+	t := make([][]int, len(a)+1)
+	for i := range t {
+		t[i] = make([]int, len(b)+1)
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			if a[i-1] == b[j-1] {
+				t[i][j] = t[i-1][j-1] + 1
+			} else {
+				t[i][j] = max(t[i-1][j], t[i][j-1])
+			}
+		}
+	}
+	return t[len(a)][len(b)]
+}
+
+func checkLCS(t *testing.T, a, b string) {
+	t.Helper()
+	want := lcsRef(a, b)
+	if got := lcsLen(a, b); got != want {
+		t.Fatalf("lcsLen(%q, %q) = %d, want %d", a, b, got, want)
+	}
+	if got := lcsLen(b, a); got != want {
+		t.Fatalf("lcsLen(%q, %q) = %d, want %d", b, a, got, want)
+	}
+	if got := lcsLenDP(a, b); got != want {
+		t.Fatalf("lcsLenDP(%q, %q) = %d, want %d", a, b, got, want)
+	}
+}
+
+// TestDigitLCSMatchesReference walks lengths 0-70 on both sides — through
+// the 64-byte word, across it, and past it on one side or both — over
+// digit strings from a small and the full alphabet and over strings with
+// non-digit bytes mixed in.
+func TestDigitLCSMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	alphabets := []string{"01", "0123456789", "0123456789-+ a\xff"}
+	gen := func(n int, alpha string) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alpha[rng.Intn(len(alpha))]
+		}
+		return string(b)
+	}
+	for la := 0; la <= 70; la++ {
+		for _, lb := range []int{0, 1, la / 2, la, 63, 64, 65, 70} {
+			for _, alpha := range alphabets {
+				checkLCS(t, gen(la, alpha), gen(lb, alpha))
+			}
+			// A non-digit on one side only: the other side stays in the word.
+			checkLCS(t, gen(la, alphabets[1]), gen(lb, alphabets[2]))
+		}
+	}
+	for _, s := range []string{"", "7", "9876543210", strings.Repeat("1", 64), strings.Repeat("90", 35)} {
+		checkLCS(t, s, s)
+	}
+}
+
+func FuzzDigitLCS(f *testing.F) {
+	f.Add("9876543210", "987654")
+	f.Add("", "123")
+	f.Add(strings.Repeat("0123456789", 7), strings.Repeat("13579", 13))
+	f.Add("12a45", "1245")
+	f.Add(strings.Repeat("7", 64), strings.Repeat("7", 65))
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 200 || len(b) > 200 {
+			return
+		}
+		checkLCS(t, a, b)
+		// The fuzzer rarely finds digits on its own: fold both onto them too.
+		fold := func(s string) string {
+			d := []byte(s)
+			for i := range d {
+				d[i] = '0' + d[i]%10
+			}
+			return string(d)
+		}
+		checkLCS(t, fold(a), fold(b))
+	})
 }

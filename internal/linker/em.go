@@ -53,8 +53,10 @@ func (e *Engine) LearnWeights(docs [][]Token, iterations int) []float64 {
 		}
 		// M-step: re-normalize per type, with a floor so attributes that
 		// happened to match nothing this round can recover.
+		// attrOrder, not the weight map, fixes the order delta is summed in.
 		delta := 0.0
-		for at, old := range e.weights {
+		for _, at := range e.attrOrder {
+			old := e.weights[at]
 			total := typeTotals[at.Table]
 			var next float64
 			if total > 0 {
@@ -80,12 +82,12 @@ func (e *Engine) LearnWeights(docs [][]Token, iterations int) []float64 {
 
 func (e *Engine) normalizeWeights() {
 	totals := map[string]float64{}
-	for at, w := range e.weights {
-		totals[at.Table] += w
+	for _, at := range e.attrOrder {
+		totals[at.Table] += e.weights[at]
 	}
-	for at, w := range e.weights {
+	for _, at := range e.attrOrder {
 		if t := totals[at.Table]; t > 0 {
-			e.weights[at] = w / t
+			e.weights[at] /= t
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package linker
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"bivoc/internal/fuzzy"
@@ -30,12 +31,16 @@ type Engine struct {
 	// simFloor discards candidate matches below this similarity so junk
 	// tokens do not accumulate score.
 	simFloor float64
-	// attrOrder/attrIndex give every configured attribute a dense
-	// engine-wide index, used by the per-call similarity memo (see
-	// hotpath.go) to key cached scores without hashing Attribute structs.
+	// attrOrder gives every configured attribute a dense engine-wide index
+	// (ctxAttr.idx), in token-type then configuration order: the order the
+	// per-token similarity memo is laid out in and LearnWeights sums in.
 	attrOrder []Attribute
-	attrIndex map[Attribute]int
-	// naive is set only on the view Naive returns (see sim).
+	// routes is the routing resolved against the database, one entry per
+	// linked table, sorted by table name. Weights are not in it: they are
+	// read when a call binds a table, so SetWeight and LearnWeights apply
+	// to the next call.
+	routes []tableRoute
+	// naive is set only on the view Naive returns (see linkCtx.compute).
 	naive bool
 }
 
@@ -65,16 +70,16 @@ type Config struct {
 // engine with uniform attribute weights.
 func NewEngine(db *warehouse.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
-		db:        db,
-		targets:   make(map[TokenType][]Attribute),
-		weights:   make(map[Attribute]float64),
-		simFloor:  cfg.SimFloor,
-		attrIndex: make(map[Attribute]int),
+		db:       db,
+		targets:  make(map[TokenType][]Attribute),
+		weights:  make(map[Attribute]float64),
+		simFloor: cfg.SimFloor,
 	}
 	if e.simFloor <= 0 {
 		e.simFloor = 0.55
 	}
 	perTable := map[string]int{}
+	var types []TokenType
 	for tt, attrs := range cfg.Targets {
 		for _, at := range attrs {
 			tab, ok := db.Table(at.Table)
@@ -87,23 +92,50 @@ func NewEngine(db *warehouse.DB, cfg Config) (*Engine, error) {
 			e.targets[tt] = append(e.targets[tt], at)
 			perTable[at.Table]++
 		}
+		if len(attrs) > 0 {
+			types = append(types, tt)
+		}
 	}
 	if len(e.targets) == 0 {
 		return nil, fmt.Errorf("linker: no attribute targets configured")
 	}
-	// Uniform initial weights per entity type.
-	seen := map[Attribute]bool{}
-	for _, attrs := range e.targets {
-		for _, at := range attrs {
-			if !seen[at] {
-				seen[at] = true
-				e.weights[at] = 1 / float64(perTable[at.Table])
-				e.attrIndex[at] = len(e.attrOrder)
+	slices.Sort(types)
+	for table := range perTable {
+		e.routes = append(e.routes, tableRoute{table: table, tab: db.MustTable(table)})
+	}
+	slices.SortFunc(e.routes, func(a, b tableRoute) int { return cmp.Compare(a.table, b.table) })
+	// Uniform initial weights per entity type. Walking the types in order
+	// leaves each table's attributes grouped by token type.
+	attrIndex := map[Attribute]int{}
+	for _, tt := range types {
+		for _, at := range e.targets[tt] {
+			idx, seen := attrIndex[at]
+			if !seen {
+				idx = len(e.attrOrder)
+				attrIndex[at] = idx
 				e.attrOrder = append(e.attrOrder, at)
+				e.weights[at] = 1 / float64(perTable[at.Table])
 			}
+			rt := e.route(at.Table)
+			schema := rt.tab.Schema()
+			kind := schema.Columns[schemaCol(schema, at.Column)].Match
+			rt.attrs = append(rt.attrs, ctxAttr{
+				idx: idx, tt: tt, kind: kind, floor: e.floorFor(kind), col: at.Column, tab: rt.tab,
+			})
 		}
 	}
 	return e, nil
+}
+
+// route returns the resolved routing of a table. A table the engine has
+// no attribute in links nothing; one the database lacks is a caller's bug.
+func (e *Engine) route(table string) *tableRoute {
+	for i := range e.routes {
+		if e.routes[i].table == table {
+			return &e.routes[i]
+		}
+	}
+	return &tableRoute{table: table, tab: e.db.MustTable(table)}
 }
 
 func schemaCol(s warehouse.Schema, name string) int {
@@ -120,22 +152,6 @@ func (e *Engine) Weight(at Attribute) float64 { return e.weights[at] }
 
 // SetWeight overrides one attribute weight (tests and ablations).
 func (e *Engine) SetWeight(at Attribute, w float64) { e.weights[at] = w }
-
-// Tables returns the entity types the engine links against, sorted.
-func (e *Engine) Tables() []string {
-	set := map[string]bool{}
-	for _, attrs := range e.targets {
-		for _, at := range attrs {
-			set[at.Table] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // similarity scores token text against a stored attribute value using
 // the column's declared MatchKind — the pluggable sim(t_i, e.A_j) of
@@ -196,16 +212,13 @@ type Match struct {
 }
 
 // scoreEntity computes the full Eqn-3 score of an entity for the tokens
-// through a one-shot link context (tests and single-scoring callers; the
-// link entry points thread a shared context instead).
+// with no lists built, so every similarity is computed (tests and
+// single-scoring callers).
 func (e *Engine) scoreEntity(tokens []Token, table string, row warehouse.RowID) float64 {
-	ctx := e.newLinkCtx()
-	return ctx.scoreEntity(tokens, ctx.resolveFeats(tokens), ctx.route(table), row)
-}
-
-// tokenList is one token's ranked candidate list within a table.
-type tokenList struct {
-	entries []listEntry // sorted by score desc
+	ctx := e.begin(tokens)
+	defer ctx.release()
+	ctx.bind(e.route(table))
+	return ctx.scoreEntity(ctx.toks, row)
 }
 
 type listEntry struct {
@@ -213,73 +226,81 @@ type listEntry struct {
 	score float64 // weighted similarity for this token only
 }
 
-// buildLists produces per-token ranked lists for a table via the fuzzy
-// indexes ("performing fuzzy match on each extracted token ... results
-// in a ranked list of possible entities"). Lists are aligned with
-// tokens — a token with no surviving candidates gets an empty list,
-// which the TA merge treats as immediately exhausted — so callers like
-// LinkIndividualBest can slice per token without rebuilding.
-func (ctx *linkCtx) buildLists(tokens []Token, feats []*tokenFeats, route map[TokenType][]ctxAttr, table string) []tokenList {
-	lists := make([]tokenList, len(tokens))
-	for i := range tokens {
-		best := map[warehouse.RowID]float64{}
-		cas := route[tokens[i].Type]
-		for j := range cas {
-			ca := &cas[j]
-			ctx.buf = ca.tab.CandidatesAppend(ctx.buf, ca.col, tokens[i].Text)
-			for _, row := range ctx.buf {
-				sim := ctx.sim(feats[i], ca, row)
-				if sim < ca.floor {
+// buildLists produces per-token ranked lists for the bound table via the
+// fuzzy indexes ("performing fuzzy match on each extracted token ...
+// results in a ranked list of possible entities"). A token with no
+// surviving candidates gets an empty list, which the TA merge treats as
+// immediately exhausted. Sorted access fills each (token, attribute)
+// memo, so a duplicate token pays only for its own list.
+func (ctx *linkCtx) buildLists() {
+	for i := range ctx.toks {
+		t := &ctx.toks[i]
+		t.list = t.list[:0]
+		for j := range t.cas {
+			ca := &t.cas[j]
+			m := ctx.candidates(t.tf, ca)
+			for n, row := range m.rows {
+				if m.sims[n] < ca.floor {
 					continue
 				}
-				w := ca.weight * sim
-				if w > best[row] {
-					best[row] = w
+				if w := ca.weight * m.sims[n]; w > 0 {
+					t.list = append(t.list, listEntry{row, w})
 				}
 			}
 		}
-		if len(best) == 0 {
-			continue
+		if len(t.cas) > 1 {
+			t.list = bestPerRow(t.list)
 		}
-		tl := tokenList{entries: make([]listEntry, 0, len(best))}
-		for row, s := range best {
-			tl.entries = append(tl.entries, listEntry{row, s})
-		}
-		sort.Slice(tl.entries, func(i, j int) bool {
-			if tl.entries[i].score != tl.entries[j].score {
-				return tl.entries[i].score > tl.entries[j].score
+		slices.SortFunc(t.list, func(a, b listEntry) int {
+			if c := cmp.Compare(b.score, a.score); c != 0 {
+				return c
 			}
-			return tl.entries[i].row < tl.entries[j].row
+			return cmp.Compare(a.row, b.row)
 		})
-		lists[i] = tl
 	}
-	return lists
+}
+
+// bestPerRow folds a list that several attributes appended to, each at
+// most once per row, down to every row's best score.
+func bestPerRow(list []listEntry) []listEntry {
+	slices.SortFunc(list, func(a, b listEntry) int { return cmp.Compare(a.row, b.row) })
+	out := list[:0]
+	for _, en := range list {
+		if n := len(out); n > 0 && out[n-1].row == en.row {
+			out[n-1].score = max(out[n-1].score, en.score)
+		} else {
+			out = append(out, en)
+		}
+	}
+	return out
 }
 
 // thresholdMerge runs the Threshold Algorithm (the Fagin-family merge of
 // §IV.B) over per-token ranked lists: pop lists round-robin; for each
 // newly seen entity compute its exact aggregate score by random access;
 // stop when the k-th best score reaches the threshold τ = Σ_i (current
-// list frontier scores), which bounds every unseen entity.
-func (ctx *linkCtx) thresholdMerge(tokens []Token, feats []*tokenFeats, route map[TokenType][]ctxAttr, table string, lists []tokenList, k int) []Match {
-	if len(lists) == 0 {
+// list frontier scores), which bounds every unseen entity. The result is
+// the context's own: a caller copies what it returns.
+func (ctx *linkCtx) thresholdMerge(toks []linkTok, table string, k int) []Match {
+	if len(toks) == 0 {
 		return nil
 	}
-	pos := make([]int, len(lists))
-	seen := map[warehouse.RowID]bool{}
-	top := topK{k: k}
+	ctx.pos = append(ctx.pos[:0], make([]int, len(toks))...)
+	pos := ctx.pos
+	clear(ctx.seen)
+	ctx.top = topK{k: k, heap: ctx.top.heap[:0]}
 	for {
 		advanced := false
-		for li := range lists {
-			if pos[li] >= len(lists[li].entries) {
+		for li := range toks {
+			if pos[li] >= len(toks[li].list) {
 				continue
 			}
-			entry := lists[li].entries[pos[li]]
+			entry := toks[li].list[pos[li]]
 			pos[li]++
 			advanced = true
-			if !seen[entry.row] {
-				seen[entry.row] = true
-				top.push(Match{Table: table, Row: entry.row, Score: ctx.scoreEntity(tokens, feats, route, entry.row)})
+			if !ctx.seen[entry.row] {
+				ctx.seen[entry.row] = true
+				ctx.top.push(Match{Table: table, Row: entry.row, Score: ctx.scoreEntity(toks, entry.row)})
 			}
 		}
 		if !advanced {
@@ -288,27 +309,27 @@ func (ctx *linkCtx) thresholdMerge(tokens []Token, feats []*tokenFeats, route ma
 		// Threshold: sum of frontier scores across lists.
 		tau := 0.0
 		exhausted := true
-		for li := range lists {
-			if pos[li] < len(lists[li].entries) {
-				tau += lists[li].entries[pos[li]].score
+		for li := range toks {
+			if pos[li] < len(toks[li].list) {
+				tau += toks[li].list[pos[li]].score
 				exhausted = false
 			}
 		}
 		if exhausted {
 			break
 		}
-		if top.full() && top.kth().Score >= tau {
+		if ctx.top.full() && ctx.top.kth().Score >= tau {
 			break
 		}
 	}
-	return top.sorted()
+	return ctx.top.sorted()
 }
 
-// linkTable runs build + merge for one table within a shared context.
-func (ctx *linkCtx) linkTable(tokens []Token, feats []*tokenFeats, table string, k int) []Match {
-	route := ctx.route(table)
-	lists := ctx.buildLists(tokens, feats, route, table)
-	return ctx.thresholdMerge(tokens, feats, route, table, lists, k)
+// linkTable runs bind + build + merge for one table.
+func (ctx *linkCtx) linkTable(rt *tableRoute, k int) []Match {
+	ctx.bind(rt)
+	ctx.buildLists()
+	return ctx.thresholdMerge(ctx.toks, rt.table, k)
 }
 
 // LinkTable solves the single-type entity identification problem:
@@ -317,8 +338,9 @@ func (e *Engine) LinkTable(tokens []Token, table string, k int) []Match {
 	if k <= 0 {
 		k = 1
 	}
-	ctx := e.newLinkCtx()
-	return ctx.linkTable(tokens, ctx.resolveFeats(tokens), table, k)
+	ctx := e.begin(tokens)
+	defer ctx.release()
+	return append([]Match(nil), ctx.linkTable(e.route(table), k)...)
 }
 
 // Link solves the multi-type problem: top-k (entity, type) pairs across
@@ -328,20 +350,20 @@ func (e *Engine) Link(tokens []Token, k int) []Match {
 	if k <= 0 {
 		k = 1
 	}
-	ctx := e.newLinkCtx()
-	feats := ctx.resolveFeats(tokens)
+	ctx := e.begin(tokens)
+	defer ctx.release()
 	var all []Match
-	for _, table := range e.Tables() {
-		all = append(all, ctx.linkTable(tokens, feats, table, k)...)
+	for i := range e.routes {
+		all = append(all, ctx.linkTable(&e.routes[i], k)...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		if all[i].Table != all[j].Table {
-			return all[i].Table < all[j].Table
-		}
-		return all[i].Row < all[j].Row
+	return bestMatches(all, k)
+}
+
+// bestMatches ranks matches of several tables (Score desc, then Table and
+// Row asc) and keeps the first k.
+func bestMatches(all []Match, k int) []Match {
+	slices.SortFunc(all, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Table, b.Table), cmp.Compare(a.Row, b.Row))
 	})
 	if len(all) > k {
 		all = all[:k]
@@ -356,32 +378,20 @@ func (e *Engine) LinkFullScan(tokens []Token, k int) []Match {
 	if k <= 0 {
 		k = 1
 	}
-	ctx := e.newLinkCtx()
-	feats := ctx.resolveFeats(tokens)
+	ctx := e.begin(tokens)
+	defer ctx.release()
 	var all []Match
-	for _, table := range e.Tables() {
-		route := ctx.route(table)
-		tab := e.db.MustTable(table)
-		for row := 0; row < tab.Len(); row++ {
-			s := ctx.scoreEntity(tokens, feats, route, warehouse.RowID(row))
+	for i := range e.routes {
+		rt := &e.routes[i]
+		ctx.bind(rt)
+		for row := 0; row < rt.tab.Len(); row++ {
+			s := ctx.scoreEntity(ctx.toks, warehouse.RowID(row))
 			if s > 0 {
-				all = append(all, Match{Table: table, Row: warehouse.RowID(row), Score: s})
+				all = append(all, Match{Table: rt.table, Row: warehouse.RowID(row), Score: s})
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		if all[i].Table != all[j].Table {
-			return all[i].Table < all[j].Table
-		}
-		return all[i].Row < all[j].Row
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return bestMatches(all, k)
 }
 
 // LinkIndividualBest is the per-entity-token baseline for the paper's
@@ -393,13 +403,13 @@ func (e *Engine) LinkFullScan(tokens []Token, k int) []Match {
 // implementation rebuilt every list from scratch per token, turning the
 // vote into a quadratic pass.
 func (e *Engine) LinkIndividualBest(tokens []Token, table string) (Match, bool) {
-	ctx := e.newLinkCtx()
-	feats := ctx.resolveFeats(tokens)
-	route := ctx.route(table)
-	lists := ctx.buildLists(tokens, feats, route, table)
+	ctx := e.begin(tokens)
+	defer ctx.release()
+	ctx.bind(e.route(table))
+	ctx.buildLists()
 	votes := map[warehouse.RowID]int{}
-	for i := range tokens {
-		m := ctx.thresholdMerge(tokens[i:i+1], feats[i:i+1], route, table, lists[i:i+1], 1)
+	for i := range ctx.toks {
+		m := ctx.thresholdMerge(ctx.toks[i:i+1], table, 1)
 		if len(m) == 1 {
 			votes[m[0].Row]++
 		}

@@ -89,7 +89,7 @@ func TestSimilarityFeatureEquivalence(t *testing.T) {
 			feats := tab.Features(kc.col)
 			ctx := &linkCtx{byText: map[string]*tokenFeats{}}
 			ca := &ctxAttr{kind: kc.kind, col: kc.col, tab: tab, feats: feats}
-			tf := &tokenFeats{text: token, lower: strings.ToLower(token), memo: make([]map[warehouse.RowID]float64, 1)}
+			tf := &tokenFeats{text: token, lower: strings.ToLower(token)}
 			for row := 0; row < rows; row++ {
 				naive := similarity(kc.kind, token, tab.GetString(warehouse.RowID(row), kc.col))
 				cached := ctx.featSim(tf, ca, warehouse.RowID(row))

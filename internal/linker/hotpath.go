@@ -1,8 +1,10 @@
 package linker
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
+	"sync"
 
 	"bivoc/internal/fuzzy"
 	"bivoc/internal/phonetics"
@@ -12,10 +14,8 @@ import (
 // tokenFeats caches the derived forms of one document token for the
 // lifetime of a single link call: the lowercase text plus, lazily, its
 // phone sequence, trigram set, digit string and parsed amount — exactly
-// the pieces the naive similarity re-derives on every comparison. memo
-// additionally caches full similarity results per (attribute, row):
-// buildLists' sorted access fills it and scoreEntity's random access
-// (the Threshold Algorithm's expensive half) replays it.
+// the pieces the naive similarity re-derives on every comparison — and
+// what sorted access learned about it per attribute.
 type tokenFeats struct {
 	text  string
 	lower string
@@ -29,8 +29,29 @@ type tokenFeats struct {
 	amountOK   bool
 	amountDone bool
 
-	// memo is indexed by the engine-wide attribute index (Engine.attrIndex).
-	memo []map[warehouse.RowID]float64
+	// memo is indexed by the engine-wide attribute index (ctxAttr.idx).
+	memo []attrMemo
+}
+
+// attrMemo is the similarity memo of one (token, attribute): the
+// attribute's candidate rows for the token as the index returns them,
+// sorted and duplicate-free, and the token's similarity to each. buildLists
+// fills it; the Threshold Algorithm's random access finds a row in it by
+// binary search and computes, without storing, the rows it misses (the
+// merge scores a row once).
+type attrMemo struct {
+	rows  []warehouse.RowID
+	sims  []float64 // sims[i] = sim(token, rows[i])
+	built bool
+}
+
+// reset makes tf the features of a new token, keeping its buffers.
+func (tf *tokenFeats) reset(text string, attrs int) {
+	memo := slices.Grow(tf.memo[:0], attrs)[:attrs]
+	for i := range memo {
+		memo[i] = attrMemo{rows: memo[i].rows[:0], sims: memo[i].sims[:0]}
+	}
+	*tf = tokenFeats{text: text, lower: strings.ToLower(text), memo: memo}
 }
 
 func (tf *tokenFeats) namePhones() []phonetics.Phone {
@@ -64,11 +85,13 @@ func (tf *tokenFeats) amountVal() (float64, bool) {
 	return tf.amount, tf.amountOK
 }
 
-// ctxAttr is one resolved token-type→attribute route within a table:
-// the attribute's weight, kind and floor snapshotted for the call, plus
-// direct handles on the table and its cached per-row match features.
+// ctxAttr is one resolved token-type→attribute route within a table: the
+// attribute's kind, floor and table handle, resolved once in NewEngine,
+// plus the weight and the cached per-row match features a call reads when
+// it binds the table (both can change between calls).
 type ctxAttr struct {
 	idx    int // engine-wide attribute index (memo key)
+	tt     TokenType
 	weight float64
 	kind   warehouse.MatchKind
 	floor  float64
@@ -77,93 +100,130 @@ type ctxAttr struct {
 	feats  []warehouse.MatchFeatures
 }
 
+// tableRoute is the engine's routing into one table: its attributes,
+// grouped by token type and in configuration order within a type.
+type tableRoute struct {
+	table string
+	tab   *warehouse.Table
+	attrs []ctxAttr
+}
+
+// linkTok is one document token within the bound table.
+type linkTok struct {
+	tf   *tokenFeats
+	tt   TokenType
+	cas  []ctxAttr   // the attributes its type routes to: a run of linkCtx.attrs
+	list []listEntry // its ranked candidates, by score desc then row asc
+}
+
 // linkCtx is the scratch state of one link call. The engine itself stays
 // read-only during linking (the churn pipeline links from several
 // workers concurrently), so everything mutable — token features, the
-// similarity memo, the candidate buffer — lives here.
+// similarity memo, lists, merge state — lives here. Contexts are pooled
+// and keep their buffers from call to call: begin and bind overwrite
+// every field a call reads before it reads it.
 type linkCtx struct {
 	e      *Engine
 	byText map[string]*tokenFeats
-	buf    []warehouse.RowID
+	feats  []*tokenFeats // every one this context made; the first len(byText) are in use
+	attrs  []ctxAttr     // the bound table's routes with this call's weights and features
+	toks   []linkTok     // aligned with the call's tokens
+	pos    []int
+	seen   map[warehouse.RowID]bool
+	top    topK
 }
 
-func (e *Engine) newLinkCtx() *linkCtx {
-	return &linkCtx{e: e, byText: make(map[string]*tokenFeats)}
-}
+// ctxPool is shared by every engine: Naive copies an Engine by value.
+var ctxPool = sync.Pool{New: func() any {
+	return &linkCtx{byText: make(map[string]*tokenFeats), seen: make(map[warehouse.RowID]bool)}
+}}
 
-// tokenFeats returns the (shared) feature cache of a token text.
-// Duplicate tokens share one entry, so their features and memoized
-// similarities are computed once.
-func (ctx *linkCtx) tokenFeats(text string) *tokenFeats {
-	tf, ok := ctx.byText[text]
-	if !ok {
-		tf = &tokenFeats{
-			text:  text,
-			lower: strings.ToLower(text),
-			memo:  make([]map[warehouse.RowID]float64, len(ctx.e.attrOrder)),
-		}
-		ctx.byText[text] = tf
-	}
-	return tf
-}
-
-// resolveFeats maps tokens to their feature caches, aligned by index.
-func (ctx *linkCtx) resolveFeats(tokens []Token) []*tokenFeats {
-	out := make([]*tokenFeats, len(tokens))
+// begin takes a context from the pool and resolves the call's tokens to
+// their features. Duplicate tokens share one tokenFeats, so their
+// features and memoized similarities are computed once.
+func (e *Engine) begin(tokens []Token) *linkCtx {
+	ctx := ctxPool.Get().(*linkCtx)
+	ctx.e = e
+	clear(ctx.byText)
+	ctx.toks = slices.Grow(ctx.toks[:0], len(tokens))[:len(tokens)]
 	for i, tok := range tokens {
-		out[i] = ctx.tokenFeats(tok.Text)
+		tf, ok := ctx.byText[tok.Text]
+		if !ok {
+			n := len(ctx.byText)
+			if n == len(ctx.feats) {
+				ctx.feats = append(ctx.feats, new(tokenFeats))
+			}
+			tf = ctx.feats[n]
+			tf.reset(tok.Text, len(e.attrOrder))
+			ctx.byText[tok.Text] = tf
+		}
+		ctx.toks[i].tf, ctx.toks[i].tt = tf, tok.Type
 	}
-	return out
+	return ctx
 }
 
-// route resolves the engine's token-type→attribute targets against one
-// table: column kinds, snapshotted weights and floors, and the cached
-// feature slices, so the scoring loops touch no maps or schemas.
-func (ctx *linkCtx) route(table string) map[TokenType][]ctxAttr {
-	out := make(map[TokenType][]ctxAttr)
-	tab := ctx.e.db.MustTable(table)
-	schema := tab.Schema()
-	for tt, attrs := range ctx.e.targets {
-		for _, at := range attrs {
-			if at.Table != table {
-				continue
-			}
-			ci := schemaCol(schema, at.Column)
-			kind := schema.Columns[ci].Match
-			out[tt] = append(out[tt], ctxAttr{
-				idx:    ctx.e.attrIndex[at],
-				weight: ctx.e.weights[at],
-				kind:   kind,
-				floor:  ctx.e.floorFor(kind),
-				col:    at.Column,
-				tab:    tab,
-				feats:  tab.Features(at.Column),
-			})
+// release returns the context to the pool holding no engine and no table.
+func (ctx *linkCtx) release() {
+	clear(ctx.attrs[:cap(ctx.attrs)])
+	ctx.e = nil
+	ctxPool.Put(ctx)
+}
+
+// bind points the context at one table: the table's routes with the
+// weights and feature columns of this moment, and each token's run of
+// them.
+func (ctx *linkCtx) bind(rt *tableRoute) {
+	ctx.attrs = append(ctx.attrs[:0], rt.attrs...)
+	for i := range ctx.attrs {
+		ca := &ctx.attrs[i]
+		ca.weight = ctx.e.weights[ctx.e.attrOrder[ca.idx]]
+		ca.feats = ca.tab.Features(ca.col)
+	}
+	for i := range ctx.toks {
+		t := &ctx.toks[i]
+		lo := 0
+		for lo < len(ctx.attrs) && ctx.attrs[lo].tt != t.tt {
+			lo++
+		}
+		hi := lo
+		for hi < len(ctx.attrs) && ctx.attrs[hi].tt == t.tt {
+			hi++
+		}
+		t.cas = ctx.attrs[lo:hi]
+	}
+}
+
+// candidates returns the (token, attribute) memo, filling it on first use:
+// the index's candidates and the token's similarity to each.
+func (ctx *linkCtx) candidates(tf *tokenFeats, ca *ctxAttr) *attrMemo {
+	m := &tf.memo[ca.idx]
+	if !m.built {
+		m.built = true
+		m.rows = ca.tab.CandidatesAppend(m.rows, ca.col, tf.text)
+		for _, row := range m.rows {
+			m.sims = append(m.sims, ctx.compute(tf, ca, row))
 		}
 	}
-	return out
+	return m
 }
 
-// sim returns sim(token, row.attribute), memoized per (token, attribute,
-// row) so the TA merge's random access never recomputes what sorted
-// access already paid for.
+// sim returns sim(token, row.attribute) from the memo when sorted access
+// already paid for it.
 func (ctx *linkCtx) sim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float64 {
-	m := tf.memo[ca.idx]
-	if v, ok := m[row]; ok {
-		return v
+	m := &tf.memo[ca.idx]
+	if i, ok := slices.BinarySearch(m.rows, row); ok {
+		return m.sims[i]
 	}
-	var v float64
+	return ctx.compute(tf, ca, row)
+}
+
+// compute is the similarity itself: similarity() on the naive view,
+// featSim otherwise.
+func (ctx *linkCtx) compute(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float64 {
 	if ctx.e.naive {
-		v = similarity(ca.kind, tf.text, ca.tab.GetString(row, ca.col))
-	} else {
-		v = ctx.featSim(tf, ca, row)
+		return similarity(ca.kind, tf.text, ca.tab.GetString(row, ca.col))
 	}
-	if m == nil {
-		m = make(map[warehouse.RowID]float64)
-		tf.memo[ca.idx] = m
-	}
-	m[row] = v
-	return v
+	return ctx.featSim(tf, ca, row)
 }
 
 // featSim is similarity() over cached features. Every branch performs
@@ -177,6 +237,9 @@ func (ctx *linkCtx) featSim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) fl
 		best := fuzzy.TokenSetSimilarityBestWords(tf.lower, f.Words)
 		tp := tf.namePhones()
 		for _, wp := range f.WordPhones {
+			if phoneSimBound(len(tp), len(wp)) <= best {
+				continue // the value only ever feeds this max
+			}
 			if ps := phonetics.PhoneSimilarity(tp, wp); ps > best {
 				best = ps
 			}
@@ -200,16 +263,24 @@ func (ctx *linkCtx) featSim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) fl
 	}
 }
 
+// phoneSimBound bounds phonetics.PhoneSimilarity from above for sequences
+// of la and lb phones: aligning them costs at least |la-lb| insertions at
+// 0.7 each. The margin covers the DP summing its 0.7s in another order
+// than this closed form.
+func phoneSimBound(la, lb int) float64 {
+	n := max(la, lb, 1)
+	return 1 - 0.7*float64(max(la-lb, lb-la))/float64(n) + 1e-9
+}
+
 // scoreEntity computes the full Eqn-3 score of an entity for the tokens
-// (random access in Threshold-Algorithm terms), replaying memoized
-// similarities where sorted access already computed them.
-func (ctx *linkCtx) scoreEntity(tokens []Token, feats []*tokenFeats, route map[TokenType][]ctxAttr, row warehouse.RowID) float64 {
+// (random access in Threshold-Algorithm terms).
+func (ctx *linkCtx) scoreEntity(toks []linkTok, row warehouse.RowID) float64 {
 	total := 0.0
-	for i := range tokens {
-		cas := route[tokens[i].Type]
-		for j := range cas {
-			ca := &cas[j]
-			sim := ctx.sim(feats[i], ca, row)
+	for i := range toks {
+		t := &toks[i]
+		for j := range t.cas {
+			ca := &t.cas[j]
+			sim := ctx.sim(t.tf, ca, row)
 			if sim < ca.floor {
 				continue
 			}
@@ -282,7 +353,8 @@ func (t *topK) push(m Match) {
 
 // sorted returns the kept matches ranked best-first (destructive).
 func (t *topK) sorted() []Match {
-	out := t.heap
-	sort.Slice(out, func(i, j int) bool { return outranks(out[i], out[j]) })
-	return out
+	slices.SortFunc(t.heap, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Row, b.Row))
+	})
+	return t.heap
 }

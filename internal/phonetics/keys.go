@@ -148,10 +148,12 @@ func PhoneDistance(a, b []Phone) float64 {
 	}
 	for i := 1; i <= la; i++ {
 		curr[0] = float64(i) * indel
+		pa := a[i-1]
+		ca := ClassOf(pa)
 		for j := 1; j <= lb; j++ {
 			sub := prev[j-1]
-			if a[i-1] != b[j-1] {
-				if ClassOf(a[i-1]) == ClassOf(b[j-1]) {
+			if pb := b[j-1]; pa != pb {
+				if ca == ClassOf(pb) {
 					sub += subSameClass
 				} else {
 					sub += subDiffClass

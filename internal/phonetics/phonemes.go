@@ -100,7 +100,9 @@ const (
 	NumClasses int = iota
 )
 
-var phoneClass = map[Phone]Class{
+// phoneClass is indexed by Phone: any byte value is a valid index, and a
+// value outside the inventory reads as ClassSilence (the zero Class).
+var phoneClass = [256]Class{
 	Sil: ClassSilence,
 	IY:  ClassVowelFront, IH: ClassVowelFront, EH: ClassVowelFront, AE: ClassVowelFront,
 	AA: ClassVowelBack, AO: ClassVowelBack, AH: ClassVowelBack, UH: ClassVowelBack,
@@ -119,12 +121,7 @@ var phoneClass = map[Phone]Class{
 }
 
 // ClassOf returns the articulatory class of p.
-func ClassOf(p Phone) Class {
-	if c, ok := phoneClass[p]; ok {
-		return c
-	}
-	return ClassSilence
-}
+func ClassOf(p Phone) Class { return phoneClass[p] }
 
 // IsVowel reports whether p is a vowel or diphthong.
 func IsVowel(p Phone) bool {

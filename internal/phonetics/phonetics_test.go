@@ -23,10 +23,41 @@ func TestInventoryComplete(t *testing.T) {
 	}
 }
 
+// TestEveryPhoneHasClass holds the class table to the map it replaced,
+// for every value a Phone can take: inventory phones have the class the
+// map gave them, and anything past the inventory reads as silence.
 func TestEveryPhoneHasClass(t *testing.T) {
-	for p := Phone(0); int(p) < NumPhones; p++ {
-		if _, ok := phoneClass[p]; !ok {
-			t.Errorf("phone %v has no articulatory class", p)
+	want := map[Phone]Class{
+		Sil: ClassSilence,
+		IY:  ClassVowelFront, IH: ClassVowelFront, EH: ClassVowelFront, AE: ClassVowelFront,
+		AA: ClassVowelBack, AO: ClassVowelBack, AH: ClassVowelBack, UH: ClassVowelBack,
+		UW: ClassVowelBack, ER: ClassVowelBack,
+		EY: ClassVowelDiphthong, AY: ClassVowelDiphthong, OY: ClassVowelDiphthong,
+		AW: ClassVowelDiphthong, OW: ClassVowelDiphthong,
+		B: ClassStopVoiced, D: ClassStopVoiced, G: ClassStopVoiced,
+		P: ClassStopUnvoiced, T: ClassStopUnvoiced, K: ClassStopUnvoiced,
+		V: ClassFricativeVoiced, DH: ClassFricativeVoiced, Z: ClassFricativeVoiced, ZH: ClassFricativeVoiced,
+		F: ClassFricativeUnvoiced, TH: ClassFricativeUnvoiced, S: ClassFricativeUnvoiced,
+		SH: ClassFricativeUnvoiced, HH: ClassFricativeUnvoiced,
+		CH: ClassAffricate, JH: ClassAffricate,
+		M: ClassNasal, N: ClassNasal, NG: ClassNasal,
+		L: ClassLiquid, R: ClassLiquid,
+		W: ClassGlide, Y: ClassGlide,
+	}
+	if len(want) != NumPhones {
+		t.Fatalf("reference map names %d phones, inventory has %d", len(want), NumPhones)
+	}
+	for i := 0; i < 256; i++ {
+		p := Phone(i)
+		c, ok := want[p]
+		if ok != (i < NumPhones) {
+			t.Errorf("phone %d: in the reference map %v, in the inventory %v", i, ok, i < NumPhones)
+		}
+		if !ok {
+			c = ClassSilence
+		}
+		if got := ClassOf(p); got != c {
+			t.Errorf("ClassOf(%v) = %v, want %v", p, got, c)
 		}
 	}
 }

@@ -57,8 +57,40 @@ func (k TokenKind) String() string {
 // tokens. Apostrophes inside words are retained; all other punctuation
 // becomes its own token. Whitespace never appears in the output.
 func Tokenize(s string) []Token {
-	var toks []Token
-	i := 0
+	n := countTokens(s, true)
+	if n == 0 {
+		return nil
+	}
+	toks := make([]Token, 0, n)
+	for i := 0; ; {
+		start, end, kind := nextToken(s, i)
+		if start == end {
+			return toks
+		}
+		toks = append(toks, Token{Text: s[start:end], Start: start, End: end, Kind: kind})
+		i = end
+	}
+}
+
+// countTokens returns how many tokens s holds, with or without its
+// punctuation: the exact size of the slice Tokenize or Words fills.
+func countTokens(s string, punct bool) int {
+	n := 0
+	for i := 0; ; {
+		start, end, kind := nextToken(s, i)
+		if start == end {
+			return n
+		}
+		if punct || kind != KindPunct {
+			n++
+		}
+		i = end
+	}
+}
+
+// nextToken scans the first token at or after byte i of s and returns its
+// bounds and kind; start == end means s holds no further token.
+func nextToken(s string, i int) (start, end int, kind TokenKind) {
 	n := len(s)
 	for i < n {
 		r, size := decodeRune(s[i:])
@@ -92,13 +124,12 @@ func Tokenize(s string) []Token {
 			} else if hasDigit {
 				kind = KindNumber
 			}
-			toks = append(toks, Token{Text: s[start:i], Start: start, End: i, Kind: kind})
+			return start, i, kind
 		default:
-			toks = append(toks, Token{Text: s[i : i+size], Start: i, End: i + size, Kind: KindPunct})
-			i += size
+			return i, i + size, KindPunct
 		}
 	}
-	return toks
+	return n, n, KindPunct
 }
 
 // decodeRune wraps utf8 decoding; invalid bytes come back as the
@@ -115,15 +146,17 @@ func decodeRune(s string) (rune, int) {
 // tokens in s, dropping punctuation. Number tokens are retained because
 // digit strings carry entity information in VoC text.
 func Words(s string) []string {
-	toks := Tokenize(s)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if t.Kind == KindPunct {
-			continue
+	out := make([]string, 0, countTokens(s, false))
+	for i := 0; ; {
+		start, end, kind := nextToken(s, i)
+		if start == end {
+			return out
 		}
-		out = append(out, strings.ToLower(t.Text))
+		if kind != KindPunct {
+			out = append(out, strings.ToLower(s[start:end]))
+		}
+		i = end
 	}
-	return out
 }
 
 // SplitSentences splits s on sentence-final punctuation (. ! ?) followed

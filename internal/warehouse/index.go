@@ -1,7 +1,7 @@
 package warehouse
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"bivoc/internal/phonetics"
@@ -19,42 +19,85 @@ import (
 //   - MatchDigits: digit 3-gram buckets — a partially recognized phone
 //     number shares most digit trigrams with the true number.
 type index struct {
-	kind    MatchKind
+	kind MatchKind
+	// buckets holds every kind's but MatchText's and MatchDigits'; theirs
+	// are in grams, keyed by the 3-gram's bytes packed into an integer (see
+	// gramKey), so deriving a token's keys builds no strings.
 	buckets map[string][]RowID
+	grams   map[uint32][]RowID
 }
 
 func newIndex(kind MatchKind) *index {
-	return &index{kind: kind, buckets: make(map[string][]RowID)}
+	return &index{kind: kind, buckets: make(map[string][]RowID), grams: make(map[uint32][]RowID)}
 }
 
-// keysFor returns the bucket keys for a value under this index's kind.
+func (ix *index) gramKeyed() bool { return ix.kind == MatchText || ix.kind == MatchDigits }
+
+// keysFor returns the bucket keys for a value under a kind that is not
+// gram-keyed.
 func (ix *index) keysFor(value string) []string {
 	v := strings.ToLower(strings.TrimSpace(value))
-	switch ix.kind {
-	case MatchName:
-		var keys []string
-		for _, tok := range strings.Fields(v) {
-			keys = append(keys, "s:"+phonetics.Soundex(tok))
-			if pk := phonetics.PhoneKey(tok); pk != "" {
-				keys = append(keys, "p:"+pk)
-			}
-		}
-		if len(keys) == 0 {
-			keys = []string{"s:" + phonetics.Soundex(v)}
-		}
-		return keys
-	case MatchText:
-		return trigrams(v)
-	case MatchDigits:
-		return digitGrams(v)
-	default:
+	if ix.kind != MatchName {
 		return []string{v}
 	}
+	var keys []string
+	for _, tok := range strings.Fields(v) {
+		keys = append(keys, "s:"+phonetics.Soundex(tok))
+		if pk := phonetics.PhoneKey(tok); pk != "" {
+			keys = append(keys, "p:"+pk)
+		}
+	}
+	if len(keys) == 0 {
+		keys = []string{"s:" + phonetics.Soundex(v)}
+	}
+	return keys
+}
+
+// gramSource appends to dst the bytes a value's 3-gram keys are cut from:
+// its digit content (MatchDigits) or its lowercase form padded to
+// "##value##" (MatchText).
+func (ix *index) gramSource(dst []byte, value string) []byte {
+	if ix.kind == MatchDigits {
+		for i := 0; i < len(value); i++ {
+			if value[i] >= '0' && value[i] <= '9' {
+				dst = append(dst, value[i])
+			}
+		}
+		return dst
+	}
+	dst = append(dst, "##"...)
+	dst = append(dst, strings.ToLower(strings.TrimSpace(value))...)
+	return append(dst, "##"...)
+}
+
+// gramKey packs the first three bytes of src big-endian. A source shorter
+// than three bytes (only a value with fewer than three digits is) keys on
+// all it has; digits are never zero bytes, so no two sources share a key.
+// The loops over a source run `i == 0 || i+3 <= len(src)`: every 3-gram,
+// or the one short key of a source that has none.
+func gramKey(src []byte) uint32 {
+	var k uint32
+	for _, c := range src[:min(3, len(src))] {
+		k = k<<8 | uint32(c)
+	}
+	return k
 }
 
 func (ix *index) add(value string, id RowID) {
-	for _, k := range ix.keysFor(value) {
-		ix.buckets[k] = append(ix.buckets[k], id)
+	if !ix.gramKeyed() {
+		for _, k := range ix.keysFor(value) {
+			ix.buckets[k] = append(ix.buckets[k], id)
+		}
+		return
+	}
+	var sb [64]byte
+	src := ix.gramSource(sb[:0], value)
+	for i := 0; i == 0 || i+3 <= len(src); i++ {
+		k := gramKey(src[i:])
+		// A repeated gram finds id already last in its bucket.
+		if b := ix.grams[k]; len(b) == 0 || b[len(b)-1] != id {
+			ix.grams[k] = append(b, id)
+		}
 	}
 }
 
@@ -65,58 +108,17 @@ func (ix *index) add(value string, id RowID) {
 // multiplying downstream similarity calls; deduplicating here keeps the
 // multiplication out of every caller.
 func (ix *index) lookupAppend(buf []RowID, token string) []RowID {
-	for _, k := range ix.keysFor(token) {
-		buf = append(buf, ix.buckets[k]...)
-	}
-	if len(buf) < 2 {
-		return buf
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	out := buf[:1]
-	for _, id := range buf[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
+	if ix.gramKeyed() {
+		var sb [64]byte
+		src := ix.gramSource(sb[:0], token)
+		for i := 0; i == 0 || i+3 <= len(src); i++ {
+			buf = append(buf, ix.grams[gramKey(src[i:])]...)
+		}
+	} else {
+		for _, k := range ix.keysFor(token) {
+			buf = append(buf, ix.buckets[k]...)
 		}
 	}
-	return out
-}
-
-// trigrams returns padded character trigram keys.
-func trigrams(s string) []string {
-	p := "##" + s + "##"
-	seen := map[string]bool{}
-	var out []string
-	for i := 0; i+3 <= len(p); i++ {
-		g := "t:" + p[i:i+3]
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// digitGrams returns 3-gram keys over the digit content of s; values
-// with fewer than 3 digits key on the raw digit string.
-func digitGrams(s string) []string {
-	var d strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
-			d.WriteByte(s[i])
-		}
-	}
-	ds := d.String()
-	if len(ds) < 3 {
-		return []string{"d:" + ds}
-	}
-	seen := map[string]bool{}
-	var out []string
-	for i := 0; i+3 <= len(ds); i++ {
-		g := "d:" + ds[i:i+3]
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	return out
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
