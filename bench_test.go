@@ -25,6 +25,7 @@ import (
 
 	"bivoc"
 	"bivoc/internal/rng"
+	"bivoc/internal/warehouse"
 )
 
 // benchCalls keeps ASR-heavy benchmarks laptop-fast; the cmd/experiments
@@ -263,16 +264,27 @@ func BenchmarkAblationFaginVsFullScan(b *testing.B) {
 	})
 }
 
+// customerGold labels document i with customer i, who is row i of the
+// customers table: the world inserts its customers in order.
+func customerGold(b testing.TB, world *bivoc.CarRentalWorld, n int) []*bivoc.LinkerGoldLabel {
+	b.Helper()
+	tab := world.DB.MustTable("customers")
+	gold := make([]*bivoc.LinkerGoldLabel, n)
+	for i := range gold {
+		gold[i] = &bivoc.LinkerGoldLabel{Table: "customers", Row: warehouse.RowID(i)}
+		if id := tab.GetString(gold[i].Row, "id"); id != world.Customers[i].ID {
+			b.Fatalf("row %d holds customer %s, want %s", i, id, world.Customers[i].ID)
+		}
+	}
+	return gold
+}
+
 // --- Ablation: combined vs per-entity linking accuracy ---
 
 func BenchmarkAblationCombinedVsIndividualEntities(b *testing.B) {
 	world, engine, annotators := linkerFixture(b)
 	docs := identityDocs(b, world, annotators, 200)
-	gold := make([]*bivoc.LinkerGoldLabel, len(docs))
-	for i := range docs {
-		row, _ := world.DB.MustTable("customers").ByKey(world.Customers[i].ID)
-		gold[i] = &bivoc.LinkerGoldLabel{Table: "customers", Row: row}
-	}
+	gold := customerGold(b, world, len(docs))
 	var combined, individual float64
 	for i := 0; i < b.N; i++ {
 		correctC, correctI := 0, 0
@@ -296,24 +308,22 @@ func BenchmarkAblationCombinedVsIndividualEntities(b *testing.B) {
 func BenchmarkAblationEMVsUniformWeights(b *testing.B) {
 	world, _, annotators := linkerFixture(b)
 	docs := identityDocs(b, world, annotators, 200)
-	gold := make([]*bivoc.LinkerGoldLabel, len(docs))
-	for i := range docs {
-		row, _ := world.DB.MustTable("customers").ByKey(world.Customers[i].ID)
-		gold[i] = &bivoc.LinkerGoldLabel{Table: "customers", Row: row}
-	}
+	gold := customerGold(b, world, len(docs))
 	var uniformAcc, emAcc float64
 	for i := 0; i < b.N; i++ {
 		uniform, err := bivoc.NewCustomerLinker(world.DB)
 		if err != nil {
 			b.Fatal(err)
 		}
-		uniformAcc = uniform.Evaluate(docs, gold, 1).Recall()
+		res := uniform.Evaluate(docs, gold, 1)
+		uniformAcc = float64(res.Correct) / float64(res.Docs)
 		em, err := bivoc.NewCustomerLinker(world.DB)
 		if err != nil {
 			b.Fatal(err)
 		}
 		em.LearnWeights(docs, 3)
-		emAcc = em.Evaluate(docs, gold, 1).Recall()
+		res = em.Evaluate(docs, gold, 1)
+		emAcc = float64(res.Correct) / float64(res.Docs)
 	}
 	b.ReportMetric(100*uniformAcc, "uniformAcc%")
 	b.ReportMetric(100*emAcc, "emAcc%")

@@ -139,12 +139,8 @@ func main() {
 	}
 	if *dataDir != "" {
 		segDocs, walDocs, walDropped := s.RecoveryInfo()
-		fmt.Printf("bivocd: persistence at %s: recovered %d docs from segment, %d from WAL (%d torn bytes dropped)",
+		fmt.Printf("bivocd: persistence at %s: recovered %d docs from segment, %d from WAL (%d torn bytes dropped)\n",
 			*dataDir, segDocs, walDocs, walDropped)
-		if unmapped := s.EagerFallbacks(); len(unmapped) > 0 {
-			fmt.Printf("; would not map, loaded eagerly: %s", strings.Join(unmapped, " "))
-		}
-		fmt.Println()
 	}
 	if err := server.RunUntilSignal(ctx, "bivocd", *pprofAddr, *drainTimeout, s.Shutdown); err != nil {
 		fmt.Fprintln(os.Stderr, "bivocd:", err)

@@ -2,9 +2,7 @@
 // dictionary mapping surface expressions to canonical forms and semantic
 // categories, a lightweight part-of-speech tagger, and a user-defined
 // pattern engine that attaches communicative-intention labels to phrase
-// patterns — including the polarity handling of the paper's "rude"
-// example (assertion → complaint, negation → commendation, question →
-// question).
+// patterns.
 //
 // The output of the engine is a list of Concepts: "we use the term
 // 'concept' as a representation of the textual content in order to
@@ -12,7 +10,6 @@
 package annotate
 
 import (
-	"sort"
 	"strings"
 
 	"bivoc/internal/textproc"
@@ -120,36 +117,6 @@ func (d *Dictionary) Add(e Entry) {
 	stored := d.entries[key]
 	node.entry = &stored
 	node.key = key
-}
-
-// AddAll inserts many entries.
-func (d *Dictionary) AddAll(entries []Entry) {
-	for _, e := range entries {
-		d.Add(e)
-	}
-}
-
-// Lookup finds the entry for an exact surface form.
-func (d *Dictionary) Lookup(surface string) (Entry, bool) {
-	e, ok := d.entries[strings.ToLower(surface)]
-	return e, ok
-}
-
-// Len returns the number of entries.
-func (d *Dictionary) Len() int { return len(d.entries) }
-
-// Categories returns the sorted distinct semantic categories.
-func (d *Dictionary) Categories() []string {
-	set := map[string]bool{}
-	for _, e := range d.entries {
-		set[e.Category] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // verbLexicon and friends seed the PoS tagger. Conversational call-centre

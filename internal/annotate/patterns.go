@@ -19,12 +19,6 @@ type Elem struct {
 // Lit returns a literal-word element.
 func Lit(w string) Elem { return Elem{Literal: strings.ToLower(w), PoS: PoSAny} }
 
-// Cat returns a category element.
-func Cat(c string) Elem { return Elem{Category: c, PoS: PoSAny} }
-
-// Tag returns a PoS element ("please + VERB").
-func Tag(p PoS) Elem { return Elem{PoS: p} }
-
 // Pattern is a user-defined phrase pattern: when the element sequence
 // matches consecutive tagged units, a concept with the given canonical
 // label and semantic category is produced. The paper's examples:
@@ -49,37 +43,6 @@ func (e Elem) matches(tw TaggedWord) bool {
 	return e.PoS == PoSAny || e.PoS == tw.PoS
 }
 
-// negators flip a predicate pattern's polarity when found immediately
-// before the keyword (within two tokens).
-var negators = map[string]bool{
-	"not": true, "never": true, "no": true, "dont": true, "don't": true,
-	"didnt": true, "didn't": true, "wasnt": true, "wasn't": true,
-	"isnt": true, "isn't": true,
-}
-
-// questionLeads start a question form when they open the clause.
-var questionLeads = map[string]bool{
-	"was": true, "is": true, "are": true, "were": true, "did": true,
-	"does": true, "do": true, "can": true, "could": true, "will": true,
-	"would": true,
-}
-
-// PolarityRule implements the paper's predicate analysis:
-//
-//	X was rude.     → rude[complaint]
-//	X was not rude. → not rude[commendation]
-//	Was X rude?     → rude[question]
-//
-// The keyword is matched anywhere; polarity is decided by a preceding
-// negator and question lead.
-type PolarityRule struct {
-	Keyword string
-	// Categories per polarity.
-	AssertCategory   string
-	NegatedCategory  string
-	QuestionCategory string
-}
-
 // Concept is one extracted unit of meaning: a canonical representation
 // plus its semantic category and the token span it came from.
 type Concept struct {
@@ -89,11 +52,10 @@ type Concept struct {
 	End       int // one past the last tagged unit
 }
 
-// Engine bundles a dictionary, phrase patterns and polarity rules.
+// Engine bundles a dictionary and phrase patterns.
 type Engine struct {
 	dict     *Dictionary
 	patterns []Pattern
-	polarity []PolarityRule
 }
 
 // NewEngine returns an annotation engine over the dictionary.
@@ -104,18 +66,12 @@ func NewEngine(dict *Dictionary) *Engine {
 	return &Engine{dict: dict}
 }
 
-// Dictionary returns the engine's dictionary.
-func (en *Engine) Dictionary() *Dictionary { return en.dict }
-
 // AddPattern registers a phrase pattern.
 func (en *Engine) AddPattern(p Pattern) { en.patterns = append(en.patterns, p) }
 
-// AddPolarityRule registers a predicate polarity rule.
-func (en *Engine) AddPolarityRule(r PolarityRule) { en.polarity = append(en.polarity, r) }
-
 // Annotate extracts all concepts from text: dictionary concepts (one per
-// tagged unit carrying a category), phrase-pattern concepts, and
-// polarity-rule concepts. Results are ordered by start position.
+// tagged unit carrying a category) and phrase-pattern concepts. Results
+// are ordered by start position.
 func (en *Engine) Annotate(text string) []Concept {
 	tagged := en.dict.Tag(text)
 	var out []Concept
@@ -156,41 +112,6 @@ func (en *Engine) Annotate(text string) []Concept {
 			out = append(out, Concept{Canonical: label, Category: p.Category, Start: i, End: i + len(p.Elems)})
 		}
 	}
-	// 3. Polarity rules.
-	isQuestion := strings.Contains(text, "?")
-	for _, r := range en.polarity {
-		kw := strings.ToLower(r.Keyword)
-		for i, tw := range tagged {
-			if tw.Word != kw && tw.Canonical != kw {
-				continue
-			}
-			negated := false
-			for back := 1; back <= 2 && i-back >= 0; back++ {
-				if negators[tagged[i-back].Word] {
-					negated = true
-					break
-				}
-			}
-			questioned := false
-			if !negated && isQuestion {
-				// Question form: a question lead earlier in the clause.
-				for back := i - 1; back >= 0 && back >= i-6; back-- {
-					if questionLeads[tagged[back].Word] {
-						questioned = true
-						break
-					}
-				}
-			}
-			switch {
-			case negated:
-				out = append(out, Concept{Canonical: "not " + kw, Category: r.NegatedCategory, Start: i, End: i + 1})
-			case questioned:
-				out = append(out, Concept{Canonical: kw, Category: r.QuestionCategory, Start: i, End: i + 1})
-			default:
-				out = append(out, Concept{Canonical: kw, Category: r.AssertCategory, Start: i, End: i + 1})
-			}
-		}
-	}
 	sortConcepts(out)
 	return out
 }
@@ -219,26 +140,5 @@ func Categories(cs []Concept) []string {
 		out = append(out, c)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// HasCategory reports whether any concept carries the category.
-func HasCategory(cs []Concept, category string) bool {
-	for _, c := range cs {
-		if c.Category == category {
-			return true
-		}
-	}
-	return false
-}
-
-// CanonicalsIn returns the canonical forms of concepts in a category.
-func CanonicalsIn(cs []Concept, category string) []string {
-	var out []string
-	for _, c := range cs {
-		if c.Category == category {
-			out = append(out, c.Canonical)
-		}
-	}
 	return out
 }

@@ -20,8 +20,8 @@ func TestLexiconAddAndLookup(t *testing.T) {
 	if err := lex.Add("smith", ClassName); err != nil {
 		t.Fatal(err)
 	}
-	if lex.Size() != 2 {
-		t.Errorf("size = %d", lex.Size())
+	if len(lex.words) != 2 {
+		t.Errorf("size = %d", len(lex.words))
 	}
 	if !lex.Contains("CAR") || !lex.Contains("car") {
 		t.Error("lookup should be case-insensitive")
@@ -48,8 +48,8 @@ func TestLexiconDuplicateAdd(t *testing.T) {
 	if err := lex.Add("smith", ClassGeneric); err != nil {
 		t.Fatal(err)
 	}
-	if lex.Size() != 1 {
-		t.Errorf("duplicate add changed size: %d", lex.Size())
+	if len(lex.words) != 1 {
+		t.Errorf("duplicate add changed size: %d", len(lex.words))
 	}
 	if lex.ClassOfWord("smith") != ClassName {
 		t.Error("first class should win")
@@ -87,11 +87,22 @@ func TestLexiconPhonesConcatenation(t *testing.T) {
 	}
 }
 
+// wordsOfClass returns the words carrying the class, in insertion order.
+func wordsOfClass(l *Lexicon, c WordClass) []string {
+	var out []string
+	for i, w := range l.words {
+		if l.classes[i] == c {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 func TestWordsOfClass(t *testing.T) {
 	lex := NewLexicon()
 	lex.AddAll([]string{"smith", "jones"}, ClassName)
 	lex.AddAll([]string{"car", "rate"}, ClassGeneric)
-	names := lex.WordsOfClass(ClassName)
+	names := wordsOfClass(lex, ClassName)
 	if len(names) != 2 {
 		t.Errorf("names = %v", names)
 	}
@@ -370,7 +381,7 @@ func TestNamesHarderThanGeneric(t *testing.T) {
 	rec := NewRecognizer(lex, model, NewChannel(CallCenterChannel), DefaultDecoderConfig())
 	scorer := NewClassWER(lex)
 	r := rng.New(555)
-	names := lex.WordsOfClass(ClassName)
+	names := wordsOfClass(lex, ClassName)
 	for i := 0; i < 60; i++ {
 		ref := []string{"my", "name", "is", names[i%len(names)]}
 		hyp, err := rec.Transcribe(r.Split(uint64(i)), ref)
@@ -390,7 +401,7 @@ func TestConstrainedSecondPassImprovesNames(t *testing.T) {
 	lex, model := testSetup(t)
 	rec := NewRecognizer(lex, model, NewChannel(CallCenterChannel), DefaultDecoderConfig())
 	r := rng.New(4242)
-	names := lex.WordsOfClass(ClassName)
+	names := wordsOfClass(lex, ClassName)
 
 	var refs, firstHyps, secondHyps [][]string
 	for i := 0; i < 60; i++ {
@@ -442,14 +453,14 @@ func TestClassWERInsertionAttribution(t *testing.T) {
 	scorer := NewClassWER(lex)
 	// Insertion right after a name should be attributed to the name class.
 	scorer.Add([]string{"smith"}, []string{"smith", "car"})
-	if scorer.Stats(ClassName).Ins != 1 {
-		t.Errorf("insertion not attributed to preceding class: %+v", scorer.Stats(ClassName))
+	if scorer.stats[ClassName].Ins != 1 {
+		t.Errorf("insertion not attributed to preceding class: %+v", scorer.stats[ClassName])
 	}
 	// Insertion at utterance start goes to generic.
 	scorer2 := NewClassWER(lex)
 	scorer2.Add([]string{"smith"}, []string{"car", "smith"})
-	if scorer2.Stats(ClassGeneric).Ins != 1 {
-		t.Errorf("leading insertion should be generic: %+v", scorer2.Stats(ClassGeneric))
+	if scorer2.stats[ClassGeneric].Ins != 1 {
+		t.Errorf("leading insertion should be generic: %+v", scorer2.stats[ClassGeneric])
 	}
 }
 

@@ -157,20 +157,11 @@ func (l *Lexicon) AddAll(words []string, class WordClass) {
 	}
 }
 
-// Size returns the number of words in the lexicon.
-func (l *Lexicon) Size() int { return len(l.words) }
-
 // Contains reports whether word is in the lexicon.
 func (l *Lexicon) Contains(word string) bool {
 	_, ok := l.index[strings.ToLower(word)]
 	return ok
 }
-
-// Word returns the surface form for a lexicon id.
-func (l *Lexicon) Word(id int32) string { return l.words[id] }
-
-// Class returns the word class for a lexicon id.
-func (l *Lexicon) Class(id int32) WordClass { return l.classes[id] }
 
 // ClassOfWord returns the class of a word, or ClassGeneric if absent.
 func (l *Lexicon) ClassOfWord(word string) WordClass {
@@ -203,15 +194,4 @@ func (l *Lexicon) Phones(words []string) ([]phonetics.Phone, error) {
 		out = append(out, p...)
 	}
 	return out, nil
-}
-
-// WordsOfClass returns all lexicon words of the given class.
-func (l *Lexicon) WordsOfClass(c WordClass) []string {
-	var out []string
-	for i, w := range l.words {
-		if l.classes[i] == c {
-			out = append(out, w)
-		}
-	}
-	return out
 }

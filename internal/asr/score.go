@@ -180,14 +180,6 @@ func (c *ClassWER) ForClass(cl WordClass) float64 {
 	return 0
 }
 
-// Stats returns the raw counters for a class.
-func (c *ClassWER) Stats(cl WordClass) WERStats {
-	if s, ok := c.stats[cl]; ok {
-		return *s
-	}
-	return WERStats{}
-}
-
 // Transcribe runs the full pipeline on one reference utterance: phones →
 // channel → decode. Out-of-lexicon reference words make it fail.
 func (r *Recognizer) Transcribe(rnd *rng.RNG, ref []string) ([]string, error) {

@@ -1,7 +1,6 @@
 package asr
 
 import (
-	"math"
 	"sort"
 
 	"bivoc/internal/phonetics"
@@ -147,18 +146,4 @@ func (s *Spotter) SpotWords(keyword string, reference []string) []Spot {
 		return nil
 	}
 	return s.Find(keyword, phones)
-}
-
-// LogOddsScore converts a confidence to the LVCSR-style log-likelihood
-// ratio the keyword-spotting literature reports (Weintraub 1995): the
-// log odds of the keyword match against a uniform-phone background.
-func LogOddsScore(confidence float64) float64 {
-	c := confidence
-	if c <= 0 {
-		c = 1e-9
-	}
-	if c >= 1 {
-		c = 1 - 1e-9
-	}
-	return math.Log(c / (1 - c))
 }

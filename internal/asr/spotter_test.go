@@ -1,7 +1,6 @@
 package asr
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -111,18 +110,6 @@ func mustPhones(t *testing.T, lex *Lexicon, words []string) []phonetics.Phone {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestLogOddsScore(t *testing.T) {
-	if LogOddsScore(0.5) != 0 {
-		t.Errorf("log odds at 0.5 = %v", LogOddsScore(0.5))
-	}
-	if LogOddsScore(0.9) <= 0 || LogOddsScore(0.1) >= 0 {
-		t.Error("log odds signs wrong")
-	}
-	if math.IsInf(LogOddsScore(0), 0) || math.IsInf(LogOddsScore(1), 0) {
-		t.Error("log odds should clamp at boundaries")
-	}
 }
 
 func TestSpotterEmptyObservation(t *testing.T) {

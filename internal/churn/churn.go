@@ -95,23 +95,6 @@ func (p *Predictor) TopChurnFeatures(n int) []string {
 	return p.nb.TopFeatures(LabelChurn, n)
 }
 
-// Evaluate scores a labeled corpus, returning the confusion counters.
-func (p *Predictor) Evaluate(texts []string, churner []bool) classify.Evaluation {
-	var e classify.Evaluation
-	for i, text := range texts {
-		pred := LabelStay
-		if p.Predict(text) {
-			pred = LabelChurn
-		}
-		actual := LabelStay
-		if churner[i] {
-			actual = LabelChurn
-		}
-		e.Add(pred, actual, LabelChurn)
-	}
-	return e
-}
-
 // DriverDetector finds churn-driver mentions through the annotation
 // engine's dictionary machinery.
 type DriverDetector struct {

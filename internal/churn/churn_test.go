@@ -97,6 +97,26 @@ func TestTopChurnFeatures(t *testing.T) {
 	}
 }
 
+// confusion holds Predict's verdicts on a labeled corpus.
+type confusion struct{ TP, FP, TN, FN int }
+
+func evaluate(p *Predictor, texts []string, churner []bool) confusion {
+	var e confusion
+	for i, text := range texts {
+		switch pred := p.Predict(text); {
+		case pred && churner[i]:
+			e.TP++
+		case pred:
+			e.FP++
+		case churner[i]:
+			e.FN++
+		default:
+			e.TN++
+		}
+	}
+	return e
+}
+
 func TestEvaluate(t *testing.T) {
 	p := trainSmall(t)
 	texts := []string{
@@ -105,12 +125,9 @@ func TestEvaluate(t *testing.T) {
 		"balance enquiry please",
 	}
 	labels := []bool{true, false, false}
-	e := p.Evaluate(texts, labels)
+	e := evaluate(p, texts, labels)
 	if e.TP != 1 || e.TN != 2 || e.FP != 0 || e.FN != 0 {
 		t.Errorf("evaluation: %+v", e)
-	}
-	if e.Recall() != 1 {
-		t.Errorf("recall = %v", e.Recall())
 	}
 }
 
@@ -176,10 +193,10 @@ func TestEndToEndOnSyntheticWorld(t *testing.T) {
 	if !p.Trained() || len(evalTexts) == 0 {
 		t.Fatal("split produced empty sets")
 	}
-	e := p.Evaluate(evalTexts, evalLabels)
+	e := evaluate(p, evalTexts, evalLabels)
 	// With heavy imbalance we mainly require useful recall without
 	// flagging everything.
-	if e.TP+e.FN > 0 && e.Recall() < 0.2 {
+	if e.TP+e.FN > 0 && float64(e.TP)/float64(e.TP+e.FN) < 0.2 {
 		t.Errorf("churn recall too low: %+v", e)
 	}
 	flagged := e.TP + e.FP

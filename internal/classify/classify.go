@@ -4,13 +4,12 @@
 // churn predictor of §VI ("We trained a classifier using VoC of churners
 // and non-churners to predict future churners").
 //
-// The implementation supports class priors and a decision-threshold
-// adjustment, which is how the churn use case handles its heavily
-// imbalanced classes (3% churners among 47,460 emails).
+// Callers cut the posterior at a threshold of their own, which is how the
+// churn use case handles its heavily imbalanced classes (3% churners
+// among 47,460 emails).
 package classify
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
@@ -18,14 +17,13 @@ import (
 // NaiveBayes is a multinomial Naive Bayes model over word features with
 // Laplace smoothing.
 type NaiveBayes struct {
-	classes     []string
-	classIdx    map[string]int
-	wordCounts  []map[string]int // per class
-	totalWords  []int            // per class
-	docCounts   []int            // per class
-	totalDocs   int
-	vocab       map[string]bool
-	priorsFixed []float64 // optional externally set priors
+	classes    []string
+	classIdx   map[string]int
+	wordCounts []map[string]int // per class
+	totalWords []int            // per class
+	docCounts  []int            // per class
+	totalDocs  int
+	vocab      map[string]bool
 }
 
 // NewNaiveBayes returns an untrained classifier.
@@ -53,43 +51,6 @@ func (nb *NaiveBayes) Train(class string, tokens []string) {
 	}
 }
 
-// SetPriors overrides the empirical class priors (e.g. to downweight an
-// over-sampled minority class or encode a business prior). Pass values
-// in the same order as Classes(); they are normalized internally.
-func (nb *NaiveBayes) SetPriors(priors map[string]float64) error {
-	if len(nb.classes) == 0 {
-		return errors.New("classify: set priors after training")
-	}
-	fixed := make([]float64, len(nb.classes))
-	total := 0.0
-	for c, p := range priors {
-		idx, ok := nb.classIdx[c]
-		if !ok {
-			return errors.New("classify: unknown class " + c)
-		}
-		if p < 0 {
-			return errors.New("classify: negative prior")
-		}
-		fixed[idx] = p
-		total += p
-	}
-	if total <= 0 {
-		return errors.New("classify: zero total prior")
-	}
-	for i := range fixed {
-		fixed[i] /= total
-	}
-	nb.priorsFixed = fixed
-	return nil
-}
-
-// Classes returns the known class labels in training order.
-func (nb *NaiveBayes) Classes() []string {
-	out := make([]string, len(nb.classes))
-	copy(out, nb.classes)
-	return out
-}
-
 // Trained reports whether any documents have been seen.
 func (nb *NaiveBayes) Trained() bool { return nb.totalDocs > 0 }
 
@@ -98,16 +59,7 @@ func (nb *NaiveBayes) LogPosteriors(tokens []string) map[string]float64 {
 	out := make(map[string]float64, len(nb.classes))
 	v := float64(len(nb.vocab))
 	for i, class := range nb.classes {
-		var prior float64
-		if nb.priorsFixed != nil {
-			prior = nb.priorsFixed[i]
-			if prior <= 0 {
-				prior = 1e-12
-			}
-		} else {
-			prior = float64(nb.docCounts[i]) / float64(nb.totalDocs)
-		}
-		lp := math.Log(prior)
+		lp := math.Log(float64(nb.docCounts[i]) / float64(nb.totalDocs))
 		denom := float64(nb.totalWords[i]) + v
 		for _, tok := range tokens {
 			c := float64(nb.wordCounts[i][tok])
@@ -137,37 +89,6 @@ func (nb *NaiveBayes) Posteriors(tokens []string) map[string]float64 {
 		out[c] = math.Exp(lp-max) / total
 	}
 	return out
-}
-
-// Predict returns the maximum-posterior class. Ties break by training
-// order for determinism. It returns "" when untrained.
-func (nb *NaiveBayes) Predict(tokens []string) string {
-	if !nb.Trained() {
-		return ""
-	}
-	logs := nb.LogPosteriors(tokens)
-	best := ""
-	bestLP := math.Inf(-1)
-	for _, c := range nb.classes {
-		if lp := logs[c]; lp > bestLP {
-			bestLP = lp
-			best = c
-		}
-	}
-	return best
-}
-
-// PredictWithThreshold returns positiveClass when its posterior exceeds
-// threshold, else the fallback class. This is the imbalance lever of the
-// churn use case: with a 3% minority class, maximizing accuracy would
-// never flag a churner; lowering the threshold trades precision for the
-// churner recall the business cares about.
-func (nb *NaiveBayes) PredictWithThreshold(tokens []string, positiveClass string, threshold float64, fallback string) string {
-	post := nb.Posteriors(tokens)
-	if post[positiveClass] >= threshold {
-		return positiveClass
-	}
-	return fallback
 }
 
 // TopFeatures returns the n tokens with the highest log-odds for the
@@ -217,59 +138,4 @@ func (nb *NaiveBayes) TopFeatures(class string, n int) []string {
 		out[i] = all[i].tok
 	}
 	return out
-}
-
-// Evaluation holds binary-classification quality measures for a positive
-// class.
-type Evaluation struct {
-	TP, FP, TN, FN int
-}
-
-// Add records one prediction.
-func (e *Evaluation) Add(predicted, actual, positive string) {
-	switch {
-	case actual == positive && predicted == positive:
-		e.TP++
-	case actual == positive:
-		e.FN++
-	case predicted == positive:
-		e.FP++
-	default:
-		e.TN++
-	}
-}
-
-// Recall returns TP/(TP+FN) — the paper's churn metric ("we were able to
-// detect 53.6% percent of churners correctly").
-func (e *Evaluation) Recall() float64 {
-	if e.TP+e.FN == 0 {
-		return 0
-	}
-	return float64(e.TP) / float64(e.TP+e.FN)
-}
-
-// Precision returns TP/(TP+FP).
-func (e *Evaluation) Precision() float64 {
-	if e.TP+e.FP == 0 {
-		return 0
-	}
-	return float64(e.TP) / float64(e.TP+e.FP)
-}
-
-// Accuracy returns the overall fraction correct.
-func (e *Evaluation) Accuracy() float64 {
-	n := e.TP + e.FP + e.TN + e.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(e.TP+e.TN) / float64(n)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (e *Evaluation) F1() float64 {
-	p, r := e.Precision(), e.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }

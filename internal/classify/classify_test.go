@@ -33,18 +33,18 @@ func trainToy(t *testing.T) *NaiveBayes {
 
 func TestPredictSeparatesClasses(t *testing.T) {
 	nb := trainToy(t)
-	if got := nb.Predict(strings.Fields("claim your free prize money now")); got != "spam" {
-		t.Errorf("spam classified as %q", got)
+	if post := nb.Posteriors(strings.Fields("claim your free prize money now")); post["spam"] <= post["ham"] {
+		t.Errorf("spam scored %v", post)
 	}
-	if got := nb.Predict(strings.Fields("my account bill is wrong")); got != "ham" {
-		t.Errorf("ham classified as %q", got)
+	if post := nb.Posteriors(strings.Fields("my account bill is wrong")); post["ham"] <= post["spam"] {
+		t.Errorf("ham scored %v", post)
 	}
 }
 
 func TestPredictUntrained(t *testing.T) {
 	nb := NewNaiveBayes()
-	if nb.Predict([]string{"x"}) != "" {
-		t.Error("untrained classifier should return empty class")
+	if post := nb.Posteriors([]string{"x"}); len(post) != 0 {
+		t.Errorf("untrained classifier scored %v", post)
 	}
 	if nb.Trained() {
 		t.Error("untrained reports trained")
@@ -83,42 +83,6 @@ func TestUnknownTokensNeutral(t *testing.T) {
 	}
 }
 
-func TestSetPriors(t *testing.T) {
-	nb := trainToy(t)
-	if err := nb.SetPriors(map[string]float64{"spam": 0.01, "ham": 0.99}); err != nil {
-		t.Fatal(err)
-	}
-	// Borderline document should now lean ham.
-	post := nb.Posteriors([]string{"now"})
-	if post["ham"] <= post["spam"] {
-		t.Errorf("strong ham prior not respected: %v", post)
-	}
-	if err := nb.SetPriors(map[string]float64{"ghost": 1}); err == nil {
-		t.Error("unknown class prior accepted")
-	}
-	if err := nb.SetPriors(map[string]float64{"spam": -1}); err == nil {
-		t.Error("negative prior accepted")
-	}
-	if err := nb.SetPriors(map[string]float64{"spam": 0}); err == nil {
-		t.Error("zero prior mass accepted")
-	}
-	if err := NewNaiveBayes().SetPriors(map[string]float64{"x": 1}); err == nil {
-		t.Error("priors before training accepted")
-	}
-}
-
-func TestPredictWithThreshold(t *testing.T) {
-	nb := trainToy(t)
-	toks := strings.Fields("money now")
-	post := nb.Posteriors(toks)
-	// With threshold above the posterior → fallback; below → positive.
-	hi := nb.PredictWithThreshold(toks, "spam", post["spam"]+0.01, "ham")
-	lo := nb.PredictWithThreshold(toks, "spam", post["spam"]-0.01, "ham")
-	if hi != "ham" || lo != "spam" {
-		t.Errorf("threshold behaviour wrong: hi=%q lo=%q", hi, lo)
-	}
-}
-
 func TestTopFeatures(t *testing.T) {
 	nb := trainToy(t)
 	top := nb.TopFeatures("spam", 5)
@@ -139,59 +103,5 @@ func TestTopFeatures(t *testing.T) {
 	}
 	if got := nb.TopFeatures("spam", 100000); len(got) == 0 {
 		t.Error("oversized n should clamp, not fail")
-	}
-}
-
-func TestClassesCopy(t *testing.T) {
-	nb := trainToy(t)
-	c := nb.Classes()
-	c[0] = "mutated"
-	if nb.Classes()[0] == "mutated" {
-		t.Error("Classes leaks internal slice")
-	}
-}
-
-func TestEvaluationCounters(t *testing.T) {
-	var e Evaluation
-	e.Add("churn", "churn", "churn") // TP
-	e.Add("churn", "stay", "churn")  // FP
-	e.Add("stay", "churn", "churn")  // FN
-	e.Add("stay", "stay", "churn")   // TN
-	if e.TP != 1 || e.FP != 1 || e.FN != 1 || e.TN != 1 {
-		t.Fatalf("counts wrong: %+v", e)
-	}
-	if e.Recall() != 0.5 || e.Precision() != 0.5 || e.Accuracy() != 0.5 {
-		t.Errorf("metrics wrong: r=%v p=%v a=%v", e.Recall(), e.Precision(), e.Accuracy())
-	}
-	if e.F1() != 0.5 {
-		t.Errorf("f1 = %v", e.F1())
-	}
-}
-
-func TestEvaluationEmpty(t *testing.T) {
-	var e Evaluation
-	if e.Recall() != 0 || e.Precision() != 0 || e.Accuracy() != 0 || e.F1() != 0 {
-		t.Error("empty evaluation should be all zeros")
-	}
-}
-
-func TestImbalancedRecallImprovesWithThreshold(t *testing.T) {
-	// Build an imbalanced problem: 5% positive.
-	nb := NewNaiveBayes()
-	posWords := strings.Fields("leaving switch provider porting cancel disconnect")
-	negWords := strings.Fields("balance plan recharge data pack billing query")
-	for i := 0; i < 10; i++ {
-		nb.Train("churn", []string{posWords[i%len(posWords)], negWords[i%len(negWords)]})
-	}
-	for i := 0; i < 190; i++ {
-		nb.Train("stay", []string{negWords[i%len(negWords)], negWords[(i+1)%len(negWords)]})
-	}
-	// A weak churn signal document.
-	doc := []string{"cancel", "billing"}
-	var strict, lenient Evaluation
-	strict.Add(nb.PredictWithThreshold(doc, "churn", 0.9, "stay"), "churn", "churn")
-	lenient.Add(nb.PredictWithThreshold(doc, "churn", 0.1, "stay"), "churn", "churn")
-	if lenient.Recall() < strict.Recall() {
-		t.Error("lenient threshold should not lower recall")
 	}
 }

@@ -78,8 +78,7 @@ var hamSeedCorpus = []string{
 }
 
 // NewCleaner builds a cleaner with the built-in seed corpora and
-// dictionaries. Additional spam/ham examples can be added with
-// TrainSpam/TrainHam before first use.
+// dictionaries.
 func NewCleaner() *Cleaner {
 	c := &Cleaner{
 		spam:                classify.NewNaiveBayes(),
@@ -100,16 +99,14 @@ func NewCleaner() *Cleaner {
 	return c
 }
 
-// TrainSpam adds a labeled spam example to the gate.
-func (c *Cleaner) TrainSpam(text string) { c.spam.Train("spam", textproc.Words(text)) }
-
-// TrainHam adds a labeled legitimate example to the gate.
-func (c *Cleaner) TrainHam(text string) { c.spam.Train("ham", textproc.Words(text)) }
-
 // Gate applies step-1 filtering to a customer message body, returning
 // the verdict. Keep processing the text only on VerdictKeep.
 func (c *Cleaner) Gate(text string) Verdict {
-	words := textproc.Words(text)
+	return c.gate(textproc.Words(text))
+}
+
+// gate is Gate over the words of a message.
+func (c *Cleaner) gate(words []string) Verdict {
 	if len(words) == 0 {
 		return VerdictEmpty
 	}
@@ -124,8 +121,7 @@ func (c *Cleaner) Gate(text string) Verdict {
 }
 
 // nonEnglishFraction estimates how much of the message is code-switched:
-// known Hindi markers count fully; the rest relies on a cheap
-// vowel-structure heuristic for romanized non-English tokens.
+// the share of its words that are known romanized Hindi markers.
 func (c *Cleaner) nonEnglishFraction(words []string) float64 {
 	if len(words) == 0 {
 		return 0
@@ -194,25 +190,18 @@ func StripSignature(text string) string {
 // tokens pass through unchanged; the paper notes "still a large number
 // of words are noisy and are not utilized fully".
 func (c *Cleaner) NormalizeSMS(text string) string {
-	toks := textproc.Tokenize(text)
-	var out []string
-	for _, tok := range toks {
-		if tok.Kind == textproc.KindPunct {
-			continue
-		}
-		w := strings.ToLower(tok.Text)
+	return c.normalize(textproc.Words(text))
+}
+
+// normalize is NormalizeSMS over the words of a message, which it
+// overwrites.
+func (c *Cleaner) normalize(words []string) string {
+	for i, w := range words {
 		if full, ok := c.lingo[w]; ok {
-			out = append(out, full)
-			continue
+			words[i] = full
 		}
-		// Try with a trailing period shorthand ("pl." → "pl").
-		if full, ok := c.lingo[strings.TrimSuffix(w, ".")]; ok {
-			out = append(out, full)
-			continue
-		}
-		out = append(out, w)
 	}
-	return strings.Join(out, " ")
+	return strings.Join(words, " ")
 }
 
 // CleanedMessage is the output of the full pipeline for one message.
@@ -224,19 +213,15 @@ type CleanedMessage struct {
 
 // ProcessEmail runs the full email pipeline: strip → gate → normalize.
 func (c *Cleaner) ProcessEmail(raw string) CleanedMessage {
-	body := StripEmail(raw)
-	v := c.Gate(body)
-	if v != VerdictKeep {
-		return CleanedMessage{Verdict: v}
-	}
-	return CleanedMessage{Verdict: VerdictKeep, Text: c.NormalizeSMS(body)}
+	return c.ProcessSMS(StripEmail(raw))
 }
 
-// ProcessSMS runs the SMS pipeline: gate → normalize.
+// ProcessSMS runs the SMS pipeline: gate → normalize, over one
+// tokenization of the text.
 func (c *Cleaner) ProcessSMS(text string) CleanedMessage {
-	v := c.Gate(text)
-	if v != VerdictKeep {
+	words := textproc.Words(text)
+	if v := c.gate(words); v != VerdictKeep {
 		return CleanedMessage{Verdict: v}
 	}
-	return CleanedMessage{Verdict: VerdictKeep, Text: c.NormalizeSMS(text)}
+	return CleanedMessage{Verdict: VerdictKeep, Text: c.normalize(words)}
 }

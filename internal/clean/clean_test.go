@@ -6,6 +6,7 @@ import (
 
 	"bivoc/internal/noise"
 	"bivoc/internal/rng"
+	"bivoc/internal/textproc"
 )
 
 func TestGateKeepsCustomerText(t *testing.T) {
@@ -60,13 +61,13 @@ func TestGateTrainable(t *testing.T) {
 	c := NewCleaner()
 	novel := "quantum flux discount vortex mega deal vortex flux"
 	for i := 0; i < 5; i++ {
-		c.TrainSpam(novel)
+		c.spam.Train("spam", textproc.Words(novel))
 	}
 	if v := c.Gate(novel); v != VerdictSpam {
 		t.Errorf("trained spam still gated as %v", v)
 	}
 	c2 := NewCleaner()
-	c2.TrainHam("my flux capacitor bill is wrong")
+	c2.spam.Train("ham", textproc.Words("my flux capacitor bill is wrong"))
 	if v := c2.Gate("my flux capacitor bill is wrong"); v != VerdictKeep {
 		t.Errorf("trained ham gated as %v", v)
 	}
@@ -125,6 +126,29 @@ func TestNormalizeSMSPassesUnknownTokens(t *testing.T) {
 	got := c.NormalizeSMS("karanagar receipt 1243213")
 	if !strings.Contains(got, "karanagar") || !strings.Contains(got, "1243213") {
 		t.Errorf("unknown tokens dropped: %q", got)
+	}
+}
+
+// TestNormalizeSMSOutputs pins step 2 byte for byte, through NormalizeSMS
+// and through the one tokenization ProcessSMS shares with the gate.
+func TestNormalizeSMSOutputs(t *testing.T) {
+	c := NewCleaner()
+	for _, tc := range []struct{ in, want string }{
+		{"Pls cnfrm ur pymt thx", "please confirm your payment thanks"},
+		{"pl. confirm the receipt", "please confirm the receipt"},
+		{"pl confirm the receipt.", "please confirm the receipt"},
+		{"didn't get ur msg, can't call u 2moro", "didn't get your message can't call you tomorrow"},
+		{"PLS Call ME B4 2Moro", "please call me before tomorrow"},
+		{"thx!!! ...pls??? (asap) -- u r gr8", "thanks please asap you are great"},
+		{"pls\xffcnfrm \xc3( ur\xe2\x82 pymt", "please confirm your payment"},
+		{" \t\n", ""},
+	} {
+		if got := c.NormalizeSMS(tc.in); got != tc.want {
+			t.Errorf("NormalizeSMS(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+		if got := c.ProcessSMS(tc.in); got.Verdict == VerdictKeep && got.Text != tc.want {
+			t.Errorf("ProcessSMS(%q).Text = %q, want %q", tc.in, got.Text, tc.want)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"bivoc/internal/annotate"
 	"bivoc/internal/synth"
-	"bivoc/internal/textproc"
 )
 
 // Semantic categories used by the car-rental analysis.
@@ -142,9 +141,4 @@ func AnnotateTranscript(en *annotate.Engine, transcript []string) []annotate.Con
 		}}, concepts...)
 	}
 	return concepts
-}
-
-// TranscriptText joins a transcript into analysable text.
-func TranscriptText(transcript []string) string {
-	return textproc.NormalizeWhitespace(strings.Join(transcript, " "))
 }

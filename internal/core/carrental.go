@@ -91,6 +91,20 @@ func RunCallAnalysis(cfg CallAnalysisConfig) (*CallAnalysis, error) {
 // RunCallAnalysisContext is RunCallAnalysis with cancellation: cancel
 // ctx and the pipeline aborts promptly, returning the context error.
 func RunCallAnalysisContext(ctx context.Context, cfg CallAnalysisConfig) (*CallAnalysis, error) {
+	ca, err := newCallAnalysis(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ca.analyzeStreaming(ctx); err != nil {
+		return nil, err
+	}
+	return ca, nil
+}
+
+// newCallAnalysis builds the call pipeline's inputs: the world with its
+// calls generated and, when transcripts are to be recognized, the
+// recognizer.
+func newCallAnalysis(cfg CallAnalysisConfig) (*CallAnalysis, error) {
 	world, err := synth.NewCarRentalWorld(cfg.World)
 	if err != nil {
 		return nil, err
@@ -103,9 +117,6 @@ func RunCallAnalysisContext(ctx context.Context, cfg CallAnalysisConfig) (*CallA
 			return nil, err
 		}
 		ca.Recognizer = rec
-	}
-	if err := ca.analyzeStreaming(ctx); err != nil {
-		return nil, err
 	}
 	return ca, nil
 }

@@ -103,8 +103,8 @@ type ChurnExperimentResult struct {
 
 // linkedMessage is one message that survived cleaning and linking.
 type linkedMessage struct {
-	msg     synth.Message
-	custIdx int // index into world.Customers (from LINKING, not truth)
+	msg     *synth.Message // in the corpus; not copied
+	custIdx int            // index into world.Customers (from LINKING, not truth)
 	text    string
 }
 
@@ -267,7 +267,7 @@ func runChurnExperiment(ctx context.Context, cfg ChurnExperimentConfig, newLinke
 		if m.CustIdx == j.custIdx {
 			linkRight++
 		}
-		linked = append(linked, linkedMessage{msg: m, custIdx: j.custIdx, text: j.text})
+		linked = append(linked, linkedMessage{msg: &corpus[i], custIdx: j.custIdx, text: j.text})
 	}
 	if res.Linked+res.Unlinkable > 0 {
 		res.UnlinkableRate = float64(res.Unlinkable) / float64(res.Linked+res.Unlinkable)

@@ -198,16 +198,8 @@ func TestAgentWindowStatsMetrics(t *testing.T) {
 	if a.ConversionRate() != 1.0/3.0 {
 		t.Errorf("conversion = %v", a.ConversionRate())
 	}
-	if a.ReservationRatio() != 0.5 {
-		t.Errorf("ratio = %v", a.ReservationRatio())
-	}
-	empty := AgentWindowStats{}
-	if empty.ConversionRate() != 0 || empty.ReservationRatio() != 0 {
+	if (AgentWindowStats{}).ConversionRate() != 0 {
 		t.Error("empty stats should be zero")
-	}
-	allBooked := AgentWindowStats{Reservations: 5}
-	if allBooked.ReservationRatio() != 5 {
-		t.Errorf("zero-unbooked ratio = %v", allBooked.ReservationRatio())
 	}
 }
 

@@ -1,0 +1,175 @@
+package core
+
+// Nothing shipped reaches what this file declares (the root package's
+// TestEveryInternalFunctionIsReachable). It left calltype.go (the whole file)
+// in PR 24 and stays, as test code only, because the tests below pin it
+// and a PR may retire only a few tests of the floor. It is a reference
+// for nothing: delete each declaration with its tests.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"bivoc/internal/asr"
+	"bivoc/internal/classify"
+	"bivoc/internal/rng"
+	"bivoc/internal/synth"
+	"bivoc/internal/textproc"
+)
+
+// Call-type classification (§II background, refs [21] and [10] of the
+// paper: "call type classification for the purpose of categorizing
+// calls" and "automatic call routing"). BIVoC uses the call type as a
+// structured dimension; in engagements where the CRM does not record
+// it, this classifier derives it from the transcript.
+
+// Call-type labels.
+const (
+	CallTypeSales   = "sales"
+	CallTypeService = "service"
+)
+
+// CallTypeClassifier labels calls as reservation-seeking or service.
+type CallTypeClassifier struct {
+	nb *classify.NaiveBayes
+}
+
+// NewCallTypeClassifier returns an untrained classifier.
+func NewCallTypeClassifier() *CallTypeClassifier {
+	return &CallTypeClassifier{nb: classify.NewNaiveBayes()}
+}
+
+func callTypeFeatures(transcript []string) []string {
+	// Use the opening region only: routing must decide early, and the
+	// tail of a sales call (identity, closing) looks like any other call.
+	n := len(transcript)
+	if n > 30 {
+		n = 30
+	}
+	text := strings.Join(transcript[:n], " ")
+	return textproc.ContentWords(text)
+}
+
+// Train adds one labeled call.
+func (c *CallTypeClassifier) Train(transcript []string, callType string) {
+	c.nb.Train(callType, callTypeFeatures(transcript))
+}
+
+// TrainFromCalls trains on a generated corpus using the hidden truth.
+func (c *CallTypeClassifier) TrainFromCalls(calls []synth.Call) {
+	for _, call := range calls {
+		label := CallTypeSales
+		if call.Intent == synth.IntentService {
+			label = CallTypeService
+		}
+		c.Train(call.Transcript, label)
+	}
+}
+
+// Classify returns the predicted call type.
+func (c *CallTypeClassifier) Classify(transcript []string) string {
+	post := c.nb.Posteriors(callTypeFeatures(transcript))
+	if post[CallTypeService] > post[CallTypeSales] {
+		return CallTypeService
+	}
+	return CallTypeSales
+}
+
+// Evaluate measures accuracy over labeled calls.
+func (c *CallTypeClassifier) Evaluate(calls []synth.Call) (accuracy float64, err error) {
+	if len(calls) == 0 {
+		return 0, fmt.Errorf("core: no calls to evaluate")
+	}
+	correct := 0
+	for _, call := range calls {
+		want := CallTypeSales
+		if call.Intent == synth.IntentService {
+			want = CallTypeService
+		}
+		if c.Classify(call.Transcript) == want {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(calls)), nil
+}
+
+func TestCallTypeClassifierOnReferenceTranscripts(t *testing.T) {
+	cfg := fastWorld()
+	world, err := synth.NewCarRentalWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := world.GenerateCalls(0, 2)
+	test := world.GenerateCalls(2, 2)
+
+	c := NewCallTypeClassifier()
+	c.TrainFromCalls(train)
+	acc, err := c.Evaluate(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.9 {
+		t.Errorf("call-type accuracy %v on clean transcripts, want >= 0.9", acc)
+	}
+}
+
+func TestCallTypeClassifierOnNoisyTranscripts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ASR decoding is slow")
+	}
+	cfg := fastWorld()
+	cfg.CallsPerDay = 40
+	world, err := synth.NewCarRentalWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := synth.BuildRecognizer(asr.CallCenterChannel, asr.DecoderConfig{BeamWidth: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := world.GenerateCalls(0, 2)
+	r := rng.New(11)
+	c := NewCallTypeClassifier()
+	// Train on the first half of noisy transcripts, evaluate on the rest.
+	var noisy []synth.Call
+	for _, call := range calls {
+		hyp, err := rec.Transcribe(r.SplitString(call.ID), call.Transcript)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := call
+		nc.Transcript = hyp
+		noisy = append(noisy, nc)
+	}
+	half := len(noisy) / 2
+	c.TrainFromCalls(noisy[:half])
+	acc, err := c.Evaluate(noisy[half:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.6 {
+		t.Errorf("call-type accuracy %v on noisy transcripts, want >= 0.6", acc)
+	}
+}
+
+func TestCallTypeClassifierDirectLabels(t *testing.T) {
+	c := NewCallTypeClassifier()
+	c.Train(strings.Fields("i want to book a car today"), CallTypeSales)
+	c.Train(strings.Fields("i want to change my booking"), CallTypeService)
+	c.Train(strings.Fields("i need to pick up a car"), CallTypeSales)
+	c.Train(strings.Fields("please cancel my reservation"), CallTypeService)
+	if got := c.Classify(strings.Fields("i want to book a full size car")); got != CallTypeSales {
+		t.Errorf("sales call classified as %q", got)
+	}
+	if got := c.Classify(strings.Fields("cancel my reservation please")); got != CallTypeService {
+		t.Errorf("service call classified as %q", got)
+	}
+}
+
+func TestCallTypeEvaluateEmpty(t *testing.T) {
+	c := NewCallTypeClassifier()
+	if _, err := c.Evaluate(nil); err == nil {
+		t.Error("empty evaluation should error")
+	}
+}

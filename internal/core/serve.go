@@ -10,7 +10,6 @@ import (
 	"bivoc/internal/pipeline"
 	"bivoc/internal/server"
 	"bivoc/internal/store"
-	"bivoc/internal/synth"
 )
 
 // ServeConfig drives the bivocd query daemon: a call-analysis pipeline
@@ -82,18 +81,9 @@ func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
 		return nil, fmt.Errorf("core: ShardIndex %d out of range for %d shards", cfg.ShardIndex, cfg.ShardCount)
 	}
-	world, err := synth.NewCarRentalWorld(cfg.Analysis.World)
+	ca, err := newCallAnalysis(cfg.Analysis)
 	if err != nil {
 		return nil, err
-	}
-	world.GenerateCalls(0, cfg.Analysis.World.Days)
-	ca := &CallAnalysis{Config: cfg.Analysis, World: world}
-	if cfg.Analysis.UseASR && !cfg.Analysis.UseNotes {
-		rec, err := synth.BuildRecognizer(cfg.Analysis.Channel, cfg.Analysis.Decoder)
-		if err != nil {
-			return nil, err
-		}
-		ca.Recognizer = rec
 	}
 	p, toDoc := ca.buildCallPipeline()
 	source := func(ctx context.Context, already func(string) bool, emit func(mining.Document) error) error {

@@ -50,15 +50,6 @@ func (a AgentWindowStats) ConversionRate() float64 {
 	return float64(a.Reservations) / float64(total)
 }
 
-// ReservationRatio returns the paper's §V.C metric, "the ratio of the
-// number of reservations to the number of unbooked calls".
-func (a AgentWindowStats) ReservationRatio() float64 {
-	if a.Unbooked == 0 {
-		return float64(a.Reservations)
-	}
-	return float64(a.Reservations) / float64(a.Unbooked)
-}
-
 // TrainingResult is the outcome of the experiment.
 type TrainingResult struct {
 	Before, After []AgentWindowStats

@@ -2,11 +2,10 @@
 // the BIVoC data-linking engine (§IV.B of the paper). The scoring
 // framework there is measure-agnostic — "the best similarity measure
 // available for specific attributes can be readily plugged into our
-// architecture" — so this package provides the standard family: edit
-// distances (Levenshtein, Damerau), Jaro-Winkler for short names,
-// character n-gram overlap for longer strings, digit-sequence similarity
-// for phone numbers and amounts, and token-set similarity for multi-word
-// attributes.
+// architecture" — so this package provides the measures the engine
+// plugs in: Jaro-Winkler for short names, character n-gram overlap for
+// longer strings, digit-sequence similarity for phone numbers and
+// amounts, and token-set similarity for multi-word attributes.
 //
 // All similarities are in [0, 1] with 1 meaning identical.
 package fuzzy
@@ -15,102 +14,6 @@ import (
 	"math/bits"
 	"strings"
 )
-
-// Levenshtein returns the unit-cost edit distance between a and b,
-// operating on bytes (inputs are expected to be normalized ASCII-ish
-// tokens; noisy VoC text is lowercased before matching).
-func Levenshtein(a, b string) int {
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	prev := make([]int, lb+1)
-	curr := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		curr[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j-1] + cost
-			if v := prev[j] + 1; v < m {
-				m = v
-			}
-			if v := curr[j-1] + 1; v < m {
-				m = v
-			}
-			curr[j] = m
-		}
-		prev, curr = curr, prev
-	}
-	return prev[lb]
-}
-
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transpositions (the restricted/optimal-string-alignment variant), which
-// matters for keyboard typos in email and SMS ("teh" → "the").
-func DamerauLevenshtein(a, b string) int {
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	rows := make([][]int, la+1)
-	for i := range rows {
-		rows[i] = make([]int, lb+1)
-		rows[i][0] = i
-	}
-	for j := 0; j <= lb; j++ {
-		rows[0][j] = j
-	}
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := rows[i-1][j-1] + cost
-			if v := rows[i-1][j] + 1; v < m {
-				m = v
-			}
-			if v := rows[i][j-1] + 1; v < m {
-				m = v
-			}
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if v := rows[i-2][j-2] + 1; v < m {
-					m = v
-				}
-			}
-			rows[i][j] = m
-		}
-	}
-	return rows[la][lb]
-}
-
-// LevenshteinSimilarity maps edit distance into [0, 1] by normalizing
-// with the longer length.
-func LevenshteinSimilarity(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(n)
-}
 
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
@@ -210,26 +113,6 @@ func NGramSet(s string, n int) map[string]struct{} {
 		out[p[i:i+n]] = struct{}{}
 	}
 	return out
-}
-
-// JaccardNGram returns the Jaccard coefficient between the character
-// n-gram sets of a and b.
-func JaccardNGram(a, b string, n int) float64 {
-	sa, sb := NGramSet(a, n), NGramSet(b, n)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for g := range sa {
-		if _, ok := sb[g]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // DiceNGram returns the Sørensen-Dice coefficient between the character
@@ -425,15 +308,11 @@ func BestWordSimilarity(token string, words []string) float64 {
 	return best
 }
 
-// TokenSetSimilarity compares two multi-word strings by greedily aligning
-// their tokens with JaroWinkler and averaging over the larger token
-// count. It tolerates word reordering ("john p smith" vs "smith, john").
-func TokenSetSimilarity(a, b string) float64 {
-	return TokenSetSimilarityFields(strings.Fields(strings.ToLower(a)), strings.Fields(strings.ToLower(b)))
-}
-
-// TokenSetSimilarityFields is TokenSetSimilarity over pre-split lowercase
-// word slices. It never mutates its arguments.
+// TokenSetSimilarityFields compares two multi-word strings, given as
+// pre-split lowercase word slices, by greedily aligning their tokens with
+// JaroWinkler and averaging over the larger token count. It tolerates
+// word reordering ("john p smith" vs "smith, john") and never mutates its
+// arguments.
 func TokenSetSimilarityFields(ta, tb []string) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1

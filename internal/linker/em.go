@@ -127,38 +127,6 @@ type EvalResult struct {
 	K          int
 }
 
-// Precision returns Correct / Linked.
-func (r EvalResult) Precision() float64 {
-	if r.Linked == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Linked)
-}
-
-// Recall returns Correct / Docs.
-func (r EvalResult) Recall() float64 {
-	if r.Docs == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Docs)
-}
-
-// RecallAtK returns CorrectIn / Docs.
-func (r EvalResult) RecallAtK() float64 {
-	if r.Docs == 0 {
-		return 0
-	}
-	return float64(r.CorrectIn) / float64(r.Docs)
-}
-
-// UnlinkableRate returns Unlinkable / Docs.
-func (r EvalResult) UnlinkableRate() float64 {
-	if r.Docs == 0 {
-		return 0
-	}
-	return float64(r.Unlinkable) / float64(r.Docs)
-}
-
 // Evaluate links every document and scores against gold labels. Docs
 // with a nil gold entry count toward the total and are correct only if
 // they produce no link (they represent non-customers).

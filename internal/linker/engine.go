@@ -211,16 +211,6 @@ type Match struct {
 	Score float64
 }
 
-// scoreEntity computes the full Eqn-3 score of an entity for the tokens
-// with no lists built, so every similarity is computed (tests and
-// single-scoring callers).
-func (e *Engine) scoreEntity(tokens []Token, table string, row warehouse.RowID) float64 {
-	ctx := e.begin(tokens)
-	defer ctx.release()
-	ctx.bind(e.route(table))
-	return ctx.scoreEntity(ctx.toks, row)
-}
-
 type listEntry struct {
 	row   warehouse.RowID
 	score float64 // weighted similarity for this token only

@@ -291,29 +291,3 @@ func (ip *Interpolated) Vocabulary() []string {
 	}
 	return out
 }
-
-// SentenceLogProb returns the total log-probability of the sentence
-// including the end-of-sentence transition.
-func SentenceLogProb(m Model, sentence []string) float64 {
-	lp := 0.0
-	for i, w := range sentence {
-		lp += m.LogProb(sentence[:i], w)
-	}
-	lp += m.LogProb(sentence, EOS)
-	return lp
-}
-
-// Perplexity returns the per-token perplexity of the corpus under m,
-// counting the EOS transition of each sentence as a token.
-func Perplexity(m Model, corpus [][]string) float64 {
-	lp := 0.0
-	tokens := 0
-	for _, s := range corpus {
-		lp += SentenceLogProb(m, s)
-		tokens += len(s) + 1
-	}
-	if tokens == 0 {
-		return math.NaN()
-	}
-	return math.Exp(-lp / float64(tokens))
-}

@@ -126,30 +126,6 @@ func TestLogProbAlwaysNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestSentenceLogProbAdds(t *testing.T) {
-	m := buildBigram(t)
-	good := SentenceLogProb(m, []string{"i", "want", "to", "book", "a", "car"})
-	bad := SentenceLogProb(m, []string{"car", "a", "book", "to", "want", "i"})
-	if good <= bad {
-		t.Errorf("natural order %v should beat reversed %v", good, bad)
-	}
-}
-
-func TestPerplexityTrainVsGarbage(t *testing.T) {
-	m := buildBigram(t)
-	train := Perplexity(m, tinyCorpus)
-	garbage := Perplexity(m, sentences("rate car please book\nme for like get"))
-	if train >= garbage {
-		t.Errorf("train ppl %v should be below garbage ppl %v", train, garbage)
-	}
-	if train < 1 {
-		t.Errorf("perplexity cannot be below 1, got %v", train)
-	}
-	if !math.IsNaN(Perplexity(m, nil)) {
-		t.Error("empty corpus perplexity should be NaN")
-	}
-}
-
 func TestTrigramUsesLongerContext(t *testing.T) {
 	tr := NewTrainer(3)
 	tr.AddCorpus(tinyCorpus)

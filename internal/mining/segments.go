@@ -72,18 +72,6 @@ func NewSegmentSet(segs ...*Index) *SegmentSet {
 	return s
 }
 
-// Segments returns the member segments (read-only).
-func (s *SegmentSet) Segments() []*Index { return s.segs }
-
-// SegmentLens returns the document count of each member segment.
-func (s *SegmentSet) SegmentLens() []int {
-	out := make([]int, len(s.segs))
-	for i, ix := range s.segs {
-		out[i] = ix.Len()
-	}
-	return out
-}
-
 // Seal builds the sealed segment of docs. It is the one way a segment is
 // made — a daemon's publish, its recovered WAL tail, StreamIndex.Seal
 // and MergeSegments all end here: docs is sorted by ID in place and
@@ -236,11 +224,6 @@ func (s *SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
 // Querier).
 func (s *SegmentSet) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
 	return FinalizeAssoc(rows, cols, confidence, s.AssocMarginals(rows, cols))
-}
-
-// Associate is AssociateN without the ignored parameter.
-func (s *SegmentSet) Associate(rows, cols []Dim, confidence float64) *AssocTable {
-	return s.AssociateN(rows, cols, confidence, 0)
 }
 
 // Trend merges the per-segment time-bucket counts via MergeTrends,

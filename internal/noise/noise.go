@@ -253,21 +253,6 @@ func (n *Noiser) Apply(r *rng.RNG, text string) string {
 	return msg
 }
 
-// IsLingo reports whether tok is a known SMS shorthand, and returns its
-// expansion. The cleaning stage builds its normalization dictionary from
-// the same inventory ("building domain specific dictionaries ... for
-// common lingo used in text messaging", §IV.A.2).
-func IsLingo(tok string) (string, bool) {
-	for full, shorts := range smsLingo {
-		for _, s := range shorts {
-			if tok == s {
-				return full, true
-			}
-		}
-	}
-	return "", false
-}
-
 // LingoTable returns a copy of the shorthand → canonical mapping.
 func LingoTable() map[string]string {
 	out := make(map[string]string)

@@ -29,10 +29,11 @@ func TestSMSNoiseProducesLingo(t *testing.T) {
 	n := New(SMSNoise)
 	r := rng.New(17)
 	lingoSeen := false
+	lingo := LingoTable()
 	for i := 0; i < 50 && !lingoSeen; i++ {
 		out := n.Apply(r.Split(uint64(i)), "please confirm your payment thanks you are great")
 		for _, w := range strings.Fields(out) {
-			if _, ok := IsLingo(strings.ToLower(w)); ok {
+			if _, ok := lingo[strings.ToLower(w)]; ok {
 				lingoSeen = true
 				break
 			}
@@ -106,13 +107,13 @@ func TestEmailNoiseLighterThanSMS(t *testing.T) {
 }
 
 func TestIsLingoRoundTrip(t *testing.T) {
-	if full, ok := IsLingo("pls"); !ok || full != "please" {
+	table := LingoTable()
+	if full, ok := table["pls"]; !ok || full != "please" {
 		t.Errorf("pls → %q %v", full, ok)
 	}
-	if _, ok := IsLingo("reservation"); ok {
+	if _, ok := table["reservation"]; ok {
 		t.Error("content word should not be lingo")
 	}
-	table := LingoTable()
 	if table["u"] != "you" || table["thx"] != "thanks" {
 		t.Error("lingo table incomplete")
 	}

@@ -256,16 +256,8 @@ func SpellDigits(s string) []string {
 	return out
 }
 
-// DigitWord returns the spoken word for digit d (0-9), or "" otherwise.
-func DigitWord(d int) string {
-	if d < 0 || d > 9 {
-		return ""
-	}
-	return digitWords[d]
-}
-
-// WordForDigitWord is the inverse of DigitWord: it maps a spoken digit
-// word ("seven") to its digit rune, reporting ok=false for other words.
+// WordForDigitWord maps a spoken digit word ("seven") to its digit rune,
+// reporting ok=false for other words.
 func WordForDigitWord(w string) (byte, bool) {
 	for i, dw := range digitWords {
 		if w == dw {

@@ -86,7 +86,7 @@ func TestPermanentFaultsDeadLetter(t *testing.T) {
 			Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond}},
 		Stage[item]{Name: "b", Workers: 2, Fn: appendStage("b")},
 	)
-	p.WithKey(itemKey).WithDeadLetterBudget(n)
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: n})
 	p.stages[0] = InjectFaults(p.stages[0], itemKey, func(stage, key string, attempt int) error {
 		if everyThird(key) {
 			return perm
@@ -131,7 +131,7 @@ func TestTransientExhaustionDeadLettersWithAttempts(t *testing.T) {
 		Stage[item]{Name: "a", Fn: appendStage("a"),
 			Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond}},
 	)
-	p.WithKey(itemKey).WithDeadLetterBudget(5)
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: 5})
 	p.stages[0] = InjectFaults(p.stages[0], itemKey,
 		failFirst(99, func(key string) bool { return key == "2" }))
 	err := p.Run(context.Background(),
@@ -150,7 +150,7 @@ func TestDeadLetterBudgetExceededFailsWithFirstError(t *testing.T) {
 	p := New[item]("t",
 		Stage[item]{Name: "a", Workers: 1, Fn: appendStage("a")},
 	)
-	p.WithKey(itemKey).WithDeadLetterBudget(2)
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: 2})
 	p.stages[0] = InjectFaults(p.stages[0], itemKey, func(stage, key string, attempt int) error {
 		return fmt.Errorf("permanent fault on item %s", key)
 	})

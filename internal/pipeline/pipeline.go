@@ -24,8 +24,8 @@
 //   - An item whose retries are exhausted (or whose error is permanent)
 //     either fails the run — the internal context is cancelled, all
 //     workers stop promptly, and Run returns the first error observed —
-//     or, when a dead-letter budget is configured (WithDeadLetterBudget
-//     or FaultTolerance.MaxDeadLetters), is parked in the dead-letter
+//     or, when a dead-letter budget is configured
+//     (FaultTolerance.MaxDeadLetters), is parked in the dead-letter
 //     queue and the run continues. Exceeding the budget fails fast with
 //     an error wrapping the first dead letter's error.
 //   - Cancelling the caller's context aborts the run the same way.
@@ -153,7 +153,7 @@ type Pipeline[T any] struct {
 	started atomic.Bool
 
 	// Fault-tolerance configuration (WithKey / WithSeed /
-	// WithDeadLetterBudget / WithFaultTolerance, all pre-Run).
+	// WithFaultTolerance, all pre-Run).
 	keyFn          func(T) string
 	seed           uint64
 	maxDeadLetters int
@@ -187,12 +187,6 @@ func New[T any](name string, stages ...Stage[T]) *Pipeline[T] {
 	return p
 }
 
-// Name returns the pipeline's name.
-func (p *Pipeline[T]) Name() string { return p.name }
-
-// Delivered returns how many items have reached the sink so far.
-func (p *Pipeline[T]) Delivered() uint64 { return p.delivered.Load() }
-
 // configure guards the With* setters: fault-tolerance knobs are part of
 // the pipeline's shape and must be fixed before Run.
 func (p *Pipeline[T]) configure(what string) {
@@ -215,18 +209,6 @@ func (p *Pipeline[T]) WithKey(fn func(T) string) *Pipeline[T] {
 func (p *Pipeline[T]) WithSeed(seed uint64) *Pipeline[T] {
 	p.configure("WithSeed")
 	p.seed = seed
-	return p
-}
-
-// WithDeadLetterBudget allows up to n items to exhaust their retries
-// (or fail permanently) and be parked in the dead-letter queue instead
-// of aborting the run. The n+1th dead letter fails the run fast with an
-// error wrapping the first dead letter's error. n <= 0 restores
-// fail-fast-on-first-error. Must be called before Run; returns p for
-// chaining.
-func (p *Pipeline[T]) WithDeadLetterBudget(n int) *Pipeline[T] {
-	p.configure("WithDeadLetterBudget")
-	p.maxDeadLetters = n
 	return p
 }
 
@@ -311,34 +293,10 @@ func (p *Pipeline[T]) Stats() []StageStats {
 	return out
 }
 
-// InFlight approximates items currently inside the stage function: In
-// minus everything already accounted for as Out, Skipped, Errors or
-// DeadLetters. Counters are sampled independently, so a racy snapshot
-// can be off by the worker count.
-func (s StageStats) InFlight() uint64 {
-	done := s.Out + s.Skipped + s.Errors + s.DeadLetters
-	if done > s.In {
-		return 0
-	}
-	return s.In - done
-}
-
 // Source feeds a pipeline: it calls emit once per item and returns when
-// the input is exhausted (or emit reports cancellation). SliceSource and
-// IndexedSource cover the common cases.
+// the input is exhausted (or emit reports cancellation). IndexedSource
+// covers the common case.
 type Source[T any] func(ctx context.Context, emit func(T) error) error
-
-// SliceSource emits each element of items in order.
-func SliceSource[T any](items []T) Source[T] {
-	return func(ctx context.Context, emit func(T) error) error {
-		for _, it := range items {
-			if err := emit(it); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
 
 // IndexedSource emits make(i) for i in [0, n) — handy when the item type
 // wraps a position so the sink can key results deterministically.

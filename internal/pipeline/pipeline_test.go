@@ -39,8 +39,8 @@ func TestEveryItemDrainsThroughAllStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Delivered() != n {
-		t.Fatalf("delivered %d, want %d", p.Delivered(), n)
+	if p.delivered.Load() != n {
+		t.Fatalf("delivered %d, want %d", p.delivered.Load(), n)
 	}
 	for i, tr := range got {
 		if tr != "abc" {
@@ -110,7 +110,7 @@ func TestStageErrorFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "stage explode") {
 		t.Fatalf("error %q does not name the failing stage", err)
 	}
-	if p.Delivered() == 1000 {
+	if p.delivered.Load() == 1000 {
 		t.Fatal("fail-fast run still delivered every item")
 	}
 }
@@ -250,8 +250,8 @@ func TestStatsObserveLatencyAndLiveProgress(t *testing.T) {
 	if st.MaxLatency < st.AvgLatency {
 		t.Fatalf("max latency %v below avg %v", st.MaxLatency, st.AvgLatency)
 	}
-	if st.InFlight() != 0 {
-		t.Fatalf("in-flight %d after drain", st.InFlight())
+	if inFlight := st.In - (st.Out + st.Skipped + st.Errors + st.DeadLetters); inFlight != 0 {
+		t.Fatalf("in-flight %d after drain", inFlight)
 	}
 }
 
@@ -337,13 +337,13 @@ func TestEmptySourceDrainsClean(t *testing.T) {
 		Stage[item]{Name: "a", Workers: 3, Fn: appendStage("a")},
 		Stage[item]{Name: "b", Workers: 2, Buffer: -1, Fn: appendStage("b")},
 	)
-	err := p.Run(context.Background(), SliceSource[item](nil),
+	err := p.Run(context.Background(), IndexedSource(0, func(int) item { return item{} }),
 		func(item) error { t.Error("sink saw an item from an empty source"); return nil })
 	if err != nil {
 		t.Fatalf("empty source run returned %v, want nil", err)
 	}
-	if p.Delivered() != 0 {
-		t.Fatalf("delivered %d from an empty source", p.Delivered())
+	if p.delivered.Load() != 0 {
+		t.Fatalf("delivered %d from an empty source", p.delivered.Load())
 	}
 }
 

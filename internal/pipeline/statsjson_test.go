@@ -62,7 +62,7 @@ func TestStatsMarshalFromLiveRun(t *testing.T) {
 		}},
 	)
 	var got []int
-	if err := p.Run(context.Background(), SliceSource([]int{1, 2, 3, 4}), func(v int) error {
+	if err := p.Run(context.Background(), IndexedSource(4, func(i int) int { return i + 1 }), func(v int) error {
 		got = append(got, v)
 		return nil
 	}); err != nil {

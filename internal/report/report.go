@@ -188,32 +188,3 @@ func RenderCenterDashboard(k CenterKPI) string {
 	}
 	return b.String()
 }
-
-// TrainingComparison renders the trained-vs-control KPI contrast the
-// §V.C experiment reports.
-func TrainingComparison(kpis []AgentKPI) string {
-	var tConv, cConv, tVal, cVal float64
-	var tN, cN int
-	for _, k := range kpis {
-		if k.SalesCalls == 0 {
-			continue
-		}
-		if k.Trained {
-			tConv += k.Conversion
-			tVal += k.ValueRate
-			tN++
-		} else {
-			cConv += k.Conversion
-			cVal += k.ValueRate
-			cN++
-		}
-	}
-	var b strings.Builder
-	if tN > 0 && cN > 0 {
-		fmt.Fprintf(&b, "trained (%d agents): conversion %.1f%%, value-selling %.1f%%\n",
-			tN, 100*tConv/float64(tN), 100*tVal/float64(tN))
-		fmt.Fprintf(&b, "control (%d agents): conversion %.1f%%, value-selling %.1f%%\n",
-			cN, 100*cConv/float64(cN), 100*cVal/float64(cN))
-	}
-	return b.String()
-}

@@ -140,19 +140,3 @@ func TestRenderCenterDashboard(t *testing.T) {
 		}
 	}
 }
-
-func TestTrainingComparison(t *testing.T) {
-	w, _ := world(t)
-	w.TrainAgents(5)
-	calls := w.GenerateCalls(10, 4)
-	kpis := AgentKPIs(w, calls)
-	out := TrainingComparison(kpis)
-	if !strings.Contains(out, "trained (5 agents)") {
-		t.Errorf("comparison wrong:\n%s", out)
-	}
-	// No trained agents → empty output.
-	w2, calls2 := world(t)
-	if got := TrainingComparison(AgentKPIs(w2, calls2)); got != "" {
-		t.Errorf("untrained comparison should be empty, got %q", got)
-	}
-}

@@ -52,20 +52,6 @@ func (r *RNG) Split(label uint64) *RNG {
 	return NewStream(r.state^h, h|1)
 }
 
-// Fork returns n independent child generators. Child i is exactly
-// r.Split(uint64(i)), so forks are stable: the same parent forks the
-// same children every run, and Fork does not advance the parent. This is
-// the substream primitive the streaming pipeline relies on — give every
-// document (or shard) its own fork and results stop depending on which
-// worker processed which item.
-func (r *RNG) Fork(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split(uint64(i))
-	}
-	return out
-}
-
 // SplitString derives an independent child generator from a string label.
 func (r *RNG) SplitString(label string) *RNG {
 	// FNV-1a over the label.
@@ -89,9 +75,6 @@ func (r *RNG) next32() uint32 {
 func (r *RNG) Uint64() uint64 {
 	return uint64(r.next32())<<32 | uint64(r.next32())
 }
-
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *RNG) Uint32() uint32 { return r.next32() }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -148,85 +131,8 @@ func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// Poisson returns a Poisson variate with the given mean (Knuth for small
-// means, normal approximation above 30 to stay O(1)).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := int(math.Round(r.Gaussian(mean, math.Sqrt(mean))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts shuffles s in place (Fisher-Yates).
-func (r *RNG) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pick returns a uniformly chosen element of choices. It panics on an
 // empty slice, mirroring Intn.
 func Pick[T any](r *RNG, choices []T) T {
 	return choices[r.Intn(len(choices))]
-}
-
-// Weighted returns an index in [0, len(weights)) with probability
-// proportional to the weight. Non-positive weights are treated as zero;
-// if all weights are zero it falls back to uniform.
-func (r *RNG) Weighted(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

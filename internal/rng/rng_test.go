@@ -66,92 +66,6 @@ func TestSplitStringStable(t *testing.T) {
 	}
 }
 
-func TestForkStableAndMatchesSplit(t *testing.T) {
-	p1, p2 := New(7), New(7)
-	kids := p1.Fork(8)
-	again := p2.Fork(8)
-	for i := range kids {
-		for d := 0; d < 50; d++ {
-			if kids[i].Uint64() != again[i].Uint64() {
-				t.Fatalf("fork child %d not reproducible at draw %d", i, d)
-			}
-		}
-	}
-	// Fork child i is defined as Split(i) — document the contract.
-	c := New(7).Fork(3)[2]
-	s := New(7).Split(2)
-	for d := 0; d < 50; d++ {
-		if c.Uint64() != s.Uint64() {
-			t.Fatal("Fork(n)[i] must equal Split(i)")
-		}
-	}
-}
-
-func TestForkDoesNotAdvanceParent(t *testing.T) {
-	p1, p2 := New(11), New(11)
-	p1.Fork(16)
-	if p1.Uint64() != p2.Uint64() {
-		t.Error("Fork must not advance parent state")
-	}
-}
-
-// TestForkStreamIndependence checks the worker-count-invariance
-// prerequisite statistically: sibling substreams must be uncorrelated
-// and collision-free, so per-document forks behave as independent
-// generators no matter which worker consumes them.
-func TestForkStreamIndependence(t *testing.T) {
-	const kids, draws = 10, 20000
-	streams := New(101).Fork(kids)
-	samples := make([][]float64, kids)
-	for i, s := range streams {
-		samples[i] = make([]float64, draws)
-		for d := range samples[i] {
-			samples[i][d] = s.Float64()
-		}
-	}
-	for i := 0; i < kids; i++ {
-		// Each stream individually uniform.
-		mean := 0.0
-		for _, v := range samples[i] {
-			mean += v
-		}
-		mean /= draws
-		if math.Abs(mean-0.5) > 0.02 {
-			t.Errorf("fork %d mean %v, want ~0.5", i, mean)
-		}
-		// Pairwise Pearson correlation near zero.
-		for j := i + 1; j < kids; j++ {
-			var sx, sy, sxx, syy, sxy float64
-			for d := 0; d < draws; d++ {
-				x, y := samples[i][d], samples[j][d]
-				sx += x
-				sy += y
-				sxx += x * x
-				syy += y * y
-				sxy += x * y
-			}
-			n := float64(draws)
-			cov := sxy/n - (sx/n)*(sy/n)
-			vx := sxx/n - (sx/n)*(sx/n)
-			vy := syy/n - (sy/n)*(sy/n)
-			if r := cov / math.Sqrt(vx*vy); math.Abs(r) > 0.03 {
-				t.Errorf("forks %d and %d correlate: r=%v", i, j, r)
-			}
-		}
-	}
-	// No cross-stream collisions in raw 64-bit output.
-	seen := make(map[uint64][2]int)
-	for i, s := range New(101).Fork(kids) {
-		for d := 0; d < 1000; d++ {
-			v := s.Uint64()
-			if prev, ok := seen[v]; ok {
-				t.Fatalf("streams %v and [%d %d] drew identical value %x", prev, i, d, v)
-			}
-			seen[v] = [2]int{i, d}
-		}
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%1000) + 1
@@ -270,68 +184,6 @@ func TestGaussianShift(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(37)
-	for _, mean := range []float64{0.5, 3, 12, 50} {
-		const n = 20000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
-		t.Error("non-positive mean should give 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw % 50)
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWeighted(t *testing.T) {
-	r := New(41)
-	counts := [3]int{}
-	const n = 60000
-	for i := 0; i < n; i++ {
-		counts[r.Weighted([]float64{1, 2, 1})]++
-	}
-	if math.Abs(float64(counts[1])/n-0.5) > 0.02 {
-		t.Errorf("weighted middle rate = %v", float64(counts[1])/n)
-	}
-	// All-zero weights fall back to uniform and never panic.
-	idx := r.Weighted([]float64{0, 0})
-	if idx != 0 && idx != 1 {
-		t.Errorf("zero-weight index = %d", idx)
-	}
-	// Negative weights are treated as zero.
-	for i := 0; i < 100; i++ {
-		if got := r.Weighted([]float64{-5, 1}); got != 1 {
-			t.Fatalf("negative weight drawn: %d", got)
-		}
-	}
-}
-
 func TestPick(t *testing.T) {
 	r := New(43)
 	choices := []string{"a", "b", "c"}
@@ -341,18 +193,5 @@ func TestPick(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Errorf("Pick did not cover all choices: %v", seen)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(47)
-	s := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.ShuffleInts(s)
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 21 {
-		t.Errorf("shuffle lost elements: %v", s)
 	}
 }

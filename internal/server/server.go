@@ -111,7 +111,9 @@ type Config struct {
 	// merge result for a mapped view of the very bytes it just wrote.
 	// Mapping is an optimization, never a correctness dependency — if the
 	// remap fails the heap index keeps serving. Recovery-time mapping is
-	// governed by the store's own Options.MapSegments.
+	// governed by the store's own Options.MapSegments, and there nothing
+	// falls back: a damaged generation is skipped, an mmap failure fails
+	// Open.
 	MapSegments bool
 }
 
@@ -206,10 +208,9 @@ type Server struct {
 // recoveryInfo summarizes what a warm start adopted from disk, for
 // /statsz and the daemon's startup line.
 type recoveryInfo struct {
-	segmentDocs    int
-	walDocs        int
-	walDropped     int64
-	eagerFallbacks []string
+	segmentDocs int
+	walDocs     int
+	walDropped  int64
 }
 
 // New returns an unstarted server. Without persistence the initial
@@ -234,10 +235,9 @@ func New(cfg Config) (*Server, error) {
 		rec := cfg.Persist.Recovered()
 		s.recIDs = rec.IDs()
 		s.recInfo = recoveryInfo{
-			segmentDocs:    rec.SegmentDocs,
-			walDocs:        len(rec.WALDocs),
-			walDropped:     rec.WALDropped,
-			eagerFallbacks: rec.EagerFallbacks,
+			segmentDocs: rec.SegmentDocs,
+			walDocs:     len(rec.WALDocs),
+			walDropped:  rec.WALDropped,
 		}
 		for _, seg := range rec.Segments {
 			s.segs = append(s.segs, segment{ix: seg.Index, diskGen: seg.Gen})
@@ -270,10 +270,6 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) RecoveryInfo() (segmentDocs, walDocs int, walDropped int64) {
 	return s.recInfo.segmentDocs, s.recInfo.walDocs, s.recInfo.walDropped
 }
-
-// EagerFallbacks names the recovered segment files the store was asked
-// to map and loaded onto the heap instead (store.Recovery).
-func (s *Server) EagerFallbacks() []string { return s.recInfo.eagerFallbacks }
 
 // viewLocked builds the fan-in view over the current live segments.
 // Caller holds pubMu.

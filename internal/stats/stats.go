@@ -15,7 +15,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrInsufficientData is returned by tests and estimators that need more
@@ -48,48 +47,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Median returns the median of xs, or 0 for an empty slice. xs is not
-// modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if q <= 0 {
-		return c[0]
-	}
-	if q >= 1 {
-		return c[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return c[n-1]
-	}
-	return c[lo]*(1-frac) + c[lo+1]*frac
 }
 
 // lgamma returns the natural log of the absolute value of the gamma
@@ -310,65 +267,4 @@ func WilsonIntervalZ(successes, n int, z float64) Interval {
 		hi = 1
 	}
 	return Interval{lo, hi}
-}
-
-// ProportionInterval returns the normal-approximation (Wald) interval for
-// a binomial proportion, clamped to [0, 1]. The association analysis uses
-// Wilson by default; Wald is kept for the ablation benchmark.
-func ProportionInterval(successes, n int, confidence float64) Interval {
-	if n <= 0 {
-		return Interval{0, 1}
-	}
-	z := NormalQuantile(1 - (1-confidence)/2)
-	p := float64(successes) / float64(n)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	lo, hi := p-half, p+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return Interval{lo, hi}
-}
-
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log
-// space for numerical stability.
-func BinomialPMF(k, n int, p float64) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lg := lgamma(float64(n+1)) - lgamma(float64(k+1)) - lgamma(float64(n-k+1))
-	return math.Exp(lg + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
-}
-
-// ChiSquare2x2 returns the chi-square statistic (with Yates continuity
-// correction) for a 2x2 contingency table [[a b] [c d]].
-func ChiSquare2x2(a, b, c, d int) float64 {
-	n := float64(a + b + c + d)
-	if n == 0 {
-		return 0
-	}
-	af, bf, cf, df := float64(a), float64(b), float64(c), float64(d)
-	num := math.Abs(af*df-bf*cf) - n/2
-	if num < 0 {
-		num = 0
-	}
-	denom := (af + bf) * (cf + df) * (af + cf) * (bf + df)
-	if denom == 0 {
-		return 0
-	}
-	return n * num * num / denom
 }

@@ -39,34 +39,6 @@ func TestVarianceDegenerate(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("empty median = %v, want 0", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("q0.5 = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q0.25 = %v", got)
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ z, want float64 }{
 		{0, 0.5},
@@ -230,50 +202,5 @@ func TestWilsonNarrowerWithMoreData(t *testing.T) {
 	big := WilsonInterval(600, 1000, 0.95)
 	if big.Hi-big.Lo >= small.Hi-small.Lo {
 		t.Error("interval should narrow as n grows at fixed proportion")
-	}
-}
-
-func TestProportionIntervalClamped(t *testing.T) {
-	iv := ProportionInterval(0, 10, 0.95)
-	if iv.Lo != 0 {
-		t.Errorf("Wald lo should clamp to 0, got %v", iv.Lo)
-	}
-	iv = ProportionInterval(10, 10, 0.95)
-	if iv.Hi != 1 {
-		t.Errorf("Wald hi should clamp to 1, got %v", iv.Hi)
-	}
-}
-
-func TestBinomialPMF(t *testing.T) {
-	// Binomial(4, 0.5): P(X=2) = 6/16.
-	if got := BinomialPMF(2, 4, 0.5); !almostEq(got, 0.375, 1e-12) {
-		t.Errorf("PMF = %v, want 0.375", got)
-	}
-	sum := 0.0
-	for k := 0; k <= 20; k++ {
-		sum += BinomialPMF(k, 20, 0.3)
-	}
-	if !almostEq(sum, 1, 1e-10) {
-		t.Errorf("PMF should sum to 1, got %v", sum)
-	}
-	if BinomialPMF(-1, 5, 0.5) != 0 || BinomialPMF(6, 5, 0.5) != 0 {
-		t.Error("out-of-range PMF should be 0")
-	}
-	if BinomialPMF(0, 5, 0) != 1 || BinomialPMF(5, 5, 1) != 1 {
-		t.Error("degenerate p PMF wrong")
-	}
-}
-
-func TestChiSquare2x2(t *testing.T) {
-	// Independent table should give ~0.
-	if got := ChiSquare2x2(10, 10, 10, 10); got != 0 {
-		t.Errorf("independent chi2 = %v", got)
-	}
-	// Strongly associated table should give a large statistic.
-	if got := ChiSquare2x2(50, 5, 5, 50); got < 50 {
-		t.Errorf("associated chi2 = %v, want large", got)
-	}
-	if ChiSquare2x2(0, 0, 0, 0) != 0 {
-		t.Error("empty table chi2 should be 0")
 	}
 }

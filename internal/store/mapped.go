@@ -62,8 +62,7 @@ var _ mining.Backing = (*Mapped)(nil)
 // OpenMapped maps a segment file and builds its offset-directory
 // lookup tables. cache may be shared across segments (nil gets a
 // private default-budget cache). Any validation failure returns an
-// IsCorrupt error so callers can fall back to the materializing
-// LoadSegment for the definitive verdict.
+// IsCorrupt error; any other error is the file not opening or not mapping.
 func OpenMapped(path string, cache *PostingsCache) (*Mapped, error) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
+	"bivoc/internal/wire"
 )
 
 // writeSegmentFile encodes ix and writes it where a test wants it.
@@ -434,11 +436,7 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := st2.Recovered()
-	if len(rec.EagerFallbacks) != 0 {
-		t.Fatalf("clean segment recorded as an eager fallback: %v", rec.EagerFallbacks)
-	}
-	recovered := soleSegment(t, rec)
+	recovered := soleSegment(t, st2.Recovered())
 	voctest.CheckQueriers(t, recovered, w.Index().Naive(), w)
 	if err := st2.Err(); err != nil {
 		t.Fatalf("clean mapped store reports %v", err)
@@ -459,16 +457,115 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 	}
 }
 
-// TestAdoptRecordsEagerFallback: a segment a MapSegments store holds
-// without a mapping is one that would not map and was loaded instead;
-// recovery names it.
-func TestAdoptRecordsEagerFallback(t *testing.T) {
-	ix := sealedIndex(voctest.NewWorld(30, 5).Docs)
-	for _, mapSegs := range []bool{false, true} {
-		s, rec := &Store{dir: "d", mapSegs: mapSegs}, &Recovery{}
-		s.adopt(rec, 7, s.segmentPath(7), ix, 1, nil)
-		if got := len(rec.EagerFallbacks); (got == 1) != mapSegs {
-			t.Errorf("MapSegments=%v: EagerFallbacks = %v", mapSegs, rec.EagerFallbacks)
+// TestDamagedGenerationUnderEitherLoader pins what recovery makes of a
+// damaged generation, per loader. Neither falls back to the other: a
+// file that fails the envelope is skipped and named under both, and the
+// two differ, on purpose, only for a file whose checksum holds over a
+// damaged body — the eager loader decodes everything and skips it, the
+// lazy one adopts it and reports through Store.Err on first touch.
+func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
+	t.Parallel()
+	docs := voctest.NewWorld(3, 60).Docs
+	const damagedGen = 2
+	resum := func(data []byte) []byte {
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-segFooterLen]))
+		return data
+	}
+	envelope := func(data []byte) segEnvelope {
+		env, err := checkEnvelope(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	all, rest := []uint64{1, 2, 3}, []uint64{1, 3}
+	for _, tc := range []struct {
+		name          string
+		damage        func(data []byte) []byte // nil: the file is gone
+		eager, mapped []uint64                 // generations recovered
+	}{
+		{"intact", func(data []byte) []byte { return data }, all, all},
+		{"bit flipped", func(data []byte) []byte { data[len(data)/2] ^= 0x10; return data }, rest, rest},
+		{"cut in half", func(data []byte) []byte { return data[:len(data)/2] }, rest, rest},
+		{"emptied", func(data []byte) []byte { return nil }, rest, rest},
+		{"missing", nil, rest, rest},
+		{"directory entry damaged, checksum repaired", func(data []byte) []byte {
+			env := envelope(data)
+			firstList := env.dirStart + 4*(env.nStrs+env.nDocs)
+			binary.LittleEndian.PutUint32(data[firstList:], math.MaxUint32) // a key no string table holds
+			return resum(data)
+		}, rest, rest},
+		{"document record damaged, checksum repaired", func(data []byte) []byte {
+			env := envelope(data)
+			firstDoc := binary.LittleEndian.Uint32(data[env.dirStart+4*env.nStrs:])
+			for i := range wire.MaxVarintLen + 1 { // no varint is this long
+				data[int(firstDoc)+i] = 0xFF
+			}
+			return resum(data)
+		}, rest, all},
+	} {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range segmentBatches(docs, 20) {
+			if _, err := st.AppendSegment(ix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := st.segmentPath(damagedGen)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.damage == nil {
+			err = os.Remove(path)
+		} else if data, rerr := os.ReadFile(path); rerr != nil {
+			err = rerr
+		} else {
+			err = os.WriteFile(path, tc.damage(data), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mapSegs := range []bool{false, true} {
+			want := tc.eager
+			if mapSegs {
+				want = tc.mapped
+			}
+			st, err := Open(dir, Options{MapSegments: mapSegs})
+			if err != nil {
+				t.Fatalf("%s, MapSegments=%v: %v", tc.name, mapSegs, err)
+			}
+			rec := st.Recovered()
+			var got []uint64
+			var damaged *mining.Index
+			for _, seg := range rec.Segments {
+				got = append(got, seg.Gen)
+				if seg.Gen == damagedGen {
+					damaged = seg.Index
+				}
+			}
+			var skipped []string
+			if damaged == nil {
+				skipped = []string{filepath.Base(path)}
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(rec.SkippedSegments, skipped) {
+				t.Errorf("%s, MapSegments=%v: recovered generations %v skipping %v, want %v skipping %v",
+					tc.name, mapSegs, got, rec.SkippedSegments, want, skipped)
+			}
+			if err := st.Err(); err != nil {
+				t.Errorf("%s, MapSegments=%v: Err() = %v before anything was read", tc.name, mapSegs, err)
+			}
+			if damaged != nil && len(tc.eager) < len(tc.mapped) {
+				damaged.Doc(0)
+				if err := st.Err(); !IsCorrupt(err) {
+					t.Errorf("%s: Err() = %v after the damaged record was read, want corruption", tc.name, err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -25,8 +25,9 @@ type Options struct {
 	// mappings (OpenMapped) instead of materializing them on the heap:
 	// recovery touches O(#postings lists) per segment instead of
 	// O(corpus), and resident memory tracks the hot query set rather
-	// than the corpus. A segment that cannot be mapped (damage) falls
-	// back to the materializing loader (Recovery.EagerFallbacks).
+	// than the corpus. A damaged generation is skipped under either
+	// loader and named in Recovery.SkippedSegments; a file that is sound
+	// and will not mmap fails Open.
 	MapSegments bool
 	// PostingsBudget caps the decoded-postings cache shared by the
 	// mapped segments, in bytes. 0 uses DefaultPostingsBudget. Ignored
@@ -69,9 +70,6 @@ type Recovery struct {
 	// SkippedSegments names segment files that failed validation and
 	// were passed over for an older generation.
 	SkippedSegments []string
-	// EagerFallbacks names segment files that would not map under
-	// MapSegments but did load: they are served from the heap.
-	EagerFallbacks []string
 }
 
 // IDs returns the set of durable document IDs — the ingest skip set
@@ -269,40 +267,34 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // adopt enters one segment loadOrMap opened into the recovery and the
-// live lineage, noting a file that MapSegments asked to map and did not.
+// live lineage.
 func (s *Store) adopt(rec *Recovery, gen uint64, path string, ix *mining.Index, size int64, m *Mapped) {
 	rec.Segments = append(rec.Segments, RecoveredSegment{Gen: gen, Index: ix})
 	s.segments = append(s.segments, segMeta{gen: gen, path: path, bytes: size, docs: ix.Len(), mapped: m})
-	if s.mapSegs && m == nil {
-		rec.EagerFallbacks = append(rec.EagerFallbacks, filepath.Base(path))
-	}
 }
 
 // loadOrMap opens one segment file the way the store is configured:
 // mapped (zero-copy, lazy) when MapSegments is on, else materialized.
-// A file that cannot be mapped (damage) falls back to the materializing
-// loader, which re-validates from scratch and yields the definitive
-// IsCorrupt verdict; the fallback can never serve different bytes
-// because DecodeSegment refuses any file whose offset directory
-// disagrees with its body.
+// There is no falling back from one to the other: the eager reader
+// checks the same envelope and then more (it rebuilds the directory and
+// requires byte equality), so a file the mapped reader refuses it
+// refuses too.
 // Called during Open only; s.mu must not be held.
 func (s *Store) loadOrMap(path string) (*mining.Index, int64, *Mapped, error) {
-	if s.mapSegs {
-		m, err := OpenMapped(path, s.cache)
-		if err == nil {
-			ix := mining.FromBacking(m)
-			ix.Prepare()
-			s.mu.Lock()
-			s.mappings = append(s.mappings, m)
-			s.mu.Unlock()
-			return ix, m.Bytes(), m, nil
-		}
-		if !IsCorrupt(err) && !errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil, err
-		}
+	if !s.mapSegs {
+		ix, size, err := LoadSegment(path)
+		return ix, size, nil, err
 	}
-	ix, size, err := LoadSegment(path)
-	return ix, size, nil, err
+	m, err := OpenMapped(path, s.cache)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	ix := mining.FromBacking(m)
+	ix.Prepare()
+	s.mu.Lock()
+	s.mappings = append(s.mappings, m)
+	s.mu.Unlock()
+	return ix, m.Bytes(), m, nil
 }
 
 // MapSegment reopens a live generation through the mapped reader —

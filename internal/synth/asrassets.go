@@ -49,24 +49,15 @@ func BuildLexicon() *asr.Lexicon {
 	return lex
 }
 
-// BuildLanguageModelOrder trains the interpolated N-gram LM at the given
-// order (2 = the paper's configuration; 3 enables trigram decoding; 1 is
-// the no-context baseline for the LM-order ablation).
-func BuildLanguageModelOrder(order int) (lm.Model, error) {
-	return buildLM(order)
-}
-
-// BuildLanguageModel trains the interpolated bigram LM of §IV.A.1:
-// a domain model from call-centre sentences and a general model from
+// BuildLanguageModelOrder trains the interpolated N-gram LM of §IV.A.1
+// at the given order (2 = the paper's configuration; 3 enables trigram
+// decoding; 1 is the no-context baseline for the LM-order ablation): a
+// domain model from call-centre sentences and a general model from
 // generic English, "with high weight given to the call-center specific
 // model". Name and digit slots are covered by synthetic identity
 // sentences over the whole name inventory so every lexicon word has LM
 // mass.
-func BuildLanguageModel() (lm.Model, error) {
-	return buildLM(2)
-}
-
-func buildLM(order int) (lm.Model, error) {
+func BuildLanguageModelOrder(order int) (lm.Model, error) {
 	domain := lm.NewTrainer(order)
 	// Replicate the conversational corpus: higher counts on generic
 	// bigrams shrink the Witten-Bell backoff weight, which keeps the

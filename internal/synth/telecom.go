@@ -472,9 +472,3 @@ func DriverPhraseSeed() map[string][]string {
 	}
 	return out
 }
-
-// RoutineSeed returns the routine (non-churn) body inventory.
-func RoutineSeed() []string { return clone(routineBodies) }
-
-// ChurnCloserSeed returns the leaving-statement inventory.
-func ChurnCloserSeed() []string { return clone(churnClosers) }

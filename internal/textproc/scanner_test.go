@@ -7,10 +7,10 @@ import (
 	"unicode"
 )
 
-// refTokenize is Tokenize as it stood before Words stopped going through
-// it, kept as the reference for the scanner all three now share.
-func refTokenize(s string) []Token {
-	var toks []Token
+// refTokenize is the tokenizer as it stood before Words stopped
+// materialising tokens, kept as the reference for the scanner.
+func refTokenize(s string) []token {
+	var toks []token
 	i := 0
 	n := len(s)
 	for i < n {
@@ -21,13 +21,12 @@ func refTokenize(s string) []Token {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
 			start := i
 			hasLetter := false
-			hasDigit := false
 			for i < n {
 				r2, sz := decodeRune(s[i:])
 				if unicode.IsLetter(r2) {
 					hasLetter = true
 				} else if unicode.IsDigit(r2) {
-					hasDigit = true
+					// a digit extends the token
 				} else if r2 == '\'' && hasLetter {
 					r3, _ := decodeRune(s[i+sz:])
 					if !unicode.IsLetter(r3) {
@@ -38,22 +37,16 @@ func refTokenize(s string) []Token {
 				}
 				i += sz
 			}
-			kind := KindWord
-			if hasDigit && hasLetter {
-				kind = KindAlphaNum
-			} else if hasDigit {
-				kind = KindNumber
-			}
-			toks = append(toks, Token{Text: s[start:i], Start: start, End: i, Kind: kind})
+			toks = append(toks, token{Text: s[start:i], Start: start, End: i, Word: true})
 		default:
-			toks = append(toks, Token{Text: s[i : i+size], Start: i, End: i + size, Kind: KindPunct})
+			toks = append(toks, token{Text: s[i : i+size], Start: i, End: i + size})
 			i += size
 		}
 	}
 	return toks
 }
 
-// TestScannerOnNoisyInput pins Tokenize, Words and ContentWords to the
+// TestScannerOnNoisyInput pins nextToken, Words and ContentWords to the
 // reference over the input VoC text actually brings: invalid UTF-8,
 // apostrophes in every position, digits glued to letters, non-Latin
 // scripts, unusual whitespace, nothing at all.
@@ -79,13 +72,13 @@ func TestScannerOnNoisyInput(t *testing.T) {
 	}
 	for _, s := range inputs {
 		ref := refTokenize(s)
-		if got := Tokenize(s); !reflect.DeepEqual(got, ref) {
-			t.Errorf("Tokenize(%q)\n got %v\nwant %v", s, got, ref)
+		if got := tokenize(s); !reflect.DeepEqual(got, ref) {
+			t.Errorf("nextToken over %q\n got %v\nwant %v", s, got, ref)
 		}
 		words := make([]string, 0, len(ref))
 		content := make([]string, 0, len(ref))
 		for _, tok := range ref {
-			if tok.Kind == KindPunct {
+			if !tok.Word {
 				continue
 			}
 			w := strings.ToLower(tok.Text)
@@ -99,9 +92,6 @@ func TestScannerOnNoisyInput(t *testing.T) {
 		}
 		if got := ContentWords(s); !reflect.DeepEqual(got, content) {
 			t.Errorf("ContentWords(%q)\n got %q\nwant %q", s, got, content)
-		}
-		if got := Tokenize(s); cap(got) != len(ref) {
-			t.Errorf("Tokenize(%q) has capacity %d for %d tokens", s, cap(got), len(ref))
 		}
 		if got := Words(s); cap(got) != len(words) {
 			t.Errorf("Words(%q) has capacity %d for %d words", s, cap(got), len(words))

@@ -7,7 +7,27 @@ import (
 	"testing/quick"
 )
 
-func texts(toks []Token) []string {
+// token is one step of the scanner, nextToken, as these tests read it.
+type token struct {
+	Text       string
+	Start, End int
+	Word       bool // letters and digits, not one rune of punctuation
+}
+
+// tokenize walks nextToken over s the way Words does, keeping punctuation.
+func tokenize(s string) []token {
+	var toks []token
+	for i := 0; ; {
+		start, end, word := nextToken(s, i)
+		if start == end {
+			return toks
+		}
+		toks = append(toks, token{Text: s[start:end], Start: start, End: end, Word: word})
+		i = end
+	}
+}
+
+func texts(toks []token) []string {
 	out := make([]string, len(toks))
 	for i, t := range toks {
 		out[i] = t.Text
@@ -16,7 +36,7 @@ func texts(toks []Token) []string {
 }
 
 func TestTokenizeBasic(t *testing.T) {
-	toks := Tokenize("Hello, world! It's 42.")
+	toks := tokenize("Hello, world! It's 42.")
 	want := []string{"Hello", ",", "world", "!", "It's", "42", "."}
 	if got := texts(toks); !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
@@ -24,24 +44,27 @@ func TestTokenizeBasic(t *testing.T) {
 }
 
 func TestTokenizeKinds(t *testing.T) {
-	toks := Tokenize("call 9876543210 re A4 pls")
-	kinds := map[string]TokenKind{}
+	toks := tokenize("call 9876543210, re A4 pls")
+	word := map[string]bool{}
 	for _, tok := range toks {
-		kinds[tok.Text] = tok.Kind
+		word[tok.Text] = tok.Word
 	}
-	if kinds["call"] != KindWord {
+	if !word["call"] {
 		t.Error("'call' should be a word")
 	}
-	if kinds["9876543210"] != KindNumber {
-		t.Error("phone number should be a number token")
+	if !word["9876543210"] {
+		t.Error("phone number should be one word token")
 	}
-	if kinds["A4"] != KindAlphaNum {
-		t.Error("'A4' should be alphanumeric")
+	if !word["A4"] {
+		t.Error("'A4' should be one word token")
+	}
+	if w, ok := word[","]; !ok || w {
+		t.Error("',' should be a punctuation token of its own")
 	}
 }
 
 func TestTokenizeApostrophe(t *testing.T) {
-	toks := Tokenize("didn't can't agents' cars")
+	toks := tokenize("didn't can't agents' cars")
 	got := texts(toks)
 	want := []string{"didn't", "can't", "agents", "'", "cars"}
 	if !reflect.DeepEqual(got, want) {
@@ -51,7 +74,7 @@ func TestTokenizeApostrophe(t *testing.T) {
 
 func TestTokenizeOffsets(t *testing.T) {
 	src := "hi there, bye"
-	for _, tok := range Tokenize(src) {
+	for _, tok := range tokenize(src) {
 		if src[tok.Start:tok.End] != tok.Text {
 			t.Errorf("offset mismatch: %q vs %q", src[tok.Start:tok.End], tok.Text)
 		}
@@ -59,10 +82,10 @@ func TestTokenizeOffsets(t *testing.T) {
 }
 
 func TestTokenizeEmpty(t *testing.T) {
-	if toks := Tokenize(""); len(toks) != 0 {
+	if toks := tokenize(""); len(toks) != 0 {
 		t.Errorf("empty input produced %v", toks)
 	}
-	if toks := Tokenize("   \t\n "); len(toks) != 0 {
+	if toks := tokenize("   \t\n "); len(toks) != 0 {
 		t.Errorf("whitespace produced %v", toks)
 	}
 }
@@ -72,7 +95,7 @@ func TestTokenizeRoundTripProperty(t *testing.T) {
 	// whitespace.
 	f := func(s string) bool {
 		var b strings.Builder
-		for _, tok := range Tokenize(s) {
+		for _, tok := range tokenize(s) {
 			b.WriteString(tok.Text)
 		}
 		stripped := strings.Map(func(r rune) rune {
@@ -93,7 +116,7 @@ func TestTokenizeRoundTripProperty(t *testing.T) {
 func TestTokenizeOffsetsProperty(t *testing.T) {
 	f := func(s string) bool {
 		prev := 0
-		for _, tok := range Tokenize(s) {
+		for _, tok := range tokenize(s) {
 			if tok.Start < prev || tok.End <= tok.Start || tok.End > len(s) {
 				return false
 			}
@@ -114,53 +137,6 @@ func TestWords(t *testing.T) {
 	want := []string{"the", "agent", "said", "book", "now", "pay", "50"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestSplitSentences(t *testing.T) {
-	got := SplitSentences("I want a car. Can you help? Great!")
-	want := []string{"I want a car.", "Can you help?", "Great!"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestSplitSentencesNoTerminator(t *testing.T) {
-	got := SplitSentences("no punctuation here")
-	if !reflect.DeepEqual(got, []string{"no punctuation here"}) {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestSplitSentencesEllipsis(t *testing.T) {
-	got := SplitSentences("Hmm... okay then.")
-	want := []string{"Hmm...", "okay then."}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestSplitSentencesDecimalNotSplit(t *testing.T) {
-	// "Rs.2013" style strings (Fig 1 of the paper) must not split because
-	// no whitespace follows the period.
-	got := SplitSentences("charged Rs.2013 for sms")
-	if len(got) != 1 {
-		t.Errorf("decimal-period split wrongly: %v", got)
-	}
-}
-
-func TestSplitSentencesEmpty(t *testing.T) {
-	if got := SplitSentences(""); len(got) != 0 {
-		t.Errorf("empty produced %v", got)
-	}
-	if got := SplitSentences("   "); len(got) != 0 {
-		t.Errorf("blank produced %v", got)
-	}
-}
-
-func TestNormalizeWhitespace(t *testing.T) {
-	if got := NormalizeWhitespace("  a \t b\n\nc  "); got != "a b c" {
-		t.Errorf("got %q", got)
 	}
 }
 
@@ -199,44 +175,5 @@ func TestContentWords(t *testing.T) {
 	want := []string{"like", "book", "full", "size", "car"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestVocabulary(t *testing.T) {
-	v := NewVocabulary()
-	v.Add("car", "car", "rate", "car", "discount")
-	if v.Count("car") != 3 || v.Count("rate") != 1 || v.Count("missing") != 0 {
-		t.Error("counts wrong")
-	}
-	if v.Total() != 5 || v.Size() != 3 {
-		t.Errorf("total=%d size=%d", v.Total(), v.Size())
-	}
-}
-
-func TestVocabularyTopN(t *testing.T) {
-	v := NewVocabulary()
-	v.Add("b", "b", "a", "a", "c")
-	got := v.TopN(2)
-	// a and b tie at 2; lexicographic tiebreak puts a first.
-	want := []string{"a", "b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	if got := v.TopN(100); len(got) != 3 {
-		t.Errorf("TopN over size = %v", got)
-	}
-}
-
-func TestVocabularyTopNDeterministic(t *testing.T) {
-	build := func() []string {
-		v := NewVocabulary()
-		for _, w := range []string{"x", "y", "z", "w", "x", "y", "z", "w"} {
-			v.Add(w)
-		}
-		return v.TopN(4)
-	}
-	a, b := build(), build()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("TopN not deterministic: %v vs %v", a, b)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 )
 
 // DB is a named collection of tables — the "structured database" side of
@@ -45,26 +43,6 @@ func (db *DB) MustTable(name string) *Table {
 	return t
 }
 
-// TableNames returns the sorted table names.
-func (db *DB) TableNames() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tables returns all tables in name order.
-func (db *DB) Tables() []*Table {
-	names := db.TableNames()
-	out := make([]*Table, len(names))
-	for i, n := range names {
-		out[i] = db.tables[n]
-	}
-	return out
-}
-
 // ExportCSV writes the table as CSV with a header row.
 func (t *Table) ExportCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -86,54 +64,4 @@ func (t *Table) ExportCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ImportCSV reads rows from CSV (with a header row matching the schema
-// column order) into the table.
-func (t *Table) ImportCSV(r io.Reader) error {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("warehouse: reading CSV header: %w", err)
-	}
-	if len(header) != len(t.schema.Columns) {
-		return fmt.Errorf("warehouse: CSV has %d columns, schema has %d",
-			len(header), len(t.schema.Columns))
-	}
-	for i, h := range header {
-		if h != t.schema.Columns[i].Name {
-			return fmt.Errorf("warehouse: CSV column %d is %q, want %q", i, h, t.schema.Columns[i].Name)
-		}
-	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("warehouse: reading CSV line %d: %w", line, err)
-		}
-		vals := make([]Value, len(rec))
-		for i, s := range rec {
-			switch t.schema.Columns[i].Type {
-			case TypeInt:
-				n, err := strconv.ParseInt(s, 10, 64)
-				if err != nil {
-					return fmt.Errorf("warehouse: line %d column %s: %w", line, t.schema.Columns[i].Name, err)
-				}
-				vals[i] = IntValue(n)
-			case TypeFloat:
-				f, err := strconv.ParseFloat(s, 64)
-				if err != nil {
-					return fmt.Errorf("warehouse: line %d column %s: %w", line, t.schema.Columns[i].Name, err)
-				}
-				vals[i] = FloatValue(f)
-			default:
-				vals[i] = StringValue(s)
-			}
-		}
-		if _, err := t.Insert(vals...); err != nil {
-			return fmt.Errorf("warehouse: line %d: %w", line, err)
-		}
-	}
 }

@@ -1,18 +1,16 @@
 // Package warehouse is the structured-data substrate of BIVoC: typed
 // in-memory tables with schemas, primary keys, exact and fuzzy secondary
-// indexes, scans and aggregations, plus CSV import/export.
+// indexes, grouped aggregation and CSV export.
 //
 // The paper's engagements link VoC documents against warehouse tables
 // (customers, transactions, reservations, credit cards). The linking
-// engine only needs three capabilities from the warehouse: typed
-// attribute access, fast candidate generation for a possibly-garbled
-// token (fuzzy indexes), and full scans for evaluation — all provided
-// here.
+// engine needs two capabilities from the warehouse: typed attribute
+// access and fast candidate generation for a possibly-garbled token
+// (fuzzy indexes) — both provided here.
 package warehouse
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -112,11 +110,6 @@ func IntValue(i int64) Value {
 	return Value{Str: strconv.FormatInt(i, 10), Num: float64(i), IsNum: true}
 }
 
-// FloatValue wraps a float cell.
-func FloatValue(f float64) Value {
-	return Value{Str: strconv.FormatFloat(f, 'g', -1, 64), Num: f, IsNum: true}
-}
-
 // RowID identifies a row within its table (stable across the table's
 // lifetime; rows are append-only as in a warehouse fact table).
 type RowID int32
@@ -167,9 +160,6 @@ func NewTable(schema Schema) (*Table, error) {
 
 // Schema returns the table's schema.
 func (t *Table) Schema() Schema { return t.schema }
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.schema.Table }
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
@@ -234,86 +224,15 @@ func (t *Table) GetString(id RowID, column string) string {
 	return v.Str
 }
 
-// GetNum returns the numeric form of a cell (0 if absent or non-numeric).
-func (t *Table) GetNum(id RowID, column string) float64 {
-	v, _ := t.Get(id, column)
-	return v.Num
-}
-
-// ByKey returns the row id with the given primary-key value.
-func (t *Table) ByKey(key string) (RowID, bool) {
-	id, ok := t.pk[key]
-	return id, ok
-}
-
-// Scan calls fn for every row until fn returns false.
-func (t *Table) Scan(fn func(id RowID, get func(column string) Value) bool) {
-	for i := range t.rows {
-		id := RowID(i)
-		get := func(column string) Value {
-			v, _ := t.Get(id, column)
-			return v
-		}
-		if !fn(id, get) {
-			return
-		}
-	}
-}
-
-// Select returns the ids of rows where pred is true.
-func (t *Table) Select(pred func(get func(column string) Value) bool) []RowID {
-	var out []RowID
-	t.Scan(func(id RowID, get func(string) Value) bool {
-		if pred(get) {
-			out = append(out, id)
-		}
-		return true
-	})
-	return out
-}
-
-// CountBy returns the number of rows per distinct value of column.
-func (t *Table) CountBy(column string) map[string]int {
-	out := make(map[string]int)
-	ci := t.schema.col(column)
-	if ci < 0 {
-		return out
-	}
-	for _, r := range t.rows {
-		out[r.vals[ci].Str]++
-	}
-	return out
-}
-
-// CrossTab counts rows for each (a, b) value pair of two columns — the
-// structured half of the two-dimensional association analysis (§IV.D.2).
-func (t *Table) CrossTab(colA, colB string) map[[2]string]int {
-	out := make(map[[2]string]int)
-	ca, cb := t.schema.col(colA), t.schema.col(colB)
-	if ca < 0 || cb < 0 {
-		return out
-	}
-	for _, r := range t.rows {
-		out[[2]string{r.vals[ca].Str, r.vals[cb].Str}]++
-	}
-	return out
-}
-
-// Candidates returns row ids whose value in column plausibly matches the
-// (possibly garbled) token, via the column's fuzzy index. The result is
-// sorted and deduplicated. This is the candidate-generation primitive
-// that lets the linker avoid scoring every entity (§IV.B: "the
-// highest-scoring entity can be determined efficiently, without computing
-// scores explicitly for all entities").
-func (t *Table) Candidates(column, token string) []RowID {
-	return t.CandidatesAppend(nil, column, token)
-}
-
-// CandidatesAppend is Candidates into a reusable buffer: it appends the
-// sorted, duplicate-free candidate ids to buf[:0] and returns the
-// (possibly grown) slice. The linking engine calls it once per
-// (token, attribute) pair, so reusing one buffer across the loop removes
-// a per-lookup allocation from the hot path.
+// CandidatesAppend finds the row ids whose value in column plausibly
+// matches the (possibly garbled) token, via the column's fuzzy index —
+// the candidate-generation primitive that lets the linker avoid scoring
+// every entity (§IV.B: "the highest-scoring entity can be determined
+// efficiently, without computing scores explicitly for all entities"). It
+// appends the sorted, duplicate-free ids to buf[:0] and returns the
+// (possibly grown) slice: the linking engine calls it once per (token,
+// attribute) pair, so reusing one buffer across the loop removes a
+// per-lookup allocation from the hot path.
 func (t *Table) CandidatesAppend(buf []RowID, column, token string) []RowID {
 	idx, ok := t.indexes[column]
 	if !ok {
@@ -365,16 +284,5 @@ func (t *Table) Aggregate(groupCol, valueCol string) map[string]AggStats {
 		}
 		out[key] = st
 	}
-	return out
-}
-
-// Distinct returns the sorted distinct values of a column.
-func (t *Table) Distinct(column string) []string {
-	set := t.CountBy(column)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
