@@ -11,7 +11,7 @@
 //	       [-days N] [-workers N] [-swap-interval D] [-swap-every N]
 //	       [-max-segments N] [-cache N] [-confidence P]
 //	       [-drain-timeout D] [-data-dir PATH] [-wal-sync N] [-shard I/N]
-//	       [-mmap] [-postings-budget BYTES] [-pprof HOST:PORT]
+//	       [-mmap] [-pprof HOST:PORT]
 //
 // With -pprof the runtime profiles (net/http/pprof) are served on a
 // second listener at that address — off by default, and never on the
@@ -32,10 +32,10 @@
 // mmap-backed postings with lazy decode: recovery maps the on-disk
 // segment instead of materializing it, compactions swap their merged
 // heap index for a mapped view of the bytes just written, and hot
-// postings are cached under the -postings-budget byte cap. Query
-// results are byte-identical to the materialized path; the win is
-// opening corpora larger than memory in O(#lists) time and letting
-// resident size track the working set instead of the corpus.
+// postings are cached under a 64 MiB byte cap. Query results are
+// byte-identical to the materialized path; the win is opening corpora
+// larger than memory in O(#lists) time and letting resident size track
+// the working set instead of the corpus.
 //
 // Endpoints:
 //
@@ -85,7 +85,6 @@ func main() {
 	walSync := flag.Int("wal-sync", 1, "fsync the ingest WAL every N documents (1 = every document)")
 	shard := flag.String("shard", "", "serve as shard i of n, as \"i/n\" (empty = serve everything); pair with bivocfed")
 	useMmap := flag.Bool("mmap", false, "serve sealed segments from mmap-backed postings with lazy decode (requires -data-dir)")
-	postingsBudget := flag.Int64("postings-budget", 0, "byte cap on cached decoded postings under -mmap (0 = default 64 MiB, negative = unbounded)")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
 
@@ -116,7 +115,6 @@ func main() {
 	cfg.DataDir = *dataDir
 	cfg.WALSyncEvery = *walSync
 	cfg.MapSegments = *useMmap
-	cfg.PostingsBudget = *postingsBudget
 	cfg.ShardIndex = shardIndex
 	cfg.ShardCount = shardCount
 

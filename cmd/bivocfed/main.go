@@ -10,8 +10,8 @@
 // Usage:
 //
 //	bivocfed -shards URL,URL,... [-addr HOST:PORT] [-shard-timeout D]
-//	         [-confidence P] [-cache-size N] [-cache-ttl D]
-//	         [-drain-timeout D] [-pprof HOST:PORT]
+//	         [-confidence P] [-cache-size N] [-drain-timeout D]
+//	         [-pprof HOST:PORT]
 //
 // With -pprof the runtime profiles (net/http/pprof) are served on a
 // second listener at that address — off by default, and never on the
@@ -48,7 +48,6 @@ func main() {
 	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard request timeout; a slower shard is treated as down for that query")
 	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
 	cacheSize := flag.Int("cache-size", 0, "coordinator result-cache entries (0 = default 256, negative = off); a hit skips the scatter")
-	cacheTTL := flag.Duration("cache-ttl", 0, "how long a scatter-observed generation vector stays trusted (0 = default 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
@@ -70,7 +69,6 @@ func main() {
 		ShardTimeout: *shardTimeout,
 		Confidence:   *confidence,
 		CacheSize:    *cacheSize,
-		CacheTTL:     *cacheTTL,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)

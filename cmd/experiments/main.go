@@ -28,25 +28,44 @@ func main() {
 	flag.Parse()
 
 	full := *scale == "full"
-	run := func(name string, fn func(bool, uint64) error) {
+	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
 		fmt.Printf("\n=== %s ===\n", name)
-		if err := fn(full, *seed); err != nil {
+		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
+	analysis := analyses(full, *seed)
 
-	run("table1", runTable1)
-	run("secondpass", runSecondPass)
-	run("table2", runTable2)
-	run("table3", runTable3)
-	run("table4", runTable4)
-	run("uplift", runUplift)
-	run("churn", runChurn)
-	run("fig4", runFig4)
+	run("table1", func() error { return runTable1(full, *seed) })
+	run("secondpass", func() error { return runSecondPass(full, *seed) })
+	run("table2", func() error { return runTable2(analysis) })
+	run("table3", func() error { return runTable3(analysis) })
+	run("table4", func() error { return runTable4(analysis) })
+	run("uplift", func() error { return runUplift(full, *seed) })
+	run("churn", func() error { return runChurn(full, *seed) })
+	run("fig4", func() error { return runFig4(full, *seed, analysis) })
+}
+
+// analysisFn returns the run's call analysis over reference (false) or
+// ASR (true) transcripts.
+type analysisFn func(useASR bool) (*bivoc.CallAnalysis, error)
+
+// analyses builds each call analysis once per run: table2, table3, table4
+// and fig4 read the reference one, table3 and table4 the ASR one.
+func analyses(full bool, seed uint64) analysisFn {
+	built := map[bool]*bivoc.CallAnalysis{}
+	return func(useASR bool) (*bivoc.CallAnalysis, error) {
+		if ca, ok := built[useASR]; ok {
+			return ca, nil
+		}
+		ca, err := buildAnalysis(full, seed, useASR)
+		built[useASR] = ca
+		return ca, err
+	}
 }
 
 func runTable1(full bool, seed uint64) error {
@@ -89,7 +108,7 @@ func runSecondPass(full bool, seed uint64) error {
 	return nil
 }
 
-func analysis(full bool, seed uint64, useASR bool) (*bivoc.CallAnalysis, error) {
+func buildAnalysis(full bool, seed uint64, useASR bool) (*bivoc.CallAnalysis, error) {
 	cfg := bivoc.DefaultCallAnalysisConfig()
 	cfg.World.Seed = seed
 	cfg.UseASR = useASR
@@ -111,8 +130,8 @@ func analysis(full bool, seed uint64, useASR bool) (*bivoc.CallAnalysis, error) 
 	return bivoc.RunCallAnalysis(cfg)
 }
 
-func runTable2(full bool, seed uint64) error {
-	ca, err := analysis(full, seed, false)
+func runTable2(analysis analysisFn) error {
+	ca, err := analysis(false)
 	if err != nil {
 		return err
 	}
@@ -141,8 +160,8 @@ func runTable2(full bool, seed uint64) error {
 	return nil
 }
 
-func runTable3(full bool, seed uint64) error {
-	ca, err := analysis(full, seed, false)
+func runTable3(analysis analysisFn) error {
+	ca, err := analysis(false)
 	if err != nil {
 		return err
 	}
@@ -150,7 +169,7 @@ func runTable3(full bool, seed uint64) error {
 	fmt.Println("Table III — customer intention vs pick-up result (reference transcripts)")
 	printOutcomeTable(t3, [][2]string{{"63%", "37%"}, {"32%", "68%"}})
 
-	caASR, err := analysis(full, seed, true)
+	caASR, err := analysis(true)
 	if err != nil {
 		return err
 	}
@@ -159,8 +178,8 @@ func runTable3(full bool, seed uint64) error {
 	return nil
 }
 
-func runTable4(full bool, seed uint64) error {
-	ca, err := analysis(full, seed, false)
+func runTable4(analysis analysisFn) error {
+	ca, err := analysis(false)
 	if err != nil {
 		return err
 	}
@@ -168,7 +187,7 @@ func runTable4(full bool, seed uint64) error {
 	fmt.Println("Table IV — agent utterance vs customer objection result (reference transcripts)")
 	printOutcomeTable(t4, [][2]string{{"59%", "41%"}, {"72%", "28%"}})
 
-	caASR, err := analysis(full, seed, true)
+	caASR, err := analysis(true)
 	if err != nil {
 		return err
 	}
@@ -243,7 +262,7 @@ func runChurn(full bool, seed uint64) error {
 	return nil
 }
 
-func runFig4(full bool, seed uint64) error {
+func runFig4(full bool, seed uint64, analysis analysisFn) error {
 	// Part 1 — the paper's actual Figure 4 content: competitor mentions
 	// in emails × the category assigned to the email.
 	ecfg := core.DefaultEmailAssociationConfig()
@@ -272,7 +291,7 @@ func runFig4(full bool, seed uint64) error {
 	}
 
 	// Part 2 — the same drill-down machinery on the call corpus.
-	ca, err := analysis(full, seed, false)
+	ca, err := analysis(false)
 	if err != nil {
 		return err
 	}
@@ -311,11 +330,4 @@ func conceptSummary(d mining.Document) string {
 		parts = parts[:4]
 	}
 	return strings.Join(parts, ", ")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -61,19 +61,21 @@ func captureStdout(t *testing.T, fn func() error) string {
 
 // TestFastSectionsMatchGolden runs the four experiments that need no ASR
 // decoding and requires each to print exactly its block of the golden
-// file.
+// file. table2 and fig4 share one reference call analysis, as they do in
+// -exp all.
 func TestFastSectionsMatchGolden(t *testing.T) {
 	want := goldenSections(t)
 	if len(want) != 8 {
 		t.Fatalf("%s holds %d sections, want the 8 of -exp all", goldenPath, len(want))
 	}
-	for name, fn := range map[string]func(bool, uint64) error{
-		"table2": runTable2,
-		"uplift": runUplift,
-		"churn":  runChurn,
-		"fig4":   runFig4,
+	analysis := analyses(false, 2009)
+	for name, fn := range map[string]func() error{
+		"table2": func() error { return runTable2(analysis) },
+		"uplift": func() error { return runUplift(false, 2009) },
+		"churn":  func() error { return runChurn(false, 2009) },
+		"fig4":   func() error { return runFig4(false, 2009, analysis) },
 	} {
-		if got := captureStdout(t, func() error { return fn(false, 2009) }); got != want[name] {
+		if got := captureStdout(t, fn); got != want[name] {
 			t.Errorf("section %s diverges from %s:\n got:\n%s\nwant:\n%s", name, goldenPath, got, want[name])
 		}
 	}

@@ -16,30 +16,21 @@ type DecoderConfig struct {
 	// BeamWidth is the maximum number of live hypotheses kept per
 	// observation position.
 	BeamWidth int
-	// WordPenalty is a log-space penalty applied at each word emission to
-	// balance word insertions against deletions.
-	WordPenalty float64
-	// EpsilonRounds bounds the chains of non-consuming transitions (word
-	// boundaries and phone deletions) explored per observation position.
-	EpsilonRounds int
-	// AllowedNames, when non-nil, restricts which ClassName words may be
-	// emitted. This is the paper's second-pass mechanism: after linking
-	// yields top-N candidate identities, "limit the number of conflicting
-	// names to only N names ... in the LM" (§IV.A.1).
-	AllowedNames map[string]bool
-	// NameBonus is a log-space bonus added when emitting an allowed name
-	// in constrained mode, reflecting the sharpened name prior.
-	NameBonus float64
 }
 
 // DefaultDecoderConfig returns the standard first-pass configuration.
 func DefaultDecoderConfig() DecoderConfig {
-	return DecoderConfig{
-		BeamWidth:     192,
-		WordPenalty:   -1.2,
-		EpsilonRounds: 3,
-	}
+	return DecoderConfig{BeamWidth: 192}
 }
+
+const (
+	// wordPenalty is a log-space penalty applied at each word emission to
+	// balance word insertions against deletions.
+	wordPenalty = -1.2
+	// epsilonRounds bounds the chains of non-consuming transitions (word
+	// boundaries and phone deletions) explored per observation position.
+	epsilonRounds = 3
+)
 
 // Decoder is a token-passing Viterbi beam decoder over a pronunciation
 // trie with an N-gram language model.
@@ -48,6 +39,14 @@ type Decoder struct {
 	lm  lm.Model
 	em  *EmissionModel
 	cfg DecoderConfig
+	// allowedNames, when non-nil, restricts which ClassName words may be
+	// emitted. This is the paper's second-pass mechanism: after linking
+	// yields top-N candidate identities, "limit the number of conflicting
+	// names to only N names ... in the LM" (§IV.A.1).
+	allowedNames map[string]bool
+	// nameBonus is a log-space bonus added when emitting an allowed name
+	// in constrained mode, reflecting the sharpened name prior.
+	nameBonus float64
 }
 
 // NewDecoder assembles a decoder. The emission model should be derived
@@ -56,9 +55,6 @@ type Decoder struct {
 func NewDecoder(lex *Lexicon, model lm.Model, em *EmissionModel, cfg DecoderConfig) *Decoder {
 	if cfg.BeamWidth <= 0 {
 		cfg.BeamWidth = 192
-	}
-	if cfg.EpsilonRounds <= 0 {
-		cfg.EpsilonRounds = 3
 	}
 	return &Decoder{lex: lex, lm: model, em: em, cfg: cfg}
 }
@@ -167,11 +163,11 @@ func (d *Decoder) emitWords(h *hyp, out *beam) {
 	for _, id := range d.lex.nodes[h.node].words {
 		word := d.lex.words[id]
 		bonus := 0.0
-		if d.cfg.AllowedNames != nil && d.lex.classes[id] == ClassName {
-			if !d.cfg.AllowedNames[word] {
+		if d.allowedNames != nil && d.lex.classes[id] == ClassName {
+			if !d.allowedNames[word] {
 				continue // constrained pass: name outside the top-N list
 			}
-			bonus = d.cfg.NameBonus
+			bonus = d.nameBonus
 		}
 		lp := d.lm.LogProb(d.lmContext(h), word)
 		last2 := ""
@@ -183,7 +179,7 @@ func (d *Decoder) emitWords(h *hyp, out *beam) {
 			hist:  &wlist{word: word, prev: h.hist},
 			last:  word,
 			last2: last2,
-			score: h.score + lp + d.cfg.WordPenalty + bonus,
+			score: h.score + lp + wordPenalty + bonus,
 		})
 	}
 }
@@ -196,7 +192,7 @@ func (d *Decoder) deletions(h *hyp, out *beam) {
 	}
 }
 
-// closure applies word emissions and deletions up to EpsilonRounds times,
+// closure applies word emissions and deletions up to epsilonRounds times,
 // pruning between rounds.
 func (d *Decoder) closure(hs []*hyp) []*hyp {
 	bm := newBeam()
@@ -204,7 +200,7 @@ func (d *Decoder) closure(hs []*hyp) []*hyp {
 		bm.offer(h)
 	}
 	frontier := hs
-	for round := 0; round < d.cfg.EpsilonRounds; round++ {
+	for round := 0; round < epsilonRounds; round++ {
 		next := newBeam()
 		for _, h := range frontier {
 			d.emitWords(h, next)
@@ -328,11 +324,7 @@ func (r *Recognizer) Decoder() *Decoder { return r.decoder }
 // LM and channel but restricting name emissions to the given set — the
 // second-pass configuration of §IV.A.1.
 func (r *Recognizer) WithNameConstraint(names map[string]bool, bonus float64) *Recognizer {
-	cfg := r.decoder.cfg
-	cfg.AllowedNames = names
-	cfg.NameBonus = bonus
-	return &Recognizer{
-		Lex: r.Lex, Model: r.Model, Channel: r.Channel,
-		decoder: NewDecoder(r.Lex, r.Model, NewEmissionModel(r.Channel.Config()), cfg),
-	}
+	d := NewDecoder(r.Lex, r.Model, NewEmissionModel(r.Channel.Config()), r.decoder.cfg)
+	d.allowedNames, d.nameBonus = names, bonus
+	return &Recognizer{Lex: r.Lex, Model: r.Model, Channel: r.Channel, decoder: d}
 }

@@ -183,7 +183,7 @@ func TestEndToEndOnSyntheticWorld(t *testing.T) {
 			continue
 		}
 		text := clean.StripSignature(cm.Text)
-		if m.Month < cfg.Months-1 {
+		if m.Month < synth.TelecomMonths-1 {
 			p.Train(text, m.FromChurner)
 		} else {
 			evalTexts = append(evalTexts, text)

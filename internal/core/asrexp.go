@@ -11,11 +11,11 @@ import (
 )
 
 // ASRExperimentConfig drives the Table I measurement: per-entity-class
-// word error rates of the recognizer at a channel operating point.
+// word error rates of the recognizer at Table I's channel operating point,
+// asr.CallCenterChannel.
 type ASRExperimentConfig struct {
 	World    synth.CarRentalConfig
 	NumCalls int
-	Channel  asr.ChannelConfig
 	Decoder  asr.DecoderConfig
 	// LMOrder is the language-model N-gram order (default 2, the paper's
 	// configuration; 1 and 3 support the LM-order ablation).
@@ -30,7 +30,6 @@ func DefaultASRExperimentConfig() ASRExperimentConfig {
 	return ASRExperimentConfig{
 		World:    world,
 		NumCalls: 120,
-		Channel:  asr.CallCenterChannel,
 		Decoder:  asr.DefaultDecoderConfig(),
 	}
 }
@@ -57,7 +56,7 @@ func RunASRExperiment(cfg ASRExperimentConfig) (*ASRResult, error) {
 	if order <= 0 {
 		order = 2
 	}
-	rec, err := synth.BuildRecognizerOrder(cfg.Channel, cfg.Decoder, order)
+	rec, err := synth.BuildRecognizerOrder(asr.CallCenterChannel, cfg.Decoder, order)
 	if err != nil {
 		return nil, err
 	}
@@ -97,22 +96,21 @@ func RunASRExperiment(cfg ASRExperimentConfig) (*ASRResult, error) {
 // SecondPassConfig drives the §IV.A.1 improvement experiment: link the
 // first-pass transcript to the customer database, take the top-N
 // candidate identities, and re-decode with the name vocabulary
-// restricted to those candidates.
+// restricted to those candidates. The audio passes through Table I's
+// channel, asr.CallCenterChannel.
 type SecondPassConfig struct {
 	World    synth.CarRentalConfig
 	NumCalls int
-	Channel  asr.ChannelConfig
 	Decoder  asr.DecoderConfig
 	TopN     int
-	// NameBonus is the log-space prior sharpening for allowed names.
-	NameBonus float64
-	// MinIdentityScore gates the second pass: the constrained re-decode
-	// runs only when the best database match scores at least this much
-	// (≈1.0 means both name parts, or a name plus phone evidence,
-	// matched). Below the gate, linking is too uncertain to narrow the
-	// name vocabulary safely.
-	MinIdentityScore float64
 }
+
+// minIdentityScore gates the second pass: the constrained re-decode runs
+// only when the best database match scores at least this much (≈1.0
+// means both name parts, or a name plus phone evidence, matched). Below
+// the gate, linking is too uncertain to narrow the name vocabulary
+// safely.
+const minIdentityScore = 0.45
 
 // DefaultSecondPassConfig returns the paper-shaped configuration.
 func DefaultSecondPassConfig() SecondPassConfig {
@@ -120,13 +118,10 @@ func DefaultSecondPassConfig() SecondPassConfig {
 	world.CallsPerDay = 1
 	world.Days = 0
 	return SecondPassConfig{
-		World:            world,
-		NumCalls:         120,
-		Channel:          asr.CallCenterChannel,
-		Decoder:          asr.DefaultDecoderConfig(),
-		TopN:             8,
-		NameBonus:        2.0,
-		MinIdentityScore: 0.45,
+		World:    world,
+		NumCalls: 120,
+		Decoder:  asr.DefaultDecoderConfig(),
+		TopN:     8,
 	}
 }
 
@@ -183,7 +178,7 @@ func RunSecondPassExperiment(cfg SecondPassConfig) (*SecondPassResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := synth.BuildRecognizer(cfg.Channel, cfg.Decoder)
+	rec, err := synth.BuildRecognizer(asr.CallCenterChannel, cfg.Decoder)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +208,7 @@ func RunSecondPassExperiment(cfg SecondPassConfig) (*SecondPassResult, error) {
 		tokens := annotators.ExtractIdentity(strings.Join(first, " "))
 		matches := engine.LinkTable(tokens, "customers", cfg.TopN)
 		second := first
-		if len(matches) > 0 && matches[0].Score >= cfg.MinIdentityScore {
+		if len(matches) > 0 && matches[0].Score >= minIdentityScore {
 			res.LinkedCalls++
 			topNames := engine.TopNames(tokens, "customers", "name", cfg.TopN)
 			allowed := make(map[string]bool, len(topNames))

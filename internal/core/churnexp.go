@@ -21,8 +21,6 @@ import (
 // earlier months, and measure churner detection on the final month.
 type ChurnExperimentConfig struct {
 	World synth.TelecomConfig
-	// Threshold is the churn-posterior decision threshold.
-	Threshold float64
 	// MinLinkScore is the acceptance threshold on the linker's aggregate
 	// score: a best match below it counts as unlinkable. Identity
 	// evidence from a full name is worth ≈1.0, so 0.9 demands a nearly
@@ -53,11 +51,13 @@ type ChurnExperimentConfig struct {
 	FaultInject pipeline.FaultFn
 }
 
+// churnThreshold is the churn-posterior decision threshold.
+const churnThreshold = 0.3
+
 // DefaultChurnExperimentConfig returns the paper-shaped configuration.
 func DefaultChurnExperimentConfig() ChurnExperimentConfig {
 	return ChurnExperimentConfig{
 		World:           synth.DefaultTelecomConfig(),
-		Threshold:       0.3,
 		MinLinkScore:    0.85,
 		MinLinkScoreSMS: 0.45,
 		Channel:         "email",
@@ -279,8 +279,8 @@ func runChurnExperiment(ctx context.Context, cfg ChurnExperimentConfig, newLinke
 	// Train on months before the last; evaluate on the last month. The
 	// label comes from the LINKED subscriber's churn status — exactly the
 	// paper's integration step.
-	evalMonth := cfg.World.Months - 1
-	pred := churn.NewPredictor(cfg.Threshold)
+	evalMonth := synth.TelecomMonths - 1
+	pred := churn.NewPredictor(churnThreshold)
 	var evalMsgs []linkedMessage
 	for _, lmsg := range linked {
 		labelChurn := world.Customers[lmsg.custIdx].Churned

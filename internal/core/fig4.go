@@ -14,14 +14,17 @@ const CatCompetitor = "competitor"
 // mentions of competitor brands in customer emails with the category
 // assigned to each email, then drill from any cell to the documents.
 type EmailAssociationConfig struct {
-	World      synth.TelecomConfig
-	Confidence float64
+	World synth.TelecomConfig
 }
 
 // DefaultEmailAssociationConfig returns the standard configuration.
 func DefaultEmailAssociationConfig() EmailAssociationConfig {
-	return EmailAssociationConfig{World: synth.DefaultTelecomConfig(), Confidence: 0.95}
+	return EmailAssociationConfig{World: synth.DefaultTelecomConfig()}
 }
+
+// emailAssocConfidence is the confidence of Figure 4's association
+// intervals.
+const emailAssocConfidence = 0.95
 
 // EmailAssociation is the assembled Figure 4 state.
 type EmailAssociation struct {
@@ -76,6 +79,6 @@ func RunEmailCategoryAnalysis(cfg EmailAssociationConfig) (*EmailAssociation, er
 	// any follow-on drill-downs over the returned Index) hit the sealed
 	// query caches.
 	ix.Prepare()
-	tbl := ix.Associate(rows, cols, cfg.Confidence)
+	tbl := ix.Associate(rows, cols, emailAssocConfidence)
 	return &EmailAssociation{Index: ix, Table: tbl}, nil
 }

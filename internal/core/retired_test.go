@@ -124,7 +124,7 @@ func TestCallTypeClassifierOnNoisyTranscripts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := synth.BuildRecognizer(asr.CallCenterChannel, asr.DecoderConfig{BeamWidth: 96})
+	rec, err := synth.BuildRecognizer(asr.CallCenterChannel, asr.DefaultDecoderConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

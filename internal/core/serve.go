@@ -50,13 +50,10 @@ type ServeConfig struct {
 	// postings with lazy decode instead of materializing them on the
 	// heap: recovered segments open mapped, and each compaction swaps
 	// its merged heap index for a mapped view of the bytes it just
-	// wrote. Requires DataDir; query results are byte-identical either
-	// way.
+	// wrote. The lazily decoded postings share a cache of
+	// store.DefaultPostingsBudget bytes. Requires DataDir; query results
+	// are byte-identical either way.
 	MapSegments bool
-	// PostingsBudget caps the bytes of lazily decoded postings the
-	// mapped readers keep on the heap (0 = store default, 64 MiB;
-	// negative = unbounded). Only meaningful with MapSegments.
-	PostingsBudget int64
 }
 
 // DefaultServeConfig serves reference transcripts (UseASR off, so the
@@ -112,9 +109,8 @@ func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 	if cfg.DataDir != "" {
 		var err error
 		st, err = store.Open(cfg.DataDir, store.Options{
-			SyncEvery:      cfg.WALSyncEvery,
-			MapSegments:    cfg.MapSegments,
-			PostingsBudget: cfg.PostingsBudget,
+			SyncEvery:   cfg.WALSyncEvery,
+			MapSegments: cfg.MapSegments,
 		})
 		if err != nil {
 			return nil, err
@@ -130,6 +126,5 @@ func NewServeServer(cfg ServeConfig) (*server.Server, error) {
 		CacheSize:     cfg.CacheSize,
 		Confidence:    cfg.Analysis.Confidence,
 		Persist:       st,
-		MapSegments:   cfg.MapSegments,
 	})
 }

@@ -20,21 +20,20 @@ import (
 // only while that vector is still what the fleet would answer with.
 // The coordinator holds no shard state, so it learns the current vector
 // the only way it can — from scatters: every fully-live scatter result
-// (no "-" gaps) refreshes the trusted vector with a TTL. A hit requires
-// the entry's vector to equal the trusted vector and the trust to be
-// fresh; any shard's generation advancing changes the observed vector
-// and every older entry stops matching — natural wholesale
+// (no "-" gaps) refreshes the trusted vector for trustWindow. A hit
+// requires the entry's vector to equal the trusted vector and the trust
+// to be fresh; any shard's generation advancing changes the observed
+// vector and every older entry stops matching — natural wholesale
 // invalidation, exactly like the snapshot swap on a single node.
 // Degraded vectors are never trusted and never cached: a body merged
 // from a partial fleet must not outlive the partiality that produced
 // it.
 //
-// The TTL (Config.CacheTTL, default 1s) bounds staleness between
-// scatters: after a quiet period the first query always scatters,
-// re-observing the vector, and only then do hits resume. Equivalence
-// suites pin that a hit serves bytes identical to an uncached scatter.
+// The trust window bounds staleness between scatters: after a quiet
+// period the first query always scatters, re-observing the vector, and
+// only then do hits resume. Equivalence suites pin that a hit serves
+// bytes identical to an uncached scatter.
 type resultCache struct {
-	ttl     time.Duration
 	entries *lru.Cache[string, resultEntry]
 
 	mu           sync.Mutex
@@ -48,11 +47,16 @@ type resultEntry struct {
 	body *server.CachedBody
 }
 
+// trustWindow is how long a scatter-observed generation vector stays
+// trusted for cache hits. Sealed fleets never advance, so the only cost of
+// the window there is one refreshing scatter per quiet period.
+const trustWindow = time.Second
+
 // newResultCache returns a cache holding at most capacity bodies
 // (capacity < 1 disables caching entirely: nothing is kept, so nothing
 // hits).
-func newResultCache(capacity int, ttl time.Duration) *resultCache {
-	return &resultCache{ttl: ttl, entries: lru.New[string, resultEntry](int64(capacity))}
+func newResultCache(capacity int) *resultCache {
+	return &resultCache{entries: lru.New[string, resultEntry](int64(capacity))}
 }
 
 // fullVec reports whether vec has an entry from every shard (no "-"
@@ -81,7 +85,7 @@ func (c *resultCache) observe(vec string, now time.Time) {
 func (c *resultCache) get(key string, now time.Time) (body *server.CachedBody, vec string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.trusted != "" && now.Sub(c.trustedAt) <= c.ttl {
+	if c.trusted != "" && now.Sub(c.trustedAt) <= trustWindow {
 		if e, found := c.entries.Get(key); found && e.vec == c.trusted {
 			c.hits++
 			return e.body, e.vec, true

@@ -36,12 +36,6 @@ type Config struct {
 	// CacheSize bounds the coordinator's generation-vector result cache
 	// (entries). Default 256; negative disables coordinator caching.
 	CacheSize int
-	// CacheTTL bounds how long a scatter-observed generation vector
-	// stays trusted for cache hits (default 1s). A smaller TTL trades
-	// hit rate for tighter staleness under concurrent ingest; sealed
-	// fleets never advance, so the only cost of the TTL there is one
-	// refreshing scatter per quiet period.
-	CacheTTL time.Duration
 }
 
 // shardIdleConns is how many idle connections the default client keeps
@@ -66,13 +60,6 @@ func (c Config) cacheSize() int {
 		return 256
 	}
 	return c.CacheSize
-}
-
-func (c Config) cacheTTL() time.Duration {
-	if c.CacheTTL <= 0 {
-		return time.Second
-	}
-	return c.CacheTTL
 }
 
 // Coordinator serves the /v1 API by scattering every query to all
@@ -108,7 +95,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		eps:    server.NewEndpoints(cfg.Confidence),
 		client: cfg.Client,
-		cache:  newResultCache(cfg.cacheSize(), cfg.cacheTTL()),
+		cache:  newResultCache(cfg.cacheSize()),
 		slo:    server.NewSLORecorder(),
 	}
 	if c.client == nil {

@@ -28,9 +28,6 @@ type Engine struct {
 	// weights holds w_jk: the weight of attribute j for entity type k
 	// (Eqn 3). Initialized uniform; LearnWeights re-estimates them.
 	weights map[Attribute]float64
-	// simFloor discards candidate matches below this similarity so junk
-	// tokens do not accumulate score.
-	simFloor float64
 	// attrOrder gives every configured attribute a dense engine-wide index
 	// (ctxAttr.idx), in token-type then configuration order: the order the
 	// per-token similarity memo is laid out in and LearnWeights sums in.
@@ -61,22 +58,15 @@ type Config struct {
 	// Targets routes token types to attributes. Every attribute must
 	// exist in the database with a compatible MatchKind.
 	Targets map[TokenType][]Attribute
-	// SimFloor is the minimum per-token similarity contributing to a
-	// score (default 0.55).
-	SimFloor float64
 }
 
 // NewEngine validates the config against the database and returns an
 // engine with uniform attribute weights.
 func NewEngine(db *warehouse.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
-		db:       db,
-		targets:  make(map[TokenType][]Attribute),
-		weights:  make(map[Attribute]float64),
-		simFloor: cfg.SimFloor,
-	}
-	if e.simFloor <= 0 {
-		e.simFloor = 0.55
+		db:      db,
+		targets: make(map[TokenType][]Attribute),
+		weights: make(map[Attribute]float64),
 	}
 	perTable := map[string]int{}
 	var types []TokenType
@@ -192,6 +182,11 @@ func similarity(kind warehouse.MatchKind, token, value string) float64 {
 	}
 }
 
+// simFloor is the minimum per-token similarity contributing to a score,
+// so junk tokens do not accumulate score. It is typed so that simFloor*0.4
+// rounds as a float64 product does.
+const simFloor float64 = 0.55
+
 // floorFor returns the per-kind similarity floor. Digit evidence is
 // inherently partial — the paper's example is 6 of 10 phone digits
 // recognized, and fragments shorter still carry signal when combined
@@ -199,9 +194,9 @@ func similarity(kind warehouse.MatchKind, token, value string) float64 {
 // text floor.
 func (e *Engine) floorFor(kind warehouse.MatchKind) float64 {
 	if kind == warehouse.MatchDigits {
-		return e.simFloor * 0.4
+		return simFloor * 0.4
 	}
-	return e.simFloor
+	return simFloor
 }
 
 // Match is one linked entity with its aggregate score.

@@ -21,15 +21,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bivoc/internal/server"
 )
 
 // QuerySpec is one synthesized query in endpoint+params form: it
 // renders as a single GET (/v1/<endpoint>?<params>) or as one
-// sub-query of a /v1/batch POST.
-type QuerySpec struct {
-	Endpoint string              `json:"endpoint"`
-	Params   map[string][]string `json:"params"`
-}
+// sub-query of a /v1/batch POST, the daemons' own wire type.
+type QuerySpec = server.BatchQuery
 
 // Config drives one open-loop run against one target.
 type Config struct {
@@ -208,9 +207,7 @@ func renderRequest(cfg Config, i, batch int) (request, error) {
 	for j := range sub {
 		sub[j] = cfg.Queries[(i*batch+j)%len(cfg.Queries)]
 	}
-	body, err := json.Marshal(struct {
-		Queries []QuerySpec `json:"queries"`
-	}{sub})
+	body, err := json.Marshal(server.BatchRequest{Queries: sub})
 	if err != nil {
 		return request{}, err
 	}

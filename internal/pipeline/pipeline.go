@@ -218,7 +218,7 @@ func (p *Pipeline[T]) WithSeed(seed uint64) *Pipeline[T] {
 func (p *Pipeline[T]) WithFaultTolerance(ft FaultTolerance) *Pipeline[T] {
 	p.configure("WithFaultTolerance")
 	for i := range p.stages {
-		if p.stages[i].Retry.isZero() {
+		if p.stages[i].Retry == (RetryPolicy{}) {
 			p.stages[i].Retry = ft.Retry
 		}
 		if p.stages[i].Timeout == 0 {
@@ -345,7 +345,7 @@ func (p *Pipeline[T]) runItem(ctx context.Context, stage Stage[T], st *stageStat
 			st.timeouts.Add(1)
 			err = fmt.Errorf("attempt timed out after %v: %w", stage.Timeout, err)
 		}
-		if (timedOut || pol.transient(err)) && attempt < pol.maxAttempts() {
+		if (timedOut || isTransient(err)) && attempt < pol.maxAttempts() {
 			st.retries.Add(1)
 			if !sleepCtx(ctx, pol.Backoff(p.seed, stage.Name, key, attempt)) {
 				return next, false, true

@@ -10,30 +10,29 @@ import (
 )
 
 // ErrTransient marks an error as retryable. Stage functions (and fault
-// injectors) wrap recoverable failures with Transient so the default
-// transient classifier retries them; anything else is treated as
-// permanent. A custom RetryPolicy.IsTransient overrides this.
+// injectors) wrap recoverable failures with Transient so the retry
+// classifier, isTransient, retries them; anything else is treated as
+// permanent.
 var ErrTransient = errors.New("pipeline: transient fault")
 
-// Transient wraps err so DefaultIsTransient reports it retryable. The
+// Transient wraps err so isTransient reports it retryable. The
 // original error stays reachable through errors.Is/As.
 func Transient(err error) error {
 	return fmt.Errorf("%w: %w", ErrTransient, err)
 }
 
-// DefaultIsTransient is the retry classifier used when a RetryPolicy
-// does not set its own: errors marked with Transient and per-attempt
-// timeouts (context.DeadlineExceeded) are retryable, everything else is
-// permanent. Permanent failures never burn retry attempts — they go
-// straight to the dead-letter queue (or fail the run when no budget is
-// configured).
-func DefaultIsTransient(err error) bool {
+// isTransient is the retry classifier of every RetryPolicy: errors marked
+// with Transient and per-attempt timeouts (context.DeadlineExceeded) are
+// retryable, everything else is permanent. Permanent failures never burn
+// retry attempts — they go straight to the dead-letter queue (or fail the
+// run when no budget is configured).
+func isTransient(err error) bool {
 	return errors.Is(err, ErrTransient) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // RetryPolicy controls re-execution of a stage function on transient
-// failures. The zero value disables retry (every failure is final),
-// which is the pre-fault-tolerance behaviour.
+// failures (isTransient decides which). The zero value disables retry
+// (every failure is final), which is the pre-fault-tolerance behaviour.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per item, including the
 	// first; values <= 1 disable retry.
@@ -49,16 +48,6 @@ type RetryPolicy struct {
 	// pipeline seed, stage name, item key and attempt number, never by
 	// wall clock.
 	Jitter float64
-	// IsTransient classifies errors as retryable. Nil means
-	// DefaultIsTransient.
-	IsTransient func(error) bool
-}
-
-// isZero reports whether the policy is entirely unset (funcs are not
-// comparable, so RetryPolicy has no == against its zero value).
-func (pol RetryPolicy) isZero() bool {
-	return pol.MaxAttempts == 0 && pol.BaseDelay == 0 && pol.MaxDelay == 0 &&
-		pol.Jitter == 0 && pol.IsTransient == nil
 }
 
 // maxAttempts normalizes MaxAttempts to at least one try.
@@ -67,14 +56,6 @@ func (pol RetryPolicy) maxAttempts() int {
 		return 1
 	}
 	return pol.MaxAttempts
-}
-
-// transient applies the configured classifier or the default.
-func (pol RetryPolicy) transient(err error) bool {
-	if pol.IsTransient != nil {
-		return pol.IsTransient(err)
-	}
-	return DefaultIsTransient(err)
 }
 
 // Backoff returns the delay before attempt+1, after `attempt` failed

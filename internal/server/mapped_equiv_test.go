@@ -106,10 +106,9 @@ func TestMappedDaemonServesIdenticalBytes(t *testing.T) {
 			})
 			mapSt := openMappedStore(t, copyStoreDir(t, dir))
 			mapped := startServer(t, Config{
-				Source:      resumableSource(docs, nil),
-				Persist:     mapSt,
-				MapSegments: true,
-				CacheSize:   -1,
+				Source:    resumableSource(docs, nil),
+				Persist:   mapSt,
+				CacheSize: -1,
 			})
 			waitIngestDone(t, mat)
 			waitIngestDone(t, mapped)
@@ -146,9 +145,8 @@ func TestMappedStatszSections(t *testing.T) {
 	dir, _ := sealCorpus(t, docs, queries)
 
 	s := startServer(t, Config{
-		Source:      resumableSource(docs, nil),
-		Persist:     openMappedStore(t, dir),
-		MapSegments: true,
+		Source:  resumableSource(docs, nil),
+		Persist: openMappedStore(t, dir),
 	})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
@@ -191,11 +189,26 @@ func TestMappedStatszSections(t *testing.T) {
 	}
 }
 
+// mappedGens lists the disk generations of s's live segments that are
+// served from a file mapping.
+func mappedGens(s *Server) []uint64 {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	var gens []uint64
+	for _, seg := range s.segs {
+		if _, ok := seg.ix.Backing().(*store.Mapped); ok {
+			gens = append(gens, seg.diskGen)
+		}
+	}
+	return gens
+}
+
 // TestMappedDaemonCompactionIdentical drives both daemons through
 // fresh ingest with a tight segment bound so the compactor runs, and
 // requires the bytes to keep matching after the mapped daemon has
 // swapped its merged heap index for a mapped view of the compacted
-// segment.
+// segment — which it does because its store maps, while its heap twin,
+// over a store that does not, never maps anything.
 func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	t.Parallel()
 	seed := voctest.ParityDocs(150)
@@ -204,18 +217,18 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	dir, _ := sealCorpus(t, seed, queries)
 
 	const maxSegs = 3
-	cfg := func(st *store.Store, mapped bool) Config {
+	cfg := func(st *store.Store) Config {
 		return Config{
 			Source:      resumableSource(all, nil),
 			Persist:     st,
-			MapSegments: mapped,
 			SwapEvery:   25,
 			MaxSegments: maxSegs,
 		}
 	}
-	mat := startServer(t, cfg(openStore(t, copyStoreDir(t, dir)), false))
+	matSt := openStore(t, copyStoreDir(t, dir))
+	mat := startServer(t, cfg(matSt))
 	mapSt := openMappedStore(t, copyStoreDir(t, dir))
-	mapped := startServer(t, cfg(mapSt, true))
+	mapped := startServer(t, cfg(mapSt))
 	waitIngestDone(t, mat)
 	waitIngestDone(t, mapped)
 
@@ -236,9 +249,21 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	}
 
 	// The mapped daemon must now be serving at least one segment from a
-	// mapping of the compaction's output.
-	if st := mapSt.Stats(); st.MappedSegments < 1 {
-		t.Fatalf("no mapped segments after compaction: %+v", st)
+	// mapping of a compaction's output: a generation it did not recover
+	// (the recovered ones open mapped without any remap).
+	recovered := map[uint64]bool{}
+	for _, rs := range mapSt.Recovered().Segments {
+		recovered[rs.Gen] = true
+	}
+	remapped := false
+	for _, gen := range mappedGens(mapped) {
+		remapped = remapped || !recovered[gen]
+	}
+	if !remapped {
+		t.Fatalf("no compaction output is served mapped: mapped generations %v, recovered %v", mappedGens(mapped), recovered)
+	}
+	if gens, st := mappedGens(mat), matSt.Stats(); len(gens) > 0 || st.MappedSegments > 0 {
+		t.Fatalf("heap daemon maps generations %v (store counts %d)", gens, st.MappedSegments)
 	}
 
 	compareAll(t, "across compaction",

@@ -23,7 +23,7 @@ func TestHealthzDegradedOnMappedDecodeFailure(t *testing.T) {
 	docs := voctest.ParityDocs(150)
 	dir, _ := sealCorpus(t, docs, nil)
 	st := openMappedStore(t, dir)
-	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st, MapSegments: true, CacheSize: -1})
+	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st, CacheSize: -1})
 	waitIngestDone(t, s)
 	stats := st.Stats()
 	if stats.MappedSegments != 1 || len(stats.Segments) != 1 {

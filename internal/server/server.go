@@ -103,18 +103,13 @@ type Config struct {
 	// ingest skip set, every ingested document is WAL-appended, every
 	// published segment is written to the store's lineage, and
 	// compactions replace their inputs on disk. Open it with store.Open;
-	// the server takes ownership (Shutdown closes it).
+	// the server takes ownership (Shutdown closes it). When the store
+	// maps its segments (store.Options.MapSegments), so does the server:
+	// after a compaction lands on disk it swaps the in-memory merge result
+	// for a mapped view of the very bytes it just wrote. That remap is an
+	// optimization, never a correctness dependency — if it fails the heap
+	// index keeps serving.
 	Persist *store.Store
-	// MapSegments, when set alongside Persist, serves compacted segments
-	// from mmap-backed postings instead of re-heaping the merged index:
-	// after a compaction lands on disk the server swaps the in-memory
-	// merge result for a mapped view of the very bytes it just wrote.
-	// Mapping is an optimization, never a correctness dependency — if the
-	// remap fails the heap index keeps serving. Recovery-time mapping is
-	// governed by the store's own Options.MapSegments, and there nothing
-	// falls back: a damaged generation is skipped, an mmap failure fails
-	// Open.
-	MapSegments bool
 }
 
 func (c Config) cacheSize() int {
@@ -380,13 +375,12 @@ func (s *Server) compactLoop() {
 					s.setPersistErr(err)
 				} else {
 					newSeg.diskGen = st.SegmentGen
-					if s.cfg.MapSegments {
-						// Serve the compacted segment from the bytes just
-						// written. On failure keep the heap merge — the map
-						// is a memory optimization, not a dependency.
-						if mapped, merr := s.cfg.Persist.MapSegment(st.SegmentGen); merr == nil {
-							newSeg.ix = mapped
-						}
+					// Serve the compacted segment from the bytes just written
+					// when the store maps. On failure (or a store that does
+					// not map) keep the heap merge — the map is a memory
+					// optimization, not a dependency.
+					if mapped, merr := s.cfg.Persist.MapSegment(st.SegmentGen); merr == nil {
+						newSeg.ix = mapped
 					}
 				}
 			}

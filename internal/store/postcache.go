@@ -29,9 +29,9 @@ type postKey struct {
 // slot + LRU node) charged against the budget on top of the slice.
 const postEntryOverhead = 96
 
-// DefaultPostingsBudget caps the decoded-postings cache when the
-// caller does not set one: enough for the hot set of a multi-million
-// document corpus while staying far below materializing it.
+// DefaultPostingsBudget caps the decoded-postings cache of a Store that
+// maps its segments: enough for the hot set of a multi-million document
+// corpus while staying far below materializing it.
 const DefaultPostingsBudget = 64 << 20
 
 // NewPostingsCache returns a cache holding at most budget bytes of

@@ -27,12 +27,9 @@ type Options struct {
 	// O(corpus), and resident memory tracks the hot query set rather
 	// than the corpus. A damaged generation is skipped under either
 	// loader and named in Recovery.SkippedSegments; a file that is sound
-	// and will not mmap fails Open.
+	// and will not mmap fails Open. The mapped segments share one
+	// decoded-postings cache of DefaultPostingsBudget bytes.
 	MapSegments bool
-	// PostingsBudget caps the decoded-postings cache shared by the
-	// mapped segments, in bytes. 0 uses DefaultPostingsBudget. Ignored
-	// unless MapSegments is set.
-	PostingsBudget int64
 }
 
 func (o Options) syncEvery() int {
@@ -170,7 +167,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	openStart := time.Now()
 	s := &Store{dir: dir, syncEvery: opts.syncEvery(), mapSegs: opts.MapSegments}
 	if s.mapSegs {
-		s.cache = NewPostingsCache(opts.PostingsBudget)
+		s.cache = NewPostingsCache(DefaultPostingsBudget)
 	}
 	if err := s.cleanOrphans(); err != nil {
 		return nil, err
@@ -302,7 +299,8 @@ func (s *Store) loadOrMap(path string) (*mining.Index, int64, *Mapped, error) {
 // segment, the serving layer swaps its heap-resident merged index for
 // the mapping so the materialized copy can be collected. Fails (and
 // the caller keeps the heap index) rather than ever serving a
-// generation that does not map cleanly.
+// generation that does not map cleanly, and a store opened without
+// MapSegments maps nothing.
 func (s *Store) MapSegment(gen uint64) (*mining.Index, error) {
 	if !s.mapSegs {
 		return nil, fmt.Errorf("store: MapSegment: store was opened without MapSegments")

@@ -123,32 +123,31 @@ type CarRentalConfig struct {
 	NumCustomers int
 	CallsPerDay  int
 	Days         int
-	// ServiceShare is the fraction of service calls (default 0.25).
-	ServiceShare float64
-	// StrongShare is the fraction of reservation-seeking calls that open
-	// strongly (default 0.5).
-	StrongShare float64
-	Model       OutcomeModel
-	// AgentShift is applied to trained agents' propensities when
-	// Trained is set (see TrainAgents).
-	ValueShift    float64
-	DiscountShift float64
 }
+
+// The car-rental world's fixed shape; DefaultOutcomeModel ties behaviour
+// to outcome.
+const (
+	// serviceShare is the fraction of service calls.
+	serviceShare = 0.25
+	// strongShare is the fraction of reservation-seeking calls that open
+	// strongly.
+	strongShare = 0.5
+	// valueShift and discountShift are applied to trained agents'
+	// propensities when Trained is set (see TrainAgents).
+	valueShift    = 0.10
+	discountShift = 0.07
+)
 
 // DefaultCarRentalConfig returns a laptop-scale configuration with the
 // paper's agent count.
 func DefaultCarRentalConfig() CarRentalConfig {
 	return CarRentalConfig{
-		Seed:          2009,
-		NumAgents:     90,
-		NumCustomers:  600,
-		CallsPerDay:   120,
-		Days:          10,
-		ServiceShare:  0.25,
-		StrongShare:   0.5,
-		Model:         DefaultOutcomeModel(),
-		ValueShift:    0.10,
-		DiscountShift: 0.07,
+		Seed:         2009,
+		NumAgents:    90,
+		NumCustomers: 600,
+		CallsPerDay:  120,
+		Days:         10,
 	}
 }
 
@@ -168,15 +167,6 @@ type CarRentalWorld struct {
 func NewCarRentalWorld(cfg CarRentalConfig) (*CarRentalWorld, error) {
 	if cfg.NumAgents <= 0 || cfg.NumCustomers <= 0 {
 		return nil, fmt.Errorf("synth: need positive agent and customer counts")
-	}
-	if cfg.Model == (OutcomeModel{}) {
-		cfg.Model = DefaultOutcomeModel()
-	}
-	if cfg.ServiceShare == 0 {
-		cfg.ServiceShare = 0.25
-	}
-	if cfg.StrongShare == 0 {
-		cfg.StrongShare = 0.5
 	}
 	w := &CarRentalWorld{Config: cfg, rnd: rng.New(cfg.Seed)}
 
@@ -308,8 +298,8 @@ func (w *CarRentalWorld) TrainAgentSet(indices []int) {
 			continue
 		}
 		a.Trained = true
-		a.PValueSelling = clamp01(a.PValueSelling + w.Config.ValueShift)
-		a.PDiscountWeak = clamp01(a.PDiscountWeak + w.Config.DiscountShift)
+		a.PValueSelling = clamp01(a.PValueSelling + valueShift)
+		a.PDiscountWeak = clamp01(a.PDiscountWeak + discountShift)
 	}
 }
 
@@ -360,7 +350,7 @@ func (w *CarRentalWorld) generateCall(r *rng.RNG, id string, day int) Call {
 		RateQuoted: 25 + 5*r.Intn(12),
 	}
 
-	if r.Bool(w.Config.ServiceShare) {
+	if r.Bool(serviceShare) {
 		call.Intent = IntentService
 		call.Outcome = OutcomeService
 		call.Transcript = w.serviceTranscript(r, cust, call)
@@ -368,7 +358,7 @@ func (w *CarRentalWorld) generateCall(r *rng.RNG, id string, day int) Call {
 		return call
 	}
 
-	if r.Bool(w.Config.StrongShare) {
+	if r.Bool(strongShare) {
 		call.Intent = IntentStrong
 	} else {
 		call.Intent = IntentWeak
@@ -382,7 +372,7 @@ func (w *CarRentalWorld) generateCall(r *rng.RNG, id string, day int) Call {
 	call.UsedDisc = r.Bool(pDisc)
 	call.Objected = r.Bool(0.3)
 
-	p := w.Config.Model.ConversionProb(call.Intent, call.UsedValue, call.UsedDisc)
+	p := DefaultOutcomeModel().ConversionProb(call.Intent, call.UsedValue, call.UsedDisc)
 	if r.Bool(p) {
 		call.Outcome = OutcomeReservation
 	} else {

@@ -104,41 +104,41 @@ var routineBodies = []string{
 
 // TelecomConfig sizes the telecom world. Paper scale: 47,460 emails (3%
 // from churners), 289,314 SMS (7.6% from churners), 78% prepaid, 18% of
-// emails unlinkable (non-customers). Defaults are laptop-scale with the
-// same proportions.
+// emails unlinkable (non-customers). Defaults are laptop-scale; the
+// proportions are the paper's, fixed below.
 type TelecomConfig struct {
 	Seed         uint64
 	NumCustomers int
 	Emails       int
 	SMS          int
-	// ChurnerEmailShare / ChurnerSMSShare are the fractions of messages
-	// authored by (eventual) churners.
-	ChurnerEmailShare float64
-	ChurnerSMSShare   float64
-	// NonCustomerEmailShare is the fraction of emails from strangers.
-	NonCustomerEmailShare float64
-	// SpamEmailShare is the fraction of spam among emails.
-	SpamEmailShare float64
-	PrepaidShare   float64
-	Months         int
-	Regions        []string
 }
 
-// DefaultTelecomConfig returns the laptop-scale configuration with the
-// paper's proportions.
+// The telecom world's fixed shape: the paper's §VI proportions.
+const (
+	// churnerEmailShare / churnerSMSShare are the fractions of messages
+	// authored by (eventual) churners.
+	churnerEmailShare = 0.03
+	churnerSMSShare   = 0.076
+	// nonCustomerEmailShare is the fraction of emails from strangers.
+	nonCustomerEmailShare = 0.18
+	// spamEmailShare is the fraction of spam among emails.
+	spamEmailShare = 0.08
+	prepaidShare   = 0.78
+	// TelecomMonths is the observation window in months; churn lands in
+	// the last one.
+	TelecomMonths = 3
+)
+
+// regions are the subscribers' home regions.
+var regions = []string{"north", "south", "east", "west"}
+
+// DefaultTelecomConfig returns the laptop-scale configuration.
 func DefaultTelecomConfig() TelecomConfig {
 	return TelecomConfig{
-		Seed:                  1947,
-		NumCustomers:          1500,
-		Emails:                2400,
-		SMS:                   6000,
-		ChurnerEmailShare:     0.03,
-		ChurnerSMSShare:       0.076,
-		NonCustomerEmailShare: 0.18,
-		SpamEmailShare:        0.08,
-		PrepaidShare:          0.78,
-		Months:                3,
-		Regions:               []string{"north", "south", "east", "west"},
+		Seed:         1947,
+		NumCustomers: 1500,
+		Emails:       2400,
+		SMS:          6000,
 	}
 }
 
@@ -194,12 +194,6 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 	if cfg.NumCustomers <= 0 {
 		return nil, fmt.Errorf("synth: need positive customer count")
 	}
-	if cfg.Months <= 0 {
-		cfg.Months = 3
-	}
-	if len(cfg.Regions) == 0 {
-		cfg.Regions = []string{"north", "south", "east", "west"}
-	}
 	w := &TelecomWorld{Config: cfg, rnd: rng.New(cfg.Seed)}
 
 	// Overall churner base rate: enough churners to author the configured
@@ -214,7 +208,7 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 		}
 		phoneSeen[phone] = true
 		plan := "postpaid"
-		if r.Bool(cfg.PrepaidShare) {
+		if r.Bool(prepaidShare) {
 			plan = "prepaid"
 		}
 		churned := r.Bool(0.08)
@@ -223,12 +217,12 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 			Given:   rng.Pick(r, givenNames),
 			Surname: rng.Pick(r, surnames),
 			Phone:   phone,
-			Region:  rng.Pick(r, cfg.Regions),
+			Region:  rng.Pick(r, regions),
 			Plan:    plan,
 			Churned: churned,
 		}
 		if churned {
-			c.ChurnMonth = cfg.Months - 1 // churn lands in the last month
+			c.ChurnMonth = TelecomMonths - 1 // churn lands in the last month
 		}
 		w.Customers = append(w.Customers, c)
 	}
@@ -264,8 +258,8 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 	}
 	w.DB = db
 
-	w.Emails = w.generateMessages("email", cfg.Emails, cfg.ChurnerEmailShare, cfg.NonCustomerEmailShare, cfg.SpamEmailShare)
-	w.SMS = w.generateMessages("sms", cfg.SMS, cfg.ChurnerSMSShare, 0.04, 0.02)
+	w.Emails = w.generateMessages("email", cfg.Emails, churnerEmailShare, nonCustomerEmailShare, spamEmailShare)
+	w.SMS = w.generateMessages("sms", cfg.SMS, churnerSMSShare, 0.04, 0.02)
 	return w, nil
 }
 
@@ -298,7 +292,7 @@ func (w *TelecomWorld) generateMessages(channel string, count int, churnShare, s
 	for i := 0; i < count; i++ {
 		r := msgRnd.Split(uint64(i))
 		id := fmt.Sprintf("%s-%05d", channel, i)
-		m := Message{ID: id, Channel: channel, Month: r.Intn(w.Config.Months), CustIdx: -1}
+		m := Message{ID: id, Channel: channel, Month: r.Intn(TelecomMonths), CustIdx: -1}
 		switch {
 		case r.Bool(spamShare):
 			m.Spam = true

@@ -38,28 +38,7 @@ var reachOracles = []string{
 // satisfies an interface the program mentions. Tests are not roots: a
 // function only tests call is reported, with its position.
 func TestEveryInternalFunctionIsReachable(t *testing.T) {
-	if _, err := os.Stat("go.mod"); err != nil {
-		t.Skip("not run from the module root")
-	}
-	// Without cgo the source importer takes the pure-Go files of net and
-	// os/user, and needs no C compiler.
-	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-	l := &reachLoader{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*reachPkg{},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	paths, err := reachPackages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range paths {
-		if _, err := l.load(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	l, _ := loadModule(t)
 	w := &reachWalk{
 		decls:  map[*types.Func]*reachDecl{},
 		seen:   map[*types.Func]bool{},
@@ -135,7 +114,197 @@ func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	}
 }
 
-// reachPkg is one type-checked package: non-test files only.
+// optionPresetsUnset are the fields TestEveryOptionIsSet lets through:
+// cmd/bivocbench reads them off DefaultChurnExperimentConfig to report the
+// link floors its voc_batch workload ran at, and nothing sets them. Nothing
+// else belongs here.
+var optionPresetsUnset = []string{
+	"bivoc/internal/core.ChurnExperimentConfig.MinLinkScore",
+	"bivoc/internal/core.ChurnExperimentConfig.MinLinkScoreSMS",
+}
+
+// TestEveryOptionIsSet holds "one place each knob is declared" for the
+// options under internal/: every field of a struct type named *Config,
+// *Options or *Policy there must be written by something other than a
+// function of its own package — another package, a command or example,
+// cmd/bivocbench, a test, or a package-level preset of its own package
+// (noise.SMSNoise). A write is a composite-literal key or an assignment
+// through a selector chain, so `cfg.Decoder.BeamWidth = 4` writes Decoder
+// and BeamWidth. A field only its own package's functions write holds one
+// value, and is a constant next to its reader.
+func TestEveryOptionIsSet(t *testing.T) {
+	l, paths := loadModule(t)
+	o := &optionScan{fields: map[*types.Var]string{}, written: map[string]bool{}}
+	for _, path := range paths {
+		o.declare(l.pkgs[path])
+	}
+	for _, path := range paths {
+		o.scan(l.pkgs[path], l.pkgs[path].files, false)
+	}
+	for _, path := range paths {
+		internal, external, err := l.parseTests(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// In-package tests are checked with their package, external ones
+		// against that augmented package, as go test builds them.
+		aug := l.pkgs[path]
+		if len(internal) > 0 {
+			if aug, err = l.check(path, append(append([]*ast.File{}, aug.files...), internal...), l); err != nil {
+				t.Fatal(err)
+			}
+			o.declare(aug)
+			o.scan(aug, internal, true)
+		}
+		if len(external) > 0 {
+			ext, err := l.check(path+"_test", external, l.against(path, aug.types, o.declare))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.scan(ext, external, true)
+		}
+	}
+
+	allowed := map[string]bool{}
+	for _, key := range optionPresetsUnset {
+		allowed[key] = true
+	}
+	var unset []string
+	for f, key := range o.fields {
+		if f.Pkg() != l.pkgs[f.Pkg().Path()].types || !strings.HasPrefix(key, "bivoc/internal/") {
+			continue // a test-augmented copy, or outside internal/
+		}
+		if allowed[key] {
+			if o.written[key] {
+				t.Errorf("optionPresetsUnset names %s, which is set", key)
+			}
+			delete(allowed, key)
+			continue
+		}
+		if !o.written[key] {
+			pos := l.fset.Position(f.Pos())
+			unset = append(unset, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, key))
+		}
+	}
+	for key := range allowed {
+		t.Errorf("optionPresetsUnset names %s, which does not exist", key)
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no other package, command, example, test, benchmark probe or preset: make it a constant next to its reader", u)
+	}
+}
+
+// optionScan keys the option fields of every checked copy of a package by
+// path · type · field, and records which keys something counted writes.
+type optionScan struct {
+	fields  map[*types.Var]string
+	written map[string]bool
+}
+
+func (o *optionScan) declare(p *reachPkg) {
+	scope := p.types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				o.fields[st.Field(i)] = p.types.Path() + "." + name + "." + st.Field(i).Name()
+			}
+		}
+	}
+}
+
+// scan records the writes in files of p that count: all of them in a test
+// file or outside the field's package, and a package-level preset's.
+func (o *optionScan) scan(p *reachPkg, files []*ast.File, test bool) {
+	for _, f := range files {
+		for _, d := range f.Decls {
+			_, inFunc := d.(*ast.FuncDecl)
+			write := func(obj types.Object) {
+				v, ok := obj.(*types.Var)
+				if !ok || !v.IsField() {
+					return
+				}
+				if key, ok := o.fields[v.Origin()]; ok && (test || !inFunc || v.Pkg() != p.types) {
+					o.written[key] = true
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write(p.info.Uses[id])
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						assigned(p, lhs, write)
+					}
+				case *ast.IncDecStmt:
+					assigned(p, n.X, write)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// assigned hands each field selected along an assigned expression to
+// write: `a.B[i].C = x` writes C and B.
+func assigned(p *reachPkg, e ast.Expr, write func(types.Object)) {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			write(p.info.Uses[x.Sel])
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// loadModule type-checks every package of the module, non-test files
+// only, and lists their import paths.
+func loadModule(t *testing.T) (*reachLoader, []string) {
+	t.Helper()
+	if _, err := os.Stat("go.mod"); err != nil {
+		t.Skip("not run from the module root")
+	}
+	// Without cgo the source importer takes the pure-Go files of net and
+	// os/user, and needs no C compiler.
+	cgo := build.Default.CgoEnabled
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	build.Default.CgoEnabled = false
+	l := &reachLoader{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*reachPkg{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	paths, err := reachPackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if _, err := l.load(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l, paths
+}
+
+// reachPkg is one type-checked package.
 type reachPkg struct {
 	types *types.Package
 	info  *types.Info
@@ -172,33 +341,115 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	dir := "." + strings.TrimPrefix(path, "bivoc")
-	parsed, err := parser.ParseDir(l.fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	parsed, err := l.parse(path, false)
 	if err != nil {
 		return nil, err
 	}
-	p := &reachPkg{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}}
-	for _, astPkg := range parsed {
-		for name, f := range astPkg.Files {
-			if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
-				continue
-			}
-			p.files = append(p.files, f)
-		}
+	var files []*ast.File
+	for _, fs := range parsed {
+		files = append(files, fs...)
 	}
-	conf := types.Config{Importer: l}
-	if p.types, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+	p, err := l.check(path, files, l)
+	if err != nil {
 		return nil, err
 	}
 	l.pkgs[path] = p
 	return p, nil
 }
+
+// parseTests returns the in-package and the external test files of path.
+func (l *reachLoader) parseTests(path string) (internal, external []*ast.File, err error) {
+	parsed, err := l.parse(path, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	for name, files := range parsed {
+		if name == l.pkgs[path].types.Name() {
+			internal = files
+		} else {
+			external = files
+		}
+	}
+	return internal, external, nil
+}
+
+// parse reads the files of path's directory that the build selects, its
+// test files or the others, by package name.
+func (l *reachLoader) parse(path string, tests bool) (map[string][]*ast.File, error) {
+	dir := "." + strings.TrimPrefix(path, "bivoc")
+	parsed, err := parser.ParseDir(l.fset, dir, func(fi os.FileInfo) bool {
+		return strings.HasSuffix(fi.Name(), "_test.go") == tests
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	byPkg := map[string][]*ast.File{}
+	for pkgName, astPkg := range parsed {
+		for name, f := range astPkg.Files {
+			if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+				continue
+			}
+			byPkg[pkgName] = append(byPkg[pkgName], f)
+		}
+	}
+	return byPkg, nil
+}
+
+func (l *reachLoader) check(path string, files []*ast.File, imp types.Importer) (*reachPkg, error) {
+	p := &reachPkg{files: files, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	conf := types.Config{Importer: imp}
+	var err error
+	if p.types, err = conf.Check(path, l.fset, files, p.info); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// against is the importer of path's external test package: path is aug,
+// and every module package that imports it is re-checked against aug (and
+// handed to checked), as go test recompiles them, so a voctest world hands
+// the test the same mining.Index type the test's own mining import names.
+func (l *reachLoader) against(path string, aug *types.Package, checked func(*reachPkg)) types.Importer {
+	memo := map[string]*types.Package{path: aug}
+	var imp reachImporter
+	imp = func(p string) (*types.Package, error) {
+		if pkg, ok := memo[p]; ok {
+			return pkg, nil
+		}
+		pkg, err := l.Import(p)
+		if err != nil || !reachImports(pkg, path, map[*types.Package]bool{}) {
+			return pkg, err
+		}
+		re, err := l.check(p, l.pkgs[p].files, imp)
+		if err != nil {
+			return nil, err
+		}
+		checked(re)
+		memo[p] = re.types
+		return re.types, nil
+	}
+	return imp
+}
+
+// reachImports reports whether pkg imports path, directly or not.
+func reachImports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || !seen[imp] && reachImports(imp, path, seen) {
+			return true
+		}
+		seen[imp] = true
+	}
+	return false
+}
+
+// reachImporter resolves an import path with a function.
+type reachImporter func(path string) (*types.Package, error)
+
+func (f reachImporter) Import(path string) (*types.Package, error) { return f(path) }
 
 // reachPackages lists the import path of every directory of the module
 // that holds a non-test Go file.
