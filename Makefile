@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race short fuzz-smoke bench bench-module examples smoke golden loc knobs knobs-check wire-check
+.PHONY: check vet fmt build test race short fuzz-smoke bench pairs bench-module examples smoke golden loc knobs knobs-check wire-check
 
 check: vet fmt knobs-check wire-check build race examples smoke golden bench-module
 
@@ -62,6 +62,17 @@ fuzz-smoke:
 # decoding) are for reading by hand: `go test -bench=. -run='^$$' .`
 bench:
 	bash cmd/bivocbench/run.sh
+
+# The working rule a change is judged by, as one command: alternating runs
+# of one workload at REV and at the working tree, one pair per seed, then
+# per end-to-end metric both sides' medians and quartiles, the ratio, the
+# change's wins and a verdict (tools/benchpairs says how each is read).
+# Every result line is kept in .bench_build/pairs-$(WORKLOAD).jsonl.
+#   make pairs REV=<parent commit> WORKLOAD=mono_miss SEEDS="401 402 403"
+pairs:
+	@if [ -z "$(REV)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEEDS)" ]; then \
+		echo 'usage: make pairs REV=<commit> WORKLOAD=<name> SEEDS="<seed> ..."'; exit 2; fi
+	$(GO) run ./tools/benchpairs $(REV) $(WORKLOAD) $(SEEDS)
 
 # cmd/bivocbench is a module of its own (its go.mod replaces bivoc with
 # ../..), so the root ./... patterns neither compile nor test it although

@@ -84,13 +84,14 @@ func TestAddInvalidatesPrepare(t *testing.T) {
 
 // TestOnePassMarginalsMatchPerCell is the association oracle over the
 // random worlds: AssocMarginals and RelFreqMarginals, which count a
-// segment's cells in one mark-then-probe pass, against the naive view's
+// segment's cells in one walk of each row (a field's column or the marks
+// of the other columns), against the naive view's
 // one CountBoth per cell and per concept (CheckQueriers compares both
 // extractions on every table of the battery: leaf and conjunction rows
 // and columns, a repeated column, no rows, a table wider than the mark
 // word, the whole battery squared) — monolithic and segmented (with an
-// empty segment in the set), raw and prepared. It also drives the mark
-// pass directly, to see that it leaves no document marked in the pooled
+// empty segment in the set), raw and prepared. It also drives the cell
+// count directly, to see that it leaves no document marked in the pooled
 // scratch.
 func TestOnePassMarginalsMatchPerCell(t *testing.T) {
 	t.Parallel()

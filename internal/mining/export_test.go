@@ -15,6 +15,10 @@ func ConjCost(key string, n int) int { return conjCost(key, make([]int, n)) }
 func (ix *Index) Prepared() bool     { return ix.prep != nil }
 func (ix *Index) IDOrdered() bool    { return ix.idOrdered() }
 
+// ColumnsBuilt is how many per-document columns (one per field, one of
+// times) a Prepared index has built so far.
+func (ix *Index) ColumnsBuilt() int { return int(ix.prep.columnsBuilt.Load()) }
+
 // ConjMemo reports a Prepared index's conjunction memo: its entries, the
 // words it accounts for, and its budget.
 func (ix *Index) ConjMemo() (entries, words, limit int) {
@@ -31,10 +35,10 @@ func (ix *Index) ConjMemoHeld() int {
 	return held
 }
 
-// MarkPass drives the one-pass cell count directly over the dims'
-// postings squared. It returns the counts, what one countIntersect per
-// cell says they are, and how many documents the pass left marked in the
-// pooled scratch (none, or the next query on that scratch miscounts).
+// MarkPass drives the one-pass cell count directly over the dims squared.
+// It returns the counts, what one countIntersect per cell says they are,
+// and how many documents the pass left marked in the pooled scratch
+// (none, or the next query on that scratch miscounts).
 func (ix *Index) MarkPass(dims []Dim) (got, want [][]int, marked int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
@@ -43,7 +47,7 @@ func (ix *Index) MarkPass(dims []Dim) (got, want [][]int, marked int) {
 	for i := range posts {
 		got[i], want[i] = make([]int, len(posts)), make([]int, len(posts))
 	}
-	ctx.countCells(got, ix.Len(), posts, posts)
+	ix.countCells(ctx, got, posts, dims, posts)
 	for i, a := range posts {
 		for j, b := range posts {
 			want[i][j] = countIntersect(a, b)

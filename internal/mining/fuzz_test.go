@@ -13,7 +13,9 @@ import (
 // warm conjunction memo, a SegmentSet of 1 to 12 segments chosen by k
 // (past the document count the last ones are empty), and the single
 // segment MergeSegments compacts them into — against the naive view of
-// one monolithic index, through the same comparator.
+// one monolithic index, through the same comparator. The segmented
+// configurations run twice: over the world's own times, and over the
+// world re-timed so that each segment holds a single time.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0))       // the empty corpus
 	f.Add(int64(1), uint8(1), uint8(7))       // one document, seven empty segments
@@ -29,8 +31,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 		ix.Prepare()
 		voctest.CheckQueriers(t, ix, naive, w)
 		voctest.CheckQueriers(t, ix, naive, w)
-		segs := w.Segments(1 + int(k)%12)
-		voctest.CheckQueriers(t, mining.NewSegmentSet(segs...), naive, w)
-		voctest.CheckQueriers(t, mining.MergeSegments(segs...), naive, w)
+		nsegs := 1 + int(k)%12
+		for _, w := range []*voctest.World{w, w.OneTimePerSegment(nsegs)} {
+			naive := oracle(w)
+			segs := w.Segments(nsegs)
+			voctest.CheckQueriers(t, mining.NewSegmentSet(segs...), naive, w)
+			voctest.CheckQueriers(t, mining.MergeSegments(segs...), naive, w)
+		}
 	})
 }

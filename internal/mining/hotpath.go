@@ -67,30 +67,69 @@ func (ctx *queryCtx) docMarks(n int) []uint64 {
 	return ctx.marks[:n]
 }
 
-// countCells fills ncell[i][j] = |rows[i] ∩ cols[j]| in one pass over
-// every list (columns twice: mark, then clear) instead of one merge per
-// cell. len(cols) must not exceed markBits; n is the document count.
-func (ctx *queryCtx) countCells(ncell [][]int, n int, rows, cols [][]int) {
-	marks := ctx.docMarks(n)
-	for j, posts := range cols {
+// countCells fills ncell[i][j] = |rows[i] ∩ cols[j]| by walking each
+// row's postings instead of one merge per cell; colPosts holds the
+// columns' postings. A column that is a plain field dimension of a
+// Prepared index is counted by comparing each row document's value id in
+// the field's column with the column's (fieldColumn), one walk per such
+// column. Every other column is marked: bit j set on every document of
+// its list, read off each row document in one more walk, and cleared by
+// walking the list again. len(cols) must not exceed markBits.
+func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []Dim, colPosts [][]int) {
+	type fieldCell struct {
+		ids   []uint16
+		value uint16
+		j     int
+	}
+	var cells [markBits]fieldCell
+	fields := cells[:0]
+	var marked uint64
+	marks := ctx.docMarks(ix.b.DocCount())
+	for j, d := range cols {
+		if ids, value, ok := ix.fieldColumn(d); ok {
+			if value != 0 {
+				fields = append(fields, fieldCell{ids, value, j})
+			}
+			continue
+		}
 		bit := uint64(1) << j
-		for _, p := range posts {
+		marked |= bit
+		for _, p := range colPosts[j] {
 			marks[p] |= bit
 		}
 	}
 	for i, posts := range rows {
-		cells := ncell[i]
-		for _, p := range posts {
-			for w := marks[p]; w != 0; w &= w - 1 {
-				cells[bits.TrailingZeros64(w)]++
+		row := ncell[i]
+		if marked != 0 {
+			for _, p := range posts {
+				for w := marks[p]; w != 0; w &= w - 1 {
+					row[bits.TrailingZeros64(w)]++
+				}
+			}
+		}
+		for _, f := range fields {
+			row[f.j] = countValue(f.ids, f.value, posts)
+		}
+	}
+	for j, posts := range colPosts {
+		if marked&(1<<j) != 0 {
+			for _, p := range posts {
+				marks[p] = 0
 			}
 		}
 	}
-	for _, posts := range cols {
-		for _, p := range posts {
-			marks[p] = 0
+}
+
+// countValue returns how many documents of posts hold value in a column.
+// It is a function of its own so that the loop runs in registers.
+func countValue(ids []uint16, value uint16, posts []int) int {
+	n := 0
+	for _, p := range posts {
+		if ids[p] == value {
+			n++
 		}
 	}
+	return n
 }
 
 // leafPostings returns the inverted list of a non-conjunction

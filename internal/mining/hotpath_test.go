@@ -3,8 +3,10 @@ package mining_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
 )
@@ -106,6 +108,106 @@ func TestQueriesNeverMutatePostings(t *testing.T) {
 		// Results must still match the oracle after the battery mutated
 		// every returned slice — i.e. callers got copies, not cache views.
 		voctest.CheckQueriers(t, ix, oracle(w), w)
+	}
+}
+
+// TestColumnsBuiltOnce releases sixteen goroutines at once onto a fresh
+// sealed segment, each with its first queries: a table over two field
+// columns, a relative frequency featuring a third field value, and a
+// trend. Each per-document column those need (outcome, agent, time) must
+// be built exactly once, and every answer must be the oracle's. Run under
+// -race, this is also the check that a column is published safely to the
+// queries that did not build it.
+func TestColumnsBuiltOnce(t *testing.T) {
+	t.Parallel()
+	w := voctest.NewWorld(2026, 150)
+	ix, naive := mining.Seal(w.DocsByID()), oracle(w)
+	rows := []mining.Dim{mining.ConceptDim("issue", "billing"), mining.CategoryDim("brand")}
+	cols := []mining.Dim{mining.FieldDim("outcome", "reservation"), mining.FieldDim("agent", "A2")}
+	featured := mining.FieldDim("outcome", "callback")
+	trend := mining.ConceptDim("issue", "outage")
+	wantAssoc, wantRel, wantTrend := naive.AssocMarginals(rows, cols), naive.RelFreqMarginals("brand", featured), naive.Trend(trend)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got := ix.AssocMarginals(rows, cols); !reflect.DeepEqual(got, wantAssoc) {
+				t.Errorf("AssocMarginals = %+v, oracle %+v", got, wantAssoc)
+			}
+			if got := ix.RelFreqMarginals("brand", featured); !reflect.DeepEqual(got, wantRel) {
+				t.Errorf("RelFreqMarginals = %+v, oracle %+v", got, wantRel)
+			}
+			if got := ix.Trend(trend); !reflect.DeepEqual(got, wantTrend) {
+				t.Errorf("Trend = %+v, oracle %+v", got, wantTrend)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := ix.ColumnsBuilt(); n != 3 {
+		t.Fatalf("16 racing first queries built %d columns, want 3 (outcome, agent, time) once each", n)
+	}
+}
+
+// TestColumnsPastTheirWidth seals a segment with more distinct times, and
+// a field with more distinct values, than a column id can name. Those two
+// get no column — the trend hashes times, the field is marked like a
+// concept — while a narrow field beside them still gets its column, and
+// every answer is the oracle's.
+func TestColumnsPastTheirWidth(t *testing.T) {
+	t.Parallel()
+	const n = 1<<16 + 1
+	docs := make([]mining.Document, n)
+	for i := range docs {
+		docs[i] = mining.Document{
+			ID:     fmt.Sprintf("doc-%06d", i),
+			Fields: map[string]string{"serial": fmt.Sprint(i), "outcome": []string{"won", "lost", "open"}[i%3]},
+			Time:   i - 7,
+		}
+		if i%5 != 0 {
+			docs[i].Concepts = []annotate.Concept{{Category: "issue", Canonical: []string{"billing", "outage"}[i%2]}}
+		}
+	}
+	naive := voctest.Index(docs).Naive()
+	ix := mining.Seal(docs)
+	rows := []mining.Dim{mining.ConceptDim("issue", "billing"), mining.CategoryDim("issue")}
+	cols := []mining.Dim{mining.FieldDim("serial", "12"), mining.FieldDim("outcome", "lost"), mining.FieldDim("serial", "65536")}
+	if got, want := ix.AssocMarginals(rows, cols), naive.AssocMarginals(rows, cols); !reflect.DeepEqual(got, want) {
+		t.Errorf("AssocMarginals = %+v, oracle %+v", got, want)
+	}
+	for _, featured := range []mining.Dim{cols[0], cols[1]} {
+		if got, want := ix.RelFreqMarginals("issue", featured), naive.RelFreqMarginals("issue", featured); !reflect.DeepEqual(got, want) {
+			t.Errorf("RelFreqMarginals(%s) = %+v, oracle %+v", featured.Label(), got, want)
+		}
+	}
+	if got, want := ix.Trend(rows[0]), naive.Trend(rows[0]); !reflect.DeepEqual(got, want) {
+		t.Errorf("Trend diverges from the oracle: %d points, want %d", len(got), len(want))
+	}
+	if built := ix.ColumnsBuilt(); built != 2 {
+		t.Errorf("%d column builds, want 2: outcome's, and the time column's, which found too many times", built)
+	}
+}
+
+// TestPreparedTrendAllocs pins the trend kernel of a sealed segment: once
+// its time column is built and the query scratch pooled, a trend of a
+// leaf dimension allocates its result and nothing else.
+func TestPreparedTrendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 300)
+	ix := mining.Seal(w.DocsByID())
+	for _, d := range []mining.Dim{mining.ConceptDim("issue", "billing"), mining.CategoryDim("brand"), mining.FieldDim("agent", "A3")} {
+		if len(ix.Trend(d)) == 0 { // warm: builds the column, fills the pool
+			t.Fatalf("%s has no documents in this world", d.Label())
+		}
+		if got := testing.AllocsPerRun(100, func() { ix.Trend(d) }); got != 1 {
+			t.Errorf("Trend(%s) allocates %.1f objects per call, want 1 (its result)", d.Label(), got)
+		}
 	}
 }
 

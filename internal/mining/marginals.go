@@ -25,8 +25,10 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // frequency inside the subset and overall. Concepts are sorted by name
 // for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
 //
-// The in-subset counts come from one mark-then-probe pass: mark the
-// subset's documents, walk each concept's list once.
+// The in-subset counts come from one walk of each concept's list. When
+// the featured dimension is a plain field of a Prepared index, each
+// document's value id is read off the field's column (fieldColumn);
+// otherwise the subset's documents are marked first and cleared after.
 func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
@@ -38,9 +40,13 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	} else {
 		entries = scanConceptDF(ix.b, category)
 	}
-	marks := ctx.docMarks(m.N)
-	for _, p := range subset {
-		marks[p] = 1
+	ids, value, byColumn := ix.fieldColumn(featured)
+	var marks []uint64
+	if !byColumn {
+		marks = ctx.docMarks(m.N)
+		for _, p := range subset {
+			marks[p] = 1
+		}
 	}
 	if len(entries) > 0 {
 		m.Concepts = make([]ConceptMarginal, len(entries))
@@ -48,13 +54,20 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	for k, e := range entries {
 		posts := ix.b.ConceptPostings(category, e.Concept)
 		in := 0
-		for _, p := range posts {
-			in += int(marks[p])
+		switch {
+		case !byColumn:
+			for _, p := range posts {
+				in += int(marks[p])
+			}
+		case value != 0:
+			in = countValue(ids, value, posts)
 		}
 		m.Concepts[k] = ConceptMarginal{Concept: e.Concept, InSubset: in, InAll: len(posts)}
 	}
-	for _, p := range subset {
-		marks[p] = 0
+	if !byColumn {
+		for _, p := range subset {
+			marks[p] = 0
+		}
 	}
 	if owned {
 		ctx.putBuf(subset)
@@ -108,10 +121,11 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 // over this index's documents: per-dimension counts and per-cell joint
 // counts, shaped rows × cols.
 //
-// The cells are counted in one pass (queryCtx.countCells): every
-// document is marked with the set of columns it matches, then each row's
-// postings are walked once. A table with more columns than a mark word
-// has bits keeps the merge per cell.
+// The cells are counted by walking each row's postings (countCells): a
+// plain field column through the field's per-document column on a
+// Prepared index, every other column by marking its documents first. A
+// table with more columns than a mark word has bits keeps the merge per
+// cell.
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
@@ -119,7 +133,7 @@ func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	colPosts := ix.marginPostings(ctx, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
 	if len(cols) <= markBits {
-		ctx.countCells(m.Ncell, m.N, rowPosts, colPosts)
+		ix.countCells(ctx, m.Ncell, rowPosts, cols, colPosts)
 		return m
 	}
 	for i := range rows {

@@ -365,22 +365,50 @@ type TrendPoint struct {
 // time — "a simple function that examines the increase and decrease of
 // occurrences of each concept in a certain period may allow us to
 // analyze trends in the topics".
+//
+// A Prepared index counts into one bucket per distinct time of the
+// segment, through its time column (timeColumn), and emits the non-empty
+// buckets already in time order. Any other index (the live one a
+// StreamIndex grows) hashes each matching document's time, and so does
+// a segment of more distinct times than its column can name.
 func (ix *Index) Trend(d Dim) []TrendPoint {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	posts, owned := ix.resolve(ctx, d)
-	counts := map[int]int{}
-	for _, p := range posts {
-		counts[ix.b.DocTime(p)]++
-	}
 	if owned {
-		ctx.putBuf(posts)
+		defer ctx.putBuf(posts)
 	}
-	out := make([]TrendPoint, 0, len(counts))
-	for t, c := range counts {
-		out = append(out, TrendPoint{t, c})
+	times, at, byColumn := ix.timeColumn()
+	if !byColumn {
+		counts := map[int]int{}
+		for _, p := range posts {
+			counts[ix.b.DocTime(p)]++
+		}
+		out := make([]TrendPoint, 0, len(counts))
+		for t, c := range counts {
+			out = append(out, TrendPoint{t, c})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+		return out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	counts := ctx.getBuf()
+	counts = append(counts, make([]int, len(times))...)
+	defer ctx.putBuf(counts)
+	for _, p := range posts {
+		counts[at[p]]++
+	}
+	buckets := 0
+	for _, c := range counts {
+		if c > 0 {
+			buckets++
+		}
+	}
+	out := make([]TrendPoint, 0, buckets)
+	for k, c := range counts {
+		if c > 0 {
+			out = append(out, TrendPoint{times[k], c})
+		}
+	}
 	return out
 }
 

@@ -1,8 +1,10 @@
 package mining
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // prepared carries the query structures a sealed index precomputes so
@@ -16,11 +18,17 @@ import (
 //     drill-down conjunctions analysts re-issue ("weak start ∧
 //     outcome=reservation") intersect once per snapshot, up to a
 //     budget proportional to the segment (see conjStore);
-//   - whether position order is document-ID order (see idOrdered).
+//   - whether position order is document-ID order (see idOrdered);
+//   - per-document columns: one per field, holding each document's value
+//     id, and one holding each document's time bucket (see fieldColumn
+//     and timeColumn), which the association, relative-frequency and
+//     trend kernels read instead of marking lists or hashing times.
 //
 // The precomputed lists are immutable after prepare; the memo is guarded
 // by mu because sealed indexes are queried from many server handlers at
-// once.
+// once. The columns and the ID order are found out the first time a query
+// needs them, under a sync.Once each, never at Prepare: that would put a
+// per-document pass on the open path of a mapped segment.
 type prepared struct {
 	// catEntries holds each category's vocabulary in ConceptsInCategory
 	// order (frequency desc, ties lexicographic). It deliberately carries
@@ -39,7 +47,29 @@ type prepared struct {
 
 	orderOnce sync.Once
 	ordered   bool
+
+	// fieldCols holds a column for each field of fieldVals, made at
+	// Prepare and filled on first use — except for a field with more
+	// values than a column id can name, which is marked like any other
+	// dimension.
+	fieldCols map[string]*column
+	timeCol   column
+	// times are the segment's distinct document times, ascending: what
+	// timeCol's ids index.
+	times []int
+	// columnsBuilt counts column builds, so that a test can see each is
+	// built once however many queries race to it first.
+	columnsBuilt atomic.Int32
 }
+
+// column holds one small integer per document position, built once.
+type column struct {
+	once sync.Once
+	ids  []uint16
+}
+
+// columnIDs is how many distinct ids a column can hold.
+const columnIDs = 1 << 16
 
 // The conjunction memo's budget. Every distinct conjunction a client
 // sends adds an entry, and the operands are the client's to vary, so the
@@ -74,6 +104,7 @@ func (ix *Index) Prepare() {
 		catEntries: make(map[string][]ConceptCount),
 		catNames:   make(map[string][]string),
 		fieldVals:  make(map[string][]string),
+		fieldCols:  make(map[string]*column),
 		conj:       make(map[string][]int),
 		conjLimit:  conjBudget(ix.b.DocCount()),
 	}
@@ -87,10 +118,79 @@ func (ix *Index) Prepare() {
 	ix.b.EachField(func(field, value string, _ int) {
 		p.fieldVals[field] = append(p.fieldVals[field], value)
 	})
-	for _, vals := range p.fieldVals {
+	for field, vals := range p.fieldVals {
 		sort.Strings(vals)
+		if len(vals) < columnIDs {
+			p.fieldCols[field] = new(column)
+		}
 	}
 	ix.prep = p
+}
+
+// fieldColumn reports whether d is a plain field dimension of a Prepared
+// index whose field has a column and, if so, returns the column and d's
+// value id: ids[p] is 1 + the index in FieldValues of document p's value,
+// 0 when p carries none. A value id of 0 means no document carries d's
+// value (or its field), so d matches nothing — compare ids with it only
+// when it is not 0.
+func (ix *Index) fieldColumn(d Dim) (ids []uint16, value uint16, ok bool) {
+	p := ix.prep
+	if p == nil || d.Field == "" || len(d.And) > 0 {
+		return nil, 0, false
+	}
+	vals, carried := p.fieldVals[d.Field]
+	if !carried {
+		return nil, 0, true
+	}
+	col := p.fieldCols[d.Field]
+	if col == nil {
+		return nil, 0, false
+	}
+	k := sort.SearchStrings(vals, d.Value)
+	if k == len(vals) || vals[k] != d.Value {
+		return nil, 0, true
+	}
+	col.once.Do(func() {
+		ids := make([]uint16, ix.b.DocCount())
+		for i, v := range vals {
+			for _, pos := range ix.b.FieldPostings(d.Field, v) {
+				ids[pos] = uint16(i + 1)
+			}
+		}
+		col.ids = ids
+		p.columnsBuilt.Add(1)
+	})
+	return col.ids, uint16(k + 1), true
+}
+
+// timeColumn returns a Prepared index's distinct document times,
+// ascending, and the column whose ids[p] indexes them with document p's
+// time. ok is false on an index that is not Prepared, and on one with
+// more distinct times than a column id can name.
+func (ix *Index) timeColumn() (times []int, ids []uint16, ok bool) {
+	p := ix.prep
+	if p == nil {
+		return nil, nil, false
+	}
+	p.timeCol.once.Do(func() {
+		n := ix.b.DocCount()
+		at := make([]int, n)
+		for pos := range at {
+			at[pos] = ix.b.DocTime(pos)
+		}
+		sorted := slices.Clone(at)
+		slices.Sort(sorted)
+		if sorted = slices.Compact(sorted); len(sorted) <= columnIDs {
+			p.times = slices.Clone(sorted)
+			ids := make([]uint16, n)
+			for pos, t := range at {
+				ids[pos] = uint16(sort.SearchInts(p.times, t))
+			}
+			p.timeCol.ids = ids
+		}
+		p.columnsBuilt.Add(1)
+	})
+	return p.times, p.timeCol.ids, p.timeCol.ids != nil
 }
 
 // idOrdered reports whether document positions are in strictly

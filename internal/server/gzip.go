@@ -18,10 +18,12 @@ import (
 // memoized, so a cached response compresses once no matter how many
 // gzip-accepting clients replay it — and a deflate state is allocated
 // at most once per processor, not once per body: the writers are parked
-// between bodies (gzipWriters). Decompressing a gzip response always
-// yields the exact plain bytes — compression is an encoding of the
-// response, never a different response — which is what lets the
-// byte-identity suites compare daemons whatever each client negotiated.
+// between bodies (gzipWriters). Bodies compress at gzip.BestSpeed, in
+// both daemons (the coordinator encodes through CachedBody too).
+// Decompressing a gzip response always yields the exact plain bytes —
+// compression is an encoding of the response, never a different
+// response — which is what lets the byte-identity suites compare daemons
+// whatever each client negotiated.
 
 // GzipMinSize is the smallest plain body worth compressing: below it
 // the gzip envelope (header + CRC trailer) eats the savings and the
@@ -29,10 +31,11 @@ import (
 const GzipMinSize = 256
 
 // CachedBody is one marshaled response body in both encodings: the
-// canonical plain bytes and, lazily, their gzip form. The snapshot LRU
-// and the federation result cache store these, so a cache hit reuses
-// whichever encodings have already been paid for. Exported because the
-// federation coordinator caches merged bodies the same way.
+// canonical plain bytes and, lazily, their gzip form — or the finding
+// that it has none worth sending. The snapshot LRU and the federation
+// result cache store these, so a cache hit reuses whichever encodings
+// have already been paid for. Exported because the federation
+// coordinator caches merged bodies the same way.
 type CachedBody struct {
 	Plain []byte
 
@@ -41,18 +44,18 @@ type CachedBody struct {
 }
 
 // gzipWriters parks the process's deflate states between bodies; at most
-// GOMAXPROCS are ever built (gzipBuilt). A flate compressor carries its
-// hash chains inline (0.8 MB with its window and token buffers), so
-// allocating one per body — every cache miss of 256 bytes or more — was
-// most of a miss's allocation and fed the collector accordingly. The set
-// is fixed rather than a sync.Pool so that what it holds is bounded and
-// does not depend on when the last collection ran.
+// GOMAXPROCS are ever built (gzipBuilt). A BestSpeed flate compressor is
+// 1.2 MB of state (the hash chains of the other levels are inline in it,
+// beside the fast encoder's own table and window), so allocating one per
+// body — every cache miss of 256 bytes or more — would be most of a
+// miss's allocation and feed the collector accordingly. The set is fixed
+// rather than a sync.Pool so that what it holds is bounded and does not
+// depend on when the last collection ran.
 //
-// Bodies compress at the default level, as they always have, so the
-// bytes on the wire are unchanged. BestSpeed would spare Reset the 640 KB
-// of hash chains it clears per body, but a BestSpeed state is half as
-// large again and its output 7% bigger (CHANGES.md, PR 16, has the
-// mono_miss numbers at both).
+// BestSpeed because of what a reset costs: a writer at any other level
+// clears 640 KB of hash chains before every body, which was over a third
+// of the gzip time on the query miss path, where bodies are a few KB. Its
+// output is about 7% larger.
 var (
 	gzipWriters = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
 	gzipBuilt   atomic.Int32
@@ -71,14 +74,17 @@ func takeGzipWriter() *gzip.Writer {
 	default:
 	}
 	if int(gzipBuilt.Add(1)) <= cap(gzipWriters) {
-		return gzip.NewWriter(nil)
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level cannot fail
+		return zw
 	}
 	gzipBuilt.Add(-1)
 	return <-gzipWriters
 }
 
-// Gzip returns the gzip encoding of Plain, compressing on the first
-// call and memoizing the result (safe for concurrent use).
+// Gzip returns the gzip encoding of Plain, or nil when that encoding is
+// not smaller than Plain: then the body is always sent plain, and the
+// entry keeps no second copy. It compresses on the first call and
+// memoizes the result (safe for concurrent use).
 func (cb *CachedBody) Gzip() []byte {
 	cb.once.Do(func() {
 		buf := bodyScratch.Get().(*bytes.Buffer)
@@ -89,7 +95,9 @@ func (cb *CachedBody) Gzip() []byte {
 		zw.Reset(buf)
 		zw.Write(cb.Plain) // writes to a bytes.Buffer cannot fail
 		zw.Close()
-		cb.gz = append([]byte(nil), buf.Bytes()...)
+		if buf.Len() < len(cb.Plain) {
+			cb.gz = append([]byte(nil), buf.Bytes()...)
+		}
 	})
 	return cb.gz
 }
@@ -122,15 +130,15 @@ func AcceptsGzip(r *http.Request) bool {
 
 // WriteJSONBody writes cb in the encoding the request negotiated:
 // gzip when the client accepts it and the body clears GzipMinSize (and
-// actually shrinks), the plain bytes otherwise. Vary: Accept-Encoding
-// is always set so shared caches never serve one client's encoding to
-// another. A nil request writes plain.
+// actually shrinks: Gzip is nil otherwise), the plain bytes otherwise.
+// Vary: Accept-Encoding is always set so shared caches never serve one
+// client's encoding to another. A nil request writes plain.
 func WriteJSONBody(w http.ResponseWriter, r *http.Request, status int, cb *CachedBody) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Add("Vary", "Accept-Encoding")
 	if r != nil && len(cb.Plain) >= GzipMinSize && AcceptsGzip(r) {
-		if gz := cb.Gzip(); len(gz) < len(cb.Plain) {
+		if gz := cb.Gzip(); gz != nil {
 			h.Set("Content-Encoding", "gzip")
 			w.WriteHeader(status)
 			w.Write(gz)

@@ -5,7 +5,9 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
@@ -197,17 +199,73 @@ func TestMarshalBodyAllocs(t *testing.T) {
 	}
 }
 
-// TestGzipAllocs pins the allocate-once half of the compression
-// contract, next to the marshal one above. A flate compressor is 0.8 MB
-// of state; compressing through a parked one must cost a body no more
-// than its scratch and its compressed copy, bodies compressed one after
-// another must share one writer, and however many are compressed at once
-// no more writers are built than there are processors.
-func TestGzipAllocs(t *testing.T) {
+// twoKB is a 2 KB body of the repetitive JSON a table response is.
+func twoKB(t *testing.T) []byte {
 	plain := bytes.Repeat([]byte(`{"ncell":12,"nver":340,"nhor":95,"n":1500,"point_index":1.31,"lower_index":0.87,"row_share":0.25},`), 21)
 	if len(plain) < 2000 || len(plain) > 2200 {
 		t.Fatalf("test body is %d bytes, want about 2 KB", len(plain))
 	}
+	return plain
+}
+
+// TestGzipWritersAreBestSpeed pins the level: a parked writer's output is
+// byte for byte what a fresh BestSpeed writer makes of the same body, and
+// it gunzips to the body.
+func TestGzipWritersAreBestSpeed(t *testing.T) {
+	plain := twoKB(t)
+	var want bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&want, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(plain)
+	zw.Close()
+	for i := 0; i < 2; i++ { // a fresh writer, then (if the first was built) a reset one
+		gz := (&CachedBody{Plain: plain}).Gzip()
+		if !bytes.Equal(gz, want.Bytes()) {
+			t.Fatalf("CachedBody.Gzip is %d bytes, a BestSpeed writer makes %d of the same body", len(gz), want.Len())
+		}
+		if !bytes.Equal(gunzip(t, gz), plain) {
+			t.Fatal("the gzip form does not decompress to the plain body")
+		}
+	}
+}
+
+// TestIncompressibleBodyHasNoGzipForm pins what a body that does not
+// shrink costs: Gzip says so (nil), the entry holds the plain bytes only,
+// and a gzip-accepting client is sent them identity-encoded.
+func TestIncompressibleBodyHasNoGzipForm(t *testing.T) {
+	plain := make([]byte, GzipMinSize)
+	rand.New(rand.NewSource(26)).Read(plain)
+	cb := &CachedBody{Plain: plain}
+	if gz := cb.Gzip(); gz != nil {
+		t.Fatalf("%d random bytes have a %d-byte gzip form, want none", len(plain), len(gz))
+	}
+	r := httptest.NewRequest("GET", "/v1/count", nil)
+	r.Header.Set("Accept-Encoding", "gzip")
+	for i := 0; i < 2; i++ { // the miss that compresses, then a hit
+		w := httptest.NewRecorder()
+		WriteJSONBody(w, r, http.StatusOK, cb)
+		if enc := w.Header().Get("Content-Encoding"); enc != "" {
+			t.Fatalf("an incompressible body was sent %s-encoded", enc)
+		}
+		if !bytes.Equal(w.Body.Bytes(), plain) {
+			t.Fatal("an incompressible body was not sent as its plain bytes")
+		}
+	}
+	if cb.gz != nil {
+		t.Errorf("the entry holds a %d-byte gzip copy beside the plain body", len(cb.gz))
+	}
+}
+
+// TestGzipAllocs pins the allocate-once half of the compression
+// contract, next to the marshal one above. A BestSpeed flate compressor
+// is 1.2 MB of state; compressing through a parked one must cost a body
+// no more than its scratch and its compressed copy, bodies compressed one
+// after another must share one writer, and however many are compressed at
+// once no more writers are built than there are processors.
+func TestGzipAllocs(t *testing.T) {
+	plain := twoKB(t)
 	compress := func() {
 		cb := &CachedBody{Plain: plain}
 		if gz := cb.Gzip(); len(gz) == 0 || len(gz) >= len(plain) {
@@ -227,7 +285,7 @@ func TestGzipAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 16<<10 {
-		t.Errorf("CachedBody.Gzip allocates %d bytes per 2 KB body, want under 16 KB (a fresh deflate state is about 800 KB)", perCall)
+		t.Errorf("CachedBody.Gzip allocates %d bytes per 2 KB body, want under 16 KB (a fresh deflate state is about 1.2 MB)", perCall)
 	}
 
 	var wg sync.WaitGroup

@@ -97,6 +97,36 @@ func TestMappedOracleEquivalence(t *testing.T) {
 	}
 }
 
+// TestMappedSegmentsOfOneTime holds a set of mapped segments, each
+// holding documents of a single time, to the oracle: every segment's
+// per-document time column has one bucket, and the trends of the set are
+// the merge of those. Compacted into one mapped segment, the same.
+func TestMappedSegmentsOfOneTime(t *testing.T) {
+	t.Parallel()
+	const k = 3
+	w := voctest.NewWorld(30, 150).OneTimePerSegment(k)
+	naive := w.Index().Naive()
+	dir := t.TempDir()
+	open := func(name string, ix *mining.Index) *mining.Index {
+		path := filepath.Join(dir, name)
+		writeSegFile(t, path, ix)
+		m, err := OpenMapped(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		mapped := mining.FromBacking(m)
+		mapped.Prepare()
+		return mapped
+	}
+	var segs []*mining.Index
+	for i, seg := range w.Segments(k) {
+		segs = append(segs, open(fmt.Sprintf("seg-%d.seg", i), seg))
+	}
+	voctest.CheckQueriers(t, mining.NewSegmentSet(segs...), naive, w)
+	voctest.CheckQueriers(t, open("merged.seg", mining.MergeSegments(segs...)), naive, w)
+}
+
 // TestOpenMappedRejectsDamage mirrors TestSegmentDecodeRejectsDamage
 // for the mapped open path: truncations and bit flips anywhere die at
 // the envelope, before any lazy read could serve them.

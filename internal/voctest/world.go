@@ -204,8 +204,34 @@ func NewWorld(seed int64, ndocs int) *World {
 		{"conjunction columns", []mining.Dim{d[0], d[5], d[6]}, []mining.Dim{d[11], d[9], d[12]}, []float64{0.95}},
 		{"trees on both sides", w.Trees[:4], w.Trees[4:], []float64{0.95}},
 		{"the whole battery squared", w.Dims, w.Dims, []float64{0.95}},
+		// A sealed segment counts a plain field column off the field's
+		// per-document column and marks every other column: each shape of
+		// that split, on either side of the table.
+		{"field rows", []mining.Dim{d[8], d[9], d[10], mining.FieldDim("outcome", "callback")}, []mining.Dim{d[0], d[1], d[2], d[5]}, []float64{0.95}},
+		{"an uncarried field", []mining.Dim{d[0], d[5], d[8]}, []mining.Dim{mining.FieldDim("missing-field", "x"), d[8]}, []float64{0.95}},
+		{"mixed columns", []mining.Dim{d[0], d[5], d[9], d[12]}, []mining.Dim{d[8], d[0], d[11], d[8], mining.FieldDim("outcome", "callback")}, []float64{0.95}},
 	}
 	return w
+}
+
+// OneTimePerSegment returns the world with its documents re-timed so that
+// Segments(k) deals every segment documents of a single time: the
+// document of ID rank i is at time 2·(i mod k) − 5. A segment's trend is
+// then one bucket, and only the merge across segments makes the several
+// of the monolithic index. Everything else — documents, battery, tables —
+// is the world's own.
+func (w *World) OneTimePerSegment(k int) *World {
+	rank := make(map[string]int, len(w.Docs))
+	for i, d := range w.DocsByID() {
+		rank[d.ID] = i
+	}
+	c := *w
+	c.Docs = make([]mining.Document, len(w.Docs))
+	for i, d := range w.Docs {
+		d.Time = 2*(rank[d.ID]%k) - 5
+		c.Docs[i] = d
+	}
+	return &c
 }
 
 // randomLeaf picks a concept, category or field dimension, now and then
@@ -306,7 +332,9 @@ func (w *World) URLs() []string {
 		"/v1/concepts?category=missing-category",
 		"/v1/concepts?field=missing-field",
 	}
-	for _, t := range w.Tables[:3] { // the fourth has no rows, which the grammar rejects
+	// The first three tables and the last three, the field-column shapes
+	// (the fourth has no rows, which the grammar rejects).
+	for _, t := range append(w.Tables[:3:3], w.Tables[len(w.Tables)-3:]...) {
 		urls = append(urls, "/v1/associate?"+url.Values{"row": labels(t.Rows), "col": labels(t.Cols), "confidence": {"0.9"}}.Encode())
 	}
 	urls = append(urls, "/v1/associate?"+url.Values{"row": labels(w.Trees[:4]), "col": labels(w.Trees[4:])}.Encode())
