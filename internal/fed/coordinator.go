@@ -205,13 +205,13 @@ func (c *Coordinator) roundTrip(req *http.Request) shardReply {
 		ctype: resp.Header.Get("Content-Type"), body: buf.Bytes()}
 }
 
-// scatter is the query path's one request form: the JSON BatchRequest,
-// POSTed to every shard's /v1/shard.
+// scatter is the query path's one request form: the request frame
+// (server.AppendShardRequest), POSTed to every shard's /v1/shard.
 func (c *Coordinator) scatter(ctx context.Context, payload []byte) []shardReply {
 	replies := c.fanout(ctx, func(ctx context.Context, base string) (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/shard", bytes.NewReader(payload))
 		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", server.FrameContentType)
 		}
 		return req, err
 	})

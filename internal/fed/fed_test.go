@@ -15,9 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
 	"bivoc/internal/server"
+	"bivoc/internal/store"
 	"bivoc/internal/voctest"
+	"bivoc/internal/wire"
 )
 
 // The federation oracle suite: a coordinator over hash-partitioned
@@ -680,9 +683,7 @@ func TestFedLocalErrorsStructured(t *testing.T) {
 		}
 	}
 	// A parameter that is not valid UTF-8 is refused by name, with one body,
-	// by both daemons: a single daemon could match it (it reads URL bytes)
-	// and a coordinator could not (its /v1/shard request is JSON, which
-	// turns the byte into U+FFFD), and neither could echo it. GET only: a
+	// by both daemons, which could match it but not echo it. GET only: a
 	// JSON batch cannot carry the byte to either.
 	for _, c := range []struct {
 		q    server.BatchQuery
@@ -721,7 +722,8 @@ func TestFedLocalErrorsStructured(t *testing.T) {
 // that breaks the exchange — a reply that is no frame, a partial cut
 // short or with bytes to spare, counts or marginals shorter or longer
 // than the plan's dimensions, a drill-down announcing more documents than
-// it may, a document or a relayed error that is not JSON: a structured
+// it may or sending them out of ID order or twice, a document that is no
+// whole record, a relayed error that is not JSON: a structured
 // 500 naming the shard, on the GET and as the batch sub-result, never a
 // silent under-count, an index panic or bytes passed on unchecked,
 // whichever side of a well-formed shard it sits on.
@@ -758,13 +760,13 @@ func TestFedShardShapeMismatch(t *testing.T) {
 	ok := func(partial []byte) server.ShardResult {
 		return server.ShardResult{Status: http.StatusOK, Body: partial}
 	}
-	doc := func(id string) server.ShardDoc {
-		return server.ShardDoc{ID: id, JSON: []byte(`{"id":"` + id + `","fields":{},"time":0,"concepts":[]}`)}
+	doc := func(id string) mining.Document {
+		return mining.Document{ID: id, Concepts: []annotate.Concept{{Category: "topic", Canonical: "billing"}}}
 	}
 	good := map[string]server.ShardResult{
 		"count":     ok(server.AppendCountPartial(nil, 9, []int{5, 4})),
 		"associate": ok(server.AppendAssocPartial(nil, mining.AssocMarginals{N: 9, Nver: []int{5, 4}, Nhor: []int{3}, Ncell: [][]int{{2}, {1}}})),
-		"drilldown": ok(server.AppendDrillDownPartial(nil, 5, []server.ShardDoc{doc("doc-1"), doc("doc-2")})),
+		"drilldown": ok(server.AppendDrillDownPartial(nil, 5, []mining.Document{doc("doc-1"), doc("doc-2")})),
 	}
 	countQ := server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even", "parity=odd"}}}
 	assocQ := server.BatchQuery{Endpoint: "associate", Params: url.Values{"row": {"billing[topic]", "coverage[topic]"}, "col": {"parity=even"}}}
@@ -793,9 +795,16 @@ func TestFedShardShapeMismatch(t *testing.T) {
 		}
 		return f
 	}
-	drill := func(count int, docs ...server.ShardDoc) fake {
+	drill := func(count int, docs ...mining.Document) fake {
 		return with(map[string]server.ShardResult{"drilldown": ok(server.AppendDrillDownPartial(nil, count, docs))})
 	}
+	// sent is a drill-down partial of one document sent as the bytes
+	// record, which may be no record.
+	sent := func(record []byte) fake {
+		b := wire.AppendBytes(wire.AppendInt(wire.AppendInt(nil, 5), 1), record)
+		return with(map[string]server.ShardResult{"drilldown": ok(b)})
+	}
+	record := store.AppendDocument(nil, doc("doc-1"))
 	for _, c := range []struct {
 		name   string
 		bad    fake
@@ -821,7 +830,11 @@ func TestFedShardShapeMismatch(t *testing.T) {
 		{name: "trailing-bytes", bad: each(func(r server.ShardResult) server.ShardResult { return ok(append(r.Body[:len(r.Body):len(r.Body)], 0)) })},
 		{name: "drilldown-over-limit", bad: drill(5, doc("doc-1"), doc("doc-2"), doc("doc-3")), breaks: queries[2:]},
 		{name: "drilldown-over-count", bad: drill(1, doc("doc-1"), doc("doc-2")), breaks: queries[2:]},
-		{name: "drilldown-not-json", bad: drill(5, server.ShardDoc{ID: "doc-0", JSON: []byte(`{"id":"doc-0"`)}), breaks: queries[2:]},
+		{name: "drilldown-json-not-record", bad: sent([]byte(`{"id":"doc-0","fields":{},"time":0,"concepts":[]}`)), breaks: queries[2:]},
+		{name: "drilldown-truncated-record", bad: sent(record[:len(record)-1]), breaks: queries[2:]},
+		{name: "drilldown-record-trailing-bytes", bad: sent(append(record[:len(record):len(record)], 0)), breaks: queries[2:]},
+		{name: "drilldown-out-of-order", bad: drill(5, doc("doc-2"), doc("doc-1")), breaks: queries[2:]},
+		{name: "drilldown-repeated-id", bad: drill(5, doc("doc-1"), doc("doc-1")), breaks: queries[2:]},
 		{name: "relay-not-json", bad: each(func(server.ShardResult) server.ShardResult {
 			return server.ShardResult{Status: http.StatusBadRequest, Body: []byte(`{"error":"cut sho`)}
 		})},

@@ -33,14 +33,19 @@ func uniformFrame(gen uint64, queries []server.BatchQuery, status int, body []by
 	return frame
 }
 
-// shardQueries decodes the request a coordinator sent to /v1/shard.
+// shardQueries decodes the request frame a coordinator sent to /v1/shard.
 func shardQueries(t *testing.T, r *http.Request) []server.BatchQuery {
 	t.Helper()
-	var req server.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || r.Method != http.MethodPost || r.URL.Path != "/v1/shard" {
-		t.Errorf("fake shard: %s %s: %v", r.Method, r.URL.Path, err)
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		var queries []server.BatchQuery
+		if queries, err = server.ReadShardRequest(body); err == nil && r.Method == http.MethodPost && r.URL.Path == "/v1/shard" &&
+			r.Header.Get("Content-Type") == server.FrameContentType {
+			return queries
+		}
 	}
-	return req.Queries
+	t.Errorf("fake shard: %s %s (%s): %v", r.Method, r.URL.Path, r.Header.Get("Content-Type"), err)
+	return nil
 }
 
 // stubShard answers every /v1/shard request the same way: with

@@ -179,10 +179,8 @@ type shardAnswer struct {
 // the vector; a shard that is unreachable or answers anything but 200 is
 // down for this request; a 200 that is anything else is malformed.
 func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery) (answers []shardAnswer, genVec []string, down []int) {
-	// Marshalling strings cannot fail.
-	payload, _ := json.Marshal(server.BatchRequest{Queries: queries})
 	answers, genVec = make([]shardAnswer, len(c.cfg.Shards)), c.blankVec()
-	for s, rep := range c.scatter(ctx, payload) {
+	for s, rep := range c.scatter(ctx, server.AppendShardRequest(nil, queries)) {
 		if rep.failure() != "" {
 			down = append(down, s)
 			continue

@@ -550,6 +550,79 @@ func TestFedBatchValidation(t *testing.T) {
 	}
 }
 
+// TestFedBatchFitsTheShardsWhereItFitsTheCoordinator: a batch the
+// coordinator accepts is never too large for its shards. The first batch
+// is 200 counts on a label of 4000 '<', 0.8 MB from a client that does
+// not escape HTML; marshalled again by encoding/json, every '<' would take
+// six bytes, past the shards' body limit, and every shard would be
+// "unavailable". Its request frame, like the second batch's of strings
+// JSON escapes, is no longer than the JSON the client sent. The third is
+// the first with every '<' a byte that is not UTF-8, which encoding/json
+// decodes to U+FFFD, three bytes: its frame is the one that outgrows the
+// client's JSON, and the shards read it all the same. Each answers what
+// the single daemon's /v1/batch answers.
+func TestFedBatchFitsTheShardsWhereItFitsTheCoordinator(t *testing.T) {
+	shard := startShard(t, voctest.ParityDocs(30), 0, 1, server.Config{})
+	waitIngestDone(t, shard)
+	monoBase := "http://" + shard.Addr()
+	fedBase := "http://" + startCoordinator(t, Config{Shards: []string{monoBase}}).Addr()
+	count := func(label string) server.BatchQuery {
+		return server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {label}}}
+	}
+	batch := func(queries []server.BatchQuery) []byte {
+		var payload bytes.Buffer
+		enc := json.NewEncoder(&payload)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(server.BatchRequest{Queries: queries}); err != nil {
+			t.Fatal(err)
+		}
+		return payload.Bytes()
+	}
+	angles := make([]server.BatchQuery, 200)
+	for i := range angles {
+		angles[i] = count("parity=" + strings.Repeat("<", 4000))
+	}
+	var escaped []server.BatchQuery
+	for _, s := range []string{`a "quote" and a \backslash`, "line separator", "tab\tand\x01control", "&<>", "ünïcode"} {
+		escaped = append(escaped, count("parity="+s),
+			server.BatchQuery{Endpoint: "drilldown", Params: url.Values{"row": {"topic"}, "col": {"outcome=" + s}, "limit": {"3"}}})
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		growth  int // the longest the frame may be, in lengths of the payload
+	}{
+		{"angle brackets", batch(angles), 1},
+		{"escaped strings", batch(escaped), 1},
+		{"bytes not UTF-8", bytes.ReplaceAll(batch(angles), []byte("<"), []byte{0xff}), 3},
+	} {
+		name, payload := c.name, c.payload
+		var req server.BatchRequest
+		if err := json.Unmarshal(payload, &req); err != nil {
+			t.Fatal(err)
+		}
+		if frame := server.AppendShardRequest(nil, req.Queries); len(frame) > c.growth*len(payload) || len(payload) > server.MaxBatchBytes {
+			t.Errorf("%s: a request frame of %d bytes for %d bytes of JSON (limit %d)", name, len(frame), len(payload), server.MaxBatchBytes)
+		}
+		post := func(base string) (int, []byte) {
+			resp, err := testClient.Post(base+"/v1/batch", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, body
+		}
+		monoStatus, want := post(monoBase)
+		if status, got := post(fedBase); status != http.StatusOK || monoStatus != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: coordinator %d %.300s\nsingle daemon %d %.300s", name, status, got, monoStatus, want)
+		}
+	}
+}
+
 // TestFedStatszServingSections pins the SLO sections of the federated
 // /statsz: the coordinator's own per-endpoint counters and the
 // element-wise sum of the shards', with bucket totals matching request
@@ -619,12 +692,9 @@ func TestFedStatszServingSections(t *testing.T) {
 	t.Cleanup(broken.Close)
 	fedBase = "http://" + startCoordinator(t, Config{Shards: append(shardAddrs(shards), broken.URL)}).Addr()
 	frameBytes := func(queries ...server.BatchQuery) (n uint64) {
-		payload, err := json.Marshal(server.BatchRequest{Queries: queries})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := server.AppendShardRequest(nil, queries)
 		for _, s := range shards {
-			resp, err := testClient.Post("http://"+s.Addr()+"/v1/shard", "application/json", bytes.NewReader(payload))
+			resp, err := testClient.Post("http://"+s.Addr()+"/v1/shard", server.FrameContentType, bytes.NewReader(payload))
 			if err != nil {
 				t.Fatal(err)
 			}

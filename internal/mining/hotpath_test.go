@@ -211,6 +211,36 @@ func TestPreparedTrendAllocs(t *testing.T) {
 	}
 }
 
+// TestPreparedDrillDownLimitAllocs pins the limited drill-down of a sealed
+// segment: once its columns are built, its conjunctions memoized and the
+// query scratch pooled, it takes its first documents in position order —
+// by a field column without building the cell, or from an intersection
+// into pooled scratch — so that it allocates its result and nothing
+// else, for every shape of the world's drill-down battery with leaf
+// operands. (A conjunction operand pays for its memo key,
+// Dim.CanonicalLabel, wherever it is resolved.)
+func TestPreparedDrillDownLimitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 300)
+	ix := mining.Seal(w.DocsByID())
+	for _, c := range w.Cells {
+		if len(c[0].And) > 0 || len(c[1].And) > 0 {
+			continue
+		}
+		docs, count := ix.DrillDownLimit(c[0], c[1], 3) // warm
+		want := 0.0
+		if len(docs) > 0 {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(100, func() { ix.DrillDownLimit(c[0], c[1], 3) }); got != want {
+			t.Errorf("DrillDownLimit(%s, %s, 3) of a cell of %d allocates %.1f objects per call, want %.0f (its result)",
+				c[0].Label(), c[1].Label(), count, got, want)
+		}
+	}
+}
+
 // TestConjunctionMemoStability pins that the memoized conjunction cache
 // returns stable answers: the same canonical key served twice (including
 // via differently-ordered but equivalent Dim trees) yields identical

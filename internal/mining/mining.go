@@ -177,40 +177,83 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 
 // DrillDownLimit returns the size of the cell of documents matching both
 // dimensions and its first limit documents in ID order (all of them when
-// limit is negative). The count comes from the positions intersection;
-// on a sealed segment, where position order is ID order (see idOrdered),
-// only the first limit positions are materialized — over a mapped
-// backing each one is a full record decode. Any other index materializes
-// and sorts the whole cell before truncating.
+// limit is negative). On a sealed segment, where position order is ID
+// order (see idOrdered), a limited drill-down materializes only the
+// first limit positions — over a mapped backing each one is a full
+// record decode — and, when a side is a plain field with a column, does
+// not build the cell at all (firstByColumn). Any other index
+// materializes and sorts the whole cell before truncating.
 func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	pa, ownedA := ix.resolve(ctx, a)
 	pb, ownedB := ix.resolve(ctx, b)
-	both := intersectInto(ctx.getBuf(), pa, pb)
-	count = len(both)
-	take := both
-	inOrder := limit >= 0 && limit < count && ix.idOrdered()
+	inOrder := limit >= 0 && ix.idOrdered()
+	byColumn := false
 	if inOrder {
-		take = both[:limit]
+		docs, count, byColumn = ix.firstByColumn(a, b, pa, pb, limit)
 	}
-	if len(take) > 0 {
-		docs = make([]Document, len(take))
-		for i, p := range take {
-			docs[i] = ix.b.Doc(p)
+	if !byColumn {
+		both := intersectInto(ctx.getBuf(), pa, pb)
+		count = len(both)
+		if inOrder {
+			docs = ix.docsAt(both[:min(limit, count)])
+		} else {
+			docs = firstDocs(ix.docsAt(both), limit)
 		}
+		ctx.putBuf(both)
 	}
-	ctx.putBuf(both)
 	if ownedB {
 		ctx.putBuf(pb)
 	}
 	if ownedA {
 		ctx.putBuf(pa)
 	}
-	if !inOrder {
-		docs = firstDocs(docs, limit)
-	}
 	return docs, count
+}
+
+// firstByColumn counts the cell of a and b, whose postings are pa and
+// pb, and returns the documents at its first limit positions without
+// building the cell, when a side is a plain field with a column
+// (fieldColumn): the cell is then the other side's documents that hold
+// the field's value, countValue counts them, and a walk of that side's
+// postings takes the first limit. ok is false for any other shape.
+func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int) (docs []Document, count int, ok bool) {
+	posts := pa
+	ids, value, ok := ix.fieldColumn(b)
+	if !ok {
+		ids, value, ok = ix.fieldColumn(a)
+		posts = pb
+	}
+	if !ok || value == 0 { // value 0: no document carries the field's value
+		return nil, 0, ok
+	}
+	if count = countValue(ids, value, posts); count == 0 || limit == 0 {
+		return nil, count, true
+	}
+	docs = make([]Document, min(limit, count))
+	k := 0
+	for _, p := range posts {
+		if ids[p] == value {
+			docs[k] = ix.b.Doc(p)
+			if k++; k == len(docs) {
+				break
+			}
+		}
+	}
+	return docs, count, true
+}
+
+// docsAt materializes the documents at positions, nil for none.
+func (ix *Index) docsAt(positions []int) []Document {
+	if len(positions) == 0 {
+		return nil
+	}
+	docs := make([]Document, len(positions))
+	for i, p := range positions {
+		docs[i] = ix.b.Doc(p)
+	}
+	return docs
 }
 
 // firstDocs sorts docs by ID and truncates them to limit; a negative

@@ -244,8 +244,8 @@ func TestBatchValidation(t *testing.T) {
 	// A parameter that is not valid UTF-8 is refused where every route
 	// parses, so the GET, the batch sub-query and the /v1/shard sub-query
 	// carry one body. JSON cannot bring the byte to a daemon (a decoder
-	// turns it into U+FFFD), so the sub-queries are run as the two handlers
-	// run theirs once decoded.
+	// turns it into U+FFFD), so the batch sub-query is run as the handler
+	// runs it once decoded; a request frame carries the byte as it is.
 	bq := BatchQuery{Endpoint: "drilldown", Params: map[string][]string{"row": {voctest.NotUTF8.Label()}, "col": {"topic"}}}
 	const refusal = `{"error":"parameter row: \"agent=A\\xff4\" is not valid UTF-8","status":400}`
 	if status, body := get(t, base+"/v1/drilldown?"+url.Values(bq.Params).Encode()); status != http.StatusBadRequest || string(body) != refusal+"\n" {
@@ -254,7 +254,7 @@ func TestBatchValidation(t *testing.T) {
 	if sub := s.runBatchQuery(s.snap.Load(), bq); sub.Status != http.StatusBadRequest || string(sub.Body) != refusal {
 		t.Errorf("batch sub-query with a label that is not UTF-8: %d %s, want 400 %s", sub.Status, sub.Body, refusal)
 	}
-	if sub := s.runShardQuery(s.snap.Load(), bq); sub.Status != http.StatusBadRequest || string(sub.Body) != refusal {
+	if sub := postShard(t, base, bq).Results[0]; sub.Status != http.StatusBadRequest || string(sub.Body) != refusal {
 		t.Errorf("shard sub-query with a label that is not UTF-8: %d %s, want 400 %s", sub.Status, sub.Body, refusal)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/url"
@@ -113,7 +112,7 @@ func (p *Plan) partialKey() string { return "shard:" + cmp.Or(p.partKey, p.Key) 
 
 // Merge renders the plan's response body from the live shards' partials
 // (at least one): integers add, the float pipeline runs once over the
-// sums, and documents already encoded are copied through. A partial whose
+// sums, and the documents kept are rendered once. A partial whose
 // shape disagrees with the plan is an error, never a silent under-count.
 func (p *Plan) Merge(live []ShardBody, fs FedStatus) ([]byte, error) {
 	h := MergedHead(fs)
@@ -178,12 +177,11 @@ type dimList struct {
 	labels []string
 }
 
-// checkUTF8 refuses a parameter value that is not valid UTF-8. Neither
-// daemon could echo it in a JSON body, and a coordinator could not hand it
-// to its shards (the /v1/shard request is JSON, which turns the byte into
-// U+FFFD and so into a label that matches nothing): a 400 at the one
-// place both parse, not two different answers. The value is quoted with
-// its bytes escaped, so the error itself is ASCII.
+// checkUTF8 refuses a parameter value that is not valid UTF-8: neither
+// daemon could echo it in a JSON body (encoding/json turns the byte into
+// U+FFFD), so it is a 400 at the one place both parse, not a label
+// answered under another spelling. The value is quoted with its bytes
+// escaped, so the error itself is ASCII.
 func checkUTF8(param, v string) error {
 	if !utf8.ValidString(v) {
 		return fmt.Errorf("parameter %s: %+q is not valid UTF-8", param, v)
@@ -399,31 +397,19 @@ func (e Endpoints) drillDown(q url.Values) (*Plan, error) {
 			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
 			return respond(h, count, documentsJSON(docs))
 		},
+		// A shard sends its documents as records, not rendered: the
+		// coordinator keeps the cell's first limit of all the shards sent
+		// and renders only those, as Local renders its own.
 		partial: func(b []byte, v mining.Querier) ([]byte, error) {
 			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
-			return appendDocumentsPartial(b, count, docs[:min(len(docs), limit)])
+			return AppendDrillDownPartial(b, count, docs[:min(len(docs), limit)]), nil
 		},
-		// Document IDs are unique across shards, so the first limit of the
-		// whole cell are among the shards' own first limit, re-sorted. The
-		// kept documents are copied into the body as the shards encoded
-		// them, between the head and tail of the response marshalled
-		// without any.
 		merge: func(live []ShardBody, h Head) ([]byte, error) {
 			count, docs, err := mergeDrillDownPartials(live, limit)
 			if err != nil {
 				return nil, err
 			}
-			shell, err := json.Marshal(respond(h, count, []DocumentJSON{}))
-			if err != nil {
-				return nil, err
-			}
-			size := 0
-			for _, d := range docs {
-				size += len(d.json)
-			}
-			return spliceList(shell, "docs", len(docs), size, func(b []byte, i int) []byte {
-				return append(b, docs[i].json...)
-			}), nil
+			return marshalBody(respond(h, count, documentsJSON(docs)))
 		},
 	}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/store"
 	"bivoc/internal/voctest"
 	"bivoc/internal/wire"
 )
@@ -136,18 +137,27 @@ func TestErrorBodiesAreStructuredJSON(t *testing.T) {
 	}
 }
 
-// postShard POSTs queries to the daemon's /v1/shard and decodes the frame.
-func postShard(t *testing.T, base string, queries ...BatchQuery) ShardFrame {
+// postShardBody POSTs a request body of the given content type to the
+// daemon's /v1/shard and returns the reply.
+func postShardBody(t *testing.T, base, ctype string, body []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := testClient.Post(base+"/v1/shard", "application/json", bytes.NewReader(mustJSON(t, BatchRequest{Queries: queries})))
+	resp, err := testClient.Post(base+"/v1/shard", ctype, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	reply, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp, reply
+}
+
+// postShard POSTs queries to the daemon's /v1/shard as a request frame
+// and decodes the reply's.
+func postShard(t *testing.T, base string, queries ...BatchQuery) ShardFrame {
+	t.Helper()
+	resp, body := postShardBody(t, base, FrameContentType, AppendShardRequest(nil, queries))
 	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != FrameContentType {
 		t.Fatalf("POST /v1/shard: status %d, Content-Type %q, body %q", resp.StatusCode, ct, body)
 	}
@@ -335,14 +345,18 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 					if got.count != wantCount || len(got.docs) != len(wantDocs) {
 						t.Fatalf("drilldown partial: count %d with %d docs, direct %d with %d", got.count, len(got.docs), wantCount, len(wantDocs))
 					}
-					encoded := make([]ShardDoc, len(got.docs))
+					decoded := make([]mining.Document, len(got.docs))
 					for k, d := range got.docs {
-						if want, _ := json.Marshal(documentsJSON(wantDocs[k : k+1])[0]); string(d.id) != wantDocs[k].ID || !bytes.Equal(d.json, want) {
-							t.Errorf("drilldown doc %d: %s %s, direct %s %s", k, d.id, d.json, wantDocs[k].ID, want)
+						rec := wire.NewReader(d.record)
+						decoded[k] = store.ReadDocument(&rec)
+						if err := rec.Done(); err != nil || string(d.id) != wantDocs[k].ID {
+							t.Errorf("drilldown doc %d: %s %q (%v), direct %s", k, d.id, d.record, err, wantDocs[k].ID)
 						}
-						encoded[k] = ShardDoc{ID: string(d.id), JSON: d.json}
 					}
-					if re := AppendDrillDownPartial(nil, got.count, encoded); !bytes.Equal(re, frame.Results[i].Body) {
+					if want := voctest.AsStored(wantDocs); !sameList(decoded, want) {
+						t.Errorf("drilldown documents %+v, direct %+v", decoded, want)
+					}
+					if re := AppendDrillDownPartial(nil, got.count, decoded); !bytes.Equal(re, frame.Results[i].Body) {
 						t.Errorf("drilldown partial re-encodes to %q, was %q", re, frame.Results[i].Body)
 					}
 				})
@@ -359,5 +373,59 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				t.Errorf("association partial at another confidence: %d cache hits, want 1", got)
 			}
 		})
+	}
+}
+
+// TestShardRequestRejected: /v1/shard reads nothing but the canonical
+// request frame — no JSON, no other version, one to MaxBatchQueries
+// sub-queries, parameter names sorted and unique, not a byte missing or to
+// spare, the body within maxShardRequestBytes — and answers anything else
+// 400 naming what is wrong with it.
+func TestShardRequestRejected(t *testing.T) {
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(20))})
+	waitIngestDone(t, s)
+	base := "http://" + s.Addr()
+
+	// request spells a frame of one count query by hand, its names in the
+	// order given.
+	request := func(names ...string) []byte {
+		b := wire.AppendBytes(wire.AppendInt([]byte{frameVersion}, 1), "count")
+		return wire.AppendList(b, names, func(b []byte, name string) []byte {
+			return wire.AppendList(wire.AppendBytes(b, name), []string{"parity=even"}, wire.AppendBytes[string])
+		})
+	}
+	q := BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"parity=even"}, "x": {"parity=even"}}}
+	good := AppendShardRequest(nil, []BatchQuery{q})
+	if !bytes.Equal(good, request("dim", "x")) {
+		t.Fatalf("request frame %q, spelt by hand %q", good, request("dim", "x"))
+	}
+	over := make([]BatchQuery, MaxBatchQueries+1)
+	for i := range over {
+		over[i] = BatchQuery{Endpoint: "count"}
+	}
+	huge := AppendShardRequest(nil, []BatchQuery{{Endpoint: "count", Params: url.Values{"dim": {strings.Repeat("a", maxShardRequestBytes)}}}})
+	for _, c := range []struct {
+		name, ctype string
+		body        []byte
+		want        string
+	}{
+		{"json", "application/json", mustJSON(t, BatchRequest{Queries: []BatchQuery{q}}), `shard request is "application/json", not a application/x-bivoc-frame`},
+		{"version", FrameContentType, append([]byte{frameVersion + 1}, good[1:]...), "decoding shard request: request version 2, want 1"},
+		{"no queries", FrameContentType, []byte{frameVersion, 0}, "decoding shard request: request has no queries"},
+		{"too many queries", FrameContentType, AppendShardRequest(nil, over), "decoding shard request: request has 1001 queries, limit is 1000"},
+		{"unsorted names", FrameContentType, request("x", "dim"), `decoding shard request: query 0: parameter "dim" after "x": names not sorted and unique`},
+		{"repeated names", FrameContentType, request("dim", "dim"), `decoding shard request: query 0: parameter "dim" after "dim": names not sorted and unique`},
+		{"trailing bytes", FrameContentType, append(append([]byte{}, good...), 0), "decoding shard request: 1 trailing bytes"},
+		{"truncated", FrameContentType, good[:len(good)-1], "decoding shard request: 11 elements announced at offset 30, 10 bytes left"},
+		{"too large", FrameContentType, huge, "reading shard request: http: request body too large"},
+	} {
+		resp, body := postShardBody(t, base, c.ctype, c.body)
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Status != http.StatusBadRequest || !strings.HasPrefix(e.Error, c.want) {
+			t.Errorf("%s: %d %s (%v), want 400 %q", c.name, resp.StatusCode, body, err, c.want)
+		}
+	}
+	if res := postShard(t, base, q).Results[0]; res.Status != http.StatusOK {
+		t.Errorf("the well-formed request: %d %s", res.Status, res.Body)
 	}
 }

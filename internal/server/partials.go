@@ -2,10 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"slices"
 
 	"bivoc/internal/mining"
+	"bivoc/internal/store"
 	"bivoc/internal/wire"
 )
 
@@ -101,98 +100,91 @@ func readAssocPartial(r *wire.Reader) mining.AssocMarginals {
 		Ncell: wire.List(r, 1, (*wire.Reader).Ints)}
 }
 
-// ShardDoc is one drill-down document inside a partial: the ID the
-// coordinator orders by, and the exact bytes DocumentJSON marshals to.
-type ShardDoc struct {
-	ID   string
-	JSON []byte
-}
-
 // AppendDrillDownPartial appends a drill-down query's partial: uvarint
-// cell size, uvarint n, then n of (ID, encoded document) — the cell's
-// first documents in ID order, at most the query's limit.
-func AppendDrillDownPartial(b []byte, count int, docs []ShardDoc) []byte {
-	return wire.AppendList(wire.AppendInt(b, count), docs, func(b []byte, d ShardDoc) []byte {
-		return wire.AppendBytes(wire.AppendBytes(b, d.ID), d.JSON)
-	})
+// cell size, uvarint n, then n records — the cell's first documents in
+// ID order, at most the query's limit, each the store's document record
+// with inline strings (store.AppendDocument) as a byte string. A record
+// begins with its document's ID, so the coordinator orders the documents
+// by reading that string alone.
+func AppendDrillDownPartial(b []byte, count int, docs []mining.Document) []byte {
+	b = wire.AppendInt(wire.AppendInt(b, count), len(docs))
+	var record []byte
+	for _, d := range docs {
+		record = store.AppendDocument(record[:0], d)
+		b = wire.AppendBytes(b, record)
+	}
+	return b
 }
 
-// appendDocumentsPartial encodes docs, each exactly as a DrillDownResponse
-// would carry it, with one encoder over a pooled buffer, and appends the
-// drill-down partial of them.
-func appendDocumentsPartial(b []byte, count int, docs []mining.Document) ([]byte, error) {
-	buf := bodyScratch.Get().(*bytes.Buffer)
-	defer bodyScratch.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	ends := make([]int, len(docs))
-	for i, d := range documentsJSON(docs) {
-		if err := enc.Encode(d); err != nil {
-			return nil, err
-		}
-		ends[i] = buf.Len()
-	}
-	encoded, start := make([]ShardDoc, len(docs)), 0
-	for i, d := range docs {
-		encoded[i] = ShardDoc{ID: d.ID, JSON: buf.Bytes()[start : ends[i]-1]} // less Encode's newline
-		start = ends[i]
-	}
-	return AppendDrillDownPartial(slices.Grow(b, buf.Len()+32*(len(docs)+1)), count, encoded), nil
-}
-
-// drillDownPartial is a drill-down partial as read: the documents alias
-// the reply they were read from.
+// drillDownPartial is a drill-down partial as read: the IDs and records
+// alias the reply they were read from.
 type drillDownPartial struct {
 	count int
 	docs  []shardDoc
 }
 
-type shardDoc struct {
-	from     int // index of the live shard that sent it
-	id, json []byte
-}
+// shardDoc is one record of a drill-down partial and the ID it begins
+// with, read without decoding the rest.
+type shardDoc struct{ id, record []byte }
 
 // readDrillDownPartial reads a drill-down partial for a query with the
-// given limit; a shard may not send more documents than the limit, or
-// than its own cell holds.
+// given limit. A shard may not send more documents than the limit, or
+// than its own cell holds, and sends them in strictly increasing ID order.
 func readDrillDownPartial(limit int) func(*wire.Reader) drillDownPartial {
 	return func(r *wire.Reader) drillDownPartial {
-		p := drillDownPartial{count: r.Int(), docs: wire.List(r, 2, func(r *wire.Reader) shardDoc {
-			return shardDoc{id: r.Bytes(), json: r.Bytes()}
+		p := drillDownPartial{count: r.Int(), docs: wire.List(r, 1, func(r *wire.Reader) shardDoc {
+			record := r.Bytes()
+			rr := wire.NewReader(record)
+			id := rr.Bytes()
+			if err := rr.Err(); err != nil {
+				r.Failf("record without an ID: %v", err)
+			}
+			return shardDoc{id: id, record: record}
 		})}
 		if len(p.docs) > min(p.count, limit) {
 			r.Failf("%d documents for a cell of %d at limit %d", len(p.docs), p.count, limit)
+		}
+		for i := 1; i < len(p.docs) && r.Err() == nil; i++ {
+			if bytes.Compare(p.docs[i-1].id, p.docs[i].id) >= 0 {
+				r.Failf("document %q after %q: IDs not in strictly increasing order", p.docs[i].id, p.docs[i-1].id)
+			}
 		}
 		return p
 	}
 }
 
 // mergeDrillDownPartials sums the cell sizes and returns the cell's first
-// limit documents in ID order, as the shards encoded them. Only the
-// documents kept are checked to be JSON; they are the only ones forwarded.
-func mergeDrillDownPartials(live []ShardBody, limit int) (count int, docs []shardDoc, err error) {
+// limit documents in ID order. Document IDs are unique across shards, so
+// those are among the shards' own first limit: merging the shards' sorted
+// lists finds them, and only their records are decoded. Each must decode
+// whole.
+func mergeDrillDownPartials(live []ShardBody, limit int) (count int, docs []mining.Document, err error) {
 	parts, err := decodeParts(live, readDrillDownPartial(limit))
 	if err != nil {
 		return 0, nil, err
 	}
 	n := 0
 	for _, part := range parts {
+		count += part.count
 		n += len(part.docs)
 	}
-	docs = make([]shardDoc, 0, n)
-	for k, part := range parts {
-		count += part.count
-		for _, d := range part.docs {
-			d.from = k
-			docs = append(docs, d)
+	docs = make([]mining.Document, 0, min(n, limit))
+	next := make([]int, len(parts)) // each part's first document not yet taken
+	for len(docs) < cap(docs) {
+		k := -1
+		for j, part := range parts {
+			if next[j] < len(part.docs) && (k < 0 || bytes.Compare(part.docs[next[j]].id, parts[k].docs[next[k]].id) < 0) {
+				k = j
+			}
 		}
-	}
-	slices.SortFunc(docs, func(a, b shardDoc) int { return bytes.Compare(a.id, b.id) })
-	docs = docs[:min(len(docs), limit)]
-	for _, d := range docs {
-		if !json.Valid(d.json) {
-			return 0, nil, live[d.from].errorf("document %q is not valid JSON", d.id)
+		sent := parts[k].docs[next[k]]
+		next[k]++
+		r := wire.NewReader(sent.record)
+		d := store.ReadDocument(&r)
+		if err := r.Done(); err != nil {
+			return 0, nil, live[k].errorf("document %q: decoding record: %w", sent.id, err)
 		}
+		docs = append(docs, d)
 	}
 	return count, docs, nil
 }

@@ -1,38 +1,163 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
 	"bivoc/internal/wire"
 )
 
-// POST /v1/shard — the exchange between daemons. A coordinator sends the
-// JSON BatchRequest a client could have sent (the sub-queries as the
-// client named them, marshalled once for the whole fleet) and every
-// bivocd answers with one frame computed from one snapshot, in
-// internal/wire's encodings:
+// POST /v1/shard — the exchange between daemons, a frame each way in
+// internal/wire's encodings. A coordinator sends the sub-queries it has
+// planned, as the client named them, encoded once for the whole fleet (a
+// GET is a batch of one):
+//
+//	byte     version (1)
+//	uvarint  n, the sub-query count (1 to MaxBatchQueries)
+//	n times  endpoint, then a list of (name, list of values), the
+//	         names sorted and unique
+//
+// and every bivocd answers with one frame computed from one snapshot:
 //
 //	byte     version (1)
 //	uvarint  generation
 //	byte     sealed (0 | 1)
-//	uvarint  n, the request's sub-query count (at most MaxBatchQueries)
+//	uvarint  n, the request's sub-query count
 //	n times  uvarint status, uvarint length, length bytes
 //
-// A 200 sub-result carries the plan's partial — the integers and already
-// encoded documents this daemon holds of the answer (partials.go) — and
+// A 200 sub-result carries the plan's partial — the integers and
+// document records this daemon holds of the answer (partials.go) — and
 // any other status the ErrorBody its GET route would have sent. Nothing
 // in a frame is delimited by a newline, so nothing on this path may trim
-// or append one. It is not a public API: a fleet is deployed from one
-// build, so a reply that is not a version-1 frame is an error, never a
-// cue to fall back to another form.
+// or append one. Strings travel unescaped behind their length, so a
+// request frame is no longer than the /v1/batch JSON its sub-queries came
+// in, save what JSON decoding made of bytes that are not UTF-8
+// (maxShardRequestBytes), and holds no more names and values than that
+// JSON could (ReadShardRequest). It is not a public API: a
+// fleet is deployed from one build, so a request or a reply that is not a
+// version-1 frame is an error, never a cue to fall back to another form.
 
-// FrameContentType marks a /v1/shard reply.
+// FrameContentType marks a /v1/shard request and its reply.
 const FrameContentType = "application/x-bivoc-frame"
 
 const frameVersion = 1
+
+// AppendShardRequest appends the /v1/shard request frame of queries to b.
+func AppendShardRequest(b []byte, queries []BatchQuery) []byte {
+	var names []string
+	return wire.AppendList(append(b, frameVersion), queries, func(b []byte, q BatchQuery) []byte {
+		names = names[:0]
+		for name := range q.Params {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		return wire.AppendList(wire.AppendBytes(b, q.Endpoint), names, func(b []byte, name string) []byte {
+			return wire.AppendList(wire.AppendBytes(b, name), q.Params[name], wire.AppendBytes[string])
+		})
+	})
+}
+
+// ReadShardRequest decodes a /v1/shard request frame. Only the canonical
+// encoding is accepted — the version this build writes, at least one and
+// at most MaxBatchQueries sub-queries, each one's parameter names sorted
+// and unique, no more names and values than a MaxBatchBytes /v1/batch
+// body could hold (jsonLeast), no trailing bytes — so a request decodes
+// to exactly what AppendShardRequest wrote. The names and values are
+// counted against that body before the map or list a count announces is
+// made, so a frame costs no more memory than the JSON batch it stands for.
+func ReadShardRequest(b []byte) ([]BatchQuery, error) {
+	r := wire.NewReader(b)
+	if v := r.Uvarint(); r.Err() == nil && v != frameVersion {
+		r.Failf("request version %d, want %d", v, frameVersion)
+	}
+	n := r.Count(2)
+	if n == 0 {
+		r.Failf("request has no queries")
+	} else if n > MaxBatchQueries {
+		r.Failf("request has %d queries, limit is %d", n, MaxBatchQueries)
+		n = 0
+	}
+	room := MaxBatchBytes // what the batch has left once the strings read so far are in it
+	fits := func(least int) bool {
+		if room -= least; room < 0 {
+			r.Failf("request holds more parameters than a %d-byte batch can", MaxBatchBytes)
+		}
+		return r.Err() == nil
+	}
+	queries := make([]BatchQuery, n)
+	for i := range queries {
+		q := &queries[i]
+		q.Endpoint = r.String()
+		names := r.Count(2)
+		if !fits(names * jsonLeastName) {
+			return nil, r.Err()
+		}
+		if names > 0 {
+			q.Params = make(map[string][]string, names)
+		}
+		prev := ""
+		for k := range names {
+			name := r.String()
+			if k > 0 && name <= prev {
+				r.Failf("query %d: parameter %q after %q: names not sorted and unique", i, name, prev)
+			}
+			nv := r.Count(1)
+			if !fits(jsonLeast(name) + nv*jsonLeastValue) {
+				return nil, r.Err()
+			}
+			values := make([]string, nv)
+			for v := range values {
+				values[v] = r.String()
+				fits(jsonLeast(values[v]))
+			}
+			q.Params[name] = values
+			prev = name
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return queries, nil
+}
+
+// The least a parameter takes in /v1/batch JSON: a name `"":[]` and a
+// value `""` besides their bytes, and a string of n bytes at least n/3
+// of those, because encoding/json decodes each byte that is not UTF-8 to
+// U+FFFD, three bytes. A request whose JSON form fits in MaxBatchBytes —
+// any /v1/batch a coordinator accepts, any request the JSON exchange
+// could carry — fits by this count.
+const jsonLeastName, jsonLeastValue = 5, 2
+
+func jsonLeast(s string) int { return (len(s) + 2) / 3 }
+
+// maxShardRequestBytes bounds a /v1/shard request body: the frame of any
+// batch a coordinator accepts. The frame is no longer than the batch's
+// JSON but for the bytes that are not UTF-8 (jsonLeast).
+const maxShardRequestBytes = 3 * MaxBatchBytes
+
+// readShardRequest reads a /v1/shard request under maxShardRequestBytes;
+// every error is the caller's (400).
+func readShardRequest(w http.ResponseWriter, r *http.Request) ([]BatchQuery, error) {
+	if ct := r.Header.Get("Content-Type"); ct != FrameContentType {
+		return nil, fmt.Errorf("shard request is %q, not a %s", ct, FrameContentType)
+	}
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	defer bodyScratch.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxShardRequestBytes)); err != nil {
+		return nil, fmt.Errorf("reading shard request: %w", err)
+	}
+	queries, err := ReadShardRequest(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("decoding shard request: %w", err)
+	}
+	return queries, nil
+}
 
 // ShardResult is one sub-query's outcome inside a frame.
 type ShardResult struct {
@@ -90,15 +215,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
-	req, err := DecodeBatch(w, r)
+	queries, err := readShardRequest(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	sn := s.snap.Load()
-	results := make([]ShardResult, len(req.Queries))
+	results := make([]ShardResult, len(queries))
 	size := 2 * wire.MaxVarintLen
-	for i, bq := range req.Queries {
+	for i, bq := range queries {
 		results[i] = s.runShardQuery(sn, bq)
 		size += len(results[i].Body) + wire.MaxVarintLen
 	}

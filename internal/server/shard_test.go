@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"sort"
 	"testing"
 
+	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
 	"bivoc/internal/wire"
@@ -51,11 +53,11 @@ var frameDecoders = []struct {
 		return AppendAssocPartial(nil, p), n
 	})},
 	{"drilldown", partialDecoder(readDrillDownPartial(math.MaxInt), func(p drillDownPartial) ([]byte, int) {
-		docs := make([]ShardDoc, len(p.docs))
-		for i, d := range p.docs {
-			docs[i] = ShardDoc{ID: string(d.id), JSON: d.json}
+		b := wire.AppendInt(wire.AppendInt(nil, p.count), len(p.docs))
+		for _, d := range p.docs {
+			b = wire.AppendBytes(b, d.record)
 		}
-		return AppendDrillDownPartial(nil, p.count, docs), len(docs)
+		return b, len(p.docs)
 	})},
 }
 
@@ -82,7 +84,11 @@ func frameSeeds() [][]byte {
 		appendRelFreqPartial(nil, mining.RelFreqMarginals{N: 90, SubsetSize: 30,
 			Concepts: []mining.ConceptMarginal{{Concept: "billing", InSubset: 4, InAll: 20}, {Concept: "outage", InSubset: 0, InAll: 300}}}),
 		AppendAssocPartial(nil, mining.AssocMarginals{N: 9, Nver: []int{5, 4}, Nhor: []int{3}, Ncell: [][]int{{2}, {1}}}),
-		AppendDrillDownPartial(nil, 3, []ShardDoc{{ID: "doc-1", JSON: []byte(`{"id":"doc-1"}`)}, {ID: "doc-2", JSON: []byte(`{}`)}}),
+		AppendDrillDownPartial(nil, 3, []mining.Document{
+			{ID: "doc-1", Time: -3, Concepts: []annotate.Concept{{Category: "issue", Canonical: "billing", Start: 2, End: 4}},
+				Fields: map[string]string{"outcome": "reservation"}},
+			{ID: "doc-2"},
+		}),
 	}
 	frame := ShardFrame{Generation: 300, Sealed: true, Results: []ShardResult{{Status: 400, Body: []byte(`{"error":"x","status":400}`)}}}
 	for _, p := range partials {
@@ -183,16 +189,194 @@ func TestShardFrameSeeds(t *testing.T) {
 	}
 }
 
-// TestShardFrameIsThePinnedBytes: a frame holding a refusal and one
-// partial of each of the seven shapes hashes to what ShardFrame.Append and
-// the partial writers wrote before they moved onto internal/wire (computed
-// at PR 21's commit, ec586e0). A change to the hash is a change of what
-// daemons of one fleet say to each other.
+// TestShardFrameIsThePinnedBytes: a reply frame holding a refusal and one
+// partial of each of the seven shapes, and a request frame holding every
+// request seed's sub-queries, hash to what the frame and partial writers
+// write since drill-down partials carry document records and requests are
+// frames. A change to a hash is a change of what daemons of one fleet say
+// to each other.
 func TestShardFrameIsThePinnedBytes(t *testing.T) {
-	frame := frameSeeds()[0]
-	const size, pinned = 171, "33423b09552164a4dba7f11520bfd49cbb7be80e57ae4b4596a8c5321d4c1775"
-	if sum := fmt.Sprintf("%x", sha256.Sum256(frame)); len(frame) != size || sum != pinned {
-		t.Errorf("the frame is %d bytes hashing to %s, pinned are %d bytes hashing to %s", len(frame), sum, size, pinned)
+	var queries []BatchQuery
+	for _, q := range requestSeedQueries() {
+		queries = append(queries, q...)
+	}
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		size   int
+		pinned string
+	}{
+		{"reply", frameSeeds()[0], 197, "75fb996885bac45debf1d2132eb4a085f5813e2a6134cf1dc6ebe2d2269f030f"},
+		{"request", AppendShardRequest(nil, queries), 194, "20d26eec70dcb048ce78553dd712d91b64d81ae7e7bda9db50022153bf928384"},
+	} {
+		if sum := fmt.Sprintf("%x", sha256.Sum256(c.frame)); len(c.frame) != c.size || sum != c.pinned {
+			t.Errorf("the %s frame is %d bytes hashing to %s, pinned are %d bytes hashing to %s", c.name, len(c.frame), sum, c.size, c.pinned)
+		}
+	}
+}
+
+// requestSeedQueries are the sub-queries of the well-formed request
+// frames FuzzShardRequest starts from: a GET's batch of one, a batch with
+// a query of no parameters, one with a parameter of no values and one
+// naming no endpoint, and names and values JSON escapes or cannot carry.
+func requestSeedQueries() [][]BatchQuery {
+	return [][]BatchQuery{
+		{{Endpoint: "count", Params: url.Values{"dim": {"outcome=reservation", "billing[issue]"}}}},
+		{{Endpoint: "concepts"}, {Endpoint: "drilldown", Params: url.Values{"row": {"issue"}, "col": {"agent=A2"}, "limit": {}}}, {}},
+		{{Endpoint: "nope", Params: url.Values{"": {""}, "<&>": nastyStrings, "\xff": {" "}}}},
+	}
+}
+
+// requestInputs are the request seeds, then their damaged forms: cut at
+// every byte and with a byte to spare, and by hand a count of 2^60 where
+// a list's length goes, no queries, one past MaxBatchQueries, an unknown
+// version, names out of order and repeated, a count with a padding byte.
+func requestInputs() (seeds, hostile [][]byte) {
+	for _, queries := range requestSeedQueries() {
+		seeds = append(seeds, AppendShardRequest(nil, queries))
+	}
+	huge := wire.AppendUvarint(nil, 1<<60)
+	over := wire.AppendInt([]byte{frameVersion}, MaxBatchQueries+1)
+	for range MaxBatchQueries + 1 {
+		over = append(over, 0, 0)
+	}
+	hostile = [][]byte{
+		nil,
+		append([]byte{frameVersion}, huge...), // 2^60 queries
+		append([]byte{frameVersion, 1, 0}, huge...), // 2^60 parameters
+		{frameVersion, 0},           // no queries
+		over,                        // one query past MaxBatchQueries
+		{frameVersion + 1, 1, 0, 0}, // unknown version
+		{frameVersion, 1, 0, 2, 1, 'b', 0, 1, 'a', 0}, // names out of order
+		{frameVersion, 1, 0, 2, 1, 'a', 0, 1, 'a', 0}, // a name repeated
+		{frameVersion, 0x81, 0x00, 0, 0},              // one query, counted in two bytes
+	}
+	for _, seed := range seeds {
+		for cut := range seed {
+			hostile = append(hostile, seed[:cut])
+		}
+		hostile = append(hostile, append(append([]byte{}, seed...), 0))
+	}
+	return seeds, hostile
+}
+
+// FuzzShardRequest: no input makes the request decoder panic, and an
+// accepted one re-encodes to itself — the decoder takes only the one
+// encoding AppendShardRequest writes of the sub-queries it returns.
+func FuzzShardRequest(f *testing.F) {
+	seeds, hostile := requestInputs()
+	for _, in := range append(seeds, hostile...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		queries, err := ReadShardRequest(in)
+		if err != nil {
+			return
+		}
+		if re := AppendShardRequest(nil, queries); !bytes.Equal(re, in) {
+			t.Errorf("%q accepted, re-encodes to %q", in, re)
+		}
+	})
+}
+
+// TestShardRequestSeeds: each request seed decodes to its sub-queries and
+// re-encodes to itself; every damaged form is refused, at a cost in
+// memory in proportion to its length, whatever count it announces.
+func TestShardRequestSeeds(t *testing.T) {
+	seeds, hostile := requestInputs()
+	for i, seed := range seeds {
+		queries, err := ReadShardRequest(seed)
+		if err != nil || !bytes.Equal(AppendShardRequest(nil, queries), seed) {
+			t.Errorf("seed %q: decoded %+v, err %v", seed, queries, err)
+		}
+		for k, q := range queries {
+			want := requestSeedQueries()[i][k]
+			if q.Endpoint != want.Endpoint || len(q.Params) != len(want.Params) {
+				t.Errorf("seed %d, query %d: %+v, sent %+v", i, k, q, want)
+			}
+			for name, values := range want.Params {
+				if got, ok := q.Params[name]; !ok || !sameList(got, values) {
+					t.Errorf("seed %d, query %d, parameter %q: %q, sent %q", i, k, name, got, values)
+				}
+			}
+		}
+	}
+	const rounds = 50
+	for _, in := range hostile {
+		if queries, err := ReadShardRequest(in); err == nil {
+			t.Errorf("%q accepted as %+v", in, queries)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			ReadShardRequest(in)
+		}
+		runtime.ReadMemStats(&after)
+		if perDecode, limit := (after.TotalAlloc-before.TotalAlloc)/rounds, uint64(64*len(in)+1024); perDecode > limit {
+			t.Errorf("decoding %q allocates %d bytes, limit %d", in, perDecode, limit)
+		}
+	}
+}
+
+// TestShardRequestCostsNoMoreThanItsBatch: a request frame of distinct
+// short names and no values — the densest a frame gets — is read at about
+// the cost /v1/batch's JSON decoder pays for a MaxBatchBytes body of such
+// names: the most names such a body could hold are accepted and one more
+// is refused, and a 3 MiB frame of them is refused before its map is made.
+func TestShardRequestCostsNoMoreThanItsBatch(t *testing.T) {
+	frame := func(names int) []byte { // one query, no endpoint, names of 3 bytes
+		b := wire.AppendInt([]byte{frameVersion, 1, 0}, names)
+		for k := range names {
+			b = append(b, 3, byte(k>>16), byte(k>>8), byte(k), 0)
+		}
+		return b
+	}
+	most := MaxBatchBytes / (jsonLeastName + jsonLeast("abc"))
+	hostile := frame((maxShardRequestBytes - 8) / 5)
+	if len(hostile) > maxShardRequestBytes {
+		t.Fatalf("the hostile frame is %d bytes, past the %d a shard reads", len(hostile), maxShardRequestBytes)
+	}
+	full := frame(most)
+	if _, err := ReadShardRequest(full); err != nil {
+		t.Errorf("%d names: %v", most, err)
+	}
+	for _, in := range [][]byte{frame(most + 1), hostile} {
+		if _, err := ReadShardRequest(in); err == nil {
+			t.Errorf("a frame of %d bytes is accepted", len(in))
+		}
+	}
+
+	const alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_"
+	body := []byte(`{"queries":[{"params":{`)
+	for k := 0; len(body)+len(`"abc":[],}}]}`) <= MaxBatchBytes; k++ {
+		if k > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '"', alphabet[k>>12&63], alphabet[k>>6&63], alphabet[k&63], '"', ':', '[', ']')
+	}
+	body = append(body, "}}]}"...)
+	allocs := func(read func()) uint64 {
+		const rounds = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / rounds
+	}
+	batch := allocs(func() {
+		r := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		if _, err := DecodeBatch(httptest.NewRecorder(), r); err != nil {
+			t.Fatalf("the %d-byte batch: %v", len(body), err)
+		}
+	})
+	accepted, refused := allocs(func() { ReadShardRequest(full) }), allocs(func() { ReadShardRequest(hostile) })
+	t.Logf("a %d-byte batch decodes in %d bytes; %d names in %d, %d bytes refused in %d",
+		len(body), batch, most, accepted, len(hostile), refused)
+	if accepted > batch || refused > 4096 {
+		t.Errorf("a %d-byte batch decodes in %d bytes, but a frame of %d names in %d and a refused one of %d bytes in %d",
+			len(body), batch, most, accepted, len(hostile), refused)
 	}
 }
 
@@ -305,9 +489,12 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// TestDrillDownSpliceMatchesMarshal: the body a coordinator assembles from
-// the shards' encoded documents is byte for byte the DrillDownResponse a
-// single daemon marshals over the union of their corpora.
+// TestDrillDownSpliceMatchesMarshal: the drill-down body a coordinator
+// renders from the shards' document records, strings JSON escapes or
+// cannot carry among them, is byte for byte the DrillDownResponse a single
+// daemon marshals over the union of their corpora; and spliced into a
+// /v1/batch envelope by BatchResponse.Encode, beside the single daemon's
+// body, it makes exactly what encoding/json makes of the envelope.
 func TestDrillDownSpliceMatchesMarshal(t *testing.T) {
 	var docs []mining.Document
 	for i, s := range nastyStrings {
@@ -365,8 +552,16 @@ func TestDrillDownSpliceMatchesMarshal(t *testing.T) {
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("merged drill-down body\n got %q (%v)\nwant %q", got, err, want)
 			}
-			if cap(got) != len(got) {
-				t.Errorf("body of %d bytes sits in %d", len(got), cap(got))
+			env := BatchResponse{Generation: 4, Sealed: true, FedStatus: tc.fs, Results: []BatchResult{
+				NewBatchResult(&CachedBody{Plain: got}, http.StatusOK, nil, tc.fs),
+				NewBatchResult(&CachedBody{Plain: want}, http.StatusOK, nil, FedStatus{}),
+			}}
+			wantEnv, err := marshalBody(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotEnv, err := env.Encode(); err != nil || !bytes.Equal(gotEnv, wantEnv) {
+				t.Errorf("envelope of the drill-down bodies\n got %q (%v)\nwant %q", gotEnv, err, wantEnv)
 			}
 		})
 	}

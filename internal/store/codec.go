@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
@@ -60,7 +60,16 @@ func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 // end signed) · fields (count, key-sorted, then name · value). What a
 // string is belongs to the container — inline bytes in the WAL, a
 // reference into the string table in a segment — so the record's one
-// writer and one reader take it as a parameter.
+// writer and one reader take it as a parameter. The inline form is
+// exported: a /v1/shard drill-down partial carries its documents in it.
+
+// AppendDocument appends d's record with inline strings, the WAL's form.
+func AppendDocument(b []byte, d mining.Document) []byte {
+	return appendDocument(b, d, wire.AppendBytes[string])
+}
+
+// ReadDocument reads one record with inline strings; a failure is r's.
+func ReadDocument(r *wire.Reader) mining.Document { return readDocument(r, r.String) }
 
 // appendDocument appends d's record, writing every string with str.
 func appendDocument(b []byte, d mining.Document, str func([]byte, string) []byte) []byte {
@@ -69,11 +78,12 @@ func appendDocument(b []byte, d mining.Document, str func([]byte, string) []byte
 	for _, c := range d.Concepts {
 		b = wire.AppendSigned(wire.AppendSigned(str(str(b, c.Category), c.Canonical), c.Start), c.End)
 	}
-	keys := make([]string, 0, len(d.Fields))
+	var few [8]string // the keys of a document's few fields, off the heap
+	keys := few[:0]
 	for k := range d.Fields {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	b = wire.AppendInt(b, len(keys))
 	for _, k := range keys {
 		b = str(str(b, k), d.Fields[k])

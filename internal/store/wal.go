@@ -39,7 +39,7 @@ const (
 
 // appendWALRecord encodes one document as a WAL record into buf.
 func appendWALRecord(buf []byte, doc mining.Document) []byte {
-	payload := appendDocument(make([]byte, 0, 256), doc, wire.AppendBytes[string])
+	payload := AppendDocument(make([]byte, 0, 256), doc)
 	return wire.AppendU32(wire.AppendBytes(buf, payload), crc32.ChecksumIEEE(payload))
 }
 
@@ -83,7 +83,7 @@ func replayWALData(data []byte) (docs []mining.Document, goodLen int64, dropped 
 			break // torn tail: a record cut short, or one that fails its CRC
 		}
 		rec := wire.NewReader(payload)
-		doc := readDocument(&rec, rec.String)
+		doc := ReadDocument(&rec)
 		if err := rec.Done(); err != nil {
 			// CRC passed but the payload does not parse: written by a
 			// different codec, not a torn tail. Refuse the whole log.

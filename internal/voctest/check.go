@@ -37,7 +37,7 @@ func CheckQueriers(tb testing.TB, got, want mining.Querier, w *World) {
 			return
 		}
 	}
-	for _, p := range w.Pairs {
+	for _, p := range append(w.Pairs[:len(w.Pairs):len(w.Pairs)], w.Cells...) {
 		a, b := p[0], p[1]
 		if differs(got.CountBoth(a, b), want.CountBoth(a, b), "CountBoth(%s, %s)", a.Label(), b.Label()) {
 			return
@@ -50,7 +50,7 @@ func CheckQueriers(tb testing.TB, got, want mining.Querier, w *World) {
 		// At every limit: the whole cell's size and exactly its first limit
 		// documents in ID order — all a response needs for its count, its
 		// truncated flag and its docs.
-		for _, limit := range []int{0, 1, 5, 50, len(cell), len(cell) + 1} {
+		for _, limit := range []int{0, 1, 5, 50, len(cell) / 2, len(cell), len(cell) + 1} {
 			gotDocs, gotCount := got.DrillDownLimit(a, b, limit)
 			wantDocs, wantCount := want.DrillDownLimit(a, b, limit)
 			gotDocs, wantDocs = AsStored(gotDocs), AsStored(wantDocs)

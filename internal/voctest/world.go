@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -81,9 +82,15 @@ type World struct {
 	// Fieldless are the cells (the last of Pairs) of the first document that
 	// holds a nil Fields map and the first that holds an empty one.
 	Fieldless [][2]mining.Dim
-	Cats      []string // categories, one of them absent from the corpus
-	Fields    []string // field names, one of them absent
-	Tables    []Table
+	// Cells are the (row, col) operands of the drill-down battery, one of
+	// each shape a sealed segment counts a limited drill-down's cell by: a
+	// plain field on either side (the field's column), on both, and on
+	// neither (the postings of the two sides), with fields and values
+	// nothing carries.
+	Cells  [][2]mining.Dim
+	Cats   []string // categories, one of them absent from the corpus
+	Fields []string // field names, one of them absent
+	Tables []Table
 }
 
 // Wide is the width of the battery's widest table: one more column than a
@@ -187,6 +194,19 @@ func NewWorld(seed int64, ndocs int) *World {
 	w.Pairs = append(w.Pairs, [2]mining.Dim{NotUTF8, d[5]})
 	w.Fieldless = fieldless[:min(len(fieldless), 2)]
 	w.Pairs = append(w.Pairs, w.Fieldless...)
+
+	callback, uncarried := mining.FieldDim("outcome", "callback"), mining.FieldDim("missing-field", "x")
+	w.Cells = [][2]mining.Dim{
+		{d[0], d[8]}, {d[5], d[9]}, // concept × field
+		{d[8], d[0]}, {d[9], d[6]}, // field × concept
+		{d[0], d[2]}, {d[5], d[6]}, // concept × concept
+		{d[11], d[9]}, {d[12], d[8]}, // conjunction × field
+		{d[9], d[11]},              // field × conjunction
+		{d[8], d[8]}, {d[9], d[9]}, // field × the same field
+		{d[8], callback}, {d[8], d[9]}, // field × another value of it, and × another field
+		{d[5], uncarried}, {uncarried, d[0]}, // a field nothing carries
+		{d[5], d[10]}, {d[10], d[8]}, // a value nothing carries
+	}
 
 	wide := make([]mining.Dim, Wide)
 	for j := range wide {
@@ -358,6 +378,17 @@ func (w *World) URLs() []string {
 			q.Set("limit", []string{"0", "7", "100000"}[i%3])
 		}
 		urls = append(urls, "/v1/drilldown?"+q.Encode())
+	}
+	// Each drill-down shape at limits 0, 1, half its cell and past it.
+	naive := w.Index().Naive()
+	for _, c := range w.Cells {
+		size, prev := naive.CountBoth(c[0], c[1]), -1
+		for _, limit := range []int{0, 1, size / 2, size + 1} {
+			if limit > prev {
+				urls = append(urls, "/v1/drilldown?"+url.Values{"row": {c[0].Label()}, "col": {c[1].Label()}, "limit": {strconv.Itoa(limit)}}.Encode())
+			}
+			prev = max(prev, limit)
+		}
 	}
 	for _, d := range w.Dims {
 		urls = append(urls, "/v1/trend?"+url.Values{"dim": {d.Label()}}.Encode())
