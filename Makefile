@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race short fuzz-smoke bench pairs bench-module examples smoke golden loc knobs knobs-check wire-check
+.PHONY: check vet fmt build test race short fuzz-smoke bench pairs bench-module examples smoke golden capture loc knobs knobs-check wire-check
 
 check: vet fmt knobs-check wire-check build race examples smoke golden bench-module
 
@@ -107,6 +107,16 @@ smoke:
 # under a second against the same file.
 golden:
 	$(GO) run ./cmd/experiments -exp all | diff - cmd/experiments/testdata/all_small_2009.golden
+
+# The public bytes of both daemons in every configuration of the capture
+# set (tools/capture.sh says which), built from TREE (default: this
+# checkout), written under OUT. Byte identity between two revisions is
+# diff -r of their captures; about a minute.
+#   make capture OUT=/tmp/cap-change
+#   make capture OUT=/tmp/cap-parent TREE=/tmp/parent
+capture:
+	@if [ -z "$(OUT)" ]; then echo 'usage: make capture OUT=<dir> [TREE=<checkout>]'; exit 2; fi
+	bash tools/capture.sh $(OUT) $(TREE)
 
 # Non-test Go lines outside cmd/bivocbench: the figure a consolidation
 # change reports in CHANGES.md. internal/voctest is test support (the

@@ -171,18 +171,9 @@ func TestServeEndToEnd(t *testing.T) {
 		tbl := ca.IntentOutcomeTable()
 		want := server.AssociateResponse{
 			Generation: gen, Sealed: true, Confidence: tbl.Confidence,
-			Rows: []string{intentStrong.CanonicalLabel(), intentWeak.CanonicalLabel()},
-			Cols: []string{resDim.CanonicalLabel(), unbDim.CanonicalLabel()},
-		}
-		want.Cells = make([][]server.AssocCellJSON, len(tbl.Cells))
-		for i, row := range tbl.Cells {
-			want.Cells[i] = make([]server.AssocCellJSON, len(row))
-			for j, c := range row {
-				want.Cells[i][j] = server.AssocCellJSON{
-					Ncell: c.Ncell, Nver: c.Nver, Nhor: c.Nhor, N: c.N,
-					PointIndex: c.PointIndex, LowerIndex: c.LowerIndex, RowShare: c.RowShare,
-				}
-			}
+			Rows:  []string{intentStrong.CanonicalLabel(), intentWeak.CanonicalLabel()},
+			Cols:  []string{resDim.CanonicalLabel(), unbDim.CanonicalLabel()},
+			Cells: tbl.Cells,
 		}
 		if !bytes.Equal(body, marshalResp(t, want)) {
 			t.Errorf("daemon associate != IntentOutcomeTable:\n got %s\nwant %s", body, marshalResp(t, want))
@@ -198,13 +189,7 @@ func TestServeEndToEnd(t *testing.T) {
 		want := server.RelFreqResponse{
 			Generation: gen, Sealed: true,
 			Category: CatDiscount, Featured: featured.CanonicalLabel(),
-			Rows: make([]server.RelevanceJSON, len(rel)),
-		}
-		for i, r := range rel {
-			want.Rows[i] = server.RelevanceJSON{
-				Concept: r.Concept, InSubset: r.InSubset, SubsetSize: r.SubsetSize,
-				InAll: r.InAll, N: r.N, Ratio: r.Ratio,
-			}
+			Rows: rel,
 		}
 		if !bytes.Equal(body, marshalResp(t, want)) {
 			t.Errorf("daemon relfreq != WeakStartConversionDrivers:\n got %s\nwant %s", body, marshalResp(t, want))
@@ -245,11 +230,8 @@ func TestServeEndToEnd(t *testing.T) {
 		pts := ix.Trend(resDim)
 		want := server.TrendResponse{
 			Generation: gen, Sealed: true, Dim: resDim.CanonicalLabel(),
-			Points: make([]server.TrendPointJSON, len(pts)),
+			Points: pts,
 			Slope:  mining.TrendSlope(pts),
-		}
-		for i, p := range pts {
-			want.Points[i] = server.TrendPointJSON{Time: p.Time, Count: p.Count}
 		}
 		if !bytes.Equal(body, marshalResp(t, want)) {
 			t.Errorf("daemon trend != direct Trend:\n got %s\nwant %s", body, marshalResp(t, want))

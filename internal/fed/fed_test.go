@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -713,6 +714,89 @@ func TestFedLocalErrorsStructured(t *testing.T) {
 		for daemon, sub := range map[string]server.BatchResult{"mono": monoSubs[len(cases)+i], "fed": fedSubs[len(cases)+i]} {
 			if sub.Status != http.StatusBadRequest || string(sub.Body) != want {
 				t.Errorf("%s batch, endpoint %q: %d %s, want 400 %s", daemon, name, sub.Status, sub.Body, want)
+			}
+		}
+	}
+}
+
+// TestNaNConfidenceIsABadRequest: strconv.ParseFloat reads "NaN", which
+// no (0,1) comparison refuses. A query's confidence=NaN is the 400 that
+// names it on both daemons, GET and batch, and the coordinator rejects
+// it without a scatter; a daemon configured with a NaN default
+// confidence answers at 0.95, like any other value outside (0,1).
+func TestNaNConfidenceIsABadRequest(t *testing.T) {
+	docs := voctest.ParityDocs(30)
+	shard := startShard(t, docs, 0, 1, server.Config{Confidence: math.NaN()})
+	waitIngestDone(t, shard)
+	coord := startCoordinator(t, Config{Shards: shardAddrs([]*server.Server{shard}), Confidence: math.NaN()})
+	bases := map[string]string{"mono": "http://" + shard.Addr(), "fed": "http://" + coord.Addr()}
+
+	table := "/v1/associate?" + url.Values{"row": {"topic"}, "col": {"parity=even"}}.Encode()
+	var bodies []string
+	for daemon, base := range bases {
+		status, _, body := get(t, base+table)
+		if status != http.StatusOK || !bytes.Contains(body, []byte(`"confidence":0.95,`)) {
+			t.Errorf("%s at a NaN default confidence: %d %s, want 200 at 0.95", daemon, status, body)
+		}
+		bodies = append(bodies, string(body))
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("the daemons' tables at a NaN default confidence differ:\n%s\n%s", bodies[0], bodies[1])
+	}
+
+	before := fedStatsz(t, bases["fed"]).Scatter
+	for _, nan := range []string{"NaN", "nan"} {
+		q := server.BatchQuery{Endpoint: "associate", Params: url.Values{"row": {"topic"}, "col": {"parity=even"}, "confidence": {nan}}}
+		want := `{"error":"confidence must be a number in (0,1), got \"` + nan + `\"","status":400}`
+		for daemon, base := range bases {
+			if status, _, body := get(t, base+"/v1/associate?"+url.Values(q.Params).Encode()); status != http.StatusBadRequest || string(body) != want+"\n" {
+				t.Errorf("%s GET confidence=%s: %d %s, want 400 %s", daemon, nan, status, body, want)
+			}
+			status, _, body := postFedBatch(t, base, server.BatchRequest{Queries: []server.BatchQuery{q}})
+			var env server.BatchResponse
+			if err := json.Unmarshal(body, &env); err != nil || status != http.StatusOK || len(env.Results) != 1 ||
+				env.Results[0].Status != http.StatusBadRequest || string(env.Results[0].Body) != want {
+				t.Errorf("%s batch confidence=%s: %d %s (%v), want a 400 sub-result %s", daemon, nan, status, body, err, want)
+			}
+		}
+	}
+	if after := fedStatsz(t, bases["fed"]).Scatter; after.Requests != before.Requests || after.Malformed != before.Malformed {
+		t.Errorf("scatter section %+v after the NaN queries, was %+v: they reached the shards", after, before)
+	}
+}
+
+// TestEmptyListsRenderEmpty pins, byte for byte, the bodies whose lists
+// are empty — a relative-frequency report over an absent category, the
+// trend of a dimension no document has, the vocabulary of an absent
+// category or field, the documents of an empty cell — on a single daemon
+// and on a 2-shard coordinator: each list is [], never null. Comparing
+// the daemons with each other could not catch a null, since both would
+// render it.
+func TestEmptyListsRenderEmpty(t *testing.T) {
+	docs := voctest.ParityDocs(60)
+	single := startSingle(t, docs, server.Config{})
+	shards := []*server.Server{startShard(t, docs, 0, 2, server.Config{}), startShard(t, docs, 1, 2, server.Config{})}
+	waitIngestDone(t, append(shards, single)...)
+	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
+
+	want := map[string]string{
+		"/v1/relfreq?category=missing-category&featured=parity%3Deven": `"category":"missing-category","featured":"parity=even","rows":[]}`,
+		"/v1/trend?dim=missing%5Btopic%5D":                             `"dim":"missing[topic]","points":[],"slope":0}`,
+		"/v1/concepts?category=missing-category":                       `"category":"missing-category","values":[]}`,
+		"/v1/concepts?field=missing-field":                             `"field":"missing-field","values":[]}`,
+		"/v1/drilldown?row=billing%5Btopic%5D&col=parity%3Dodd":        `"row":"billing[topic]","col":"parity=odd","count":0,"truncated":false,"docs":[]}`,
+	}
+	for daemon, d := range map[string]struct {
+		base string
+		gen  uint64
+	}{
+		"bivocd":   {"http://" + single.Addr(), single.Generation()},
+		"bivocfed": {"http://" + coord.Addr(), min(shards[0].Generation(), shards[1].Generation())},
+	} {
+		for q, rest := range want {
+			body := fmt.Sprintf(`{"generation":%d,"sealed":true,%s`, d.gen, rest) + "\n"
+			if status, _, got := get(t, d.base+q); status != http.StatusOK || string(got) != body {
+				t.Errorf("%s %s: %d %s, want 200 %s", daemon, q, status, got, body)
 			}
 		}
 	}

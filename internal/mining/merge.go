@@ -205,7 +205,7 @@ func MergeAssocMarginals(parts ...AssocMarginals) AssocMarginals {
 // cell float math; every count arrives precomputed, which leaves a cell
 // an integer lookup plus Wilson arithmetic.
 func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) { // NaN too
 		confidence = 0.95
 	}
 	z := stats.WilsonZ(confidence)

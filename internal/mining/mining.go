@@ -294,15 +294,17 @@ func (ix *Index) FieldValues(field string) []string {
 	return scanFieldValues(ix.b, field)
 }
 
-// Relevance is one row of a relative-frequency report.
+// Relevance is one row of a relative-frequency report (and of /v1/relfreq).
 type Relevance struct {
-	Concept string
+	Concept string `json:"concept"`
 	// InSubset and InAll are document frequencies.
-	InSubset, SubsetSize int
-	InAll, N             int
+	InSubset   int `json:"in_subset"`
+	SubsetSize int `json:"subset_size"`
+	InAll      int `json:"in_all"`
+	N          int `json:"n"`
 	// Ratio is (InSubset/SubsetSize) / (InAll/N) — how over-represented
 	// the concept is inside the featured subset.
-	Ratio float64
+	Ratio float64 `json:"ratio"`
 }
 
 // RelativeFrequency compares the distribution of category's concepts
@@ -316,24 +318,28 @@ func (ix *Index) RelativeFrequency(category string, featured Dim) []Relevance {
 	return FinalizeRelFreq(ix.RelFreqMarginals(category, featured))
 }
 
-// Cell is one cell of a two-dimensional association table.
+// Cell is one cell of a two-dimensional association table (and of /v1/associate).
 type Cell struct {
-	Row, Col Dim
+	Row Dim `json:"-"`
+	Col Dim `json:"-"`
 	// Ncell, Nver, Nhor, N are the counts of Eqn 4.
-	Ncell, Nver, Nhor, N int
+	Ncell int `json:"ncell"`
+	Nver  int `json:"nver"`
+	Nhor  int `json:"nhor"`
+	N     int `json:"n"`
 	// PointIndex is Ncell·N / (Nver·Nhor) — the point estimate of the
 	// exponential mutual information.
-	PointIndex float64
+	PointIndex float64 `json:"point_index"`
 	// LowerIndex replaces each density with the conservative end of its
 	// Wilson interval ("we use the left terminal value (smallest value)
 	// of the interval estimation instead of the point estimation").
-	LowerIndex float64
+	LowerIndex float64 `json:"lower_index"`
 	// RowShare is Ncell over the row's total across the table's columns —
 	// the within-row percentage the paper's Tables III and IV report
 	// (each row of those tables sums to 100% across the outcome columns;
 	// documents matching the row but none of the listed columns, e.g.
 	// service calls in an outcome table, do not dilute the percentages).
-	RowShare float64
+	RowShare float64 `json:"row_share"`
 }
 
 // AssocTable is a full two-dimensional association analysis.
@@ -345,7 +351,7 @@ type AssocTable struct {
 
 // Associate builds the two-dimensional association table between row
 // and column dimensions at the given confidence level for the interval
-// estimate (0 < confidence < 1; anything else means 0.95).
+// estimate (0 < confidence < 1; anything else, NaN included, means 0.95).
 func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 	return ix.AssociateN(rows, cols, confidence, 0)
 }
@@ -398,10 +404,10 @@ func (t *AssocTable) Render() string {
 	return out
 }
 
-// TrendPoint is one time bucket of a concept trend.
+// TrendPoint is one time bucket of a concept trend (and of /v1/trend).
 type TrendPoint struct {
-	Time  int
-	Count int
+	Time  int `json:"time"`
+	Count int `json:"count"`
 }
 
 // Trend returns the per-bucket document counts of a dimension, sorted by

@@ -299,9 +299,13 @@ func TestDimLabel(t *testing.T) {
 
 func TestAssociateInvalidConfidenceDefaults(t *testing.T) {
 	ix := buildIndex()
-	tbl := ix.Associate([]Dim{CategoryDim("intent")}, []Dim{FieldDim("outcome", "reservation")}, 2.0)
-	if tbl.Confidence != 0.95 {
-		t.Errorf("confidence = %v", tbl.Confidence)
+	rows, cols := []Dim{CategoryDim("intent")}, []Dim{FieldDim("outcome", "reservation")}
+	for _, c := range []float64{2.0, 0, math.NaN()} {
+		for name, q := range map[string]Querier{"index": ix, "naive": ix.Naive()} {
+			if tbl := q.AssociateN(rows, cols, c, 0); tbl.Confidence != 0.95 || math.IsNaN(tbl.Cells[0][0].LowerIndex) {
+				t.Errorf("%s at confidence %v: confidence %v, lower index %v", name, c, tbl.Confidence, tbl.Cells[0][0].LowerIndex)
+			}
+		}
 	}
 }
 

@@ -209,7 +209,7 @@ func (n *NaiveIndex) RelativeFrequency(category string, featured Dim) []Relevanc
 // original shape the hoisted FinalizeAssoc pipeline is proven against.
 // The last parameter is ignored (see Querier).
 func (n *NaiveIndex) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) { // NaN too
 		confidence = 0.95
 	}
 	total := n.b.DocCount()

@@ -16,13 +16,14 @@ import (
 
 // The /v1 endpoint table. Each query's grammar — parameter names,
 // limits, defaults, error strings, canonical cache key — is written
-// here once and parsed into a Plan that either daemon can run: bivocd
-// answers it from its local segments (Plan.Local), or — asked by a
-// coordinator over /v1/shard — with its partial, the mergeable share of
-// the answer it holds; bivocfed adds the shards' partials up and
-// finalizes once (Plan.Merge). Both ways end in the same response
-// constructor, so a federated body can differ from a single-node one
-// only in its trailing FedStatus.
+// here once, and so is its answer, as the four parts of a query (below):
+// share, write, merge and finish. The Plan they make is run three ways:
+// bivocd answers from its local segments (Plan.Local); asked by a
+// coordinator over /v1/shard, it sends its partial, the mergeable share
+// of the answer it holds; bivocfed adds the shards' partials up and
+// finalizes once (Plan.Merge). All three end in the same finish, so a
+// federated body can differ from a single-node one only in its trailing
+// FedStatus.
 
 // FedStatus closes a federated response that some shards did not
 // contribute to: Degraded is set and MissingShards lists their indexes in
@@ -98,13 +99,72 @@ type Plan struct {
 	// that queries differing in that alone share one partial.
 	partKey string
 
-	local   func(v mining.Querier, h Head) any
-	partial func(b []byte, v mining.Querier) ([]byte, error)
-	merge   func(live []ShardBody, h Head) ([]byte, error)
+	answer answerer
+}
+
+// answerer is a query whatever its share type: the three ways a daemon
+// answers a plan.
+type answerer interface {
+	local(v mining.Querier, h Head) any
+	partial(b []byte, v mining.Querier) []byte
+	merged(live []ShardBody, h Head) ([]byte, error)
+}
+
+// query is one endpoint's answer, written once as four parts over M, the
+// share of it that one daemon holds:
+//   - share reads M from a view: the segment walk and its merge;
+//   - write appends M as the partial of a /v1/shard reply (partials.go);
+//   - merge reads the live shards' partials, checks their shape against
+//     the plan and adds them up;
+//   - finish runs the float finalize over M and builds the response.
+//
+// Its methods compose them the three ways a daemon answers — bivocd
+// finish(share(view)), a shard write(share(view)), a coordinator
+// finish(merge(live)) — so neither daemon can finalize differently.
+type query[M any] struct {
+	share  func(v mining.Querier) M
+	write  func(b []byte, m M) []byte
+	merge  func(live []ShardBody) (M, error)
+	finish func(h Head, m M) any
+}
+
+func (q query[M]) plan(key string) *Plan { return &Plan{Key: key, answer: q} }
+
+func (q query[M]) local(v mining.Querier, h Head) any { return q.finish(h, q.share(v)) }
+
+func (q query[M]) partial(b []byte, v mining.Querier) []byte { return q.write(b, q.share(v)) }
+
+func (q query[M]) merged(live []ShardBody, h Head) ([]byte, error) {
+	m, err := q.merge(live)
+	if err != nil {
+		return nil, err
+	}
+	return marshalBody(q.finish(h, m))
+}
+
+// sums is the merge of a share that only adds: decode every live shard's
+// partial with read, then add them up.
+func sums[M any](read func(*wire.Reader) M, add func(...M) M) func([]ShardBody) (M, error) {
+	return func(live []ShardBody) (M, error) {
+		parts, err := decodeParts(live, read)
+		if err != nil {
+			var zero M
+			return zero, err
+		}
+		return add(parts...), nil
+	}
+}
+
+// nonNil renders an empty list as [], never null.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
 // Local answers the plan from one snapshot's view.
-func (p *Plan) Local(v mining.Querier, h Head) any { return p.local(v, h) }
+func (p *Plan) Local(v mining.Querier, h Head) any { return p.answer.local(v, h) }
 
 // partialKey is the snapshot-LRU key of the plan's partial, distinct from
 // the public body's (no endpoint name contains a colon).
@@ -119,7 +179,7 @@ func (p *Plan) Merge(live []ShardBody, fs FedStatus) ([]byte, error) {
 	for _, sb := range live {
 		h.Fold(sb.Generation, sb.Sealed)
 	}
-	return p.merge(live, h)
+	return p.answer.merged(live, h)
 }
 
 // Endpoints is the endpoint table as one daemon serves it, bound to the
@@ -129,9 +189,9 @@ type Endpoints struct {
 }
 
 // NewEndpoints resolves the default association confidence (0.95 unless
-// it lies in (0,1)).
+// it lies in (0,1), so NaN too).
 func NewEndpoints(confidence float64) Endpoints {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		confidence = 0.95
 	}
 	return Endpoints{confidence: confidence}
@@ -250,43 +310,37 @@ func (e Endpoints) count(q url.Values) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	respond := func(h Head, total int, counts []int) any {
-		return CountResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Total: total, Dims: dl.labels, Counts: counts, FedStatus: h.FedStatus}
-	}
-	counts := func(v mining.Querier) []int {
-		counts := make([]int, len(dl.dims))
-		for i, d := range dl.dims {
-			counts[i] = v.Count(d)
-		}
-		return counts
-	}
-	return &Plan{
-		Key: cacheKey("count", dl.labels...),
-		local: func(v mining.Querier, h Head) any {
-			return respond(h, v.Len(), counts(v))
+	return query[countPartial]{
+		share: func(v mining.Querier) countPartial {
+			m := countPartial{total: v.Len(), counts: make([]int, len(dl.dims))}
+			for i, d := range dl.dims {
+				m.counts[i] = v.Count(d)
+			}
+			return m
 		},
-		partial: func(b []byte, v mining.Querier) ([]byte, error) {
-			return AppendCountPartial(b, v.Len(), counts(v)), nil
-		},
-		merge: func(live []ShardBody, h Head) ([]byte, error) {
+		write: func(b []byte, m countPartial) []byte { return AppendCountPartial(b, m.total, m.counts) },
+		merge: func(live []ShardBody) (countPartial, error) {
 			parts, err := decodeParts(live, readCountPartial)
 			if err != nil {
-				return nil, err
+				return countPartial{}, err
 			}
-			total, counts := 0, make([]int, len(dl.dims))
+			m := countPartial{counts: make([]int, len(dl.dims))}
 			for k, part := range parts {
-				if len(part.counts) != len(counts) {
-					return nil, live[k].errorf("%d counts for %d dims", len(part.counts), len(counts))
+				if len(part.counts) != len(m.counts) {
+					return countPartial{}, live[k].errorf("%d counts for %d dims", len(part.counts), len(m.counts))
 				}
-				total += part.total
+				m.total += part.total
 				for j, n := range part.counts {
-					counts[j] += n
+					m.counts[j] += n
 				}
 			}
-			return marshalBody(respond(h, total, counts))
+			return m, nil
 		},
-	}, nil
+		finish: func(h Head, m countPartial) any {
+			return CountResponse{Generation: h.Generation, Sealed: h.Sealed,
+				Total: m.total, Dims: dl.labels, Counts: m.counts, FedStatus: h.FedStatus}
+		},
+	}.plan(cacheKey("count", dl.labels...)), nil
 }
 
 // /v1/associate?row=<label>&...&col=<label>&...[&confidence=0.95] — the
@@ -301,38 +355,34 @@ func (e Endpoints) associate(q url.Values) (*Plan, error) {
 	confidence := e.confidence
 	if cs := q.Get("confidence"); cs != "" {
 		confidence, err = strconv.ParseFloat(cs, 64)
-		if err != nil || confidence <= 0 || confidence >= 1 {
+		if err != nil || !(confidence > 0 && confidence < 1) {
 			return nil, fmt.Errorf("confidence must be a number in (0,1), got %q", cs)
 		}
 	}
-	respond := func(h Head, tbl *mining.AssocTable) any {
-		return AssociateResponse{Generation: h.Generation, Sealed: h.Sealed, Confidence: tbl.Confidence,
-			Rows: rows.labels, Cols: cols.labels, Cells: assocCellsJSON(tbl), FedStatus: h.FedStatus}
-	}
 	rowKey, colKey := strings.Join(rows.labels, "\x01"), strings.Join(cols.labels, "\x01")
-	return &Plan{
-		Key:     cacheKey("associate", rowKey, colKey, strconv.FormatFloat(confidence, 'g', -1, 64)),
-		partKey: cacheKey("associate", rowKey, colKey),
-		local: func(v mining.Querier, h Head) any {
-			return respond(h, v.AssociateN(rows.dims, cols.dims, confidence, 0))
-		},
-		partial: func(b []byte, v mining.Querier) ([]byte, error) {
-			return AppendAssocPartial(b, v.AssocMarginals(rows.dims, cols.dims)), nil
-		},
-		merge: func(live []ShardBody, h Head) ([]byte, error) {
+	p := query[mining.AssocMarginals]{
+		share: func(v mining.Querier) mining.AssocMarginals { return v.AssocMarginals(rows.dims, cols.dims) },
+		write: AppendAssocPartial,
+		merge: func(live []ShardBody) (mining.AssocMarginals, error) {
 			parts, err := decodeParts(live, readAssocPartial)
 			if err != nil {
-				return nil, err
+				return mining.AssocMarginals{}, err
 			}
 			for k, part := range parts {
 				if !part.Fits(len(rows.dims), len(cols.dims)) {
-					return nil, live[k].errorf("association marginals are not %d×%d", len(rows.dims), len(cols.dims))
+					return mining.AssocMarginals{}, live[k].errorf("association marginals are not %d×%d", len(rows.dims), len(cols.dims))
 				}
 			}
-			return marshalBody(respond(h, mining.FinalizeAssoc(rows.dims, cols.dims, confidence,
-				mining.MergeAssocMarginals(parts...))))
+			return mining.MergeAssocMarginals(parts...), nil
 		},
-	}, nil
+		finish: func(h Head, m mining.AssocMarginals) any {
+			tbl := mining.FinalizeAssoc(rows.dims, cols.dims, confidence, m)
+			return AssociateResponse{Generation: h.Generation, Sealed: h.Sealed, Confidence: tbl.Confidence,
+				Rows: rows.labels, Cols: cols.labels, Cells: tbl.Cells, FedStatus: h.FedStatus}
+		},
+	}.plan(cacheKey("associate", rowKey, colKey, strconv.FormatFloat(confidence, 'g', -1, 64)))
+	p.partKey = cacheKey("associate", rowKey, colKey)
+	return p, nil
 }
 
 // /v1/relfreq?category=<cat>&featured=<label> — the §IV.D.1 relevancy
@@ -344,26 +394,15 @@ func (e Endpoints) relFreq(q url.Values) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	respond := func(h Head, rel []mining.Relevance) any {
-		return RelFreqResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Category: category, Featured: label, Rows: relevancesJSON(rel), FedStatus: h.FedStatus}
-	}
-	return &Plan{
-		Key: cacheKey("relfreq", category, label),
-		local: func(v mining.Querier, h Head) any {
-			return respond(h, v.RelativeFrequency(category, featured))
+	return query[mining.RelFreqMarginals]{
+		share: func(v mining.Querier) mining.RelFreqMarginals { return v.RelFreqMarginals(category, featured) },
+		write: appendRelFreqPartial,
+		merge: sums(readRelFreqPartial, mining.MergeRelFreqMarginals),
+		finish: func(h Head, m mining.RelFreqMarginals) any {
+			return RelFreqResponse{Generation: h.Generation, Sealed: h.Sealed, Category: category,
+				Featured: label, Rows: nonNil(mining.FinalizeRelFreq(m)), FedStatus: h.FedStatus}
 		},
-		partial: func(b []byte, v mining.Querier) ([]byte, error) {
-			return appendRelFreqPartial(b, v.RelFreqMarginals(category, featured)), nil
-		},
-		merge: func(live []ShardBody, h Head) ([]byte, error) {
-			parts, err := decodeParts(live, readRelFreqPartial)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(respond(h, mining.FinalizeRelFreq(mining.MergeRelFreqMarginals(parts...))))
-		},
-	}, nil
+	}.plan(cacheKey("relfreq", category, label)), nil
 }
 
 // /v1/drilldown?row=<label>&col=<label>[&limit=N] — Figure 4's
@@ -384,34 +423,22 @@ func (e Endpoints) drillDown(q url.Values) (*Plan, error) {
 			return nil, fmt.Errorf("limit must be a non-negative integer, got %q", ls)
 		}
 	}
-	// docs holds the cell's first documents in ID order, at least limit of
-	// them when the cell has that many.
-	respond := func(h Head, count int, docs []DocumentJSON) DrillDownResponse {
-		return DrillDownResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Row: rows.labels[0], Col: cols.labels[0], Count: count, Truncated: count > limit,
-			Docs: docs[:min(len(docs), limit)], FedStatus: h.FedStatus}
-	}
-	return &Plan{
-		Key: cacheKey("drilldown", rows.labels[0], cols.labels[0], strconv.Itoa(limit)),
-		local: func(v mining.Querier, h Head) any {
+	// A shard sends its documents as records, not rendered: the
+	// coordinator keeps the cell's first limit of all the shards sent and
+	// renders only those, as bivocd renders its own.
+	return query[cellDocs]{
+		share: func(v mining.Querier) cellDocs {
 			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
-			return respond(h, count, documentsJSON(docs))
+			return cellDocs{count: count, docs: docs[:min(len(docs), limit)]}
 		},
-		// A shard sends its documents as records, not rendered: the
-		// coordinator keeps the cell's first limit of all the shards sent
-		// and renders only those, as Local renders its own.
-		partial: func(b []byte, v mining.Querier) ([]byte, error) {
-			docs, count := v.DrillDownLimit(rows.dims[0], cols.dims[0], limit)
-			return AppendDrillDownPartial(b, count, docs[:min(len(docs), limit)]), nil
+		write: func(b []byte, m cellDocs) []byte { return AppendDrillDownPartial(b, m.count, m.docs) },
+		merge: func(live []ShardBody) (cellDocs, error) { return mergeDrillDownPartials(live, limit) },
+		finish: func(h Head, m cellDocs) any {
+			return DrillDownResponse{Generation: h.Generation, Sealed: h.Sealed,
+				Row: rows.labels[0], Col: cols.labels[0], Count: m.count, Truncated: m.count > limit,
+				Docs: documentsJSON(m.docs), FedStatus: h.FedStatus}
 		},
-		merge: func(live []ShardBody, h Head) ([]byte, error) {
-			count, docs, err := mergeDrillDownPartials(live, limit)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(respond(h, count, documentsJSON(docs)))
-		},
-	}, nil
+	}.plan(cacheKey("drilldown", rows.labels[0], cols.labels[0], strconv.Itoa(limit))), nil
 }
 
 // /v1/trend?dim=<label> — per-time-bucket counts plus the fitted slope
@@ -425,26 +452,15 @@ func (e Endpoints) trend(q url.Values) (*Plan, error) {
 	if len(dl.dims) > 1 {
 		return nil, fmt.Errorf("trend takes exactly one dim")
 	}
-	respond := func(h Head, pts []mining.TrendPoint) any {
-		return TrendResponse{Generation: h.Generation, Sealed: h.Sealed, Dim: dl.labels[0],
-			Points: trendPointsJSON(pts), Slope: mining.TrendSlope(pts), FedStatus: h.FedStatus}
-	}
-	return &Plan{
-		Key: cacheKey("trend", dl.labels[0]),
-		local: func(v mining.Querier, h Head) any {
-			return respond(h, v.Trend(dl.dims[0]))
+	return query[[]mining.TrendPoint]{
+		share: func(v mining.Querier) []mining.TrendPoint { return v.Trend(dl.dims[0]) },
+		write: appendTrendPartial,
+		merge: sums(readTrendPartial, mining.MergeTrends),
+		finish: func(h Head, pts []mining.TrendPoint) any {
+			return TrendResponse{Generation: h.Generation, Sealed: h.Sealed, Dim: dl.labels[0],
+				Points: nonNil(pts), Slope: mining.TrendSlope(pts), FedStatus: h.FedStatus}
 		},
-		partial: func(b []byte, v mining.Querier) ([]byte, error) {
-			return appendTrendPartial(b, v.Trend(dl.dims[0])), nil
-		},
-		merge: func(live []ShardBody, h Head) ([]byte, error) {
-			parts, err := decodeParts(live, readTrendPartial)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(respond(h, mining.MergeTrends(parts...)))
-		},
-	}, nil
+	}.plan(cacheKey("trend", dl.labels[0])), nil
 }
 
 // /v1/concepts?category=<cat> | ?field=<name> — the vocabulary of a
@@ -462,37 +478,22 @@ func (e Endpoints) concepts(q url.Values) (*Plan, error) {
 		return nil, err
 	}
 	respond := func(h Head, values []string) any {
-		if values == nil {
-			values = []string{}
-		}
 		return ConceptsResponse{Generation: h.Generation, Sealed: h.Sealed,
-			Category: category, Field: field, Values: values, FedStatus: h.FedStatus}
+			Category: category, Field: field, Values: nonNil(values), FedStatus: h.FedStatus}
 	}
-	p := &Plan{Key: cacheKey("concepts", category, field)}
+	key := cacheKey("concepts", category, field)
 	if category != "" {
-		p.local = func(v mining.Querier, h Head) any { return respond(h, v.ConceptsInCategory(category)) }
-		p.partial = func(b []byte, v mining.Querier) ([]byte, error) {
-			return appendConceptDFPartial(b, v.ConceptDF(category)), nil
-		}
-		p.merge = func(live []ShardBody, h Head) ([]byte, error) {
-			parts, err := decodeParts(live, readConceptDFPartial)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(respond(h, mining.ConceptNames(mining.MergeConceptCounts(parts...))))
-		}
-		return p, nil
+		return query[[]mining.ConceptCount]{
+			share:  func(v mining.Querier) []mining.ConceptCount { return v.ConceptDF(category) },
+			write:  appendConceptDFPartial,
+			merge:  sums(readConceptDFPartial, mining.MergeConceptCounts),
+			finish: func(h Head, m []mining.ConceptCount) any { return respond(h, mining.ConceptNames(m)) },
+		}.plan(key), nil
 	}
-	p.local = func(v mining.Querier, h Head) any { return respond(h, v.FieldValues(field)) }
-	p.partial = func(b []byte, v mining.Querier) ([]byte, error) {
-		return appendStringsPartial(b, v.FieldValues(field)), nil
-	}
-	p.merge = func(live []ShardBody, h Head) ([]byte, error) {
-		parts, err := decodeParts(live, readStringsPartial)
-		if err != nil {
-			return nil, err
-		}
-		return marshalBody(respond(h, mining.MergeFieldValues(parts...)))
-	}
-	return p, nil
+	return query[[]string]{
+		share:  func(v mining.Querier) []string { return v.FieldValues(field) },
+		write:  appendStringsPartial,
+		merge:  sums(readStringsPartial, mining.MergeFieldValues),
+		finish: respond,
+	}.plan(key), nil
 }

@@ -316,7 +316,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 				// Finalizing the decoded marginals reproduces the float endpoint.
 				var rel RelFreqResponse
 				getOK(t, base+"/v1/relfreq?"+url.Values(queries[6].Params).Encode(), &rel)
-				if fin := relevancesJSON(mining.FinalizeRelFreq(got)); !sameList(fin, rel.Rows) {
+				if fin := mining.FinalizeRelFreq(got); !sameList(fin, rel.Rows) {
 					t.Errorf("finalized relfreq partial %+v, endpoint %+v", fin, rel.Rows)
 				}
 			})

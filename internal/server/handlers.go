@@ -22,6 +22,10 @@ import (
 // correlate answers, and closes with a FedStatus that only a degraded
 // federated answer fills in. Dimensions are echoed in canonical form
 // (mining.(Dim).CanonicalLabel), which is also the form cache keys use.
+// An association's cells, a report's rows and a trend's points are
+// mining's own results, whose JSON tags are this schema; only a
+// drill-down's documents are copied (DocumentJSON), because their field
+// order and empty fields differ from mining.Document's.
 
 // CountResponse answers /v1/count.
 type CountResponse struct {
@@ -33,45 +37,24 @@ type CountResponse struct {
 	FedStatus
 }
 
-// AssocCellJSON is one cell of an association table.
-type AssocCellJSON struct {
-	Ncell      int     `json:"ncell"`
-	Nver       int     `json:"nver"`
-	Nhor       int     `json:"nhor"`
-	N          int     `json:"n"`
-	PointIndex float64 `json:"point_index"`
-	LowerIndex float64 `json:"lower_index"`
-	RowShare   float64 `json:"row_share"`
-}
-
 // AssociateResponse answers /v1/associate.
 type AssociateResponse struct {
-	Generation uint64            `json:"generation"`
-	Sealed     bool              `json:"sealed"`
-	Confidence float64           `json:"confidence"`
-	Rows       []string          `json:"rows"`
-	Cols       []string          `json:"cols"`
-	Cells      [][]AssocCellJSON `json:"cells"`
+	Generation uint64          `json:"generation"`
+	Sealed     bool            `json:"sealed"`
+	Confidence float64         `json:"confidence"`
+	Rows       []string        `json:"rows"`
+	Cols       []string        `json:"cols"`
+	Cells      [][]mining.Cell `json:"cells"`
 	FedStatus
-}
-
-// RelevanceJSON is one row of a relative-frequency report.
-type RelevanceJSON struct {
-	Concept    string  `json:"concept"`
-	InSubset   int     `json:"in_subset"`
-	SubsetSize int     `json:"subset_size"`
-	InAll      int     `json:"in_all"`
-	N          int     `json:"n"`
-	Ratio      float64 `json:"ratio"`
 }
 
 // RelFreqResponse answers /v1/relfreq.
 type RelFreqResponse struct {
-	Generation uint64          `json:"generation"`
-	Sealed     bool            `json:"sealed"`
-	Category   string          `json:"category"`
-	Featured   string          `json:"featured"`
-	Rows       []RelevanceJSON `json:"rows"`
+	Generation uint64             `json:"generation"`
+	Sealed     bool               `json:"sealed"`
+	Category   string             `json:"category"`
+	Featured   string             `json:"featured"`
+	Rows       []mining.Relevance `json:"rows"`
 	FedStatus
 }
 
@@ -89,6 +72,26 @@ type DocumentJSON struct {
 	Concepts []ConceptJSON     `json:"concepts"`
 }
 
+// documentsJSON converts drilled-down documents to wire form (non-nil
+// even when empty). A document without fields or concepts says {} and
+// [], never null: the heap holds whichever map its source built and the
+// store decodes no fields to a nil one, and the two must marshal alike.
+func documentsJSON(docs []mining.Document) []DocumentJSON {
+	out := make([]DocumentJSON, len(docs))
+	for i, d := range docs {
+		concepts := make([]ConceptJSON, len(d.Concepts))
+		for j, c := range d.Concepts {
+			concepts[j] = ConceptJSON{Category: c.Category, Canonical: c.Canonical}
+		}
+		fields := d.Fields
+		if fields == nil {
+			fields = map[string]string{}
+		}
+		out[i] = DocumentJSON{ID: d.ID, Fields: fields, Time: d.Time, Concepts: concepts}
+	}
+	return out
+}
+
 // DrillDownResponse answers /v1/drilldown.
 type DrillDownResponse struct {
 	Generation uint64         `json:"generation"`
@@ -101,19 +104,13 @@ type DrillDownResponse struct {
 	FedStatus
 }
 
-// TrendPointJSON is one time bucket of a trend.
-type TrendPointJSON struct {
-	Time  int `json:"time"`
-	Count int `json:"count"`
-}
-
 // TrendResponse answers /v1/trend.
 type TrendResponse struct {
-	Generation uint64           `json:"generation"`
-	Sealed     bool             `json:"sealed"`
-	Dim        string           `json:"dim"`
-	Points     []TrendPointJSON `json:"points"`
-	Slope      float64          `json:"slope"`
+	Generation uint64              `json:"generation"`
+	Sealed     bool                `json:"sealed"`
+	Dim        string              `json:"dim"`
+	Points     []mining.TrendPoint `json:"points"`
+	Slope      float64             `json:"slope"`
 	FedStatus
 }
 
@@ -344,10 +341,7 @@ func (p *Plan) partialFrom(sn *snapshot) ([]byte, error) {
 	buf := bodyScratch.Get().(*bytes.Buffer)
 	defer bodyScratch.Put(buf)
 	buf.Reset()
-	b, err := p.partial(buf.AvailableBuffer(), sn.view)
-	if err != nil {
-		return nil, err
-	}
+	b := p.answer.partial(buf.AvailableBuffer(), sn.view)
 	buf.Write(b) // keeps for the pool whatever b grew past the buffer
 	return append([]byte(nil), b...), nil
 }
@@ -475,65 +469,4 @@ func memoryStats() MemoryStatsJSON {
 		out.GoMemLimitBytes = lim
 	}
 	return out
-}
-
-// Wire converters — the single mapping from mining results onto the
-// JSON schema.
-
-// assocCellsJSON converts an association table's cells to wire form.
-func assocCellsJSON(tbl *mining.AssocTable) [][]AssocCellJSON {
-	cells := make([][]AssocCellJSON, len(tbl.Cells))
-	for i, row := range tbl.Cells {
-		cells[i] = make([]AssocCellJSON, len(row))
-		for j, c := range row {
-			cells[i][j] = AssocCellJSON{
-				Ncell: c.Ncell, Nver: c.Nver, Nhor: c.Nhor, N: c.N,
-				PointIndex: c.PointIndex, LowerIndex: c.LowerIndex, RowShare: c.RowShare,
-			}
-		}
-	}
-	return cells
-}
-
-// relevancesJSON converts a relevancy report to wire form (non-nil
-// even when empty).
-func relevancesJSON(rel []mining.Relevance) []RelevanceJSON {
-	rows := make([]RelevanceJSON, len(rel))
-	for i, rr := range rel {
-		rows[i] = RelevanceJSON{
-			Concept: rr.Concept, InSubset: rr.InSubset, SubsetSize: rr.SubsetSize,
-			InAll: rr.InAll, N: rr.N, Ratio: rr.Ratio,
-		}
-	}
-	return rows
-}
-
-// documentsJSON converts drilled-down documents to wire form (non-nil
-// even when empty). A document without fields or concepts says {} and
-// [], never null: the heap holds whichever map its source built and the
-// store decodes no fields to a nil one, and the two must marshal alike.
-func documentsJSON(docs []mining.Document) []DocumentJSON {
-	out := make([]DocumentJSON, len(docs))
-	for i, d := range docs {
-		concepts := make([]ConceptJSON, len(d.Concepts))
-		for j, c := range d.Concepts {
-			concepts[j] = ConceptJSON{Category: c.Category, Canonical: c.Canonical}
-		}
-		fields := d.Fields
-		if fields == nil {
-			fields = map[string]string{}
-		}
-		out[i] = DocumentJSON{ID: d.ID, Fields: fields, Time: d.Time, Concepts: concepts}
-	}
-	return out
-}
-
-// trendPointsJSON converts trend buckets to wire form (non-nil even
-// when empty).
-func trendPointsJSON(pts []mining.TrendPoint) []TrendPointJSON {
-	points := make([]TrendPointJSON, len(pts))
-	for i, p := range pts {
-		points[i] = TrendPointJSON{Time: p.Time, Count: p.Count}
-	}
-	return points
 }

@@ -153,22 +153,29 @@ func readDrillDownPartial(limit int) func(*wire.Reader) drillDownPartial {
 	}
 }
 
-// mergeDrillDownPartials sums the cell sizes and returns the cell's first
+// cellDocs is a drill-down's share: the cell's size and its first limit
+// documents in ID order.
+type cellDocs struct {
+	count int
+	docs  []mining.Document
+}
+
+// mergeDrillDownPartials sums the cell sizes and keeps the cell's first
 // limit documents in ID order. Document IDs are unique across shards, so
 // those are among the shards' own first limit: merging the shards' sorted
 // lists finds them, and only their records are decoded. Each must decode
 // whole.
-func mergeDrillDownPartials(live []ShardBody, limit int) (count int, docs []mining.Document, err error) {
+func mergeDrillDownPartials(live []ShardBody, limit int) (cellDocs, error) {
 	parts, err := decodeParts(live, readDrillDownPartial(limit))
 	if err != nil {
-		return 0, nil, err
+		return cellDocs{}, err
 	}
-	n := 0
+	count, n := 0, 0
 	for _, part := range parts {
 		count += part.count
 		n += len(part.docs)
 	}
-	docs = make([]mining.Document, 0, min(n, limit))
+	docs := make([]mining.Document, 0, min(n, limit))
 	next := make([]int, len(parts)) // each part's first document not yet taken
 	for len(docs) < cap(docs) {
 		k := -1
@@ -182,9 +189,9 @@ func mergeDrillDownPartials(live []ShardBody, limit int) (count int, docs []mini
 		r := wire.NewReader(sent.record)
 		d := store.ReadDocument(&r)
 		if err := r.Done(); err != nil {
-			return 0, nil, live[k].errorf("document %q: decoding record: %w", sent.id, err)
+			return cellDocs{}, live[k].errorf("document %q: decoding record: %w", sent.id, err)
 		}
 		docs = append(docs, d)
 	}
-	return count, docs, nil
+	return cellDocs{count: count, docs: docs}, nil
 }

@@ -178,18 +178,9 @@ func TestEndpointsMatchDirectIndex(t *testing.T) {
 		tbl := ix.Associate(rows, cols, 0.9)
 		want := AssociateResponse{
 			Generation: gen, Sealed: true, Confidence: 0.9,
-			Rows: []string{rows[0].CanonicalLabel(), rows[1].CanonicalLabel()},
-			Cols: []string{cols[0].CanonicalLabel(), cols[1].CanonicalLabel()},
-		}
-		want.Cells = make([][]AssocCellJSON, len(tbl.Cells))
-		for i, row := range tbl.Cells {
-			want.Cells[i] = make([]AssocCellJSON, len(row))
-			for j, c := range row {
-				want.Cells[i][j] = AssocCellJSON{
-					Ncell: c.Ncell, Nver: c.Nver, Nhor: c.Nhor, N: c.N,
-					PointIndex: c.PointIndex, LowerIndex: c.LowerIndex, RowShare: c.RowShare,
-				}
-			}
+			Rows:  []string{rows[0].CanonicalLabel(), rows[1].CanonicalLabel()},
+			Cols:  []string{cols[0].CanonicalLabel(), cols[1].CanonicalLabel()},
+			Cells: tbl.Cells,
 		}
 		if !bytes.Equal(body, mustJSON(t, want)) {
 			t.Errorf("associate response drifted:\n got %s\nwant %s", body, mustJSON(t, want))
@@ -204,13 +195,7 @@ func TestEndpointsMatchDirectIndex(t *testing.T) {
 		want := RelFreqResponse{
 			Generation: gen, Sealed: true,
 			Category: "topic", Featured: outcomeDim.CanonicalLabel(),
-			Rows: make([]RelevanceJSON, len(rel)),
-		}
-		for i, r := range rel {
-			want.Rows[i] = RelevanceJSON{
-				Concept: r.Concept, InSubset: r.InSubset, SubsetSize: r.SubsetSize,
-				InAll: r.InAll, N: r.N, Ratio: r.Ratio,
-			}
+			Rows: rel,
 		}
 		if !bytes.Equal(body, mustJSON(t, want)) {
 			t.Errorf("relfreq response drifted:\n got %s\nwant %s", body, mustJSON(t, want))
@@ -253,11 +238,8 @@ func TestEndpointsMatchDirectIndex(t *testing.T) {
 		pts := ix.Trend(topicDim)
 		want := TrendResponse{
 			Generation: gen, Sealed: true, Dim: topicDim.CanonicalLabel(),
-			Points: make([]TrendPointJSON, len(pts)),
+			Points: pts,
 			Slope:  mining.TrendSlope(pts),
-		}
-		for i, p := range pts {
-			want.Points[i] = TrendPointJSON{Time: p.Time, Count: p.Count}
 		}
 		if !bytes.Equal(body, mustJSON(t, want)) {
 			t.Errorf("trend response drifted:\n got %s\nwant %s", body, mustJSON(t, want))

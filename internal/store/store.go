@@ -383,8 +383,8 @@ func (s *Store) scanSegments() ([]uint64, error) {
 	for _, m := range matches {
 		base := filepath.Base(m)
 		var gen uint64
-		if _, err := fmt.Sscanf(strings.TrimSuffix(base, ".seg"), "seg-%d", &gen); err != nil {
-			continue // not ours
+		if _, err := fmt.Sscanf(base, "seg-%d.seg", &gen); err != nil || base != filepath.Base(s.segmentPath(gen)) {
+			continue // not ours: segmentPath never writes that name
 		}
 		gens = append(gens, gen)
 	}

@@ -325,6 +325,53 @@ func TestOrphanCleanup(t *testing.T) {
 	}
 }
 
+// TestForeignSegmentNamesAreNotOurs: a seg-*.seg file under a name the
+// store never writes — a generation without its zero padding, with
+// bytes after the digits, in hex — is no segment of the lineage, even
+// holding a segment's bytes. Under either loader a directory of only
+// such a file opens empty, and beside a real segment it neither hides
+// that segment nor moves the next generation number.
+func TestForeignSegmentNamesAreNotOurs(t *testing.T) {
+	seg := EncodeSegment(sealedIndex(voctest.NewWorld(12, 10).Docs).Export())
+	for _, name := range []string{"seg-1.seg", "seg-12abc.seg", "seg-0x10.seg", "seg-00000000000000001.seg"} {
+		for _, mapped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mapped-%v", name, mapped), func(t *testing.T) {
+				for _, real := range []bool{false, true} {
+					dir := t.TempDir()
+					if real {
+						st, err := Open(dir, Options{MapSegments: mapped})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := st.ReplaceSegments(nil, sealedIndex(voctest.NewWorld(13, 20).Docs)); err != nil {
+							t.Fatal(err)
+						}
+						st.Close()
+					}
+					if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					st, err := Open(dir, Options{MapSegments: mapped})
+					if err != nil {
+						t.Fatalf("real segment %v: Open: %v", real, err)
+					}
+					rec := st.Recovered()
+					want, next := 0, uint64(1)
+					if real {
+						want, next = 20, 2
+					}
+					info, err := st.ReplaceSegments(nil, sealedIndex(voctest.NewWorld(14, 5).Docs))
+					st.Close()
+					if rec.SegmentDocs != want || len(rec.SkippedSegments) != 0 || err != nil || info.SegmentGen != next {
+						t.Errorf("real segment %v: recovered %d docs, skipped %v; next generation %d (%v), want %d docs, none skipped, generation %d",
+							real, rec.SegmentDocs, rec.SkippedSegments, info.SegmentGen, err, want, next)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestSegmentPruning: after several seals, each superseding the one
 // before, only the live generation remains on disk.
 func TestSegmentPruning(t *testing.T) {

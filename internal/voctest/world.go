@@ -351,6 +351,7 @@ func (w *World) URLs() []string {
 		"/v1/count?" + url.Values{"dim": labels(w.Dims)}.Encode(),
 		"/v1/concepts?category=missing-category",
 		"/v1/concepts?field=missing-field",
+		"/v1/relfreq?" + url.Values{"category": {"missing-category"}, "featured": {w.Dims[0].Label()}}.Encode(),
 	}
 	// The first three tables and the last three, the field-column shapes
 	// (the fourth has no rows, which the grammar rejects).
