@@ -92,7 +92,8 @@ examples:
 # require a clean exit — plus one short bivocload sweep against a daemon
 # the test boots. The bivocd pattern also matches TestDaemonSmokeMapped,
 # which restarts a durable daemon under -mmap and pins recovery from
-# mapped segments, and both patterns their daemon's …SignalAtStartup,
+# mapped segments, TestDaemonSmokeSkippedSegment, which restarts one over
+# a damaged segment, and both patterns their daemon's …SignalAtStartup,
 # which interrupts it the instant it announces its address.
 smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 ./cmd/bivocd

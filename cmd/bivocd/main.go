@@ -28,9 +28,10 @@
 // a warm restart over a completed corpus serves the full index in
 // well under a second instead of re-running the whole pipeline.
 //
-// With -mmap (requires -data-dir) sealed segments are served from
-// mmap-backed postings with lazy decode: recovery maps the on-disk
-// segment instead of materializing it, compactions swap their merged
+// With -mmap (requires -data-dir) segment files reach memory through
+// mmap(2) instead of read(2) — one segment reader parses them either
+// way — and are served from the mapping with lazy decode: recovery maps
+// the on-disk segment instead of materializing it, compactions swap their merged
 // heap index for a mapped view of the bytes just written, and hot
 // postings are cached under a 64 MiB byte cap. Query results are
 // byte-identical to the materialized path; the win is opening corpora
@@ -84,7 +85,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "persistence directory: segments + ingest WAL (empty = in-memory only)")
 	walSync := flag.Int("wal-sync", 1, "fsync the ingest WAL every N documents (1 = every document)")
 	shard := flag.String("shard", "", "serve as shard i of n, as \"i/n\" (empty = serve everything); pair with bivocfed")
-	useMmap := flag.Bool("mmap", false, "serve sealed segments from mmap-backed postings with lazy decode (requires -data-dir)")
+	useMmap := flag.Bool("mmap", false, "read sealed segments with mmap(2) instead of read(2) and serve them lazily from the mapping (requires -data-dir)")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -380,6 +381,69 @@ func TestDaemonSmokeMapped(t *testing.T) {
 	if err := bad.Run(); err == nil {
 		t.Error("-mmap without -data-dir did not fail")
 	}
+}
+
+// TestDaemonSmokeSkippedSegment restarts a durable daemon over a data
+// directory one of whose live segments is damaged (the name rides `make
+// smoke`'s -run TestDaemonSmoke pattern). The restart passes the damaged
+// generation over, says so on /statsz under store.skipped_segments,
+// re-ingests the documents it held and serves what the first run served.
+func TestDaemonSmokeSkippedSegment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := filepath.Join(t.TempDir(), "bivocd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("go build: %v", err)
+	}
+	dataDir := filepath.Join(t.TempDir(), "data")
+	args := []string{"-addr", "127.0.0.1:0", "-calls", "20", "-days", "2", "-swap-every", "8", "-data-dir", dataDir}
+
+	first := startDaemon(t, bin, args...)
+	want := first.waitSealedTotal(40)
+	first.stop()
+
+	// Flip one byte in the middle of the oldest live segment.
+	manifest, err := os.ReadFile(filepath.Join(dataDir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(manifest)) // "BVMF", "1", then one generation a line
+	if len(lines) < 3 {
+		t.Fatalf("MANIFEST names no segment: %q", manifest)
+	}
+	var gen int
+	if _, err := fmt.Sscan(lines[2], &gen); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("seg-%016d.seg", gen)
+	seg, err := os.ReadFile(filepath.Join(dataDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[len(seg)/2] ^= 0x10
+	if err := os.WriteFile(filepath.Join(dataDir, name), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restart := startDaemon(t, bin, args...)
+	if got := restart.waitSealedTotal(40); got != want {
+		t.Errorf("restart over a damaged segment drifted:\n first   %s\n restart %s", want, got)
+	}
+	var sz struct {
+		Store struct {
+			SkippedSegments []string `json:"skipped_segments"`
+		} `json:"store"`
+	}
+	if err := json.Unmarshal(restart.get("/statsz"), &sz); err != nil {
+		t.Fatal(err)
+	}
+	if len(sz.Store.SkippedSegments) != 1 || sz.Store.SkippedSegments[0] != name {
+		t.Errorf("statsz store.skipped_segments = %q, want [%q]", sz.Store.SkippedSegments, name)
+	}
+	restart.stop()
 }
 
 // TestDaemonSmokeSignalAtStartup is the regression test for the start-up

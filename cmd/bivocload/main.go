@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -157,7 +158,7 @@ func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range splitList(s) {
 		f, err := strconv.ParseFloat(part, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
 			return nil, fmt.Errorf("bad rate %q", part)
 		}
 		out = append(out, f)

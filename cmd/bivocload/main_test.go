@@ -114,3 +114,16 @@ func TestLoadSmoke(t *testing.T) {
 		t.Error("bivocload without -target exited 0")
 	}
 }
+
+// TestParseFloatsTakesOnlyRates: -qps takes positive finite rates; NaN
+// and infinities parse as floats but are no rate to schedule.
+func TestParseFloatsTakesOnlyRates(t *testing.T) {
+	if got, err := parseFloats("0.5, 300,2e9"); err != nil || len(got) != 3 || got[2] != 2e9 {
+		t.Errorf("parseFloats of three rates = %v, %v", got, err)
+	}
+	for _, s := range []string{"NaN", "+Inf", "Inf", "-Inf", "0", "-1", "300,NaN", "x", ""} {
+		if got, err := parseFloats(s); err == nil {
+			t.Errorf("parseFloats(%q) = %v, want an error", s, got)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -102,6 +103,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 	reqRate := cfg.QPS / float64(batch)
 	interval := time.Duration(float64(time.Second) / reqRate)
+	if math.IsNaN(cfg.QPS) || math.IsInf(cfg.QPS, 0) || interval < 1 {
+		return Report{}, fmt.Errorf("load: QPS %g is not a finite rate with at least a nanosecond between requests", cfg.QPS)
+	}
 	n := int(cfg.Duration / interval)
 	if n < 1 {
 		n = 1

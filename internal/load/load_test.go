@@ -3,10 +3,12 @@ package load
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +135,32 @@ func TestOpenLoopRun(t *testing.T) {
 		if rep.Degraded != 0 {
 			t.Fatalf("batch=%d: single daemon reported %d degraded responses", batch, rep.Degraded)
 		}
+	}
+}
+
+// TestRunRefusesUnschedulableRates: a rate that is not a finite number,
+// or so high that requests would be less than a nanosecond apart, is an
+// error before anything is sent — not a division by a zero interval, and
+// not a run of one request reported as clean.
+func TestRunRefusesUnschedulableRates(t *testing.T) {
+	var hits atomic.Int64
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		fmt.Fprintln(w, `{}`)
+	}))
+	defer target.Close()
+	queries := []QuerySpec{{Endpoint: "count", Params: map[string][]string{"dim": {"topic"}}}}
+	for _, tc := range []struct {
+		qps   float64
+		batch int
+	}{{2e9, 1}, {1e10, 8}, {1e300, 1}, {math.Inf(1), 1}, {math.Inf(1), 8}, {math.NaN(), 1}, {math.NaN(), 8}} {
+		_, err := Run(context.Background(), Config{Base: target.URL, QPS: tc.qps, Duration: time.Second, Batch: tc.batch, Queries: queries})
+		if err == nil {
+			t.Errorf("QPS %g, batch %d: Run returned no error", tc.qps, tc.batch)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("%d requests reached the target", n)
 	}
 }
 

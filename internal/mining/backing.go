@@ -46,11 +46,35 @@ type Backing interface {
 // any postings.
 func FromBacking(b Backing) *Index { return &Index{b: b} }
 
+// Materialize copies a backing onto the heap — every document and
+// postings list read out of b once — so the index never reads b again:
+// the store's eager open, through the reader mapped segments are served
+// by. The lists b returns are kept (Backing hands out read-only views);
+// callers that want the sealed-index caches call Prepare.
+func Materialize(b Backing) *Index {
+	mb := newMemBacking()
+	mb.docs = make([]Document, b.DocCount())
+	for i := range mb.docs {
+		mb.docs[i] = b.Doc(i)
+	}
+	b.EachConcept(func(category, canonical string, _ int) {
+		mb.byConcept[[2]string{category, canonical}] = b.ConceptPostings(category, canonical)
+	})
+	b.EachCategory(func(category string, _ int) {
+		mb.byCat[category] = b.CategoryPostings(category)
+	})
+	b.EachField(func(field, value string, _ int) {
+		mb.byField[[2]string{field, value}] = b.FieldPostings(field, value)
+	})
+	return &Index{b: mb}
+}
+
 // Backing returns the storage behind the index (read-only).
 func (ix *Index) Backing() Backing { return ix.b }
 
 // memBacking is the materialized backing: plain Go maps over heap
-// postings slices, built by Add or adopted from a decoded snapshot.
+// postings slices, built by Add or copied from another backing by
+// Materialize.
 type memBacking struct {
 	docs      []Document
 	byConcept map[[2]string][]int // {category, canonical} → doc positions

@@ -15,16 +15,16 @@ import (
 // test can later prove no query wrote through them.
 func snapshotPostings(ix *mining.Index) map[string][]int {
 	snap := map[string][]int{}
-	ex := ix.Export()
-	for _, e := range ex.Concepts {
-		snap["concept/"+e.Key[0]+"/"+e.Key[1]] = append([]int(nil), e.Posts...)
-	}
-	for _, e := range ex.Categories {
-		snap["cat/"+e.Category] = append([]int(nil), e.Posts...)
-	}
-	for _, e := range ex.Fields {
-		snap["field/"+e.Key[0]+"/"+e.Key[1]] = append([]int(nil), e.Posts...)
-	}
+	b := ix.Backing()
+	b.EachConcept(func(cat, canon string, _ int) {
+		snap["concept/"+cat+"/"+canon] = append([]int(nil), b.ConceptPostings(cat, canon)...)
+	})
+	b.EachCategory(func(cat string, _ int) {
+		snap["cat/"+cat] = append([]int(nil), b.CategoryPostings(cat)...)
+	})
+	b.EachField(func(field, value string, _ int) {
+		snap["field/"+field+"/"+value] = append([]int(nil), b.FieldPostings(field, value)...)
+	})
 	return snap
 }
 

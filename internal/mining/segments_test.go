@@ -138,8 +138,8 @@ func TestSegmentSetEdgeCases(t *testing.T) {
 // TestSealMatchesStreamIndex is the sealer oracle: whatever order a
 // batch arrives in, Seal builds the index StreamIndex{AddBatch; Seal}
 // builds — the same documents at the same positions under the same
-// postings (Export), positions recorded as ID-ordered, and every query of
-// the battery equal to the naive oracle's answer over it.
+// postings, positions recorded as ID-ordered, and every query of the
+// battery equal to the naive oracle's answer over it.
 func TestSealMatchesStreamIndex(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(20171, 200)
@@ -152,7 +152,7 @@ func TestSealMatchesStreamIndex(t *testing.T) {
 		shuffled := append([]mining.Document(nil), w.Docs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		got := mining.Seal(shuffled)
-		if !reflect.DeepEqual(got.Export(), want.Export()) {
+		if !reflect.DeepEqual(docsOf(got), docsOf(want)) || !reflect.DeepEqual(snapshotPostings(got), snapshotPostings(want)) {
 			t.Fatalf("trial %d: Seal over a shuffled batch differs from StreamIndex{AddBatch; Seal}", trial)
 		}
 		if !got.Prepared() || !got.IDOrdered() {
@@ -161,6 +161,60 @@ func TestSealMatchesStreamIndex(t *testing.T) {
 		voctest.CheckQueriers(t, got, naive, w)
 		voctest.CheckQueriers(t, mining.NewSegmentSet(got), naive, w)
 	}
+}
+
+// docsOf lists an index's documents by position.
+func docsOf(ix *mining.Index) []mining.Document {
+	docs := make([]mining.Document, ix.Len())
+	for i := range docs {
+		docs[i] = ix.Doc(i)
+	}
+	return docs
+}
+
+// TestMaterializeCopiesTheBacking: an index materialized from another
+// holds the same documents at the same positions under the same postings,
+// answers the battery as the naive oracle does once Prepared and before,
+// and reads nothing of the backing it was copied from afterwards.
+func TestMaterializeCopiesTheBacking(t *testing.T) {
+	t.Parallel()
+	w := voctest.NewWorld(20172, 150)
+	src := mining.Seal(w.Docs)
+	reads := &countingBacking{Backing: src.Backing()}
+	got := mining.Materialize(reads)
+	if !reflect.DeepEqual(docsOf(got), docsOf(src)) || !reflect.DeepEqual(snapshotPostings(got), snapshotPostings(src)) {
+		t.Fatal("the materialized index does not hold what its backing holds")
+	}
+	copied := reads.calls
+	naive := oracle(w)
+	voctest.CheckQueriers(t, got, naive, w)
+	got.Prepare()
+	voctest.CheckQueriers(t, got, naive, w)
+	if reads.calls != copied {
+		t.Fatalf("queries over the materialized index read its source %d times", reads.calls-copied)
+	}
+}
+
+// countingBacking counts the calls that reach a backing.
+type countingBacking struct {
+	mining.Backing
+	calls int
+}
+
+func (c *countingBacking) Doc(i int) mining.Document { c.calls++; return c.Backing.Doc(i) }
+func (c *countingBacking) DocID(i int) string        { c.calls++; return c.Backing.DocID(i) }
+func (c *countingBacking) DocTime(i int) int         { c.calls++; return c.Backing.DocTime(i) }
+func (c *countingBacking) ConceptPostings(category, canonical string) []int {
+	c.calls++
+	return c.Backing.ConceptPostings(category, canonical)
+}
+func (c *countingBacking) CategoryPostings(category string) []int {
+	c.calls++
+	return c.Backing.CategoryPostings(category)
+}
+func (c *countingBacking) FieldPostings(field, value string) []int {
+	c.calls++
+	return c.Backing.FieldPostings(field, value)
 }
 
 // TestSealDuplicateIDPanics: the tripwire StreamIndex.Add carries for

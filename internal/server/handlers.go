@@ -158,11 +158,13 @@ type StoreStatsJSON struct {
 	LastSealUnixMS int64 `json:"last_seal_unix_ms,omitempty"`
 	// Recovered* describe the warm start: documents adopted from the
 	// segment, documents replayed from the WAL tail, torn-tail bytes
-	// dropped.
-	RecoveredSegmentDocs int    `json:"recovered_segment_docs"`
-	RecoveredWALDocs     int    `json:"recovered_wal_docs"`
-	RecoveredWALDropped  int64  `json:"recovered_wal_dropped_bytes,omitempty"`
-	PersistError         string `json:"persist_error,omitempty"`
+	// dropped; SkippedSegments names the segment files it passed over as
+	// damaged.
+	RecoveredSegmentDocs int      `json:"recovered_segment_docs"`
+	RecoveredWALDocs     int      `json:"recovered_wal_docs"`
+	RecoveredWALDropped  int64    `json:"recovered_wal_dropped_bytes,omitempty"`
+	SkippedSegments      []string `json:"skipped_segments,omitempty"`
+	PersistError         string   `json:"persist_error,omitempty"`
 	// Mapped-segment serving (populated only when the store was opened
 	// with MapSegments): live segments served straight from their file
 	// mappings, the bytes those mappings cover, the decoded-postings
@@ -419,6 +421,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			RecoveredSegmentDocs: s.recInfo.segmentDocs,
 			RecoveredWALDocs:     s.recInfo.walDocs,
 			RecoveredWALDropped:  s.recInfo.walDropped,
+			SkippedSegments:      s.recInfo.skipped,
 			MappedSegments:       st.MappedSegments,
 			MappedBytes:          st.MappedBytes,
 			OpenMicros:           st.OpenDuration.Microseconds(),

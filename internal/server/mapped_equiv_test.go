@@ -300,7 +300,7 @@ func TestMappedDrillDownDecodesLimit(t *testing.T) {
 	for k := 0; k < nsegs; k++ {
 		seg := batchIndex(docs[k*len(docs)/nsegs : (k+1)*len(docs)/nsegs])
 		path := filepath.Join(dir, fmt.Sprintf("seg-%d.seg", k))
-		if err := os.WriteFile(path, store.EncodeSegment(seg.Export()), 0o644); err != nil {
+		if err := os.WriteFile(path, store.EncodeSegment(seg), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m, err := store.OpenMapped(path, nil)

@@ -140,10 +140,12 @@ func TestPersistSealWritesSegmentAndResetsWAL(t *testing.T) {
 	}
 
 	// The segment on disk must decode to the served index, byte for byte.
-	ix, _, err := store.LoadSegment(stats.SegmentPath)
+	m, err := store.OpenMapped(stats.SegmentPath, nil)
 	if err != nil {
-		t.Fatalf("loading the just-written segment: %v", err)
+		t.Fatalf("opening the just-written segment: %v", err)
 	}
+	defer m.Close()
+	ix := mining.FromBacking(m)
 	want := batchIndex(docs)
 	if ix.Len() != want.Len() {
 		t.Fatalf("segment decoded to %d docs, want %d", ix.Len(), want.Len())

@@ -206,6 +206,7 @@ type recoveryInfo struct {
 	segmentDocs int
 	walDocs     int
 	walDropped  int64
+	skipped     []string // damaged segment files passed over
 }
 
 // New returns an unstarted server. Without persistence the initial
@@ -233,6 +234,7 @@ func New(cfg Config) (*Server, error) {
 			segmentDocs: rec.SegmentDocs,
 			walDocs:     len(rec.WALDocs),
 			walDropped:  rec.WALDropped,
+			skipped:     rec.SkippedSegments,
 		}
 		for _, seg := range rec.Segments {
 			s.segs = append(s.segs, segment{ix: seg.Index, diskGen: seg.Gen})

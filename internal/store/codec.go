@@ -131,12 +131,12 @@ func appendPostings(b []byte, posts []int) []byte {
 }
 
 // readPostings reads one delta-encoded list of strictly increasing
-// positions inside [0, nDocs); a want that is not negative is the length
-// a directory entry promised. Deltas are held to 1..MaxInt32, which
-// keeps prev+delta from wrapping on any platform.
+// positions inside [0, nDocs), of the length want its directory entry
+// promised. Deltas are held to 1..MaxInt32, which keeps prev+delta from
+// wrapping on any platform.
 func readPostings(r *wire.Reader, want, nDocs int) []int {
 	n := r.Count(1)
-	if want >= 0 && n != want && r.Err() == nil {
+	if n != want && r.Err() == nil {
 		r.Failf("postings list has %d entries, directory says %d", n, want)
 	}
 	if n == 0 || r.Err() != nil {

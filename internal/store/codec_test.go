@@ -14,7 +14,7 @@ import (
 // segment and its WAL are also what the damage tests below cut and flip.
 func pinnedWorld() (docs []mining.Document, seg, wal []byte) {
 	docs = voctest.NewWorld(3, 120).Docs
-	seg = EncodeSegment(sealedIndex(docs).Export())
+	seg = EncodeSegment(sealedIndex(docs))
 	wal = append(append(wal, walMagic[:]...), walVersion, 0, 0, 0)
 	for _, d := range docs {
 		wal = appendWALRecord(wal, d)
@@ -63,19 +63,19 @@ func damaged(data []byte, try func(name string, at int, in []byte)) {
 }
 
 // TestDamagedSegmentIsRefused: a segment cut anywhere, or with any one
-// bit of its head or tail flipped, is refused as corrupt by the eager
-// decoder and by the mapped reader's open — neither panics, neither
-// serves it.
+// bit of its head or tail flipped, is refused as corrupt by the
+// materializing open and by the mapped reader's open — neither panics,
+// neither serves it.
 func TestDamagedSegmentIsRefused(t *testing.T) {
 	_, seg, _ := pinnedWorld()
-	if _, err := DecodeSegment(seg); err != nil {
+	if _, err := materialize("pinned", seg); err != nil {
 		t.Fatal(err)
 	}
 	damaged(seg, func(name string, _ int, in []byte) {
-		if snap, err := DecodeSegment(in); !IsCorrupt(err) {
-			t.Errorf("%s: DecodeSegment returned %v, %v", name, snap != nil, err)
+		if ix, err := materialize(name, in); !IsCorrupt(err) {
+			t.Errorf("%s: materialize returned %v, %v", name, ix != nil, err)
 		}
-		if m, err := newMapped(name, in, func([]byte) error { return nil }, nil); !IsCorrupt(err) {
+		if m, err := newMapped(name, in, func([]byte) error { return nil }, NewPostingsCache(0)); !IsCorrupt(err) {
 			t.Errorf("%s: newMapped returned %v, %v", name, m != nil, err)
 		}
 	})

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,23 +11,21 @@ import (
 )
 
 // FuzzSegmentDecode throws arbitrary bytes at the segment reader. The
-// contract under fuzz: never panic, never hang, and — because the seed
-// corpus contains real encoded segments whose mutations usually die at
-// the CRC — any input that does decode must survive the full
-// FromSnapshot validation or be rejected; nothing may load silently
-// wrong. When a mutated input round-trips all the way to an index, we
-// re-encode it and require the canonical bytes to decode again — the
-// decoder and encoder must agree on every accepted file.
+// contract under fuzz: never panic, never hang, and refuse with an
+// IsCorrupt error or serve faithfully. The reference is the index that
+// was written: every seed reads back as its sealed index under both
+// loaders; an input the materializing open accepts re-encodes to bytes
+// that read back to the same index (and encode to themselves again); and
+// its mapped view serves exactly what the materialized index holds. An
+// input only the mapped open accepts may answer empty with a sticky
+// error, but every lazy read stays in bounds.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed corpus: real segments of several shapes and sizes, plus the
 	// interesting almost-valid neighborhoods (truncations, bit flips).
-	seeds := [][]byte{
-		EncodeSegment(sealedIndex(nil).Export()),
-		EncodeSegment(sealedIndex(voctest.NewWorld(1, 1).Docs).Export()),
-		EncodeSegment(sealedIndex(voctest.NewWorld(2, 25).Docs).Export()),
-		EncodeSegment(sealedIndex(voctest.NewWorld(3, 120).Docs).Export()),
-	}
-	for _, s := range seeds {
+	for _, docs := range [][]mining.Document{nil, voctest.NewWorld(1, 1).Docs, voctest.NewWorld(2, 25).Docs, voctest.NewWorld(3, 120).Docs} {
+		ix := sealedIndex(docs)
+		s := EncodeSegment(ix)
+		requireReadsBack(f, s, ix)
 		f.Add(s)
 		f.Add(s[:len(s)*3/4])
 		flipped := append([]byte(nil), s...)
@@ -37,120 +36,99 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte("BVSG"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeSegment(data)
+		ix, err := materialize("fuzz", data)
 		if err != nil {
 			if !IsCorrupt(err) {
-				t.Fatalf("decode error is not IsCorrupt: %v", err)
+				t.Fatalf("materializing error is not IsCorrupt: %v", err)
 			}
-			fuzzMapped(t, data, nil)
+			m, err := newMapped("fuzz", data, nil, NewPostingsCache(1<<20))
+			if err != nil {
+				if !IsCorrupt(err) {
+					t.Fatalf("mapped open error is not IsCorrupt: %v", err)
+				}
+				return
+			}
+			// Every accessor, twice so the second pass crosses the cache.
+			for range 2 {
+				listsOf(m)
+				for i := range m.DocCount() {
+					m.Doc(i)
+					m.DocID(i)
+					m.DocTime(i)
+				}
+			}
 			return
 		}
-		ix, err := mining.FromSnapshot(snap)
-		if err != nil {
-			// Structurally invalid but checksum-valid: only reachable by
-			// hand-crafting, still must be a clean rejection.
-			fuzzMapped(t, data, nil)
-			return
-		}
-		fuzzMapped(t, data, snap)
-		// Accepted input: canonical re-encoding must round-trip.
-		re := EncodeSegment(ix.Export())
-		snap2, err := DecodeSegment(re)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted segment does not decode: %v", err)
-		}
-		if len(snap2.Docs) != len(snap.Docs) {
-			t.Fatalf("re-encode changed doc count: %d != %d", len(snap2.Docs), len(snap.Docs))
-		}
-		if !bytes.Equal(EncodeSegment(ix.Export()), re) {
-			t.Fatal("canonical encoding is not deterministic")
-		}
+		re := EncodeSegment(ix)
+		requireReadsBack(t, re, ix)
+		requireHolds(t, "the mapped view of the input", mappedView(t, data), ix)
 	})
 }
 
-// fuzzMapped drives the same bytes through the mapped reader's open
-// path and, when it opens, through every lazy accessor: the mapped
-// reader must never panic on any input, and on a version-2 file the
-// eager decoder accepted it must serve exactly the decoded snapshot
-// (that agreement is what lets the store fall back between the two
-// loaders without a behavior change). When the eager decoder rejected
-// the input, lazy reads may return empty results with a sticky error —
-// but must stay in bounds.
-func fuzzMapped(t *testing.T, data []byte, snap *mining.IndexSnapshot) {
-	m, err := newMapped("fuzz", data, func([]byte) error { return nil }, NewPostingsCache(1<<20))
+// requireReadsBack fails t unless segment bytes read back as want under
+// both loaders and the materialized index encodes to the same bytes.
+func requireReadsBack(t testing.TB, data []byte, want *mining.Index) {
+	t.Helper()
+	ix, err := materialize("readback", data)
 	if err != nil {
-		if !IsCorrupt(err) {
-			t.Fatalf("mapped open error is not IsCorrupt: %v", err)
-		}
-		if snap != nil && len(data) >= segHeaderLen && data[4] == SegmentVersion {
-			t.Fatalf("eager decoder accepted a version-%d file the mapped reader rejects: %v", SegmentVersion, err)
-		}
-		return
+		t.Fatalf("materializing: %v", err)
 	}
-	// Exercise every accessor; decode twice so the second pass crosses
-	// the cache.
-	for range [2]int{} {
-		m.EachConcept(func(cat, canon string, df int) {
-			if got := len(m.ConceptPostings(cat, canon)); snap != nil && got != df && m.Err() == nil {
-				t.Fatalf("concept %q/%q: %d postings, directory df %d", cat, canon, got, df)
-			}
-		})
-		m.EachCategory(func(cat string, df int) { m.CategoryPostings(cat) })
-		m.EachField(func(f, v string, df int) { m.FieldPostings(f, v) })
-		for i := 0; i < m.DocCount(); i++ {
-			m.Doc(i)
-			m.DocID(i)
-			m.DocTime(i)
-		}
-	}
-	if snap == nil {
-		return
-	}
-	// The eager decoder accepted this file: the mapped view must agree
-	// on every byte it serves.
-	if m.DocCount() != len(snap.Docs) {
-		t.Fatalf("mapped DocCount %d, snapshot has %d docs", m.DocCount(), len(snap.Docs))
-	}
-	for i, want := range snap.Docs {
-		if got := m.Doc(i); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mapped Doc(%d) = %+v, want %+v", i, got, want)
-		}
-		if m.DocID(i) != want.ID || m.DocTime(i) != want.Time {
-			t.Fatalf("mapped DocID/DocTime(%d) diverge", i)
-		}
-	}
-	for _, e := range snap.Concepts {
-		if got := m.ConceptPostings(e.Key[0], e.Key[1]); !postingsEqual(got, e.Posts) {
-			t.Fatalf("mapped concept %q/%q postings diverge", e.Key[0], e.Key[1])
-		}
-	}
-	for _, e := range snap.Categories {
-		if got := m.CategoryPostings(e.Category); !postingsEqual(got, e.Posts) {
-			t.Fatalf("mapped category %q postings diverge", e.Category)
-		}
-	}
-	for _, e := range snap.Fields {
-		if got := m.FieldPostings(e.Key[0], e.Key[1]); !postingsEqual(got, e.Posts) {
-			t.Fatalf("mapped field %q=%q postings diverge", e.Key[0], e.Key[1])
-		}
-	}
-	if err := m.Err(); err != nil {
-		t.Fatalf("mapped reads over an accepted file left a sticky error: %v", err)
+	requireHolds(t, "the materialized index", ix.Backing(), want)
+	requireHolds(t, "the mapped view", mappedView(t, data), want)
+	if !bytes.Equal(EncodeSegment(ix), data) {
+		t.Fatal("the materialized index does not encode to the bytes it was read from")
 	}
 }
 
-// postingsEqual treats nil and empty as equal (absent keys are nil on
-// both readers, but a decoded empty list may be empty-non-nil).
-func postingsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// mappedView opens segment bytes the way a mapping is served: through a
+// postings cache, strings read per reference.
+func mappedView(t testing.TB, data []byte) *Mapped {
+	t.Helper()
+	m, err := newMapped("mapped", data, func([]byte) error { return nil }, NewPostingsCache(1<<20))
+	if err != nil {
+		t.Fatalf("mapped open: %v", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return m
+}
+
+// requireHolds fails t unless b holds exactly want's documents, at the
+// same positions, and its postings lists under the same keys — and, when
+// b is a mapping, read all of it without a sticky error.
+func requireHolds(t testing.TB, what string, b mining.Backing, want *mining.Index) {
+	t.Helper()
+	w := want.Backing()
+	if b.DocCount() != w.DocCount() {
+		t.Fatalf("%s holds %d documents, want %d", what, b.DocCount(), w.DocCount())
+	}
+	for i := range w.DocCount() {
+		d := voctest.AsStored([]mining.Document{w.Doc(i)})[0]
+		if got := b.Doc(i); !reflect.DeepEqual(got, d) || b.DocID(i) != d.ID || b.DocTime(i) != d.Time {
+			t.Fatalf("%s: document %d is %+v, want %+v", what, i, got, d)
 		}
 	}
-	return true
+	if got, lists := listsOf(b), listsOf(w); !reflect.DeepEqual(got, lists) {
+		t.Fatalf("%s: postings diverge:\n got %v\nwant %v", what, got, lists)
+	}
+	if m, ok := b.(*Mapped); ok && m.Err() != nil {
+		t.Fatalf("%s: reads left a sticky error: %v", what, m.Err())
+	}
+}
+
+// listsOf reads every postings list of b, by family and key, each after
+// the df its enumeration reported.
+func listsOf(b mining.Backing) map[string][]int {
+	lists := map[string][]int{}
+	put := func(key string, df int, posts []int) { lists[key] = append([]int{df}, posts...) }
+	b.EachConcept(func(cat, canon string, df int) {
+		put(fmt.Sprintf("concept %q %q", cat, canon), df, b.ConceptPostings(cat, canon))
+	})
+	b.EachCategory(func(cat string, df int) {
+		put(fmt.Sprintf("category %q", cat), df, b.CategoryPostings(cat))
+	})
+	b.EachField(func(field, value string, df int) {
+		put(fmt.Sprintf("field %q %q", field, value), df, b.FieldPostings(field, value))
+	})
+	return lists
 }
 
 // FuzzWALReplay: arbitrary bytes through the WAL replayer — torn tails

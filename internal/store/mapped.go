@@ -9,8 +9,8 @@ import (
 	"bivoc/internal/wire"
 )
 
-// Mapped is the zero-copy read path over a sealed segment file: the
-// file is memory-mapped (or read whole on platforms without mmap) and
+// Mapped is the segment reader, the only code that parses segment bytes:
+// the file is memory-mapped (or read whole on platforms without mmap) and
 // served through mining.Backing without materializing the index. Open
 // cost is O(#postings lists), not O(corpus): the envelope is validated
 // once (magic, version, geometry, CRC — the CRC pass touches every
@@ -19,16 +19,17 @@ import (
 // lookup tables. Postings stay varint-encoded in the mapping until a
 // query first touches them; decoded lists land in a byte-budgeted LRU
 // shared across a Store's segments, so the hot set is decoded once and
-// cold lists never leave the page cache.
+// cold lists never leave the page cache. A store that does not map its
+// segments opens each through it too, and materializes it.
 //
 // Lazy reads are strictly bounds-checked. The CRC check at open makes
 // post-open decode failures practically impossible for media damage,
 // but a contract violation discovered lazily (a crafted file whose
-// directory disagrees with its body — DecodeSegment would reject it
-// outright) surfaces as a sticky error via Err and empty results,
-// never a panic and never out-of-range positions: every decoded
-// posting is validated against the document count before a query sees
-// it, exactly as in the eager loader.
+// checksum holds over a record or list that does not decode) surfaces
+// as a sticky error via Err and empty results, never a panic and never
+// out-of-range positions: every decoded posting is validated against
+// the document count before a query sees it. The materializing open
+// reads every record and list, so it fails on such a file instead.
 type Mapped struct {
 	path  string
 	id    uint64 // distinguishes this mapping's cache entries
@@ -40,6 +41,10 @@ type Mapped struct {
 	body    []byte // the records between header and directory, aliasing data
 	strOffs []byte // directory sections, aliasing data: u32 tables that
 	docOffs []byte // are indexed, not streamed (one lookup per read)
+	// strs is the string table resolved once, which strAt reads when it
+	// is set: a materializing open shares each string among the records
+	// that name it instead of decoding it per reference.
+	strs []string
 
 	concept  map[[2]string]dirEntry
 	category map[string]dirEntry
@@ -68,6 +73,9 @@ func OpenMapped(path string, cache *PostingsCache) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cache == nil {
+		cache = NewPostingsCache(0)
+	}
 	m, err := newMapped(path, data, unmap, cache)
 	if err != nil {
 		unmap(data)
@@ -76,16 +84,16 @@ func OpenMapped(path string, cache *PostingsCache) (*Mapped, error) {
 	return m, nil
 }
 
-// newMapped validates the envelope and walks the directory. Splitting
-// it from OpenMapped lets the fuzz harness drive raw bytes through the
-// exact open path without a file.
+// newMapped validates the envelope and walks the directory; it is the
+// open path of both loaders, and the fuzz harness drives raw bytes
+// through it without a file. A nil cache is a materializing open's,
+// which reads every list exactly once: it decodes straight out of data
+// without caching, and resolves the string table before the directory so
+// that keys and records share its strings.
 func newMapped(path string, data []byte, unmap func([]byte) error, cache *PostingsCache) (*Mapped, error) {
 	env, err := checkEnvelope(data)
 	if err != nil {
 		return nil, err
-	}
-	if cache == nil {
-		cache = NewPostingsCache(0)
 	}
 	m := &Mapped{
 		path:  path,
@@ -99,6 +107,13 @@ func newMapped(path string, data []byte, unmap func([]byte) error, cache *Postin
 	lists := docOffs + 4*env.nDocs
 	m.body, m.strOffs, m.docOffs = data[segHeaderLen:env.bodyEnd], data[env.dirStart:docOffs], data[docOffs:lists]
 	dir := wire.ReaderAt(data[:lists+dirEntryLen*(env.nConc+env.nCat+env.nFld)], lists)
+	if cache == nil {
+		strs := make([]string, env.nStrs)
+		for i := range strs {
+			strs[i] = m.strAt(&dir, uint64(i))
+		}
+		m.strs = strs
+	}
 
 	m.concept = make(map[[2]string]dirEntry, env.nConc)
 	m.category = make(map[string]dirEntry, env.nCat)
@@ -155,6 +170,9 @@ func (m *Mapped) strAt(r *wire.Reader, ref uint64) string {
 		r.Failf("string ref %d out of table (size %d)", ref, m.env.nStrs)
 		return ""
 	}
+	if m.strs != nil {
+		return m.strs[ref]
+	}
 	at := m.bodyReader(binary.LittleEndian.Uint32(m.strOffs[4*ref:]))
 	s := at.String()
 	if err := at.Err(); err != nil {
@@ -205,19 +223,24 @@ func (m *Mapped) Close() error {
 // postings returns one decoded list, consulting the shared cache
 // first. A miss decodes the exact-length list out of the mapping and
 // publishes it; concurrent misses on the same list converge on one
-// cached copy.
+// cached copy. Without a cache every call decodes.
 func (m *Mapped) postings(e dirEntry) []int {
 	if e.df == 0 {
 		return nil
 	}
 	key := postKey{seg: m.id, off: e.off}
-	if posts, ok := m.cache.get(key); ok {
-		return posts
+	if m.cache != nil {
+		if posts, ok := m.cache.get(key); ok {
+			return posts
+		}
 	}
 	r := m.bodyReader(e.off)
 	posts := readPostings(&r, int(e.df), m.env.docCount)
 	if m.failed(&r) {
 		return nil
+	}
+	if m.cache == nil {
+		return posts
 	}
 	return m.cache.put(key, posts)
 }

@@ -17,10 +17,10 @@ import (
 	"bivoc/internal/wire"
 )
 
-// writeSegmentFile encodes ix and writes it where a test wants it.
+// writeSegFile encodes ix and writes it where a test wants it.
 func writeSegFile(t *testing.T, path string, ix *mining.Index) []byte {
 	t.Helper()
-	data := EncodeSegment(ix.Export())
+	data := EncodeSegment(ix)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func writeSegFile(t *testing.T, path string, ix *mining.Index) []byte {
 // TestMappedSegmentEquivalence pins the tentpole invariant at the store
 // layer: an index served from a mapped segment answers every query of the
 // battery exactly as the naive oracle over the documents the segment was
-// written from, and re-exports to the identical bytes.
+// written from, and re-encodes to the identical bytes.
 func TestMappedSegmentEquivalence(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(21, 200)
@@ -63,9 +63,9 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 		}
 	}
 
-	// Export over the mapped backing re-encodes byte-identically: a
-	// compaction that re-encodes a mapped segment loses nothing.
-	re := EncodeSegment(mapped.Export())
+	// The mapped backing re-encodes byte-identically: a compaction that
+	// re-encodes a mapped segment loses nothing.
+	re := EncodeSegment(mapped)
 	if !reflect.DeepEqual(re, data) {
 		t.Fatal("mapped re-encode is not byte-identical to the original segment")
 	}
@@ -132,7 +132,7 @@ func TestMappedSegmentsOfOneTime(t *testing.T) {
 // the envelope, before any lazy read could serve them.
 func TestOpenMappedRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
-	good := EncodeSegment(sealedIndex(voctest.NewWorld(23, 60).Docs).Export())
+	good := EncodeSegment(sealedIndex(voctest.NewWorld(23, 60).Docs))
 	check := func(name string, data []byte) {
 		t.Helper()
 		path := filepath.Join(dir, name+".seg")
@@ -159,12 +159,12 @@ func TestOpenMappedRejectsDamage(t *testing.T) {
 
 // TestOpenMappedRejectsLegacy builds a version-1 file (no directory)
 // out of a version-2 segment's body. Nothing writes that format any
-// more and nothing reads it: the eager decoder and the mapped reader
-// both refuse it with IsCorrupt, and a recovery that finds one in its
-// lineage skips it like any other damaged generation.
+// more and nothing reads it: the materializing open and the mapped
+// reader both refuse it with IsCorrupt, and a recovery that finds one in
+// its lineage skips it like any other damaged generation.
 func TestOpenMappedRejectsLegacy(t *testing.T) {
 	ix := sealedIndex(voctest.NewWorld(24, 40).Docs)
-	v2 := EncodeSegment(ix.Export())
+	v2 := EncodeSegment(ix)
 	env, err := checkEnvelope(v2)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +192,8 @@ func TestOpenMappedRejectsLegacy(t *testing.T) {
 			t.Fatalf("%s rejected the file for another reason: %v", reader, err)
 		}
 	}
-	_, err = DecodeSegment(v1)
-	rejected("eager decoder", err)
+	_, err = materialize("v1", v1)
+	rejected("materializing open", err)
 
 	// Put the file where a lineage expects generation 1.
 	dir := t.TempDir()
@@ -236,8 +236,8 @@ func TestOpenMappedRejectsLegacy(t *testing.T) {
 
 // TestStoreMappedRecovery: a store opened with MapSegments serves its
 // recovered lineage from mappings — same answers, stats reporting the
-// mapped set — and a corrupted segment falls back to the materializing
-// loader's verdict, then WAL recovery, never wrong bytes.
+// mapped set — and a corrupted segment is skipped for the WAL tail,
+// never served.
 func TestStoreMappedRecovery(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -488,11 +488,13 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 }
 
 // TestDamagedGenerationUnderEitherLoader pins what recovery makes of a
-// damaged generation, per loader. Neither falls back to the other: a
-// file that fails the envelope is skipped and named under both, and the
-// two differ, on purpose, only for a file whose checksum holds over a
-// damaged body — the eager loader decodes everything and skips it, the
-// lazy one adopts it and reports through Store.Err on first touch.
+// damaged generation, per loader. Both open through the one segment
+// reader: a file that fails the envelope, or whose directory does not
+// resolve or repeats a key, is skipped and named under both, and the two
+// differ, on purpose, only for a file whose checksum holds over a record
+// or list that does not decode — the eager loader reads everything and
+// skips it, the lazy one adopts it and reports through Store.Err on
+// first touch.
 func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
 	t.Parallel()
 	docs := voctest.NewWorld(3, 60).Docs
@@ -531,6 +533,20 @@ func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
 			for i := range wire.MaxVarintLen + 1 { // no varint is this long
 				data[int(firstDoc)+i] = 0xFF
 			}
+			return resum(data)
+		}, rest, all},
+		{"directory repeats a key, checksum repaired", func(data []byte) []byte {
+			env := envelope(data)
+			firstList := env.dirStart + 4*(env.nStrs+env.nDocs)
+			copy(data[firstList+dirEntryLen:][:8], data[firstList:][:8]) // the second concept takes the first's key
+			return resum(data)
+		}, rest, rest},
+		{"first postings delta zeroed, checksum repaired", func(data []byte) []byte {
+			env := envelope(data)
+			firstList := env.dirStart + 4*(env.nStrs+env.nDocs)
+			r := wire.ReaderAt(data, int(binary.LittleEndian.Uint32(data[firstList+8:])))
+			r.Count(1)              // the list's length
+			data[r.Offset()] = 0x00 // its first delta, one byte at this size
 			return resum(data)
 		}, rest, all},
 	} {
@@ -588,9 +604,12 @@ func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
 				t.Errorf("%s, MapSegments=%v: Err() = %v before anything was read", tc.name, mapSegs, err)
 			}
 			if damaged != nil && len(tc.eager) < len(tc.mapped) {
-				damaged.Doc(0)
+				listsOf(damaged.Backing())
+				for i := range damaged.Len() {
+					damaged.Doc(i)
+				}
 				if err := st.Err(); !IsCorrupt(err) {
-					t.Errorf("%s: Err() = %v after the damaged record was read, want corruption", tc.name, err)
+					t.Errorf("%s: Err() = %v after the damaged segment was read, want corruption", tc.name, err)
 				}
 			}
 			if err := st.Close(); err != nil {

@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
 	"bivoc/internal/mining"
 	"bivoc/internal/wire"
@@ -48,16 +47,21 @@ import (
 //	         uint32 LE · CRC-32 (IEEE, over header through trailer)
 //	         uint32 LE
 //
-// The footer is written last and read first: a reader validates magic,
-// version, length, and checksum before decoding a single body byte, so
-// truncated, bit-flipped, or foreign files are rejected up front.
-// DecodeSegment additionally bounds-checks every count and reference,
-// rebuilds the offset directory from the body and requires it to match
-// the stored one byte-for-byte (so the eager and mapped readers can
-// never disagree about an accepted file), and mining.FromSnapshot
-// re-validates the postings contract — a segment either loads into an
-// index byte-identical to the one written, or it errors; it never
-// panics and never silently loads wrong data.
+// The footer is written last and read first: the reader validates magic,
+// version, length, checksum and the directory's geometry before decoding
+// a single body byte, so truncated, bit-flipped, or foreign files are
+// rejected up front. There is one reader (newMapped and the Mapped
+// reads, mapped.go): a store that maps its segments serves them through
+// it lazily, and one that does not reads the file whole, opens it
+// through the same reader and copies every document and list onto the
+// heap (mining.Materialize). Past the envelope every read goes through
+// the directory and is bounds-checked — the body's count prefixes are
+// written for a sequential reader and read by none. A repeated key fails
+// the open, and every string reference, document record and postings
+// list (strictly increasing positions in range, of the length the
+// directory promised) is checked as it is read: a segment serves the
+// index it was written from, or it errors; it never panics and never
+// silently serves wrong data.
 //
 // Version 2 is the only version read or written: a file of any other
 // version (version 1 had no directory and trailer; nothing has written
@@ -77,28 +81,41 @@ const (
 	dirEntryLen   = 16 // keyRef0 + keyRef1 + listOff + df
 )
 
-// EncodeSegment serializes an index snapshot into segment bytes.
-// Encoding is deterministic: the same snapshot always yields the same
-// bytes (the string table is sorted, snapshot entries are key-sorted by
-// mining.Export, and document fields are emitted key-sorted).
-func EncodeSegment(snap *mining.IndexSnapshot) []byte {
-	strs, ref := buildStringTable(snap)
+// EncodeSegment serializes a sealed index, walking its Backing: the
+// documents by position, then each postings family in key order. The
+// same index always yields the same bytes (the string table is sorted,
+// lists and document fields are emitted key-sorted), whichever backing
+// holds it: a mapped segment re-encodes to its own bytes.
+func EncodeSegment(ix *mining.Index) []byte {
+	bk := ix.Backing()
+	nDocs := bk.DocCount()
+	var concepts, fields [][2]string
+	var categories []string
+	bk.EachConcept(func(cat, canon string, _ int) { concepts = append(concepts, [2]string{cat, canon}) })
+	bk.EachCategory(func(cat string, _ int) { categories = append(categories, cat) })
+	bk.EachField(func(field, value string, _ int) { fields = append(fields, [2]string{field, value}) })
+	byKey := func(a, b [2]string) int { return slices.Compare(a[:], b[:]) }
+	slices.SortFunc(concepts, byKey)
+	slices.Sort(categories)
+	slices.SortFunc(fields, byKey)
+
+	strs, ref := buildStringTable(bk, concepts, categories, fields)
 	strRef := func(b []byte, s string) []byte { return wire.AppendUvarint(b, ref[s]) }
 
 	b := wire.AppendU32(append(make([]byte, 0, 1<<16), segMagic[:]...), SegmentVersion)
 	// The directory accumulates aside, in its stored order, while the
 	// records it locates stream into the body.
-	dir := make([]byte, 0, 4*(len(strs)+len(snap.Docs))+dirEntryLen*(len(snap.Concepts)+len(snap.Categories)+len(snap.Fields)))
+	dir := make([]byte, 0, 4*(len(strs)+nDocs)+dirEntryLen*(len(concepts)+len(categories)+len(fields)))
 
 	b = wire.AppendInt(b, len(strs))
 	for _, s := range strs {
 		dir = wire.AppendU32(dir, uint32(len(b)))
 		b = wire.AppendBytes(b, s)
 	}
-	b = wire.AppendInt(b, len(snap.Docs))
-	for _, d := range snap.Docs {
+	b = wire.AppendInt(b, nDocs)
+	for i := range nDocs {
 		dir = wire.AppendU32(dir, uint32(len(b)))
-		b = appendDocument(b, d, strRef)
+		b = appendDocument(b, bk.Doc(i), strRef)
 	}
 	list := func(posts []int, key ...string) {
 		var refs [2]uint64
@@ -109,22 +126,22 @@ func EncodeSegment(snap *mining.IndexSnapshot) []byte {
 		dir = appendDirEntry(dir, refs, len(b), len(posts))
 		b = appendPostings(b, posts)
 	}
-	b = wire.AppendInt(b, len(snap.Concepts))
-	for _, e := range snap.Concepts {
-		list(e.Posts, e.Key[0], e.Key[1])
+	b = wire.AppendInt(b, len(concepts))
+	for _, k := range concepts {
+		list(bk.ConceptPostings(k[0], k[1]), k[0], k[1])
 	}
-	b = wire.AppendInt(b, len(snap.Categories))
-	for _, e := range snap.Categories {
-		list(e.Posts, e.Category)
+	b = wire.AppendInt(b, len(categories))
+	for _, cat := range categories {
+		list(bk.CategoryPostings(cat), cat)
 	}
-	b = wire.AppendInt(b, len(snap.Fields))
-	for _, e := range snap.Fields {
-		list(e.Posts, e.Key[0], e.Key[1])
+	b = wire.AppendInt(b, len(fields))
+	for _, k := range fields {
+		list(bk.FieldPostings(k[0], k[1]), k[0], k[1])
 	}
 
 	dirStart := len(b)
 	b = append(b, dir...)
-	for _, n := range []int{dirStart, len(strs), len(snap.Docs), len(snap.Concepts), len(snap.Categories), len(snap.Fields)} {
+	for _, n := range []int{dirStart, len(strs), nDocs, len(concepts), len(categories), len(fields)} {
 		b = wire.AppendU32(b, uint32(n))
 	}
 	if uint64(len(b)) > math.MaxUint32 {
@@ -136,7 +153,7 @@ func EncodeSegment(snap *mining.IndexSnapshot) []byte {
 
 	crc := crc32.ChecksumIEEE(b)
 	b = wire.AppendU64(b, uint64(len(b)-segHeaderLen))
-	b = wire.AppendU64(b, uint64(len(snap.Docs)))
+	b = wire.AppendU64(b, uint64(nDocs))
 	return wire.AppendU32(wire.AppendU32(b, SegmentVersion), crc)
 }
 
@@ -150,12 +167,14 @@ func appendDirEntry(dir []byte, refs [2]uint64, listOff, df int) []byte {
 	return dir
 }
 
-// buildStringTable collects every string a snapshot references, sorted
-// unique, plus the string → index map used while encoding.
-func buildStringTable(snap *mining.IndexSnapshot) ([]string, map[string]uint64) {
+// buildStringTable collects every string a segment references — those
+// of every document and of every postings key — sorted unique, plus the
+// string → index map used while encoding.
+func buildStringTable(bk mining.Backing, concepts [][2]string, categories []string, fields [][2]string) ([]string, map[string]uint64) {
 	set := map[string]struct{}{}
 	add := func(s string) { set[s] = struct{}{} }
-	for _, d := range snap.Docs {
+	for i := range bk.DocCount() {
+		d := bk.Doc(i)
 		add(d.ID)
 		for _, c := range d.Concepts {
 			add(c.Category)
@@ -166,22 +185,20 @@ func buildStringTable(snap *mining.IndexSnapshot) ([]string, map[string]uint64) 
 			add(v)
 		}
 	}
-	for _, e := range snap.Concepts {
-		add(e.Key[0])
-		add(e.Key[1])
+	for _, keys := range [][][2]string{concepts, fields} {
+		for _, k := range keys {
+			add(k[0])
+			add(k[1])
+		}
 	}
-	for _, e := range snap.Categories {
-		add(e.Category)
-	}
-	for _, e := range snap.Fields {
-		add(e.Key[0])
-		add(e.Key[1])
+	for _, cat := range categories {
+		add(cat)
 	}
 	strs := make([]string, 0, len(set))
 	for s := range set {
 		strs = append(strs, s)
 	}
-	sort.Strings(strs)
+	slices.Sort(strs)
 	ref := make(map[string]uint64, len(strs))
 	for i, s := range strs {
 		ref[s] = uint64(i)
@@ -202,8 +219,8 @@ type segEnvelope struct {
 // checkEnvelope validates magic, version, footer geometry, CRC and the
 // directory trailer: the directory sections must exactly fill the span
 // between body and trailer. This is the complete up-front validation
-// OpenMapped performs before serving lazily; everything past it is
-// bounds-checked per read.
+// newMapped performs before it walks the directory; everything past it
+// is bounds-checked per read.
 func checkEnvelope(data []byte) (segEnvelope, error) {
 	var e segEnvelope
 	if len(data) < segHeaderLen+segFooterLen {
@@ -251,87 +268,4 @@ func checkEnvelope(data []byte) (segEnvelope, error) {
 	}
 	e.bodyEnd = e.dirStart
 	return e, nil
-}
-
-// DecodeSegment parses segment bytes back into an index snapshot,
-// validating the envelope (magic, version, length, CRC) before the body
-// and bounds-checking every reference inside it. The offset directory
-// is rebuilt from the body and must match the stored bytes exactly, so
-// a file this function accepts is served identically by the mapped
-// reader. Errors satisfy IsCorrupt; the
-// function never panics on any input.
-func DecodeSegment(data []byte) (*mining.IndexSnapshot, error) {
-	env, err := checkEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	r := wire.ReaderAt(data[:env.bodyEnd], segHeaderLen)
-	stored := data[env.dirStart : len(data)-segFooterLen]
-	// dir re-accumulates the offset directory while the body decodes;
-	// compared against the stored bytes at the end.
-	dir := make([]byte, 0, len(stored))
-
-	strs := make([]string, r.Count(1))
-	for i := range strs {
-		dir = wire.AppendU32(dir, uint32(r.Offset()))
-		strs[i] = r.String()
-	}
-	strRef := func() (uint64, string) {
-		idx := r.Uvarint()
-		if idx >= uint64(len(strs)) {
-			r.Failf("string ref %d out of table (size %d)", idx, len(strs))
-			return 0, ""
-		}
-		return idx, strs[idx]
-	}
-	str := func() string {
-		_, s := strRef()
-		return s
-	}
-
-	nDocs := r.Count(1)
-	if nDocs != env.docCount && r.Err() == nil {
-		r.Failf("body has %d documents, footer says %d", nDocs, env.docCount)
-	}
-	snap := &mining.IndexSnapshot{Docs: make([]mining.Document, nDocs)}
-	for i := range snap.Docs {
-		dir = wire.AppendU32(dir, uint32(r.Offset()))
-		snap.Docs[i] = readDocument(&r, str)
-	}
-
-	// list decodes one postings list under a one- or two-part key,
-	// mirroring the encoder's directory entry as it goes.
-	list := func(parts int) (key [2]string, posts []int) {
-		var refs [2]uint64
-		for i := range parts {
-			refs[i], key[i] = strRef()
-		}
-		listOff := r.Offset()
-		posts = readPostings(&r, -1, nDocs)
-		dir = appendDirEntry(dir, refs, listOff, len(posts))
-		return key, posts
-	}
-	snap.Concepts = make([]mining.KeyedPostings, r.Count(1))
-	for i := range snap.Concepts {
-		snap.Concepts[i].Key, snap.Concepts[i].Posts = list(2)
-	}
-	snap.Categories = make([]mining.CatPostings, r.Count(1))
-	for i := range snap.Categories {
-		key, posts := list(1)
-		snap.Categories[i] = mining.CatPostings{Category: key[0], Posts: posts}
-	}
-	snap.Fields = make([]mining.KeyedPostings, r.Count(1))
-	for i := range snap.Fields {
-		snap.Fields[i].Key, snap.Fields[i].Posts = list(2)
-	}
-	if err := r.Done(); err != nil {
-		return nil, corrupt(err)
-	}
-	for _, n := range []int{env.dirStart, len(strs), nDocs, len(snap.Concepts), len(snap.Categories), len(snap.Fields)} {
-		dir = wire.AppendU32(dir, uint32(n))
-	}
-	if !bytes.Equal(dir, stored) {
-		return nil, corruptf("offset directory disagrees with body")
-	}
-	return snap, nil
 }

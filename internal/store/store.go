@@ -21,8 +21,9 @@ type Options struct {
 	// lost; larger values amortize the fsync at the cost of a bounded
 	// window of documents that may need re-ingesting after a crash.
 	SyncEvery int
-	// MapSegments serves sealed segments straight out of read-only file
-	// mappings (OpenMapped) instead of materializing them on the heap:
+	// MapSegments reads segments with mmap(2) instead of read(2) — one
+	// reader parses them either way — and serves them straight out of
+	// the read-only mappings (OpenMapped) instead of materializing them:
 	// recovery touches O(#postings lists) per segment instead of
 	// O(corpus), and resident memory tracks the hot query set rather
 	// than the corpus. A damaged generation is skipped under either
@@ -189,7 +190,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, gen := range s.loadManifest() {
 		tried[gen] = true
 		path := s.segmentPath(gen)
-		ix, size, m, err := s.loadOrMap(path)
+		ix, size, m, err := s.openSegment(path)
 		if err != nil {
 			if !IsCorrupt(err) && !errors.Is(err, os.ErrNotExist) {
 				return nil, err
@@ -208,7 +209,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				continue
 			}
 			path := s.segmentPath(gens[i])
-			ix, size, m, err := s.loadOrMap(path)
+			ix, size, m, err := s.openSegment(path)
 			if err != nil {
 				if !IsCorrupt(err) {
 					return nil, err
@@ -263,34 +264,43 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// adopt enters one segment loadOrMap opened into the recovery and the
+// adopt enters one segment openSegment opened into the recovery and the
 // live lineage.
 func (s *Store) adopt(rec *Recovery, gen uint64, path string, ix *mining.Index, size int64, m *Mapped) {
 	rec.Segments = append(rec.Segments, RecoveredSegment{Gen: gen, Index: ix})
 	s.segments = append(s.segments, segMeta{gen: gen, path: path, bytes: size, docs: ix.Len(), mapped: m})
 }
 
-// loadOrMap opens one segment file the way the store is configured:
-// mapped (zero-copy, lazy) when MapSegments is on, else materialized.
-// There is no falling back from one to the other: the eager reader
-// checks the same envelope and then more (it rebuilds the directory and
-// requires byte equality), so a file the mapped reader refuses it
-// refuses too.
-// Called during Open only; s.mu must not be held.
-func (s *Store) loadOrMap(path string) (*mining.Index, int64, *Mapped, error) {
+// openSegment opens one segment file through the segment reader into a
+// Prepared index, the way the store is configured: mapped (zero-copy,
+// lazy; the mapping kept for Close) when MapSegments is on, else read
+// whole and materialized onto the heap. Either way one reader parses the
+// bytes, so there is nothing to fall back to: the materializing open
+// reads every record and list the mapped one would serve, and refuses
+// every file the mapped open refuses.
+// s.mu must not be held.
+func (s *Store) openSegment(path string) (*mining.Index, int64, *Mapped, error) {
 	if !s.mapSegs {
-		ix, size, err := LoadSegment(path)
-		return ix, size, nil, err
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, nil, fmt.Errorf("store: reading segment: %w", err)
+		}
+		ix, err := materialize(filepath.Base(path), data)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		ix.Prepare()
+		return ix, int64(len(data)), nil, nil
 	}
 	m, err := OpenMapped(path, s.cache)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	ix := mining.FromBacking(m)
-	ix.Prepare()
 	s.mu.Lock()
 	s.mappings = append(s.mappings, m)
 	s.mu.Unlock()
+	ix := mining.FromBacking(m)
+	ix.Prepare()
 	return ix, m.Bytes(), m, nil
 }
 
@@ -316,14 +326,11 @@ func (s *Store) MapSegment(gen uint64) (*mining.Index, error) {
 	if !live {
 		return nil, fmt.Errorf("store: MapSegment: generation %d is not live", gen)
 	}
-	m, err := OpenMapped(s.segmentPath(gen), s.cache)
+	ix, _, m, err := s.openSegment(s.segmentPath(gen))
 	if err != nil {
 		return nil, err
 	}
-	ix := mining.FromBacking(m)
-	ix.Prepare()
 	s.mu.Lock()
-	s.mappings = append(s.mappings, m)
 	for i := range s.segments {
 		if s.segments[i].gen == gen {
 			s.segments[i].mapped = m
@@ -392,23 +399,20 @@ func (s *Store) scanSegments() ([]uint64, error) {
 	return gens, nil
 }
 
-// LoadSegment reads and validates one segment file into a Prepared,
-// query-ready index. Decode errors satisfy IsCorrupt.
-func LoadSegment(path string) (*mining.Index, int64, error) {
-	data, err := os.ReadFile(path)
+// materialize opens segment bytes through the segment reader and copies
+// every document and postings list onto the heap. A record or list that
+// does not decode fails it, as the open itself does on a damaged
+// envelope, directory or string table; the error satisfies IsCorrupt.
+func materialize(name string, data []byte) (*mining.Index, error) {
+	m, err := newMapped(name, data, nil, nil)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading segment: %w", err)
+		return nil, fmt.Errorf("store: segment %s: %w", name, err)
 	}
-	snap, err := DecodeSegment(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", filepath.Base(path), err)
+	ix := mining.Materialize(m)
+	if err := m.Err(); err != nil {
+		return nil, err
 	}
-	ix, err := mining.FromSnapshot(snap)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: store: segment %s: %v", errCorrupt, filepath.Base(path), err)
-	}
-	ix.Prepare()
-	return ix, int64(len(data)), nil
+	return ix, nil
 }
 
 // manifestPath is the live-lineage file: a versioned header followed by
@@ -503,7 +507,7 @@ func (s *Store) AppendSegment(ix *mining.Index) (Stats, error) {
 // the superseded files are deleted. A crash at any point leaves a
 // manifest whose lineage covers the same documents.
 func (s *Store) ReplaceSegments(removed []uint64, ix *mining.Index) (Stats, error) {
-	data := EncodeSegment(ix.Export())
+	data := EncodeSegment(ix)
 	rm := make(map[uint64]bool, len(removed))
 	for _, g := range removed {
 		rm[g] = true

@@ -33,11 +33,7 @@ func soleSegment(t *testing.T, rec *Recovery) *mining.Index {
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(1, 200)
-	snap, err := DecodeSegment(EncodeSegment(sealedIndex(w.Docs).Export()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mining.FromSnapshot(snap)
+	got, err := materialize("round-trip", EncodeSegment(sealedIndex(w.Docs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +43,20 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestSegmentEncodeDeterministic(t *testing.T) {
 	ix := sealedIndex(voctest.NewWorld(2, 100).Docs)
-	if !bytes.Equal(EncodeSegment(ix.Export()), EncodeSegment(ix.Export())) {
+	if !bytes.Equal(EncodeSegment(ix), EncodeSegment(ix)) {
 		t.Error("two encodings of the same index differ")
 	}
 }
 
 // TestSegmentDecodeRejectsDamage flips, truncates and contaminates real
-// segment bytes and requires a clean error (IsCorrupt) every time.
+// segment bytes and requires the materializing open to refuse them with
+// a clean error (IsCorrupt) every time.
 func TestSegmentDecodeRejectsDamage(t *testing.T) {
-	good := EncodeSegment(sealedIndex(voctest.NewWorld(3, 60).Docs).Export())
+	good := EncodeSegment(sealedIndex(voctest.NewWorld(3, 60).Docs))
 	check := func(name string, data []byte) {
 		t.Helper()
-		if _, err := DecodeSegment(data); err == nil {
-			t.Errorf("%s: decoder accepted damaged segment", name)
+		if _, err := materialize(name, data); err == nil {
+			t.Errorf("%s: reader accepted damaged segment", name)
 		} else if !IsCorrupt(err) {
 			t.Errorf("%s: error does not satisfy IsCorrupt: %v", name, err)
 		}
@@ -332,7 +329,7 @@ func TestOrphanCleanup(t *testing.T) {
 // such a file opens empty, and beside a real segment it neither hides
 // that segment nor moves the next generation number.
 func TestForeignSegmentNamesAreNotOurs(t *testing.T) {
-	seg := EncodeSegment(sealedIndex(voctest.NewWorld(12, 10).Docs).Export())
+	seg := EncodeSegment(sealedIndex(voctest.NewWorld(12, 10).Docs))
 	for _, name := range []string{"seg-1.seg", "seg-12abc.seg", "seg-0x10.seg", "seg-00000000000000001.seg"} {
 		for _, mapped := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mapped-%v", name, mapped), func(t *testing.T) {

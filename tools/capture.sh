@@ -9,9 +9,12 @@
 #
 #   mono-9seg     bivocd over nine segments (-max-segments -1)
 #   mono-compact  bivocd whose compactor has bounded its segments
+#   eager-first   bivocd -data-dir, first boot
+#   eager-warm    the same directory and flags again: a warm restart that
+#                 serves the segments it read and materialized
 #   mmap-first    bivocd -data-dir -mmap, first boot
-#   mmap-warm     the same directory and flags again: a warm restart that
-#                 serves the segments it recovered
+#   mmap-warm     the same again under -mmap: the recovered segments are
+#                 served from their mappings
 #   fed-healthy   bivocfed over two bivocd shards
 #   fed-cached    the same requests again, inside the coordinator cache
 #   fed-degraded  shard 1 stopped
@@ -216,12 +219,18 @@ settle "$addr"
 capture mono-compact "$addr"
 stop compact
 
-for boot in first warm; do
-	start "mmap-$boot" bivocd "${world[@]}" -mmap -data-dir "$work/data"
-	settle "$addr"
-	capture "mmap-$boot" "$addr"
-	grep 'persistence at' "$work/mmap-$boot.log" | sed "s#$work#DATA#" >"$out/mmap-$boot/startup"
-	stop "mmap-$boot"
+# Each loader boots twice over a directory of its own; the startup file
+# keeps the "persistence at" line, which says what the boot recovered.
+for loader in eager mmap; do
+	flags=(-data-dir "$work/$loader-data")
+	if [ "$loader" = mmap ]; then flags+=(-mmap); fi
+	for boot in first warm; do
+		start "$loader-$boot" bivocd "${world[@]}" "${flags[@]}"
+		settle "$addr"
+		capture "$loader-$boot" "$addr"
+		grep 'persistence at' "$work/$loader-$boot.log" | sed "s#$work#DATA#" >"$out/$loader-$boot/startup"
+		stop "$loader-$boot"
+	done
 done
 
 start shard0 bivocd "${world[@]}" -shard 0/2
