@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDim$$' -fuzztime 10s ./internal/mining
 	$(GO) test -run '^$$' -fuzz '^FuzzWireReader$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDigitLCS$$' -fuzztime 10s ./internal/fuzzy
+	$(GO) test -run '^$$' -fuzz '^FuzzWords$$' -fuzztime 10s ./internal/textproc
 
 # The repository's benchmark, declared in BENCHMARK.json: five workloads,
 # five end-to-end metrics and the per-layer budget, printed by

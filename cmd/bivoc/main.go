@@ -48,7 +48,7 @@ func main() {
 	days := flag.Int("days", 10, "days of traffic")
 	drill := flag.String("drill", "weak start,reservation", "drill-down cell: intent,outcome")
 	stream := flag.Bool("stream", false, "print live per-stage pipeline stats and mid-flight index queries")
-	workers := flag.Int("workers", 0, "per-stage worker count (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "transcribe-stage worker count; link and annotate run single (0 = GOMAXPROCS, 1 = sequential)")
 	retries := flag.Int("retries", 1, "max attempts per call per stage (1 = no retry)")
 	retryDelay := flag.Duration("retry-delay", time.Millisecond, "base backoff before a retry (doubles per attempt, jittered)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-attempt stage timeout (0 = unbounded)")

@@ -75,7 +75,7 @@ func main() {
 	seed := flag.Uint64("seed", 2009, "master random seed")
 	calls := flag.Int("calls", 400, "calls per day")
 	days := flag.Int("days", 10, "days of traffic")
-	workers := flag.Int("workers", 0, "per-stage ingest worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "ingest transcribe-stage worker count; link and annotate run single (0 = GOMAXPROCS)")
 	swapInterval := flag.Duration("swap-interval", time.Second, "publish a fresh index snapshot this often (0 = off)")
 	swapEvery := flag.Int("swap-every", 0, "publish a fresh snapshot every N ingested calls (0 = off)")
 	maxSegments := flag.Int("max-segments", 0, "compact the serving index past this many segments (0 = default 8, negative = never)")

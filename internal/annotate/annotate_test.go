@@ -3,7 +3,45 @@ package annotate
 import (
 	"reflect"
 	"testing"
+
+	"bivoc/internal/textproc"
 )
+
+// annotateText is how a caller holding text annotates it: tokenize once,
+// then the engine's one entry point.
+func annotateText(en *Engine, text string) []Concept {
+	return en.Annotate(nil, textproc.Words(text))
+}
+
+// entryCount is the number of surfaces the dictionary holds.
+func entryCount(d *Dictionary) int {
+	n := 0
+	var walk func(*trieNode)
+	walk = func(node *trieNode) {
+		if node.entry != nil {
+			n++
+		}
+		for _, c := range node.children {
+			walk(c)
+		}
+	}
+	walk(d.root)
+	return n
+}
+
+// units returns the surfaces of the tagged units of text, read through a
+// pattern that matches every unit and is labelled with its surface.
+func units(d *Dictionary, text string) []string {
+	en := NewEngine(d)
+	en.AddPattern(Pattern{Name: "unit", Elems: []Elem{{PoS: PoSAny}}, Category: "\x00unit"})
+	var out []string
+	for _, c := range annotateText(en, text) {
+		if c.Category == "\x00unit" {
+			out = append(out, c.Canonical)
+		}
+	}
+	return out
+}
 
 func carRentalDict() *Dictionary {
 	d := NewDictionary()
@@ -27,27 +65,33 @@ func carRentalDict() *Dictionary {
 
 func TestDictionaryLookup(t *testing.T) {
 	d := carRentalDict()
-	if tw := d.Tag("Master Card"); len(tw) != 1 || tw[0].Canonical != "credit card" || tw[0].Category != "payment methods" {
-		t.Errorf("lookup = %+v", tw)
+	en := NewEngine(d)
+	if cs := annotateText(en, "Master Card"); len(cs) != 1 || cs[0].Canonical != "credit card" || cs[0].Category != "payment methods" {
+		t.Errorf("lookup = %+v", cs)
 	}
-	if tw := d.Tag("zebra"); len(tw) != 1 || tw[0].Category != "" {
-		t.Errorf("absent surface resolved: %+v", tw)
+	if cs := annotateText(en, "zebra"); len(cs) != 0 {
+		t.Errorf("absent surface resolved: %+v", cs)
 	}
-	if len(d.entries) != 11 {
-		t.Errorf("len = %d", len(d.entries))
+	if n := entryCount(d); n != 11 {
+		t.Errorf("len = %d", n)
 	}
 }
 
 func TestDictionaryIgnoresEmptySurface(t *testing.T) {
 	d := NewDictionary()
 	d.Add(Entry{Surface: "   "})
-	if len(d.entries) != 0 {
+	if entryCount(d) != 0 {
 		t.Error("blank surface added")
 	}
 }
 
+// TestTagWordPoS reads each word's tag through a one-element pattern per
+// PoS, labelled with the PoS's name.
 func TestTagWordPoS(t *testing.T) {
-	d := NewDictionary()
+	en := NewEngine(NewDictionary())
+	for p := PoSNoun; p < PoSAny; p++ {
+		en.AddPattern(Pattern{Name: p.String(), Elems: []Elem{{PoS: p}}, Label: p.String(), Category: "pos"})
+	}
 	cases := map[string]PoS{
 		"book":      PoSVerb,
 		"wonderful": PoSAdjective,
@@ -59,25 +103,26 @@ func TestTagWordPoS(t *testing.T) {
 		"car":       PoSNoun,
 	}
 	for w, want := range cases {
-		if got := d.TagWord(w); got != want {
-			t.Errorf("TagWord(%q) = %v, want %v", w, got, want)
+		if cs := annotateText(en, w); len(cs) != 1 || cs[0].Canonical != want.String() {
+			t.Errorf("tag of %q: %v, want %v", w, cs, want)
 		}
 	}
 }
 
 func TestTagMultiWordLongestMatch(t *testing.T) {
 	d := carRentalDict()
-	tagged := d.Tag("i need a child seat in new york")
-	var surfaces []string
-	for _, tw := range tagged {
-		surfaces = append(surfaces, tw.Word)
-	}
+	const text = "i need a child seat in new york"
 	want := []string{"i", "need", "a", "child seat", "in", "new york"}
-	if !reflect.DeepEqual(surfaces, want) {
+	if surfaces := units(d, text); !reflect.DeepEqual(surfaces, want) {
 		t.Errorf("surfaces = %v", surfaces)
 	}
-	if tagged[3].Category != "vehicle feature" {
-		t.Errorf("child seat category = %q", tagged[3].Category)
+	cs := annotateText(NewEngine(d), text)
+	wantCs := []Concept{
+		{Canonical: "child seat", Category: "vehicle feature", Start: 3, End: 4},
+		{Canonical: "new york", Category: "place", Start: 5, End: 6},
+	}
+	if !reflect.DeepEqual(cs, wantCs) {
+		t.Errorf("concepts = %v", cs)
 	}
 }
 
@@ -86,8 +131,8 @@ func TestDictionaryCanonicalization(t *testing.T) {
 	en := NewEngine(d)
 	// "seven seater" and "suv" should both yield canonical "suv" — the
 	// paper's indicator-expression mechanism for Table II.
-	c1 := en.Annotate("looking for a seven seater")
-	c2 := en.Annotate("looking for an suv")
+	c1 := annotateText(en, "looking for a seven seater")
+	c2 := annotateText(en, "looking for an suv")
 	if len(c1) != 1 || len(c2) != 1 {
 		t.Fatalf("concepts: %v %v", c1, c2)
 	}
@@ -103,11 +148,11 @@ func TestPatternPleaseVerb(t *testing.T) {
 		Elems:    []Elem{Lit("please"), {PoS: PoSVerb}},
 		Category: "request",
 	})
-	cs := en.Annotate("please confirm my booking")
+	cs := annotateText(en, "please confirm my booking")
 	if len(cs) != 1 || cs[0].Category != "request" || cs[0].Canonical != "please confirm" {
 		t.Errorf("concepts = %v", cs)
 	}
-	if cs := en.Annotate("please the noun"); len(cs) != 0 {
+	if cs := annotateText(en, "please the noun"); len(cs) != 0 {
 		t.Errorf("please + noun should not match: %v", cs)
 	}
 }
@@ -120,7 +165,7 @@ func TestPatternJustNumericDollars(t *testing.T) {
 		Label:    "mention of good rate",
 		Category: "value selling",
 	})
-	cs := en.Annotate("it is just 45 dollars a day")
+	cs := annotateText(en, "it is just 45 dollars a day")
 	if len(cs) != 1 || cs[0].Canonical != "mention of good rate" || cs[0].Category != "value selling" {
 		t.Errorf("concepts = %v", cs)
 	}
@@ -135,7 +180,7 @@ func TestPatternWithCategoryElem(t *testing.T) {
 		Label:    "mention of good rate",
 		Category: "value selling",
 	})
-	cs := en.Annotate("we have a wonderful rate today")
+	cs := annotateText(en, "we have a wonderful rate today")
 	found := false
 	for _, c := range cs {
 		if c.Category == "value selling" {
@@ -150,7 +195,7 @@ func TestPatternWithCategoryElem(t *testing.T) {
 func TestAnnotateOrdersByPosition(t *testing.T) {
 	d := carRentalDict()
 	en := NewEngine(d)
-	cs := en.Annotate("suv with child seat and discount in ny")
+	cs := annotateText(en, "suv with child seat and discount in ny")
 	for i := 1; i < len(cs); i++ {
 		if cs[i].Start < cs[i-1].Start {
 			t.Errorf("concepts out of order: %v", cs)
@@ -163,7 +208,7 @@ func TestAnnotateOrdersByPosition(t *testing.T) {
 
 func TestAnnotateEmptyText(t *testing.T) {
 	en := NewEngine(carRentalDict())
-	if cs := en.Annotate(""); len(cs) != 0 {
+	if cs := annotateText(en, ""); len(cs) != 0 {
 		t.Errorf("empty text produced %v", cs)
 	}
 }
@@ -182,7 +227,7 @@ func TestEngineNilDictionary(t *testing.T) {
 	if en.dict == nil {
 		t.Fatal("nil dictionary not defaulted")
 	}
-	if cs := en.Annotate("hello world"); len(cs) != 0 {
+	if cs := annotateText(en, "hello world"); len(cs) != 0 {
 		t.Errorf("bare engine annotated %v", cs)
 	}
 }
@@ -196,7 +241,7 @@ func TestPoSString(t *testing.T) {
 func TestEmptyPatternIgnored(t *testing.T) {
 	en := NewEngine(NewDictionary())
 	en.AddPattern(Pattern{Name: "empty"})
-	if cs := en.Annotate("anything at all"); len(cs) != 0 {
+	if cs := annotateText(en, "anything at all"); len(cs) != 0 {
 		t.Errorf("empty pattern matched: %v", cs)
 	}
 }

@@ -71,16 +71,15 @@ type Entry struct {
 
 // Dictionary holds entries indexed by their (lowercase) surface form.
 // Multi-word surfaces are supported with longest-match-first lookup via
-// a word-level trie, so Tag probes spans by walking child pointers
+// a word-level trie, so tagging probes spans by walking child pointers
 // instead of joining candidate word windows into throwaway strings.
 type Dictionary struct {
-	entries map[string]Entry
-	root    *trieNode
+	root *trieNode
 }
 
 // trieNode is one word position in the surface trie. Terminal nodes
 // carry the entry and its stored key (the words re-joined with single
-// spaces), which becomes the TaggedWord surface without another join.
+// spaces), which becomes the tagged unit's surface without another join.
 type trieNode struct {
 	children map[string]*trieNode
 	entry    *Entry
@@ -89,7 +88,7 @@ type trieNode struct {
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{entries: make(map[string]Entry), root: &trieNode{}}
+	return &Dictionary{root: &trieNode{}}
 }
 
 // Add inserts or replaces an entry.
@@ -98,10 +97,10 @@ func (d *Dictionary) Add(e Entry) {
 	if key == "" {
 		return
 	}
-	d.entries[key] = e
 	// Split on single spaces (not Fields): a key with irregular internal
 	// whitespace keeps an empty-word path component no tokenizer output
-	// can follow, staying unreachable from Tag exactly as it always was.
+	// can follow, staying unreachable from tagging exactly as it always
+	// was.
 	node := d.root
 	for _, w := range strings.Split(key, " ") {
 		if node.children == nil {
@@ -114,58 +113,59 @@ func (d *Dictionary) Add(e Entry) {
 		}
 		node = next
 	}
-	stored := d.entries[key]
-	node.entry = &stored
+	node.entry = &e
 	node.key = key
 }
 
-// verbLexicon and friends seed the PoS tagger. Conversational call-centre
-// English is dominated by a small closed verb set; suffix rules catch the
-// rest.
-var verbLexicon = map[string]bool{
-	"be": true, "is": true, "am": true, "are": true, "was": true, "were": true,
-	"have": true, "has": true, "had": true, "do": true, "does": true, "did": true,
-	"want": true, "need": true, "like": true, "book": true, "make": true,
-	"get": true, "give": true, "take": true, "pay": true, "call": true,
-	"help": true, "know": true, "tell": true, "confirm": true, "check": true,
-	"cancel": true, "change": true, "hold": true, "charge": true, "send": true,
-	"go": true, "come": true, "say": true, "see": true, "find": true,
-	"reserve": true, "rent": true, "pick": true, "drop": true, "return": true,
-	"leave": true, "switch": true, "disconnect": true, "activate": true,
-	"deactivate": true, "recharge": true, "work": true, "solve": true,
-	"resolve": true, "offer": true, "provide": true, "save": true,
-}
+// The PoS tagger's closed word lists. Conversational call-centre English
+// is dominated by a small closed verb set; suffix rules catch the rest.
+var (
+	pronounWords = []string{
+		"i", "you", "he", "she", "it", "we", "they", "me", "him", "her", "us",
+		"them", "my", "your", "this", "that",
+	}
+	verbWords = []string{
+		"be", "is", "am", "are", "was", "were", "have", "has", "had", "do", "does", "did",
+		"want", "need", "like", "book", "make", "get", "give", "take", "pay", "call",
+		"help", "know", "tell", "confirm", "check", "cancel", "change", "hold", "charge", "send",
+		"go", "come", "say", "see", "find", "reserve", "rent", "pick", "drop", "return",
+		"leave", "switch", "disconnect", "activate", "deactivate", "recharge", "work", "solve",
+		"resolve", "offer", "provide", "save",
+	}
+	adjectiveWords = []string{
+		"good", "great", "wonderful", "fantastic", "excellent", "nice", "bad", "poor", "high",
+		"low", "cheap", "expensive", "rude", "helpful", "new", "latest", "full", "mid",
+		"luxury", "available", "free", "best", "terrible", "pathetic", "slow", "wrong",
+	}
+)
 
-var adjectiveLexicon = map[string]bool{
-	"good": true, "great": true, "wonderful": true, "fantastic": true,
-	"excellent": true, "nice": true, "bad": true, "poor": true, "high": true,
-	"low": true, "cheap": true, "expensive": true, "rude": true,
-	"helpful": true, "new": true, "latest": true, "full": true, "mid": true,
-	"luxury": true, "available": true, "free": true, "best": true,
-	"terrible": true, "pathetic": true, "slow": true, "wrong": true,
-}
+// lexicon is the three word lists as one map, so a word costs one
+// lookup. A word on two lists takes the first of pronoun, verb,
+// adjective: later lists overwrite.
+var lexicon = func() map[string]PoS {
+	m := make(map[string]PoS)
+	for _, w := range adjectiveWords {
+		m[w] = PoSAdjective
+	}
+	for _, w := range verbWords {
+		m[w] = PoSVerb
+	}
+	for _, w := range pronounWords {
+		m[w] = PoSPronoun
+	}
+	return m
+}()
 
-var pronounLexicon = map[string]bool{
-	"i": true, "you": true, "he": true, "she": true, "it": true, "we": true,
-	"they": true, "me": true, "him": true, "her": true, "us": true,
-	"them": true, "my": true, "your": true, "this": true, "that": true,
-}
-
-// TagWord assigns a coarse PoS to one (lowercase) word, consulting the
-// dictionary first (its entries carry curated tags).
-func (d *Dictionary) TagWord(w string) PoS {
-	if e, ok := d.entries[w]; ok {
-		return e.PoS
+// tagWord assigns a coarse PoS to one (lowercase) word that no
+// dictionary surface covers: numbers, then the lexicon, then suffixes.
+func tagWord(w string) PoS {
+	if textproc.IsNumeric(w) {
+		return PoSNumeric
+	}
+	if p, ok := lexicon[w]; ok {
+		return p
 	}
 	switch {
-	case textproc.IsNumeric(w):
-		return PoSNumeric
-	case pronounLexicon[w]:
-		return PoSPronoun
-	case verbLexicon[w]:
-		return PoSVerb
-	case adjectiveLexicon[w]:
-		return PoSAdjective
 	case strings.HasSuffix(w, "ly") && len(w) > 3:
 		return PoSAdverb
 	case strings.HasSuffix(w, "ing") && len(w) > 4,
@@ -176,25 +176,23 @@ func (d *Dictionary) TagWord(w string) PoS {
 	}
 }
 
-// TaggedWord is one token with its tag and dictionary annotation.
-type TaggedWord struct {
+// taggedWord is one tagged unit: a token, or the tokens of a multi-word
+// dictionary surface, with its tag and dictionary annotation.
+type taggedWord struct {
 	Word      string // lowercase surface
 	PoS       PoS
 	Canonical string // canonical form if a dictionary entry covers it
 	Category  string // semantic category from the dictionary
 }
 
-// Tag tokenizes and tags text, applying longest-match dictionary lookup
-// so multi-word surfaces ("master card") collapse to one tagged unit
-// carrying the canonical form ("credit card") and category.
-func (d *Dictionary) Tag(text string) []TaggedWord {
-	words := textproc.Words(text)
-	if len(words) == 0 {
-		return nil
-	}
-	out := make([]TaggedWord, 0, len(words))
-	i := 0
-	for i < len(words) {
+// tag appends the tagged units of words (lowercase tokens) to dst,
+// applying longest-match dictionary lookup so multi-word surfaces
+// ("master card") collapse to one tagged unit carrying the canonical
+// form ("credit card") and category. A word the trie does not start at
+// is tagged by tagWord: the trie holds every single-word surface, so no
+// other lookup could find it an entry.
+func (d *Dictionary) tag(dst []taggedWord, words []string) []taggedWord {
+	for i := 0; i < len(words); {
 		// Walk the trie from position i, remembering the deepest terminal
 		// node — the longest dictionary surface starting here.
 		node := d.root
@@ -212,7 +210,7 @@ func (d *Dictionary) Tag(text string) []TaggedWord {
 		}
 		if best != nil {
 			e := best.entry
-			out = append(out, TaggedWord{
+			dst = append(dst, taggedWord{
 				Word:      best.key,
 				PoS:       e.PoS,
 				Canonical: e.Canonical,
@@ -222,8 +220,8 @@ func (d *Dictionary) Tag(text string) []TaggedWord {
 			continue
 		}
 		w := words[i]
-		out = append(out, TaggedWord{Word: w, PoS: d.TagWord(w)})
+		dst = append(dst, taggedWord{Word: w, PoS: tagWord(w)})
 		i++
 	}
-	return out
+	return dst
 }

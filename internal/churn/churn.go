@@ -12,8 +12,6 @@
 package churn
 
 import (
-	"strings"
-
 	"bivoc/internal/annotate"
 	"bivoc/internal/classify"
 	"bivoc/internal/textproc"
@@ -125,8 +123,7 @@ func NewDriverDetector(seeds map[string][]string) *DriverDetector {
 // Detect returns the distinct driver categories expressed in the text,
 // sorted.
 func (d *DriverDetector) Detect(text string) []string {
-	// The dictionary holds content-word pairs; normalize the text the
-	// same way before matching.
-	normalized := strings.Join(textproc.ContentWords(text), " ")
-	return annotate.Categories(d.engine.Annotate(normalized))
+	// The dictionary holds content-word pairs, so the engine reads the
+	// text's content words, adjacent as if the stopwords were not there.
+	return annotate.Categories(d.engine.Annotate(nil, textproc.WordsOf(textproc.ContentWords(text))))
 }

@@ -9,10 +9,9 @@
 package core
 
 import (
-	"strings"
-
 	"bivoc/internal/annotate"
 	"bivoc/internal/synth"
+	"bivoc/internal/textproc"
 )
 
 // Semantic categories used by the car-rental analysis.
@@ -130,15 +129,14 @@ func ClassifyIntent(transcript []string) string {
 	}
 }
 
-// AnnotateTranscript runs the annotation engine over a transcript and
-// prepends the intent concept when one is detected.
+// AnnotateTranscript runs the annotation engine over a transcript, after
+// the intent concept when one is detected. The engine reads the words as
+// they are when each already is one lower-case token (textproc.WordsOf),
+// so a transcript is not joined and tokenized again.
 func AnnotateTranscript(en *annotate.Engine, transcript []string) []annotate.Concept {
-	text := strings.Join(transcript, " ")
-	concepts := en.Annotate(text)
-	if intent := ClassifyIntent(transcript); intent != "" {
-		concepts = append([]annotate.Concept{{
-			Canonical: intent, Category: CatIntent, Start: 0, End: 1,
-		}}, concepts...)
+	var intent []annotate.Concept
+	if c := ClassifyIntent(transcript); c != "" {
+		intent = []annotate.Concept{{Canonical: c, Category: CatIntent, Start: 0, End: 1}}
 	}
-	return concepts
+	return en.Annotate(intent, textproc.WordsOf(transcript))
 }

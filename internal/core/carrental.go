@@ -23,13 +23,15 @@ type CallAnalysisConfig struct {
 	// call (recordings cover ~25%, §V.A) but in heavy shorthand. Takes
 	// precedence over UseASR.
 	UseNotes bool
-	// Workers is the per-stage parallelism of the streaming pipeline
-	// (default: GOMAXPROCS; 1 recovers the sequential path). §III's third
-	// challenge is volume — "one of the help desk accounts ... generated
-	// about 150GB of recordings every day" — and calls process
-	// independently because each carries its own noise stream. Results
-	// are bit-identical at any worker count; realized speedup depends on
-	// cores and GC headroom (decoding is allocation-heavy).
+	// Workers is the parallelism of the streaming pipeline's transcribe
+	// stage, where the ASR decoder runs (default: GOMAXPROCS; 1 recovers
+	// the sequential path); link and annotate run single, being cheaper
+	// than the sink. §III's third challenge is volume — "one of the help
+	// desk accounts ... generated about 150GB of recordings every day" —
+	// and calls process independently because each carries its own noise
+	// stream. Results are bit-identical at any worker count; realized
+	// speedup depends on cores and GC headroom (decoding is
+	// allocation-heavy).
 	Workers int
 	// Confidence for association interval estimates.
 	Confidence float64

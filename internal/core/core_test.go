@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bivoc/internal/annotate"
 	"bivoc/internal/asr"
 	"bivoc/internal/synth"
 )
@@ -68,6 +69,38 @@ func TestAnnotateTranscriptConcepts(t *testing.T) {
 		if c.Category == CatVehicle && c.Canonical != "suv" {
 			t.Errorf("seven seater → %q", c.Canonical)
 		}
+	}
+}
+
+// TestAnnotateTranscriptAllocations guards the annotate stage's cost and
+// what it leaves behind: over a 70-word transcript it allocates the
+// result and nothing else (joining the transcript, tokenizing it again,
+// tagging, growing the result and sorting it made 12), and the result,
+// which the indexed document keeps, is no longer than appending its
+// concepts to nil at once would make it.
+func TestAnnotateTranscriptAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch buffers at random under the race detector")
+	}
+	en := BuildCarRentalAnnotator()
+	transcript := strings.Fields(
+		"thank you for calling how can i help you today " +
+			"hi i would like to know the rates for a car in new york next week " +
+			"sure we have a wonderful rate on a seven seater and the latest model " +
+			"of the compact is also available with our corporate program discount " +
+			"that sounds good can you tell me the total for five days please i will pay by card thanks")
+	if len(transcript) != 70 {
+		t.Fatalf("transcript has %d words, want 70", len(transcript))
+	}
+	cs := AnnotateTranscript(en, transcript)
+	if len(cs) < 5 {
+		t.Fatalf("concepts = %v, want the intent, place, vehicle, discount and value concepts", cs)
+	}
+	if want := cap(append([]annotate.Concept(nil), cs...)); cap(cs) != want {
+		t.Errorf("result has capacity %d for %d concepts, want %d", cap(cs), len(cs), want)
+	}
+	if got := testing.AllocsPerRun(200, func() { AnnotateTranscript(en, transcript) }); got > 1 {
+		t.Errorf("AnnotateTranscript allocates %v times, want at most 1", got)
 	}
 }
 

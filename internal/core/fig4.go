@@ -5,6 +5,7 @@ import (
 	"bivoc/internal/clean"
 	"bivoc/internal/mining"
 	"bivoc/internal/synth"
+	"bivoc/internal/textproc"
 )
 
 // CatCompetitor is the semantic category of competitor-brand mentions.
@@ -62,7 +63,7 @@ func RunEmailCategoryAnalysis(cfg EmailAssociationConfig) (*EmailAssociation, er
 		}
 		ix.Add(mining.Document{
 			ID:       m.ID,
-			Concepts: en.Annotate(cm.Text),
+			Concepts: en.Annotate(nil, textproc.Words(cm.Text)),
 			Fields:   map[string]string{"category": m.Category},
 			Time:     m.Month,
 		})

@@ -51,8 +51,13 @@ type callJob struct {
 //
 //	source(calls) → transcribe → link → annotate → sink
 //
-// transcribe and annotate carry the CPU weight and get cfg.Workers
-// workers each; link only attaches warehouse fields and runs single.
+// transcribe carries the CPU weight (the ASR decoder runs there) and
+// gets cfg.Workers workers. link only attaches warehouse fields, and
+// annotate costs a trie step and a lexicon lookup per word, a few
+// microseconds a call and less than the sink that indexes it: both run
+// single. A second annotate worker buys ingest rate the sink cannot
+// take, and under serving it only adds publishes, WAL syncs and
+// compactions beside the readers, which lengthens their tail.
 // Worker-count invariance holds because every stochastic step draws from
 // a per-call RNG substream keyed by call ID, results are keyed by call
 // index, and sealed indexes are rebuilt in ID order.
@@ -111,7 +116,7 @@ func (ca *CallAnalysis) buildCallPipeline() (p *pipeline.Pipeline[callJob], toDo
 	stages := []pipeline.Stage[callJob]{
 		{Name: "transcribe", Workers: workers, Fn: transcribe},
 		{Name: "link", Workers: 1, Fn: link},
-		{Name: "annotate", Workers: workers, Fn: annotateStage},
+		{Name: "annotate", Workers: 1, Fn: annotateStage},
 	}
 	keyFn := func(j callJob) string { return calls[j.idx].ID }
 	if ca.Config.FaultInject != nil {

@@ -81,7 +81,33 @@ func decodeRune(s string) (rune, int) {
 // Words returns the lowercase surface forms of all word and alphanumeric
 // tokens in s, dropping punctuation. Number tokens are retained because
 // digit strings carry entity information in VoC text.
+//
+// ASCII text, which is nearly all of it, is scanned by byte class: one
+// pass counts the words (the result is sized exactly), and only a token
+// holding an upper-case letter is lowered into a string of its own. A
+// string holding any byte at or above 0x80 is scanned rune by rune.
 func Words(s string) []string {
+	n, ascii := countASCII(s)
+	if !ascii {
+		return runeWords(s)
+	}
+	out := make([]string, 0, n)
+	for i := 0; ; {
+		start, end, upper := nextASCIIWord(s, i)
+		if start == end {
+			return out
+		}
+		w := s[start:end]
+		if upper {
+			w = strings.ToLower(w)
+		}
+		out = append(out, w)
+		i = end
+	}
+}
+
+// runeWords is Words over text that is not all ASCII.
+func runeWords(s string) []string {
 	out := make([]string, 0, countWords(s))
 	for i := 0; ; {
 		start, end, word := nextToken(s, i)
@@ -93,6 +119,114 @@ func Words(s string) []string {
 		}
 		i = end
 	}
+}
+
+// asciiClass holds, for each byte, what the rune scanner's unicode tests
+// say of it as far as Words needs: a letter (and whether upper-case), a
+// digit, the apostrophe, or a byte at or above 0x80, which sends
+// the whole string to the rune scanner. Anything else (spaces,
+// punctuation, control bytes) ends a word.
+var asciiClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = cLetter
+		t[c-'a'+'A'] = cLetter | cUpper
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit
+	}
+	t['\''] = cApos
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = cHigh
+	}
+	return t
+}()
+
+const (
+	cLetter = 1 << iota
+	cUpper
+	cDigit
+	cApos
+	cHigh
+)
+
+// countASCII counts the word tokens of s in one pass, reporting whether
+// s is all ASCII (ascii false: n is meaningless). It follows nextToken's
+// rules for ASCII bytes: a word starts at a letter or digit, and an
+// apostrophe stays in it only after a letter of the word and before a
+// letter.
+func countASCII(s string) (n int, ascii bool) {
+	inWord, hasLetter := false, false
+	for i := 0; i < len(s); i++ {
+		c := asciiClass[s[i]]
+		switch {
+		case c&cLetter != 0:
+			if !inWord {
+				n++
+				inWord = true
+			}
+			hasLetter = true
+		case c == cDigit:
+			if !inWord {
+				n++
+				inWord, hasLetter = true, false
+			}
+		case c == cApos:
+			if inWord && !(hasLetter && i+1 < len(s) && asciiClass[s[i+1]]&cLetter != 0) {
+				inWord = false
+			}
+		case c == cHigh:
+			return 0, false
+		default:
+			inWord = false
+		}
+	}
+	return n, true
+}
+
+// nextASCIIWord returns the bounds of the first word token at or after
+// byte i of the ASCII string s, and whether it holds an upper-case
+// letter; start == end means s holds no further word.
+func nextASCIIWord(s string, i int) (start, end int, upper bool) {
+	for i < len(s) && asciiClass[s[i]]&(cLetter|cDigit) == 0 {
+		i++
+	}
+	start = i
+	hasLetter := false
+	for ; i < len(s); i++ {
+		c := asciiClass[s[i]]
+		switch {
+		case c&cLetter != 0:
+			hasLetter = true
+			upper = upper || c&cUpper != 0
+		case c == cDigit:
+		case c == cApos && hasLetter && i+1 < len(s) && asciiClass[s[i+1]]&cLetter != 0:
+		default:
+			return start, i, upper
+		}
+	}
+	return start, i, upper
+}
+
+// WordsOf returns the tokens Words returns for the elements of ws joined
+// by single spaces, without joining them: no token spans a space, and an
+// apostrophe's look-ahead sees a non-letter at a space as at the end of a
+// string, so those are the tokens of each element in turn. When every
+// element already is one lower-case ASCII word, as the words of a
+// transcript are, that is ws itself.
+func WordsOf(ws []string) []string {
+	for i, w := range ws {
+		// w is its own one token when the ASCII scanner reads a word of
+		// no upper-case letter from its first byte to its last.
+		if start, end, upper := nextASCIIWord(w, 0); start == 0 && end == len(w) && end > 0 && !upper {
+			continue
+		}
+		out := append(make([]string, 0, len(ws)), ws[:i]...)
+		for _, w := range ws[i:] {
+			out = append(out, Words(w)...)
+		}
+		return out
+	}
+	return ws
 }
 
 // IsNumeric reports whether s consists solely of ASCII digits (at least
