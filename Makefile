@@ -135,20 +135,22 @@ loc:
 #           flag.Parse(
 #   fields  field lines (a tab, then an identifier — so embedded structs
 #           count and comments, blanks and nested fields do not) inside
-#           every `type <Name>(Config|Options|Policy) struct {` block
+#           every `type <Name>(Config|Options|Policy) struct {` block,
+#           and the pipeline's `type FaultTolerance struct {`
 #   vars    exported package-level variables: `var Xxx` lines, and
 #           capitalised lines of a `var (` block
 knobs:
 	@$(PRODUCT_FILES) | xargs cat | grep -E '\bflag\.[A-Z][A-Za-z0-9]*\(' | grep -vc 'flag\.Parse(' | sed 's/^/flags  /'
 	@$(PRODUCT_FILES) | xargs awk 'FNR == 1 { s = 0 } \
-		/^type [A-Za-z0-9_]*(Config|Options|Policy) struct \{/ { s = 1; next } \
+		/^type ([A-Za-z0-9_]*(Config|Options|Policy)|FaultTolerance) struct \{/ { s = 1; next } \
 		s && /^\}/ { s = 0 } s && /^\t[A-Za-z_]/ { n++ } END { print "fields " n + 0 }'
 	@$(PRODUCT_FILES) | xargs awk 'FNR == 1 { v = 0 } /^var [A-Z]/ { n++ } \
 		/^var \($$/ { v = 1; next } v && /^\)/ { v = 0 } v && /^\t[A-Z]/ { n++ } END { print "vars   " n + 0 }'
 
 # The knob count is held: KNOBS holds the three lines `make knobs` printed
 # when it was last changed on purpose. A change that adds a flag, a
-# Config/Options/Policy field or an exported variable fails here until it
-# edits KNOBS in the same diff, where a reviewer sees the number move.
+# Config/Options/Policy/FaultTolerance field or an exported variable
+# fails here until it edits KNOBS in the same diff, where a reviewer sees
+# the number move.
 knobs-check:
 	@$(MAKE) -s knobs | diff KNOBS - || { echo "make knobs (>) differs from the committed baseline KNOBS (<): if the change is meant, update KNOBS in this diff"; exit 1; }

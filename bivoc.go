@@ -133,9 +133,9 @@ func NewFedCoordinator(cfg FedConfig) (*FedCoordinator, error) { return fed.NewC
 
 // --- Fault tolerance ---
 
-// FaultTolerance bundles the streaming pipeline's failure knobs — retry
-// policy, per-attempt timeout and dead-letter budget — threaded into a
-// run via CallAnalysisConfig.FaultTolerance or
+// FaultTolerance is the streaming pipeline's one fault policy — retry
+// policy, per-attempt timeout, fault injection and dead-letter budget —
+// threaded into a run via CallAnalysisConfig.FaultTolerance or
 // ChurnExperimentConfig.FaultTolerance. The zero value keeps fail-fast
 // semantics.
 type FaultTolerance = pipeline.FaultTolerance
@@ -149,9 +149,8 @@ type RetryPolicy = pipeline.RetryPolicy
 // dropped from the flow instead of aborting the run.
 type DeadLetter = pipeline.DeadLetter
 
-// FaultFn injects failures into pipeline stages — the chaos-testing
-// hook behind CallAnalysisConfig.FaultInject and
-// ChurnExperimentConfig.FaultInject.
+// FaultFn injects failures into pipeline stage attempts — the
+// chaos-testing hook a run takes as FaultTolerance.Inject.
 type FaultFn = pipeline.FaultFn
 
 // ErrTransient marks an error as retryable under the default transient

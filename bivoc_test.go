@@ -136,7 +136,7 @@ func TestFacadeFaultTolerance(t *testing.T) {
 		Retry:          bivoc.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond, Jitter: 0.5},
 		MaxDeadLetters: 50,
 	}
-	cfg.FaultInject = func(stage, key string, attempt int) error {
+	cfg.FaultTolerance.Inject = func(stage, key string, attempt int) error {
 		switch {
 		case stage == "annotate" && strings.HasSuffix(key, "3") && attempt == 1:
 			return bivoc.Transient(errors.New("flaky annotator"))

@@ -79,7 +79,7 @@ func main() {
 		MaxDeadLetters: *maxDead,
 	}
 	if *faultRate > 0 {
-		cfg.FaultInject = demoFaults(*seed, *faultRate)
+		cfg.FaultTolerance.Inject = demoFaults(*seed, *faultRate)
 	}
 
 	ca, err := bivoc.RunCallAnalysis(cfg)

@@ -39,19 +39,14 @@ type CallAnalysisConfig struct {
 	// run starts, with live access to stage stats and the growing mining
 	// index. It should return promptly once Monitor.Done() closes.
 	Monitor func(*StreamMonitor)
-	// FaultTolerance threads retry/backoff, per-attempt timeout and the
-	// dead-letter budget into every pipeline stage. The zero value keeps
-	// fail-fast semantics. Retried stages replay exactly: every call's
-	// randomness comes from its own ID-keyed substream, so a retry
-	// cannot shift any other call's draw and reports stay byte-identical
-	// to a fault-free run.
+	// FaultTolerance is the policy every pipeline stage runs under:
+	// retry/backoff, per-attempt timeout, injected faults (keyed by
+	// stage, call ID and attempt) and the dead-letter budget. The zero
+	// value keeps fail-fast semantics. Retried stages replay exactly:
+	// every call's randomness comes from its own ID-keyed substream, so
+	// a retry cannot shift any other call's draw and reports stay
+	// byte-identical to a fault-free run.
 	FaultTolerance pipeline.FaultTolerance
-	// FaultInject, when set, wraps every stage with injected faults —
-	// the chaos-testing hook behind the fault-injection suite. Keyed by
-	// (stage, call ID, attempt); wrap injected errors with
-	// pipeline.Transient to exercise retry, leave them plain to exercise
-	// dead-lettering.
-	FaultInject pipeline.FaultFn
 }
 
 // DefaultCallAnalysisConfig returns the standard configuration with ASR

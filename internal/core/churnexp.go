@@ -40,15 +40,13 @@ type ChurnExperimentConfig struct {
 	// identical at any worker count: stage functions are pure per message
 	// and accounting runs over the corpus in its original order.
 	Workers int
-	// FaultTolerance threads retry/backoff, per-attempt timeout and the
-	// dead-letter budget into the clean and link stages. The zero value
-	// keeps fail-fast. Messages that exhaust their retries are counted
-	// in ChurnExperimentResult.DeadLettered instead of crashing the
-	// experiment.
+	// FaultTolerance is the policy the clean and link stages run under:
+	// retry/backoff, per-attempt timeout, injected faults (keyed by
+	// stage, message ID and attempt) and the dead-letter budget. The
+	// zero value keeps fail-fast. Messages that exhaust their retries
+	// are counted in ChurnExperimentResult.DeadLettered instead of
+	// crashing the experiment.
 	FaultTolerance pipeline.FaultTolerance
-	// FaultInject, when set, wraps both stages with injected faults
-	// (chaos-testing hook), keyed by (stage, message ID, attempt).
-	FaultInject pipeline.FaultFn
 }
 
 // churnThreshold is the churn-posterior decision threshold.
@@ -124,6 +122,9 @@ type msgJob struct {
 	custIdx int
 	// text is the de-signatured cleaned text for the classifier.
 	text string
+	// delivered is set by the sink: a job that never reached it was
+	// dead-lettered.
+	delivered bool
 }
 
 // RunChurnExperimentContext is RunChurnExperiment with cancellation. The
@@ -214,29 +215,16 @@ func runChurnExperiment(ctx context.Context, cfg ChurnExperimentConfig, newLinke
 		{Name: "clean", Workers: workers, Fn: cleanStage},
 		{Name: "link", Workers: workers, Fn: linkStage},
 	}
-	keyFn := func(j msgJob) string { return corpus[j.idx].ID }
-	if cfg.FaultInject != nil {
-		for i := range stages {
-			stages[i] = pipeline.InjectFaults(stages[i], keyFn, cfg.FaultInject)
-		}
-	}
 	p := pipeline.New[msgJob]("churn", stages...).
-		WithKey(keyFn).
+		WithKey(func(j msgJob) string { return corpus[j.idx].ID }).
 		WithSeed(cfg.World.Seed).
 		WithFaultTolerance(cfg.FaultTolerance)
 	jobs := make([]msgJob, len(corpus))
 	err = p.Run(ctx,
 		pipeline.IndexedSource(len(corpus), func(i int) msgJob { return msgJob{idx: i} }),
-		func(j msgJob) error { jobs[j.idx] = j; return nil })
+		func(j msgJob) error { j.delivered = true; jobs[j.idx] = j; return nil })
 	if err != nil {
 		return nil, err
-	}
-	// Dead-lettered messages never reached the sink; their jobs slots
-	// hold zero values (which would read as VerdictKeep), so mark them
-	// explicitly and account them separately from the cleaning gate.
-	dead := make(map[int]bool)
-	for _, j := range p.DeadItems() {
-		dead[j.idx] = true
 	}
 
 	// Accounting pass in corpus order — identical to the sequential run.
@@ -244,7 +232,9 @@ func runChurnExperiment(ctx context.Context, cfg ChurnExperimentConfig, newLinke
 	linkRight := 0
 	for i, j := range jobs {
 		m := corpus[i]
-		if dead[i] {
+		if !j.delivered {
+			// Dead-lettered: the slot is a zero value (which would read
+			// as VerdictKeep), accounted apart from the cleaning gate.
 			res.DeadLettered++
 			continue
 		}

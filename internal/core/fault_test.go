@@ -68,7 +68,7 @@ func TestCallAnalysisTransientFaultsByteIdentical(t *testing.T) {
 		cfg := base
 		cfg.Workers = w
 		cfg.FaultTolerance = pipeline.FaultTolerance{Retry: testRetry()}
-		cfg.FaultInject = transientFirstAttempts("annotate", 5)
+		cfg.FaultTolerance.Inject = transientFirstAttempts("annotate", 5)
 		ca, err := RunCallAnalysis(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -114,7 +114,7 @@ func TestCallAnalysisTransientFaultsByteIdenticalASR(t *testing.T) {
 		cfg := base
 		cfg.Workers = w
 		cfg.FaultTolerance = pipeline.FaultTolerance{Retry: testRetry()}
-		cfg.FaultInject = transientFirstAttempts("transcribe", 4)
+		cfg.FaultTolerance.Inject = transientFirstAttempts("transcribe", 4)
 		ca, err := RunCallAnalysis(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -139,7 +139,7 @@ func TestCallAnalysisPermanentFaultsDeadLetter(t *testing.T) {
 	cfg.UseASR = false
 	cfg.Workers = 4
 	cfg.FaultTolerance = pipeline.FaultTolerance{Retry: testRetry(), MaxDeadLetters: 200}
-	cfg.FaultInject = permanentOn("annotate", 7)
+	cfg.FaultTolerance.Inject = permanentOn("annotate", 7)
 
 	ca, err := RunCallAnalysis(cfg)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestCallAnalysisDeadLetterBudgetExceeded(t *testing.T) {
 	cfg.UseASR = false
 	cfg.Workers = 4
 	cfg.FaultTolerance = pipeline.FaultTolerance{MaxDeadLetters: 3}
-	cfg.FaultInject = permanentOn("annotate", 7)
+	cfg.FaultTolerance.Inject = permanentOn("annotate", 7)
 
 	_, err := RunCallAnalysis(cfg)
 	if err == nil {
@@ -208,7 +208,7 @@ func TestChurnExperimentDeadLettersAccounted(t *testing.T) {
 	cfg := base
 	cfg.Workers = 4
 	cfg.FaultTolerance = pipeline.FaultTolerance{Retry: testRetry(), MaxDeadLetters: 700}
-	cfg.FaultInject = permanentOn("clean", 9)
+	cfg.FaultTolerance.Inject = permanentOn("clean", 9)
 	res, err := RunChurnExperiment(cfg)
 	if err != nil {
 		t.Fatalf("churn run with dead-letter budget crashed: %v", err)
@@ -232,7 +232,7 @@ func TestChurnExperimentDeadLettersAccounted(t *testing.T) {
 	cfg2 := base
 	cfg2.Workers = 4
 	cfg2.FaultTolerance = pipeline.FaultTolerance{Retry: testRetry()}
-	cfg2.FaultInject = transientFirstAttempts("link", 6)
+	cfg2.FaultTolerance.Inject = transientFirstAttempts("link", 6)
 	res2, err := RunChurnExperiment(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestChurnExperimentBudgetExceeded(t *testing.T) {
 	cfg.World.SMS = 0
 	cfg.Workers = 4
 	cfg.FaultTolerance = pipeline.FaultTolerance{MaxDeadLetters: 2}
-	cfg.FaultInject = permanentOn("clean", 5)
+	cfg.FaultTolerance.Inject = permanentOn("clean", 5)
 
 	_, err := RunChurnExperiment(cfg)
 	if err == nil {

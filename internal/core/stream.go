@@ -118,14 +118,8 @@ func (ca *CallAnalysis) buildCallPipeline() (p *pipeline.Pipeline[callJob], toDo
 		{Name: "link", Workers: 1, Fn: link},
 		{Name: "annotate", Workers: 1, Fn: annotateStage},
 	}
-	keyFn := func(j callJob) string { return calls[j.idx].ID }
-	if ca.Config.FaultInject != nil {
-		for i := range stages {
-			stages[i] = pipeline.InjectFaults(stages[i], keyFn, ca.Config.FaultInject)
-		}
-	}
 	p = pipeline.New[callJob]("call-analysis", stages...).
-		WithKey(keyFn).
+		WithKey(func(j callJob) string { return calls[j.idx].ID }).
 		WithSeed(ca.Config.World.Seed).
 		WithFaultTolerance(ca.Config.FaultTolerance)
 	toDoc = func(j callJob) mining.Document {

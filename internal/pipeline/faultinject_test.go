@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -21,6 +23,16 @@ func failFirst(n int, keep func(key string) bool) FaultFn {
 	}
 }
 
+// onStage narrows fault to the attempts of one stage.
+func onStage(name string, fault FaultFn) FaultFn {
+	return func(stage, key string, attempt int) error {
+		if stage != name {
+			return nil
+		}
+		return fault(stage, key, attempt)
+	}
+}
+
 func itemKey(it item) string { return strconv.Itoa(it.idx) }
 
 func everyThird(key string) bool {
@@ -32,11 +44,13 @@ func TestTransientFaultsRetriedToSuccess(t *testing.T) {
 	const n = 90
 	pol := RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond, Jitter: 0.5}
 	p := New[item]("t",
-		Stage[item]{Name: "a", Workers: 4, Fn: appendStage("a"), Retry: pol},
-		Stage[item]{Name: "b", Workers: 2, Fn: appendStage("b"), Retry: pol},
+		Stage[item]{Name: "a", Workers: 4, Fn: appendStage("a")},
+		Stage[item]{Name: "b", Workers: 2, Fn: appendStage("b")},
 	)
-	p.WithKey(itemKey).WithSeed(7)
-	p.stages[0] = InjectFaults(p.stages[0], itemKey, failFirst(2, everyThird))
+	p.WithKey(itemKey).WithSeed(7).WithFaultTolerance(FaultTolerance{
+		Retry:  pol,
+		Inject: onStage("a", failFirst(2, everyThird)),
+	})
 
 	got := make([]string, n)
 	err := p.Run(context.Background(),
@@ -62,11 +76,12 @@ func TestTransientFaultsRetriedToSuccess(t *testing.T) {
 
 func TestRetryExhaustionFailsFastWithoutBudget(t *testing.T) {
 	p := New[item]("t",
-		Stage[item]{Name: "a", Workers: 2, Fn: appendStage("a"),
-			Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond}},
+		Stage[item]{Name: "a", Workers: 2, Fn: appendStage("a")},
 	)
-	p.stages[0] = InjectFaults(p.stages[0], itemKey,
-		failFirst(99, func(key string) bool { return key == "5" }))
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{
+		Retry:  RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond},
+		Inject: failFirst(99, func(key string) bool { return key == "5" }),
+	})
 	err := p.Run(context.Background(),
 		IndexedSource(20, func(i int) item { return item{idx: i} }),
 		func(item) error { return nil })
@@ -82,16 +97,18 @@ func TestPermanentFaultsDeadLetter(t *testing.T) {
 	const n = 60
 	perm := errors.New("corrupt recording")
 	p := New[item]("t",
-		Stage[item]{Name: "a", Workers: 3, Fn: appendStage("a"),
-			Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond}},
+		Stage[item]{Name: "a", Workers: 3, Fn: appendStage("a")},
 		Stage[item]{Name: "b", Workers: 2, Fn: appendStage("b")},
 	)
-	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: n})
-	p.stages[0] = InjectFaults(p.stages[0], itemKey, func(stage, key string, attempt int) error {
-		if everyThird(key) {
-			return perm
-		}
-		return nil
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{
+		Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond},
+		Inject: onStage("a", func(stage, key string, attempt int) error {
+			if everyThird(key) {
+				return perm
+			}
+			return nil
+		}),
+		MaxDeadLetters: n,
 	})
 	var delivered int
 	err := p.Run(context.Background(),
@@ -118,9 +135,6 @@ func TestPermanentFaultsDeadLetter(t *testing.T) {
 			t.Fatalf("dead letters not sorted: %q before %q", dls[i-1].Key, dls[i].Key)
 		}
 	}
-	if got := len(p.DeadItems()); got != n/3 {
-		t.Fatalf("DeadItems returned %d items, want %d", got, n/3)
-	}
 	if st := p.Stats()[0]; st.DeadLetters != uint64(n/3) || st.Retries != 0 {
 		t.Fatalf("stage a counters %+v, want dead=%d retries=0", st, n/3)
 	}
@@ -128,12 +142,13 @@ func TestPermanentFaultsDeadLetter(t *testing.T) {
 
 func TestTransientExhaustionDeadLettersWithAttempts(t *testing.T) {
 	p := New[item]("t",
-		Stage[item]{Name: "a", Fn: appendStage("a"),
-			Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond}},
+		Stage[item]{Name: "a", Fn: appendStage("a")},
 	)
-	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: 5})
-	p.stages[0] = InjectFaults(p.stages[0], itemKey,
-		failFirst(99, func(key string) bool { return key == "2" }))
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{
+		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond},
+		Inject:         failFirst(99, func(key string) bool { return key == "2" }),
+		MaxDeadLetters: 5,
+	})
 	err := p.Run(context.Background(),
 		IndexedSource(6, func(i int) item { return item{idx: i} }),
 		func(item) error { return nil })
@@ -150,9 +165,11 @@ func TestDeadLetterBudgetExceededFailsWithFirstError(t *testing.T) {
 	p := New[item]("t",
 		Stage[item]{Name: "a", Workers: 1, Fn: appendStage("a")},
 	)
-	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{MaxDeadLetters: 2})
-	p.stages[0] = InjectFaults(p.stages[0], itemKey, func(stage, key string, attempt int) error {
-		return fmt.Errorf("permanent fault on item %s", key)
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{
+		Inject: func(stage, key string, attempt int) error {
+			return fmt.Errorf("permanent fault on item %s", key)
+		},
+		MaxDeadLetters: 2,
 	})
 	err := p.Run(context.Background(),
 		IndexedSource(10, func(i int) item { return item{idx: i} }),
@@ -174,8 +191,6 @@ func TestStageTimeoutRetries(t *testing.T) {
 	var stalled bool
 	p := New[item]("t",
 		Stage[item]{Name: "slow", Workers: 1,
-			Timeout: 5 * time.Millisecond,
-			Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Microsecond},
 			Fn: func(ctx context.Context, it item) (item, error) {
 				if it.idx == 4 && !stalled {
 					stalled = true // first attempt of item 4 stalls past the timeout
@@ -188,6 +203,10 @@ func TestStageTimeoutRetries(t *testing.T) {
 				return it, nil
 			}},
 	)
+	p.WithFaultTolerance(FaultTolerance{
+		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Microsecond},
+		Timeout: 5 * time.Millisecond,
+	})
 	err := p.Run(context.Background(),
 		IndexedSource(n, func(i int) item { return item{idx: i} }),
 		func(item) error { return nil })
@@ -201,24 +220,31 @@ func TestStageTimeoutRetries(t *testing.T) {
 }
 
 func TestBackoffDeterministicJitter(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 16 * time.Millisecond, Jitter: 0.5}
-	for attempt := 1; attempt <= 7; attempt++ {
+	// The exponential backoff stops doubling at 256×BaseDelay, which
+	// attempt 9 reaches.
+	const base, limit = time.Millisecond, 256 * time.Millisecond
+	pol := RetryPolicy{MaxAttempts: 12, BaseDelay: base, Jitter: 0.5}
+	for attempt := 1; attempt <= 11; attempt++ {
 		a := pol.Backoff(42, "decode", "CALL-007", attempt)
 		b := pol.Backoff(42, "decode", "CALL-007", attempt)
 		if a != b {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, a, b)
 		}
-		if a > 16*time.Millisecond {
-			t.Fatalf("attempt %d: backoff %v over MaxDelay", attempt, a)
+		if a > limit {
+			t.Fatalf("attempt %d: backoff %v over the 256×BaseDelay cap", attempt, a)
 		}
-		uncapped := time.Millisecond << (attempt - 1)
+		uncapped := base << (attempt - 1)
 		floor := uncapped / 2
-		if uncapped > 16*time.Millisecond {
-			floor = 8 * time.Millisecond
+		if uncapped > limit {
+			floor = limit / 2
 		}
 		if a < floor {
 			t.Fatalf("attempt %d: backoff %v below jitter floor %v", attempt, a, floor)
 		}
+	}
+	noJitter := RetryPolicy{BaseDelay: base}
+	if got := noJitter.Backoff(42, "decode", "CALL-007", 11); got != limit {
+		t.Fatalf("unjittered backoff at attempt 11 = %v, want the cap %v", got, limit)
 	}
 	if pol.Backoff(42, "decode", "CALL-007", 3) == pol.Backoff(42, "decode", "CALL-008", 3) {
 		t.Fatal("distinct item keys drew identical jitter")
@@ -228,31 +254,42 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
+// TestInjectFaultsCountsAttemptsPerItem pins FaultFn's attempt numbers:
+// 1-based, counted per item and per stage, so a retry of one item in one
+// stage moves no other item's count and starts no later stage's past 1.
 func TestInjectFaultsCountsAttemptsPerItem(t *testing.T) {
-	var maxAttempt int
-	stage := InjectFaults(
-		Stage[item]{Name: "a", Fn: appendStage("a")},
-		itemKey,
-		func(stage, key string, attempt int) error {
-			if attempt > maxAttempt {
-				maxAttempt = attempt
-			}
-			if key == "1" && attempt == 1 {
+	var mu sync.Mutex
+	seen := map[string][]int{}
+	p := New[item]("t",
+		Stage[item]{Name: "a", Workers: 2, Fn: appendStage("a")},
+		Stage[item]{Name: "b", Fn: appendStage("b")},
+	)
+	p.WithKey(itemKey).WithFaultTolerance(FaultTolerance{
+		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond},
+		Inject: func(stage, key string, attempt int) error {
+			mu.Lock()
+			seen[stage+"/"+key] = append(seen[stage+"/"+key], attempt)
+			mu.Unlock()
+			if stage == "a" && key == "1" && attempt < 3 {
 				return Transient(errors.New("flaky"))
 			}
 			return nil
-		})
-	stage.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Microsecond}
-	p := New[item]("t", stage)
+		},
+	})
 	err := p.Run(context.Background(),
 		IndexedSource(3, func(i int) item { return item{idx: i} }),
 		func(item) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the retried item reaches attempt 2; per-item counting means
-	// the others stay at 1.
-	if maxAttempt != 2 {
-		t.Fatalf("max attempt seen = %d, want 2", maxAttempt)
+	want := map[string][]int{
+		"a/0": {1}, "a/1": {1, 2, 3}, "a/2": {1},
+		"b/0": {1}, "b/1": {1}, "b/2": {1},
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("attempts seen by Inject = %v, want %v", seen, want)
+	}
+	if st := p.Stats(); st[0].Retries != 2 || st[1].Retries != 0 {
+		t.Fatalf("retries a=%d b=%d, want 2 and 0", st[0].Retries, st[1].Retries)
 	}
 }

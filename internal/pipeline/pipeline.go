@@ -15,12 +15,13 @@
 //
 //   - Items flow source → stage 1 → ... → stage n → sink. Each stage
 //     transforms an item or drops it by returning ErrSkip.
-//   - A transiently failing attempt is retried per the stage's
-//     RetryPolicy: capped exponential backoff whose jitter is drawn
-//     deterministically (internal/rng keyed by seed, stage, item key,
-//     attempt), so retry schedules are reproducible. An optional
-//     per-stage Timeout bounds each attempt for functions that honor
-//     ctx.
+//   - One FaultTolerance governs every stage. A transiently failing
+//     attempt is retried per its RetryPolicy: capped exponential backoff
+//     whose jitter is drawn deterministically (internal/rng keyed by
+//     seed, stage, item key, attempt), so retry schedules are
+//     reproducible. An optional Timeout bounds each attempt for
+//     functions that honor ctx, and an optional Inject hook fails
+//     chosen attempts on purpose.
 //   - An item whose retries are exhausted (or whose error is permanent)
 //     either fails the run — the internal context is cancelled, all
 //     workers stop promptly, and Run returns the first error observed —
@@ -58,30 +59,20 @@ import (
 // example). It is counted in the stage's Skipped counter.
 var ErrSkip = errors.New("pipeline: skip item")
 
-// Stage describes one worker pool in the flow.
+// Stage describes one worker pool in the flow. Its input channel holds
+// 2×Workers items: enough to keep the pool busy without unbounded
+// queueing.
 type Stage[T any] struct {
 	// Name identifies the stage in stats and error messages.
 	Name string
 	// Workers is the pool size; values < 1 mean one worker.
 	Workers int
-	// Buffer is the capacity of the stage's input channel. Zero means
-	// 2×Workers (enough to keep the pool busy without unbounded queueing);
-	// negative means unbuffered.
-	Buffer int
 	// Fn transforms one item. It must be safe for concurrent use when
 	// Workers > 1. Returning ErrSkip drops the item; transient errors
-	// are retried per Retry; any other error dead-letters the item or
-	// aborts the whole run, depending on the pipeline's budget.
+	// are retried per the pipeline's FaultTolerance; any other error
+	// dead-letters the item or aborts the whole run, depending on its
+	// budget.
 	Fn func(ctx context.Context, item T) (T, error)
-	// Retry re-runs Fn on transient failures. The zero value disables
-	// retry. A retried Fn must be replayable: same item in, same result
-	// out (per-item RNG substreams, no partial external effects).
-	Retry RetryPolicy
-	// Timeout bounds each attempt of Fn via a derived context; zero
-	// means unbounded. Fn must honor ctx for the timeout to bite —
-	// the pipeline never abandons a running goroutine. A timed-out
-	// attempt counts as transient.
-	Timeout time.Duration
 }
 
 func (s Stage[T]) workers() int {
@@ -91,35 +82,34 @@ func (s Stage[T]) workers() int {
 	return s.Workers
 }
 
-func (s Stage[T]) buffer() int {
-	switch {
-	case s.Buffer > 0:
-		return s.Buffer
-	case s.Buffer < 0:
-		return 0
-	default:
-		return 2 * s.workers()
-	}
-}
-
-// StageStats is a point-in-time snapshot of one stage's counters.
+// StageStats is a point-in-time snapshot of one stage's counters, and
+// the wire form /statsz publishes: the JSON names are a contract
+// dashboards key on (TestStageStatsJSONSchemaStable pins them), and the
+// latencies encode as integer nanoseconds.
 type StageStats struct {
-	Name    string
-	Workers int
+	Name    string `json:"name"`
+	Workers int    `json:"workers"`
 	// In counts items received; Out counts items passed downstream;
 	// Skipped counts ErrSkip drops; Errors counts items that failed the
 	// run (fail-fast path).
-	In, Out, Skipped, Errors uint64
+	In      uint64 `json:"in"`
+	Out     uint64 `json:"out"`
+	Skipped uint64 `json:"skipped"`
+	Errors  uint64 `json:"errors"`
 	// Retries counts re-run attempts after transient failures; Timeouts
-	// counts attempts cut off by the stage Timeout; DeadLetters counts
-	// items parked in the dead-letter queue by this stage.
-	Retries, Timeouts, DeadLetters uint64
+	// counts attempts cut off by FaultTolerance.Timeout; DeadLetters
+	// counts items parked in the dead-letter queue by this stage.
+	Retries     uint64 `json:"retries"`
+	Timeouts    uint64 `json:"timeouts"`
+	DeadLetters uint64 `json:"dead_letters"`
 	// QueueDepth is the number of items waiting in the stage's input
 	// channel at sample time; QueueCap is its capacity.
-	QueueDepth, QueueCap int
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
 	// AvgLatency and MaxLatency cover the stage function only (queue wait
 	// excluded), over attempts run so far.
-	AvgLatency, MaxLatency time.Duration
+	AvgLatency time.Duration `json:"avg_latency_ns"`
+	MaxLatency time.Duration `json:"max_latency_ns"`
 }
 
 // stageState holds a stage's live counters, updated with atomics so
@@ -154,17 +144,15 @@ type Pipeline[T any] struct {
 
 	// Fault-tolerance configuration (WithKey / WithSeed /
 	// WithFaultTolerance, all pre-Run).
-	keyFn          func(T) string
-	seed           uint64
-	maxDeadLetters int
+	keyFn func(T) string
+	seed  uint64
+	ft    FaultTolerance
 
 	emitted   atomic.Uint64
 	delivered atomic.Uint64
-	sinkErrs  atomic.Uint64
 
 	dlMu        sync.Mutex
 	deadLetters []DeadLetter
-	deadItems   []T
 }
 
 // New assembles a pipeline from stages. It panics on an empty stage list
@@ -180,10 +168,10 @@ func New[T any](name string, stages ...Stage[T]) *Pipeline[T] {
 			panic(fmt.Sprintf("pipeline %s: stage %d needs a name and a function", name, i))
 		}
 		p.states = append(p.states, &stageState{})
-		p.chans = append(p.chans, make(chan T, s.buffer()))
+		p.chans = append(p.chans, make(chan T, 2*s.workers()))
 	}
 	// The sink channel: sized like the last stage's output burst.
-	p.chans = append(p.chans, make(chan T, stages[len(stages)-1].buffer()))
+	p.chans = append(p.chans, make(chan T, 2*stages[len(stages)-1].workers()))
 	return p
 }
 
@@ -212,20 +200,12 @@ func (p *Pipeline[T]) WithSeed(seed uint64) *Pipeline[T] {
 	return p
 }
 
-// WithFaultTolerance applies ft.Retry and ft.Timeout to every stage
-// that has not set its own, and ft.MaxDeadLetters as the dead-letter
-// budget. Must be called before Run; returns p for chaining.
+// WithFaultTolerance sets the policy every stage runs under: retry,
+// per-attempt timeout, fault injection and the dead-letter budget. Must
+// be called before Run; returns p for chaining.
 func (p *Pipeline[T]) WithFaultTolerance(ft FaultTolerance) *Pipeline[T] {
 	p.configure("WithFaultTolerance")
-	for i := range p.stages {
-		if p.stages[i].Retry == (RetryPolicy{}) {
-			p.stages[i].Retry = ft.Retry
-		}
-		if p.stages[i].Timeout == 0 {
-			p.stages[i].Timeout = ft.Timeout
-		}
-	}
-	p.maxDeadLetters = ft.MaxDeadLetters
+	p.ft = ft
 	return p
 }
 
@@ -252,15 +232,6 @@ func (p *Pipeline[T]) DeadLetters() []DeadLetter {
 		return out[i].Key < out[j].Key
 	})
 	return out
-}
-
-// DeadItems snapshots the dead-lettered items themselves, so callers
-// can account for exactly which inputs never reached the sink. Order is
-// unspecified.
-func (p *Pipeline[T]) DeadItems() []T {
-	p.dlMu.Lock()
-	defer p.dlMu.Unlock()
-	return append([]T(nil), p.deadItems...)
 }
 
 // Stats snapshots every stage's counters. Safe to call while Run is in
@@ -311,23 +282,30 @@ func IndexedSource[T any](n int, make func(i int) T) Source[T] {
 	}
 }
 
-// runItem drives one item through a stage: retries per the stage's
-// RetryPolicy with an optional per-attempt timeout, and on final
-// failure either dead-letters the item (budget configured) or fails the
-// run. It reports whether the item should be delivered downstream and
-// whether the worker must stop.
+// runItem drives one item through a stage under the pipeline's
+// FaultTolerance: each attempt consults Inject (when set) and then runs
+// Fn, both under the attempt's timeout; transient failures are retried
+// per Retry, and a final failure either dead-letters the item (budget
+// configured) or fails the run. It reports whether the item should be
+// delivered downstream and whether the worker must stop.
 func (p *Pipeline[T]) runItem(ctx context.Context, stage Stage[T], st *stageState, item T, fail func(error)) (next T, deliver, abort bool) {
-	pol := stage.Retry
+	ft := &p.ft
 	key := p.key(item)
 	for attempt := 1; ; attempt++ {
 		actx, acancel := ctx, context.CancelFunc(func() {})
-		if stage.Timeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, stage.Timeout)
+		if ft.Timeout > 0 {
+			actx, acancel = context.WithTimeout(ctx, ft.Timeout)
 		}
 		start := time.Now()
-		next, err := stage.Fn(actx, item)
+		var err error
+		if ft.Inject != nil {
+			err = ft.Inject(stage.Name, key, attempt)
+		}
+		if err == nil {
+			next, err = stage.Fn(actx, item)
+		}
 		st.observe(time.Since(start))
-		timedOut := err != nil && stage.Timeout > 0 && errors.Is(actx.Err(), context.DeadlineExceeded)
+		timedOut := err != nil && ft.Timeout > 0 && errors.Is(actx.Err(), context.DeadlineExceeded)
 		acancel()
 		switch {
 		case err == nil:
@@ -343,11 +321,11 @@ func (p *Pipeline[T]) runItem(ctx context.Context, stage Stage[T], st *stageStat
 		}
 		if timedOut {
 			st.timeouts.Add(1)
-			err = fmt.Errorf("attempt timed out after %v: %w", stage.Timeout, err)
+			err = fmt.Errorf("attempt timed out after %v: %w", ft.Timeout, err)
 		}
-		if (timedOut || isTransient(err)) && attempt < pol.maxAttempts() {
+		if (timedOut || isTransient(err)) && attempt < ft.Retry.maxAttempts() {
 			st.retries.Add(1)
-			if !sleepCtx(ctx, pol.Backoff(p.seed, stage.Name, key, attempt)) {
+			if !sleepCtx(ctx, ft.Retry.Backoff(p.seed, stage.Name, key, attempt)) {
 				return next, false, true
 			}
 			continue
@@ -356,9 +334,9 @@ func (p *Pipeline[T]) runItem(ctx context.Context, stage Stage[T], st *stageStat
 		if attempt > 1 {
 			err = fmt.Errorf("after %d attempts: %w", attempt, err)
 		}
-		if p.maxDeadLetters > 0 {
+		if ft.MaxDeadLetters > 0 {
 			st.deadLetters.Add(1)
-			p.recordDeadLetter(item, DeadLetter{Key: key, Stage: stage.Name, Attempts: attempt, Err: err}, fail)
+			p.recordDeadLetter(DeadLetter{Key: key, Stage: stage.Name, Attempts: attempt, Err: err}, fail)
 			return next, false, false
 		}
 		st.errs.Add(1)
@@ -371,16 +349,15 @@ func (p *Pipeline[T]) runItem(ctx context.Context, stage Stage[T], st *stageStat
 // dead letter that pushes the queue past MaxDeadLetters fails the run
 // with the FIRST dead letter's error, which is the root cause an
 // operator wants, not whichever straw broke last.
-func (p *Pipeline[T]) recordDeadLetter(item T, dl DeadLetter, fail func(error)) {
+func (p *Pipeline[T]) recordDeadLetter(dl DeadLetter, fail func(error)) {
 	p.dlMu.Lock()
 	p.deadLetters = append(p.deadLetters, dl)
-	p.deadItems = append(p.deadItems, item)
 	n := len(p.deadLetters)
 	first := p.deadLetters[0]
 	p.dlMu.Unlock()
-	if n > p.maxDeadLetters {
+	if n > p.ft.MaxDeadLetters {
 		fail(fmt.Errorf("pipeline %s: dead-letter budget %d exceeded; first dead letter (stage %s, item %q): %w",
-			p.name, p.maxDeadLetters, first.Stage, first.Key, first.Err))
+			p.name, p.ft.MaxDeadLetters, first.Stage, first.Key, first.Err))
 	}
 }
 
@@ -511,7 +488,6 @@ func (p *Pipeline[T]) Run(ctx context.Context, source Source[T], sink func(item 
 				return
 			}
 			if err := sink(item); err != nil {
-				p.sinkErrs.Add(1)
 				fail(fmt.Errorf("pipeline %s: sink: %w", p.name, err))
 				return
 			}

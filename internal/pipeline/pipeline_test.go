@@ -136,7 +136,7 @@ func TestContextCancellationAborts(t *testing.T) {
 	started := make(chan struct{})
 	var once atomic.Bool
 	p := New[item]("t",
-		Stage[item]{Name: "slow", Workers: 1, Buffer: -1, Fn: func(ctx context.Context, it item) (item, error) {
+		Stage[item]{Name: "slow", Workers: 1, Fn: func(ctx context.Context, it item) (item, error) {
 			if once.CompareAndSwap(false, true) {
 				close(started)
 			}
@@ -169,13 +169,21 @@ func TestContextCancellationAborts(t *testing.T) {
 func TestBackpressureBoundsInFlight(t *testing.T) {
 	// A slow sink must throttle the source: with every buffer bounded,
 	// the number of emitted-but-unsunk items can never exceed the total
-	// channel capacity plus one in-flight item per worker.
+	// channel capacity plus one in-flight item per worker. A stage's
+	// input channel and the sink channel after the last stage each hold
+	// 2×Workers items.
 	var emitted, sunk atomic.Int64
 	release := make(chan struct{})
-	const workers, buffer = 2, 2
+	const workers = 2
+	const buffer = 2 * workers
 	p := New[item]("t",
-		Stage[item]{Name: "pass", Workers: workers, Buffer: buffer, Fn: appendStage("p")},
+		Stage[item]{Name: "pass", Workers: workers, Fn: appendStage("p")},
 	)
+	for _, st := range p.Stats() {
+		if st.QueueCap != buffer {
+			t.Fatalf("stage %s queue cap %d, want 2×Workers = %d", st.Name, st.QueueCap, buffer)
+		}
+	}
 	done := make(chan error, 1)
 	go func() {
 		done <- p.Run(context.Background(),
@@ -335,7 +343,7 @@ func TestPipelineAbortStillSuppressesSourceCancel(t *testing.T) {
 func TestEmptySourceDrainsClean(t *testing.T) {
 	p := New[item]("t",
 		Stage[item]{Name: "a", Workers: 3, Fn: appendStage("a")},
-		Stage[item]{Name: "b", Workers: 2, Buffer: -1, Fn: appendStage("b")},
+		Stage[item]{Name: "b", Workers: 2, Fn: appendStage("b")},
 	)
 	err := p.Run(context.Background(), IndexedSource(0, func(int) item { return item{} }),
 		func(item) error { t.Error("sink saw an item from an empty source"); return nil })
@@ -344,32 +352,6 @@ func TestEmptySourceDrainsClean(t *testing.T) {
 	}
 	if p.delivered.Load() != 0 {
 		t.Fatalf("delivered %d from an empty source", p.delivered.Load())
-	}
-}
-
-func TestUnbufferedStagesDrain(t *testing.T) {
-	const n = 120
-	p := New[item]("t",
-		Stage[item]{Name: "a", Workers: 4, Buffer: -1, Fn: appendStage("a")},
-		Stage[item]{Name: "b", Workers: 1, Buffer: -1, Fn: appendStage("b")},
-		Stage[item]{Name: "c", Workers: 2, Buffer: -1, Fn: appendStage("c")},
-	)
-	for _, st := range p.Stats() {
-		if st.QueueCap != 0 {
-			t.Fatalf("stage %s queue cap %d, want 0 (unbuffered)", st.Name, st.QueueCap)
-		}
-	}
-	got := make([]string, n)
-	err := p.Run(context.Background(),
-		IndexedSource(n, func(i int) item { return item{idx: i} }),
-		func(it item) error { got[it.idx] = it.trace; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range got {
-		if tr != "abc" {
-			t.Fatalf("item %d trace %q, want abc", i, tr)
-		}
 	}
 }
 

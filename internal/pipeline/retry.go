@@ -38,10 +38,8 @@ type RetryPolicy struct {
 	// first; values <= 1 disable retry.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 1ms).
-	// The delay doubles each further attempt.
+	// The delay doubles each further attempt, up to 256×BaseDelay.
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 256×BaseDelay).
-	MaxDelay time.Duration
 	// Jitter in (0, 1] shrinks each delay by a deterministically drawn
 	// fraction of itself — delay × [1-Jitter, 1] — decorrelating retry
 	// storms without sacrificing reproducibility: the draw is keyed by
@@ -68,10 +66,7 @@ func (pol RetryPolicy) Backoff(seed uint64, stage, key string, attempt int) time
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	max := pol.MaxDelay
-	if max <= 0 {
-		max = 256 * base
-	}
+	max := 256 * base
 	d := base
 	for i := 1; i < attempt && d < max; i++ {
 		d *= 2
@@ -90,21 +85,45 @@ func (pol RetryPolicy) Backoff(seed uint64, stage, key string, attempt int) time
 	return d
 }
 
-// FaultTolerance bundles the per-run fault-tolerance knobs a driver
-// threads into its pipeline: one retry policy and timeout applied to
-// every stage, plus the dead-letter budget. The zero value reproduces
-// fail-fast semantics exactly.
+// FaultTolerance is the policy a pipeline runs every stage under:
+// one retry policy and per-attempt timeout, the fault-injection hook,
+// and the dead-letter budget. The zero value reproduces fail-fast
+// semantics exactly.
 type FaultTolerance struct {
-	// Retry is applied to every stage that does not set its own policy.
+	// Retry re-runs a stage function on transient failures. A retried
+	// function must be replayable: same item in, same result out
+	// (per-item RNG substreams, no partial external effects).
 	Retry RetryPolicy
-	// Timeout bounds each stage attempt (stages honoring ctx); applied
-	// to every stage that does not set its own. Zero means none.
+	// Timeout bounds each attempt via a derived context; zero means
+	// none. The stage function must honor ctx for the timeout to bite —
+	// the pipeline never abandons a running goroutine. A timed-out
+	// attempt counts as transient.
 	Timeout time.Duration
+	// Inject, when set, is consulted at the start of every attempt and
+	// can fail it on purpose (see FaultFn).
+	Inject FaultFn
 	// MaxDeadLetters is how many items may exhaust their retries (or
 	// fail permanently) and be parked in the dead-letter queue before
 	// the run fails fast. Zero keeps fail-fast-on-first-error.
 	MaxDeadLetters int
 }
+
+// FaultFn decides whether to inject a failure into a stage attempt.
+// It is called before the stage function, inside the same timed
+// attempt, with the stage name, the item's key, and the 1-based attempt
+// number for that item in that stage; returning a non-nil error makes
+// the attempt fail with it (wrap with Transient to exercise the retry
+// path, return a plain error to exercise dead-lettering). Returning nil
+// lets the attempt through.
+//
+// This is the chaos-testing hook behind the fault-injection suite: a
+// test can prove that transient faults retried to success leave
+// reports byte-identical to a fault-free run, and that permanent
+// faults degrade into dead letters instead of crashes. FaultFn must be
+// safe for concurrent use and deterministic in its arguments — key
+// wall-clock- or scheduling-dependent faults and the run stops being
+// reproducible.
+type FaultFn func(stage, key string, attempt int) error
 
 // DeadLetter records one item that exhausted its retries (or failed
 // permanently) and was dropped from the flow instead of aborting the

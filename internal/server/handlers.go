@@ -12,6 +12,7 @@ import (
 
 	"bivoc/internal/mining"
 	"bivoc/internal/pipeline"
+	"bivoc/internal/store"
 )
 
 // Response types — the wire schema of the /v1 API on both daemons. Every
@@ -170,20 +171,10 @@ type StoreStatsJSON struct {
 	// mappings, the bytes those mappings cover, the decoded-postings
 	// cache, and how long the last Open spent bringing the lineage up —
 	// the number that should stay O(#lists) as the corpus grows.
-	MappedSegments int                `json:"mapped_segments,omitempty"`
-	MappedBytes    int64              `json:"mapped_bytes,omitempty"`
-	PostingsCache  *PostingsCacheJSON `json:"postings_cache,omitempty"`
-	OpenMicros     int64              `json:"open_us,omitempty"`
-}
-
-// PostingsCacheJSON is the decoded-postings LRU subsection of the store
-// section: byte occupancy against its budget plus hit/miss counters.
-type PostingsCacheJSON struct {
-	Bytes   int64  `json:"bytes"`
-	Budget  int64  `json:"budget"`
-	Entries int    `json:"entries"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
+	MappedSegments int                       `json:"mapped_segments,omitempty"`
+	MappedBytes    int64                     `json:"mapped_bytes,omitempty"`
+	PostingsCache  *store.PostingsCacheStats `json:"postings_cache,omitempty"`
+	OpenMicros     int64                     `json:"open_us,omitempty"`
 }
 
 // MemoryStatsJSON is the memory section of /statsz: the Go heap the
@@ -427,13 +418,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			OpenMicros:           st.OpenDuration.Microseconds(),
 		}
 		if st.PostingsCache.Budget > 0 {
-			ss.PostingsCache = &PostingsCacheJSON{
-				Bytes:   st.PostingsCache.Bytes,
-				Budget:  st.PostingsCache.Budget,
-				Entries: st.PostingsCache.Entries,
-				Hits:    st.PostingsCache.Hits,
-				Misses:  st.PostingsCache.Misses,
-			}
+			ss.PostingsCache = &st.PostingsCache
 		}
 		if !st.LastSeal.IsZero() {
 			ss.LastSealUnixMS = st.LastSeal.UnixMilli()

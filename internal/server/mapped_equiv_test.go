@@ -228,6 +228,12 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	matSt := openStore(t, copyStoreDir(t, dir))
 	mat := startServer(t, cfg(matSt))
 	mapSt := openMappedStore(t, copyStoreDir(t, dir))
+	// The live lineage at open is what the store recovered; the server
+	// takes the Recovery itself.
+	recovered := map[uint64]bool{}
+	for _, seg := range mapSt.Stats().Segments {
+		recovered[seg.Gen] = true
+	}
 	mapped := startServer(t, cfg(mapSt))
 	waitIngestDone(t, mat)
 	waitIngestDone(t, mapped)
@@ -251,10 +257,6 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	// The mapped daemon must now be serving at least one segment from a
 	// mapping of a compaction's output: a generation it did not recover
 	// (the recovered ones open mapped without any remap).
-	recovered := map[uint64]bool{}
-	for _, rs := range mapSt.Recovered().Segments {
-		recovered[rs.Gen] = true
-	}
 	remapped := false
 	for _, gen := range mappedGens(mapped) {
 		remapped = remapped || !recovered[gen]

@@ -253,10 +253,10 @@ func TestPersistCrashMidIngestRecovers(t *testing.T) {
 	// and completes the stream; the seal writes the first segment.
 	var emitted atomic.Int64
 	st2 := openStore(t, dir)
-	if rec := st2.Recovered(); len(rec.Segments) != 0 || len(rec.WALDocs) != crashAt {
-		t.Fatalf("recovery = %d segments + %d WAL docs, want none + %d", len(rec.Segments), len(rec.WALDocs), crashAt)
-	}
 	s2 := startServer(t, Config{Source: resumableSource(docs, &emitted), Persist: st2})
+	if segDocs, walDocs, _ := s2.RecoveryInfo(); segDocs != 0 || walDocs != crashAt {
+		t.Fatalf("recovery = %d segment docs + %d WAL docs, want none + %d", segDocs, walDocs, crashAt)
+	}
 	waitIngestDone(t, s2)
 	if got := emitted.Load(); got != total-crashAt {
 		t.Errorf("resumed run re-emitted %d documents, want %d (the un-persisted suffix)", got, total-crashAt)

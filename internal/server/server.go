@@ -229,6 +229,9 @@ func New(cfg Config) (*Server, error) {
 	s.ingestCtx, s.ingestStop = context.WithCancel(context.Background())
 	if cfg.Persist != nil {
 		rec := cfg.Persist.Recovered()
+		if rec == nil {
+			return nil, errors.New("server: Config.Persist's recovery was already taken")
+		}
 		s.recIDs = rec.IDs()
 		s.recInfo = recoveryInfo{
 			segmentDocs: rec.SegmentDocs,
@@ -397,6 +400,9 @@ func (s *Server) compactLoop() {
 				kept = append(kept, seg)
 			}
 		}
+		// Zero the tail the filter left behind, so the backing array
+		// holds no merged-away segment reachable.
+		clear(s.segs[len(kept):])
 		s.segs = append(kept, newSeg)
 		old := s.snap.Load()
 		s.snap.Store(&snapshot{

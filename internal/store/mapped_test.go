@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -406,6 +407,19 @@ func TestPostingsCacheBudget(t *testing.T) {
 	}
 	if _, ok := c.get(postKey{seg: 3, off: 0}); ok {
 		t.Fatal("over-budget list was retained")
+	}
+}
+
+// TestPostingsCacheStatsJSONSchemaStable pins the wire names of the
+// postings_cache subsection of /statsz, which is PostingsCacheStats as
+// it encodes: dashboards key on them.
+func TestPostingsCacheStatsJSONSchemaStable(t *testing.T) {
+	got, err := json.Marshal(PostingsCacheStats{Bytes: 1, Budget: 2, Entries: 3, Hits: 4, Misses: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"bytes":1,"budget":2,"entries":3,"hits":4,"misses":5}`; string(got) != want {
+		t.Errorf("PostingsCacheStats JSON schema drifted:\n got %s\nwant %s", got, want)
 	}
 }
 

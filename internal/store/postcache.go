@@ -66,13 +66,15 @@ func (c *PostingsCache) put(key postKey, posts []int) []int {
 	return posts
 }
 
-// PostingsCacheStats is a point-in-time snapshot for /statsz.
+// PostingsCacheStats is a point-in-time snapshot of the cache, and the
+// postings_cache subsection of /statsz's store section as it is
+// published: byte occupancy against the budget plus hit/miss counters.
 type PostingsCacheStats struct {
-	Bytes   int64
-	Budget  int64
-	Entries int
-	Hits    uint64
-	Misses  uint64
+	Bytes   int64  `json:"bytes"`
+	Budget  int64  `json:"budget"`
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
 }
 
 // StatsSnapshot returns the cache's current occupancy and hit counters.

@@ -138,7 +138,7 @@ type Store struct {
 	cache     *PostingsCache // decoded-postings LRU shared by mappings; nil unless MapSegments
 
 	mu       sync.Mutex
-	rec      *Recovery
+	rec      *Recovery // until Recovered hands it over
 	wal      *os.File
 	walLen   int64
 	walRecs  int
@@ -355,11 +355,15 @@ func (s *Store) Err() error {
 	return nil
 }
 
-// Recovered returns what Open reconstructed from disk.
+// Recovered hands what Open reconstructed from disk to the caller, once:
+// the store keeps no reference to it, so recovered segments the caller
+// later compacts away can be collected. A second call returns nil.
 func (s *Store) Recovered() *Recovery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rec
+	rec := s.rec
+	s.rec = nil
+	return rec
 }
 
 // cleanOrphans removes *.tmp files left by interrupted atomic writes.

@@ -125,10 +125,10 @@ var optionPresetsUnset = []string{
 
 // TestEveryOptionIsSet holds "one place each knob is declared" for the
 // options under internal/: every field of a struct type named *Config,
-// *Options or *Policy there must be written by something other than a
-// function of its own package — another package, a command or example,
-// cmd/bivocbench, a test, or a package-level preset of its own package
-// (noise.SMSNoise). A write is a composite-literal key or an assignment
+// *Options or *Policy there, and of the pipeline's FaultTolerance, must
+// be written by something other than a function of its own package —
+// another package, a command or example, cmd/bivocbench, a test, or a
+// package-level preset of its own package (noise.SMSNoise). A write is a composite-literal key or an assignment
 // through a selector chain, so `cfg.Decoder.BeamWidth = 4` writes Decoder
 // and BeamWidth. A field only its own package's functions write holds one
 // value, and is a constant next to its reader.
@@ -195,6 +195,13 @@ func TestEveryOptionIsSet(t *testing.T) {
 	}
 }
 
+// isOptionType reports whether a type's fields are options: a struct
+// named *Config, *Options or *Policy, or the pipeline's FaultTolerance.
+func isOptionType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+		strings.HasSuffix(name, "Policy") || name == "FaultTolerance"
+}
+
 // optionScan keys the option fields of every checked copy of a package by
 // path · type · field, and records which keys something counted writes.
 type optionScan struct {
@@ -206,7 +213,7 @@ func (o *optionScan) declare(p *reachPkg) {
 	scope := p.types.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+		if !ok || tn.IsAlias() || !isOptionType(name) {
 			continue
 		}
 		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
