@@ -127,9 +127,10 @@ type EvalResult struct {
 	K          int
 }
 
-// Evaluate links every document and scores against gold labels. Docs
-// with a nil gold entry count toward the total and are correct only if
-// they produce no link (they represent non-customers).
+// Evaluate links every document and scores against gold labels. A doc
+// with a nil gold entry (a non-customer) counts toward Docs and toward
+// Linked or Unlinkable, and never toward Correct or CorrectIn: any link
+// it produces is spurious.
 func (e *Engine) Evaluate(docs [][]Token, gold []*GoldLabel, k int) EvalResult {
 	if k <= 0 {
 		k = 1

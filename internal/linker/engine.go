@@ -37,6 +37,9 @@ type Engine struct {
 	// read when a call binds a table, so SetWeight and LearnWeights apply
 	// to the next call.
 	routes []tableRoute
+	// heads caches each (attribute, token text)'s ranked head across
+	// calls; nil on the naive view, which ranks every list whole.
+	heads *headCache
 	// naive is set only on the view Naive returns (see linkCtx.compute).
 	naive bool
 }
@@ -44,11 +47,13 @@ type Engine struct {
 // Naive returns the engine's oracle view: the same tables, routing and
 // weight map (LearnWeights and SetWeight on either move both), whose
 // link calls run the same candidate generation and Threshold-Algorithm
-// walk but score every pair with the recompute-everything similarity()
-// instead of the warehouse-cached match features. No product path calls
-// it; the equivalence tests hold one beside the engine it came from.
+// walk but keep no heads, rank every list whole, and score every pair
+// with the recompute-everything similarity() instead of the
+// warehouse-cached match features. No product path calls it; the
+// equivalence tests hold one beside the engine it came from.
 func (e *Engine) Naive() *Engine {
 	view := *e
+	view.heads = nil
 	view.naive = true
 	return &view
 }
@@ -114,6 +119,7 @@ func NewEngine(db *warehouse.DB, cfg Config) (*Engine, error) {
 			})
 		}
 	}
+	e.heads = newHeadCache(len(e.attrOrder))
 	return e, nil
 }
 
@@ -215,34 +221,58 @@ type listEntry struct {
 // fuzzy indexes ("performing fuzzy match on each extracted token ...
 // results in a ranked list of possible entities"). A token with no
 // surviving candidates gets an empty list, which the TA merge treats as
-// immediately exhausted. Sorted access fills each (token, attribute)
-// memo, so a duplicate token pays only for its own list.
+// immediately exhausted. A token routed to one attribute starts as its
+// weighted head, a prefix of its list the merge extends if it reads past
+// it (linkCtx.entry); one routed to several, or on the naive view, is
+// ranked whole.
 func (ctx *linkCtx) buildLists() {
 	for i := range ctx.toks {
 		t := &ctx.toks[i]
-		t.list = t.list[:0]
-		for j := range t.cas {
-			ca := &t.cas[j]
-			m := ctx.candidates(t.tf, ca)
-			for n, row := range m.rows {
-				if m.sims[n] < ca.floor {
-					continue
-				}
-				if w := ca.weight * m.sims[n]; w > 0 {
-					t.list = append(t.list, listEntry{row, w})
-				}
-			}
+		if len(t.cas) == 1 && ctx.e.heads != nil {
+			t.list, t.partial = ctx.head(t.tf, &t.cas[0]).list(t.list, t.cas[0].weight)
+			continue
 		}
-		if len(t.cas) > 1 {
-			t.list = bestPerRow(t.list)
-		}
-		slices.SortFunc(t.list, func(a, b listEntry) int {
-			if c := cmp.Compare(b.score, a.score); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.row, b.row)
-		})
+		ctx.rankAll(t)
 	}
+}
+
+// rankAll ranks a token's whole list. Sorted access fills each (token,
+// attribute) memo, so a duplicate token pays only for its own list.
+func (ctx *linkCtx) rankAll(t *linkTok) {
+	t.list, t.partial = t.list[:0], false
+	for j := range t.cas {
+		ca := &t.cas[j]
+		m := ctx.candidates(t.tf, ca)
+		for n, row := range m.rows {
+			if m.sims[n] < ca.floor {
+				continue
+			}
+			if w := ca.weight * m.sims[n]; w > 0 {
+				t.list = append(t.list, listEntry{row, w})
+			}
+		}
+	}
+	if len(t.cas) > 1 {
+		t.list = bestPerRow(t.list)
+	}
+	slices.SortFunc(t.list, func(a, b listEntry) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+}
+
+// entry returns entry i of a token's list, ranking the whole list first
+// when i reaches past a partial one.
+func (ctx *linkCtx) entry(t *linkTok, i int) (listEntry, bool) {
+	if i == len(t.list) && t.partial {
+		ctx.rankAll(t)
+	}
+	if i < len(t.list) {
+		return t.list[i], true
+	}
+	return listEntry{}, false
 }
 
 // bestPerRow folds a list that several attributes appended to, each at
@@ -264,8 +294,10 @@ func bestPerRow(list []listEntry) []listEntry {
 // §IV.B) over per-token ranked lists: pop lists round-robin; for each
 // newly seen entity compute its exact aggregate score by random access;
 // stop when the k-th best score reaches the threshold τ = Σ_i (current
-// list frontier scores), which bounds every unseen entity. The result is
-// the context's own: a caller copies what it returns.
+// list frontier scores), which bounds every unseen entity. A pop or a
+// peek that reaches the end of a partial list ranks it whole first, so
+// every position the merge reads holds what the whole list holds there.
+// The result is the context's own: a caller copies what it returns.
 func (ctx *linkCtx) thresholdMerge(toks []linkTok, table string, k int) []Match {
 	if len(toks) == 0 {
 		return nil
@@ -277,10 +309,10 @@ func (ctx *linkCtx) thresholdMerge(toks []linkTok, table string, k int) []Match 
 	for {
 		advanced := false
 		for li := range toks {
-			if pos[li] >= len(toks[li].list) {
+			entry, ok := ctx.entry(&toks[li], pos[li])
+			if !ok {
 				continue
 			}
-			entry := toks[li].list[pos[li]]
 			pos[li]++
 			advanced = true
 			if !ctx.seen[entry.row] {
@@ -295,8 +327,8 @@ func (ctx *linkCtx) thresholdMerge(toks []linkTok, table string, k int) []Match 
 		tau := 0.0
 		exhausted := true
 		for li := range toks {
-			if pos[li] < len(toks[li].list) {
-				tau += toks[li].list[pos[li]].score
+			if entry, ok := ctx.entry(&toks[li], pos[li]); ok {
+				tau += entry.score
 				exhausted = false
 			}
 		}

@@ -10,3 +10,12 @@ func (e *Engine) scoreEntity(tokens []Token, table string, row warehouse.RowID) 
 	ctx.bind(e.route(table))
 	return ctx.scoreEntity(ctx.toks, row)
 }
+
+// wholeLists returns a view of the engine that keeps no heads, so it
+// ranks every list whole, and scores with the cached features as the
+// engine does: the reference of TestRankedPrefixProperty.
+func (e *Engine) wholeLists() *Engine {
+	view := *e
+	view.heads = nil
+	return &view
+}

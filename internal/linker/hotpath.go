@@ -33,16 +33,19 @@ type tokenFeats struct {
 	memo []attrMemo
 }
 
-// attrMemo is the similarity memo of one (token, attribute): the
-// attribute's candidate rows for the token as the index returns them,
-// sorted and duplicate-free, and the token's similarity to each. buildLists
-// fills it; the Threshold Algorithm's random access finds a row in it by
-// binary search and computes, without storing, the rows it misses (the
-// merge scores a row once).
+// attrMemo is what one call knows of one (token, attribute): its head,
+// from the engine's cache or ranked here, and, once a call needs the
+// whole list, the attribute's candidate rows for the token as the index
+// returns them, sorted and duplicate-free, with the token's similarity to
+// each. The Threshold Algorithm's random access finds a row in the rows
+// by binary search, or else in the head, and computes, without storing,
+// the rows it misses (the merge scores a row once).
 type attrMemo struct {
-	rows  []warehouse.RowID
-	sims  []float64 // sims[i] = sim(token, rows[i])
-	built bool
+	rows   []warehouse.RowID
+	sims   []float64 // sims[i] = sim(token, rows[i])
+	built  bool
+	head   head
+	headOK bool
 }
 
 // reset makes tf the features of a new token, keeping its buffers.
@@ -114,14 +117,17 @@ type linkTok struct {
 	tt   TokenType
 	cas  []ctxAttr   // the attributes its type routes to: a run of linkCtx.attrs
 	list []listEntry // its ranked candidates, by score desc then row asc
+	// partial: list is only a prefix of them (see head.list); the merge
+	// ranks the rest when it reads past it.
+	partial bool
 }
 
-// linkCtx is the scratch state of one link call. The engine itself stays
-// read-only during linking (the churn pipeline links from several
-// workers concurrently), so everything mutable — token features, the
-// similarity memo, lists, merge state — lives here. Contexts are pooled
-// and keep their buffers from call to call: begin and bind overwrite
-// every field a call reads before it reads it.
+// linkCtx is the scratch state of one link call. The churn pipeline links
+// from several workers concurrently, so the engine changes nothing during
+// linking but its head cache, which locks, and everything else mutable —
+// token features, the similarity memo, lists, merge state — lives here.
+// Contexts are pooled and keep their buffers from call to call: begin and
+// bind overwrite every field a call reads before it reads it.
 type linkCtx struct {
 	e      *Engine
 	byText map[string]*tokenFeats
@@ -178,6 +184,9 @@ func (ctx *linkCtx) bind(rt *tableRoute) {
 		ca := &ctx.attrs[i]
 		ca.weight = ctx.e.weights[ctx.e.attrOrder[ca.idx]]
 		ca.feats = ca.tab.Features(ca.col)
+		if ctx.e.heads != nil {
+			ctx.e.heads.dropStale(ca.idx, ca.tab.Len())
+		}
 	}
 	for i := range ctx.toks {
 		t := &ctx.toks[i]
@@ -207,12 +216,30 @@ func (ctx *linkCtx) candidates(tf *tokenFeats, ca *ctxAttr) *attrMemo {
 	return m
 }
 
+// head returns the (token, attribute) head: the engine's cached one, or
+// one ranked from the memo and cached.
+func (ctx *linkCtx) head(tf *tokenFeats, ca *ctxAttr) *head {
+	m := &tf.memo[ca.idx]
+	if !m.headOK {
+		h, ok := ctx.e.heads.get(ca.idx, tf.text)
+		if !ok {
+			h = rankHead(ctx.candidates(tf, ca), ca.floor)
+			ctx.e.heads.put(ca.idx, tf.text, h)
+		}
+		m.head, m.headOK = h, true
+	}
+	return &m.head
+}
+
 // sim returns sim(token, row.attribute) from the memo when sorted access
 // already paid for it.
 func (ctx *linkCtx) sim(tf *tokenFeats, ca *ctxAttr, row warehouse.RowID) float64 {
 	m := &tf.memo[ca.idx]
 	if i, ok := slices.BinarySearch(m.rows, row); ok {
 		return m.sims[i]
+	}
+	if s, ok := m.head.sim(row); ok {
+		return s
 	}
 	return ctx.compute(tf, ca, row)
 }
