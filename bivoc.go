@@ -85,10 +85,11 @@ func RunCallAnalysis(cfg CallAnalysisConfig) (*CallAnalysis, error) {
 // query-while-indexing mining index.
 type StreamMonitor = core.StreamMonitor
 
-// StreamIndex is the incremental, concurrency-safe mining index: Add
-// documents from pipeline workers while association tables and relevancy
-// reports are queried concurrently; Seal freezes it into a deterministic
-// batch Index.
+// StreamIndex is the incremental, concurrency-safe path into the mining
+// index: Add documents from pipeline workers while association tables and
+// relevancy reports are queried concurrently, each over a sealed view of
+// the documents added so far; Seal indexes them once into a
+// deterministic batch Index.
 type StreamIndex = mining.StreamIndex
 
 // NewStreamIndex returns an empty streaming mining index.

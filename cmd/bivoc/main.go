@@ -176,16 +176,19 @@ func liveStatsMonitor(m *bivoc.StreamMonitor) {
 				st.Retries, st.DeadLetters, st.Timeouts,
 				st.QueueDepth, st.QueueCap, st.AvgLatency.Round(time.Microsecond))
 		}
-		live := m.Live()
-		weak := bivoc.ConceptDim("customer intention", "weak start")
-		converted := live.CountBoth(weak, bivoc.FieldDim("outcome", synth.OutcomeReservation))
-		total := live.Count(weak)
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(converted) / float64(total)
-		}
-		fmt.Fprintf(os.Stderr, "  indexed=%d weak-start=%d converting=%.0f%% (queried mid-stream)\n",
-			live.Len(), total, share)
+		// One view per tick: the three figures describe one document set,
+		// and the stream seals what has arrived once.
+		m.Live().Snapshot(func(ix *mining.Index) {
+			weak := bivoc.ConceptDim("customer intention", "weak start")
+			converted := ix.CountBoth(weak, bivoc.FieldDim("outcome", synth.OutcomeReservation))
+			total := ix.Count(weak)
+			share := 0.0
+			if total > 0 {
+				share = 100 * float64(converted) / float64(total)
+			}
+			fmt.Fprintf(os.Stderr, "  indexed=%d weak-start=%d converting=%.0f%% (queried mid-stream)\n",
+				ix.Len(), total, share)
+		})
 	}
 	for {
 		select {

@@ -55,19 +55,20 @@ func RunEmailCategoryAnalysis(cfg EmailAssociationConfig) (*EmailAssociation, er
 	}
 	cleaner := clean.NewCleaner()
 	en := buildCompetitorAnnotator()
-	ix := mining.NewIndex()
+	var docs []mining.Document
 	for _, m := range world.Emails {
 		cm := cleaner.ProcessEmail(m.Raw)
 		if cm.Verdict != clean.VerdictKeep || m.Category == "" {
 			continue
 		}
-		ix.Add(mining.Document{
+		docs = append(docs, mining.Document{
 			ID:       m.ID,
 			Concepts: en.Annotate(nil, textproc.Words(cm.Text)),
 			Fields:   map[string]string{"category": m.Category},
 			Time:     m.Month,
 		})
 	}
+	ix := mining.Seal(docs)
 	var rows []mining.Dim
 	for _, comp := range synth.Competitors() {
 		rows = append(rows, mining.ConceptDim(CatCompetitor, comp))
@@ -76,10 +77,6 @@ func RunEmailCategoryAnalysis(cfg EmailAssociationConfig) (*EmailAssociation, er
 	for _, cat := range synth.EmailCategories() {
 		cols = append(cols, mining.FieldDim("category", cat))
 	}
-	// The index is fully built; prepare it so the association table (and
-	// any follow-on drill-downs over the returned Index) hit the sealed
-	// query caches.
-	ix.Prepare()
 	tbl := ix.Associate(rows, cols, emailAssocConfidence)
 	return &EmailAssociation{Index: ix, Table: tbl}, nil
 }

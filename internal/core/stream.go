@@ -28,8 +28,8 @@ type StreamMonitor struct {
 func (m *StreamMonitor) StageStats() []pipeline.StageStats { return m.stats() }
 
 // Live returns the streaming mining index. Every query on it (Counts,
-// Associate, RelativeFrequency, ...) answers over the documents indexed
-// so far — reporting stays available while data keeps arriving.
+// Associate, RelativeFrequency, ...) answers over the documents added so
+// far — reporting stays available while data keeps arriving.
 func (m *StreamMonitor) Live() *mining.StreamIndex { return m.live }
 
 // Done is closed when the pipeline finishes (drain or abort). Monitor
@@ -60,7 +60,7 @@ type callJob struct {
 // compactions beside the readers, which lengthens their tail.
 // Worker-count invariance holds because every stochastic step draws from
 // a per-call RNG substream keyed by call ID, results are keyed by call
-// index, and sealed indexes are rebuilt in ID order.
+// index, and sealed indexes are built in ID order.
 //
 // The returned toDoc projects a finished job onto the mining document
 // for that call. Both the batch path (analyzeStreaming) and the serving
@@ -139,7 +139,7 @@ func (ca *CallAnalysis) callSource() pipeline.Source[callJob] {
 }
 
 // analyzeStreaming runs the call pipeline to completion, streaming every
-// finished call into a live mining index and sealing it at the end.
+// finished call into a StreamIndex and sealing it once at the end.
 func (ca *CallAnalysis) analyzeStreaming(ctx context.Context) error {
 	calls := ca.World.Calls
 	p, toDoc := ca.buildCallPipeline()

@@ -2,7 +2,7 @@ package mining
 
 // Backing is the storage behind an Index: the document store plus the
 // three inverted-list families. The materialized in-memory maps that
-// Add builds satisfy it, and so does internal/store's mapped segment
+// Seal builds satisfy it, and so does internal/store's mapped segment
 // reader, which leaves postings varint-encoded inside an mmap'd
 // segment file and decodes them lazily on first touch. Query code
 // reaches storage only through this interface — the fast path, the
@@ -38,19 +38,16 @@ type Backing interface {
 }
 
 // FromBacking wraps a read-only backing (e.g. a mapped segment) as a
-// queryable Index. The backing must already satisfy the postings
-// contract — the store validates structure before handing one over.
-// Add panics on such an index (mapped segments are sealed by
-// construction); callers that want the sealed-index query caches call
-// Prepare, which builds them through the interface without decoding
-// any postings.
-func FromBacking(b Backing) *Index { return &Index{b: b} }
+// queryable Index, its query structures built through the interface
+// without decoding any postings. The backing must already satisfy the
+// postings contract — the store validates structure before handing one
+// over.
+func FromBacking(b Backing) *Index { return prepare(b) }
 
 // Materialize copies a backing onto the heap — every document and
 // postings list read out of b once — so the index never reads b again:
 // the store's eager open, through the reader mapped segments are served
-// by. The lists b returns are kept (Backing hands out read-only views);
-// callers that want the sealed-index caches call Prepare.
+// by. The lists b returns are kept (Backing hands out read-only views).
 func Materialize(b Backing) *Index {
 	mb := newMemBacking()
 	mb.docs = make([]Document, b.DocCount())
@@ -66,14 +63,14 @@ func Materialize(b Backing) *Index {
 	b.EachField(func(field, value string, _ int) {
 		mb.byField[[2]string{field, value}] = b.FieldPostings(field, value)
 	})
-	return &Index{b: mb}
+	return prepare(mb)
 }
 
 // Backing returns the storage behind the index (read-only).
 func (ix *Index) Backing() Backing { return ix.b }
 
 // memBacking is the materialized backing: plain Go maps over heap
-// postings slices, built by Add or copied from another backing by
+// postings slices, built by Seal or copied from another backing by
 // Materialize.
 type memBacking struct {
 	docs      []Document

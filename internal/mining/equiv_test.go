@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bivoc/internal/annotate"
 	"bivoc/internal/mining"
 	"bivoc/internal/voctest"
 )
@@ -14,9 +13,10 @@ import (
 // The naive-vs-fast equivalence suites. The oracle is a value: the
 // NaiveIndex view of one monolithic index over a world's documents
 // (naive.go's hash-set engine). Every configuration of the fast engine —
-// raw, Prepared with a cold and a warm conjunction memo, live inside a
-// StreamIndex, segmented, compacted — is compared with it through the one
-// comparator, voctest.CheckQueriers, over the world's whole battery. The
+// built in arrival order, sealed with a cold and a warm conjunction memo,
+// a StreamIndex's view, segmented, compacted — is compared with it
+// through the one comparator, voctest.CheckQueriers, over the world's
+// whole battery. The
 // suites live in package mining_test so that they can import the world;
 // export_test.go hands them what they need of the internals.
 
@@ -26,9 +26,9 @@ func oracle(w *voctest.World) *mining.NaiveIndex { return w.Index().Naive() }
 
 // TestNaiveFastEquivalence is the core property suite: over random
 // worlds, the fast path must be indistinguishable from the hash-set
-// oracle, before Prepare, after Prepare (twice, so the conjunction memo
-// is exercised on both the miss and the hit path), and on the live
-// index inside an unsealed StreamIndex.
+// oracle, on an index built in arrival order, on the sealed index (twice,
+// so the conjunction memo is exercised on both the miss and the hit
+// path), and on the view of an unsealed StreamIndex.
 func TestNaiveFastEquivalence(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(20090))
@@ -39,47 +39,15 @@ func TestNaiveFastEquivalence(t *testing.T) {
 			t.Parallel()
 			w := voctest.NewWorld(seed, ndocs)
 			ix, naive := w.Index(), oracle(w)
-			voctest.CheckQueriers(t, ix, naive, w) // raw index: no prepared caches
-			ix.Prepare()
-			ix.Prepare()                           // Prepare is idempotent
-			voctest.CheckQueriers(t, ix, naive, w) // prepared: cold memo
-			voctest.CheckQueriers(t, ix, naive, w) // prepared: warm memo
+			voctest.CheckQueriers(t, mining.InOrder(w.Docs), naive, w)
+			voctest.CheckQueriers(t, ix, naive, w) // cold memo
+			voctest.CheckQueriers(t, ix, naive, w) // warm memo
 
 			live := mining.NewStreamIndex()
 			live.AddBatch(w.Docs)
 			live.Snapshot(func(ix *mining.Index) { voctest.CheckQueriers(t, ix, naive, w) })
 		})
 	}
-}
-
-// TestAddInvalidatesPrepare pins that growing a Prepared index drops its
-// caches rather than serving answers over a stale snapshot.
-func TestAddInvalidatesPrepare(t *testing.T) {
-	t.Parallel()
-	w := voctest.NewWorld(7, 40)
-	ix := w.Index()
-	ix.Prepare()
-	before := ix.ConceptsInCategory("issue")
-	ix.Add(mining.Document{
-		ID: "late-arrival",
-		Concepts: []annotate.Concept{
-			{Category: "issue", Canonical: "zz-brand-new"},
-		},
-	})
-	after := ix.ConceptsInCategory("issue")
-	found := false
-	for _, c := range after {
-		if c == "zz-brand-new" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("ConceptsInCategory after post-Prepare Add = %v (stale cache? before: %v)",
-			after, before)
-	}
-	// Un-prepared again; it must still match the oracle, here the view over
-	// its own backing, which has the late arrival too.
-	voctest.CheckQueriers(t, ix, ix.Naive(), w)
 }
 
 // TestOnePassMarginalsMatchPerCell is the association oracle over the
@@ -89,10 +57,10 @@ func TestAddInvalidatesPrepare(t *testing.T) {
 // one CountBoth per cell and per concept (CheckQueriers compares both
 // extractions on every table of the battery: leaf and conjunction rows
 // and columns, a repeated column, no rows, a table wider than the mark
-// word, the whole battery squared) — monolithic and segmented (with an
-// empty segment in the set), raw and prepared. It also drives the cell
-// count directly, to see that it leaves no document marked in the pooled
-// scratch.
+// word, the whole battery squared) — monolithic in arrival order and
+// sealed, and segmented with an empty segment in the set. It also drives
+// the cell count directly, to see that it leaves no document marked in
+// the pooled scratch.
 func TestOnePassMarginalsMatchPerCell(t *testing.T) {
 	t.Parallel()
 	if voctest.Wide != mining.MarkBits+1 {
@@ -107,13 +75,10 @@ func TestOnePassMarginalsMatchPerCell(t *testing.T) {
 			w := voctest.NewWorld(seed, ndocs)
 			ix, naive := w.Index(), oracle(w)
 			segs := w.Segments(3)
-			empty := mining.NewIndex()
-			empty.Prepare()
-			set := mining.NewSegmentSet(segs[0], empty, segs[1], segs[2])
+			set := mining.NewSegmentSet(segs[0], mining.Seal(nil), segs[1], segs[2])
 
-			voctest.CheckQueriers(t, ix, naive, w) // raw index
-			ix.Prepare()
-			voctest.CheckQueriers(t, ix, naive, w) // prepared: cold, then warm conjunction memo
+			voctest.CheckQueriers(t, mining.InOrder(w.Docs), naive, w)
+			voctest.CheckQueriers(t, ix, naive, w) // cold, then warm conjunction memo
 			voctest.CheckQueriers(t, ix, naive, w)
 			voctest.CheckQueriers(t, set, naive, w)
 

@@ -12,15 +12,25 @@ const ConjWordsFloor = conjWordsFloor
 
 func ConjBudget(docs int) int        { return conjBudget(docs) }
 func ConjCost(key string, n int) int { return conjCost(key, make([]int, n)) }
-func (ix *Index) Prepared() bool     { return ix.prep != nil }
 func (ix *Index) IDOrdered() bool    { return ix.idOrdered() }
 
+// InOrder builds the index of docs at the positions given, in the order
+// given — the layout of a segment file that Seal did not write, whose
+// positions need not be in ID order.
+func InOrder(docs []Document) *Index {
+	mb := newMemBacking()
+	for _, d := range docs {
+		mb.add(d)
+	}
+	return prepare(mb)
+}
+
 // ColumnsBuilt is how many per-document columns (one per field, one of
-// times) a Prepared index has built so far.
+// times) an index has built so far.
 func (ix *Index) ColumnsBuilt() int { return int(ix.prep.columnsBuilt.Load()) }
 
-// ConjMemo reports a Prepared index's conjunction memo: its entries, the
-// words it accounts for, and its budget.
+// ConjMemo reports an index's conjunction memo: its entries, the words
+// it accounts for, and its budget.
 func (ix *Index) ConjMemo() (entries, words, limit int) {
 	return len(ix.prep.conj), ix.prep.conjWords, ix.prep.conjLimit
 }

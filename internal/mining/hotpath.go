@@ -69,12 +69,13 @@ func (ctx *queryCtx) docMarks(n int) []uint64 {
 
 // countCells fills ncell[i][j] = |rows[i] ∩ cols[j]| by walking each
 // row's postings instead of one merge per cell; colPosts holds the
-// columns' postings. A column that is a plain field dimension of a
-// Prepared index is counted by comparing each row document's value id in
-// the field's column with the column's (fieldColumn), one walk per such
-// column. Every other column is marked: bit j set on every document of
-// its list, read off each row document in one more walk, and cleared by
-// walking the list again. len(cols) must not exceed markBits.
+// columns' postings. A column that is a plain field dimension whose
+// field has a per-document column is counted by comparing each row
+// document's value id in that column with the column's (fieldColumn),
+// one walk per such column. Every other column is marked: bit j set on
+// every document of its list, read off each row document in one more
+// walk, and cleared by walking the list again. len(cols) must not
+// exceed markBits.
 func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []Dim, colPosts [][]int) {
 	type fieldCell struct {
 		ids   []uint16
@@ -155,23 +156,20 @@ func (ix *Index) resolve(ctx *queryCtx, d Dim) (posts []int, owned bool) {
 	if len(d.And) == 0 {
 		return leafPostings(ix.b, d), false
 	}
-	if p := ix.prep; p != nil {
-		// Sealed index: memoize the conjunction under its canonical
-		// label, so "a ∧ b", "b ∧ a" and "a ∧ b ∧ a" share one entry.
-		key := d.CanonicalLabel()
-		if posts, ok := p.conjCached(key); ok {
-			return posts, false
-		}
-		res, resOwned := ix.intersectFast(ctx, d.And)
-		if stored, ok := p.conjStore(key, res); ok {
-			if resOwned {
-				ctx.putBuf(res)
-			}
-			return stored, false
-		}
-		return res, resOwned
+	// Memoize the conjunction under its canonical label, so "a ∧ b",
+	// "b ∧ a" and "a ∧ b ∧ a" share one entry.
+	key := d.CanonicalLabel()
+	if posts, ok := ix.prep.conjCached(key); ok {
+		return posts, false
 	}
-	return ix.intersectFast(ctx, d.And)
+	res, resOwned := ix.intersectFast(ctx, d.And)
+	if stored, ok := ix.prep.conjStore(key, res); ok {
+		if resOwned {
+			ctx.putBuf(res)
+		}
+		return stored, false
+	}
+	return res, resOwned
 }
 
 // gatherLeafLists walks a conjunction tree and appends the inverted

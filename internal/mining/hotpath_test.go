@@ -87,11 +87,11 @@ func runQueryBattery(ix *mining.Index, w *voctest.World) {
 // mutates an inverted list or hands a caller a slice that aliases one.
 func TestQueriesNeverMutatePostings(t *testing.T) {
 	t.Parallel()
-	for _, prepare := range []bool{false, true} {
+	for _, inOrder := range []bool{false, true} {
 		w := voctest.NewWorld(42, 120)
-		ix := w.Index()
-		if prepare {
-			ix.Prepare()
+		ix, name := w.Index(), "sealed"
+		if inOrder {
+			ix, name = mining.InOrder(w.Docs), "in arrival order"
 		}
 		before := snapshotPostings(ix)
 		runQueryBattery(ix, w)
@@ -99,11 +99,11 @@ func TestQueriesNeverMutatePostings(t *testing.T) {
 		if !reflect.DeepEqual(before, after) {
 			for k, b := range before {
 				if !reflect.DeepEqual(b, after[k]) {
-					t.Errorf("prepare=%v: postings %q mutated by queries:\n before %v\n after  %v",
-						prepare, k, b, after[k])
+					t.Errorf("%s: postings %q mutated by queries:\n before %v\n after  %v",
+						name, k, b, after[k])
 				}
 			}
-			t.Fatalf("prepare=%v: query battery mutated index postings", prepare)
+			t.Fatalf("%s: query battery mutated index postings", name)
 		}
 		// Results must still match the oracle after the battery mutated
 		// every returned slice — i.e. callers got copies, not cache views.
@@ -250,7 +250,6 @@ func TestConjunctionMemoStability(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(99, 150)
 	ix := w.Index()
-	ix.Prepare()
 	a := mining.AndDim(mining.ConceptDim("issue", "billing"), mining.FieldDim("outcome", "reservation"))
 	b := mining.AndDim(mining.FieldDim("outcome", "reservation"), mining.ConceptDim("issue", "billing"))
 	if a.CanonicalLabel() != b.CanonicalLabel() {
@@ -278,7 +277,6 @@ func TestConjunctionMemoBounded(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(17, 150)
 	ix, naive := w.Index(), oracle(w)
-	ix.Prepare()
 	_, _, limit := ix.ConjMemo()
 	if limit != mining.ConjBudget(ix.Len()) || limit < mining.ConjWordsFloor {
 		t.Fatalf("memo limit %d, want conjBudget(%d) = %d", limit, ix.Len(), mining.ConjBudget(ix.Len()))

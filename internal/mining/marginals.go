@@ -13,10 +13,7 @@ import "sort"
 // in report order (frequency descending, ties lexicographic) — the
 // counted form of ConceptsInCategory.
 func (ix *Index) ConceptDF(category string) []ConceptCount {
-	if p := ix.prep; p != nil {
-		return append([]ConceptCount{}, p.catEntries[category]...)
-	}
-	return scanConceptDF(ix.b, category)
+	return append([]ConceptCount{}, ix.prep.catEntries[category]...)
 }
 
 // RelFreqMarginals extracts the integer marginals of a
@@ -26,7 +23,7 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
 //
 // The in-subset counts come from one walk of each concept's list. When
-// the featured dimension is a plain field of a Prepared index, each
+// the featured dimension is a plain field with a column, each
 // document's value id is read off the field's column (fieldColumn);
 // otherwise the subset's documents are marked first and cleared after.
 func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
@@ -34,12 +31,7 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	defer releaseQueryCtx(ctx)
 	subset, owned := ix.resolve(ctx, featured)
 	m := RelFreqMarginals{N: ix.b.DocCount(), SubsetSize: len(subset)}
-	var entries []ConceptCount
-	if p := ix.prep; p != nil {
-		entries = p.catEntries[category]
-	} else {
-		entries = scanConceptDF(ix.b, category)
-	}
+	entries := ix.prep.catEntries[category]
 	ids, value, byColumn := ix.fieldColumn(featured)
 	var marks []uint64
 	if !byColumn {
@@ -122,10 +114,9 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 // counts, shaped rows × cols.
 //
 // The cells are counted by walking each row's postings (countCells): a
-// plain field column through the field's per-document column on a
-// Prepared index, every other column by marking its documents first. A
-// table with more columns than a mark word has bits keeps the merge per
-// cell.
+// plain field column through the field's per-document column, every
+// other column by marking its documents first. A table with more
+// columns than a mark word has bits keeps the merge per cell.
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)

@@ -86,43 +86,24 @@ func (d Dim) Label() string {
 	return d.Canonical + "[" + d.Category + "]"
 }
 
-// Index stores documents with inverted lists per concept and field.
-// The storage itself lives behind a Backing: the mutable in-memory
-// maps Add builds, or a read-only mapped segment (see backing.go).
+// Index stores documents with inverted lists per concept and field,
+// sealed: it is built whole by Seal (documents), FromBacking (a mapped
+// segment) or Materialize (an eager open), each of which prepares its
+// query structures (see prepared), and it never changes after. The
+// storage itself lives behind a Backing: in-memory maps over heap
+// postings, or a read-only mapped segment (see backing.go).
 //
 // Postings contract: every inverted list is kept sorted by document
-// position (Add appends monotonically increasing positions), and every
-// internal accessor that returns postings — leafPostings, resolve, the
-// conjunction memo — returns read-only views. Query code must never
-// write through them: intersections accumulate into queryCtx scratch
-// buffers or freshly allocated memo slices instead. This is what lets a
-// sealed index answer from many server handlers concurrently without a
-// lock, and it is enforced by TestQueriesNeverMutatePostings.
+// position, and every internal accessor that returns postings —
+// leafPostings, resolve, the conjunction memo — returns read-only views.
+// Query code must never write through them: intersections accumulate
+// into queryCtx scratch buffers or freshly allocated memo slices
+// instead. This is what lets an index answer from many server handlers
+// concurrently without a lock, and it is enforced by
+// TestQueriesNeverMutatePostings.
 type Index struct {
-	b Backing
-
-	// prep holds the sealed-index query caches (see Prepare); nil while
-	// the index is still being built.
+	b    Backing
 	prep *prepared
-}
-
-// NewIndex returns an empty index over the mutable in-memory backing.
-func NewIndex() *Index {
-	return &Index{b: newMemBacking()}
-}
-
-// Add indexes a document. Inverted lists record each document at most
-// once per key (documents often repeat a concept). Adding to a Prepared
-// index drops its prepared caches — they describe a snapshot that no
-// longer exists. Add panics on a read-only backing (a mapped segment):
-// those are sealed by construction.
-func (ix *Index) Add(doc Document) {
-	mb, ok := ix.b.(*memBacking)
-	if !ok {
-		panic("mining: Add on a read-only index backing (mapped segment)")
-	}
-	ix.prep = nil
-	mb.add(doc)
 }
 
 // Len returns the number of indexed documents.
@@ -177,12 +158,13 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 
 // DrillDownLimit returns the size of the cell of documents matching both
 // dimensions and its first limit documents in ID order (all of them when
-// limit is negative). On a sealed segment, where position order is ID
-// order (see idOrdered), a limited drill-down materializes only the
-// first limit positions — over a mapped backing each one is a full
-// record decode — and, when a side is a plain field with a column, does
-// not build the cell at all (firstByColumn). Any other index
-// materializes and sorts the whole cell before truncating.
+// limit is negative). Where position order is ID order (see idOrdered),
+// a limited drill-down materializes only the first limit positions —
+// over a mapped backing each one is a full record decode — and, when a
+// side is a plain field with a column, does not build the cell at all
+// (firstByColumn). A segment whose positions are not in ID order (a
+// file Seal did not write) materializes and sorts the whole cell before
+// truncating.
 func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
@@ -267,31 +249,25 @@ func firstDocs(docs []Document, limit int) []Document {
 }
 
 // ConceptsInCategory returns the distinct canonical forms of a category,
-// sorted by document frequency (descending, ties lexicographic). On a
-// Prepared index this is a precomputed lookup.
+// sorted by document frequency (descending, ties lexicographic): a
+// precomputed lookup.
 func (ix *Index) ConceptsInCategory(category string) []string {
-	if p := ix.prep; p != nil {
-		names := p.catNames[category]
-		out := make([]string, len(names))
-		copy(out, names)
-		return out
-	}
-	return ConceptNames(scanConceptDF(ix.b, category))
+	names := ix.prep.catNames[category]
+	out := make([]string, len(names))
+	copy(out, names)
+	return out
 }
 
-// FieldValues returns the distinct values of a structured field, sorted.
-// On a Prepared index this is a precomputed lookup.
+// FieldValues returns the distinct values of a structured field, sorted;
+// nil when no document carries the field. A precomputed lookup.
 func (ix *Index) FieldValues(field string) []string {
-	if p := ix.prep; p != nil {
-		vals := p.fieldVals[field]
-		if len(vals) == 0 {
-			return nil
-		}
-		out := make([]string, len(vals))
-		copy(out, vals)
-		return out
+	vals := ix.prep.fieldVals[field]
+	if len(vals) == 0 {
+		return nil
 	}
-	return scanFieldValues(ix.b, field)
+	out := make([]string, len(vals))
+	copy(out, vals)
+	return out
 }
 
 // Relevance is one row of a relative-frequency report (and of /v1/relfreq).
@@ -415,11 +391,10 @@ type TrendPoint struct {
 // occurrences of each concept in a certain period may allow us to
 // analyze trends in the topics".
 //
-// A Prepared index counts into one bucket per distinct time of the
-// segment, through its time column (timeColumn), and emits the non-empty
-// buckets already in time order. Any other index (the live one a
-// StreamIndex grows) hashes each matching document's time, and so does
-// a segment of more distinct times than its column can name.
+// The index counts into one bucket per distinct time of the segment,
+// through its time column (timeColumn), and emits the non-empty buckets
+// already in time order. A segment of more distinct times than its
+// column can name hashes each matching document's time instead.
 func (ix *Index) Trend(d Dim) []TrendPoint {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)

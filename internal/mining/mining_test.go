@@ -20,7 +20,7 @@ func doc(id string, time int, fields map[string]string, concepts ...[2]string) D
 // buildIndex creates a small corpus with a designed association:
 // strong-start calls mostly convert, weak-start calls mostly do not.
 func buildIndex() *Index {
-	ix := NewIndex()
+	var docs []Document
 	id := 0
 	add := func(n int, intent, outcome string, extra ...[2]string) {
 		for i := 0; i < n; i++ {
@@ -32,14 +32,14 @@ func buildIndex() *Index {
 			for _, c := range cc {
 				d.Concepts = append(d.Concepts, annotate.Concept{Category: c[0], Canonical: c[1]})
 			}
-			ix.Add(d)
+			docs = append(docs, d)
 		}
 	}
 	add(63, "strong start", "reservation")
 	add(37, "strong start", "unbooked")
 	add(32, "weak start", "reservation", [2]string{"agent", "discount"})
 	add(68, "weak start", "unbooked")
-	return ix
+	return Seal(docs)
 }
 
 func TestCounts(t *testing.T) {
@@ -62,9 +62,7 @@ func TestCounts(t *testing.T) {
 }
 
 func TestDuplicateConceptCountedOnce(t *testing.T) {
-	ix := NewIndex()
-	d := doc("x", 0, nil, [2]string{"c", "v"}, [2]string{"c", "v"})
-	ix.Add(d)
+	ix := Seal([]Document{doc("x", 0, nil, [2]string{"c", "v"}, [2]string{"c", "v"})})
 	if got := ix.Count(ConceptDim("c", "v")); got != 1 {
 		t.Errorf("duplicate concept counted %d times", got)
 	}
@@ -115,11 +113,11 @@ func TestAssociateIndexes(t *testing.T) {
 func TestLowerIndexSmallCountRobustness(t *testing.T) {
 	// A 1-document coincidence has a huge point index but should be
 	// heavily discounted by the interval estimate — the §IV.D.2 rationale.
-	ix := NewIndex()
-	ix.Add(doc("a", 0, map[string]string{"o": "x"}, [2]string{"c", "rare"}))
+	docs := []Document{doc("a", 0, map[string]string{"o": "x"}, [2]string{"c", "rare"})}
 	for i := 0; i < 99; i++ {
-		ix.Add(doc(fmt.Sprintf("f%d", i), 0, map[string]string{"o": "y"}, [2]string{"c", "common"}))
+		docs = append(docs, doc(fmt.Sprintf("f%d", i), 0, map[string]string{"o": "y"}, [2]string{"c", "common"}))
 	}
+	ix := Seal(docs)
 	tbl := ix.Associate([]Dim{ConceptDim("c", "rare")}, []Dim{FieldDim("o", "x")}, 0.95)
 	cell := tbl.Cells[0][0]
 	if cell.PointIndex < 50 {
@@ -183,7 +181,7 @@ func TestRelativeFrequency(t *testing.T) {
 }
 
 func TestRelativeFrequencySorting(t *testing.T) {
-	ix := NewIndex()
+	var docs []Document
 	for i := 0; i < 10; i++ {
 		fields := map[string]string{"g": "in"}
 		if i >= 5 {
@@ -194,9 +192,9 @@ func TestRelativeFrequencySorting(t *testing.T) {
 		if i < 5 {
 			d.Concepts = append(d.Concepts, annotate.Concept{Category: "c", Canonical: "insider"})
 		}
-		ix.Add(d)
+		docs = append(docs, d)
 	}
-	rel := ix.RelativeFrequency("c", FieldDim("g", "in"))
+	rel := Seal(docs).RelativeFrequency("c", FieldDim("g", "in"))
 	if rel[0].Concept != "insider" {
 		t.Errorf("most relevant concept = %q", rel[0].Concept)
 	}
@@ -272,7 +270,7 @@ func TestTrendSlope(t *testing.T) {
 }
 
 func TestEmptyIndex(t *testing.T) {
-	ix := NewIndex()
+	ix := Seal(nil)
 	if ix.Count(CategoryDim("x")) != 0 {
 		t.Error("empty index count")
 	}

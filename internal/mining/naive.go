@@ -16,9 +16,10 @@ import (
 // marginal extractions are one CountBoth per cell or per concept.
 //
 // No product path constructs one. The equivalence suites compare each
-// fast configuration — raw, Prepared, live, segmented, compacted, mapped,
-// served by a daemon or a fleet — with the naive view of one monolithic
-// index over the same documents.
+// fast configuration — sealed with a cold and a warm conjunction memo,
+// built in arrival order, segmented, compacted, mapped, served by a
+// daemon or a fleet — with the naive view of one monolithic index over
+// the same documents.
 type NaiveIndex struct{ b Backing }
 
 var _ Querier = (*NaiveIndex)(nil)
@@ -124,7 +125,7 @@ func (n *NaiveIndex) DrillDownLimit(a, b Dim, limit int) (docs []Document, count
 }
 
 // ConceptsInCategory, ConceptDF and FieldValues scan the backing's
-// vocabulary — what an index that was never Prepared does too.
+// vocabulary, where an Index reads the lists it prepared.
 func (n *NaiveIndex) ConceptsInCategory(category string) []string {
 	return ConceptNames(scanConceptDF(n.b, category))
 }

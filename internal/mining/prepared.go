@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// prepared carries the query structures a sealed index precomputes so
-// the serving hot path stops paying for them per request:
+// prepared carries the query structures every index precomputes when it
+// is built, so the serving hot path stops paying for them per request:
 //
 //   - per-category canonical concept lists with document frequencies and
 //     per-field value lists, already in report order, making
@@ -25,15 +25,15 @@ import (
 //     trend kernels read instead of marking lists or hashing times.
 //
 // The precomputed lists are immutable after prepare; the memo is guarded
-// by mu because sealed indexes are queried from many server handlers at
-// once. The columns and the ID order are found out the first time a query
-// needs them, under a sync.Once each, never at Prepare: that would put a
+// by mu because an index is queried from many server handlers at once.
+// The columns and the ID order are found out the first time a query
+// needs them, under a sync.Once each, never at prepare: that would put a
 // per-document pass on the open path of a mapped segment.
 type prepared struct {
 	// catEntries holds each category's vocabulary in ConceptsInCategory
 	// order (frequency desc, ties lexicographic). It deliberately carries
 	// the df, not the postings: over a mapped backing, holding every
-	// category's lists here would materialize the whole segment at Prepare
+	// category's lists here would materialize the whole segment at prepare
 	// time — consumers that need the actual list (RelFreqMarginals) fetch
 	// it through the backing on demand instead.
 	catEntries map[string][]ConceptCount
@@ -43,13 +43,13 @@ type prepared struct {
 	mu        sync.RWMutex
 	conj      map[string][]int
 	conjWords int // what conj holds, in conjCost units
-	conjLimit int // conjBudget of the segment, fixed at Prepare
+	conjLimit int // conjBudget of the segment, fixed at prepare
 
 	orderOnce sync.Once
 	ordered   bool
 
 	// fieldCols holds a column for each field of fieldVals, made at
-	// Prepare and filled on first use — except for a field with more
+	// prepare and filled on first use — except for a field with more
 	// values than a column id can name, which is marked like any other
 	// dimension.
 	fieldCols map[string]*column
@@ -90,32 +90,26 @@ func conjBudget(docs int) int { return max(conjWordsFloor, conjWordsPerDoc*docs)
 // the client chose to make it.
 func conjCost(key string, posts []int) int { return len(posts) + len(key)/8 + 8 }
 
-// Prepare precomputes the sealed-index query structures above. It is
-// idempotent and is called automatically by Seal; batch
-// builders that assemble an Index by hand (core.RunEmailCategoryAnalysis)
-// call it once indexing is done. Prepare must happen-before any
-// concurrent queries, and a later Add drops the prepared state (the
-// caches would be stale), returning the index to the uncached fast path.
-func (ix *Index) Prepare() {
-	if ix.prep != nil {
-		return
-	}
+// prepare returns the index over b with the query structures above: the
+// one constructor Seal, FromBacking and Materialize share. It reads b's
+// vocabulary through the Each* enumerations and decodes no postings.
+func prepare(b Backing) *Index {
 	p := &prepared{
 		catEntries: make(map[string][]ConceptCount),
 		catNames:   make(map[string][]string),
 		fieldVals:  make(map[string][]string),
 		fieldCols:  make(map[string]*column),
 		conj:       make(map[string][]int),
-		conjLimit:  conjBudget(ix.b.DocCount()),
+		conjLimit:  conjBudget(b.DocCount()),
 	}
-	ix.b.EachConcept(func(cat, canon string, df int) {
+	b.EachConcept(func(cat, canon string, df int) {
 		p.catEntries[cat] = append(p.catEntries[cat], ConceptCount{Concept: canon, DF: df})
 	})
 	for cat, entries := range p.catEntries {
 		sortReportOrder(entries)
 		p.catNames[cat] = ConceptNames(entries)
 	}
-	ix.b.EachField(func(field, value string, _ int) {
+	b.EachField(func(field, value string, _ int) {
 		p.fieldVals[field] = append(p.fieldVals[field], value)
 	})
 	for field, vals := range p.fieldVals {
@@ -124,18 +118,18 @@ func (ix *Index) Prepare() {
 			p.fieldCols[field] = new(column)
 		}
 	}
-	ix.prep = p
+	return &Index{b: b, prep: p}
 }
 
-// fieldColumn reports whether d is a plain field dimension of a Prepared
-// index whose field has a column and, if so, returns the column and d's
+// fieldColumn reports whether d is a plain field dimension whose field
+// has a column and, if so, returns the column and d's
 // value id: ids[p] is 1 + the index in FieldValues of document p's value,
 // 0 when p carries none. A value id of 0 means no document carries d's
 // value (or its field), so d matches nothing — compare ids with it only
 // when it is not 0.
 func (ix *Index) fieldColumn(d Dim) (ids []uint16, value uint16, ok bool) {
 	p := ix.prep
-	if p == nil || d.Field == "" || len(d.And) > 0 {
+	if d.Field == "" || len(d.And) > 0 {
 		return nil, 0, false
 	}
 	vals, carried := p.fieldVals[d.Field]
@@ -163,15 +157,11 @@ func (ix *Index) fieldColumn(d Dim) (ids []uint16, value uint16, ok bool) {
 	return col.ids, uint16(k + 1), true
 }
 
-// timeColumn returns a Prepared index's distinct document times,
-// ascending, and the column whose ids[p] indexes them with document p's
-// time. ok is false on an index that is not Prepared, and on one with
-// more distinct times than a column id can name.
+// timeColumn returns the index's distinct document times, ascending, and
+// the column whose ids[p] indexes them with document p's time. ok is
+// false on an index with more distinct times than a column id can name.
 func (ix *Index) timeColumn() (times []int, ids []uint16, ok bool) {
 	p := ix.prep
-	if p == nil {
-		return nil, nil, false
-	}
 	p.timeCol.once.Do(func() {
 		n := ix.b.DocCount()
 		at := make([]int, n)
@@ -195,17 +185,14 @@ func (ix *Index) timeColumn() (times []int, ids []uint16, ok bool) {
 
 // idOrdered reports whether document positions are in strictly
 // increasing ID order — what lets a limited drill-down stop at its first
-// limit positions. Seal builds that order and records it. An index
-// Prepared over a backing opened from disk finds out by one DocID walk
-// the first time a limited drill-down asks, never at Prepare: that would
-// put a per-document pass on the open path of a mapped segment. An index
-// that is not Prepared, or whose IDs are out of order (built by hand
-// with Add), reports false and drills down through the whole cell.
+// limit positions. Seal builds that order and records it. An index over
+// a backing opened from disk finds out by one DocID walk the first time
+// a limited drill-down asks, never at prepare: that would put a
+// per-document pass on the open path of a mapped segment. An index whose
+// IDs are out of order (a segment file Seal did not write) reports false
+// and drills down through the whole cell.
 func (ix *Index) idOrdered() bool {
 	p := ix.prep
-	if p == nil {
-		return false
-	}
 	p.orderOnce.Do(func() {
 		prev := ""
 		for i, n := 0, ix.b.DocCount(); i < n; i++ {

@@ -8,13 +8,12 @@ package mining
 // (Materialize). The checks FromSnapshot made are the reader's now —
 // TestDamagedGenerationUnderEitherLoader and FuzzSegmentDecode in
 // internal/store pin them. The code stays, as test code only, because the
-// tests below pin it and tests are retired a few at a time. It is a
-// reference for nothing: delete each declaration with its tests.
+// test below pins it (with its seven subtests) and tests are retired a
+// few at a time. It is a reference for nothing: delete the file with it.
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -117,7 +116,7 @@ func FromSnapshot(s *IndexSnapshot) (*Index, error) {
 		}
 		mb.byField[e.Key] = e.Posts
 	}
-	return &Index{b: mb}, nil
+	return prepare(mb), nil
 }
 
 // checkPostings enforces the postings contract on one list.
@@ -166,68 +165,6 @@ func snapshotWorld(t *testing.T, n int, seed int64) *Index {
 		})
 	}
 	return si.Seal()
-}
-
-// TestSnapshotRoundTrip pins Export → FromSnapshot as a lossless round
-// trip: the rebuilt index answers every query family identically.
-func TestSnapshotRoundTrip(t *testing.T) {
-	ix := snapshotWorld(t, 150, 42)
-	got, err := FromSnapshot(ix.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Prepare()
-
-	if got.Len() != ix.Len() {
-		t.Fatalf("Len: got %d want %d", got.Len(), ix.Len())
-	}
-	dims := []Dim{
-		ConceptDim("intent", "weak start"),
-		CategoryDim("discount"),
-		FieldDim("outcome", "reservation"),
-		AndDim(CategoryDim("intent"), FieldDim("outcome", "reservation")),
-	}
-	for _, d := range dims {
-		if a, b := got.Count(d), ix.Count(d); a != b {
-			t.Errorf("Count(%s): got %d want %d", d.Label(), a, b)
-		}
-		if !reflect.DeepEqual(got.Trend(d), ix.Trend(d)) {
-			t.Errorf("Trend(%s) diverges", d.Label())
-		}
-	}
-	if !reflect.DeepEqual(got.DrillDown(dims[0], dims[2]), ix.DrillDown(dims[0], dims[2])) {
-		t.Error("DrillDown diverges")
-	}
-	if !reflect.DeepEqual(
-		got.RelativeFrequency("discount", dims[2]),
-		ix.RelativeFrequency("discount", dims[2])) {
-		t.Error("RelativeFrequency diverges")
-	}
-	if !reflect.DeepEqual(
-		got.Associate(dims[:2], dims[2:3], 0.95),
-		ix.Associate(dims[:2], dims[2:3], 0.95)) {
-		t.Error("Associate diverges")
-	}
-	for _, cat := range []string{"intent", "discount", "place", "absent"} {
-		if !reflect.DeepEqual(got.ConceptsInCategory(cat), ix.ConceptsInCategory(cat)) {
-			t.Errorf("ConceptsInCategory(%s) diverges", cat)
-		}
-	}
-	for _, f := range []string{"outcome", "agent", "absent"} {
-		if !reflect.DeepEqual(got.FieldValues(f), ix.FieldValues(f)) {
-			t.Errorf("FieldValues(%s) diverges", f)
-		}
-	}
-}
-
-// TestSnapshotExportDeterministic: two exports of the same index are
-// deeply equal — entry order must not depend on map iteration.
-func TestSnapshotExportDeterministic(t *testing.T) {
-	ix := snapshotWorld(t, 80, 7)
-	a, b := ix.Export(), ix.Export()
-	if !reflect.DeepEqual(a, b) {
-		t.Error("two Exports of the same index differ")
-	}
 }
 
 // TestFromSnapshotRejectsInvalid pins the validation paths: out-of-range

@@ -62,8 +62,7 @@ type SegmentSet struct {
 }
 
 // NewSegmentSet returns a set over the given segments. The slice is
-// copied; the segments themselves are shared and must be treated as
-// sealed (Prepared) from here on.
+// copied; the segments themselves are shared.
 func NewSegmentSet(segs ...*Index) *SegmentSet {
 	s := &SegmentSet{segs: append([]*Index(nil), segs...)}
 	for _, ix := range s.segs {
@@ -72,25 +71,25 @@ func NewSegmentSet(segs ...*Index) *SegmentSet {
 	return s
 }
 
-// Seal builds the sealed segment of docs. It is the one way a segment is
-// made — a daemon's publish, its recovered WAL tail, StreamIndex.Seal
-// and MergeSegments all end here: docs is sorted by ID in place and
-// indexed in that order, so the result does not depend on the order the
-// documents arrived in and positions are in ID order (see idOrdered),
-// then Prepared, because a sealed index is immutable and concurrently
-// queried. A repeated document ID panics: it means an upstream retry
-// delivered an item twice, or two segments under compaction overlap,
-// and every count over the segment would be silently wrong.
+// Seal builds the sealed segment of docs. It is the one way an index is
+// made from documents — a daemon's publish, its recovered WAL tail, a
+// StreamIndex query or Seal and MergeSegments all end here: docs is
+// sorted by ID in place and indexed in that order, so the result does
+// not depend on the order the documents arrived in and positions are in
+// ID order (see idOrdered). A repeated document ID panics: it means an
+// upstream retry delivered an item twice, or two segments under
+// compaction overlap, and every count over the segment would be
+// silently wrong.
 func Seal(docs []Document) *Index {
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	ix := NewIndex()
+	mb := newMemBacking()
 	for i, d := range docs {
 		if i > 0 && docs[i-1].ID == d.ID {
 			panicDuplicateID("Seal", d.ID)
 		}
-		ix.Add(d)
+		mb.add(d)
 	}
-	ix.Prepare()
+	ix := prepare(mb)
 	ix.prep.orderOnce.Do(func() { ix.prep.ordered = true })
 	return ix
 }

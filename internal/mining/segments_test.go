@@ -18,25 +18,25 @@ import (
 // of a monolithic Index over the same documents, on every Querier entry
 // point, and across compactions.
 
-// TestDrillDownLimitOutOfOrderIndex pins the fallback: an index built
-// by Add in descending-ID order has no position order to stop early on,
-// so a limited drill-down must still sort the whole cell — alone, and as
-// one segment among ordered ones.
+// TestDrillDownLimitOutOfOrderIndex pins the fallback: an index whose
+// positions are in descending-ID order (a segment file Seal did not
+// write) has no position order to stop early on, so a limited drill-down
+// must still sort the whole cell — alone, and as one segment among
+// ordered ones.
 func TestDrillDownLimitOutOfOrderIndex(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(77, 120)
 	docs := w.DocsByID()
 	half := docs[:len(docs)/2]
-	reversed := mining.NewIndex()
-	for i := len(half) - 1; i >= 0; i-- {
-		reversed.Add(half[i])
+	descending := make([]mining.Document, len(half))
+	for i, d := range half {
+		descending[len(half)-1-i] = d
 	}
-	reversed.Prepare()
+	reversed := mining.InOrder(descending)
 	if reversed.IDOrdered() {
 		t.Fatal("an index built in descending-ID order reports ID-ordered positions")
 	}
 	ordered := voctest.Index(docs[len(docs)/2:])
-	ordered.Prepare()
 	if !ordered.IDOrdered() {
 		t.Fatal("a segment built in ascending-ID order does not report ID-ordered positions")
 	}
@@ -123,11 +123,8 @@ func TestSegmentSetEdgeCases(t *testing.T) {
 
 	// A set containing empty segments must behave like the non-empty one.
 	w := voctest.NewWorld(9, 60)
-	padded := append([]*mining.Index{mining.NewIndex()}, w.Segments(3)...)
-	padded = append(padded, mining.NewIndex())
-	for _, ix := range padded {
-		ix.Prepare()
-	}
+	padded := append([]*mining.Index{mining.Seal(nil)}, w.Segments(3)...)
+	padded = append(padded, mining.Seal(nil))
 	voctest.CheckQueriers(t, mining.NewSegmentSet(padded...), oracle(w), w)
 
 	// More segments than documents: the partition's tail is empty.
@@ -155,8 +152,8 @@ func TestSealMatchesStreamIndex(t *testing.T) {
 		if !reflect.DeepEqual(docsOf(got), docsOf(want)) || !reflect.DeepEqual(snapshotPostings(got), snapshotPostings(want)) {
 			t.Fatalf("trial %d: Seal over a shuffled batch differs from StreamIndex{AddBatch; Seal}", trial)
 		}
-		if !got.Prepared() || !got.IDOrdered() {
-			t.Fatalf("trial %d: sealed index is not Prepared with ID-ordered positions", trial)
+		if !got.IDOrdered() {
+			t.Fatalf("trial %d: sealed index does not have ID-ordered positions", trial)
 		}
 		voctest.CheckQueriers(t, got, naive, w)
 		voctest.CheckQueriers(t, mining.NewSegmentSet(got), naive, w)
@@ -174,8 +171,8 @@ func docsOf(ix *mining.Index) []mining.Document {
 
 // TestMaterializeCopiesTheBacking: an index materialized from another
 // holds the same documents at the same positions under the same postings,
-// answers the battery as the naive oracle does once Prepared and before,
-// and reads nothing of the backing it was copied from afterwards.
+// answers the battery as the naive oracle does, cold and warm, and reads
+// nothing of the backing it was copied from afterwards.
 func TestMaterializeCopiesTheBacking(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(20172, 150)
@@ -188,7 +185,6 @@ func TestMaterializeCopiesTheBacking(t *testing.T) {
 	copied := reads.calls
 	naive := oracle(w)
 	voctest.CheckQueriers(t, got, naive, w)
-	got.Prepare()
 	voctest.CheckQueriers(t, got, naive, w)
 	if reads.calls != copied {
 		t.Fatalf("queries over the materialized index read its source %d times", reads.calls-copied)

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -11,44 +12,46 @@ import (
 // queried concurrently — the Customer-Experience-Data-Mart requirement
 // that reporting stays available while data keeps arriving.
 //
-// Semantics are sealed-snapshot: every query answers over exactly the
-// documents whose Add had completed when the query acquired the index,
-// and a query over a given document set returns the same result the
-// batch Index would return for those documents. A single RWMutex guards
-// the underlying Index — adds are brief (a handful of map appends), so
-// writer hold times stay in the microseconds and readers batch their
-// whole analysis under one read lock for a consistent view.
+// A StreamIndex holds the documents it was given, not an index. A query
+// answers over a sealed view of exactly the documents whose Add had
+// completed when it asked: the first query after an Add seals a copy of
+// them (the package-level Seal), under the lock, and every query runs
+// on that immutable view outside it until the next Add. A query
+// therefore returns the same result a sealed Index over those documents
+// would, whatever order they arrived in. Adds only append a document,
+// so writers hold the lock for microseconds; a query after an Add costs
+// one Seal of what has arrived, which a dashboard that asks every few
+// hundred milliseconds pays once per tick.
 //
-// Once the stream ends, Seal freezes the index and returns a plain
-// *Index rebuilt in document-ID order, making the final index
-// byte-for-byte independent of the arrival order the pipeline's worker
-// scheduling happened to produce.
+// Once the stream ends, Seal seals the documents themselves, once, and
+// returns that *Index.
 type StreamIndex struct {
-	mu     sync.RWMutex
-	ix     *Index
+	mu     sync.Mutex
+	docs   []Document
 	ids    map[string]struct{}
+	view   *Index // sealed over the first view.Len() documents; nil until asked
 	sealed bool
 }
 
 // NewStreamIndex returns an empty streaming index.
 func NewStreamIndex() *StreamIndex {
-	return &StreamIndex{ix: NewIndex(), ids: map[string]struct{}{}}
+	return &StreamIndex{ids: map[string]struct{}{}}
 }
 
-// Add indexes a document. Safe for concurrent use with queries and other
+// Add appends a document. Safe for concurrent use with queries and other
 // Adds. It panics after Seal — a sealed index is a published snapshot,
 // and silently growing it would invalidate results already reported —
 // and on a duplicate document ID: with retrying pipelines upstream, a
 // double Add means a stage emitted an item it had already delivered
-// (a replay bug), and the ID-sorted Seal rebuild would silently stop
-// being deterministic (equal keys have no stable order).
+// (a replay bug), and every count over the stream would be silently
+// wrong.
 func (s *StreamIndex) Add(doc Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.add(doc, "Add")
 }
 
-// AddBatch indexes documents under one lock acquisition, amortizing
+// AddBatch appends documents under one lock acquisition, amortizing
 // contention when a pipeline stage delivers bursts.
 func (s *StreamIndex) AddBatch(docs []Document) {
 	if len(docs) == 0 {
@@ -62,7 +65,7 @@ func (s *StreamIndex) AddBatch(docs []Document) {
 }
 
 // add enforces the stream invariants (not sealed, IDs unique) under the
-// caller-held write lock.
+// caller-held lock.
 func (s *StreamIndex) add(doc Document, op string) {
 	if s.sealed {
 		panic("mining: StreamIndex." + op + " after Seal")
@@ -71,103 +74,84 @@ func (s *StreamIndex) add(doc Document, op string) {
 		panicDuplicateID("StreamIndex."+op, doc.ID)
 	}
 	s.ids[doc.ID] = struct{}{}
-	s.ix.Add(doc)
+	s.docs = append(s.docs, doc)
 }
 
-// Len returns the number of documents indexed so far.
+// current returns the sealed view over every document added so far,
+// sealing a copy of them when documents arrived since the last view.
+func (s *StreamIndex) current() *Index {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.view == nil || s.view.Len() != len(s.docs) {
+		s.view = Seal(slices.Clone(s.docs))
+	}
+	return s.view
+}
+
+// Len returns the number of documents added so far.
 func (s *StreamIndex) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.Len()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.docs)
 }
 
-// Count returns how many indexed documents match the dimension.
-func (s *StreamIndex) Count(d Dim) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.Count(d)
-}
+// Count returns how many documents added so far match the dimension.
+func (s *StreamIndex) Count(d Dim) int { return s.current().Count(d) }
 
-// CountBoth returns how many indexed documents match both dimensions.
-func (s *StreamIndex) CountBoth(a, b Dim) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.CountBoth(a, b)
-}
+// CountBoth returns how many documents added so far match both
+// dimensions.
+func (s *StreamIndex) CountBoth(a, b Dim) int { return s.current().CountBoth(a, b) }
 
 // Associate builds a two-dimensional association table over the
-// documents indexed at call time (see Index.Associate).
+// documents added at call time (see Index.Associate).
 func (s *StreamIndex) Associate(rows, cols []Dim, confidence float64) *AssocTable {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.Associate(rows, cols, confidence)
+	return s.current().Associate(rows, cols, confidence)
 }
 
 // RelativeFrequency runs the relevancy analysis over the documents
-// indexed at call time (see Index.RelativeFrequency).
+// added at call time (see Index.RelativeFrequency).
 func (s *StreamIndex) RelativeFrequency(category string, featured Dim) []Relevance {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.RelativeFrequency(category, featured)
+	return s.current().RelativeFrequency(category, featured)
 }
 
 // Trend returns per-bucket counts for a dimension over the documents
-// indexed at call time.
-func (s *StreamIndex) Trend(d Dim) []TrendPoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.Trend(d)
-}
+// added at call time.
+func (s *StreamIndex) Trend(d Dim) []TrendPoint { return s.current().Trend(d) }
 
 // DrillDown returns the documents matching both dimensions, sorted by ID.
-func (s *StreamIndex) DrillDown(a, b Dim) []Document {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.DrillDown(a, b)
-}
+func (s *StreamIndex) DrillDown(a, b Dim) []Document { return s.current().DrillDown(a, b) }
 
 // ConceptsInCategory returns the category's canonical forms by document
-// frequency over the documents indexed at call time.
+// frequency over the documents added at call time.
 func (s *StreamIndex) ConceptsInCategory(category string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.ConceptsInCategory(category)
+	return s.current().ConceptsInCategory(category)
 }
 
 // FieldValues returns the distinct values of a structured field.
-func (s *StreamIndex) FieldValues(field string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ix.FieldValues(field)
-}
+func (s *StreamIndex) FieldValues(field string) []string { return s.current().FieldValues(field) }
 
-// Snapshot runs fn with a consistent read-only view of the current
-// index. The *Index must not be retained or mutated past fn's return —
-// writers resume as soon as fn exits.
-func (s *StreamIndex) Snapshot(fn func(ix *Index)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fn(s.ix)
-}
+// Snapshot runs fn with the sealed view over the documents added so far,
+// so that several queries answer over one document set. The view never
+// changes: a later Add makes a new one, and fn may keep it.
+func (s *StreamIndex) Snapshot(fn func(ix *Index)) { fn(s.current()) }
 
 // Seal ends the stream: further Adds panic, and the returned *Index
-// holds every document rebuilt in ID order (the package-level Seal), so
-// the result is identical no matter how pipeline scheduling interleaved
-// the Adds. Queries on the StreamIndex keep working against the sealed
-// contents. Seal is idempotent.
+// holds every document in ID order (the package-level Seal), so the
+// result is identical no matter how pipeline scheduling interleaved the
+// Adds. The documents are sealed themselves, once — a view a query made
+// over all of them already is that index. Queries on the StreamIndex
+// keep working against the sealed contents. Seal is idempotent.
 func (s *StreamIndex) Seal() *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sealed {
-		return s.ix
+	if !s.sealed {
+		s.sealed = true
+		if s.view == nil || s.view.Len() != len(s.docs) {
+			s.view = Seal(s.docs)
+		}
+		s.ids = nil
 	}
-	s.sealed = true
-	docs := make([]Document, 0, s.ix.Len())
-	for i, n := 0, s.ix.Len(); i < n; i++ {
-		docs = append(docs, s.ix.b.Doc(i))
-	}
-	s.ix = Seal(docs)
-	return s.ix
+	return s.view
 }
 
 // SealChecked is Seal plus the dead-letter accounting invariant: the

@@ -78,11 +78,7 @@ func queryFingerprint(t *testing.T, q interface {
 // the same documents.
 func TestStreamIndexMatchesBatchIndex(t *testing.T) {
 	docs := streamCorpus(3000)
-
-	batch := NewIndex()
-	for _, d := range docs {
-		batch.Add(d)
-	}
+	batch := InOrder(docs)
 
 	si := NewStreamIndex()
 	const workers = 8
@@ -214,6 +210,65 @@ func TestStreamIndexAddWhileQuery(t *testing.T) {
 	}
 	if si.Len() != len(docs) {
 		t.Fatalf("indexed %d docs, want %d", si.Len(), len(docs))
+	}
+}
+
+// TestStreamViewIsASnapshot: the view Snapshot hands out never changes.
+// A caller keeps it while writers Add concurrently; its Len and its
+// answers stay what they were, while a new query sees every document
+// added since.
+func TestStreamViewIsASnapshot(t *testing.T) {
+	docs := streamCorpus(400)
+	si := NewStreamIndex()
+	si.AddBatch(docs[:200])
+	var kept *Index
+	si.Snapshot(func(ix *Index) { kept = ix })
+	want := queryFingerprint(t, kept)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 200 + w; i < len(docs); i += 4 {
+				si.Add(docs[i])
+			}
+		}(w)
+	}
+	changed := make(chan string, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				if n := kept.Len(); n != 200 {
+					changed <- fmt.Sprintf("kept view's Len became %d", n)
+					return
+				}
+				if got := queryFingerprint(t, kept); got != want {
+					changed <- "kept view's answers changed:\n" + got
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(changed)
+	for msg := range changed {
+		t.Error(msg)
+	}
+	if n := kept.Len(); n != 200 {
+		t.Fatalf("kept view's Len is %d after the Adds, want 200", n)
+	}
+	if got := queryFingerprint(t, kept); got != want {
+		t.Fatalf("kept view's answers changed after the Adds:\n--- now ---\n%s--- then ---\n%s", got, want)
+	}
+
+	if got, want := si.Count(CategoryDim("color")), len(docs); got != want {
+		t.Fatalf("a new query counts %d documents, want %d", got, want)
+	}
+	if got, want := queryFingerprint(t, si), queryFingerprint(t, InOrder(docs)); got != want {
+		t.Fatalf("a new query misses added documents:\n--- stream ---\n%s--- batch ---\n%s", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 )
 
 // POST /v1/batch — many /v1 queries in one request, answered from one
@@ -130,9 +129,6 @@ func (s *Server) runBatchQuery(sn *snapshot, bq BatchQuery) BatchResult {
 // request itself parses; per-sub-query failures are carried inside
 // Results so one bad dimension does not void its siblings.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.handlerDelay > 0 {
-		time.Sleep(s.handlerDelay)
-	}
 	req, err := DecodeBatch(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

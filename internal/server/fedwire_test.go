@@ -215,7 +215,7 @@ func TestMarginalEndpointsMatchDirectIndex(t *testing.T) {
 		t.Run(fmt.Sprintf("world-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			docs := voctest.NewWorld(seed, 60+int(seed)*70).Docs
-			ix := batchIndex(docs)
+			ix := voctest.Index(docs)
 			s := startServer(t, Config{Source: sliceSource(docs)})
 			waitIngestDone(t, s)
 			base := "http://" + s.Addr()

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"time"
 
 	"bivoc/internal/mining"
 	"bivoc/internal/pipeline"
@@ -310,9 +309,6 @@ func (s *Server) answer(sn *snapshot, key string, render func(sn *snapshot) ([]b
 
 // respond answers one GET from the current snapshot through answer.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, render func(sn *snapshot) ([]byte, error)) {
-	if s.handlerDelay > 0 {
-		time.Sleep(s.handlerDelay)
-	}
 	sn := s.snap.Load()
 	w.Header().Set(GenerationHeader, strconv.FormatUint(sn.gen, 10))
 	cb, status, err := s.answer(sn, key, render)

@@ -300,7 +300,7 @@ func TestMappedDrillDownDecodesLimit(t *testing.T) {
 	var heap, mapped []*mining.Index
 	decoded := make([]*atomic.Int64, nsegs)
 	for k := 0; k < nsegs; k++ {
-		seg := batchIndex(docs[k*len(docs)/nsegs : (k+1)*len(docs)/nsegs])
+		seg := voctest.Index(docs[k*len(docs)/nsegs : (k+1)*len(docs)/nsegs])
 		path := filepath.Join(dir, fmt.Sprintf("seg-%d.seg", k))
 		if err := os.WriteFile(path, store.EncodeSegment(seg), 0o644); err != nil {
 			t.Fatal(err)
@@ -312,7 +312,6 @@ func TestMappedDrillDownDecodesLimit(t *testing.T) {
 		t.Cleanup(func() { m.Close() })
 		decoded[k] = new(atomic.Int64)
 		ix := mining.FromBacking(countingBacking{Backing: m, decoded: decoded[k]})
-		ix.Prepare()
 		heap, mapped = append(heap, seg), append(mapped, ix)
 	}
 	heapSet, mappedSet := mining.NewSegmentSet(heap...), mining.NewSegmentSet(mapped...)

@@ -146,7 +146,7 @@ func TestPersistSealWritesSegmentAndResetsWAL(t *testing.T) {
 	}
 	defer m.Close()
 	ix := mining.FromBacking(m)
-	want := batchIndex(docs)
+	want := voctest.Index(docs)
 	if ix.Len() != want.Len() {
 		t.Fatalf("segment decoded to %d docs, want %d", ix.Len(), want.Len())
 	}

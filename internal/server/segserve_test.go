@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,6 +84,39 @@ func TestCompactionBoundsSegmentsAndPreservesAnswers(t *testing.T) {
 	if statsz.Segments.Count != len(segDocs) || statsz.Segments.MaxSegments != maxSegs || statsz.Segments.Compactions == 0 {
 		t.Errorf("statsz segments section = %+v, want count %d under bound %d with compactions > 0",
 			statsz.Segments, len(segDocs), maxSegs)
+	}
+}
+
+// TestSmallestSegments pins the compaction's choice of victims: the k
+// segments with the fewest documents, a tie going to the older segment,
+// returned ascending by index.
+func TestSmallestSegments(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+		k     int
+		want  []int
+	}{
+		{"ties go to the older segment", []int{5, 3, 3, 7, 3}, 2, []int{1, 2}},
+		{"a tie across the cut", []int{4, 2, 9, 4, 4}, 3, []int{0, 1, 3}},
+		{"k is the segment count", []int{8, 1, 6}, 3, []int{0, 1, 2}},
+		{"all sizes equal", []int{2, 2, 2, 2}, 2, []int{0, 1}},
+		{"sorted ascending, not by size", []int{9, 6, 1, 8, 2}, 3, []int{1, 2, 4}},
+	} {
+		segs := make([]segment, len(tc.sizes))
+		next := 0
+		for i, n := range tc.sizes {
+			docs := make([]mining.Document, n)
+			for j := range docs {
+				docs[j] = voctest.ParityDoc(next)
+				next++
+			}
+			segs[i] = segment{ix: mining.Seal(docs)}
+		}
+		if got := smallestSegments(segs, tc.k); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: smallestSegments(%v, %d) = %v, want %v", tc.name, tc.sizes, tc.k, got, tc.want)
+		}
 	}
 }
 

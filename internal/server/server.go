@@ -18,7 +18,7 @@
 // A background ingest loop drives the streaming pipeline and
 // accumulates newly arrived documents in a pending buffer. On a
 // configurable cadence it seals just that buffer into a new immutable
-// segment (a sealed, Prepared *mining.Index) and publishes a snapshot
+// segment (a sealed *mining.Index) and publishes a snapshot
 // whose view is a mining.SegmentSet fanning queries in across all live
 // segments — counts, trends and drill-downs merge additively, and
 // association tables re-derive Wilson intervals from merged integer
@@ -39,6 +39,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -142,7 +143,7 @@ type snapshot struct {
 	cache  lruCache
 }
 
-// segment is one live immutable segment: a sealed, Prepared index plus
+// segment is one live immutable segment: a sealed index plus
 // the on-disk generation backing it (0 while it lives only in RAM —
 // either persistence is off, or the write failed and degraded mode is
 // on).
@@ -194,10 +195,6 @@ type Server struct {
 	// the durable document ID skip set and the recovery summary.
 	recIDs  map[string]bool
 	recInfo recoveryInfo
-
-	// handlerDelay pads every /v1 handler; test hook for exercising the
-	// graceful drain with genuinely in-flight requests.
-	handlerDelay time.Duration
 }
 
 // recoveryInfo summarizes what a warm start adopted from disk, for
@@ -307,7 +304,7 @@ func (s *Server) publishPending(sealed, persist bool) {
 	}
 	if len(batch) > 0 {
 		// The drained batch is this function's alone, so mining.Seal may
-		// sort it in place: one build, in ID order, Prepared, and a panic
+		// sort it in place: one build, in ID order, and a panic
 		// if the source delivered an ID twice.
 		seg := segment{ix: mining.Seal(batch)}
 		if persist && s.cfg.Persist != nil {
@@ -423,24 +420,9 @@ func smallestSegments(segs []segment, k int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 0; i < k; i++ {
-		min := i
-		for j := i + 1; j < len(idx); j++ {
-			a, b := segs[idx[j]], segs[idx[min]]
-			if a.ix.Len() < b.ix.Len() || (a.ix.Len() == b.ix.Len() && idx[j] < idx[min]) {
-				min = j
-			}
-		}
-		idx[i], idx[min] = idx[min], idx[i]
-	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(segs[a].ix.Len(), segs[b].ix.Len()) })
 	out := idx[:k]
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -14,14 +14,6 @@ import (
 	"bivoc/internal/voctest"
 )
 
-// batchIndex is the ground truth the snapshots must match: one plain
-// index over the same documents, built by Add alone.
-func batchIndex(docs []mining.Document) *mining.Index {
-	ix := voctest.Index(docs)
-	ix.Prepare()
-	return ix
-}
-
 // oracleBodies renders what a sealed daemon at generation gen over docs
 // must answer to each /v1 query of a battery: the endpoint table's
 // Plan.Local over the naive view of one monolithic index, marshalled in
@@ -134,7 +126,7 @@ func TestEndpointsMatchDirectIndex(t *testing.T) {
 	s := startServer(t, Config{Source: sliceSource(docs)})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
-	ix := batchIndex(docs)
+	ix := voctest.Index(docs)
 	gen, n, sealed := s.SnapshotInfo()
 	if !sealed || n != len(docs) {
 		t.Fatalf("final snapshot gen=%d docs=%d sealed=%v, want %d sealed docs", gen, n, sealed, len(docs))
@@ -342,7 +334,7 @@ func TestMidIngestSnapshotMatchesBatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	ix := batchIndex(docs[:firstBatch])
+	ix := voctest.Index(docs[:firstBatch])
 	dim := mining.FieldDim("outcome", "reservation")
 	var got CountResponse
 	body := getOK(t, base+"/v1/count?"+url.Values{"dim": {dim.Label()}}.Encode(), &got)
@@ -362,7 +354,7 @@ func TestMidIngestSnapshotMatchesBatch(t *testing.T) {
 	close(feed)
 	waitIngestDone(t, s)
 
-	full := batchIndex(docs)
+	full := voctest.Index(docs)
 	var got2 CountResponse
 	getOK(t, base+"/v1/count?"+url.Values{"dim": {dim.Label()}}.Encode(), &got2)
 	if !got2.Sealed || got2.Total != full.Len() || got2.Counts[0] != full.Count(dim) {

@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"time"
 
 	"bivoc/internal/wire"
 )
@@ -212,9 +211,6 @@ func ReadShardFrame(b []byte) (ShardFrame, error) {
 // with its partial, cached in the snapshot LRU under the plan's partial
 // key, and the reply is one frame.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	if s.handlerDelay > 0 {
-		time.Sleep(s.handlerDelay)
-	}
 	queries, err := readShardRequest(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

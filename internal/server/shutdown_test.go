@@ -18,8 +18,9 @@ import (
 // TestGracefulShutdownDrainsInFlight proves the shutdown contract: once
 // Shutdown is called, requests already accepted run to completion (no
 // request dropped mid-flight), the ingest loop stops cleanly, and
-// Shutdown returns without error. handlerDelay pads every handler so
-// requests are genuinely in flight when the drain begins.
+// Shutdown returns without error. The test wraps the server's handler in
+// one that sleeps before serving, so requests are genuinely in flight
+// when the drain begins.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// A source that trickles forever until cancelled: shutdown must stop
 	// it via context, not by exhausting it.
@@ -39,7 +40,11 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.handlerDelay = 20 * time.Millisecond
+	mux := s.mux
+	s.mux = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(20 * time.Millisecond)
+		mux.ServeHTTP(w, r)
+	})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Error(f)
 	}
 	if drained == 0 {
-		t.Error("no request straddled the shutdown — drain path not exercised; raise handlerDelay")
+		t.Error("no request straddled the shutdown — drain path not exercised; raise the handler's sleep")
 	}
 	if err := s.IngestErr(); err != nil {
 		t.Errorf("shutdown-initiated cancellation surfaced as ingest error: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bivoc/internal/mining"
@@ -203,6 +204,53 @@ func TestManifestMissingFallsBack(t *testing.T) {
 	rec := st2.Recovered()
 	if len(rec.Segments) != 1 || rec.SegmentGen != 1 || rec.SegmentDocs != 50 {
 		t.Fatalf("manifest-less recovery = %d segments, gen %d, %d docs; want one, gen 1 with 50", len(rec.Segments), rec.SegmentGen, rec.SegmentDocs)
+	}
+}
+
+// TestManifestMalformedFailsOpen: a MANIFEST that exists but does not
+// parse — a wrong header, a generation that is not a number — fails Open
+// with a corruption error naming the file, instead of serving one
+// segment file of the lineage and naming nothing of the rest.
+func TestManifestMalformedFailsOpen(t *testing.T) {
+	t.Parallel()
+	for name, manifest := range map[string]string{
+		"header":     "BVMF 2\n1\n2\n3\n",
+		"generation": "BVMF 1\n1\nx2\n3\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			st, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ix := range segmentBatches(voctest.NewWorld(31, 60).Docs, 20) {
+				if _, err := st.AppendSegment(ix); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.ResetWAL(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, mapped := range []bool{false, true} {
+				st, err := Open(dir, Options{MapSegments: mapped})
+				if err == nil {
+					rec := st.Recovered()
+					st.Close()
+					t.Fatalf("mapped=%v: Open over a malformed MANIFEST succeeded with %d segments, %d documents, skipped %v",
+						mapped, len(rec.Segments), rec.SegmentDocs, rec.SkippedSegments)
+				}
+				if !IsCorrupt(err) || !strings.Contains(err.Error(), "MANIFEST") {
+					t.Fatalf("mapped=%v: Open error %q does not satisfy IsCorrupt naming MANIFEST", mapped, err)
+				}
+			}
+		})
 	}
 }
 

@@ -45,7 +45,6 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 	}
 	defer m.Close()
 	mapped := mining.FromBacking(m)
-	mapped.Prepare()
 
 	naive := w.Index().Naive()
 	voctest.CheckQueriers(t, mapped, naive, w) // cold postings cache and memo
@@ -73,13 +72,12 @@ func TestMappedSegmentEquivalence(t *testing.T) {
 }
 
 // TestMappedOracleEquivalence holds the mapped backing to the oracle
-// without the sealed-index caches: an index over the mapping that was
-// never Prepared answers by scanning the backing's vocabulary and
-// decoding postings on every touch, and must still say what the naive
-// view of the heap index says. So must the naive view taken over the
-// mapping itself (Index.Naive reads whatever backing the index has) —
-// the mapped reader under an engine that shares no access pattern with
-// the fast path.
+// without the index's prepared structures: the naive view taken over the
+// mapping itself (Index.Naive reads whatever backing the index has)
+// scans the backing's vocabulary and decodes postings on every touch,
+// and must still say what the naive view of the heap index says — the
+// mapped reader under an engine that shares no access pattern with the
+// fast path.
 func TestMappedOracleEquivalence(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(22, 150)
@@ -91,7 +89,6 @@ func TestMappedOracleEquivalence(t *testing.T) {
 	}
 	defer m.Close()
 	naive := w.Index().Naive()
-	voctest.CheckQueriers(t, mining.FromBacking(m), naive, w)
 	voctest.CheckQueriers(t, mining.FromBacking(m).Naive(), naive, w)
 	if err := m.Err(); err != nil {
 		t.Fatalf("sticky error after clean queries: %v", err)
@@ -116,9 +113,7 @@ func TestMappedSegmentsOfOneTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { m.Close() })
-		mapped := mining.FromBacking(m)
-		mapped.Prepare()
-		return mapped
+		return mining.FromBacking(m)
 	}
 	var segs []*mining.Index
 	for i, seg := range w.Segments(k) {
@@ -437,7 +432,6 @@ func TestMappedHotQueryAllocs(t *testing.T) {
 	}
 	defer m.Close()
 	mapped := mining.FromBacking(m)
-	mapped.Prepare()
 
 	dim := w.Dims[11]           // a conjunction of two leaves
 	if mapped.Count(dim) == 0 { // warm: decodes + conjunction memo

@@ -40,17 +40,16 @@ func (o Options) syncEvery() int {
 	return o.SyncEvery
 }
 
-// RecoveredSegment is one live segment Open loaded from disk, already
-// Prepared and query-ready.
+// RecoveredSegment is one live segment Open loaded from disk, query-ready.
 type RecoveredSegment struct {
 	Gen   uint64
 	Index *mining.Index
 }
 
 // Recovery is what Open reconstructed from the data directory: the
-// live segments named by the manifest (already Prepared, so they can be
-// published and queried immediately) and the WAL tail of documents
-// ingested after they were written, deduplicated against them.
+// live segments named by the manifest (ready to be published and
+// queried immediately) and the WAL tail of documents ingested after
+// they were written, deduplicated against them.
 type Recovery struct {
 	// Segments are the recovered live segments, ascending by generation.
 	Segments []RecoveredSegment
@@ -158,9 +157,10 @@ type Store struct {
 // removes orphaned temp files from interrupted segment writes, loads
 // the live segment lineage named by the manifest (falling back to the
 // newest readable segment file when the manifest is absent or its
-// segments are damaged), replays the WAL tail, truncates any torn
-// record, and leaves the WAL open for append. The recovered state is
-// available via Recovered.
+// segments are damaged; a manifest that does not parse fails the open,
+// see loadManifest), replays the WAL tail, truncates any torn record,
+// and leaves the WAL open for append. The recovered state is available
+// via Recovered.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
@@ -186,8 +186,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Prefer the manifest's live lineage; a generation it names that is
 	// unreadable is recorded and skipped (its documents survive in the
 	// WAL unless a seal already superseded them).
+	live, err := s.loadManifest()
+	if err != nil {
+		return nil, err
+	}
 	tried := map[uint64]bool{}
-	for _, gen := range s.loadManifest() {
+	for _, gen := range live {
 		tried[gen] = true
 		path := s.segmentPath(gen)
 		ix, size, m, err := s.openSegment(path)
@@ -271,8 +275,8 @@ func (s *Store) adopt(rec *Recovery, gen uint64, path string, ix *mining.Index, 
 	s.segments = append(s.segments, segMeta{gen: gen, path: path, bytes: size, docs: ix.Len(), mapped: m})
 }
 
-// openSegment opens one segment file through the segment reader into a
-// Prepared index, the way the store is configured: mapped (zero-copy,
+// openSegment opens one segment file through the segment reader into an
+// index, the way the store is configured: mapped (zero-copy,
 // lazy; the mapping kept for Close) when MapSegments is on, else read
 // whole and materialized onto the heap. Either way one reader parses the
 // bytes, so there is nothing to fall back to: the materializing open
@@ -289,7 +293,6 @@ func (s *Store) openSegment(path string) (*mining.Index, int64, *Mapped, error) 
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		ix.Prepare()
 		return ix, int64(len(data)), nil, nil
 	}
 	m, err := OpenMapped(path, s.cache)
@@ -299,9 +302,7 @@ func (s *Store) openSegment(path string) (*mining.Index, int64, *Mapped, error) 
 	s.mu.Lock()
 	s.mappings = append(s.mappings, m)
 	s.mu.Unlock()
-	ix := mining.FromBacking(m)
-	ix.Prepare()
-	return ix, m.Bytes(), m, nil
+	return mining.FromBacking(m), m.Bytes(), m, nil
 }
 
 // MapSegment reopens a live generation through the mapped reader —
@@ -429,31 +430,39 @@ func (s *Store) manifestPath() string { return filepath.Join(s.dir, "MANIFEST") 
 const manifestHeader = "BVMF 1"
 
 // loadManifest returns the live generations the manifest names,
-// ascending, or nil when the manifest is missing or malformed (the
-// caller then falls back to the newest-readable-file scan).
-func (s *Store) loadManifest() []uint64 {
-	data, err := os.ReadFile(s.manifestPath())
+// ascending, or nil when there is no manifest (the caller then falls back
+// to the newest-readable-file scan). A manifest that exists but does not
+// parse fails with an error that satisfies IsCorrupt: its lineage is
+// unknown, and serving whatever segment file reads best would drop the
+// rest of it without a word — the rule a WAL record that passes its CRC
+// and does not parse follows too.
+func (s *Store) loadManifest() ([]uint64, error) {
+	path := s.manifestPath()
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("store: reading manifest: %w", err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != manifestHeader {
-		return nil
+	if header := strings.TrimSpace(lines[0]); header != manifestHeader {
+		return nil, fmt.Errorf("store: %s: %w: header %q, want %q", path, errCorrupt, header, manifestHeader)
 	}
 	var gens []uint64
-	for _, line := range lines[1:] {
+	for i, line := range lines[1:] {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		gen, err := strconv.ParseUint(line, 10, 64)
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("store: %s: %w: line %d: generation %q", path, errCorrupt, i+2, line)
 		}
 		gens = append(gens, gen)
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens
+	return gens, nil
 }
 
 // writeManifest atomically replaces the live lineage.
@@ -465,23 +474,15 @@ func (s *Store) writeManifest(gens []uint64) error {
 		b.WriteString(strconv.FormatUint(g, 10))
 		b.WriteByte('\n')
 	}
-	path := s.manifestPath()
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, []byte(b.String())); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing manifest: %w", err)
-	}
-	return syncDir(s.dir)
+	return s.publishFile(s.manifestPath(), "manifest", []byte(b.String()))
 }
 
-// writeSegmentFile atomically writes one segment file: temp file,
-// fsync, rename into place, fsync the directory.
-func (s *Store) writeSegmentFile(gen uint64, data []byte) error {
-	path := s.segmentPath(gen)
+// publishFile atomically replaces the file at path with data: a temp
+// file written and fsynced, renamed into place, the directory fsynced.
+// The temp file is removed when a step fails; what names the file in the
+// error of the rename. Every segment and manifest the store writes goes
+// through here.
+func (s *Store) publishFile(path, what string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := writeFileSync(tmp, data); err != nil {
 		os.Remove(tmp)
@@ -489,7 +490,7 @@ func (s *Store) writeSegmentFile(gen uint64, data []byte) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: publishing segment: %w", err)
+		return fmt.Errorf("store: publishing %s: %w", what, err)
 	}
 	return syncDir(s.dir)
 }
@@ -527,7 +528,7 @@ func (s *Store) ReplaceSegments(removed []uint64, ix *mining.Index) (Stats, erro
 	live = append(live, gen)
 	s.mu.Unlock()
 
-	if err := s.writeSegmentFile(gen, data); err != nil {
+	if err := s.publishFile(s.segmentPath(gen), "segment", data); err != nil {
 		return Stats{}, err
 	}
 	if err := s.writeManifest(live); err != nil {

@@ -12,7 +12,7 @@ import (
 	"bivoc/internal/voctest"
 )
 
-// sealedIndex builds the sealed, Prepared index over docs — the object
+// sealedIndex builds the sealed index over docs — the object
 // segments persist.
 func sealedIndex(docs []mining.Document) *mining.Index {
 	si := mining.NewStreamIndex()
@@ -37,7 +37,6 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Prepare()
 	voctest.CheckQueriers(t, got, w.Index().Naive(), w)
 }
 

@@ -13,9 +13,11 @@ import (
 // from got exactly what it returns from want — deeply equal, so bit for
 // bit on floats and with nil told from empty, except that a limited
 // drill-down may say "no documents" either way and that a document
-// without fields may hold a nil or an empty map (AsStored). want is the naive view of
-// one monolithic index over the world's documents; got is whatever is on
-// trial: a raw, Prepared or live index, a segment set, a mapped backing.
+// without fields may hold a nil or an empty map (AsStored). want is the
+// naive view of one monolithic index over the world's documents; got is
+// whatever is on trial: a sealed index with a cold or a warm conjunction
+// memo, one built in arrival order, a stream's view, a segment set, a
+// mapped backing.
 // The first divergence is reported through tb.Errorf and ends the
 // comparison.
 func CheckQueriers(tb testing.TB, got, want mining.Querier, w *World) {

@@ -94,7 +94,6 @@ func TestCheckQueriersDetectsDivergence(t *testing.T) {
 	t.Parallel()
 	w := voctest.NewWorld(20210, 150)
 	ix := w.Index()
-	ix.Prepare()
 	naive := ix.Naive()
 
 	// The victims: a conjunction with documents, and a pair whose cell is

@@ -296,18 +296,14 @@ func randomTree(rng *rand.Rand, depth int) mining.Dim {
 	return mining.AndDim(children...)
 }
 
-// Index returns a monolithic index over docs, added in the order given
-// and not Prepared. Its Naive view is the oracle of every suite.
+// Index returns the monolithic index mining.Seal builds over a copy of
+// docs (the slice given is left as it is). Its Naive view is the oracle
+// of every suite.
 func Index(docs []mining.Document) *mining.Index {
-	ix := mining.NewIndex()
-	for _, d := range docs {
-		ix.Add(d)
-	}
-	return ix
+	return mining.Seal(append([]mining.Document(nil), docs...))
 }
 
-// Index is the monolithic index over the world's documents in arrival
-// order.
+// Index is the monolithic index over the world's documents.
 func (w *World) Index() *mining.Index { return Index(w.Docs) }
 
 // DocsByID returns a copy of the world's documents sorted by ID.
@@ -318,20 +314,18 @@ func (w *World) DocsByID() []mining.Document {
 }
 
 // Segments deals the world's documents, in ID order, round-robin into k
-// Prepared segments. Round-robin interleaves IDs across segments, so a
+// sealed segments. Round-robin interleaves IDs across segments, so a
 // document's position in its segment never coincides with its position in
 // the monolithic index — the harshest layout for fan-in bugs. A k past
 // the document count leaves the last segments empty.
 func (w *World) Segments(k int) []*mining.Index {
-	segs := make([]*mining.Index, k)
-	for i := range segs {
-		segs[i] = mining.NewIndex()
-	}
+	parts := make([][]mining.Document, k)
 	for i, d := range w.DocsByID() {
-		segs[i%k].Add(d)
+		parts[i%k] = append(parts[i%k], d)
 	}
-	for _, ix := range segs {
-		ix.Prepare()
+	segs := make([]*mining.Index, k)
+	for i, docs := range parts {
+		segs[i] = mining.Seal(docs)
 	}
 	return segs
 }
