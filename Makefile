@@ -56,6 +56,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireReader$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDigitLCS$$' -fuzztime 10s ./internal/fuzzy
 	$(GO) test -run '^$$' -fuzz '^FuzzWords$$' -fuzztime 10s ./internal/textproc
+	$(GO) test -run '^$$' -fuzz '^FuzzNoiseApply$$' -fuzztime 10s ./internal/noise
+	$(GO) test -run '^$$' -fuzz '^FuzzNaiveBayesScorer$$' -fuzztime 10s ./internal/classify
 
 # The repository's benchmark, declared in BENCHMARK.json: five workloads,
 # five end-to-end metrics and the per-layer budget, printed by

@@ -48,8 +48,12 @@ func Featurize(text string) []string {
 
 // Predictor is a churn classifier with an adjustable decision threshold
 // for imbalanced data.
+//
+// Score compiles the model on its first call after a Train, so a
+// Predictor is not safe for concurrent use until it has scored once.
 type Predictor struct {
-	nb *classify.NaiveBayes
+	nb     *classify.NaiveBayes
+	scorer *classify.Scorer // nb compiled, or nil once Train has changed it
 	// Threshold is the churn-posterior cut; with 3-8% positive rates the
 	// operating point sits well below 0.5.
 	Threshold float64
@@ -71,6 +75,7 @@ func (p *Predictor) Train(text string, churner bool) {
 		label = LabelChurn
 	}
 	p.nb.Train(label, Featurize(text))
+	p.scorer = nil
 }
 
 // Trained reports whether any messages were seen.
@@ -78,7 +83,10 @@ func (p *Predictor) Trained() bool { return p.nb.Trained() }
 
 // Score returns the churn posterior for a message.
 func (p *Predictor) Score(text string) float64 {
-	return p.nb.Posteriors(Featurize(text))[LabelChurn]
+	if p.scorer == nil {
+		p.scorer = p.nb.Compile()
+	}
+	return p.scorer.Posterior(Featurize(text), LabelChurn)
 }
 
 // Predict reports whether the message indicates a churner at the current

@@ -54,41 +54,92 @@ func (nb *NaiveBayes) Train(class string, tokens []string) {
 // Trained reports whether any documents have been seen.
 func (nb *NaiveBayes) Trained() bool { return nb.totalDocs > 0 }
 
-// LogPosteriors returns the unnormalized log-posterior per class.
-func (nb *NaiveBayes) LogPosteriors(tokens []string) map[string]float64 {
-	out := make(map[string]float64, len(nb.classes))
-	v := float64(len(nb.vocab))
-	for i, class := range nb.classes {
-		lp := math.Log(float64(nb.docCounts[i]) / float64(nb.totalDocs))
-		denom := float64(nb.totalWords[i]) + v
-		for _, tok := range tokens {
-			c := float64(nb.wordCounts[i][tok])
-			lp += math.Log((c + 1) / denom)
-		}
-		out[class] = lp
-	}
-	return out
+// Scorer is a trained NaiveBayes frozen into a table: each class's log
+// prior, and each vocabulary token's per-class log likelihood. It scores
+// a document with one map lookup per token, and is safe for concurrent
+// use.
+type Scorer struct {
+	classIdx map[string]int
+	prior    []float64 // per class
+	// terms holds one row of len(prior) per vocabulary token, at the
+	// offset row names; unseen is the row of a token not in the
+	// vocabulary.
+	terms  []float64
+	row    map[string]int
+	unseen []float64
 }
 
-// Posteriors returns normalized class probabilities.
-func (nb *NaiveBayes) Posteriors(tokens []string) map[string]float64 {
-	logs := nb.LogPosteriors(tokens)
+// Compile freezes the model as it is now; training it further leaves the
+// Scorer unchanged. Every value is the expression the model's posterior
+// has always been computed with, so a Scorer sums, per class, the same
+// values in the same order.
+func (nb *NaiveBayes) Compile() *Scorer {
+	k := len(nb.classes)
+	s := &Scorer{
+		classIdx: make(map[string]int, k),
+		prior:    make([]float64, k),
+		terms:    make([]float64, 0, k*len(nb.vocab)),
+		row:      make(map[string]int, len(nb.vocab)),
+		unseen:   make([]float64, k),
+	}
+	v := float64(len(nb.vocab))
+	denom := make([]float64, k)
+	for i, class := range nb.classes {
+		s.classIdx[class] = i
+		s.prior[i] = math.Log(float64(nb.docCounts[i]) / float64(nb.totalDocs))
+		denom[i] = float64(nb.totalWords[i]) + v
+		s.unseen[i] = math.Log(1 / denom[i])
+	}
+	for tok := range nb.vocab {
+		s.row[tok] = len(s.terms)
+		for i := range nb.classes {
+			c := float64(nb.wordCounts[i][tok])
+			s.terms = append(s.terms, math.Log((c+1)/denom[i]))
+		}
+	}
+	return s
+}
+
+// Posterior returns the normalized probability of class for the tokens,
+// or 0 for a class the model was never trained on. It allocates nothing
+// for a model of up to four classes.
+func (s *Scorer) Posterior(tokens []string, class string) float64 {
+	want, ok := s.classIdx[class]
+	if !ok {
+		return 0
+	}
+	var buf [4]float64
+	lp := s.logPosteriors(tokens, buf[:0])
 	// Log-sum-exp normalization.
 	max := math.Inf(-1)
-	for _, lp := range logs {
-		if lp > max {
-			max = lp
+	for _, l := range lp {
+		if l > max {
+			max = l
 		}
 	}
 	total := 0.0
-	for _, lp := range logs {
-		total += math.Exp(lp - max)
+	for _, l := range lp {
+		total += math.Exp(l - max)
 	}
-	out := make(map[string]float64, len(logs))
-	for c, lp := range logs {
-		out[c] = math.Exp(lp-max) / total
+	return math.Exp(lp[want]-max) / total
+}
+
+// logPosteriors appends each class's unnormalized log posterior to lp:
+// its prior plus its term of every token, in token order.
+func (s *Scorer) logPosteriors(tokens []string, lp []float64) []float64 {
+	n := len(lp)
+	lp = append(lp, s.prior...)
+	sums := lp[n:]
+	for _, tok := range tokens {
+		terms := s.unseen
+		if at, ok := s.row[tok]; ok {
+			terms = s.terms[at : at+len(sums)]
+		}
+		for i, t := range terms {
+			sums[i] += t
+		}
 	}
-	return out
+	return lp
 }
 
 // TopFeatures returns the n tokens with the highest log-odds for the

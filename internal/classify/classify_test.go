@@ -31,20 +31,63 @@ func trainToy(t *testing.T) *NaiveBayes {
 	return nb
 }
 
-func TestPredictSeparatesClasses(t *testing.T) {
-	nb := trainToy(t)
-	if post := nb.Posteriors(strings.Fields("claim your free prize money now")); post["spam"] <= post["ham"] {
-		t.Errorf("spam scored %v", post)
+// LogPosteriors returns the unnormalized log-posterior per class,
+// computed from the model's counts on every call. It and Posteriors are
+// the oracle a compiled Scorer is held to (TestScorerMatchesPosteriors,
+// FuzzNaiveBayesScorer).
+func (nb *NaiveBayes) LogPosteriors(tokens []string) map[string]float64 {
+	out := make(map[string]float64, len(nb.classes))
+	v := float64(len(nb.vocab))
+	for i, class := range nb.classes {
+		lp := math.Log(float64(nb.docCounts[i]) / float64(nb.totalDocs))
+		denom := float64(nb.totalWords[i]) + v
+		for _, tok := range tokens {
+			c := float64(nb.wordCounts[i][tok])
+			lp += math.Log((c + 1) / denom)
+		}
+		out[class] = lp
 	}
-	if post := nb.Posteriors(strings.Fields("my account bill is wrong")); post["ham"] <= post["spam"] {
-		t.Errorf("ham scored %v", post)
+	return out
+}
+
+// Posteriors returns normalized class probabilities.
+func (nb *NaiveBayes) Posteriors(tokens []string) map[string]float64 {
+	logs := nb.LogPosteriors(tokens)
+	// Log-sum-exp normalization.
+	max := math.Inf(-1)
+	for _, lp := range logs {
+		if lp > max {
+			max = lp
+		}
+	}
+	total := 0.0
+	for _, lp := range logs {
+		total += math.Exp(lp - max)
+	}
+	out := make(map[string]float64, len(logs))
+	for c, lp := range logs {
+		out[c] = math.Exp(lp-max) / total
+	}
+	return out
+}
+
+func TestPredictSeparatesClasses(t *testing.T) {
+	s := trainToy(t).Compile()
+	for _, tc := range []struct{ text, want, other string }{
+		{"claim your free prize money now", "spam", "ham"},
+		{"my account bill is wrong", "ham", "spam"},
+	} {
+		toks := strings.Fields(tc.text)
+		if want, other := s.Posterior(toks, tc.want), s.Posterior(toks, tc.other); want <= other {
+			t.Errorf("%q scored %s %v, %s %v", tc.text, tc.want, want, tc.other, other)
+		}
 	}
 }
 
 func TestPredictUntrained(t *testing.T) {
 	nb := NewNaiveBayes()
-	if post := nb.Posteriors([]string{"x"}); len(post) != 0 {
-		t.Errorf("untrained classifier scored %v", post)
+	if p := nb.Compile().Posterior([]string{"x"}, "spam"); p != 0 {
+		t.Errorf("untrained classifier scored %v", p)
 	}
 	if nb.Trained() {
 		t.Error("untrained reports trained")
@@ -52,15 +95,15 @@ func TestPredictUntrained(t *testing.T) {
 }
 
 func TestPosteriorsNormalized(t *testing.T) {
-	nb := trainToy(t)
+	s := trainToy(t).Compile()
 	f := func(words []string) bool {
 		toks := make([]string, 0, len(words)%6)
 		for i := 0; i < len(words)%6; i++ {
 			toks = append(toks, words[i])
 		}
-		post := nb.Posteriors(toks)
 		sum := 0.0
-		for _, p := range post {
+		for _, class := range []string{"spam", "ham"} {
+			p := s.Posterior(toks, class)
 			if p < 0 || p > 1 || math.IsNaN(p) {
 				return false
 			}
@@ -74,12 +117,11 @@ func TestPosteriorsNormalized(t *testing.T) {
 }
 
 func TestUnknownTokensNeutral(t *testing.T) {
-	nb := trainToy(t)
-	post := nb.Posteriors([]string{"zzzz", "qqqq"})
+	p := trainToy(t).Compile().Posterior([]string{"zzzz", "qqqq"}, "spam")
 	// With equal doc counts, unknown-only documents should be near the
 	// priors (1/2 each).
-	if math.Abs(post["spam"]-0.5) > 0.1 {
-		t.Errorf("unknown-token posterior %v should be near prior", post)
+	if math.Abs(p-0.5) > 0.1 {
+		t.Errorf("unknown-token posterior %v should be near prior", p)
 	}
 }
 

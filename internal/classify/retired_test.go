@@ -24,8 +24,7 @@ func (nb *NaiveBayes) Classes() []string {
 // never flag a churner; lowering the threshold trades precision for the
 // churner recall the business cares about.
 func (nb *NaiveBayes) PredictWithThreshold(tokens []string, positiveClass string, threshold float64, fallback string) string {
-	post := nb.Posteriors(tokens)
-	if post[positiveClass] >= threshold {
+	if nb.Compile().Posterior(tokens, positiveClass) >= threshold {
 		return positiveClass
 	}
 	return fallback
@@ -89,10 +88,10 @@ func (e *Evaluation) F1() float64 {
 func TestPredictWithThreshold(t *testing.T) {
 	nb := trainToy(t)
 	toks := strings.Fields("money now")
-	post := nb.Posteriors(toks)
+	p := nb.Compile().Posterior(toks, "spam")
 	// With threshold above the posterior → fallback; below → positive.
-	hi := nb.PredictWithThreshold(toks, "spam", post["spam"]+0.01, "ham")
-	lo := nb.PredictWithThreshold(toks, "spam", post["spam"]-0.01, "ham")
+	hi := nb.PredictWithThreshold(toks, "spam", p+0.01, "ham")
+	lo := nb.PredictWithThreshold(toks, "spam", p-0.01, "ham")
 	if hi != "ham" || lo != "spam" {
 		t.Errorf("threshold behaviour wrong: hi=%q lo=%q", hi, lo)
 	}

@@ -52,7 +52,9 @@ func (v Verdict) String() string {
 // Cleaner bundles the spam filter, language filter and normalization
 // dictionaries.
 type Cleaner struct {
-	spam        *classify.NaiveBayes
+	spam *classify.NaiveBayes
+	// spamScore is spam compiled once its seed corpora are trained.
+	spamScore   *classify.Scorer
 	lingo       map[string]string
 	hindiMarker map[string]bool
 	// NonEnglishThreshold is the fraction of marker/unknown tokens above
@@ -93,6 +95,7 @@ func NewCleaner() *Cleaner {
 	for _, s := range hamSeedCorpus {
 		c.spam.Train("ham", textproc.Words(s))
 	}
+	c.spamScore = c.spam.Compile()
 	for _, w := range noise.HindiMarkers() {
 		c.hindiMarker[w] = true
 	}
@@ -113,8 +116,7 @@ func (c *Cleaner) gate(words []string) Verdict {
 	if c.nonEnglishFraction(words) > c.NonEnglishThreshold {
 		return VerdictNonEnglish
 	}
-	post := c.spam.Posteriors(words)
-	if post["spam"] >= c.SpamThreshold {
+	if c.spamScore.Posterior(words, "spam") >= c.SpamThreshold {
 		return VerdictSpam
 	}
 	return VerdictKeep

@@ -63,11 +63,13 @@ func TestGateTrainable(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.spam.Train("spam", textproc.Words(novel))
 	}
+	c.spamScore = c.spam.Compile()
 	if v := c.Gate(novel); v != VerdictSpam {
 		t.Errorf("trained spam still gated as %v", v)
 	}
 	c2 := NewCleaner()
 	c2.spam.Train("ham", textproc.Words("my flux capacitor bill is wrong"))
+	c2.spamScore = c2.spam.Compile()
 	if v := c2.Gate("my flux capacitor bill is wrong"); v != VerdictKeep {
 		t.Errorf("trained ham gated as %v", v)
 	}

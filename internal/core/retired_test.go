@@ -69,8 +69,8 @@ func (c *CallTypeClassifier) TrainFromCalls(calls []synth.Call) {
 
 // Classify returns the predicted call type.
 func (c *CallTypeClassifier) Classify(transcript []string) string {
-	post := c.nb.Posteriors(callTypeFeatures(transcript))
-	if post[CallTypeService] > post[CallTypeSales] {
+	s, f := c.nb.Compile(), callTypeFeatures(transcript)
+	if s.Posterior(f, CallTypeService) > s.Posterior(f, CallTypeSales) {
 		return CallTypeService
 	}
 	return CallTypeSales

@@ -11,6 +11,8 @@ package noise
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"bivoc/internal/rng"
 )
@@ -190,33 +192,55 @@ func dropVowels(w string) string {
 	return b.String()
 }
 
-// isPunct reports whether the token is a single punctuation mark.
-func isPunct(tok string) bool {
-	if len(tok) != 1 {
-		return false
-	}
-	c := tok[0]
+// isPunct reports whether the byte is not an ASCII letter or digit: a
+// punctuation mark, or a byte of a multi-byte character.
+func isPunct(c byte) bool {
 	return !(c >= 'a' && c <= 'z') && !(c >= 'A' && c <= 'Z') && !(c >= '0' && c <= '9')
+}
+
+// nextWord returns the first word of s and what follows it, splitting
+// where strings.Fields splits: on unicode.IsSpace, ASCII or not. The word
+// is empty when s holds none.
+func nextWord(s string) (word, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if !unicode.IsSpace(c) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return s[start:i], s[i:]
+		}
+		i += size
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
 }
 
 // Apply corrupts the message. Word order is preserved; individual words
 // are replaced by lingo, typos or vowel-dropped forms, punctuation is
-// thinned, and code-switch fragments may be appended.
+// thinned, and code-switch fragments may be appended. The text is walked
+// once into one builder; a word is lower-cased only where a branch reads
+// its lower-case form.
 func (n *Noiser) Apply(r *rng.RNG, text string) string {
-	words := strings.Fields(text)
-	var out []string
-	for _, w := range words {
-		trailPunct := ""
+	var b strings.Builder
+	b.Grow(len(text) + 16) // and room for a code-switch fragment
+	for w, rest := nextWord(text); w != ""; w, rest = nextWord(rest) {
 		core := w
-		for len(core) > 0 && isPunct(core[len(core)-1:]) {
-			trailPunct = core[len(core)-1:] + trailPunct
+		for len(core) > 0 && isPunct(core[len(core)-1]) {
 			core = core[:len(core)-1]
 		}
-		lower := strings.ToLower(core)
+		trailPunct := w[len(core):]
 		switch {
 		case core == "":
 		case n.cfg.LingoProb > 0 && r.Bool(n.cfg.LingoProb):
-			if subs, ok := smsLingo[lower]; ok {
+			if subs, ok := smsLingo[strings.ToLower(core)]; ok {
 				core = rng.Pick(r, subs)
 			} else if r.Bool(n.cfg.TypoProb * 2) {
 				core = typo(r, core)
@@ -224,7 +248,7 @@ func (n *Noiser) Apply(r *rng.RNG, text string) string {
 		case r.Bool(n.cfg.TypoProb):
 			core = typo(r, core)
 		case r.Bool(n.cfg.DropVowelProb):
-			core = dropVowels(lower)
+			core = dropVowels(strings.ToLower(core))
 		}
 		if r.Bool(n.cfg.CaseNoiseProb) {
 			if r.Bool(0.5) {
@@ -236,21 +260,22 @@ func (n *Noiser) Apply(r *rng.RNG, text string) string {
 		if trailPunct != "" && r.Bool(n.cfg.DropPunctProb) {
 			trailPunct = ""
 		}
-		tok := core + trailPunct
-		if tok == "" {
+		if core == "" && trailPunct == "" {
 			continue
 		}
-		if len(out) > 0 && r.Bool(n.cfg.RunOnProb) {
-			out[len(out)-1] += tok
-		} else {
-			out = append(out, tok)
+		// A word after the first is run on to the one before it, or
+		// follows it after a space.
+		if b.Len() > 0 && !r.Bool(n.cfg.RunOnProb) {
+			b.WriteByte(' ')
 		}
+		b.WriteString(core)
+		b.WriteString(trailPunct)
 	}
-	msg := strings.Join(out, " ")
 	if r.Bool(n.cfg.CodeSwitchProb) {
-		msg = msg + " " + rng.Pick(r, hindiPhrases)
+		b.WriteByte(' ')
+		b.WriteString(rng.Pick(r, hindiPhrases))
 	}
-	return msg
+	return b.String()
 }
 
 // LingoTable returns a copy of the shorthand → canonical mapping.

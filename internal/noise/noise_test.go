@@ -7,6 +7,61 @@ import (
 	"bivoc/internal/rng"
 )
 
+// ApplyFields is Apply as it was written before it walked the text into
+// one builder: strings.Fields, every word lower-cased, run-ons appended
+// to the previous word, strings.Join. It is the oracle Apply is held to
+// (apply_test.go): the same text and the same draws.
+func (n *Noiser) ApplyFields(r *rng.RNG, text string) string {
+	words := strings.Fields(text)
+	var out []string
+	for _, w := range words {
+		trailPunct := ""
+		core := w
+		for len(core) > 0 && isPunct(core[len(core)-1]) {
+			trailPunct = core[len(core)-1:] + trailPunct
+			core = core[:len(core)-1]
+		}
+		lower := strings.ToLower(core)
+		switch {
+		case core == "":
+		case n.cfg.LingoProb > 0 && r.Bool(n.cfg.LingoProb):
+			if subs, ok := smsLingo[lower]; ok {
+				core = rng.Pick(r, subs)
+			} else if r.Bool(n.cfg.TypoProb * 2) {
+				core = typo(r, core)
+			}
+		case r.Bool(n.cfg.TypoProb):
+			core = typo(r, core)
+		case r.Bool(n.cfg.DropVowelProb):
+			core = dropVowels(lower)
+		}
+		if r.Bool(n.cfg.CaseNoiseProb) {
+			if r.Bool(0.5) {
+				core = strings.ToUpper(core)
+			} else {
+				core = strings.ToLower(core)
+			}
+		}
+		if trailPunct != "" && r.Bool(n.cfg.DropPunctProb) {
+			trailPunct = ""
+		}
+		tok := core + trailPunct
+		if tok == "" {
+			continue
+		}
+		if len(out) > 0 && r.Bool(n.cfg.RunOnProb) {
+			out[len(out)-1] += tok
+		} else {
+			out = append(out, tok)
+		}
+	}
+	msg := strings.Join(out, " ")
+	if r.Bool(n.cfg.CodeSwitchProb) {
+		msg = msg + " " + rng.Pick(r, hindiPhrases)
+	}
+	return msg
+}
+
 func TestApplyDeterministic(t *testing.T) {
 	n := New(SMSNoise)
 	text := "please confirm the receipt of payment thanks"

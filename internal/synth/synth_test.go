@@ -1,7 +1,10 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -320,6 +323,47 @@ func TestTelecomWorldShape(t *testing.T) {
 func TestTelecomValidation(t *testing.T) {
 	if _, err := NewTelecomWorld(TelecomConfig{}); err == nil {
 		t.Error("zero config accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  TelecomConfig
+		want string
+	}{
+		// Seed 1's only subscriber churns: nobody is left to write the
+		// routine traffic a message outside the churner share is.
+		{"all churned", TelecomConfig{Seed: 1, NumCustomers: 1, Emails: 5, SMS: 5}, "no non-churner"},
+		{"negative emails", TelecomConfig{Seed: 2, NumCustomers: 10, Emails: -1, SMS: 5}, "negative message count"},
+		{"negative sms", TelecomConfig{Seed: 2, NumCustomers: 10, Emails: 5, SMS: -3}, "negative message count"},
+	} {
+		w, err := NewTelecomWorld(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %+v gave world %v and error %v, want an error naming %q", tc.name, tc.cfg, w != nil, err, tc.want)
+		}
+	}
+}
+
+// TestTelecomWorldPinned: one small world's customers, e-mails, SMS and
+// subscriber rows hash to what the sequential generator wrote (the
+// constant was computed before messages were generated in parallel and
+// noise.Apply walked its text into one builder), at any GOMAXPROCS. A
+// change to the hash is a change to every telecom corpus.
+func TestTelecomWorldPinned(t *testing.T) {
+	const pinned = "3991070f62e02df33962ce6467ec4213d664cc534c53f8f29dd5294b6a12b900"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		w, err := NewTelecomWorld(smallTelecomConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%#v\n%#v\n%#v\n", w.Customers, w.Emails, w.SMS)
+		if err := w.DB.MustTable("subscribers").ExportCSV(h); err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", h.Sum(nil)); sum != pinned {
+			t.Errorf("GOMAXPROCS %d: world hashes to %s, pinned is %s", procs, sum, pinned)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package synth
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"bivoc/internal/noise"
 	"bivoc/internal/rng"
@@ -188,11 +191,16 @@ type TelecomWorld struct {
 	rnd       *rng.RNG
 }
 
-// NewTelecomWorld generates subscribers and their structured table, then
-// the email and SMS corpora.
+// NewTelecomWorld generates subscribers, then their email and SMS corpora
+// on GOMAXPROCS goroutines while the calling goroutine builds the
+// subscribers' structured table. Every message is a function of its index
+// alone, so the world does not depend on how many goroutines wrote it.
 func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 	if cfg.NumCustomers <= 0 {
 		return nil, fmt.Errorf("synth: need positive customer count")
+	}
+	if cfg.Emails < 0 || cfg.SMS < 0 {
+		return nil, fmt.Errorf("synth: negative message count (%d emails, %d sms)", cfg.Emails, cfg.SMS)
 	}
 	w := &TelecomWorld{Config: cfg, rnd: rng.New(cfg.Seed)}
 
@@ -200,6 +208,7 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 	// message shares. Make ~8% of subscribers churners.
 	custRnd := w.rnd.SplitString("subscribers")
 	phoneSeen := map[string]bool{}
+	var churners, stayers []int
 	for i := 0; i < cfg.NumCustomers; i++ {
 		r := custRnd.Split(uint64(i))
 		phone := randomPhone(r)
@@ -223,10 +232,47 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 		}
 		if churned {
 			c.ChurnMonth = TelecomMonths - 1 // churn lands in the last month
+			churners = append(churners, i)
+		} else {
+			stayers = append(stayers, i)
 		}
 		w.Customers = append(w.Customers, c)
 	}
+	if len(stayers) == 0 && cfg.Emails+cfg.SMS > 0 {
+		return nil, fmt.Errorf("synth: all %d subscribers churned, so no non-churner writes the routine traffic", cfg.NumCustomers)
+	}
 
+	w.Emails = make([]Message, cfg.Emails)
+	w.SMS = make([]Message, cfg.SMS)
+	corpora := []corpus{
+		{channel: "email", out: w.Emails, churnShare: churnerEmailShare, strangerShare: nonCustomerEmailShare, spamShare: spamEmailShare},
+		{channel: "sms", out: w.SMS, churnShare: churnerSMSShare, strangerShare: 0.04, spamShare: 0.02},
+	}
+	for k := range corpora {
+		c := &corpora[k]
+		c.rnd = w.rnd.SplitString("messages-" + c.channel)
+		c.churners, c.stayers = churners, stayers
+	}
+	wait := parallelFor(cfg.Emails+cfg.SMS, func(i int) {
+		c := &corpora[0]
+		if i >= len(c.out) {
+			i -= len(c.out)
+			c = &corpora[1]
+		}
+		c.out[i] = w.message(c, i)
+	})
+	db, err := subscriberTable(w.Customers)
+	wait()
+	if err != nil {
+		return nil, err
+	}
+	w.DB = db
+	return w, nil
+}
+
+// subscriberTable is the warehouse the telecom world's messages are
+// linked against: one row per subscriber.
+func subscriberTable(customers []TelecomCustomer) (*warehouse.DB, error) {
 	db := warehouse.NewDB()
 	subs, err := db.CreateTable(warehouse.Schema{
 		Table: "subscribers", Key: "id",
@@ -242,7 +288,7 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range w.Customers {
+	for _, c := range customers {
 		churn := "no"
 		if c.Churned {
 			churn = "yes"
@@ -256,70 +302,74 @@ func NewTelecomWorld(cfg TelecomConfig) (*TelecomWorld, error) {
 			warehouse.StringValue(churn),
 		)
 	}
-	w.DB = db
-
-	w.Emails = w.generateMessages("email", cfg.Emails, churnerEmailShare, nonCustomerEmailShare, spamEmailShare)
-	w.SMS = w.generateMessages("sms", cfg.SMS, churnerSMSShare, 0.04, 0.02)
-	return w, nil
+	return db, nil
 }
 
-// churnerIdxs returns indices of churned customers.
-func (w *TelecomWorld) churnerIdxs() []int {
-	var out []int
-	for i, c := range w.Customers {
-		if c.Churned {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (w *TelecomWorld) nonChurnerIdxs() []int {
-	var out []int
-	for i, c := range w.Customers {
-		if !c.Churned {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (w *TelecomWorld) generateMessages(channel string, count int, churnShare, strangerShare, spamShare float64) []Message {
-	msgRnd := w.rnd.SplitString("messages-" + channel)
-	churners := w.churnerIdxs()
-	stayers := w.nonChurnerIdxs()
-	var out []Message
-	for i := 0; i < count; i++ {
-		r := msgRnd.Split(uint64(i))
-		id := fmt.Sprintf("%s-%05d", channel, i)
-		m := Message{ID: id, Channel: channel, Month: r.Intn(TelecomMonths), CustIdx: -1}
-		switch {
-		case r.Bool(spamShare):
-			m.Spam = true
-			m.Raw = w.wrap(r, channel, noise.SpamEmail(r), "", "")
-		case r.Bool(strangerShare):
-			// A non-customer writes in; their identity matches nothing.
-			given := rng.Pick(r, givenNames)
-			sur := rng.Pick(r, surnames)
-			body := w.composeBody(r, false, &m)
-			m.Raw = w.wrap(r, channel, body, given+" "+sur, randomPhone(r))
-		default:
-			var idx int
-			churner := r.Bool(churnShare) && len(churners) > 0
-			if churner {
-				idx = churners[r.Intn(len(churners))]
-			} else {
-				idx = stayers[r.Intn(len(stayers))]
+// parallelFor calls fn once for each index in [0, n), on GOMAXPROCS
+// goroutines that take the indices a chunk at a time, and returns at once
+// with a function that waits for them all.
+func parallelFor(n int, fn func(i int)) (wait func()) {
+	const chunk = 64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(chunk)) - chunk
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+chunk, n); i++ {
+					fn(i)
+				}
 			}
-			cust := w.Customers[idx]
-			m.CustIdx = idx
-			m.FromChurner = churner
-			body := w.composeBody(r, churner, &m)
-			m.Raw = w.wrap(r, channel, body, cust.Name(), cust.Phone)
-		}
-		out = append(out, m)
+		}()
 	}
-	return out
+	return wg.Wait
+}
+
+// corpus is one channel's messages and the shares they are drawn with.
+type corpus struct {
+	channel                              string
+	out                                  []Message
+	churnShare, strangerShare, spamShare float64
+	// rnd is the channel's message stream; message i draws from its
+	// Split(i) alone.
+	rnd               *rng.RNG
+	churners, stayers []int // indices into TelecomWorld.Customers
+}
+
+// message generates message i of the corpus.
+func (w *TelecomWorld) message(c *corpus, i int) Message {
+	r := c.rnd.Split(uint64(i))
+	m := Message{ID: fmt.Sprintf("%s-%05d", c.channel, i), Channel: c.channel, Month: r.Intn(TelecomMonths), CustIdx: -1}
+	switch {
+	case r.Bool(c.spamShare):
+		m.Spam = true
+		m.Raw = w.wrap(r, c.channel, noise.SpamEmail(r), "", "")
+	case r.Bool(c.strangerShare):
+		// A non-customer writes in; their identity matches nothing.
+		given := rng.Pick(r, givenNames)
+		sur := rng.Pick(r, surnames)
+		body := w.composeBody(r, false, &m)
+		m.Raw = w.wrap(r, c.channel, body, given+" "+sur, randomPhone(r))
+	default:
+		var idx int
+		churner := r.Bool(c.churnShare) && len(c.churners) > 0
+		if churner {
+			idx = c.churners[r.Intn(len(c.churners))]
+		} else {
+			idx = c.stayers[r.Intn(len(c.stayers))]
+		}
+		cust := w.Customers[idx]
+		m.CustIdx = idx
+		m.FromChurner = churner
+		body := w.composeBody(r, churner, &m)
+		m.Raw = w.wrap(r, c.channel, body, cust.Name(), cust.Phone)
+	}
+	return m
 }
 
 // composeBody assembles the clean message body: identityless core
