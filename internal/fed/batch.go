@@ -70,11 +70,11 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	vec, full := c.observe(genVec)
+	vec, id := c.observe(genVec, answers)
 	scattered := 0 // index of the next planned sub-query within the frames
 	for i, p := range plans {
 		if p != nil {
-			results[i] = c.fold(p, scattered, answers, vec, full).batchResult()
+			results[i] = c.fold(p, scattered, answers, vec, id).batchResult()
 			scattered++
 		}
 	}

@@ -143,10 +143,12 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 }
 
 // shardReply is one shard's answer to a fan-out: an HTTP response
-// (status, generation header, content type, body) or a transport error.
+// (status, generation and epoch headers, content type, body) or a
+// transport error.
 type shardReply struct {
 	status int
 	gen    string
+	epoch  string
 	ctype  string
 	body   []byte
 	err    error
@@ -202,7 +204,7 @@ func (c *Coordinator) roundTrip(req *http.Request) shardReply {
 		return shardReply{err: err}
 	}
 	return shardReply{status: resp.StatusCode, gen: resp.Header.Get(server.GenerationHeader),
-		ctype: resp.Header.Get("Content-Type"), body: buf.Bytes()}
+		epoch: resp.Header.Get(server.EpochHeader), ctype: resp.Header.Get("Content-Type"), body: buf.Bytes()}
 }
 
 // scatter is the query path's one request form: the request frame

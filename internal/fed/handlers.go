@@ -165,11 +165,13 @@ func (o outcome) batchResult() server.BatchResult {
 	return server.NewBatchResult(o.body, o.status, o.err, o.fs)
 }
 
-// shardAnswer is what one shard contributed to an exchange: its frame;
-// or nothing, because it is down for the whole request (both nil); or the
-// error that names it, because its reply is not the frame asked for.
+// shardAnswer is what one shard contributed to an exchange: its frame
+// and the boot epoch it came from; or nothing, because it is down for the
+// whole request (frame and err nil); or the error that names it, because
+// its reply is not the frame asked for.
 type shardAnswer struct {
 	frame *server.ShardFrame
+	epoch string
 	err   error
 }
 
@@ -191,7 +193,7 @@ func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery)
 			answers[s].err = fmt.Errorf("shard %d: %w", s, err)
 			continue
 		}
-		answers[s].frame = &frame
+		answers[s].frame, answers[s].epoch = &frame, rep.epoch
 		genVec[s] = strconv.FormatUint(frame.Generation, 10)
 	}
 	return answers, genVec, down
@@ -221,11 +223,11 @@ func readFrame(rep shardReply, n int) (server.ShardFrame, error) {
 // checked to be JSON; otherwise the plan merges the 200s, a 503 when
 // there are none (the only condition that fails a query) and a structured
 // 500 when a partial breaks the exchange. A body merged over the whole
-// fleet (full: vec has no gap) is memoized under vec, shared with the
-// cache so that a later gzip-accepting replay reuses the compression
+// fleet (id is not "": vec has no gap) is memoized under id, shared with
+// the cache so that a later gzip-accepting replay reuses the compression
 // whichever request pays it. Results alias their replies' buffers; the
 // merged body, the one thing kept, does not.
-func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec string, full bool) outcome {
+func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec, id string) outcome {
 	var live []server.ShardBody
 	var missing []int
 	var relay *server.ShardResult
@@ -272,8 +274,8 @@ func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec s
 		return outcome{status: http.StatusInternalServerError, err: err, fs: fs}
 	}
 	cb := &server.CachedBody{Plain: body}
-	if full && len(missing) == 0 {
-		c.cache.put(p.Key, vec, cb)
+	if id != "" && len(missing) == 0 {
+		c.cache.put(p.Key, id, vec, cb)
 	}
 	return outcome{body: cb, status: http.StatusOK, fs: fs}
 }
@@ -318,20 +320,24 @@ func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 			return
 		}
 		answers, genVec, _ := c.exchange(r.Context(), []server.BatchQuery{{Endpoint: name, Params: q}})
-		vec, full := c.observe(genVec)
+		vec, id := c.observe(genVec, answers)
 		w.Header().Set(server.GenerationHeader, vec)
-		c.fold(p, 0, answers, vec, full).write(w, r)
+		c.fold(p, 0, answers, vec, id).write(w, r)
 	}
 }
 
 // observe renders a scatter's generation vector in header form and, when
-// every shard answered, refreshes the cache's trust in it.
-func (c *Coordinator) observe(genVec []string) (vec string, full bool) {
-	vec, full = joinVec(genVec), fullVec(genVec)
-	if full {
-		c.cache.observe(vec, time.Now())
+// every shard answered, the identity of the fleet snapshot it read — each
+// shard's (epoch, generation), comma-joined in shard order — refreshing
+// the cache's trust in that identity. id is "" when a shard is missing.
+func (c *Coordinator) observe(genVec []string, answers []shardAnswer) (vec, id string) {
+	vec = joinVec(genVec)
+	if !fullVec(genVec) {
+		return vec, ""
 	}
-	return vec, full
+	id = snapshotID(genVec, answers)
+	c.cache.observe(id, time.Now())
+	return vec, id
 }
 
 // GET /healthz — always 200 while the coordinator serves; aggregates

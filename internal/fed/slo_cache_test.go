@@ -242,6 +242,53 @@ func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
 	}
 }
 
+// TestFedCacheForgetsARestartedShard pins that a cached body names the
+// shard processes it was merged from, not only their generations. Two
+// sealed shards hold 20 and 60 documents and the coordinator caches a
+// count at vector 1,1; shard 0 restarts at the same address over 60
+// other documents and seals at generation 1 again. Once the trust window
+// has lapsed, another query re-observes 1,1 — and the cached count must
+// not be served: the restarted shard's epoch differs, so the fleet's 120
+// documents answer, not the 80 the cache saw.
+func TestFedCacheForgetsARestartedShard(t *testing.T) {
+	docs := voctest.ParityDocs(140)
+	first := startSingle(t, docs[:20], server.Config{})
+	other := startSingle(t, docs[20:80], server.Config{})
+	waitIngestDone(t, first, other)
+	coord := startCoordinator(t, Config{Shards: shardAddrs([]*server.Server{first, other})})
+	fedBase := "http://" + coord.Addr()
+	q := fedBase + "/v1/count?dim=" + url.QueryEscape("parity=even")
+	count := func(rawurl string) (vec string, total, n int) {
+		t.Helper()
+		status, hdr, body := get(t, rawurl)
+		var m struct {
+			Total  int
+			Counts []int
+		}
+		if err := json.Unmarshal(body, &m); status != http.StatusOK || err != nil || len(m.Counts) != 1 {
+			t.Fatalf("GET %s: status %d, body %s", rawurl, status, body)
+		}
+		return hdr.Get(server.GenerationHeader), m.Total, m.Counts[0]
+	}
+
+	vec, total, even := count(q)
+	if total != 80 || even != 40 {
+		t.Fatalf("before the restart: total %d, count %d, want 80 and 40", total, even)
+	}
+	addr := first.Addr()
+	shutdownServer(t, first)
+	restarted := startSingle(t, docs[80:], server.Config{Addr: addr})
+	waitIngestDone(t, restarted)
+	time.Sleep(trustWindow + 100*time.Millisecond)
+
+	if again, total, _ := count(fedBase + "/v1/count?dim=" + url.QueryEscape("parity=odd")); again != vec || total != 120 {
+		t.Fatalf("after the restart another query read vector %q over %d documents, want %q over 120: the restart is not the one this test is about", again, total, vec)
+	}
+	if _, total, even = count(q); total != 120 || even != 60 {
+		t.Fatalf("the cached count answers total %d, count %d after shard 0 restarted over other documents, want 120 and 60", total, even)
+	}
+}
+
 // TestFedDegradedNeverCached pins the partial-fleet rule: responses
 // merged while a shard is missing are recomputed on every query and
 // never enter the coordinator cache.

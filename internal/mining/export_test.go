@@ -30,19 +30,60 @@ func InOrder(docs []Document) *Index {
 func (ix *Index) ColumnsBuilt() int { return int(ix.prep.columnsBuilt.Load()) }
 
 // ConjMemo reports an index's conjunction memo: its entries, the words
-// it accounts for, and its budget.
+// it accounts for (its tallies' included), and its budget.
 func (ix *Index) ConjMemo() (entries, words, limit int) {
-	return len(ix.prep.conj), ix.prep.conjWords, ix.prep.conjLimit
+	p := ix.prep
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.conj), p.conjWords, p.conjLimit
 }
 
-// ConjMemoHeld re-prices every memo entry: what the memo's word count
-// must equal.
+// ConjMemoHeld re-prices every memo entry, conjunctions and tallies: what
+// the memo's word count must equal.
 func (ix *Index) ConjMemoHeld() int {
+	p := ix.prep
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	held := 0
-	for key, posts := range ix.prep.conj {
+	for key, posts := range p.conj {
 		held += conjCost(key, posts)
 	}
+	for key, t := range p.tallies {
+		held += tallyCost(key, t)
+	}
 	return held
+}
+
+// SetMemoLimit replaces the budget of an index's memo, conjunctions and
+// tallies alike; a limit of 0 keeps nothing.
+func (ix *Index) SetMemoLimit(words int) {
+	p := ix.prep
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.conjLimit = words
+}
+
+// Tallies reports how many tallies an index's memo holds.
+func (ix *Index) Tallies() int {
+	p := ix.prep
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.tallies)
+}
+
+// HasTally reports whether the memo holds the tally of a leaf row over a
+// field's column.
+func (ix *Index) HasTally(row Dim, field string) bool {
+	p := ix.prep
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	_, ok := p.tallies[tallyKey{row.Category, row.Canonical, row.Field, row.Value, field}]
+	return ok
+}
+
+// TallyCost prices the tally of a leaf row over a field of n values.
+func TallyCost(row Dim, field string, n int) int {
+	return tallyCost(tallyKey{row.Category, row.Canonical, row.Field, row.Value, field}, make([]int, n+1))
 }
 
 // MarkPass drives the one-pass cell count directly over the dims squared.
@@ -52,12 +93,13 @@ func (ix *Index) ConjMemoHeld() int {
 func (ix *Index) MarkPass(dims []Dim) (got, want [][]int, marked int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	posts := ix.marginPostings(ctx, dims)
+	defer ctx.clearMargins()
+	posts, _ := ix.marginPostings(ctx, dims, dims)
 	got, want = make([][]int, len(posts)), make([][]int, len(posts))
 	for i := range posts {
 		got[i], want[i] = make([]int, len(posts)), make([]int, len(posts))
 	}
-	ix.countCells(ctx, got, posts, dims, posts)
+	ix.countCells(ctx, got, dims, posts, dims, posts)
 	for i, a := range posts {
 		for j, b := range posts {
 			want[i][j] = countIntersect(a, b)

@@ -10,13 +10,14 @@ import (
 // FuzzEngineEquivalence is the equivalence suites with the world left to
 // the fuzzer: the world of seed with ndocs documents, and every
 // configuration of the fast engine — the index built in arrival order,
-// the sealed index with a cold and then a warm conjunction memo, a
-// SegmentSet of 1 to 12 segments chosen by k (past the document count
-// the last ones are empty), and the single segment MergeSegments
-// compacts them into — against the naive view of one monolithic index,
-// through the same comparator. The segmented
-// configurations run twice: over the world's own times, and over the
-// world re-timed so that each segment holds a single time.
+// the sealed index with a cold and then a warm memo, a SegmentSet of 1
+// to 12 segments chosen by k (past the document count the last ones are
+// empty), and the single segment MergeSegments compacts them into —
+// against the naive view of one monolithic index, through the same
+// comparator. Each segmented configuration is checked cold and then
+// warm, its conjunctions and tallies memoized, over the world's own
+// times and over the world re-timed so that each segment holds a single
+// time.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0))       // the empty corpus
 	f.Add(int64(1), uint8(1), uint8(7))       // one document, seven empty segments
@@ -35,8 +36,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 		for _, w := range []*voctest.World{w, w.OneTimePerSegment(nsegs)} {
 			naive := oracle(w)
 			segs := w.Segments(nsegs)
-			voctest.CheckQueriers(t, mining.NewSegmentSet(segs...), naive, w)
-			voctest.CheckQueriers(t, mining.MergeSegments(segs...), naive, w)
+			for _, q := range []mining.Querier{mining.NewSegmentSet(segs...), mining.MergeSegments(segs...)} {
+				voctest.CheckQueriers(t, q, naive, w)
+				voctest.CheckQueriers(t, q, naive, w)
+			}
 		}
 	})
 }

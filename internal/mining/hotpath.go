@@ -18,9 +18,10 @@ const gallopFactor = 16
 // the set algebra needs lives here, pooled across calls: intersections
 // accumulate into reusable []int buffers instead of per-call maps.
 type queryCtx struct {
-	free  [][]int  // reusable postings buffers
-	lists [][]int  // reusable leaf-list headers for k-way intersection
-	marks []uint64 // per-document mark words (see docMarks); all zero between uses
+	free    [][]int  // reusable postings buffers
+	lists   [][]int  // reusable leaf-list headers for k-way intersection
+	margins [][]int  // reusable row and column headers of a table (see marginPostings)
+	marks   []uint64 // per-document mark words (see docMarks); all zero between uses
 }
 
 // markBits is the width of a document's mark word: the widest set of
@@ -68,16 +69,19 @@ func (ctx *queryCtx) docMarks(n int) []uint64 {
 }
 
 // countCells fills ncell[i][j] = |rows[i] ∩ cols[j]| by walking each
-// row's postings instead of one merge per cell; colPosts holds the
-// columns' postings. A column that is a plain field dimension whose
-// field has a per-document column is counted by comparing each row
-// document's value id in that column with the column's (fieldColumn),
-// one walk per such column. Every other column is marked: bit j set on
-// every document of its list, read off each row document in one more
-// walk, and cleared by walking the list again. len(cols) must not
-// exceed markBits.
-func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []Dim, colPosts [][]int) {
+// row's postings instead of one merge per cell; rowPosts and colPosts
+// hold the rows' and the columns' postings. A column that is a plain
+// field dimension whose field has a per-document column (fieldColumn)
+// is read off the row's tally over that field (tally): one lookup once
+// the segment has tallied the row, one walk of the row for all of the
+// table's columns on that field before, and one walk per such column
+// (countValue) for a row that gets no tally. Every other column is
+// marked: bit j set on every document of its list, read off each row
+// document in one more walk, and cleared by walking the list again.
+// len(cols) must not exceed markBits.
+func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows []Dim, rowPosts [][]int, cols []Dim, colPosts [][]int) {
 	type fieldCell struct {
+		field string
 		ids   []uint16
 		value uint16
 		j     int
@@ -89,7 +93,7 @@ func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []D
 	for j, d := range cols {
 		if ids, value, ok := ix.fieldColumn(d); ok {
 			if value != 0 {
-				fields = append(fields, fieldCell{ids, value, j})
+				fields = append(fields, fieldCell{d.Field, ids, value, j})
 			}
 			continue
 		}
@@ -99,7 +103,7 @@ func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []D
 			marks[p] |= bit
 		}
 	}
-	for i, posts := range rows {
+	for i, posts := range rowPosts {
 		row := ncell[i]
 		if marked != 0 {
 			for _, p := range posts {
@@ -108,8 +112,17 @@ func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []D
 				}
 			}
 		}
+		var field string // the field t tallies
+		var t []int
 		for _, f := range fields {
-			row[f.j] = countValue(f.ids, f.value, posts)
+			if f.field != field {
+				field, t = f.field, ix.tally(rows[i], posts, f.field, f.ids)
+			}
+			if t != nil {
+				row[f.j] = t[f.value]
+			} else {
+				row[f.j] = countValue(f.ids, f.value, posts)
+			}
 		}
 	}
 	for j, posts := range colPosts {
@@ -121,8 +134,9 @@ func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows [][]int, cols []D
 	}
 }
 
-// countValue returns how many documents of posts hold value in a column.
-// It is a function of its own so that the loop runs in registers.
+// countValue returns how many documents of posts hold value in a column:
+// the walk a row takes when it gets no tally. It is a function of its own
+// so that the loop runs in registers.
 func countValue(ids []uint16, value uint16, posts []int) int {
 	n := 0
 	for _, p := range posts {
@@ -131,6 +145,16 @@ func countValue(ids []uint16, value uint16, posts []int) int {
 		}
 	}
 	return n
+}
+
+// countIn returns how many documents of row, whose postings are posts,
+// hold value in the column ids of field: a lookup in the row's tally, or
+// the walk when the row gets none.
+func (ix *Index) countIn(row Dim, posts []int, field string, ids []uint16, value uint16) int {
+	if t := ix.tally(row, posts, field, ids); t != nil {
+		return t[value]
+	}
+	return countValue(ids, value, posts)
 }
 
 // leafPostings returns the inverted list of a non-conjunction

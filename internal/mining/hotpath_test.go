@@ -331,3 +331,83 @@ func TestConjunctionMemoBounded(t *testing.T) {
 			entries, len(conjs), words, limit)
 	}
 }
+
+// leaves reports whether no dimension of dims is a conjunction.
+func leaves(dims []mining.Dim) bool {
+	for _, d := range dims {
+		if len(d.And) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPreparedAssocAllocs pins the association kernel of a sealed
+// segment: once its columns are built, its rows tallied and the query
+// scratch pooled, a table of leaf rows and columns allocates its result —
+// the row counts, the column counts, the cell rows and the cells — and
+// nothing else, whether its columns are read off tallies, marked, or (65
+// of them) merged per cell.
+func TestPreparedAssocAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 300)
+	ix := mining.Seal(w.DocsByID())
+	var leafDims []mining.Dim
+	for _, d := range w.Dims {
+		if len(d.And) == 0 {
+			leafDims = append(leafDims, d)
+		}
+	}
+	wide := make([]mining.Dim, voctest.Wide)
+	for j := range wide {
+		wide[j] = leafDims[j%len(leafDims)]
+	}
+	tables := []voctest.Table{
+		{Name: "concept rows × agent columns", Rows: leafDims[:5], Cols: []mining.Dim{
+			mining.FieldDim("agent", "A1"), mining.FieldDim("agent", "A2"), mining.FieldDim("agent", "A3"), mining.FieldDim("outcome", "callback")}},
+		{Name: "a category and a field as rows", Rows: []mining.Dim{mining.CategoryDim("issue"), mining.FieldDim("agent", "A2")},
+			Cols: []mining.Dim{mining.FieldDim("outcome", "reservation"), mining.ConceptDim("brand", "acme")}},
+		{Name: "65 columns", Rows: leafDims[:3], Cols: wide},
+	}
+	for _, tc := range w.Tables {
+		if len(tc.Rows) > 0 && leaves(tc.Rows) && leaves(tc.Cols) {
+			tables = append(tables, tc)
+		}
+	}
+	for _, tc := range tables {
+		ix.AssocMarginals(tc.Rows, tc.Cols) // warm
+		if got := testing.AllocsPerRun(100, func() { ix.AssocMarginals(tc.Rows, tc.Cols) }); got != 4 {
+			t.Errorf("AssocMarginals(%s) allocates %.1f objects per call, want 4 (its result)", tc.Name, got)
+		}
+	}
+}
+
+// TestPreparedRelFreqAllocs pins the relative-frequency kernel of a
+// sealed segment: once warm, a relative frequency featuring a leaf —
+// a plain field read off the concepts' tallies, or any other subset
+// marked — allocates its result, the concepts' marginals, and nothing
+// else.
+func TestPreparedRelFreqAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 300)
+	ix := mining.Seal(w.DocsByID())
+	for _, cat := range w.Cats {
+		want := 0.0
+		if len(ix.ConceptDF(cat)) > 0 {
+			want = 1
+		}
+		for _, d := range w.Dims {
+			if len(d.And) > 0 {
+				continue
+			}
+			ix.RelFreqMarginals(cat, d) // warm
+			if got := testing.AllocsPerRun(100, func() { ix.RelFreqMarginals(cat, d) }); got != want {
+				t.Errorf("RelFreqMarginals(%q, %s) allocates %.1f objects per call, want %.0f (its result)", cat, d.Label(), got, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package mining
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // Marginal extraction — the integer halves of the split operations in
 // merge.go, as implemented by the monolithic Index. SegmentSet carries
@@ -22,10 +25,12 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // frequency inside the subset and overall. Concepts are sorted by name
 // for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
 //
-// The in-subset counts come from one walk of each concept's list. When
-// the featured dimension is a plain field with a column, each
-// document's value id is read off the field's column (fieldColumn);
-// otherwise the subset's documents are marked first and cleared after.
+// The in-subset counts come from each concept's list. When the featured
+// dimension is a plain field with a column (fieldColumn), a concept's
+// count is a lookup in its tally over the field (countIn), or one walk
+// of its list reading each document's value id off the column;
+// otherwise the subset's documents are marked first, each list is walked
+// once, and the marks are cleared after.
 func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
@@ -52,7 +57,7 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 				in += int(marks[p])
 			}
 		case value != 0:
-			in = countValue(ids, value, posts)
+			in = ix.countIn(ConceptDim(category, e.Concept), posts, featured.Field, ids, value)
 		}
 		m.Concepts[k] = ConceptMarginal{Concept: e.Concept, InSubset: in, InAll: len(posts)}
 	}
@@ -64,26 +69,37 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 	if owned {
 		ctx.putBuf(subset)
 	}
-	sort.Slice(m.Concepts, func(i, j int) bool { return m.Concepts[i].Concept < m.Concepts[j].Concept })
+	slices.SortFunc(m.Concepts, func(a, b ConceptMarginal) int { return strings.Compare(a.Concept, b.Concept) })
 	return m
 }
 
-// marginPostings materializes the postings of every dimension of an
-// association table for the lifetime of one AssocMarginals call: leaf and
-// memoized lists are shared read-only views; scratch-computed
-// conjunctions are copied out so the scratch can be reused.
-func (ix *Index) marginPostings(ctx *queryCtx, dims []Dim) [][]int {
-	out := make([][]int, len(dims))
-	for i, d := range dims {
-		posts, owned := ix.resolve(ctx, d)
-		if owned {
-			out[i] = append([]int(nil), posts...)
-			ctx.putBuf(posts)
-		} else {
-			out[i] = posts
+// marginPostings resolves the postings of every row and column of an
+// association table for the lifetime of one AssocMarginals call, into
+// headers from ctx: leaf and memoized lists are shared read-only views;
+// scratch-computed conjunctions are copied out so the scratch can be
+// reused. The caller clears the headers (clearMargins) before ctx goes
+// back to the pool, so that a pooled context pins no segment's lists.
+func (ix *Index) marginPostings(ctx *queryCtx, rows, cols []Dim) (rowPosts, colPosts [][]int) {
+	all := ctx.margins[:0]
+	for _, dims := range [2][]Dim{rows, cols} {
+		for _, d := range dims {
+			posts, owned := ix.resolve(ctx, d)
+			if owned {
+				all = append(all, append([]int(nil), posts...))
+				ctx.putBuf(posts)
+			} else {
+				all = append(all, posts)
+			}
 		}
 	}
-	return out
+	ctx.margins = all
+	return all[:len(rows):len(rows)], all[len(rows):]
+}
+
+// clearMargins drops the headers marginPostings handed out.
+func (ctx *queryCtx) clearMargins() {
+	clear(ctx.margins)
+	ctx.margins = ctx.margins[:0]
 }
 
 // newAssocMarginals shapes the marginals of a rows × cols table over n
@@ -120,11 +136,11 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	rowPosts := ix.marginPostings(ctx, rows)
-	colPosts := ix.marginPostings(ctx, cols)
+	defer ctx.clearMargins()
+	rowPosts, colPosts := ix.marginPostings(ctx, rows, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
 	if len(cols) <= markBits {
-		ix.countCells(ctx, m.Ncell, rowPosts, cols, colPosts)
+		ix.countCells(ctx, m.Ncell, rows, rowPosts, cols, colPosts)
 		return m
 	}
 	for i := range rows {

@@ -198,19 +198,20 @@ func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int
 // pb, and returns the documents at its first limit positions without
 // building the cell, when a side is a plain field with a column
 // (fieldColumn): the cell is then the other side's documents that hold
-// the field's value, countValue counts them, and a walk of that side's
-// postings takes the first limit. ok is false for any other shape.
+// the field's value, that side's tally over the field counts them
+// (countIn), and a walk of its postings takes the first limit. ok is
+// false for any other shape.
 func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int) (docs []Document, count int, ok bool) {
-	posts := pa
+	row, posts, col := a, pa, b
 	ids, value, ok := ix.fieldColumn(b)
 	if !ok {
 		ids, value, ok = ix.fieldColumn(a)
-		posts = pb
+		row, posts, col = b, pb, a
 	}
 	if !ok || value == 0 { // value 0: no document carries the field's value
 		return nil, 0, ok
 	}
-	if count = countValue(ids, value, posts); count == 0 || limit == 0 {
+	if count = ix.countIn(row, posts, col.Field, ids, value); count == 0 || limit == 0 {
 		return nil, count, true
 	}
 	docs = make([]Document, min(limit, count))

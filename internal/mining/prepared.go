@@ -3,6 +3,7 @@ package mining
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -18,6 +19,8 @@ import (
 //     drill-down conjunctions analysts re-issue ("weak start ∧
 //     outcome=reservation") intersect once per snapshot, up to a
 //     budget proportional to the segment (see conjStore);
+//   - memoized tallies of leaf rows over field columns, under the same
+//     lock and budget (see tally);
 //   - whether position order is document-ID order (see idOrdered);
 //   - per-document columns: one per field, holding each document's value
 //     id, and one holding each document's time bucket (see fieldColumn
@@ -26,9 +29,9 @@ import (
 //
 // The precomputed lists are immutable after prepare; the memo is guarded
 // by mu because an index is queried from many server handlers at once.
-// The columns and the ID order are found out the first time a query
-// needs them, under a sync.Once each, never at prepare: that would put a
-// per-document pass on the open path of a mapped segment.
+// The columns, the tallies and the ID order are found out the first time
+// a query needs them, never at prepare: that would put a per-document
+// pass on the open path of a mapped segment.
 type prepared struct {
 	// catEntries holds each category's vocabulary in ConceptsInCategory
 	// order (frequency desc, ties lexicographic). It deliberately carries
@@ -42,7 +45,8 @@ type prepared struct {
 
 	mu        sync.RWMutex
 	conj      map[string][]int
-	conjWords int // what conj holds, in conjCost units
+	tallies   map[tallyKey][]int
+	conjWords int // what conj and tallies hold, in conjCost and tallyCost units
 	conjLimit int // conjBudget of the segment, fixed at prepare
 
 	orderOnce sync.Once
@@ -76,7 +80,8 @@ const columnIDs = 1 << 16
 // memo is capped at a constant multiple of the segment it belongs to:
 // conjWordsPerDoc 8-byte words per document (cmd/bivocbench's 2000-query
 // pool fills 11 of them on a 5000-document segment), with a floor so a
-// segment of a few documents still memoizes a working set.
+// segment of a few documents still memoizes a working set. Tallies are
+// charged against the same budget (tallyCost).
 const (
 	conjWordsPerDoc = 64
 	conjWordsFloor  = 1 << 14
@@ -100,6 +105,7 @@ func prepare(b Backing) *Index {
 		fieldVals:  make(map[string][]string),
 		fieldCols:  make(map[string]*column),
 		conj:       make(map[string][]int),
+		tallies:    make(map[tallyKey][]int),
 		conjLimit:  conjBudget(b.DocCount()),
 	}
 	b.EachConcept(func(cat, canon string, df int) {
@@ -238,4 +244,69 @@ func (p *prepared) conjStore(key string, res []int) ([]int, bool) {
 	p.conj[key] = posts
 	p.conjWords += cost
 	return posts, true
+}
+
+// tallyKey names a tally: a leaf row dimension, by its category,
+// canonical form, field and value, and the field of the column it is
+// tallied over. A lookup builds it from strings the caller already
+// holds, so a hit allocates nothing.
+type tallyKey struct {
+	category, canonical, field, value, column string
+}
+
+// tallyCost is what one tally is charged against the memo's budget, in
+// 8-byte words: its counts, its key's bytes, and the map slot with the
+// headers.
+func tallyCost(k tallyKey, t []int) int {
+	return len(t) + (len(k.category)+len(k.canonical)+len(k.field)+len(k.value)+len(k.column))/8 + 16
+}
+
+// tally returns the tally of row, whose postings are posts, over the
+// column ids of field: t[v] is how many of row's documents p have
+// ids[p] == v — every count countValue would return for the field's
+// values, from one walk of posts. A segment is immutable, so a tally
+// is built once and memoized beside the conjunctions, under their lock
+// and within their budget; past the budget it is built for the caller
+// alone. tally returns nil, and the caller walks, for a conjunction row
+// (its key would be its canonical label, which costs an allocation a
+// lookup) and for a row of fewer documents than the field has values
+// plus one, whose tally would cost more than the walk it saves.
+func (ix *Index) tally(row Dim, posts []int, field string, ids []uint16) []int {
+	p := ix.prep
+	vals := p.fieldVals[field]
+	if len(row.And) > 0 || len(vals)+1 > len(posts) {
+		return nil
+	}
+	k := tallyKey{row.Category, row.Canonical, row.Field, row.Value, field}
+	p.mu.RLock()
+	t, ok := p.tallies[k]
+	p.mu.RUnlock()
+	if ok {
+		return t
+	}
+	t = make([]int, len(vals)+1)
+	for _, pos := range posts {
+		t[ids[pos]]++
+	}
+	return p.tallyStore(k, t)
+}
+
+// tallyStore memoizes t under k unless the memo is over its budget, and
+// returns the memoized tally — the first store wins, so racing builders
+// share one — or t itself when nothing was kept. The key's strings are
+// copied, so the memo does not pin the request they came from.
+func (p *prepared) tallyStore(k tallyKey, t []int) []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if held, ok := p.tallies[k]; ok {
+		return held
+	}
+	cost := tallyCost(k, t)
+	if p.conjWords+cost > p.conjLimit {
+		return t
+	}
+	k = tallyKey{strings.Clone(k.category), strings.Clone(k.canonical), strings.Clone(k.field), strings.Clone(k.value), strings.Clone(k.column)}
+	p.tallies[k] = t
+	p.conjWords += cost
+	return t
 }

@@ -93,6 +93,50 @@ func TestGenerationHeaderOnEveryResponse(t *testing.T) {
 	}
 }
 
+// TestEpochHeaderOnEveryResponse pins the boot epoch: every response of
+// one process — queries, the shard exchange, introspection, errors and
+// unknown routes — carries the same X-Bivoc-Epoch, and a second process
+// over the same documents, at the same generation, carries another.
+func TestEpochHeaderOnEveryResponse(t *testing.T) {
+	docs := voctest.ParityDocs(30)
+	var epochs []string
+	for range 2 {
+		s := startServer(t, Config{Source: sliceSource(docs)})
+		waitIngestDone(t, s)
+		base := "http://" + s.Addr()
+		frame := AppendShardRequest(nil, []BatchQuery{{Endpoint: "count", Params: map[string][]string{"dim": {"parity=even"}}}})
+		var seen []string
+		for _, req := range []struct{ method, path string }{
+			{"GET", "/v1/count?dim=" + url.QueryEscape("parity=even")},
+			{"GET", "/v1/count?dim=" + url.QueryEscape("parity=even")}, // a cache hit
+			{"POST", "/v1/shard"},
+			{"GET", "/healthz"},
+			{"GET", "/v1/count"},
+			{"GET", "/v1/definitely-not-a-route"},
+		} {
+			r, err := http.NewRequest(req.method, base+req.path, bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Header.Set("Content-Type", FrameContentType)
+			resp, err := testClient.Do(r)
+			if err != nil {
+				t.Fatalf("%s %s: %v", req.method, req.path, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			seen = append(seen, resp.Header.Get(EpochHeader))
+		}
+		if seen[0] == "" || strings.Count(strings.Join(seen, ","), seen[0]) != len(seen) {
+			t.Fatalf("epochs of one process: %q, want one non-empty epoch throughout", seen)
+		}
+		epochs = append(epochs, seen[0])
+	}
+	if epochs[0] == epochs[1] {
+		t.Fatalf("two processes share the epoch %q", epochs[0])
+	}
+}
+
 // TestErrorBodiesAreStructuredJSON pins the error-body satellite: every
 // non-200 reply is {"error": "...", "status": N} with the HTTP status
 // echoed in the body, so the coordinator can relay shard errors.

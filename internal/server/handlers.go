@@ -230,11 +230,20 @@ type ErrorResponse struct {
 // daemon, a comma-joined per-shard vector on the federation coordinator.
 const GenerationHeader = "X-Bivoc-Generation"
 
+// EpochHeader is the response header carrying a bivocd process's boot
+// epoch on every response: a random hexadecimal token minted once by New.
+// Generations count publishes within one process and start again at 0
+// on every boot, so a generation names one snapshot only together with
+// the epoch beside it; the federation coordinator's cache compares the
+// two.
+const EpochHeader = "X-Bivoc-Epoch"
+
 // buildMux wires the API routes, wrapped so every response — including
-// 404s and parse errors — carries GenerationHeader. Handlers that load
-// a snapshot overwrite the header with that snapshot's generation, so
-// header and body always agree. Every route runs through the SLO
-// recorder, which feeds the per-endpoint serving section of /statsz.
+// 404s and parse errors — carries GenerationHeader and EpochHeader.
+// Handlers that load a snapshot overwrite the generation with that
+// snapshot's, so header and body always agree. Every route runs through
+// the SLO recorder, which feeds the per-endpoint serving section of
+// /statsz.
 func (s *Server) buildMux() http.Handler {
 	mux := http.NewServeMux()
 	route := func(method, path string, h http.HandlerFunc) {
@@ -248,7 +257,9 @@ func (s *Server) buildMux() http.Handler {
 	route("GET", "/healthz", s.handleHealthz)
 	route("GET", "/statsz", s.handleStatsz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(GenerationHeader, strconv.FormatUint(s.Generation(), 10))
+		h := w.Header()
+		h.Set(GenerationHeader, strconv.FormatUint(s.Generation(), 10))
+		h[EpochHeader] = s.epoch // read-only, shared by every response
 		mux.ServeHTTP(w, r)
 	})
 }

@@ -43,8 +43,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,6 +163,7 @@ type Server struct {
 
 	snap  atomic.Pointer[snapshot]
 	gen   atomic.Uint64
+	epoch []string   // EpochHeader's value, minted once by New
 	pubMu sync.Mutex // serializes publish + compaction; guards segs
 
 	// segs is the live segment list, append-ordered; only publish (under
@@ -219,6 +222,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
+		epoch:      []string{strconv.FormatUint(rand.Uint64(), 16)},
 		eps:        NewEndpoints(cfg.Confidence),
 		slo:        NewSLORecorder(),
 		ingestDone: make(chan struct{}),

@@ -127,6 +127,10 @@ requests() {
 /v1/concepts|field=agent
 /v1/concepts|category=missing-category
 /v1/concepts|field=missing-field
+/v1/associate|row=strong start[customer intention]|row=weak start[customer intention]|row=suv[vehicle type]|col=agent=A00|col=agent=A01|col=agent=A02|col=agent=A03
+/v1/relfreq|category=customer intention|featured=agent=A01
+/v1/associate|row=customer intention|row=outcome=reservation|col=outcome=reservation|col=outcome=unbooked|col=agent=A01
+/v1/drilldown|row=strong start[customer intention]|col=agent=A02|limit=3
 /v1/count
 /v1/count|dim=[unclosed
 /v1/associate|row=weak start[customer intention]|col=outcome=reservation|confidence=7
