@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime 10s ./internal/mining
 	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRequest$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDrillDownBody$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDim$$' -fuzztime 10s ./internal/mining

@@ -45,15 +45,15 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// With nothing to exchange (every sub-query failed to parse) the
 	// envelope still answers 200 with the per-sub errors, a zero head and
-	// the no-information vector; so does one no shard sent a frame for.
-	genVec := c.blankVec()
+	// the no-information vectors; so does one no shard sent a frame for.
+	vec := c.blankVec()
 	var head server.Head
 	var down []int // shards that could not answer the request at all
 	var answers []shardAnswer
 	if len(planned) > 0 {
-		answers, genVec, down = c.exchange(r.Context(), planned)
+		answers, vec, down = c.exchange(r.Context(), planned)
 		if len(down) == len(c.cfg.Shards) {
-			w.Header().Set(server.GenerationHeader, joinVec(genVec))
+			vec.headers().set(w.Header())
 			server.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("all %d shards unavailable", len(down)), fedStatus(down))
 			return
@@ -70,18 +70,18 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	vec, id := c.observe(genVec, answers)
+	hv, id := c.observe(vec)
 	scattered := 0 // index of the next planned sub-query within the frames
 	for i, p := range plans {
 		if p != nil {
-			results[i] = c.fold(p, scattered, answers, vec, id).batchResult()
+			results[i] = c.fold(p, scattered, answers, hv, id).batchResult()
 			scattered++
 		}
 	}
 	// The single-node envelope: Generation and Sealed fold the frames'
 	// (min, AND) like every other federated response, FedStatus reports
 	// the shards that were down for the whole batch.
-	w.Header().Set(server.GenerationHeader, vec)
+	hv.set(w.Header())
 	body, err := server.BatchResponse{
 		Generation: head.Generation,
 		Sealed:     head.Sealed,

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -16,7 +17,7 @@ import (
 // the scatter entirely (fed.cache_hit_ratio).
 //
 // Correctness rests on the identity: each shard's boot epoch and
-// generation, in shard order (snapshotID). A generation alone counts
+// generation, in shard order (fleetVec.id). A generation alone counts
 // publishes within one shard process and starts again at 0 when the
 // shard restarts, so a shard restarted over other documents can reach
 // the generation it had; its epoch tells the two snapshots apart. A
@@ -41,14 +42,14 @@ type resultCache struct {
 	entries *lru.Cache[string, resultEntry]
 
 	mu           sync.Mutex
-	trusted      string // last fully-live snapshot identity (snapshotID)
+	trusted      string // last fully-live snapshot identity (fleetVec.id)
 	trustedAt    time.Time
 	hits, misses uint64
 }
 
 type resultEntry struct {
-	id   string // snapshot identity the body was merged from
-	vec  string // its generation vector in header form
+	id   string  // snapshot identity the body was merged from
+	vec  vectors // its generation and epoch vectors in header form
 	body *server.CachedBody
 }
 
@@ -64,18 +65,56 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{entries: lru.New[string, resultEntry](int64(capacity))}
 }
 
-// fullVec reports whether vec has an entry from every shard (no "-"
-// gaps) — the precondition for trusting or caching anything.
-func fullVec(vec []string) bool {
-	for _, g := range vec {
+// fleetVec is what a scatter heard from each shard, in shard order: the
+// generation and the boot epoch of the snapshot it answered from, "-"
+// for a shard that did not answer.
+type fleetVec struct{ gens, epochs []string }
+
+// full reports whether every shard answered (no "-" gaps) — the
+// precondition for trusting or caching anything.
+func (v fleetVec) full() bool {
+	for _, g := range v.gens {
 		if g == "-" {
 			return false
 		}
 	}
-	return len(vec) > 0
+	return len(v.gens) > 0
 }
 
-// observe records the identity of a fully-live scatter (snapshotID),
+// id is the identity of the fleet snapshot a fully-live scatter read:
+// "epoch:generation" per shard, comma-joined in shard order.
+func (v fleetVec) id() string {
+	var b strings.Builder
+	for s, gen := range v.gens {
+		if s > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(v.epochs[s])
+		b.WriteByte(':')
+		b.WriteString(gen)
+	}
+	return b.String()
+}
+
+// headers renders the vector in header form.
+func (v fleetVec) headers() vectors {
+	return vectors{gen: strings.Join(v.gens, ","), epoch: strings.Join(v.epochs, ",")}
+}
+
+// vectors is a fleetVec in header form: the values of
+// server.GenerationHeader and server.EpochHeader, each comma-joined in
+// shard order. A client tells a restarted shard's snapshot from the one
+// it replaced by the epoch, since a restarted shard counts generations
+// from the start again.
+type vectors struct{ gen, epoch string }
+
+// set writes both headers.
+func (v vectors) set(h http.Header) {
+	h.Set(server.GenerationHeader, v.gen)
+	h.Set(server.EpochHeader, v.epoch)
+}
+
+// observe records the identity of a fully-live scatter (fleetVec.id),
 // refreshing the trust window.
 func (c *resultCache) observe(id string, now time.Time) {
 	c.mu.Lock()
@@ -85,9 +124,9 @@ func (c *resultCache) observe(id string, now time.Time) {
 }
 
 // get returns the cached body for key if its identity matches the
-// trusted one and the trust is fresh, with the generation vector, in
-// header form, the body was merged from.
-func (c *resultCache) get(key string, now time.Time) (body *server.CachedBody, vec string, ok bool) {
+// trusted one and the trust is fresh, with the vectors, in header form,
+// of the snapshot the body was merged from.
+func (c *resultCache) get(key string, now time.Time) (body *server.CachedBody, vec vectors, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.trusted != "" && now.Sub(c.trustedAt) <= trustWindow {
@@ -97,12 +136,12 @@ func (c *resultCache) get(key string, now time.Time) (body *server.CachedBody, v
 		}
 	}
 	c.misses++
-	return nil, "", false
+	return nil, vectors{}, false
 }
 
 // put stores a body merged from the fully-live snapshot id, whose
-// generation vector in header form is vec.
-func (c *resultCache) put(key, id, vec string, body *server.CachedBody) {
+// vectors in header form are vec.
+func (c *resultCache) put(key, id string, vec vectors, body *server.CachedBody) {
 	c.entries.Put(key, resultEntry{id: id, vec: vec, body: body}, 1)
 }
 
@@ -111,22 +150,4 @@ func (c *resultCache) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.entries.Len()
-}
-
-// joinVec renders a generation vector in header form.
-func joinVec(vec []string) string { return strings.Join(vec, ",") }
-
-// snapshotID is the identity of the fleet snapshot a fully-live exchange
-// read: "epoch:generation" per shard, comma-joined in shard order.
-func snapshotID(genVec []string, answers []shardAnswer) string {
-	var b strings.Builder
-	for s, gen := range genVec {
-		if s > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(answers[s].epoch)
-		b.WriteByte(':')
-		b.WriteString(gen)
-	}
-	return b.String()
 }

@@ -19,8 +19,9 @@ import (
 // response types are the single-node ones, whose trailing
 // server.FedStatus stays empty (and so invisible) while every shard
 // answers; the full per-shard generation vector rides the
-// X-Bivoc-Generation header, comma-joined in shard order with "-" for
-// shards that did not answer.
+// X-Bivoc-Generation header, and the shards' boot epochs X-Bivoc-Epoch,
+// each comma-joined in shard order with "-" for shards that did not
+// answer.
 
 // ShardHealth is one shard's line in the federated /healthz.
 type ShardHealth struct {
@@ -79,11 +80,11 @@ type ScatterStatsJSON struct {
 }
 
 // buildMux wires the coordinator routes: the public endpoints of the
-// table, /v1/batch, and the introspection pair. The wrapper stamps a
-// no-information generation vector ("-" per shard) so even locally
-// rejected requests and 404s carry the header; scattered handlers
-// overwrite it with the real per-shard vector. Every route runs through
-// the SLO recorder feeding /statsz's serving section.
+// table, /v1/batch, and the introspection pair. The wrapper stamps
+// no-information generation and epoch vectors ("-" per shard) so even
+// locally rejected requests and 404s carry the headers; scattered
+// handlers overwrite them with the real per-shard vectors. Every route
+// runs through the SLO recorder feeding /statsz's serving section.
 func (c *Coordinator) buildMux() http.Handler {
 	mux := http.NewServeMux()
 	route := func(method, path string, h http.HandlerFunc) {
@@ -95,18 +96,18 @@ func (c *Coordinator) buildMux() http.Handler {
 	route("POST", "/v1/batch", c.handleBatch)
 	route("GET", "/healthz", c.handleHealthz)
 	route("GET", "/statsz", c.handleStatsz)
-	blank := joinVec(c.blankVec())
+	blank := c.blankVec().headers()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.GenerationHeader, blank)
+		blank.set(w.Header())
 		mux.ServeHTTP(w, r)
 	})
 }
 
-// blankVec is the generation vector of a fleet nobody has heard from.
-func (c *Coordinator) blankVec() []string {
-	vec := make([]string, len(c.cfg.Shards))
-	for i := range vec {
-		vec[i] = "-"
+// blankVec is the vector of a fleet nobody has heard from.
+func (c *Coordinator) blankVec() fleetVec {
+	vec := fleetVec{gens: make([]string, len(c.cfg.Shards)), epochs: make([]string, len(c.cfg.Shards))}
+	for i := range vec.gens {
+		vec.gens[i], vec.epochs[i] = "-", "-"
 	}
 	return vec
 }
@@ -116,17 +117,17 @@ func fedStatus(missing []int) server.FedStatus {
 }
 
 // classify sorts an introspection scatter's replies: a 200 contributes
-// its generation to the vector, anything else is missing ("-").
-func (c *Coordinator) classify(replies []shardReply) (missing []int, genVec []string) {
-	genVec = c.blankVec()
+// its generation and epoch to the vector, anything else is missing ("-").
+func (c *Coordinator) classify(replies []shardReply) (missing []int, vec fleetVec) {
+	vec = c.blankVec()
 	for i, rep := range replies {
 		if rep.failure() != "" {
 			missing = append(missing, i)
 		} else {
-			genVec[i] = rep.gen
+			vec.gens[i], vec.epochs[i] = rep.gen, rep.epoch
 		}
 	}
-	return missing, genVec
+	return missing, vec
 }
 
 // outcome is one federated query's answer in the form both routes can
@@ -140,8 +141,7 @@ type outcome struct {
 	fs     server.FedStatus
 }
 
-// write answers a GET with the outcome; the caller has set the generation
-// vector. A relayed or local error is sent plain, as a daemon sends one —
+// write answers a GET with the outcome; the caller has set the vectors. A relayed or local error is sent plain, as a daemon sends one —
 // the relayed one with the newline a frame does not carry.
 func (o outcome) write(w http.ResponseWriter, r *http.Request) {
 	switch {
@@ -165,23 +165,23 @@ func (o outcome) batchResult() server.BatchResult {
 	return server.NewBatchResult(o.body, o.status, o.err, o.fs)
 }
 
-// shardAnswer is what one shard contributed to an exchange: its frame
-// and the boot epoch it came from; or nothing, because it is down for the
-// whole request (frame and err nil); or the error that names it, because
-// its reply is not the frame asked for.
+// shardAnswer is what one shard contributed to an exchange: its frame;
+// or nothing, because it is down for the whole request (frame and err
+// nil); or the error that names it, because its reply is not the frame
+// asked for.
 type shardAnswer struct {
 	frame *server.ShardFrame
-	epoch string
 	err   error
 }
 
 // exchange asks every shard for its partials of the planned sub-queries —
 // one /v1/shard request each, a GET being a batch of one — and sorts the
-// replies: a frame of one result per query contributes its generation to
-// the vector; a shard that is unreachable or answers anything but 200 is
-// down for this request; a 200 that is anything else is malformed.
-func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery) (answers []shardAnswer, genVec []string, down []int) {
-	answers, genVec = make([]shardAnswer, len(c.cfg.Shards)), c.blankVec()
+// replies: a frame of one result per query contributes its generation and
+// the shard's epoch to the vector; a shard that is unreachable or answers
+// anything but 200 is down for this request; a 200 that is anything else
+// is malformed.
+func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery) (answers []shardAnswer, vec fleetVec, down []int) {
+	answers, vec = make([]shardAnswer, len(c.cfg.Shards)), c.blankVec()
 	for s, rep := range c.scatter(ctx, server.AppendShardRequest(nil, queries)) {
 		if rep.failure() != "" {
 			down = append(down, s)
@@ -193,10 +193,10 @@ func (c *Coordinator) exchange(ctx context.Context, queries []server.BatchQuery)
 			answers[s].err = fmt.Errorf("shard %d: %w", s, err)
 			continue
 		}
-		answers[s].frame, answers[s].epoch = &frame, rep.epoch
-		genVec[s] = strconv.FormatUint(frame.Generation, 10)
+		answers[s].frame = &frame
+		vec.gens[s], vec.epochs[s] = strconv.FormatUint(frame.Generation, 10), rep.epoch
 	}
-	return answers, genVec, down
+	return answers, vec, down
 }
 
 // readFrame decodes a 200 reply to a request of n sub-queries; its
@@ -227,7 +227,7 @@ func readFrame(rep shardReply, n int) (server.ShardFrame, error) {
 // the cache so that a later gzip-accepting replay reuses the compression
 // whichever request pays it. Results alias their replies' buffers; the
 // merged body, the one thing kept, does not.
-func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec, id string) outcome {
+func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec vectors, id string) outcome {
 	var live []server.ShardBody
 	var missing []int
 	var relay *server.ShardResult
@@ -280,10 +280,10 @@ func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec, 
 	return outcome{body: cb, status: http.StatusOK, fs: fs}
 }
 
-// writeOK writes an introspection 200 under the gathered generation
-// vector, gzip-encoded when the client negotiated it.
-func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, genVec []string, v any) {
-	w.Header().Set(server.GenerationHeader, joinVec(genVec))
+// writeOK writes an introspection 200 under the gathered vectors,
+// gzip-encoded when the client negotiated it.
+func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, vec fleetVec, v any) {
+	vec.headers().set(w.Header())
 	body, err := json.Marshal(v)
 	if err != nil {
 		server.WriteError(w, http.StatusInternalServerError, err, server.FedStatus{})
@@ -315,36 +315,35 @@ func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 			return
 		}
 		if cb, vec, ok := c.cache.get(p.Key, time.Now()); ok {
-			w.Header().Set(server.GenerationHeader, vec)
+			vec.set(w.Header())
 			server.WriteJSONBody(w, r, http.StatusOK, cb)
 			return
 		}
-		answers, genVec, _ := c.exchange(r.Context(), []server.BatchQuery{{Endpoint: name, Params: q}})
-		vec, id := c.observe(genVec, answers)
-		w.Header().Set(server.GenerationHeader, vec)
-		c.fold(p, 0, answers, vec, id).write(w, r)
+		answers, vec, _ := c.exchange(r.Context(), []server.BatchQuery{{Endpoint: name, Params: q}})
+		hv, id := c.observe(vec)
+		hv.set(w.Header())
+		c.fold(p, 0, answers, hv, id).write(w, r)
 	}
 }
 
-// observe renders a scatter's generation vector in header form and, when
-// every shard answered, the identity of the fleet snapshot it read — each
-// shard's (epoch, generation), comma-joined in shard order — refreshing
-// the cache's trust in that identity. id is "" when a shard is missing.
-func (c *Coordinator) observe(genVec []string, answers []shardAnswer) (vec, id string) {
-	vec = joinVec(genVec)
-	if !fullVec(genVec) {
-		return vec, ""
+// observe renders a scatter's vector in header form and, when every
+// shard answered, the identity of the fleet snapshot it read
+// (fleetVec.id), refreshing the cache's trust in that identity. id is ""
+// when a shard is missing.
+func (c *Coordinator) observe(vec fleetVec) (hv vectors, id string) {
+	if hv = vec.headers(); !vec.full() {
+		return hv, ""
 	}
-	id = snapshotID(genVec, answers)
+	id = vec.id()
 	c.cache.observe(id, time.Now())
-	return vec, id
+	return hv, id
 }
 
 // GET /healthz — always 200 while the coordinator serves; aggregates
 // per-shard health and degrades on any unreachable or degraded shard.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	replies := c.introspect(r.Context(), "/healthz")
-	missing, genVec := c.classify(replies)
+	missing, vec := c.classify(replies)
 	resp := HealthResponse{Status: "ok", Shards: make([]ShardHealth, len(c.cfg.Shards)), FedStatus: fedStatus(missing)}
 	if resp.Degraded {
 		resp.Status = "degraded"
@@ -379,17 +378,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards[i] = sh
 	}
-	c.writeOK(w, r, genVec, resp)
+	c.writeOK(w, r, vec, resp)
 }
 
 // GET /statsz — fleet-wide document/segment/cache sums plus each
 // shard's own stats section verbatim.
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	replies := c.introspect(r.Context(), "/statsz")
-	missing, genVec := c.classify(replies)
+	missing, vec := c.classify(replies)
 	fedHits, fedMisses, fedSize := c.cache.stats()
 	resp := StatszResponse{
-		Generations: genVec,
+		Generations: vec.gens,
 		FedCache: server.CacheStatsJSON{
 			Hits:     fedHits,
 			Misses:   fedMisses,
@@ -428,5 +427,5 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		ss.Stats = &sr
 		resp.Shards[i] = ss
 	}
-	c.writeOK(w, r, genVec, resp)
+	c.writeOK(w, r, vec, resp)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,7 +250,10 @@ func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
 // other documents and seals at generation 1 again. Once the trust window
 // has lapsed, another query re-observes 1,1 — and the cached count must
 // not be served: the restarted shard's epoch differs, so the fleet's 120
-// documents answer, not the 80 the cache saw.
+// documents answer, not the 80 the cache saw. A client sees the restart
+// the same way: the generation vector reads 1,1 throughout, the epoch
+// vector changes at shard 0 and nowhere else, and a cache hit carries the
+// epochs of the snapshot it was merged from.
 func TestFedCacheForgetsARestartedShard(t *testing.T) {
 	docs := voctest.ParityDocs(140)
 	first := startSingle(t, docs[:20], server.Config{})
@@ -258,7 +262,7 @@ func TestFedCacheForgetsARestartedShard(t *testing.T) {
 	coord := startCoordinator(t, Config{Shards: shardAddrs([]*server.Server{first, other})})
 	fedBase := "http://" + coord.Addr()
 	q := fedBase + "/v1/count?dim=" + url.QueryEscape("parity=even")
-	count := func(rawurl string) (vec string, total, n int) {
+	count := func(rawurl string) (vec, epochs []string, total, n int) {
 		t.Helper()
 		status, hdr, body := get(t, rawurl)
 		var m struct {
@@ -268,12 +272,20 @@ func TestFedCacheForgetsARestartedShard(t *testing.T) {
 		if err := json.Unmarshal(body, &m); status != http.StatusOK || err != nil || len(m.Counts) != 1 {
 			t.Fatalf("GET %s: status %d, body %s", rawurl, status, body)
 		}
-		return hdr.Get(server.GenerationHeader), m.Total, m.Counts[0]
+		vec, epochs = strings.Split(hdr.Get(server.GenerationHeader), ","), strings.Split(hdr.Get(server.EpochHeader), ",")
+		if len(epochs) != len(vec) || slices.Contains(epochs, "-") || slices.Contains(epochs, "") {
+			t.Fatalf("GET %s: epoch vector %q beside generation vector %q, want one epoch per live shard", rawurl, epochs, vec)
+		}
+		return vec, epochs, m.Total, m.Counts[0]
 	}
+	oneOne := []string{"1", "1"}
 
-	vec, total, even := count(q)
-	if total != 80 || even != 40 {
-		t.Fatalf("before the restart: total %d, count %d, want 80 and 40", total, even)
+	vec, before, total, even := count(q)
+	if !slices.Equal(vec, oneOne) || total != 80 || even != 40 {
+		t.Fatalf("before the restart: vector %q, total %d, count %d, want 1,1, 80 and 40", vec, total, even)
+	}
+	if hit, epochs, _, _ := count(q); !slices.Equal(hit, oneOne) || !slices.Equal(epochs, before) {
+		t.Fatalf("a cache hit carries vectors %q and %q, want those of the scatter it was merged from, %q and %q", hit, epochs, oneOne, before)
 	}
 	addr := first.Addr()
 	shutdownServer(t, first)
@@ -281,11 +293,15 @@ func TestFedCacheForgetsARestartedShard(t *testing.T) {
 	waitIngestDone(t, restarted)
 	time.Sleep(trustWindow + 100*time.Millisecond)
 
-	if again, total, _ := count(fedBase + "/v1/count?dim=" + url.QueryEscape("parity=odd")); again != vec || total != 120 {
-		t.Fatalf("after the restart another query read vector %q over %d documents, want %q over 120: the restart is not the one this test is about", again, total, vec)
+	again, after, total, _ := count(fedBase + "/v1/count?dim=" + url.QueryEscape("parity=odd"))
+	if !slices.Equal(again, oneOne) || total != 120 {
+		t.Fatalf("after the restart another query read vector %q over %d documents, want 1,1 over 120: the restart is not the one this test is about", again, total)
 	}
-	if _, total, even = count(q); total != 120 || even != 60 {
-		t.Fatalf("the cached count answers total %d, count %d after shard 0 restarted over other documents, want 120 and 60", total, even)
+	if after[0] == before[0] || after[1] != before[1] {
+		t.Fatalf("epoch vector %q before shard 0 restarted and %q after, want only shard 0's epoch to differ", before, after)
+	}
+	if vec, epochs, total, even := count(q); !slices.Equal(vec, oneOne) || !slices.Equal(epochs, after) || total != 120 || even != 60 {
+		t.Fatalf("after shard 0 restarted over other documents the count reads vectors %q and %q, total %d, count %d; want 1,1, %q, 120 and 60", vec, epochs, total, even, after)
 	}
 }
 
@@ -320,6 +336,9 @@ func TestFedDegradedNeverCached(t *testing.T) {
 		}
 		if vec := hdr.Get(server.GenerationHeader); !strings.Contains(vec, "-") {
 			t.Fatalf("degraded query %d vector %q has no gap", i, vec)
+		}
+		if epochs := strings.Split(hdr.Get(server.EpochHeader), ","); len(epochs) != k || epochs[0] == "-" || epochs[1] != "-" {
+			t.Fatalf("degraded query %d epoch vector %q, want shard 0's epoch and '-' at shard 1", i, epochs)
 		}
 	}
 	if got := shardEndpointRequests(t, "/v1/shard", shards[0]); got != 2 {

@@ -22,6 +22,7 @@ type queryCtx struct {
 	lists   [][]int  // reusable leaf-list headers for k-way intersection
 	margins [][]int  // reusable row and column headers of a table (see marginPostings)
 	marks   []uint64 // per-document mark words (see docMarks); all zero between uses
+	heads   []string // reusable segment heads of a k-way merge by ID (see mergeByID); empty between uses
 }
 
 // markBits is the width of a document's mark word: the widest set of
@@ -238,12 +239,11 @@ func (ix *Index) intersectFast(ctx *queryCtx, dims []Dim) (posts []int, owned bo
 	return cur, true
 }
 
-// intersectInto writes the sorted intersection of sorted lists a and b
-// into dst (reset to length 0) and returns it. Linear merge for
-// comparable sizes, galloping through the longer list when the sizes
-// are badly skewed. dst must not alias a or b.
+// intersectInto appends the sorted intersection of sorted lists a and b
+// to dst and returns it. Linear merge for comparable sizes, galloping
+// through the longer list when the sizes are badly skewed. dst must not
+// alias a or b.
 func intersectInto(dst, a, b []int) []int {
-	dst = dst[:0]
 	if len(a) > len(b) {
 		a, b = b, a
 	}

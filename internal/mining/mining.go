@@ -159,31 +159,43 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 // DrillDownLimit returns the size of the cell of documents matching both
 // dimensions and its first limit documents in ID order (all of them when
 // limit is negative). Where position order is ID order (see idOrdered),
-// a limited drill-down materializes only the first limit positions —
-// over a mapped backing each one is a full record decode — and, when a
-// side is a plain field with a column, does not build the cell at all
-// (firstByColumn). A segment whose positions are not in ID order (a
-// file Seal did not write) materializes and sorts the whole cell before
-// truncating.
+// a limited drill-down materializes only the documents at the cell's
+// first limit positions (cellPositions) — over a mapped backing each one
+// is a full record decode. An unlimited drill-down, and any over a
+// segment whose positions are not in ID order (a file Seal did not
+// write), materializes and sorts the whole cell before truncating.
 func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
+	inOrder := limit >= 0 && ix.idOrdered()
+	first := limit
+	if !inOrder {
+		first = -1
+	}
+	pos, count := ix.cellPositions(ctx, a, b, first, ctx.getBuf())
+	docs = ix.docsAt(pos)
+	ctx.putBuf(pos)
+	if !inOrder {
+		docs = firstDocs(docs, limit)
+	}
+	return docs, count
+}
+
+// cellPositions appends to dst the positions of the first limit documents
+// of the cell of a and b in position order (all of them when limit is
+// negative), and returns it with the size of the cell. When a side is a
+// plain field with a column it does not build the cell (firstByColumn);
+// otherwise it intersects the two sides' postings.
+func (ix *Index) cellPositions(ctx *queryCtx, a, b Dim, limit int, dst []int) ([]int, int) {
 	pa, ownedA := ix.resolve(ctx, a)
 	pb, ownedB := ix.resolve(ctx, b)
-	inOrder := limit >= 0 && ix.idOrdered()
-	byColumn := false
-	if inOrder {
-		docs, count, byColumn = ix.firstByColumn(a, b, pa, pb, limit)
-	}
+	dst, count, byColumn := ix.firstByColumn(a, b, pa, pb, limit, dst)
 	if !byColumn {
-		both := intersectInto(ctx.getBuf(), pa, pb)
-		count = len(both)
-		if inOrder {
-			docs = ix.docsAt(both[:min(limit, count)])
-		} else {
-			docs = firstDocs(ix.docsAt(both), limit)
+		n := len(dst)
+		dst = intersectInto(dst, pa, pb)
+		if count = len(dst) - n; limit >= 0 {
+			dst = dst[:n+min(limit, count)]
 		}
-		ctx.putBuf(both)
 	}
 	if ownedB {
 		ctx.putBuf(pb)
@@ -191,17 +203,17 @@ func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int
 	if ownedA {
 		ctx.putBuf(pa)
 	}
-	return docs, count
+	return dst, count
 }
 
 // firstByColumn counts the cell of a and b, whose postings are pa and
-// pb, and returns the documents at its first limit positions without
-// building the cell, when a side is a plain field with a column
-// (fieldColumn): the cell is then the other side's documents that hold
-// the field's value, that side's tally over the field counts them
-// (countIn), and a walk of its postings takes the first limit. ok is
+// pb, and appends to dst its first limit positions (all when limit is
+// negative) without building the cell, when a side is a plain field with
+// a column (fieldColumn): the cell is then the other side's documents
+// that hold the field's value, that side's tally over the field counts
+// them (countIn), and a walk of its postings takes the first limit. ok is
 // false for any other shape.
-func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int) (docs []Document, count int, ok bool) {
+func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int, dst []int) (_ []int, count int, ok bool) {
 	row, posts, col := a, pa, b
 	ids, value, ok := ix.fieldColumn(b)
 	if !ok {
@@ -209,22 +221,23 @@ func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int) (docs []Docume
 		row, posts, col = b, pb, a
 	}
 	if !ok || value == 0 { // value 0: no document carries the field's value
-		return nil, 0, ok
+		return dst, 0, ok
 	}
-	if count = ix.countIn(row, posts, col.Field, ids, value); count == 0 || limit == 0 {
-		return nil, count, true
+	count = ix.countIn(row, posts, col.Field, ids, value)
+	take := count
+	if limit >= 0 {
+		take = min(limit, count)
 	}
-	docs = make([]Document, min(limit, count))
-	k := 0
 	for _, p := range posts {
+		if take == 0 {
+			break
+		}
 		if ids[p] == value {
-			docs[k] = ix.b.Doc(p)
-			if k++; k == len(docs) {
-				break
-			}
+			dst = append(dst, p)
+			take--
 		}
 	}
-	return docs, count, true
+	return dst, count, true
 }
 
 // docsAt materializes the documents at positions, nil for none.

@@ -144,14 +144,83 @@ func (s *SegmentSet) DrillDown(a, b Dim) []Document {
 // first limit documents in ID order (all when limit is negative) — the
 // same total order the monolithic index returns, because IDs are unique
 // across segments: the cell's first limit documents are among each
-// segment's own first limit, so that is all a segment materializes.
+// segment's own first limit. Each segment yields the positions of those
+// (cellPositions), and a k-way merge by ID materializes only the limit
+// that are returned (mergeByID). An unlimited drill-down, and any over a
+// set holding a segment whose positions are not in ID order, gathers
+// every segment's documents and sorts them instead.
 func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
-	for _, ix := range s.segs {
-		part, n := ix.DrillDownLimit(a, b, limit)
-		docs = append(docs, part...)
-		count += n
+	if limit < 0 || !s.idOrdered() {
+		for _, ix := range s.segs {
+			part, n := ix.DrillDownLimit(a, b, limit)
+			docs = append(docs, part...)
+			count += n
+		}
+		return firstDocs(docs, limit), count
 	}
-	return firstDocs(docs, limit), count
+	ctx := acquireQueryCtx()
+	defer releaseQueryCtx(ctx)
+	pos, ends := ctx.getBuf(), ctx.getBuf()
+	for _, ix := range s.segs {
+		var n int
+		pos, n = ix.cellPositions(ctx, a, b, limit, pos)
+		count += n
+		ends = append(ends, len(pos))
+	}
+	docs = s.mergeByID(ctx, pos, ends, limit)
+	ctx.putBuf(ends)
+	ctx.putBuf(pos)
+	return docs, count
+}
+
+// idOrdered reports whether every segment's positions are in ID order.
+func (s *SegmentSet) idOrdered() bool {
+	for _, ix := range s.segs {
+		if !ix.idOrdered() {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeByID materializes the first limit documents, in ID order, of the
+// segments' position lists — segment j's are pos[ends[j-1]:ends[j]], in
+// ID order — by a k-way merge that reads each head's ID without decoding
+// its document (Backing.DocID) and calls Backing.Doc only for the
+// documents it returns. Nil for none.
+func (s *SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Document {
+	if min(limit, len(pos)) == 0 {
+		return nil
+	}
+	next, heads := ctx.getBuf(), ctx.heads[:0] // each segment's first position not yet taken, and its ID
+	start := 0
+	for j, end := range ends {
+		next = append(next, start)
+		id := ""
+		if start < end {
+			id = s.segs[j].b.DocID(pos[start])
+		}
+		heads = append(heads, id)
+		start = end
+	}
+	docs := make([]Document, min(limit, len(pos)))
+	for k := range docs {
+		m := -1
+		for j, id := range heads {
+			if next[j] < ends[j] && (m < 0 || id < heads[m]) {
+				m = j
+			}
+		}
+		b := s.segs[m].b
+		docs[k] = b.Doc(pos[next[m]])
+		if next[m]++; next[m] < ends[m] {
+			heads[m] = b.DocID(pos[next[m]])
+		}
+	}
+	clear(heads) // the pooled context must not pin a segment's IDs
+	ctx.heads = heads[:0]
+	ctx.putBuf(next)
+	return docs
 }
 
 // ConceptDF merges per-segment document frequencies per canonical form

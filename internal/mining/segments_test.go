@@ -44,6 +44,77 @@ func TestDrillDownLimitOutOfOrderIndex(t *testing.T) {
 	voctest.CheckQueriers(t, mining.NewSegmentSet(reversed, ordered), oracle(w), w)
 }
 
+// TestSegmentSetDrillDownLimitMerge holds the limited drill-down of a
+// set — each segment's first positions, merged by ID — to the monolithic
+// naive view: every shape of the world's drill-down battery (a field's
+// column on either side, the two sides' postings intersected,
+// conjunctions) and a conjunction on both sides, at limits 0, 1, half
+// the cell, the cell, past it and unlimited, over 1, 2 and 8 segments,
+// after a compaction, and over a set that holds a segment whose
+// positions are not in ID order beside sealed ones.
+func TestSegmentSetDrillDownLimitMerge(t *testing.T) {
+	t.Parallel()
+	w := voctest.NewWorld(3907, 170)
+	naive := oracle(w)
+	segs := w.Segments(8)
+	thirds := w.Segments(3)
+	var descending []mining.Document
+	for i := thirds[0].Len() - 1; i >= 0; i-- {
+		descending = append(descending, thirds[0].Doc(i))
+	}
+	sets := []struct {
+		name string
+		set  *mining.SegmentSet
+	}{
+		{"1 segment", mining.NewSegmentSet(w.Segments(1)...)},
+		{"2 segments", mining.NewSegmentSet(w.Segments(2)...)},
+		{"8 segments", mining.NewSegmentSet(segs...)},
+		{"8 segments compacted to 3", mining.NewSegmentSet(mining.MergeSegments(segs[0], segs[3], segs[6]), mining.MergeSegments(segs[1:3]...), mining.MergeSegments(segs[4:6]...), segs[7])},
+		{"an out-of-order segment among sealed ones", mining.NewSegmentSet(mining.InOrder(descending), thirds[1], thirds[2])},
+	}
+	cells := append(w.Cells[:len(w.Cells):len(w.Cells)], [2]mining.Dim{w.Dims[11], w.Dims[12]}, [2]mining.Dim{w.Dims[11], w.Dims[5]})
+	for _, tc := range sets {
+		for _, c := range cells {
+			whole := naive.DrillDown(c[0], c[1])
+			for _, limit := range []int{0, 1, len(whole) / 2, len(whole), len(whole) + 1, -1} {
+				got, count := tc.set.DrillDownLimit(c[0], c[1], limit)
+				want, wantCount := naive.DrillDownLimit(c[0], c[1], limit)
+				if count != wantCount || len(got) != len(want) ||
+					(len(want) > 0 && !reflect.DeepEqual(voctest.AsStored(got), voctest.AsStored(want))) {
+					t.Fatalf("%s: DrillDownLimit(%s, %s, %d) = %d documents of %d, want %d of %d",
+						tc.name, c[0].Label(), c[1].Label(), limit, len(got), count, len(want), wantCount)
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentSetDrillDownLimitAllocs pins that the merge costs what it
+// returns: once warm, a limited drill-down over 8 segments allocates no
+// more than over 1 (its result, from pooled scratch), whatever shape
+// the cell. Leaf operands only: a conjunction pays for its memo key in
+// every segment it is resolved in.
+func TestSegmentSetDrillDownLimitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 300)
+	one, eight := mining.NewSegmentSet(w.Segments(1)...), mining.NewSegmentSet(w.Segments(8)...)
+	for _, c := range w.Cells {
+		if len(c[0].And) > 0 || len(c[1].And) > 0 {
+			continue
+		}
+		allocs := func(set *mining.SegmentSet) float64 {
+			set.DrillDownLimit(c[0], c[1], 20) // warm
+			return testing.AllocsPerRun(100, func() { set.DrillDownLimit(c[0], c[1], 20) })
+		}
+		if got, base := allocs(eight), allocs(one); got > base {
+			t.Errorf("DrillDownLimit(%s, %s, 20) allocates %.1f objects per call over 8 segments, %.1f over 1",
+				c[0].Label(), c[1].Label(), got, base)
+		}
+	}
+}
+
 // TestSegmentSetMatchesMonolithic is the tentpole oracle: segment
 // counts {1, 2, 8} against the monolithic naive view, repeated so the
 // segments' conjunction memos are hit warm too — over the world's own

@@ -434,9 +434,8 @@ func (e Endpoints) drillDown(q url.Values) (*Plan, error) {
 		write: func(b []byte, m cellDocs) []byte { return AppendDrillDownPartial(b, m.count, m.docs) },
 		merge: func(live []ShardBody) (cellDocs, error) { return mergeDrillDownPartials(live, limit) },
 		finish: func(h Head, m cellDocs) any {
-			return DrillDownResponse{Generation: h.Generation, Sealed: h.Sealed,
-				Row: rows.labels[0], Col: cols.labels[0], Count: m.count, Truncated: m.count > limit,
-				Docs: documentsJSON(m.docs), FedStatus: h.FedStatus}
+			return drillDownBody{head: h, row: rows.labels[0], col: cols.labels[0],
+				count: m.count, truncated: m.count > limit, docs: m.docs}
 		},
 	}.plan(cacheKey("drilldown", rows.labels[0], cols.labels[0], strconv.Itoa(limit))), nil
 }

@@ -156,12 +156,16 @@ var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // marshalBody renders v in the canonical response framing — exactly
 // append(json.Marshal(v), '\n'), which is what json.Encoder emits — but
 // through a pooled working buffer, so the only allocation that survives
-// the call is the exact-size body copy.
+// the call is the exact-size body copy. A drill-down body appends itself
+// into that buffer (drillDownBody.appendJSON).
 func marshalBody(v any) ([]byte, error) {
 	buf := bodyScratch.Get().(*bytes.Buffer)
 	defer bodyScratch.Put(buf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if d, ok := v.(drillDownBody); ok {
+		buf.Write(d.appendJSON(buf.AvailableBuffer())) // keeps for the pool whatever it grew past the buffer
+		buf.WriteByte('\n')
+	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), buf.Bytes()...), nil

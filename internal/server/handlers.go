@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 
 	"bivoc/internal/mining"
@@ -23,9 +24,11 @@ import (
 // federated answer fills in. Dimensions are echoed in canonical form
 // (mining.(Dim).CanonicalLabel), which is also the form cache keys use.
 // An association's cells, a report's rows and a trend's points are
-// mining's own results, whose JSON tags are this schema; only a
-// drill-down's documents are copied (DocumentJSON), because their field
-// order and empty fields differ from mining.Document's.
+// mining's own results, whose JSON tags are this schema. A drill-down's
+// documents are not: their field order and empty fields differ from
+// mining.Document's, so a drill-down body appends its JSON straight from
+// the documents (drillDownBody), and DrillDownResponse with DocumentJSON
+// is the schema a client decodes that body into.
 
 // CountResponse answers /v1/count.
 type CountResponse struct {
@@ -72,26 +75,6 @@ type DocumentJSON struct {
 	Concepts []ConceptJSON     `json:"concepts"`
 }
 
-// documentsJSON converts drilled-down documents to wire form (non-nil
-// even when empty). A document without fields or concepts says {} and
-// [], never null: the heap holds whichever map its source built and the
-// store decodes no fields to a nil one, and the two must marshal alike.
-func documentsJSON(docs []mining.Document) []DocumentJSON {
-	out := make([]DocumentJSON, len(docs))
-	for i, d := range docs {
-		concepts := make([]ConceptJSON, len(d.Concepts))
-		for j, c := range d.Concepts {
-			concepts[j] = ConceptJSON{Category: c.Category, Canonical: c.Canonical}
-		}
-		fields := d.Fields
-		if fields == nil {
-			fields = map[string]string{}
-		}
-		out[i] = DocumentJSON{ID: d.ID, Fields: fields, Time: d.Time, Concepts: concepts}
-	}
-	return out
-}
-
 // DrillDownResponse answers /v1/drilldown.
 type DrillDownResponse struct {
 	Generation uint64         `json:"generation"`
@@ -102,6 +85,102 @@ type DrillDownResponse struct {
 	Truncated  bool           `json:"truncated"`
 	Docs       []DocumentJSON `json:"docs"`
 	FedStatus
+}
+
+// drillDownBody is what a drill-down's finish returns: the
+// DrillDownResponse it stands for, rendered by appendJSON byte for byte
+// as encoding/json renders that response from DocumentJSON copies, but
+// read straight from the documents. A document without fields or
+// concepts says {} and [], never null: the heap holds whichever map its
+// source built and the store decodes no fields to a nil one, and the two
+// must render alike.
+type drillDownBody struct {
+	head      Head
+	row, col  string
+	count     int
+	truncated bool
+	docs      []mining.Document
+}
+
+// MarshalJSON renders the body for encoding/json (a test's oracle
+// marshals what Plan.Local returns): the bytes marshalBody writes.
+func (d drillDownBody) MarshalJSON() ([]byte, error) { return d.appendJSON(nil), nil }
+
+// appendJSON appends the body in DrillDownResponse's field order.
+func (d drillDownBody) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"generation":`...), d.head.Generation, 10)
+	b = strconv.AppendBool(append(b, `,"sealed":`...), d.head.Sealed)
+	b = appendJSONString(append(b, `,"row":`...), d.row)
+	b = appendJSONString(append(b, `,"col":`...), d.col)
+	b = strconv.AppendInt(append(b, `,"count":`...), int64(d.count), 10)
+	b = strconv.AppendBool(append(b, `,"truncated":`...), d.truncated)
+	b = append(b, `,"docs":[`...)
+	for i, doc := range d.docs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendDocumentJSON(b, doc)
+	}
+	b = append(b, ']')
+	if d.head.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	if len(d.head.MissingShards) > 0 {
+		b = append(b, `,"missing_shards":[`...)
+		for i, s := range d.head.MissingShards {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(s), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendDocumentJSON appends a document as DocumentJSON renders: fields
+// in encoding/json's map order (keys sorted byte-wise), concepts in
+// document order.
+func appendDocumentJSON(b []byte, d mining.Document) []byte {
+	b = appendJSONString(append(b, `{"id":`...), d.ID)
+	b = append(b, `,"fields":{`...)
+	var spare [8]string
+	keys := spare[:0]
+	for k := range d.Fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(append(appendJSONString(b, k), ':'), d.Fields[k])
+	}
+	b = strconv.AppendInt(append(b, `},"time":`...), int64(d.Time), 10)
+	b = append(b, `,"concepts":[`...)
+	for i, c := range d.Concepts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(append(b, `{"category":`...), c.Category)
+		b = appendJSONString(append(b, `,"canonical":`...), c.Canonical)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// appendJSONString appends s as encoding/json writes a string under
+// marshalBody (HTML escaping on). A string of printable ASCII that needs
+// no escape goes between quotes as it is; any other — <, >, &, control
+// bytes, U+2028, invalid UTF-8 — is written by encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // TrendResponse answers /v1/trend.

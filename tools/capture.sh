@@ -131,6 +131,8 @@ requests() {
 /v1/relfreq|category=customer intention|featured=agent=A01
 /v1/associate|row=customer intention|row=outcome=reservation|col=outcome=reservation|col=outcome=unbooked|col=agent=A01
 /v1/drilldown|row=strong start[customer intention]|col=agent=A02|limit=3
+/v1/drilldown|row=customer intention|col=outcome=reservation|limit=12
+/v1/drilldown|row=weak start[customer intention] ∧ outcome=unbooked|col=vehicle type ∧ place|limit=4
 /v1/count
 /v1/count|dim=[unclosed
 /v1/associate|row=weak start[customer intention]|col=outcome=reservation|confidence=7
