@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"bivoc"
+	"bivoc/internal/mining"
 	"bivoc/internal/server"
 )
 
@@ -80,7 +81,7 @@ func main() {
 	swapEvery := flag.Int("swap-every", 0, "publish a fresh snapshot every N ingested calls (0 = off)")
 	maxSegments := flag.Int("max-segments", 0, "compact the serving index past this many segments (0 = default 8, negative = never)")
 	cacheSize := flag.Int("cache", 0, "query-result cache entries per snapshot (0 = default 256, negative = off)")
-	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
+	confidence := flag.Float64("confidence", mining.DefaultConfidence, "default association-interval confidence")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 	dataDir := flag.String("data-dir", "", "persistence directory: segments + ingest WAL (empty = in-memory only)")
 	walSync := flag.Int("wal-sync", 1, "fsync the ingest WAL every N documents (1 = every document)")

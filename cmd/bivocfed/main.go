@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"bivoc"
+	"bivoc/internal/mining"
 	"bivoc/internal/server"
 )
 
@@ -46,7 +47,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "HTTP listen address (use :0 for a free port)")
 	shards := flag.String("shards", "", "comma-separated shard base URLs, in shard order (required)")
 	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard request timeout; a slower shard is treated as down for that query")
-	confidence := flag.Float64("confidence", 0.95, "default association-interval confidence")
+	confidence := flag.Float64("confidence", mining.DefaultConfidence, "default association-interval confidence")
 	cacheSize := flag.Int("cache-size", 0, "coordinator result-cache entries (0 = default 256, negative = off); a hit skips the scatter")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")

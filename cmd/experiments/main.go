@@ -303,7 +303,7 @@ func runFig4(full bool, seed uint64, analysis analysisFn) error {
 		bivoc.FieldDim("outcome", synth.OutcomeReservation),
 		bivoc.FieldDim("outcome", synth.OutcomeUnbooked),
 	}
-	tbl := ca.Index.Associate(rows, cols, 0.95)
+	tbl := ca.Index.Associate(rows, cols, mining.DefaultConfidence)
 	fmt.Print(tbl.Render())
 	docs := ca.Index.DrillDown(rows[0], cols[0])
 	fmt.Printf("\ndrill-down: weak start × reservation → %d calls; first 3:\n", len(docs))

@@ -57,7 +57,7 @@ func DefaultCallAnalysisConfig() CallAnalysisConfig {
 		Channel:    asr.CallCenterChannel,
 		Decoder:    asr.DefaultDecoderConfig(),
 		UseASR:     true,
-		Confidence: 0.95,
+		Confidence: mining.DefaultConfidence,
 	}
 }
 

@@ -23,10 +23,6 @@ func DefaultEmailAssociationConfig() EmailAssociationConfig {
 	return EmailAssociationConfig{World: synth.DefaultTelecomConfig()}
 }
 
-// emailAssocConfidence is the confidence of Figure 4's association
-// intervals.
-const emailAssocConfidence = 0.95
-
 // EmailAssociation is the assembled Figure 4 state.
 type EmailAssociation struct {
 	Index *mining.Index
@@ -77,6 +73,6 @@ func RunEmailCategoryAnalysis(cfg EmailAssociationConfig) (*EmailAssociation, er
 	for _, cat := range synth.EmailCategories() {
 		cols = append(cols, mining.FieldDim("category", cat))
 	}
-	tbl := ix.Associate(rows, cols, emailAssocConfidence)
+	tbl := ix.Associate(rows, cols, mining.DefaultConfidence)
 	return &EmailAssociation{Index: ix, Table: tbl}, nil
 }

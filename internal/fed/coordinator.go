@@ -28,7 +28,7 @@ type Config struct {
 	// 5s). A shard that exceeds it is treated as down for that query.
 	ShardTimeout time.Duration
 	// Confidence is the default association confidence when the query
-	// does not pass one (default 0.95, mirroring the shard servers).
+	// does not pass one (mining.Confidence, as on the shard servers).
 	Confidence float64
 	// Client issues the shard requests (default: a dedicated pooled
 	// client).

@@ -9,10 +9,13 @@ package mining
 // naive oracle, and the segment fan-in all do — which is what makes
 // query results byte-identical over either representation.
 //
-// Contract: every postings list is strictly increasing document
-// positions in [0, DocCount()), lookups return nil when the key is
-// absent, and returned slices are read-only views (the same postings
-// contract documented on Index). The Each* enumerations visit every
+// Contract: document positions are in strictly increasing ID order
+// (DocID(i) < DocID(i+1)) — Seal builds that order, and internal/store's
+// segment reader refuses a file that breaks it — so a cell's first
+// positions are its first documents by ID. Every postings list is
+// strictly increasing document positions in [0, DocCount()), lookups
+// return nil when the key is absent, and returned slices are read-only
+// views (the same postings contract documented on Index). The Each* enumerations visit every
 // list of one family in unspecified order — every caller re-sorts by
 // a total order — and hand the list's length as df so implementations
 // can answer vocabulary queries without decoding any postings.
@@ -40,8 +43,8 @@ type Backing interface {
 // FromBacking wraps a read-only backing (e.g. a mapped segment) as a
 // queryable Index, its query structures built through the interface
 // without decoding any postings. The backing must already satisfy the
-// postings contract — the store validates structure before handing one
-// over.
+// contract, ID order included — the store validates both before handing
+// one over.
 func FromBacking(b Backing) *Index { return prepare(b) }
 
 // Materialize copies a backing onto the heap — every document and

@@ -12,18 +12,6 @@ const ConjWordsFloor = conjWordsFloor
 
 func ConjBudget(docs int) int        { return conjBudget(docs) }
 func ConjCost(key string, n int) int { return conjCost(key, make([]int, n)) }
-func (ix *Index) IDOrdered() bool    { return ix.idOrdered() }
-
-// InOrder builds the index of docs at the positions given, in the order
-// given — the layout of a segment file that Seal did not write, whose
-// positions need not be in ID order.
-func InOrder(docs []Document) *Index {
-	mb := newMemBacking()
-	for _, d := range docs {
-		mb.add(d)
-	}
-	return prepare(mb)
-}
 
 // ColumnsBuilt is how many per-document columns (one per field, one of
 // times) an index has built so far.
@@ -87,28 +75,23 @@ func TallyCost(row Dim, field string, n int) int {
 }
 
 // MarkPass drives the one-pass cell count directly over the dims squared.
-// It returns the counts, what one countIntersect per cell says they are,
-// and how many documents the pass left marked in the pooled scratch
-// (none, or the next query on that scratch miscounts).
-func (ix *Index) MarkPass(dims []Dim) (got, want [][]int, marked int) {
+// It returns the counts and how many documents the pass left marked in
+// the pooled scratch (none, or the next query on that scratch
+// miscounts).
+func (ix *Index) MarkPass(dims []Dim) (got [][]int, marked int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	defer ctx.clearMargins()
 	posts, _ := ix.marginPostings(ctx, dims, dims)
-	got, want = make([][]int, len(posts)), make([][]int, len(posts))
+	got = make([][]int, len(posts))
 	for i := range posts {
-		got[i], want[i] = make([]int, len(posts)), make([]int, len(posts))
+		got[i] = make([]int, len(posts))
 	}
 	ix.countCells(ctx, got, dims, posts, dims, posts)
-	for i, a := range posts {
-		for j, b := range posts {
-			want[i][j] = countIntersect(a, b)
-		}
-	}
 	for _, mark := range ctx.docMarks(ix.Len()) {
 		if mark != 0 {
 			marked++
 		}
 	}
-	return got, want, marked
+	return got, marked
 }

@@ -9,8 +9,8 @@ import (
 
 // FuzzEngineEquivalence is the equivalence suites with the world left to
 // the fuzzer: the world of seed with ndocs documents, and every
-// configuration of the fast engine — the index built in arrival order,
-// the sealed index with a cold and then a warm memo, a SegmentSet of 1
+// configuration of the fast engine — the sealed index with a cold and
+// then a warm memo, a SegmentSet of 1
 // to 12 segments chosen by k (past the document count the last ones are
 // empty), and the single segment MergeSegments compacts them into —
 // against the naive view of one monolithic index, through the same
@@ -28,7 +28,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ndocs, k uint8) {
 		w := voctest.NewWorld(seed, int(ndocs))
 		naive := oracle(w)
-		voctest.CheckQueriers(t, mining.InOrder(w.Docs), naive, w)
 		ix := w.Index()
 		voctest.CheckQueriers(t, ix, naive, w)
 		voctest.CheckQueriers(t, ix, naive, w)

@@ -78,9 +78,18 @@ func (ctx *queryCtx) docMarks(n int) []uint64 {
 // table's columns on that field before, and one walk per such column
 // (countValue) for a row that gets no tally. Every other column is
 // marked: bit j set on every document of its list, read off each row
-// document in one more walk, and cleared by walking the list again.
-// len(cols) must not exceed markBits.
+// document in one more walk, and cleared by walking the list again. A
+// table wider than markBits is counted markBits columns at a time.
 func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows []Dim, rowPosts [][]int, cols []Dim, colPosts [][]int) {
+	for lo := 0; lo < len(cols); lo += markBits {
+		hi := min(lo+markBits, len(cols))
+		ix.countColumns(ctx, ncell, lo, rows, rowPosts, cols[lo:hi], colPosts[lo:hi])
+	}
+}
+
+// countColumns is countCells over at most markBits columns, cols and
+// colPosts, whose counts go to ncell's columns from lo.
+func (ix *Index) countColumns(ctx *queryCtx, ncell [][]int, lo int, rows []Dim, rowPosts [][]int, cols []Dim, colPosts [][]int) {
 	type fieldCell struct {
 		field string
 		ids   []uint16
@@ -105,7 +114,7 @@ func (ix *Index) countCells(ctx *queryCtx, ncell [][]int, rows []Dim, rowPosts [
 		}
 	}
 	for i, posts := range rowPosts {
-		row := ncell[i]
+		row := ncell[i][lo:]
 		if marked != 0 {
 			for _, p := range posts {
 				for w := marks[p]; w != 0; w &= w - 1 {
@@ -278,47 +287,6 @@ func intersectInto(dst, a, b []int) []int {
 		}
 	}
 	return dst
-}
-
-// countIntersect returns |a ∩ b| for sorted lists without materializing
-// the intersection — the CountBoth/Associate/RelativeFrequency inner
-// loop. Same merge/gallop split as intersectInto.
-func countIntersect(a, b []int) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	n := 0
-	if len(b) >= gallopFactor*len(a) {
-		j := 0
-		for _, x := range a {
-			j = gallopTo(b, j, x)
-			if j == len(b) {
-				break
-			}
-			if b[j] == x {
-				n++
-				j++
-			}
-		}
-		return n
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
 }
 
 // gallopTo returns the smallest k in [lo, len(b)) with b[k] >= x, or

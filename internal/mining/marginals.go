@@ -131,22 +131,13 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 //
 // The cells are counted by walking each row's postings (countCells): a
 // plain field column through the field's per-document column, every
-// other column by marking its documents first. A table with more
-// columns than a mark word has bits keeps the merge per cell.
+// other column by marking its documents first.
 func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	defer ctx.clearMargins()
 	rowPosts, colPosts := ix.marginPostings(ctx, rows, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)
-	if len(cols) <= markBits {
-		ix.countCells(ctx, m.Ncell, rows, rowPosts, cols, colPosts)
-		return m
-	}
-	for i := range rows {
-		for j := range cols {
-			m.Ncell[i][j] = countIntersect(rowPosts[i], colPosts[j])
-		}
-	}
+	ix.countCells(ctx, m.Ncell, rows, rowPosts, cols, colPosts)
 	return m
 }

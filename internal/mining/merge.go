@@ -196,6 +196,19 @@ func MergeAssocMarginals(parts ...AssocMarginals) AssocMarginals {
 	return out
 }
 
+// DefaultConfidence is the confidence level of the association
+// intervals when a caller gives none.
+const DefaultConfidence = 0.95
+
+// Confidence returns c when it is a confidence level, in (0,1), and
+// DefaultConfidence for anything else, NaN included.
+func Confidence(c float64) float64 {
+	if c > 0 && c < 1 {
+		return c
+	}
+	return DefaultConfidence
+}
+
 // FinalizeAssoc runs the association float pipeline over (merged)
 // integer marginals: point index, Wilson intervals via
 // stats.WilsonIntervalZ on the merged counts — never averaged per-part
@@ -203,11 +216,10 @@ func MergeAssocMarginals(parts ...AssocMarginals) AssocMarginals {
 // Index.AssociateN, SegmentSet.AssociateN and the federation coordinator
 // all assemble their tables here, so there is exactly one copy of the
 // cell float math; every count arrives precomputed, which leaves a cell
-// an integer lookup plus Wilson arithmetic.
+// an integer lookup plus Wilson arithmetic. The confidence is normalized
+// by Confidence.
 func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
-	if !(confidence > 0 && confidence < 1) { // NaN too
-		confidence = 0.95
-	}
+	confidence = Confidence(confidence)
 	z := stats.WilsonZ(confidence)
 	n := m.N
 	tbl := &AssocTable{Rows: rows, Cols: cols, Confidence: confidence}

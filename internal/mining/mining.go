@@ -17,7 +17,6 @@ package mining
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -128,22 +127,13 @@ func (ix *Index) Count(d Dim) int {
 	return n
 }
 
-// CountBoth returns how many documents match both dimensions. The joint
-// count is computed by a sorted merge (or gallop, for skewed list
-// sizes) over the two postings — the intersection itself is never
-// materialized.
+// CountBoth returns how many documents match both dimensions: the size
+// of their cell as cellPositions counts it, taking none of its documents.
 func (ix *Index) CountBoth(a, b Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	pa, ownedA := ix.resolve(ctx, a)
-	pb, ownedB := ix.resolve(ctx, b)
-	n := countIntersect(pa, pb)
-	if ownedB {
-		ctx.putBuf(pb)
-	}
-	if ownedA {
-		ctx.putBuf(pa)
-	}
+	pos, n := ix.cellPositions(ctx, a, b, 0, ctx.getBuf())
+	ctx.putBuf(pos)
 	return n
 }
 
@@ -158,26 +148,16 @@ func (ix *Index) DrillDown(a, b Dim) []Document {
 
 // DrillDownLimit returns the size of the cell of documents matching both
 // dimensions and its first limit documents in ID order (all of them when
-// limit is negative). Where position order is ID order (see idOrdered),
-// a limited drill-down materializes only the documents at the cell's
-// first limit positions (cellPositions) — over a mapped backing each one
-// is a full record decode. An unlimited drill-down, and any over a
-// segment whose positions are not in ID order (a file Seal did not
-// write), materializes and sorts the whole cell before truncating.
+// limit is negative). Positions are in ID order (see Backing), so it
+// materializes only the documents at the cell's first limit positions
+// (cellPositions) — over a mapped backing each one is a full record
+// decode.
 func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
-	inOrder := limit >= 0 && ix.idOrdered()
-	first := limit
-	if !inOrder {
-		first = -1
-	}
-	pos, count := ix.cellPositions(ctx, a, b, first, ctx.getBuf())
+	pos, count := ix.cellPositions(ctx, a, b, limit, ctx.getBuf())
 	docs = ix.docsAt(pos)
 	ctx.putBuf(pos)
-	if !inOrder {
-		docs = firstDocs(docs, limit)
-	}
 	return docs, count
 }
 
@@ -248,16 +228,6 @@ func (ix *Index) docsAt(positions []int) []Document {
 	docs := make([]Document, len(positions))
 	for i, p := range positions {
 		docs[i] = ix.b.Doc(p)
-	}
-	return docs
-}
-
-// firstDocs sorts docs by ID and truncates them to limit; a negative
-// limit keeps them all.
-func firstDocs(docs []Document, limit int) []Document {
-	slices.SortFunc(docs, func(x, y Document) int { return strings.Compare(x.ID, y.ID) })
-	if limit >= 0 && limit < len(docs) {
-		return docs[:limit]
 	}
 	return docs
 }
@@ -341,7 +311,8 @@ type AssocTable struct {
 
 // Associate builds the two-dimensional association table between row
 // and column dimensions at the given confidence level for the interval
-// estimate (0 < confidence < 1; anything else, NaN included, means 0.95).
+// estimate (0 < confidence < 1; anything else, NaN included, means
+// DefaultConfidence).
 func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
 	return ix.AssociateN(rows, cols, confidence, 0)
 }

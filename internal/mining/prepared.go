@@ -21,7 +21,6 @@ import (
 //     budget proportional to the segment (see conjStore);
 //   - memoized tallies of leaf rows over field columns, under the same
 //     lock and budget (see tally);
-//   - whether position order is document-ID order (see idOrdered);
 //   - per-document columns: one per field, holding each document's value
 //     id, and one holding each document's time bucket (see fieldColumn
 //     and timeColumn), which the association, relative-frequency and
@@ -29,9 +28,9 @@ import (
 //
 // The precomputed lists are immutable after prepare; the memo is guarded
 // by mu because an index is queried from many server handlers at once.
-// The columns, the tallies and the ID order are found out the first time
-// a query needs them, never at prepare: that would put a per-document
-// pass on the open path of a mapped segment.
+// The columns and the tallies are built the first time a query needs
+// them, never at prepare: that would put a per-document pass on the open
+// path of a mapped segment.
 type prepared struct {
 	// catEntries holds each category's vocabulary in ConceptsInCategory
 	// order (frequency desc, ties lexicographic). It deliberately carries
@@ -48,9 +47,6 @@ type prepared struct {
 	tallies   map[tallyKey][]int
 	conjWords int // what conj and tallies hold, in conjCost and tallyCost units
 	conjLimit int // conjBudget of the segment, fixed at prepare
-
-	orderOnce sync.Once
-	ordered   bool
 
 	// fieldCols holds a column for each field of fieldVals, made at
 	// prepare and filled on first use — except for a field with more
@@ -187,30 +183,6 @@ func (ix *Index) timeColumn() (times []int, ids []uint16, ok bool) {
 		p.columnsBuilt.Add(1)
 	})
 	return p.times, p.timeCol.ids, p.timeCol.ids != nil
-}
-
-// idOrdered reports whether document positions are in strictly
-// increasing ID order — what lets a limited drill-down stop at its first
-// limit positions. Seal builds that order and records it. An index over
-// a backing opened from disk finds out by one DocID walk the first time
-// a limited drill-down asks, never at prepare: that would put a
-// per-document pass on the open path of a mapped segment. An index whose
-// IDs are out of order (a segment file Seal did not write) reports false
-// and drills down through the whole cell.
-func (ix *Index) idOrdered() bool {
-	p := ix.prep
-	p.orderOnce.Do(func() {
-		prev := ""
-		for i, n := 0, ix.b.DocCount(); i < n; i++ {
-			id := ix.b.DocID(i)
-			if i > 0 && id <= prev {
-				return
-			}
-			prev = id
-		}
-		p.ordered = true
-	})
-	return p.ordered
 }
 
 // conjCached returns the memoized postings of a canonicalized

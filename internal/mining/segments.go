@@ -23,7 +23,10 @@ import "sort"
 // segmented *SegmentSet: every analytics entry point the serving layer
 // exposes, plus the marginal extractions a shard answers a federation
 // coordinator with (see merge.go). A snapshot can hold either
-// implementation; responses are byte-identical for the same corpus.
+// implementation; responses are byte-identical for the same corpus. Both
+// rest on the ID order of every index's positions (see Backing): a
+// drill-down's documents are its cell's first positions, merged by ID
+// across segments.
 //
 // AssociateN's workers parameter is ignored by both implementations: a
 // table is one pass over each segment's postings (AssocMarginals) plus
@@ -76,7 +79,7 @@ func NewSegmentSet(segs ...*Index) *SegmentSet {
 // StreamIndex query or Seal and MergeSegments all end here: docs is
 // sorted by ID in place and indexed in that order, so the result does
 // not depend on the order the documents arrived in and positions are in
-// ID order (see idOrdered). A repeated document ID panics: it means an
+// ID order (see Backing). A repeated document ID panics: it means an
 // upstream retry delivered an item twice, or two segments under
 // compaction overlap, and every count over the segment would be
 // silently wrong.
@@ -89,9 +92,7 @@ func Seal(docs []Document) *Index {
 		}
 		mb.add(d)
 	}
-	ix := prepare(mb)
-	ix.prep.orderOnce.Do(func() { ix.prep.ordered = true })
-	return ix
+	return prepare(mb)
 }
 
 func panicDuplicateID(op, id string) {
@@ -146,18 +147,9 @@ func (s *SegmentSet) DrillDown(a, b Dim) []Document {
 // across segments: the cell's first limit documents are among each
 // segment's own first limit. Each segment yields the positions of those
 // (cellPositions), and a k-way merge by ID materializes only the limit
-// that are returned (mergeByID). An unlimited drill-down, and any over a
-// set holding a segment whose positions are not in ID order, gathers
-// every segment's documents and sorts them instead.
+// that are returned (mergeByID); an unlimited drill-down merges every
+// position.
 func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
-	if limit < 0 || !s.idOrdered() {
-		for _, ix := range s.segs {
-			part, n := ix.DrillDownLimit(a, b, limit)
-			docs = append(docs, part...)
-			count += n
-		}
-		return firstDocs(docs, limit), count
-	}
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	pos, ends := ctx.getBuf(), ctx.getBuf()
@@ -173,23 +165,17 @@ func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count
 	return docs, count
 }
 
-// idOrdered reports whether every segment's positions are in ID order.
-func (s *SegmentSet) idOrdered() bool {
-	for _, ix := range s.segs {
-		if !ix.idOrdered() {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeByID materializes the first limit documents, in ID order, of the
-// segments' position lists — segment j's are pos[ends[j-1]:ends[j]], in
-// ID order — by a k-way merge that reads each head's ID without decoding
-// its document (Backing.DocID) and calls Backing.Doc only for the
-// documents it returns. Nil for none.
+// mergeByID materializes the first limit documents (all when limit is
+// negative), in ID order, of the segments' position lists — segment j's
+// are pos[ends[j-1]:ends[j]], in ID order — by a k-way merge that reads
+// each head's ID without decoding its document (Backing.DocID) and calls
+// Backing.Doc only for the documents it returns. Nil for none.
 func (s *SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Document {
-	if min(limit, len(pos)) == 0 {
+	take := len(pos)
+	if limit >= 0 {
+		take = min(limit, take)
+	}
+	if take == 0 {
 		return nil
 	}
 	next, heads := ctx.getBuf(), ctx.heads[:0] // each segment's first position not yet taken, and its ID
@@ -203,7 +189,7 @@ func (s *SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Docu
 		heads = append(heads, id)
 		start = end
 	}
-	docs := make([]Document, min(limit, len(pos)))
+	docs := make([]Document, take)
 	for k := range docs {
 		m := -1
 		for j, id := range heads {

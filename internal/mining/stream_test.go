@@ -3,6 +3,7 @@ package mining
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -78,7 +79,7 @@ func queryFingerprint(t *testing.T, q interface {
 // the same documents.
 func TestStreamIndexMatchesBatchIndex(t *testing.T) {
 	docs := streamCorpus(3000)
-	batch := InOrder(docs)
+	batch := Seal(slices.Clone(docs))
 
 	si := NewStreamIndex()
 	const workers = 8
@@ -267,7 +268,7 @@ func TestStreamViewIsASnapshot(t *testing.T) {
 	if got, want := si.Count(CategoryDim("color")), len(docs); got != want {
 		t.Fatalf("a new query counts %d documents, want %d", got, want)
 	}
-	if got, want := queryFingerprint(t, si), queryFingerprint(t, InOrder(docs)); got != want {
+	if got, want := queryFingerprint(t, si), queryFingerprint(t, Seal(slices.Clone(docs))); got != want {
 		t.Fatalf("a new query misses added documents:\n--- stream ---\n%s--- batch ---\n%s", got, want)
 	}
 }

@@ -188,13 +188,10 @@ type Endpoints struct {
 	confidence float64 // association confidence when a query passes none
 }
 
-// NewEndpoints resolves the default association confidence (0.95 unless
-// it lies in (0,1), so NaN too).
+// NewEndpoints resolves the default association confidence
+// (mining.Confidence).
 func NewEndpoints(confidence float64) Endpoints {
-	if !(confidence > 0 && confidence < 1) {
-		confidence = 0.95
-	}
-	return Endpoints{confidence: confidence}
+	return Endpoints{confidence: mining.Confidence(confidence)}
 }
 
 // endpointTable is keyed by endpoint name: the /v1 path without the
@@ -355,7 +352,7 @@ func (e Endpoints) associate(q url.Values) (*Plan, error) {
 	confidence := e.confidence
 	if cs := q.Get("confidence"); cs != "" {
 		confidence, err = strconv.ParseFloat(cs, 64)
-		if err != nil || !(confidence > 0 && confidence < 1) {
+		if err != nil || mining.Confidence(confidence) != confidence { // not in (0,1)
 			return nil, fmt.Errorf("confidence must be a number in (0,1), got %q", cs)
 		}
 	}

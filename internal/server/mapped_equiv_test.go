@@ -228,11 +228,15 @@ func TestMappedDaemonCompactionIdentical(t *testing.T) {
 	matSt := openStore(t, copyStoreDir(t, dir))
 	mat := startServer(t, cfg(matSt))
 	mapSt := openMappedStore(t, copyStoreDir(t, dir))
-	// The live lineage at open is what the store recovered; the server
-	// takes the Recovery itself.
+	// The live lineage at open is what a store over the same files
+	// recovers; the server takes mapSt's Recovery itself.
 	recovered := map[uint64]bool{}
-	for _, seg := range mapSt.Stats().Segments {
+	probe := openStore(t, copyStoreDir(t, dir))
+	for _, seg := range probe.Recovered().Segments {
 		recovered[seg.Gen] = true
+	}
+	if err := probe.Close(); err != nil {
+		t.Fatal(err)
 	}
 	mapped := startServer(t, cfg(mapSt))
 	waitIngestDone(t, mat)

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -393,5 +395,71 @@ func TestPersistErrorDegradesNotKills(t *testing.T) {
 	getOK(t, "http://"+s.Addr()+"/statsz", &stz)
 	if stz.Store == nil || stz.Store.PersistError == "" {
 		t.Errorf("statsz does not surface the persistence error: %+v", stz.Store)
+	}
+}
+
+// TestRefusedSegmentComesBackFromTheSource: a segment the reader refuses
+// is not lost. Here the newest of three generations holds its documents
+// out of ID order under a checksum that holds, which the segment reader
+// refuses at open like any damaged file. Recovery skips it and names it,
+// its IDs stay out of the skip set, and the source delivers those
+// documents again: after ingest the daemon, eager or mapped, answers the
+// world's whole battery byte for byte as a daemon that never stopped.
+func TestRefusedSegmentComesBackFromTheSource(t *testing.T) {
+	t.Parallel()
+	w := voctest.NewWorld(4049, 150)
+	queries := w.URLs()
+	ctl := startServer(t, Config{Source: resumableSource(w.Docs, nil)})
+	waitIngestDone(t, ctl)
+	want := fetchAll(t, "http://"+ctl.Addr(), queries)
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	segs := w.Segments(3)
+	for _, ix := range segs {
+		if _, err := st.AppendSegment(ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest := st.Stats().SegmentPath
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the first two entries of the per-document offset directory
+	// (trailer: directory start, string count, ... — 24 bytes before the
+	// 24-byte footer) and repair the checksum that ends the footer.
+	le := binary.LittleEndian
+	trailer := len(data) - 48
+	docOffs := int(le.Uint32(data[trailer:])) + 4*int(le.Uint32(data[trailer+4:]))
+	first, second := le.Uint32(data[docOffs:]), le.Uint32(data[docOffs+4:])
+	le.PutUint32(data[docOffs:], second)
+	le.PutUint32(data[docOffs+4:], first)
+	le.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-24]))
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mapSegs := range []bool{false, true} {
+		st, err := store.Open(copyStoreDir(t, dir), store.Options{MapSegments: mapSegs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var emitted atomic.Int64
+		s := startServer(t, Config{Source: resumableSource(w.Docs, &emitted), Persist: st})
+		var statsz StatszResponse
+		getOK(t, "http://"+s.Addr()+"/statsz", &statsz)
+		if sk := statsz.Store.SkippedSegments; len(sk) != 1 || sk[0] != filepath.Base(newest) {
+			t.Errorf("mmap=%v: recovery skipped %q, want [%q]", mapSegs, sk, filepath.Base(newest))
+		}
+		waitIngestDone(t, s)
+		if got, refused := emitted.Load(), int64(segs[2].Len()); got != refused {
+			t.Errorf("mmap=%v: the source delivered %d documents again, want the refused segment's %d", mapSegs, got, refused)
+		}
+		compareAll(t, fmt.Sprintf("mmap=%v", mapSegs), want, fetchAll(t, "http://"+s.Addr(), queries))
+		shutdownServer(t, s)
 	}
 }

@@ -99,7 +99,8 @@ type Config struct {
 	// Default 256; negative disables caching.
 	CacheSize int
 	// Confidence is the association-interval confidence used when a
-	// query does not pass its own. Default 0.95.
+	// query does not pass its own (mining.Confidence: default
+	// mining.DefaultConfidence).
 	Confidence float64
 	// Persist, when set, makes the daemon durable: the store's recovered
 	// state (live segments + WAL tail) seeds the first snapshot and the

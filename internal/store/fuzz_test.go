@@ -34,6 +34,8 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BVSG"))
+	// Documents out of ID order, checksum repaired.
+	f.Add(outOfIDOrder(f, EncodeSegment(sealedIndex(voctest.NewWorld(2, 25).Docs))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := materialize("fuzz", data)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -12,15 +13,17 @@ import (
 // Mapped is the segment reader, the only code that parses segment bytes:
 // the file is memory-mapped (or read whole on platforms without mmap) and
 // served through mining.Backing without materializing the index. Open
-// cost is O(#postings lists), not O(corpus): the envelope is validated
-// once (magic, version, geometry, CRC — the CRC pass touches every
+// decodes no postings and no document beyond its ID: the envelope is
+// validated once (magic, version, geometry, CRC — the CRC pass touches every
 // byte but allocates nothing and builds nothing), then only the
 // fixed-width offset directory is walked to build the three key → list
-// lookup tables. Postings stay varint-encoded in the mapping until a
-// query first touches them; decoded lists land in a byte-budgeted LRU
-// shared across a Store's segments, so the hot set is decoded once and
-// cold lists never leave the page cache. A store that does not map its
-// segments opens each through it too, and materializes it.
+// lookup tables, and the documents' ID references to check that they
+// are in ID order (checkIDOrder). Postings stay varint-encoded in the
+// mapping until a query first touches them; decoded lists land in a
+// byte-budgeted LRU shared across a Store's segments, so the hot set is
+// decoded once and cold lists never leave the page cache. A store that
+// does not map its segments opens each through it too, and materializes
+// it.
 //
 // Lazy reads are strictly bounds-checked. The CRC check at open makes
 // post-open decode failures practically impossible for media damage,
@@ -84,9 +87,9 @@ func OpenMapped(path string, cache *PostingsCache) (*Mapped, error) {
 	return m, nil
 }
 
-// newMapped validates the envelope and walks the directory; it is the
-// open path of both loaders, and the fuzz harness drives raw bytes
-// through it without a file. A nil cache is a materializing open's,
+// newMapped validates the envelope, walks the directory and checks the
+// documents' ID order; it is the open path of both loaders, and the fuzz
+// harness drives raw bytes through it without a file. A nil cache is a materializing open's,
 // which reads every list exactly once: it decodes straight out of data
 // without caching, and resolves the string table before the directory so
 // that keys and records share its strings.
@@ -142,7 +145,33 @@ func newMapped(path string, data []byte, unmap func([]byte) error, cache *Postin
 	if err := dir.Done(); err != nil {
 		return nil, corrupt(err)
 	}
+	if err := m.checkIDOrder(); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// checkIDOrder requires each document's ID to be greater than the one
+// before it: the order mining.Backing promises and Seal writes. It
+// compares the IDs' bytes in the mapping, so the walk allocates nothing.
+// A record whose ID does not decode is left to the lazy reads, which
+// report it on first touch; the next ID is compared with the last one
+// that decoded.
+func (m *Mapped) checkIDOrder() error {
+	var prev []byte
+	seen := false
+	for i := range m.env.nDocs {
+		r := m.docReader(i)
+		id := m.strBytes(&r, r.Uvarint())
+		if r.Err() != nil {
+			continue
+		}
+		if seen && bytes.Compare(id, prev) <= 0 {
+			return corruptf("document %d's ID %q is not after %q: positions are not in ID order", i, id, prev)
+		}
+		prev, seen = id, true
+	}
+	return nil
 }
 
 // dirEntry reads the next fixed-width directory entry, resolving the
@@ -163,22 +192,29 @@ func (m *Mapped) dirEntry(dir *wire.Reader, parts int) (k [2]string, e dirEntry)
 // directory, bounds-checked against the body; a reference that does not
 // resolve fails r, the reader it was read from.
 func (m *Mapped) strAt(r *wire.Reader, ref uint64) string {
+	if m.strs != nil && ref < uint64(len(m.strs)) && r.Err() == nil {
+		return m.strs[ref]
+	}
+	return string(m.strBytes(r, ref))
+}
+
+// strBytes is strAt's string read out of the mapping: its bytes, aliasing
+// data, and nil on a failure, which is r's.
+func (m *Mapped) strBytes(r *wire.Reader, ref uint64) []byte {
 	if r.Err() != nil {
-		return ""
+		return nil
 	}
 	if ref >= uint64(m.env.nStrs) {
 		r.Failf("string ref %d out of table (size %d)", ref, m.env.nStrs)
-		return ""
-	}
-	if m.strs != nil {
-		return m.strs[ref]
+		return nil
 	}
 	at := m.bodyReader(binary.LittleEndian.Uint32(m.strOffs[4*ref:]))
-	s := at.String()
+	b := at.Bytes()
 	if err := at.Err(); err != nil {
 		r.Failf("string %d: %v", ref, err)
+		return nil
 	}
-	return s
+	return b
 }
 
 // bodyReader positions a reader at an absolute file offset, which must

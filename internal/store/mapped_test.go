@@ -495,10 +495,76 @@ func TestStoreReportsMappingFailure(t *testing.T) {
 	}
 }
 
+// outOfIDOrder swaps the first two entries of a segment's per-document
+// offset directory and repairs the checksum: a file whose bytes are
+// intact but whose first two positions hold their documents in
+// descending ID order, which Seal never writes.
+func outOfIDOrder(t testing.TB, data []byte) []byte {
+	t.Helper()
+	env, err := checkEnvelope(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.nDocs < 2 {
+		t.Fatalf("a segment of %d documents has no order to break", env.nDocs)
+	}
+	docOffs := env.dirStart + 4*env.nStrs
+	first, second := binary.LittleEndian.Uint32(data[docOffs:]), binary.LittleEndian.Uint32(data[docOffs+4:])
+	binary.LittleEndian.PutUint32(data[docOffs:], second)
+	binary.LittleEndian.PutUint32(data[docOffs+4:], first)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-segFooterLen]))
+	return data
+}
+
+// TestSegmentOutOfIDOrderIsRefused: every index keeps its documents in
+// strictly increasing ID order, and the segment reader checks it once, at
+// open. A file whose checksum holds but whose positions break the order —
+// two documents swapped, or one record at two positions — is refused
+// with an IsCorrupt error by the materializing open and by the mapping
+// alike, as any damaged file is.
+func TestSegmentOutOfIDOrderIsRefused(t *testing.T) {
+	t.Parallel()
+	intact := EncodeSegment(sealedIndex(voctest.NewWorld(5, 40).Docs))
+	repeated := append([]byte(nil), intact...)
+	env, err := checkEnvelope(repeated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docOffs := env.dirStart + 4*env.nStrs
+	copy(repeated[docOffs+4:docOffs+8], repeated[docOffs:docOffs+4])
+	binary.LittleEndian.PutUint32(repeated[len(repeated)-4:], crc32.ChecksumIEEE(repeated[:len(repeated)-segFooterLen]))
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"two documents swapped", outOfIDOrder(t, append([]byte(nil), intact...))},
+		{"one document at two positions", repeated},
+	} {
+		if _, err := materialize("seg", tc.data); !IsCorrupt(err) || !strings.Contains(err.Error(), "ID order") {
+			t.Errorf("%s: materializing open = %v, want corruption naming the ID order", tc.name, err)
+		}
+		path := filepath.Join(t.TempDir(), "seg.seg")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMapped(path, nil)
+		if m != nil {
+			m.Close()
+		}
+		if !IsCorrupt(err) || !strings.Contains(err.Error(), "ID order") {
+			t.Errorf("%s: OpenMapped = %v, want corruption naming the ID order", tc.name, err)
+		}
+	}
+	if _, err := materialize("seg", intact); err != nil {
+		t.Fatalf("the intact segment does not open: %v", err)
+	}
+}
+
 // TestDamagedGenerationUnderEitherLoader pins what recovery makes of a
 // damaged generation, per loader. Both open through the one segment
-// reader: a file that fails the envelope, or whose directory does not
-// resolve or repeats a key, is skipped and named under both, and the two
+// reader: a file that fails the envelope, whose directory does not
+// resolve or repeats a key, or whose documents are not in ID order, is
+// skipped and named under both, and the two
 // differ, on purpose, only for a file whose checksum holds over a record
 // or list that does not decode — the eager loader reads everything and
 // skips it, the lazy one adopts it and reports through Store.Err on
@@ -549,6 +615,7 @@ func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
 			copy(data[firstList+dirEntryLen:][:8], data[firstList:][:8]) // the second concept takes the first's key
 			return resum(data)
 		}, rest, rest},
+		{"documents out of ID order, checksum repaired", func(data []byte) []byte { return outOfIDOrder(t, data) }, rest, rest},
 		{"first postings delta zeroed, checksum repaired", func(data []byte) []byte {
 			env := envelope(data)
 			firstList := env.dirStart + 4*(env.nStrs+env.nDocs)

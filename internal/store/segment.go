@@ -63,6 +63,11 @@ import (
 // index it was written from, or it errors; it never panics and never
 // silently serves wrong data.
 //
+// Document records are in strictly increasing ID order, the order of
+// every index's positions (mining.Backing): Seal builds it and
+// EncodeSegment writes records by position. The reader checks it once,
+// at open (checkIDOrder), and refuses a file that breaks it as corrupt.
+//
 // Version 2 is the only version read or written: a file of any other
 // version (version 1 had no directory and trailer; nothing has written
 // it since the directory arrived) is rejected as corrupt by both

@@ -84,23 +84,14 @@ func (r *Recovery) IDs() map[string]bool {
 	return ids
 }
 
-// SegmentStat describes one live on-disk segment.
-type SegmentStat struct {
-	Gen   uint64
-	Path  string
-	Bytes int64
-	Docs  int
-}
-
 // Stats is the store's operational state, surfaced on /statsz. The
-// scalar Segment* fields describe the newest live segment (SegmentDocs
-// is the total across the lineage); Segments lists every live segment.
+// Segment* fields describe the newest live segment, but SegmentDocs,
+// which is the total across the lineage.
 type Stats struct {
 	SegmentGen   uint64
 	SegmentPath  string
 	SegmentBytes int64
 	SegmentDocs  int
-	Segments     []SegmentStat
 	WALRecords   int
 	WALBytes     int64
 	// LastSeal is the wall time the current segment was written by this
@@ -659,7 +650,6 @@ func (s *Store) Stats() Stats {
 		OpenDuration: s.openDur,
 	}
 	for _, m := range s.segments {
-		st.Segments = append(st.Segments, SegmentStat{Gen: m.gen, Path: m.path, Bytes: m.bytes, Docs: m.docs})
 		st.SegmentDocs += m.docs
 		if m.mapped != nil {
 			st.MappedSegments++
