@@ -222,39 +222,6 @@ type CacheStatsJSON struct {
 	Capacity int    `json:"capacity"`
 }
 
-// StoreStatsJSON is the persistence section of /statsz (present only
-// when the daemon runs with a data directory): the durable segment, the
-// ingest WAL, and what the last warm start recovered.
-type StoreStatsJSON struct {
-	SegmentGeneration uint64 `json:"segment_generation"`
-	SegmentPath       string `json:"segment_path,omitempty"`
-	SegmentBytes      int64  `json:"segment_bytes"`
-	SegmentDocs       int    `json:"segment_docs"`
-	WALRecords        int    `json:"wal_records"`
-	WALBytes          int64  `json:"wal_bytes"`
-	// LastSealUnixMS is the wall time the current segment was written by
-	// this process (0 for segments inherited from an earlier run).
-	LastSealUnixMS int64 `json:"last_seal_unix_ms,omitempty"`
-	// Recovered* describe the warm start: documents adopted from the
-	// segment, documents replayed from the WAL tail, torn-tail bytes
-	// dropped; SkippedSegments names the segment files it passed over as
-	// damaged.
-	RecoveredSegmentDocs int      `json:"recovered_segment_docs"`
-	RecoveredWALDocs     int      `json:"recovered_wal_docs"`
-	RecoveredWALDropped  int64    `json:"recovered_wal_dropped_bytes,omitempty"`
-	SkippedSegments      []string `json:"skipped_segments,omitempty"`
-	PersistError         string   `json:"persist_error,omitempty"`
-	// Mapped-segment serving (populated only when the store was opened
-	// with MapSegments): live segments served straight from their file
-	// mappings, the bytes those mappings cover, the decoded-postings
-	// cache, and how long the last Open spent bringing the lineage up —
-	// the number that should stay O(#lists) as the corpus grows.
-	MappedSegments int                       `json:"mapped_segments,omitempty"`
-	MappedBytes    int64                     `json:"mapped_bytes,omitempty"`
-	PostingsCache  *store.PostingsCacheStats `json:"postings_cache,omitempty"`
-	OpenMicros     int64                     `json:"open_us,omitempty"`
-}
-
 // MemoryStatsJSON is the memory section of /statsz: the Go heap the
 // daemon is actually paying for, next to the mapped-segment bytes the
 // kernel can reclaim under pressure — the two numbers whose ratio is
@@ -279,9 +246,9 @@ type SegmentsJSON struct {
 }
 
 // StatszResponse answers /statsz: snapshot generation, segment layout,
-// cache counters, the ingest pipeline's per-stage stats (schema pinned
-// by pipeline.StageStats.MarshalJSON), and — when persistence is on —
-// the store section.
+// cache counters, the ingest pipeline's per-stage stats (the JSON tags
+// of pipeline.StageStats), and — when persistence is on — the store's
+// own Stats.
 type StatszResponse struct {
 	Generation  uint64                `json:"generation"`
 	Sealed      bool                  `json:"sealed"`
@@ -291,7 +258,7 @@ type StatszResponse struct {
 	Serving     ServingJSON           `json:"serving"`
 	Memory      MemoryStatsJSON       `json:"memory"`
 	Pipeline    []pipeline.StageStats `json:"pipeline"`
-	Store       *StoreStatsJSON       `json:"store,omitempty"`
+	Store       *store.Stats          `json:"store,omitempty"`
 	IngestError string                `json:"ingest_error,omitempty"`
 }
 
@@ -488,31 +455,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Persist != nil {
 		st := s.cfg.Persist.Stats()
-		ss := &StoreStatsJSON{
-			SegmentGeneration:    st.SegmentGen,
-			SegmentPath:          st.SegmentPath,
-			SegmentBytes:         st.SegmentBytes,
-			SegmentDocs:          st.SegmentDocs,
-			WALRecords:           st.WALRecords,
-			WALBytes:             st.WALBytes,
-			RecoveredSegmentDocs: s.recInfo.segmentDocs,
-			RecoveredWALDocs:     s.recInfo.walDocs,
-			RecoveredWALDropped:  s.recInfo.walDropped,
-			SkippedSegments:      s.recInfo.skipped,
-			MappedSegments:       st.MappedSegments,
-			MappedBytes:          st.MappedBytes,
-			OpenMicros:           st.OpenDuration.Microseconds(),
-		}
-		if st.PostingsCache.Budget > 0 {
-			ss.PostingsCache = &st.PostingsCache
-		}
-		if !st.LastSeal.IsZero() {
-			ss.LastSealUnixMS = st.LastSeal.UnixMilli()
-		}
-		if err := s.PersistErr(); err != nil {
-			ss.PersistError = err.Error()
-		}
-		resp.Store = ss
+		resp.Store = &st
 		resp.Memory.MappedBytes = st.MappedBytes
 	}
 	if err := s.IngestErr(); err != nil {

@@ -134,8 +134,8 @@ func TestPersistSealWritesSegmentAndResetsWAL(t *testing.T) {
 	if stats.WALRecords != 0 {
 		t.Errorf("WAL holds %d records after the seal, want 0 (reset)", stats.WALRecords)
 	}
-	if stats.LastSeal.IsZero() {
-		t.Error("LastSeal not stamped by the seal-time segment write")
+	if stats.LastSealUnixMS == 0 {
+		t.Error("LastSealUnixMS not stamped by the seal-time segment write")
 	}
 	if fi, err := os.Stat(stats.SegmentPath); err != nil || fi.Size() != stats.SegmentBytes {
 		t.Errorf("segment file mismatch: stat=%v err=%v, stats say %d bytes", fi, err, stats.SegmentBytes)
@@ -305,8 +305,8 @@ func TestPersistStatszStoreSection(t *testing.T) {
 	if ss == nil {
 		t.Fatal("statsz store section missing with persistence configured")
 	}
-	if ss.SegmentGeneration != 1 || ss.SegmentDocs != len(docs) {
-		t.Errorf("store section segment gen=%d docs=%d, want 1/%d", ss.SegmentGeneration, ss.SegmentDocs, len(docs))
+	if ss.SegmentGen != 1 || ss.SegmentDocs != len(docs) {
+		t.Errorf("store section segment gen=%d docs=%d, want 1/%d", ss.SegmentGen, ss.SegmentDocs, len(docs))
 	}
 	if ss.WALRecords != 0 || ss.WALBytes <= 0 {
 		t.Errorf("store section WAL records=%d bytes=%d, want 0 records and a header-sized file", ss.WALRecords, ss.WALBytes)
@@ -461,5 +461,58 @@ func TestRefusedSegmentComesBackFromTheSource(t *testing.T) {
 		}
 		compareAll(t, fmt.Sprintf("mmap=%v", mapSegs), want, fetchAll(t, "http://"+s.Addr(), queries))
 		shutdownServer(t, s)
+	}
+}
+
+// TestFailedSegmentWriteKeepsTheWAL: a segment write that fails leaves
+// its documents in RAM only. The daemon keeps serving, /healthz says
+// degraded with the store's error, and the seal syncs the WAL instead of
+// resetting it — the WAL is the only durable copy of those documents — so
+// a restart recovers them from it and answers byte for byte as a daemon
+// that never failed.
+func TestFailedSegmentWriteKeepsTheWAL(t *testing.T) {
+	docs := voctest.ParityDocs(80)
+	queries := persistQueries()
+	ctl := startServer(t, Config{Source: resumableSource(docs, nil)})
+	waitIngestDone(t, ctl)
+	want := fetchAll(t, "http://"+ctl.Addr(), queries)
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// A non-empty directory where the first segment's temp file goes: the
+	// seal's segment write fails, and its cleanup cannot remove it.
+	blocker := filepath.Join(dir, "seg-0000000000000001.seg.tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{Source: resumableSource(docs, nil), Persist: st})
+	waitIngestDone(t, s)
+	var health HealthResponse
+	getOK(t, "http://"+s.Addr()+"/healthz", &health)
+	if health.Status != "degraded" || health.PersistError == "" || health.Docs != len(docs) {
+		t.Errorf("/healthz after a failed segment write = %+v, want degraded over %d docs", health, len(docs))
+	}
+	if stats := st.Stats(); stats.SegmentGen != 0 || stats.WALRecords != len(docs) {
+		t.Errorf("store after the seal: segment gen %d, %d WAL records; want 0 and %d (synced, not reset)",
+			stats.SegmentGen, stats.WALRecords, len(docs))
+	}
+	shutdownServer(t, s)
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	var emitted atomic.Int64
+	st2 := openStore(t, dir)
+	s2 := startServer(t, Config{Source: resumableSource(docs, &emitted), Persist: st2})
+	waitIngestDone(t, s2)
+	if segDocs, walDocs, _ := s2.RecoveryInfo(); segDocs != 0 || walDocs != len(docs) {
+		t.Errorf("restart recovered %d segment + %d WAL docs, want 0 + %d", segDocs, walDocs, len(docs))
+	}
+	if got := emitted.Load(); got != 0 {
+		t.Errorf("restart re-emitted %d documents, want 0", got)
+	}
+	compareAll(t, "restart after a failed segment write", want, fetchAll(t, "http://"+s2.Addr(), queries))
+	if stats := st2.Stats(); stats.SegmentGen != 1 || stats.WALRecords != 0 {
+		t.Errorf("store after the restart's seal: segment gen %d, %d WAL records; want 1 and 0", stats.SegmentGen, stats.WALRecords)
 	}
 }

@@ -92,3 +92,39 @@ func compactedAway(s *Server, recovered map[uint64]bool) bool {
 	}
 	return true
 }
+
+// TestWarmStartReleasesSkipSet: the durable-ID skip set a warm start
+// builds (one map entry per recovered document) is what the source is
+// filtered by, and nothing after the source returns needs it, so the
+// server holds it only until then.
+func TestWarmStartReleasesSkipSet(t *testing.T) {
+	docs := voctest.ParityDocs(60)
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if _, err := st.AppendSegment(mining.Seal(docs[:40])); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var emitted atomic.Int64
+	s, err := New(Config{Source: resumableSource(docs, &emitted), Persist: openStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.recIDs) != 40 {
+		t.Fatalf("warm start built a skip set of %d IDs, want 40", len(s.recIDs))
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s)
+	waitIngestDone(t, s)
+	if got := emitted.Load(); got != 20 {
+		t.Errorf("the source emitted %d documents, want the 20 the segment lacks", got)
+	}
+	if s.recIDs != nil {
+		t.Errorf("the server still holds a skip set of %d IDs after ingest", len(s.recIDs))
+	}
+}

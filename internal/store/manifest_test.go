@@ -55,9 +55,9 @@ func TestAppendSegmentLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if len(rec.Segments) != 3 || rec.SegmentGen != 3 || rec.SegmentDocs != 90 {
-		t.Fatalf("recovered %d segments, gen %d, %d docs; want 3/3/90", len(rec.Segments), rec.SegmentGen, rec.SegmentDocs)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if len(rec.Segments) != 3 || opened.SegmentGen != 3 || opened.RecoveredSegmentDocs != 90 {
+		t.Fatalf("recovered %d segments, gen %d, %d docs; want 3/3/90", len(rec.Segments), opened.SegmentGen, opened.RecoveredSegmentDocs)
 	}
 	for i, seg := range rec.Segments {
 		if seg.Gen != uint64(i+1) || seg.Index.Len() != 30 {
@@ -114,12 +114,12 @@ func TestReplaceSegmentsCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if len(rec.Segments) != 2 || rec.SegmentDocs != 80 || rec.Segments[0].Gen != 4 || rec.Segments[1].Gen != 5 {
-		t.Fatalf("recovered %d segments with %d docs, want gens [4 5] with 80", len(rec.Segments), rec.SegmentDocs)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if len(rec.Segments) != 2 || opened.RecoveredSegmentDocs != 80 || rec.Segments[0].Gen != 4 || rec.Segments[1].Gen != 5 {
+		t.Fatalf("recovered %d segments with %d docs, want gens [4 5] with 80", len(rec.Segments), opened.RecoveredSegmentDocs)
 	}
-	if len(rec.SkippedSegments) != 0 {
-		t.Errorf("clean compacted lineage reports skipped segments: %v", rec.SkippedSegments)
+	if len(opened.SkippedSegments) != 0 {
+		t.Errorf("clean compacted lineage reports skipped segments: %v", opened.SkippedSegments)
 	}
 }
 
@@ -157,12 +157,12 @@ func TestManifestDamagedSegmentSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if len(rec.Segments) != 2 || rec.SegmentDocs != 40 {
-		t.Fatalf("recovered %d segments with %d docs, want the 2 intact ones with 40", len(rec.Segments), rec.SegmentDocs)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if len(rec.Segments) != 2 || opened.RecoveredSegmentDocs != 40 {
+		t.Fatalf("recovered %d segments with %d docs, want the 2 intact ones with 40", len(rec.Segments), opened.RecoveredSegmentDocs)
 	}
-	if len(rec.SkippedSegments) != 1 {
-		t.Fatalf("skipped = %v, want exactly the damaged segment", rec.SkippedSegments)
+	if len(opened.SkippedSegments) != 1 {
+		t.Fatalf("skipped = %v, want exactly the damaged segment", opened.SkippedSegments)
 	}
 	// New generations must number past the damaged file.
 	if _, err := st2.AppendSegment(sealedIndex(docs[20:40])); err != nil {
@@ -198,9 +198,9 @@ func TestManifestMissingFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if len(rec.Segments) != 1 || rec.SegmentGen != 1 || rec.SegmentDocs != 50 {
-		t.Fatalf("manifest-less recovery = %d segments, gen %d, %d docs; want one, gen 1 with 50", len(rec.Segments), rec.SegmentGen, rec.SegmentDocs)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if len(rec.Segments) != 1 || opened.SegmentGen != 1 || opened.RecoveredSegmentDocs != 50 {
+		t.Fatalf("manifest-less recovery = %d segments, gen %d, %d docs; want one, gen 1 with 50", len(rec.Segments), opened.SegmentGen, opened.RecoveredSegmentDocs)
 	}
 }
 
@@ -238,10 +238,10 @@ func TestManifestMalformedFailsOpen(t *testing.T) {
 			for _, mapped := range []bool{false, true} {
 				st, err := Open(dir, Options{MapSegments: mapped})
 				if err == nil {
-					rec := st.Recovered()
+					rec, opened := st.Recovered(), st.Stats()
 					st.Close()
 					t.Fatalf("mapped=%v: Open over a malformed MANIFEST succeeded with %d segments, %d documents, skipped %v",
-						mapped, len(rec.Segments), rec.SegmentDocs, rec.SkippedSegments)
+						mapped, len(rec.Segments), opened.RecoveredSegmentDocs, opened.SkippedSegments)
 				}
 				if !IsCorrupt(err) || !strings.Contains(err.Error(), "MANIFEST") {
 					t.Fatalf("mapped=%v: Open error %q does not satisfy IsCorrupt naming MANIFEST", mapped, err)

@@ -219,10 +219,10 @@ func TestOpenMappedRejectsLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MapSegments=%v: %v", mapSegs, err)
 		}
-		rec := st.Recovered()
-		if len(rec.Segments) != 0 || len(rec.SkippedSegments) != 1 || rec.SkippedSegments[0] != filepath.Base(path) {
+		rec, skipped := st.Recovered(), st.Stats().SkippedSegments
+		if len(rec.Segments) != 0 || len(skipped) != 1 || skipped[0] != filepath.Base(path) {
 			t.Errorf("MapSegments=%v: recovered %d segments, skipped %v; want the version-1 file skipped",
-				mapSegs, len(rec.Segments), rec.SkippedSegments)
+				mapSegs, len(rec.Segments), skipped)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -299,9 +299,9 @@ func TestStoreMappedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	rec3 := st3.Recovered()
-	if len(rec3.Segments) != 0 || len(rec3.SkippedSegments) == 0 {
-		t.Fatalf("damaged segment not skipped: segments=%d skipped=%v", len(rec3.Segments), rec3.SkippedSegments)
+	rec3, skipped3 := st3.Recovered(), st3.Stats().SkippedSegments
+	if len(rec3.Segments) != 0 || len(skipped3) == 0 {
+		t.Fatalf("damaged segment not skipped: segments=%d skipped=%v", len(rec3.Segments), skipped3)
 	}
 	if len(rec3.WALDocs) != len(docs) {
 		t.Fatalf("WAL fallback recovered %d docs, want %d", len(rec3.WALDocs), len(docs))
@@ -671,9 +671,9 @@ func TestDamagedGenerationUnderEitherLoader(t *testing.T) {
 			if damaged == nil {
 				skipped = []string{filepath.Base(path)}
 			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(rec.SkippedSegments, skipped) {
+			if opened := st.Stats().SkippedSegments; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(opened, skipped) {
 				t.Errorf("%s, MapSegments=%v: recovered generations %v skipping %v, want %v skipping %v",
-					tc.name, mapSegs, got, rec.SkippedSegments, want, skipped)
+					tc.name, mapSegs, got, opened, want, skipped)
 			}
 			if err := st.Err(); err != nil {
 				t.Errorf("%s, MapSegments=%v: Err() = %v before anything was read", tc.name, mapSegs, err)

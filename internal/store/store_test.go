@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bivoc/internal/mining"
@@ -25,7 +27,7 @@ func sealedIndex(docs []mining.Document) *mining.Index {
 func soleSegment(t *testing.T, rec *Recovery) *mining.Index {
 	t.Helper()
 	if len(rec.Segments) != 1 {
-		t.Fatalf("recovered %d segments (skipped %v), want exactly one", len(rec.Segments), rec.SkippedSegments)
+		t.Fatalf("recovered %d segments, want exactly one", len(rec.Segments))
 	}
 	return rec.Segments[0].Index
 }
@@ -105,9 +107,9 @@ func TestStoreWriteLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if rec.SegmentGen != 1 || len(rec.WALDocs) != 0 {
-		t.Fatalf("recovery: gen=%d docs=%d wal=%d", rec.SegmentGen, rec.SegmentDocs, len(rec.WALDocs))
+	rec, opened := st2.Recovered(), st2.Stats()
+	if opened.SegmentGen != 1 || len(rec.WALDocs) != 0 {
+		t.Fatalf("recovery: gen=%d docs=%d wal=%d", opened.SegmentGen, opened.RecoveredSegmentDocs, len(rec.WALDocs))
 	}
 	voctest.CheckQueriers(t, soleSegment(t, rec), w.Index().Naive(), w)
 }
@@ -176,9 +178,9 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := st2.Recovered()
-	if len(rec.WALDocs) != 10 || rec.WALDropped == 0 {
-		t.Fatalf("torn replay: %d docs, %d dropped bytes", len(rec.WALDocs), rec.WALDropped)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if len(rec.WALDocs) != 10 || opened.RecoveredWALDropped == 0 {
+		t.Fatalf("torn replay: %d docs, %d dropped bytes", len(rec.WALDocs), opened.RecoveredWALDropped)
 	}
 	// The torn tail must be gone: appending and replaying again yields
 	// exactly 11 records.
@@ -278,12 +280,12 @@ func TestSegmentFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := st2.Recovered()
-	if rec.SegmentGen != 1 || soleSegment(t, rec).Len() != len(docsA) {
-		t.Fatalf("fallback failed: gen=%d docs=%v", rec.SegmentGen, rec.SegmentDocs)
+	rec, opened := st2.Recovered(), st2.Stats()
+	if opened.SegmentGen != 1 || soleSegment(t, rec).Len() != len(docsA) {
+		t.Fatalf("fallback failed: gen=%d docs=%v", opened.SegmentGen, opened.RecoveredSegmentDocs)
 	}
-	if len(rec.SkippedSegments) != 1 {
-		t.Fatalf("SkippedSegments = %v, want one entry", rec.SkippedSegments)
+	if len(opened.SkippedSegments) != 1 {
+		t.Fatalf("SkippedSegments = %v, want one entry", opened.SkippedSegments)
 	}
 	// The next segment write must not collide with the damaged gen 2.
 	if info, err := st2.ReplaceSegments(nil, sealedIndex(docsB)); err != nil || info.SegmentGen != 3 {
@@ -351,16 +353,16 @@ func TestForeignSegmentNamesAreNotOurs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("real segment %v: Open: %v", real, err)
 					}
-					rec := st.Recovered()
+					opened := st.Stats()
 					want, next := 0, uint64(1)
 					if real {
 						want, next = 20, 2
 					}
 					info, err := st.ReplaceSegments(nil, sealedIndex(voctest.NewWorld(14, 5).Docs))
 					st.Close()
-					if rec.SegmentDocs != want || len(rec.SkippedSegments) != 0 || err != nil || info.SegmentGen != next {
+					if opened.RecoveredSegmentDocs != want || len(opened.SkippedSegments) != 0 || err != nil || info.SegmentGen != next {
 						t.Errorf("real segment %v: recovered %d docs, skipped %v; next generation %d (%v), want %d docs, none skipped, generation %d",
-							real, rec.SegmentDocs, rec.SkippedSegments, info.SegmentGen, err, want, next)
+							real, opened.RecoveredSegmentDocs, opened.SkippedSegments, info.SegmentGen, err, want, next)
 					}
 				}
 			})
@@ -437,5 +439,80 @@ func TestWALRejectsForeignFile(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil || !IsCorrupt(err) {
 		t.Fatalf("Open on foreign wal.log: err=%v, want corrupt", err)
+	}
+}
+
+// TestErrKeepsTheFirstWriteFailure pins the store's one sticky error: the
+// first error a write returns is Err's from then on — a later successful
+// write does not clear it and a later failure does not replace it — a
+// MapSegment failure records nothing, since that remap is only an
+// optimization, and a write error is reported ahead of a mapping's.
+func TestErrKeepsTheFirstWriteFailure(t *testing.T) {
+	t.Parallel()
+	docs := voctest.NewWorld(41, 40).Docs
+
+	closed, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if werr := closed.AppendWAL(docs[0]); werr == nil || closed.Err() != werr {
+		t.Fatalf("AppendWAL on a closed store returned %v, Err() = %v; want the same error", werr, closed.Err())
+	}
+
+	dir := t.TempDir()
+	st, err := Open(dir, Options{MapSegments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, merr := st.MapSegment(7); merr == nil || st.Err() != nil {
+		t.Fatalf("MapSegment of a generation that is not live returned %v and left Err() = %v; want an error and nil", merr, st.Err())
+	}
+	// A non-empty directory where the segment's temp file goes: the write
+	// fails, and its cleanup cannot remove it.
+	blocker := st.segmentPath(1) + ".tmp"
+	if err := os.MkdirAll(filepath.Join(blocker, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, first := st.ReplaceSegments(nil, sealedIndex(docs))
+	if first == nil || st.Err() != first {
+		t.Fatalf("ReplaceSegments returned %v, Err() = %v; want the same error", first, st.Err())
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendSegment(sealedIndex(docs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendWAL(docs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ResetWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Err() != first {
+		t.Fatalf("after successful writes Err() = %v, want the first failure %v", st.Err(), first)
+	}
+	if st.Stats().PersistError != first.Error() {
+		t.Fatalf("Stats().PersistError = %q, want %q", st.Stats().PersistError, first.Error())
+	}
+
+	// The remap of the segment just written, then a mapping failure: a
+	// store whose writes all succeeded reports the mapping's, one with a
+	// failed write reports the write's.
+	mapped, err := Open(dir, Options{MapSegments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	soleSegment(t, mapped.Recovered()).Backing().(*Mapped).fail(errors.New("mapping"))
+	if err := mapped.Err(); err == nil || !strings.Contains(err.Error(), "mapping") {
+		t.Fatalf("Err() = %v, want the mapping's failure", err)
+	}
+	mapped.Close()
+	werr := mapped.AppendWAL(docs[1])
+	if werr == nil || mapped.Err() != werr {
+		t.Fatalf("after a failed write Err() = %v, want the write's %v ahead of the mapping's", mapped.Err(), werr)
 	}
 }
