@@ -18,11 +18,20 @@ const gallopFactor = 16
 // the set algebra needs lives here, pooled across calls: intersections
 // accumulate into reusable []int buffers instead of per-call maps.
 type queryCtx struct {
-	free    [][]int  // reusable postings buffers
-	lists   [][]int  // reusable leaf-list headers for k-way intersection
-	margins [][]int  // reusable row and column headers of a table (see marginPostings)
-	marks   []uint64 // per-document mark words (see docMarks); all zero between uses
-	heads   []string // reusable segment heads of a k-way merge by ID (see mergeByID); empty between uses
+	free    [][]int   // reusable postings buffers
+	lists   [][]int   // reusable leaf-list headers for k-way intersection
+	margins [][]int   // reusable row and column headers of a table (see marginPostings)
+	marks   []uint64  // per-document mark words (see docMarks); all zero between uses
+	heads   []string  // reusable segment heads of a k-way merge by ID (see mergeByID); empty between uses
+	keys    []conjKey // memo keys of the conjunctions this call resolved (see memoKey); empty between uses
+}
+
+// conjKey is the memo key of one conjunction a query call resolved,
+// found again by the identity of the conjunction's operand slice.
+type conjKey struct {
+	and *Dim
+	n   int
+	key string
 }
 
 // markBits is the width of a document's mark word: the widest set of
@@ -33,7 +42,27 @@ var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
 
 func acquireQueryCtx() *queryCtx { return queryCtxPool.Get().(*queryCtx) }
 
-func releaseQueryCtx(ctx *queryCtx) { queryCtxPool.Put(ctx) }
+func releaseQueryCtx(ctx *queryCtx) {
+	clear(ctx.keys)
+	ctx.keys = ctx.keys[:0]
+	queryCtxPool.Put(ctx)
+}
+
+// memoKey returns the memo key of conjunction d, its CanonicalLabel,
+// building it once per query call: a SegmentSet resolves the same Dim in
+// every segment under one context, and the label allocates each time it
+// is built. The same Dim is recognized by its operand slice, which the
+// label depends on alone and no query mutates.
+func (ctx *queryCtx) memoKey(d Dim) string {
+	for _, k := range ctx.keys {
+		if k.and == &d.And[0] && k.n == len(d.And) {
+			return k.key
+		}
+	}
+	key := d.CanonicalLabel()
+	ctx.keys = append(ctx.keys, conjKey{and: &d.And[0], n: len(d.And), key: key})
+	return key
+}
 
 // getBuf pops a reusable buffer (length 0) from the context.
 func (ctx *queryCtx) getBuf() []int {
@@ -192,7 +221,7 @@ func (ix *Index) resolve(ctx *queryCtx, d Dim) (posts []int, owned bool) {
 	}
 	// Memoize the conjunction under its canonical label, so "a ∧ b",
 	// "b ∧ a" and "a ∧ b ∧ a" share one entry.
-	key := d.CanonicalLabel()
+	key := ctx.memoKey(d)
 	if posts, ok := ix.prep.conjCached(key); ok {
 		return posts, false
 	}

@@ -119,6 +119,11 @@ func (ix *Index) DocID(i int) string { return ix.b.DocID(i) }
 func (ix *Index) Count(d Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
+	return ix.count(ctx, d)
+}
+
+// count is Count under the caller's query context.
+func (ix *Index) count(ctx *queryCtx, d Dim) int {
 	posts, owned := ix.resolve(ctx, d)
 	n := len(posts)
 	if owned {
@@ -132,6 +137,11 @@ func (ix *Index) Count(d Dim) int {
 func (ix *Index) CountBoth(a, b Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
+	return ix.countBoth(ctx, a, b)
+}
+
+// countBoth is CountBoth under the caller's query context.
+func (ix *Index) countBoth(ctx *queryCtx, a, b Dim) int {
 	pos, n := ix.cellPositions(ctx, a, b, 0, ctx.getBuf())
 	ctx.putBuf(pos)
 	return n

@@ -118,19 +118,26 @@ func MergeSegments(segs ...*Index) *Index {
 func (s *SegmentSet) Len() int { return s.total }
 
 // Count sums the per-segment matches — segments hold disjoint documents.
+// One query context serves every segment, so a conjunction's memo key is
+// built once (queryCtx.memoKey).
 func (s *SegmentSet) Count(d Dim) int {
+	ctx := acquireQueryCtx()
+	defer releaseQueryCtx(ctx)
 	n := 0
 	for _, ix := range s.segs {
-		n += ix.Count(d)
+		n += ix.count(ctx, d)
 	}
 	return n
 }
 
-// CountBoth sums the per-segment joint counts.
+// CountBoth sums the per-segment joint counts, under one query context
+// like Count.
 func (s *SegmentSet) CountBoth(a, b Dim) int {
+	ctx := acquireQueryCtx()
+	defer releaseQueryCtx(ctx)
 	n := 0
 	for _, ix := range s.segs {
-		n += ix.CountBoth(a, b)
+		n += ix.countBoth(ctx, a, b)
 	}
 	return n
 }

@@ -59,8 +59,7 @@ func TestSegmentSetDrillDownLimitMerge(t *testing.T) {
 // TestSegmentSetDrillDownLimitAllocs pins that the merge costs what it
 // returns: once warm, a limited drill-down over 8 segments allocates no
 // more than over 1 (its result, from pooled scratch), whatever shape
-// the cell. Leaf operands only: a conjunction pays for its memo key in
-// every segment it is resolved in.
+// the cell, conjunctions included.
 func TestSegmentSetDrillDownLimitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
@@ -68,9 +67,6 @@ func TestSegmentSetDrillDownLimitAllocs(t *testing.T) {
 	w := voctest.NewWorld(2027, 300)
 	one, eight := mining.NewSegmentSet(w.Segments(1)...), mining.NewSegmentSet(w.Segments(8)...)
 	for _, c := range w.Cells {
-		if len(c[0].And) > 0 || len(c[1].And) > 0 {
-			continue
-		}
 		allocs := func(set *mining.SegmentSet) float64 {
 			set.DrillDownLimit(c[0], c[1], 20) // warm
 			return testing.AllocsPerRun(100, func() { set.DrillDownLimit(c[0], c[1], 20) })
@@ -78,6 +74,34 @@ func TestSegmentSetDrillDownLimitAllocs(t *testing.T) {
 		if got, base := allocs(eight), allocs(one); got > base {
 			t.Errorf("DrillDownLimit(%s, %s, 20) allocates %.1f objects per call over 8 segments, %.1f over 1",
 				c[0].Label(), c[1].Label(), got, base)
+		}
+	}
+}
+
+// TestSegmentSetConjunctionKeyOncePerQuery pins that a conjunction's
+// memo key (its canonical label, which allocates) is built once per
+// query, not once per segment: once warm, Count, CountBoth and a limited
+// DrillDownLimit with a conjunction operand allocate no more over 8
+// segments than over 1.
+func TestSegmentSetConjunctionKeyOncePerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
+	}
+	w := voctest.NewWorld(2027, 4000)
+	one, eight := mining.NewSegmentSet(w.Segments(1)...), mining.NewSegmentSet(w.Segments(8)...)
+	outcome := mining.FieldDim("outcome", "reservation")
+	conj := mining.AndDim(mining.ConceptDim("issue", "billing"), outcome)
+	for name, query := range map[string]func(*mining.SegmentSet){
+		"Count":          func(set *mining.SegmentSet) { set.Count(conj) },
+		"CountBoth":      func(set *mining.SegmentSet) { set.CountBoth(conj, outcome) },
+		"DrillDownLimit": func(set *mining.SegmentSet) { set.DrillDownLimit(conj, outcome, 20) },
+	} {
+		allocs := func(set *mining.SegmentSet) float64 {
+			query(set) // warm
+			return testing.AllocsPerRun(100, func() { query(set) })
+		}
+		if got, base := allocs(eight), allocs(one); got > base {
+			t.Errorf("%s(%s) allocates %.1f objects per call over 8 segments, %.1f over 1", name, conj.Label(), got, base)
 		}
 	}
 }
