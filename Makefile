@@ -74,6 +74,7 @@ bench:
 # change's wins and a verdict (tools/benchpairs says how each is read).
 # Every result line is kept in .bench_build/pairs-$(WORKLOAD).jsonl.
 #   make pairs REV=<parent commit> WORKLOAD=mono_miss SEEDS="401 402 403"
+# REV set to the checked-out commit, on a clean tree, is the A/A pairing.
 pairs:
 	@if [ -z "$(REV)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEEDS)" ]; then \
 		echo 'usage: make pairs REV=<commit> WORKLOAD=<name> SEEDS="<seed> ..."'; exit 2; fi
