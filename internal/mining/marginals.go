@@ -5,25 +5,35 @@ import (
 	"strings"
 )
 
-// Marginal extraction — the integer halves of the split operations in
-// merge.go, as implemented by the monolithic Index. SegmentSet carries
-// the fan-in versions (merge the per-segment extractions), and the
-// serving layer sends these to a federation coordinator as the partials
-// of its /v1/shard exchange, so that the coordinator can finish the float
-// math once over merged counts.
+// Marginal extraction — the per-segment kernels of the integer halves of
+// the split operations in merge.go. SegmentSet's fan-in runs them on each
+// segment under one query context and merges the parts, and the serving
+// layer sends the merged marginals to a federation coordinator as the
+// partials of its /v1/shard exchange, so that the coordinator can finish
+// the float math once over merged counts.
 
-// ConceptDF returns a category's vocabulary with document frequencies,
-// in report order (frequency descending, ties lexicographic) — the
-// counted form of ConceptsInCategory.
-func (ix *Index) ConceptDF(category string) []ConceptCount {
+// conceptDF is ConceptDF over this index: a copy of the category's
+// precomputed vocabulary, already in report order.
+func (ix *Index) conceptDF(category string) []ConceptCount {
 	return append([]ConceptCount{}, ix.prep.catEntries[category]...)
 }
 
-// RelFreqMarginals extracts the integer marginals of a
-// relative-frequency report over this index's documents: the corpus
-// size, the featured subset's size, and each category concept's
-// frequency inside the subset and overall. Concepts are sorted by name
-// for a deterministic wire form; FinalizeRelFreq re-orders by ratio.
+// fieldValues is FieldValues over this index: a copy of the field's
+// precomputed sorted values, nil when no document carries the field.
+func (ix *Index) fieldValues(field string) []string {
+	vals := ix.prep.fieldVals[field]
+	if len(vals) == 0 {
+		return nil
+	}
+	return append([]string(nil), vals...)
+}
+
+// relFreqMarginals extracts the integer marginals of a
+// relative-frequency report over this index's documents, under the
+// caller's query context: the corpus size, the featured subset's size,
+// and each category concept's frequency inside the subset and overall.
+// Concepts are sorted by name for a deterministic wire form;
+// FinalizeRelFreq re-orders by ratio.
 //
 // The in-subset counts come from each concept's list. When the featured
 // dimension is a plain field with a column (fieldColumn), a concept's
@@ -31,9 +41,7 @@ func (ix *Index) ConceptDF(category string) []ConceptCount {
 // of its list reading each document's value id off the column;
 // otherwise the subset's documents are marked first, each list is walked
 // once, and the marks are cleared after.
-func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
+func (ix *Index) relFreqMarginals(ctx *queryCtx, category string, featured Dim) RelFreqMarginals {
 	subset, owned := ix.resolve(ctx, featured)
 	m := RelFreqMarginals{N: ix.b.DocCount(), SubsetSize: len(subset)}
 	entries := ix.prep.catEntries[category]
@@ -74,7 +82,7 @@ func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginal
 }
 
 // marginPostings resolves the postings of every row and column of an
-// association table for the lifetime of one AssocMarginals call, into
+// association table for the lifetime of one assocMarginals call, into
 // headers from ctx: leaf and memoized lists are shared read-only views;
 // scratch-computed conjunctions are copied out so the scratch can be
 // reused. The caller clears the headers (clearMargins) before ctx goes
@@ -125,16 +133,14 @@ func newAssocMarginals(n int, rowPosts, colPosts [][]int) AssocMarginals {
 	return m
 }
 
-// AssocMarginals extracts the integer marginals of an association table
+// assocMarginals extracts the integer marginals of an association table
 // over this index's documents: per-dimension counts and per-cell joint
 // counts, shaped rows × cols.
 //
 // The cells are counted by walking each row's postings (countCells): a
 // plain field column through the field's per-document column, every
 // other column by marking its documents first.
-func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
+func (ix *Index) assocMarginals(ctx *queryCtx, rows, cols []Dim) AssocMarginals {
 	defer ctx.clearMargins()
 	rowPosts, colPosts := ix.marginPostings(ctx, rows, cols)
 	m := newAssocMarginals(ix.b.DocCount(), rowPosts, colPosts)

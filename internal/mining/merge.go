@@ -29,7 +29,7 @@ type ConceptCount struct {
 // MergeConceptCounts sums document frequencies per concept across parts
 // with disjoint document sets and returns the vocabulary in report
 // order (frequency descending, ties lexicographic) — the same total
-// order a monolithic index's ConceptsInCategory uses.
+// order each segment's vocabulary is prepared in.
 func MergeConceptCounts(parts ...[]ConceptCount) []ConceptCount {
 	df := map[string]int{}
 	for _, part := range parts {
@@ -114,10 +114,10 @@ func MergeRelFreqMarginals(parts ...RelFreqMarginals) RelFreqMarginals {
 	return out
 }
 
-// FinalizeRelFreq runs the monolithic relative-frequency float pipeline
-// over (merged) integer marginals: per-concept density ratios, then the
+// FinalizeRelFreq runs the relative-frequency float pipeline over
+// (merged) integer marginals: per-concept density ratios, then the
 // report order (ratio descending, ties by concept). This is the only
-// implementation of that math; Index and SegmentSet both end here.
+// implementation of that math; SegmentSet and the coordinator end here.
 func FinalizeRelFreq(m RelFreqMarginals) []Relevance {
 	var out []Relevance
 	for _, c := range m.Concepts {
@@ -213,11 +213,11 @@ func Confidence(c float64) float64 {
 // integer marginals: point index, Wilson intervals via
 // stats.WilsonIntervalZ on the merged counts — never averaged per-part
 // intervals — and within-row shares. m must be shaped for rows × cols.
-// Index.AssociateN, SegmentSet.AssociateN and the federation coordinator
-// all assemble their tables here, so there is exactly one copy of the
-// cell float math; every count arrives precomputed, which leaves a cell
-// an integer lookup plus Wilson arithmetic. The confidence is normalized
-// by Confidence.
+// SegmentSet.AssociateN and the federation coordinator both assemble
+// their tables here, so there is exactly one copy of the cell float
+// math; every count arrives precomputed, which leaves a cell an integer
+// lookup plus Wilson arithmetic. The confidence is normalized by
+// Confidence.
 func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *AssocTable {
 	confidence = Confidence(confidence)
 	z := stats.WilsonZ(confidence)
@@ -268,7 +268,7 @@ func FinalizeAssoc(rows, cols []Dim, confidence float64, m AssocMarginals) *Asso
 }
 
 // MergeFieldValues unions per-part field vocabularies, sorted; nil when
-// every part is empty (matching FieldValues on a monolithic index).
+// every part is empty (matching FieldValues over one segment).
 func MergeFieldValues(parts ...[]string) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -285,7 +285,7 @@ func MergeFieldValues(parts ...[]string) []string {
 }
 
 // MergeTrends sums per-part time-bucket counts over disjoint document
-// sets, sorted by time. Always non-nil, like the monolithic Trend.
+// sets, sorted by time. Always non-nil, like Trend over one segment.
 func MergeTrends(parts ...[]TrendPoint) []TrendPoint {
 	counts := map[int]int{}
 	for _, part := range parts {

@@ -85,12 +85,16 @@ func (d Dim) Label() string {
 	return d.Canonical + "[" + d.Category + "]"
 }
 
-// Index stores documents with inverted lists per concept and field,
-// sealed: it is built whole by Seal (documents), FromBacking (a mapped
+// Index is one sealed segment: documents with inverted lists per concept
+// and field. It is built whole by Seal (documents), FromBacking (a mapped
 // segment) or Materialize (an eager open), each of which prepares its
 // query structures (see prepared), and it never changes after. The
 // storage itself lives behind a Backing: in-memory maps over heap
-// postings, or a read-only mapped segment (see backing.go).
+// postings, or a read-only mapped segment (see backing.go). An Index
+// holds the per-segment kernels of every query (count, cellPositions,
+// trend, relFreqMarginals, assocMarginals, …), and answers each Querier
+// method as the set of its one segment (see SegmentSet), so there is one
+// query path.
 //
 // Postings contract: every inverted list is kept sorted by document
 // position, and every internal accessor that returns postings —
@@ -115,12 +119,76 @@ func (ix *Index) Doc(i int) Document { return ix.b.Doc(i) }
 // document (cheap over a mapped segment; see Backing.DocID).
 func (ix *Index) DocID(i int) string { return ix.b.DocID(i) }
 
+// set is the index as the set of its one segment: how it answers every
+// Querier method. It is built per call and stays on the caller's stack.
+// An index that held a set containing itself would be a cycle, and a
+// finalizer on the index (how TestCompactedRecoveryIsCollected sees one
+// freed) would never run.
+func (ix *Index) set() SegmentSet { return SegmentSet{segs: []*Index{ix}, total: ix.Len()} }
+
+// The Querier methods of an Index, each the SegmentSet method of the
+// same name over the set of its one segment.
+
 // Count returns how many documents match the dimension.
-func (ix *Index) Count(d Dim) int {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
-	return ix.count(ctx, d)
+func (ix *Index) Count(d Dim) int { return ix.set().Count(d) }
+
+// CountBoth returns how many documents match both dimensions.
+func (ix *Index) CountBoth(a, b Dim) int { return ix.set().CountBoth(a, b) }
+
+// DrillDown returns the documents matching both dimensions, sorted by ID.
+func (ix *Index) DrillDown(a, b Dim) []Document { return ix.set().DrillDown(a, b) }
+
+// DrillDownLimit returns the size of the cell of a and b and its first
+// limit documents in ID order (all when limit is negative).
+func (ix *Index) DrillDownLimit(a, b Dim, limit int) ([]Document, int) {
+	return ix.set().DrillDownLimit(a, b, limit)
 }
+
+// ConceptsInCategory returns the distinct canonical forms of a category,
+// sorted by document frequency (descending, ties lexicographic).
+func (ix *Index) ConceptsInCategory(category string) []string {
+	return ix.set().ConceptsInCategory(category)
+}
+
+// ConceptDF returns a category's vocabulary with document frequencies,
+// in ConceptsInCategory's order.
+func (ix *Index) ConceptDF(category string) []ConceptCount { return ix.set().ConceptDF(category) }
+
+// FieldValues returns the distinct values of a structured field, sorted;
+// nil when no document carries the field.
+func (ix *Index) FieldValues(field string) []string { return ix.set().FieldValues(field) }
+
+// RelativeFrequency returns the relative-frequency report of category's
+// concepts inside the subset featured defines, by descending ratio.
+func (ix *Index) RelativeFrequency(category string, featured Dim) []Relevance {
+	return ix.set().RelativeFrequency(category, featured)
+}
+
+// RelFreqMarginals returns the integer marginals of RelativeFrequency.
+func (ix *Index) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
+	return ix.set().RelFreqMarginals(category, featured)
+}
+
+// Associate builds the two-dimensional association table between row
+// and column dimensions (see SegmentSet.AssociateN).
+func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
+	return ix.set().AssociateN(rows, cols, confidence, 0)
+}
+
+// AssociateN is Associate under the Querier signature; the last
+// parameter is ignored (see Querier).
+func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
+	return ix.set().AssociateN(rows, cols, confidence, 0)
+}
+
+// AssocMarginals returns the integer marginals of AssociateN.
+func (ix *Index) AssocMarginals(rows, cols []Dim) AssocMarginals {
+	return ix.set().AssocMarginals(rows, cols)
+}
+
+// Trend returns the per-bucket document counts of a dimension, sorted by
+// time.
+func (ix *Index) Trend(d Dim) []TrendPoint { return ix.set().Trend(d) }
 
 // count is Count under the caller's query context.
 func (ix *Index) count(ctx *queryCtx, d Dim) int {
@@ -132,43 +200,12 @@ func (ix *Index) count(ctx *queryCtx, d Dim) int {
 	return n
 }
 
-// CountBoth returns how many documents match both dimensions: the size
-// of their cell as cellPositions counts it, taking none of its documents.
-func (ix *Index) CountBoth(a, b Dim) int {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
-	return ix.countBoth(ctx, a, b)
-}
-
-// countBoth is CountBoth under the caller's query context.
+// countBoth is CountBoth under the caller's query context: the size of
+// the cell as cellPositions counts it, taking none of its documents.
 func (ix *Index) countBoth(ctx *queryCtx, a, b Dim) int {
 	pos, n := ix.cellPositions(ctx, a, b, 0, ctx.getBuf())
 	ctx.putBuf(pos)
 	return n
-}
-
-// DrillDown returns the documents matching both dimensions — the
-// cell-to-documents navigation of Figure 4 ("one can drill down through
-// table cells right upto individual documents") — sorted by ID. It is
-// the unlimited case of DrillDownLimit.
-func (ix *Index) DrillDown(a, b Dim) []Document {
-	docs, _ := ix.DrillDownLimit(a, b, -1)
-	return docs
-}
-
-// DrillDownLimit returns the size of the cell of documents matching both
-// dimensions and its first limit documents in ID order (all of them when
-// limit is negative). Positions are in ID order (see Backing), so it
-// materializes only the documents at the cell's first limit positions
-// (cellPositions) — over a mapped backing each one is a full record
-// decode.
-func (ix *Index) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
-	pos, count := ix.cellPositions(ctx, a, b, limit, ctx.getBuf())
-	docs = ix.docsAt(pos)
-	ctx.putBuf(pos)
-	return docs, count
 }
 
 // cellPositions appends to dst the positions of the first limit documents
@@ -230,40 +267,6 @@ func (ix *Index) firstByColumn(a, b Dim, pa, pb []int, limit int, dst []int) (_ 
 	return dst, count, true
 }
 
-// docsAt materializes the documents at positions, nil for none.
-func (ix *Index) docsAt(positions []int) []Document {
-	if len(positions) == 0 {
-		return nil
-	}
-	docs := make([]Document, len(positions))
-	for i, p := range positions {
-		docs[i] = ix.b.Doc(p)
-	}
-	return docs
-}
-
-// ConceptsInCategory returns the distinct canonical forms of a category,
-// sorted by document frequency (descending, ties lexicographic): a
-// precomputed lookup.
-func (ix *Index) ConceptsInCategory(category string) []string {
-	names := ix.prep.catNames[category]
-	out := make([]string, len(names))
-	copy(out, names)
-	return out
-}
-
-// FieldValues returns the distinct values of a structured field, sorted;
-// nil when no document carries the field. A precomputed lookup.
-func (ix *Index) FieldValues(field string) []string {
-	vals := ix.prep.fieldVals[field]
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]string, len(vals))
-	copy(out, vals)
-	return out
-}
-
 // Relevance is one row of a relative-frequency report (and of /v1/relfreq).
 type Relevance struct {
 	Concept string `json:"concept"`
@@ -275,17 +278,6 @@ type Relevance struct {
 	// Ratio is (InSubset/SubsetSize) / (InAll/N) — how over-represented
 	// the concept is inside the featured subset.
 	Ratio float64 `json:"ratio"`
-}
-
-// RelativeFrequency compares the distribution of category's concepts
-// inside the subset defined by featured with their distribution in the
-// entire data set, returning rows sorted by descending ratio ("by
-// sorting phrases in a category based on the relative frequencies,
-// relevant concepts for a specific data set are revealed"). The float
-// math lives in FinalizeRelFreq — the shared merge pipeline — over the
-// integer marginals this index extracts.
-func (ix *Index) RelativeFrequency(category string, featured Dim) []Relevance {
-	return FinalizeRelFreq(ix.RelFreqMarginals(category, featured))
 }
 
 // Cell is one cell of a two-dimensional association table (and of /v1/associate).
@@ -317,22 +309,6 @@ type AssocTable struct {
 	Rows, Cols []Dim
 	Cells      [][]Cell // [row][col]
 	Confidence float64
-}
-
-// Associate builds the two-dimensional association table between row
-// and column dimensions at the given confidence level for the interval
-// estimate (0 < confidence < 1; anything else, NaN included, means
-// DefaultConfidence).
-func (ix *Index) Associate(rows, cols []Dim, confidence float64) *AssocTable {
-	return ix.AssociateN(rows, cols, confidence, 0)
-}
-
-// AssociateN is Associate under the Querier signature: the joint counts
-// come from AssocMarginals and the float math from FinalizeAssoc, the
-// same two steps SegmentSet and the federation coordinator take. The
-// last parameter is ignored (see Querier).
-func (ix *Index) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
-	return FinalizeAssoc(rows, cols, confidence, ix.AssocMarginals(rows, cols))
 }
 
 // StrongestCells returns all cells ordered by descending LowerIndex —
@@ -381,18 +357,12 @@ type TrendPoint struct {
 	Count int `json:"count"`
 }
 
-// Trend returns the per-bucket document counts of a dimension, sorted by
-// time — "a simple function that examines the increase and decrease of
-// occurrences of each concept in a certain period may allow us to
-// analyze trends in the topics".
-//
-// The index counts into one bucket per distinct time of the segment,
-// through its time column (timeColumn), and emits the non-empty buckets
-// already in time order. A segment of more distinct times than its
-// column can name hashes each matching document's time instead.
-func (ix *Index) Trend(d Dim) []TrendPoint {
-	ctx := acquireQueryCtx()
-	defer releaseQueryCtx(ctx)
+// trend is Trend over this index under the caller's query context. It
+// counts into one bucket per distinct time of the segment, through its
+// time column (timeColumn), and emits the non-empty buckets already in
+// time order. A segment of more distinct times than its column can name
+// hashes each matching document's time instead.
+func (ix *Index) trend(ctx *queryCtx, d Dim) []TrendPoint {
 	posts, owned := ix.resolve(ctx, d)
 	if owned {
 		defer ctx.putBuf(posts)

@@ -39,7 +39,6 @@ type prepared struct {
 	// time — consumers that need the actual list (RelFreqMarginals) fetch
 	// it through the backing on demand instead.
 	catEntries map[string][]ConceptCount
-	catNames   map[string][]string
 	fieldVals  map[string][]string
 
 	mu        sync.RWMutex
@@ -97,7 +96,6 @@ func conjCost(key string, posts []int) int { return len(posts) + len(key)/8 + 8 
 func prepare(b Backing) *Index {
 	p := &prepared{
 		catEntries: make(map[string][]ConceptCount),
-		catNames:   make(map[string][]string),
 		fieldVals:  make(map[string][]string),
 		fieldCols:  make(map[string]*column),
 		conj:       make(map[string][]int),
@@ -107,9 +105,8 @@ func prepare(b Backing) *Index {
 	b.EachConcept(func(cat, canon string, df int) {
 		p.catEntries[cat] = append(p.catEntries[cat], ConceptCount{Concept: canon, DF: df})
 	})
-	for cat, entries := range p.catEntries {
+	for _, entries := range p.catEntries {
 		sortReportOrder(entries)
-		p.catNames[cat] = ConceptNames(entries)
 	}
 	b.EachField(func(field, value string, _ int) {
 		p.fieldVals[field] = append(p.fieldVals[field], value)

@@ -14,26 +14,28 @@ import "sort"
 //     float math, in exactly the monolithic operation order — never by
 //     averaging per-segment floats.
 //
-// That merge discipline is what makes a SegmentSet byte-identical to a
-// monolithic Index over the same corpus (pinned by segments_test.go
+// That merge discipline is what makes a SegmentSet byte-identical to one
+// Index over the whole corpus (pinned by segments_test.go
 // against the monolithic NaiveIndex at segment counts {1, 2, 8} and
 // across compactions).
 
-// Querier is the read side shared by the monolithic *Index and the
+// Querier is the read side shared by the sealed *Index and the
 // segmented *SegmentSet: every analytics entry point the serving layer
 // exposes, plus the marginal extractions a shard answers a federation
-// coordinator with (see merge.go). A snapshot can hold either
-// implementation; responses are byte-identical for the same corpus. Both
-// rest on the ID order of every index's positions (see Backing): a
+// coordinator with (see merge.go). There is one query path: a SegmentSet
+// answers each method by fanning in over its segments (fanIn), and an
+// Index answers as the set of its one segment. Responses are
+// byte-identical for the same corpus however it is segmented. Both rest
+// on the ID order of every index's positions (see Backing): a
 // drill-down's documents are its cell's first positions, merged by ID
 // across segments.
 //
-// AssociateN's workers parameter is ignored by both implementations: a
-// table is one pass over each segment's postings (AssocMarginals) plus
-// FinalizeAssoc, and there has been no cell grid to fan out since the
-// cells stopped being one merge each. It is still in the signature only
-// because cmd/bivocbench, which a product change may not edit, calls the
-// method with four arguments; it goes with the next benchmark change.
+// AssociateN's workers parameter is ignored: a table is one pass over
+// each segment's postings (AssocMarginals) plus FinalizeAssoc, and there
+// has been no cell grid to fan out since the cells stopped being one
+// merge each. It is still in the signature only because cmd/bivocbench,
+// which a product change may not edit, calls the method with four
+// arguments; it goes with the next benchmark change.
 type Querier interface {
 	Len() int
 	Count(d Dim) int
@@ -115,12 +117,29 @@ func MergeSegments(segs ...*Index) *Index {
 }
 
 // Len returns the total number of documents across segments.
-func (s *SegmentSet) Len() int { return s.total }
+func (s SegmentSet) Len() int { return s.total }
 
-// Count sums the per-segment matches — segments hold disjoint documents.
-// One query context serves every segment, so a conjunction's memo key is
-// built once (queryCtx.memoKey).
-func (s *SegmentSet) Count(d Dim) int {
+// fanIn answers one query over the set: it takes one query context, runs
+// share on every segment under it — so a conjunction's memo key is built
+// once per query (queryCtx.memoKey) — and merges the parts with merge,
+// which adds them over the disjoint document sets. A lone segment's
+// share is the answer as it is.
+func fanIn[T any](s SegmentSet, share func(ctx *queryCtx, ix *Index) T, merge func(...T) T) T {
+	ctx := acquireQueryCtx()
+	defer releaseQueryCtx(ctx)
+	if len(s.segs) == 1 {
+		return share(ctx, s.segs[0])
+	}
+	parts := make([]T, len(s.segs))
+	for i, ix := range s.segs {
+		parts[i] = share(ctx, ix)
+	}
+	return merge(parts...)
+}
+
+// Count sums the per-segment matches — segments hold disjoint documents —
+// under one query context like fanIn.
+func (s SegmentSet) Count(d Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	n := 0
@@ -132,7 +151,7 @@ func (s *SegmentSet) Count(d Dim) int {
 
 // CountBoth sums the per-segment joint counts, under one query context
 // like Count.
-func (s *SegmentSet) CountBoth(a, b Dim) int {
+func (s SegmentSet) CountBoth(a, b Dim) int {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	n := 0
@@ -142,21 +161,23 @@ func (s *SegmentSet) CountBoth(a, b Dim) int {
 	return n
 }
 
-// DrillDown is the unlimited case of DrillDownLimit.
-func (s *SegmentSet) DrillDown(a, b Dim) []Document {
+// DrillDown returns the documents matching both dimensions — the
+// cell-to-documents navigation of Figure 4 ("one can drill down through
+// table cells right upto individual documents") — sorted by ID. It is
+// the unlimited case of DrillDownLimit.
+func (s SegmentSet) DrillDown(a, b Dim) []Document {
 	docs, _ := s.DrillDownLimit(a, b, -1)
 	return docs
 }
 
-// DrillDownLimit sums the per-segment cell sizes and returns the cell's
-// first limit documents in ID order (all when limit is negative) — the
-// same total order the monolithic index returns, because IDs are unique
-// across segments: the cell's first limit documents are among each
-// segment's own first limit. Each segment yields the positions of those
-// (cellPositions), and a k-way merge by ID materializes only the limit
-// that are returned (mergeByID); an unlimited drill-down merges every
-// position.
-func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
+// DrillDownLimit returns the size of the cell of documents matching both
+// dimensions and its first limit documents in ID order (all of them when
+// limit is negative). IDs are unique across segments, so the cell's
+// first limit documents are among each segment's own first limit: each
+// segment yields the positions of those (cellPositions), and a k-way
+// merge by ID materializes only the limit that are returned (mergeByID)
+// — over a mapped backing each one is a full record decode.
+func (s SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count int) {
 	ctx := acquireQueryCtx()
 	defer releaseQueryCtx(ctx)
 	pos, ends := ctx.getBuf(), ctx.getBuf()
@@ -177,7 +198,7 @@ func (s *SegmentSet) DrillDownLimit(a, b Dim, limit int) (docs []Document, count
 // are pos[ends[j-1]:ends[j]], in ID order — by a k-way merge that reads
 // each head's ID without decoding its document (Backing.DocID) and calls
 // Backing.Doc only for the documents it returns. Nil for none.
-func (s *SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Document {
+func (s SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Document {
 	take := len(pos)
 	if limit >= 0 {
 		take = min(limit, take)
@@ -216,83 +237,76 @@ func (s *SegmentSet) mergeByID(ctx *queryCtx, pos, ends []int, limit int) []Docu
 	return docs
 }
 
-// ConceptDF merges per-segment document frequencies per canonical form
-// into the monolithic report order (frequency descending, ties
-// lexicographic).
-func (s *SegmentSet) ConceptDF(category string) []ConceptCount {
-	parts := make([][]ConceptCount, len(s.segs))
-	for i, ix := range s.segs {
-		parts[i] = ix.ConceptDF(category)
-	}
-	return MergeConceptCounts(parts...)
+// ConceptDF returns a category's vocabulary with document frequencies,
+// merged across segments into report order (frequency descending, ties
+// lexicographic) — the counted form of ConceptsInCategory.
+func (s SegmentSet) ConceptDF(category string) []ConceptCount {
+	return fanIn(s, func(_ *queryCtx, ix *Index) []ConceptCount { return ix.conceptDF(category) }, MergeConceptCounts)
 }
 
-// ConceptsInCategory is the merged-df vocabulary of ConceptDF. Always
-// non-nil, like the monolithic paths.
-func (s *SegmentSet) ConceptsInCategory(category string) []string {
+// ConceptsInCategory returns the distinct canonical forms of a category
+// in ConceptDF's order. Always non-nil.
+func (s SegmentSet) ConceptsInCategory(category string) []string {
 	return ConceptNames(s.ConceptDF(category))
 }
 
-// FieldValues unions the per-segment value sets, sorted; nil when the
-// field is absent everywhere (matching the monolithic index).
-func (s *SegmentSet) FieldValues(field string) []string {
-	parts := make([][]string, len(s.segs))
-	for i, ix := range s.segs {
-		parts[i] = ix.FieldValues(field)
-	}
-	return MergeFieldValues(parts...)
+// FieldValues returns the distinct values of a structured field across
+// segments, sorted; nil when no document carries the field.
+func (s SegmentSet) FieldValues(field string) []string {
+	return fanIn(s, func(_ *queryCtx, ix *Index) []string { return ix.fieldValues(field) }, MergeFieldValues)
 }
 
 // RelFreqMarginals merges the per-segment integer marginals — subset
 // size, in-subset counts, corpus frequencies — over the disjoint
 // document sets.
-func (s *SegmentSet) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
-	parts := make([]RelFreqMarginals, len(s.segs))
-	for i, ix := range s.segs {
-		parts[i] = ix.RelFreqMarginals(category, featured)
-	}
-	return MergeRelFreqMarginals(parts...)
+func (s SegmentSet) RelFreqMarginals(category string, featured Dim) RelFreqMarginals {
+	return fanIn(s, func(ctx *queryCtx, ix *Index) RelFreqMarginals {
+		return ix.relFreqMarginals(ctx, category, featured)
+	}, MergeRelFreqMarginals)
 }
 
-// RelativeFrequency merges the integer marginals per concept across
-// segments, then applies the monolithic ratio math and ordering on the
-// merged counts (FinalizeRelFreq — the shared merge pipeline).
-func (s *SegmentSet) RelativeFrequency(category string, featured Dim) []Relevance {
+// RelativeFrequency compares the distribution of category's concepts
+// inside the subset defined by featured with their distribution in the
+// entire data set, returning rows sorted by descending ratio ("by
+// sorting phrases in a category based on the relative frequencies,
+// relevant concepts for a specific data set are revealed"). The integer
+// marginals merge per concept across segments first, and only then does
+// FinalizeRelFreq — the shared merge pipeline — apply the ratio math.
+func (s SegmentSet) RelativeFrequency(category string, featured Dim) []Relevance {
 	return FinalizeRelFreq(s.RelFreqMarginals(category, featured))
 }
 
 // AssocMarginals merges the per-segment association marginals: every
 // count adds over the disjoint document sets. Shaped rows × cols even
 // over zero segments.
-func (s *SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
+func (s SegmentSet) AssocMarginals(rows, cols []Dim) AssocMarginals {
 	if len(s.segs) == 0 {
 		return newAssocMarginals(0, make([][]int, len(rows)), make([][]int, len(cols)))
 	}
-	parts := make([]AssocMarginals, len(s.segs))
-	for i, ix := range s.segs {
-		parts[i] = ix.AssocMarginals(rows, cols)
-	}
-	return MergeAssocMarginals(parts...)
+	return fanIn(s, func(ctx *queryCtx, ix *Index) AssocMarginals {
+		return ix.assocMarginals(ctx, rows, cols)
+	}, MergeAssocMarginals)
 }
 
-// AssociateN builds the association table from marginals merged across
-// segments: per-dimension counts and per-cell joint counts are summed
-// as integers, and only then does each cell run the monolithic float
-// pipeline (FinalizeAssoc — point index, Wilson intervals from the
-// merged counts via stats.WilsonIntervalZ, never averaged per-segment
-// intervals). These are the same two steps a federation coordinator
-// takes over its shards' marginals. The last parameter is ignored (see
-// Querier).
-func (s *SegmentSet) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
+// AssociateN builds the two-dimensional association table between row
+// and column dimensions at the given confidence level for the interval
+// estimate (0 < confidence < 1; anything else, NaN included, means
+// DefaultConfidence), from marginals merged across segments: per-dimension
+// counts and per-cell joint counts are summed as integers, and only then
+// does each cell run the float pipeline (FinalizeAssoc — point index,
+// Wilson intervals from the merged counts via stats.WilsonIntervalZ,
+// never averaged per-segment intervals). These are the same two steps a
+// federation coordinator takes over its shards' marginals. The last
+// parameter is ignored (see Querier).
+func (s SegmentSet) AssociateN(rows, cols []Dim, confidence float64, _ int) *AssocTable {
 	return FinalizeAssoc(rows, cols, confidence, s.AssocMarginals(rows, cols))
 }
 
-// Trend merges the per-segment time-bucket counts via MergeTrends,
-// sorted by time. Non-nil even when empty, like the monolithic index.
-func (s *SegmentSet) Trend(d Dim) []TrendPoint {
-	parts := make([][]TrendPoint, len(s.segs))
-	for i, ix := range s.segs {
-		parts[i] = ix.Trend(d)
-	}
-	return MergeTrends(parts...)
+// Trend returns the per-bucket document counts of a dimension, sorted by
+// time — "a simple function that examines the increase and decrease of
+// occurrences of each concept in a certain period may allow us to
+// analyze trends in the topics" — merging the per-segment buckets via
+// MergeTrends. Non-nil even when empty.
+func (s SegmentSet) Trend(d Dim) []TrendPoint {
+	return fanIn(s, func(ctx *queryCtx, ix *Index) []TrendPoint { return ix.trend(ctx, d) }, MergeTrends)
 }

@@ -78,30 +78,81 @@ func TestSegmentSetDrillDownLimitAllocs(t *testing.T) {
 	}
 }
 
-// TestSegmentSetConjunctionKeyOncePerQuery pins that a conjunction's
-// memo key (its canonical label, which allocates) is built once per
-// query, not once per segment: once warm, Count, CountBoth and a limited
-// DrillDownLimit with a conjunction operand allocate no more over 8
-// segments than over 1.
+// TestSegmentSetConjunctionKeyOncePerQuery pins that a query takes one
+// query context however many segments it spans, so a conjunction's memo
+// key (its canonical label, which allocates) is built once per query,
+// not once per segment; and that an Index answers as the set of its one
+// segment. Once warm:
+//
+//   - Count, CountBoth and a limited DrillDownLimit with a conjunction
+//     operand allocate no more over 8 segments than over 1;
+//   - Trend, RelFreqMarginals and AssocMarginals, whose parts merge per
+//     segment, allocate more over 8 segments, but a conjunction operand
+//     adds no more over 8 than over 1 to what the same query over a leaf
+//     allocates;
+//   - a set of one segment allocates exactly what its Index does, on
+//     every Querier method.
 func TestSegmentSetConjunctionKeyOncePerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; the count would be the pool's")
 	}
 	w := voctest.NewWorld(2027, 4000)
-	one, eight := mining.NewSegmentSet(w.Segments(1)...), mining.NewSegmentSet(w.Segments(8)...)
-	outcome := mining.FieldDim("outcome", "reservation")
-	conj := mining.AndDim(mining.ConceptDim("issue", "billing"), outcome)
-	for name, query := range map[string]func(*mining.SegmentSet){
-		"Count":          func(set *mining.SegmentSet) { set.Count(conj) },
-		"CountBoth":      func(set *mining.SegmentSet) { set.CountBoth(conj, outcome) },
-		"DrillDownLimit": func(set *mining.SegmentSet) { set.DrillDownLimit(conj, outcome, 20) },
+	ix := w.Segments(1)[0]
+	one, eight := mining.NewSegmentSet(ix), mining.NewSegmentSet(w.Segments(8)...)
+	billing, outcome := mining.ConceptDim("issue", "billing"), mining.FieldDim("outcome", "reservation")
+	conj := mining.AndDim(billing, outcome)
+	conjRows := []mining.Dim{conj, mining.ConceptDim("issue", "outage"), mining.CategoryDim("brand")}
+	leafRows := []mining.Dim{billing, conjRows[1], conjRows[2]}
+	cols := []mining.Dim{outcome, mining.FieldDim("outcome", "callback")}
+	allocs := func(q mining.Querier, query func(mining.Querier)) float64 {
+		query(q) // warm
+		return testing.AllocsPerRun(100, func() { query(q) })
+	}
+	for name, query := range map[string]func(mining.Querier){
+		"Count":          func(q mining.Querier) { q.Count(conj) },
+		"CountBoth":      func(q mining.Querier) { q.CountBoth(conj, outcome) },
+		"DrillDownLimit": func(q mining.Querier) { q.DrillDownLimit(conj, outcome, 20) },
 	} {
-		allocs := func(set *mining.SegmentSet) float64 {
-			query(set) // warm
-			return testing.AllocsPerRun(100, func() { query(set) })
-		}
-		if got, base := allocs(eight), allocs(one); got > base {
+		if got, base := allocs(eight, query), allocs(one, query); got > base {
 			t.Errorf("%s(%s) allocates %.1f objects per call over 8 segments, %.1f over 1", name, conj.Label(), got, base)
+		}
+	}
+	for name, query := range map[string][2]func(mining.Querier){ // the query with a conjunction, and over a leaf
+		"Trend": {
+			func(q mining.Querier) { q.Trend(conj) },
+			func(q mining.Querier) { q.Trend(billing) },
+		},
+		"RelFreqMarginals": {
+			func(q mining.Querier) { q.RelFreqMarginals("issue", conj) },
+			func(q mining.Querier) { q.RelFreqMarginals("issue", billing) },
+		},
+		"AssocMarginals": {
+			func(q mining.Querier) { q.AssocMarginals(conjRows, cols) },
+			func(q mining.Querier) { q.AssocMarginals(leafRows, cols) },
+		},
+	} {
+		added := func(q mining.Querier) float64 { return allocs(q, query[0]) - allocs(q, query[1]) }
+		if got, base := added(eight), added(one); got > base {
+			t.Errorf("%s: a conjunction adds %.1f objects per call over 8 segments, %.1f over 1", name, got, base)
+		}
+	}
+	for name, query := range map[string]func(mining.Querier){
+		"Len":                func(q mining.Querier) { q.Len() },
+		"Count":              func(q mining.Querier) { q.Count(conj) },
+		"CountBoth":          func(q mining.Querier) { q.CountBoth(conj, outcome) },
+		"DrillDown":          func(q mining.Querier) { q.DrillDown(conj, outcome) },
+		"DrillDownLimit":     func(q mining.Querier) { q.DrillDownLimit(conj, outcome, 20) },
+		"ConceptsInCategory": func(q mining.Querier) { q.ConceptsInCategory("issue") },
+		"FieldValues":        func(q mining.Querier) { q.FieldValues("outcome") },
+		"RelativeFrequency":  func(q mining.Querier) { q.RelativeFrequency("issue", conj) },
+		"AssociateN":         func(q mining.Querier) { q.AssociateN(conjRows, cols, 0.95, 0) },
+		"Trend":              func(q mining.Querier) { q.Trend(billing) },
+		"ConceptDF":          func(q mining.Querier) { q.ConceptDF("issue") },
+		"RelFreqMarginals":   func(q mining.Querier) { q.RelFreqMarginals("issue", conj) },
+		"AssocMarginals":     func(q mining.Querier) { q.AssocMarginals(conjRows, cols) },
+	} {
+		if got, want := allocs(one, query), allocs(ix, query); got != want {
+			t.Errorf("%s allocates %.1f objects per call over a set of one segment, %.1f over its Index", name, got, want)
 		}
 	}
 }
