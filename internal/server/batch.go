@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -100,10 +101,15 @@ func NewBatchResult(cb *CachedBody, status int, err error, fs FedStatus) BatchRe
 
 // DecodeBatch reads a /v1/batch request under the body-size and
 // sub-query limits both daemons apply; every error is the caller's (400).
+// The body is one JSON object: only whitespace may follow it.
 func DecodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, error) {
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
+	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("decoding batch request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("decoding batch request: data after the JSON object")
 	}
 	if len(req.Queries) == 0 {
 		return req, fmt.Errorf("batch request has no queries")

@@ -187,13 +187,26 @@ func TestBatchValidation(t *testing.T) {
 	if status, _ := postBatch(t, base, BatchRequest{Queries: over}); status != http.StatusBadRequest {
 		t.Errorf("oversized batch: status = %d, want 400", status)
 	}
-	resp, err := testClient.Post(base+"/v1/batch", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
+	// The body is one JSON object: malformed JSON, or anything but
+	// whitespace after the object, is refused whole.
+	valid := `{"queries":[{"endpoint":"count","params":{"dim":["parity=even"]}}]}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{"{not json", http.StatusBadRequest},
+		{valid + "garbage", http.StatusBadRequest},
+		{valid + `{"queries":[]}`, http.StatusBadRequest},
+		{valid + "\n", http.StatusOK},
+	} {
+		resp, err := testClient.Post(base+"/v1/batch", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("body %q: status = %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
 	}
 	// GET on the batch route is not registered.
 	if status, _ := get(t, base+"/v1/batch"); status != http.StatusMethodNotAllowed && status != http.StatusNotFound {
