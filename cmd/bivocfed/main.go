@@ -10,8 +10,7 @@
 // Usage:
 //
 //	bivocfed -shards URL,URL,... [-addr HOST:PORT] [-shard-timeout D]
-//	         [-confidence P] [-cache-size N] [-drain-timeout D]
-//	         [-pprof HOST:PORT]
+//	         [-confidence P] [-drain-timeout D] [-pprof HOST:PORT]
 //
 // With -pprof the runtime profiles (net/http/pprof) are served on a
 // second listener at that address — off by default, and never on the
@@ -26,6 +25,10 @@
 //
 // Every response carries the X-Bivoc-Generation header with the
 // comma-joined per-shard generation vector ("-" for a missing shard).
+// The coordinator keeps no results between requests: every query
+// scatters, and each shard answers it from its current snapshot (and
+// that snapshot's result cache), so an answer is never older than the
+// snapshots the shards serve.
 //
 // SIGINT/SIGTERM shut the coordinator down gracefully: in-flight
 // scatters drain and the process exits 0.
@@ -48,7 +51,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard base URLs, in shard order (required)")
 	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard request timeout; a slower shard is treated as down for that query")
 	confidence := flag.Float64("confidence", mining.DefaultConfidence, "default association-interval confidence")
-	cacheSize := flag.Int("cache-size", 0, "coordinator result-cache entries (0 = default 256, negative = off); a hit skips the scatter")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this separate listen address (empty = off; use :0 for a free port)")
 	flag.Parse()
@@ -69,7 +71,6 @@ func main() {
 		Shards:       urls,
 		ShardTimeout: *shardTimeout,
 		Confidence:   *confidence,
-		CacheSize:    *cacheSize,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bivocfed:", err)

@@ -14,10 +14,10 @@ import (
 
 // End-to-end equivalence for the batched and cached query paths over
 // the real call-analysis pipeline: a /v1/batch envelope on the single
-// daemon, a /v1/batch envelope on a federated fleet, and a coordinator
-// cache hit must all carry exactly the bytes the plain single-daemon
-// GET serves. Transport shape (batched, scattered, cached) must never
-// be observable in the analytics.
+// daemon, a /v1/batch envelope on a federated fleet, and a federated GET
+// the shards answer from their caches must all carry exactly the bytes
+// the plain single-daemon GET serves. Transport shape (batched,
+// scattered, cached) must never be observable in the analytics.
 
 // storeEquivBatchQueries mirrors storeEquivEndpoints as /v1/batch
 // sub-queries: same endpoints, same parameters, so each sub-result has
@@ -79,10 +79,10 @@ func postBatch(t *testing.T, addr string, queries []server.BatchQuery) []server.
 
 // TestBatchAndCachedPathsMatchSingleGETs pins every alternate serving
 // path against the single-daemon GET oracle: mono /v1/batch, federated
-// /v1/batch at shard counts {1, 4}, and the coordinator's
-// generation-keyed cache (each endpoint fetched twice — uncached
-// scatter, then hit) — against the single daemon's GET bodies
-// (naive=false) and against the naive oracle's (naive=true).
+// /v1/batch at shard counts {1, 4}, and federated GETs (each endpoint
+// fetched twice, the repeat answered from the shards' caches) — against
+// the single daemon's GET bodies (naive=false) and against the naive
+// oracle's (naive=true).
 func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 	t.Parallel()
 	names, queries := storeEquivBatchQueries()
@@ -125,27 +125,15 @@ func TestBatchAndCachedPathsMatchSingleGETs(t *testing.T) {
 					}
 				}
 
-				// Cached federated GETs: the first fetch may scatter or
-				// reuse the batch-populated entry, the repeat is a cache
-				// hit — all must carry the oracle bytes.
+				// Federated GETs: every fetch scatters, and the shards
+				// answer the repeat from their caches — all must carry the
+				// oracle bytes.
 				for _, name := range names {
 					for pass := 0; pass < 2; pass++ {
 						if got := fetchBody(t, addr, endpoints[name]); got != want[name] {
 							t.Errorf("fed GET %s pass %d diverges from mono:\n got %s\nwant %s", name, pass, got, want[name])
 						}
 					}
-				}
-				var stats struct {
-					FedCache struct {
-						Hits uint64 `json:"hits"`
-						Size int    `json:"size"`
-					} `json:"fed_cache"`
-				}
-				if err := json.Unmarshal([]byte(fetchBody(t, addr, "/statsz")), &stats); err != nil {
-					t.Fatal(err)
-				}
-				if stats.FedCache.Hits < 1 || stats.FedCache.Size < 1 {
-					t.Errorf("coordinator cache never hit (hits=%d size=%d) — repeats did not exercise the cached path", stats.FedCache.Hits, stats.FedCache.Size)
 				}
 			})
 		}

@@ -53,7 +53,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(planned) > 0 {
 		answers, vec, down = c.exchange(r.Context(), planned)
 		if len(down) == len(c.cfg.Shards) {
-			vec.headers().set(w.Header())
+			vec.set(w.Header())
 			server.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("all %d shards unavailable", len(down)), fedStatus(down))
 			return
@@ -70,18 +70,17 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	hv, id := c.observe(vec)
 	scattered := 0 // index of the next planned sub-query within the frames
 	for i, p := range plans {
 		if p != nil {
-			results[i] = c.fold(p, scattered, answers, hv, id).batchResult()
+			results[i] = c.fold(p, scattered, answers).batchResult()
 			scattered++
 		}
 	}
 	// The single-node envelope: Generation and Sealed fold the frames'
 	// (min, AND) like every other federated response, FedStatus reports
 	// the shards that were down for the whole batch.
-	hv.set(w.Header())
+	vec.set(w.Header())
 	body, err := server.BatchResponse{
 		Generation: head.Generation,
 		Sealed:     head.Sealed,

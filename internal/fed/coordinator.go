@@ -33,9 +33,6 @@ type Config struct {
 	// Client issues the shard requests (default: a dedicated pooled
 	// client).
 	Client *http.Client
-	// CacheSize bounds the coordinator's generation-vector result cache
-	// (entries). Default 256; negative disables coordinator caching.
-	CacheSize int
 }
 
 // shardIdleConns is how many idle connections the default client keeps
@@ -55,13 +52,6 @@ func (c Config) shardTimeout() time.Duration {
 	return c.ShardTimeout
 }
 
-func (c Config) cacheSize() int {
-	if c.CacheSize == 0 {
-		return 256
-	}
-	return c.CacheSize
-}
-
 // Coordinator serves the /v1 API by scattering every query to all
 // shards and gathering on integer marginals. It holds no index of its
 // own and no per-shard state between requests — a shard that comes back
@@ -72,7 +62,6 @@ type Coordinator struct {
 	eps    server.Endpoints
 	client *http.Client
 	mux    http.Handler
-	cache  *resultCache
 	slo    *server.SLORecorder
 	life   server.Lifecycle
 
@@ -95,7 +84,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		eps:    server.NewEndpoints(cfg.Confidence),
 		client: cfg.Client,
-		cache:  newResultCache(cfg.cacheSize()),
 		slo:    server.NewSLORecorder(),
 	}
 	if c.client == nil {

@@ -15,8 +15,8 @@ import (
 
 // TestFedGzipNegotiation pins response compression on the coordinator:
 // a gzip-accepting client gets a gzip body whose decompressed bytes are
-// byte-identical to the plain response, both on a fresh scatter and on
-// a result-cache replay, and coordinator errors stay plain.
+// byte-identical to the plain response of the same query, and
+// coordinator errors stay plain.
 func TestFedGzipNegotiation(t *testing.T) {
 	docs := voctest.ParityDocs(120)
 	const shards = 2
@@ -60,8 +60,9 @@ func TestFedGzipNegotiation(t *testing.T) {
 		t.Fatalf("test body is %d bytes — too small to exercise compression", len(plain))
 	}
 
-	// Second fetch is a result-cache hit (same trusted generation
-	// vector); it must negotiate gzip from the cached body.
+	// The same query again, gzip-accepting: it scatters again (the shards
+	// answer from their caches) and must negotiate gzip over the same
+	// bytes.
 	zResp, zBody := rawGet(base+big, "gzip")
 	if zResp.Header.Get("Content-Encoding") != "gzip" {
 		t.Fatalf("gzip request answered with Content-Encoding %q", zResp.Header.Get("Content-Encoding"))

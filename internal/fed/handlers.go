@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
+	"strings"
 
 	"bivoc/internal/server"
 )
@@ -15,7 +15,7 @@ import (
 // The coordinator has no query grammar of its own: every /v1 query is
 // planned by the endpoint table in internal/server, and what is here is
 // the transport around a plan — exchange the query for the shards'
-// partials, fold them (the plan merges the live ones), cache and write. The
+// partials, fold them (the plan merges the live ones) and write. The
 // response types are the single-node ones, whose trailing
 // server.FedStatus stays empty (and so invisible) while every shard
 // answers; the full per-shard generation vector rides the
@@ -53,15 +53,14 @@ type ShardStatsz struct {
 
 // StatszResponse answers /statsz on the coordinator: fleet-wide sums
 // plus every shard's own stats section. Cache sums the shard snapshot
-// caches; FedCache is the coordinator's own generation-vector result
-// cache. Serving is the coordinator's own SLO section; ShardServing is
-// the element-wise sum of every live shard's serving section.
+// caches, the only result caches a federation has. Serving is the
+// coordinator's own SLO section; ShardServing is the element-wise sum of
+// every live shard's serving section.
 type StatszResponse struct {
 	Docs         int                   `json:"docs"`
 	Segments     int                   `json:"segments"`
 	Generations  []string              `json:"generations"`
 	Cache        server.CacheStatsJSON `json:"cache"`
-	FedCache     server.CacheStatsJSON `json:"fed_cache"`
 	Scatter      ScatterStatsJSON      `json:"scatter"`
 	Serving      server.ServingJSON    `json:"serving"`
 	ShardServing server.ServingJSON    `json:"shard_serving"`
@@ -96,9 +95,10 @@ func (c *Coordinator) buildMux() http.Handler {
 	route("POST", "/v1/batch", c.handleBatch)
 	route("GET", "/healthz", c.handleHealthz)
 	route("GET", "/statsz", c.handleStatsz)
-	blank := c.blankVec().headers()
+	blank := strings.Join(c.blankVec().gens, ",") // both vectors: "-" per shard
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		blank.set(w.Header())
+		w.Header().Set(server.GenerationHeader, blank)
+		w.Header().Set(server.EpochHeader, blank)
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -165,6 +165,20 @@ func (o outcome) batchResult() server.BatchResult {
 	return server.NewBatchResult(o.body, o.status, o.err, o.fs)
 }
 
+// fleetVec is what a scatter heard from each shard, in shard order: the
+// generation and the boot epoch of the snapshot it answered from, "-"
+// for a shard that did not answer.
+type fleetVec struct{ gens, epochs []string }
+
+// set writes the vector as server.GenerationHeader and
+// server.EpochHeader, each comma-joined in shard order. A client tells a
+// restarted shard's snapshot from the one it replaced by the epoch, since
+// a restarted shard counts generations from the start again.
+func (v fleetVec) set(h http.Header) {
+	h.Set(server.GenerationHeader, strings.Join(v.gens, ","))
+	h.Set(server.EpochHeader, strings.Join(v.epochs, ","))
+}
+
 // shardAnswer is what one shard contributed to an exchange: its frame;
 // or nothing, because it is down for the whole request (frame and err
 // nil); or the error that names it, because its reply is not the frame
@@ -222,12 +236,9 @@ func readFrame(rep shardReply, n int) (server.ShardFrame, error) {
 // fault the same way on every shard, so it is relayed as it came, once
 // checked to be JSON; otherwise the plan merges the 200s, a 503 when
 // there are none (the only condition that fails a query) and a structured
-// 500 when a partial breaks the exchange. A body merged over the whole
-// fleet (id is not "": vec has no gap) is memoized under id, shared with
-// the cache so that a later gzip-accepting replay reuses the compression
-// whichever request pays it. Results alias their replies' buffers; the
-// merged body, the one thing kept, does not.
-func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec vectors, id string) outcome {
+// 500 when a partial breaks the exchange. Results alias their replies'
+// buffers; the merged body does not.
+func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer) outcome {
 	var live []server.ShardBody
 	var missing []int
 	var relay *server.ShardResult
@@ -273,17 +284,13 @@ func (c *Coordinator) fold(p *server.Plan, sub int, answers []shardAnswer, vec v
 		c.scatterMalformed.Add(1)
 		return outcome{status: http.StatusInternalServerError, err: err, fs: fs}
 	}
-	cb := &server.CachedBody{Plain: body}
-	if id != "" && len(missing) == 0 {
-		c.cache.put(p.Key, id, vec, cb)
-	}
-	return outcome{body: cb, status: http.StatusOK, fs: fs}
+	return outcome{body: &server.CachedBody{Plain: body}, status: http.StatusOK, fs: fs}
 }
 
 // writeOK writes an introspection 200 under the gathered vectors,
 // gzip-encoded when the client negotiated it.
 func (c *Coordinator) writeOK(w http.ResponseWriter, r *http.Request, vec fleetVec, v any) {
-	vec.headers().set(w.Header())
+	vec.set(w.Header())
 	body, err := json.Marshal(v)
 	if err != nil {
 		server.WriteError(w, http.StatusInternalServerError, err, server.FedStatus{})
@@ -301,11 +308,12 @@ func decodeShard(rep shardReply, shard int, v any) error {
 	return nil
 }
 
-// handleQuery serves GET /v1/<name>: plan, consult the generation-vector
-// result cache — a hit serves the previously merged bytes without
-// touching any shard — and on a miss exchange the query as a batch of one
-// and write what fold makes of the frames. A parse failure never
-// scatters, so it keeps the wrapper's no-information vector.
+// handleQuery serves GET /v1/<name>: plan, exchange the query as a batch
+// of one and write what fold makes of the frames, under the vector of the
+// snapshots the shards answered from. Nothing is kept between requests: a
+// repeated query scatters again, and each shard answers it from its own
+// snapshot's cache. A parse failure never scatters, so it keeps the
+// wrapper's no-information vector.
 func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -314,29 +322,10 @@ func (c *Coordinator) handleQuery(name string) http.HandlerFunc {
 			server.WriteError(w, http.StatusBadRequest, err, server.FedStatus{})
 			return
 		}
-		if cb, vec, ok := c.cache.get(p.Key, time.Now()); ok {
-			vec.set(w.Header())
-			server.WriteJSONBody(w, r, http.StatusOK, cb)
-			return
-		}
 		answers, vec, _ := c.exchange(r.Context(), []server.BatchQuery{{Endpoint: name, Params: q}})
-		hv, id := c.observe(vec)
-		hv.set(w.Header())
-		c.fold(p, 0, answers, hv, id).write(w, r)
+		vec.set(w.Header())
+		c.fold(p, 0, answers).write(w, r)
 	}
-}
-
-// observe renders a scatter's vector in header form and, when every
-// shard answered, the identity of the fleet snapshot it read
-// (fleetVec.id), refreshing the cache's trust in that identity. id is ""
-// when a shard is missing.
-func (c *Coordinator) observe(vec fleetVec) (hv vectors, id string) {
-	if hv = vec.headers(); !vec.full() {
-		return hv, ""
-	}
-	id = vec.id()
-	c.cache.observe(id, time.Now())
-	return hv, id
 }
 
 // GET /healthz — always 200 while the coordinator serves; aggregates
@@ -386,15 +375,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	replies := c.introspect(r.Context(), "/statsz")
 	missing, vec := c.classify(replies)
-	fedHits, fedMisses, fedSize := c.cache.stats()
 	resp := StatszResponse{
 		Generations: vec.gens,
-		FedCache: server.CacheStatsJSON{
-			Hits:     fedHits,
-			Misses:   fedMisses,
-			Size:     fedSize,
-			Capacity: c.cfg.cacheSize(),
-		},
 		Scatter: ScatterStatsJSON{
 			Requests:   c.scatterRequests.Load(),
 			ReplyBytes: c.scatterBytes.Load(),

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bivoc/internal/mining"
 	"bivoc/internal/server"
 	"bivoc/internal/voctest"
 )
@@ -40,7 +42,7 @@ func TestFedDefaultClientReusesShardConnections(t *testing.T) {
 	shard.Start()
 	t.Cleanup(shard.Close)
 
-	c, err := NewCoordinator(Config{Shards: []string{shard.URL}, CacheSize: -1})
+	c, err := NewCoordinator(Config{Shards: []string{shard.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,55 +106,6 @@ func fedStatsz(t *testing.T, fedBase string) StatszResponse {
 	return sr
 }
 
-// TestFedCacheHitSkipsScatter pins the coordinator cache's hot path: a
-// repeat query within the trust window answers the exact bytes and
-// generation vector of the first, without a single shard request.
-func TestFedCacheHitSkipsScatter(t *testing.T) {
-	const k = 2
-	docs := voctest.ParityDocs(80)
-	shards := make([]*server.Server, k)
-	for i := range shards {
-		shards[i] = startShard(t, docs, i, k, server.Config{})
-	}
-	waitIngestDone(t, shards...)
-	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
-	fedBase := "http://" + coord.Addr()
-	q := fedBase + "/v1/count?dim=" + url.QueryEscape("parity=even")
-
-	status, hdr1, body1 := get(t, q)
-	if status != http.StatusOK {
-		t.Fatalf("first query: status %d", status)
-	}
-	// A federated GET is a batch of one: it counts under the shards'
-	// /v1/shard, the one route the coordinator asks, not under /v1/count.
-	scattered := shardEndpointRequests(t, "/v1/shard", shards...)
-	if scattered != k || shardEndpointRequests(t, "/v1/count", shards...) != 0 {
-		t.Fatalf("first query hit %d shard exchange endpoints, want %d (and no /v1/count)", scattered, k)
-	}
-
-	status, hdr2, body2 := get(t, q)
-	if status != http.StatusOK {
-		t.Fatalf("second query: status %d", status)
-	}
-	if !bytes.Equal(body2, body1) {
-		t.Fatalf("cached body diverges:\n hit: %s\nmiss: %s", body2, body1)
-	}
-	if v1, v2 := hdr1.Get(server.GenerationHeader), hdr2.Get(server.GenerationHeader); v1 != v2 {
-		t.Fatalf("cached generation vector %q, want %q", v2, v1)
-	}
-	if again := shardEndpointRequests(t, "/v1/shard", shards...); again != scattered {
-		t.Fatalf("cache hit still scattered: shard exchange requests %d → %d", scattered, again)
-	}
-
-	sr := fedStatsz(t, fedBase)
-	if sr.FedCache.Hits < 1 || sr.FedCache.Size < 1 {
-		t.Fatalf("fed_cache did not record the hit: %+v", sr.FedCache)
-	}
-	if sr.FedCache.Capacity != 256 {
-		t.Fatalf("fed_cache capacity = %d, want default 256", sr.FedCache.Capacity)
-	}
-}
-
 // pollDim polls the federated count for dim until it reports want
 // documents in total.
 func pollDim(t *testing.T, fedBase, dim string, want int) {
@@ -171,21 +124,14 @@ func pollDim(t *testing.T, fedBase, dim string, want int) {
 	t.Fatalf("%s never reached %d documents", fedBase, want)
 }
 
-// TestFedCacheInvalidatesOnGenerationAdvance pins the invalidation
-// story: a body cached under one generation vector stops matching the
-// moment any shard's generation advances — even within the TTL — and
-// the next query scatters fresh bytes.
-func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
-	const k, cut, total = 2, 60, 120
-	docs := voctest.ParityDocs(total)
-	gate := make(chan struct{})
+// startGatedShards starts k SwapEvery: 1 shards over their partitions
+// of docs, each holding back its share past the first cut documents until
+// gate closes.
+func startGatedShards(t *testing.T, docs []mining.Document, k, cut int, gate <-chan struct{}) []*server.Server {
+	t.Helper()
 	shards := make([]*server.Server, k)
 	for i := range shards {
-		cfg := server.Config{
-			Source:    PartitionSource(gatedSource(docs, gate, cut), i, k),
-			SwapEvery: 1,
-		}
-		s, err := server.New(cfg)
+		s, err := server.New(server.Config{Source: PartitionSource(gatedSource(docs, gate, cut), i, k), SwapEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,65 +141,72 @@ func TestFedCacheInvalidatesOnGenerationAdvance(t *testing.T) {
 		t.Cleanup(func() { shutdownServer(t, s) })
 		shards[i] = s
 	}
+	return shards
+}
+
+// TestFedGetFollowsAShardPublish: a federated GET answers from the
+// snapshots the shards serve when it is asked, never from an older one.
+// Two SwapEvery: 1 shards park at 60 of 120 documents and Q is asked once
+// there; both are released and seal, and the very next GET of Q, with no
+// query between, must count all 120 documents, sealed, under the
+// generation vector the shards now serve. A coordinator that kept Q's
+// body from the cut and trusted it for a second after its last full
+// scatter fails here whenever the shards seal within that second, as they
+// do on a loopback fleet this small: it answers 60 documents, unsealed,
+// under the old vector.
+func TestFedGetFollowsAShardPublish(t *testing.T) {
+	const k, cut, total = 2, 60, 120
+	docs := voctest.ParityDocs(total)
+	gate := make(chan struct{})
+	shards := startGatedShards(t, docs, k, cut, gate)
 	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
 	fedBase := "http://" + coord.Addr()
 	q := fedBase + "/v1/count?dim=" + url.QueryEscape("parity=even")
-
-	// Cache Q at the gated cut: every server holds exactly cut documents.
-	pollDim(t, fedBase, "parity=even", cut)
-	_, hdr1, body1 := get(t, q)
-	vec1 := hdr1.Get(server.GenerationHeader)
-	_, _, hit := get(t, q)
-	if !bytes.Equal(hit, body1) {
-		t.Fatalf("repeat query at the cut diverges:\n got %s\nwant %s", hit, body1)
+	count := func() (vec string, total int, sealed bool) {
+		t.Helper()
+		status, hdr, body := get(t, q)
+		var m struct {
+			Total  int
+			Sealed bool
+		}
+		if err := json.Unmarshal(body, &m); status != http.StatusOK || err != nil {
+			t.Fatalf("GET %s: status %d, body %s", q, status, body)
+		}
+		return hdr.Get(server.GenerationHeader), m.Total, m.Sealed
 	}
 
-	// Release the rest; a different query observes the advanced vector,
-	// so Q's entry goes stale without any TTL expiry involved.
+	pollDim(t, fedBase, "parity=even", cut)
+	before, n, sealed := count()
+	if n != cut || sealed {
+		t.Fatalf("at the cut: total %d, sealed %v, want %d unsealed", n, sealed, cut)
+	}
+
 	close(gate)
 	waitIngestDone(t, shards...)
-	pollDim(t, fedBase, "parity=odd", total)
-
-	status, hdr2, body2 := get(t, q)
-	if status != http.StatusOK {
-		t.Fatalf("post-advance query: status %d", status)
+	want := make([]string, k)
+	for i, s := range shards {
+		gen, docs, sealed := s.SnapshotInfo()
+		if !sealed || docs != total/k {
+			t.Fatalf("shard %d done ingesting at generation %d with %d documents, sealed %v", i, gen, docs, sealed)
+		}
+		want[i] = strconv.FormatUint(gen, 10)
 	}
-	vec2 := hdr2.Get(server.GenerationHeader)
-	if vec2 == vec1 {
-		t.Fatalf("generation vector did not advance past %q", vec1)
-	}
-	if bytes.Equal(body2, body1) {
-		t.Fatalf("stale cached body served after generation advance: %s", body2)
-	}
-	var m struct {
-		Total  int
-		Sealed bool
-	}
-	if err := json.Unmarshal(body2, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Total != total || !m.Sealed {
-		t.Fatalf("post-advance count total=%d sealed=%v, want %d/true", m.Total, m.Sealed, total)
-	}
-
-	// The fresh body is itself cached under the new vector.
-	_, hdr3, body3 := get(t, q)
-	if !bytes.Equal(body3, body2) || hdr3.Get(server.GenerationHeader) != vec2 {
-		t.Fatalf("fresh body not re-cached under the new vector")
+	after, n, sealed := count()
+	if after != strings.Join(want, ",") || n != total || !sealed {
+		t.Fatalf("the first GET after both shards sealed answered vector %q, total %d, sealed %v; want %q, %d, true (the vector at the cut was %q)",
+			after, n, sealed, strings.Join(want, ","), total, before)
 	}
 }
 
-// TestFedCacheForgetsARestartedShard pins that a cached body names the
-// shard processes it was merged from, not only their generations. Two
-// sealed shards hold 20 and 60 documents and the coordinator caches a
-// count at vector 1,1; shard 0 restarts at the same address over 60
-// other documents and seals at generation 1 again. Once the trust window
-// has lapsed, another query re-observes 1,1 — and the cached count must
-// not be served: the restarted shard's epoch differs, so the fleet's 120
-// documents answer, not the 80 the cache saw. A client sees the restart
-// the same way: the generation vector reads 1,1 throughout, the epoch
-// vector changes at shard 0 and nowhere else, and a cache hit carries the
-// epochs of the snapshot it was merged from.
+// TestFedCacheForgetsARestartedShard pins that an answer names the shard
+// processes it was merged from, not only their generations. Two sealed
+// shards hold 20 and 60 documents and a count reads vector 1,1; shard 0
+// restarts at the same address over 60 other documents and seals at
+// generation 1 again. The same count must then answer the fleet's 120
+// documents, not the 80 it read before, though the generation vector
+// reads 1,1 throughout: the epoch vector changes at shard 0 and nowhere
+// else, and a repeated query carries the epochs of the snapshots that
+// answered it.
 func TestFedCacheForgetsARestartedShard(t *testing.T) {
 	docs := voctest.ParityDocs(140)
 	first := startSingle(t, docs[:20], server.Config{})
@@ -285,13 +238,12 @@ func TestFedCacheForgetsARestartedShard(t *testing.T) {
 		t.Fatalf("before the restart: vector %q, total %d, count %d, want 1,1, 80 and 40", vec, total, even)
 	}
 	if hit, epochs, _, _ := count(q); !slices.Equal(hit, oneOne) || !slices.Equal(epochs, before) {
-		t.Fatalf("a cache hit carries vectors %q and %q, want those of the scatter it was merged from, %q and %q", hit, epochs, oneOne, before)
+		t.Fatalf("a repeated query carries vectors %q and %q, want those of the first, %q and %q", hit, epochs, oneOne, before)
 	}
 	addr := first.Addr()
 	shutdownServer(t, first)
 	restarted := startSingle(t, docs[80:], server.Config{Addr: addr})
 	waitIngestDone(t, restarted)
-	time.Sleep(trustWindow + 100*time.Millisecond)
 
 	again, after, total, _ := count(fedBase + "/v1/count?dim=" + url.QueryEscape("parity=odd"))
 	if !slices.Equal(again, oneOne) || total != 120 {
@@ -306,8 +258,8 @@ func TestFedCacheForgetsARestartedShard(t *testing.T) {
 }
 
 // TestFedDegradedNeverCached pins the partial-fleet rule: responses
-// merged while a shard is missing are recomputed on every query and
-// never enter the coordinator cache.
+// merged while a shard is missing are recomputed from the live shards on
+// every query.
 func TestFedDegradedNeverCached(t *testing.T) {
 	const k = 2
 	docs := voctest.ParityDocs(80)
@@ -344,10 +296,6 @@ func TestFedDegradedNeverCached(t *testing.T) {
 	if got := shardEndpointRequests(t, "/v1/shard", shards[0]); got != 2 {
 		t.Fatalf("live shard served %d exchange requests, want 2 (degraded queries must scatter every time)", got)
 	}
-	sr := fedStatsz(t, fedBase)
-	if sr.FedCache.Size != 0 || sr.FedCache.Hits != 0 {
-		t.Fatalf("degraded responses leaked into the coordinator cache: %+v", sr.FedCache)
-	}
 }
 
 // postFedBatch POSTs a /v1/batch request to the coordinator.
@@ -369,25 +317,20 @@ func postFedBatch(t *testing.T, fedBase string, req server.BatchRequest) (int, h
 	return resp.StatusCode, resp.Header, buf.Bytes()
 }
 
-// fedBatchCases pairs every batchable federated endpoint's sub-query
-// form with its GET equivalent.
-func fedBatchCases() []struct {
+// fedBatchCase is a batch sub-query and the GET that must answer the
+// same body.
+type fedBatchCase struct {
 	bq  server.BatchQuery
 	url string
-} {
-	mk := func(endpoint string, params url.Values) struct {
-		bq  server.BatchQuery
-		url string
-	} {
-		return struct {
-			bq  server.BatchQuery
-			url string
-		}{server.BatchQuery{Endpoint: endpoint, Params: params}, "/v1/" + endpoint + "?" + params.Encode()}
+}
+
+// fedBatchCases pairs every batchable federated endpoint's sub-query
+// form with its GET equivalent.
+func fedBatchCases() []fedBatchCase {
+	mk := func(endpoint string, params url.Values) fedBatchCase {
+		return fedBatchCase{server.BatchQuery{Endpoint: endpoint, Params: params}, "/v1/" + endpoint + "?" + params.Encode()}
 	}
-	return []struct {
-		bq  server.BatchQuery
-		url string
-	}{
+	return []fedBatchCase{
 		mk("count", url.Values{"dim": {"parity=even", "parity=odd", "topic", "austin[place]"}}),
 		mk("associate", url.Values{"row": {"billing[topic]", "coverage[topic]"}, "col": {"outcome=reservation", "outcome=unbooked"}}),
 		mk("associate", url.Values{"row": {"topic"}, "col": {"parity=odd"}, "confidence": {"0.99"}}),
@@ -401,7 +344,9 @@ func fedBatchCases() []struct {
 
 // TestFedBatchMatchesSingleFedQueries pins the federated batch against
 // the GET path: every sub-result is byte-identical to its single
-// federated query, from one scatter, on healthy and degraded fleets.
+// federated query, from one scatter, on healthy and degraded fleets —
+// also where the batch names a conjunction's terms in the other order
+// than the GET does.
 func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 	const k = 2
 	docs := voctest.ParityDocs(100)
@@ -410,12 +355,13 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 		shards[i] = startShard(t, docs, i, k, server.Config{})
 	}
 	waitIngestDone(t, shards...)
-	// Cache off: every GET recomputes, so equality means the merge paths
-	// agree, not that one served the other's cached bytes.
-	coord := startCoordinator(t, Config{Shards: shardAddrs(shards), CacheSize: -1})
+	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
 	fedBase := "http://" + coord.Addr()
 
-	cases := fedBatchCases()
+	cases := append(fedBatchCases(), fedBatchCase{
+		server.BatchQuery{Endpoint: "count", Params: url.Values{"dim": {"billing[topic] ∧ parity=even"}}},
+		"/v1/count?dim=" + url.QueryEscape("parity=even ∧ billing[topic]"),
+	})
 	req := server.BatchRequest{}
 	for _, c := range cases {
 		req.Queries = append(req.Queries, c.bq)
@@ -514,52 +460,6 @@ func TestFedBatchMatchesSingleFedQueries(t *testing.T) {
 		t.Fatalf("degraded batch envelope: degraded=%v missing=%v", env.Degraded, env.MissingShards)
 	}
 	checkSubs(env, true)
-}
-
-// TestFedBatchPopulatesCoordinatorCache pins layer interplay: a batch's
-// fully-merged sub-results land in the coordinator cache under the same
-// canonical keys, so the equivalent GET right after is a hit that
-// scatters nothing.
-func TestFedBatchPopulatesCoordinatorCache(t *testing.T) {
-	const k = 2
-	docs := voctest.ParityDocs(80)
-	shards := make([]*server.Server, k)
-	for i := range shards {
-		shards[i] = startShard(t, docs, i, k, server.Config{})
-	}
-	waitIngestDone(t, shards...)
-	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
-	fedBase := "http://" + coord.Addr()
-
-	// Conjunction order differs between batch and GET; canonicalization
-	// must collapse them to one cache key.
-	batchDim := "billing[topic] ∧ parity=even"
-	getDim := "parity=even ∧ billing[topic]"
-	status, _, body := postFedBatch(t, fedBase, server.BatchRequest{Queries: []server.BatchQuery{
-		{Endpoint: "count", Params: url.Values{"dim": {batchDim}}},
-	}})
-	if status != http.StatusOK {
-		t.Fatalf("batch status %d, body %s", status, body)
-	}
-	var env server.BatchResponse
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Results[0].Status != http.StatusOK {
-		t.Fatalf("batch sub failed: %s", env.Results[0].Body)
-	}
-
-	before := shardEndpointRequests(t, "/v1/shard", shards...)
-	gs, _, got := get(t, fedBase+"/v1/count?dim="+url.QueryEscape(getDim))
-	if gs != http.StatusOK {
-		t.Fatalf("GET after batch: status %d", gs)
-	}
-	if after := shardEndpointRequests(t, "/v1/shard", shards...); after != before || before != k {
-		t.Fatalf("GET after batch scattered (%d → %d shard exchange requests), want coordinator cache hit", before, after)
-	}
-	if want := append(append([]byte{}, env.Results[0].Body...), '\n'); !bytes.Equal(got, want) {
-		t.Fatalf("cached GET diverges from batch sub-result\n  get: %s\nbatch: %s", got, want)
-	}
 }
 
 // TestFedBatchValidation pins the envelope-level error contract.
@@ -730,20 +630,20 @@ func TestFedStatszServingSections(t *testing.T) {
 			t.Fatalf("serving[%s]: bucket sum %d != requests %d", path, sum, es.Requests)
 		}
 	}
-	// The shards saw three scatters of k requests each — one count (the
-	// first; two were coordinator cache hits), the trend and the batch —
-	// all on /v1/shard, the one route the coordinator asks on the query
-	// path: a federated GET no longer counts under the shards' /v1/count.
-	if es := sr.ShardServing.Endpoints["/v1/shard"]; es.Requests != 3*k {
-		t.Fatalf("shard_serving[/v1/shard] = %d requests, want %d", es.Requests, 3*k)
+	// The shards saw five scatters of k requests each — the three counts,
+	// the trend and the batch — all on /v1/shard, the one route the
+	// coordinator asks on the query path: a federated GET does not count
+	// under the shards' /v1/count.
+	if es := sr.ShardServing.Endpoints["/v1/shard"]; es.Requests != 5*k {
+		t.Fatalf("shard_serving[/v1/shard] = %d requests, want %d", es.Requests, 5*k)
 	}
 	for _, path := range []string{"/v1/count", "/v1/trend", "/v1/batch"} {
 		if es := sr.ShardServing.Endpoints[path]; es.Requests != 0 {
 			t.Fatalf("shard_serving[%s] = %d requests, want none", path, es.Requests)
 		}
 	}
-	if sr.Scatter.Requests != 3*k || sr.Scatter.Malformed != 0 {
-		t.Fatalf("scatter section %+v after three scatters of a healthy fleet", sr.Scatter)
+	if sr.Scatter.Requests != 5*k || sr.Scatter.Malformed != 0 {
+		t.Fatalf("scatter section %+v after five scatters of a healthy fleet", sr.Scatter)
 	}
 
 	// One GET and one batch over a fleet with a third shard that answers
@@ -805,28 +705,14 @@ func TestFedStatszServingSections(t *testing.T) {
 
 // TestFedBatchAndCacheMidIngest pins batch/GET byte-identity on a live
 // fleet: with every shard parked at the same gated cut, the federated
-// batch, the uncached scatter, and the coordinator-cache hit all serve
-// identical bytes — then again after the release and seal.
+// batch and two GETs of each sub-query — the second answered from the
+// shards' snapshot caches — all serve identical bytes; then again after
+// the release and seal.
 func TestFedBatchAndCacheMidIngest(t *testing.T) {
 	const k, cut, total = 2, 60, 120
 	docs := voctest.ParityDocs(total)
 	gate := make(chan struct{})
-	shards := make([]*server.Server, k)
-	for i := range shards {
-		cfg := server.Config{
-			Source:    PartitionSource(gatedSource(docs, gate, cut), i, k),
-			SwapEvery: 1,
-		}
-		s, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { shutdownServer(t, s) })
-		shards[i] = s
-	}
+	shards := startGatedShards(t, docs, k, cut, gate)
 	coord := startCoordinator(t, Config{Shards: shardAddrs(shards)})
 	fedBase := "http://" + coord.Addr()
 
@@ -851,9 +737,8 @@ func TestFedBatchAndCacheMidIngest(t *testing.T) {
 				t.Fatalf("%s: sub %d (%s): status %d, body %s", phase, i, c.url, sub.Status, sub.Body)
 			}
 			want := append(append([]byte{}, sub.Body...), '\n')
-			// First GET may scatter or hit the batch-populated cache;
-			// the second is a hit when the fleet is static. All three
-			// answers must carry the same bytes.
+			// Every GET scatters; the shards answer the second from
+			// their caches. All three answers must carry the same bytes.
 			for pass := 0; pass < 2; pass++ {
 				gs, _, got := get(t, fedBase+c.url)
 				if gs != http.StatusOK {

@@ -1,7 +1,7 @@
 // Package lru is the one least-recently-used cache of the serving
-// tier: the per-snapshot result cache (internal/server), the
-// coordinator's result cache (internal/fed) and the decoded-postings
-// cache (internal/store) are this type under three cost functions.
+// tier: the per-snapshot result cache (internal/server) and the
+// decoded-postings cache (internal/store) are this type under two cost
+// functions.
 package lru
 
 import "sync"

@@ -90,9 +90,9 @@ func decodeParts[T any](live []ShardBody, read func(*wire.Reader) T) ([]T, error
 
 // Plan is one parsed, canonicalized /v1 query.
 type Plan struct {
-	// Key is the canonical cache key, shared by the snapshot LRU, the
-	// coordinator's result cache, the GET routes and /v1/batch — a
-	// dimension queried any of those ways lands on one entry.
+	// Key is the canonical key in the snapshot LRU, shared by the GET
+	// routes and /v1/batch — a dimension queried either way lands on one
+	// entry.
 	Key string
 	// partKey is set where Key holds what only finalizing reads (an
 	// association's confidence): the key of the partial without it, so

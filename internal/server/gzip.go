@@ -32,10 +32,10 @@ const GzipMinSize = 256
 
 // CachedBody is one marshaled response body in both encodings: the
 // canonical plain bytes and, lazily, their gzip form — or the finding
-// that it has none worth sending. The snapshot LRU and the federation
-// result cache store these, so a cache hit reuses whichever encodings
-// have already been paid for. Exported because the federation
-// coordinator caches merged bodies the same way.
+// that it has none worth sending. The snapshot LRU stores these, so a
+// cache hit reuses whichever encodings have already been paid for.
+// Exported because the federation coordinator writes its merged bodies
+// through the same WriteJSONBody.
 type CachedBody struct {
 	Plain []byte
 

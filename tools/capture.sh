@@ -16,7 +16,8 @@
 #   mmap-warm     the same again under -mmap: the recovered segments are
 #                 served from their mappings
 #   fed-healthy   bivocfed over two bivocd shards
-#   fed-cached    the same requests again, inside the coordinator cache
+#   fed-repeat    the same requests again, which the shards answer from
+#                 their snapshot caches
 #   fed-degraded  shard 1 stopped
 #
 # Every request is sent plainly and with Accept-Encoding: gzip. A file
@@ -36,13 +37,7 @@
 #   pipeline[].avg_latency_ns, pipeline[].max_latency_ns
 #   store.open_us, store.last_seal_unix_ms
 #   store.segment_path's directory (DATA/)
-# bivocfed's /statsz embeds each shard's, masked the same way. Which of
-# fed-cached's requests scatter again, once the coordinator cache's
-# one-second trust window has passed, depends on timing, so in bivocfed's
-# body these count what differs too:
-#   fed_cache.hits, fed_cache.misses, scatter.requests,
-#   scatter.reply_bytes, cache.hits and each shard's cache.hits
-#   the /v1/shard requests in shard_serving and each shard's serving
+# bivocfed's /statsz embeds each shard's, masked the same way.
 #
 # Byte identity between two revisions is diff -r of their captures:
 #   git archive <rev> | tar -x -C /tmp/parent
@@ -179,10 +174,8 @@ def daemon(routes): .memory |= (mask("heap_alloc_bytes") | mask("heap_inuse_byte
 	| if .store then .store |= (mask("open_us") | mask("last_seal_unix_ms")
 		| if has("segment_path") then .segment_path |= sub(".*/"; "DATA/") else . end) else . end;
 if has("shards") then .serving |= serving(["/statsz"])
-	| .shard_serving |= serving(["/statsz", "/v1/shard"])
-	| .cache |= mask("hits") | .fed_cache |= (mask("hits") | mask("misses"))
-	| .scatter |= (mask("requests") | mask("reply_bytes"))
-	| .shards |= map(if .stats then .stats |= (daemon(["/statsz", "/v1/shard"]) | .cache |= mask("hits")) else . end)
+	| .shard_serving |= serving(["/statsz"])
+	| .shards |= map(if .stats then .stats |= daemon(["/statsz"]) else . end)
 else daemon(["/statsz"]) end'
 
 batch='{"queries":[
@@ -289,9 +282,8 @@ settle "$s1"
 start fed bivocfed -shards "http://$s0,http://$s1"
 fed=$addr
 capture fed-healthy "$fed"
-capture fed-cached "$fed"
+capture fed-repeat "$fed"
 stop shard1
-sleep 1.5 # past the coordinator cache's trust window: every answer scatters
 capture fed-degraded "$fed"
 stop fed
 stop shard0
