@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"bivoc"
+	"bivoc/internal/mining"
 	"bivoc/internal/rng"
 	"bivoc/internal/warehouse"
 )
@@ -555,7 +556,7 @@ func BenchmarkStreamIndexAddWhileQuery(b *testing.B) {
 				case <-stop:
 					return
 				default:
-					si.CountBoth(weak, res)
+					si.Snapshot(func(ix *mining.Index) { ix.CountBoth(weak, res) })
 				}
 			}
 		}()

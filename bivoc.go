@@ -87,9 +87,9 @@ type StreamMonitor = core.StreamMonitor
 
 // StreamIndex is the incremental, concurrency-safe path into the mining
 // index: Add documents from pipeline workers while association tables and
-// relevancy reports are queried concurrently, each over a sealed view of
-// the documents added so far; Seal indexes them once into a
-// deterministic batch Index.
+// relevancy reports are queried concurrently on the sealed view of the
+// documents added so far that Snapshot hands out; Seal indexes them once
+// into a deterministic batch Index.
 type StreamIndex = mining.StreamIndex
 
 // NewStreamIndex returns an empty streaming mining index.

@@ -50,26 +50,6 @@ var (
 	}
 )
 
-// Scale returns a copy of the config with all noise rates multiplied by
-// f (clamped to [0, 0.9] each). This implements the paper's observation
-// that faster, cheaper decoding configurations trade speed for WER.
-func (c ChannelConfig) Scale(f float64) ChannelConfig {
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > 0.9 {
-			return 0.9
-		}
-		return v
-	}
-	c.SubProb = clamp(c.SubProb * f)
-	c.DelProb = clamp(c.DelProb * f)
-	c.InsProb = clamp(c.InsProb * f)
-	c.BurstProb = clamp(c.BurstProb * f)
-	return c
-}
-
 // Channel corrupts phone sequences under a config.
 type Channel struct {
 	cfg ChannelConfig

@@ -39,14 +39,6 @@ type Decoder struct {
 	lm  lm.Model
 	em  *EmissionModel
 	cfg DecoderConfig
-	// allowedNames, when non-nil, restricts which ClassName words may be
-	// emitted. This is the paper's second-pass mechanism: after linking
-	// yields top-N candidate identities, "limit the number of conflicting
-	// names to only N names ... in the LM" (§IV.A.1).
-	allowedNames map[string]bool
-	// nameBonus is a log-space bonus added when emitting an allowed name
-	// in constrained mode, reflecting the sharpened name prior.
-	nameBonus float64
 }
 
 // NewDecoder assembles a decoder. The emission model should be derived
@@ -162,13 +154,6 @@ func (bm *beam) prune(width int) []*hyp {
 func (d *Decoder) emitWords(h *hyp, out *beam) {
 	for _, id := range d.lex.nodes[h.node].words {
 		word := d.lex.words[id]
-		bonus := 0.0
-		if d.allowedNames != nil && d.lex.classes[id] == ClassName {
-			if !d.allowedNames[word] {
-				continue // constrained pass: name outside the top-N list
-			}
-			bonus = d.nameBonus
-		}
 		lp := d.lm.LogProb(d.lmContext(h), word)
 		last2 := ""
 		if d.lm.Order() >= 3 {
@@ -179,7 +164,7 @@ func (d *Decoder) emitWords(h *hyp, out *beam) {
 			hist:  &wlist{word: word, prev: h.hist},
 			last:  word,
 			last2: last2,
-			score: h.score + lp + wordPenalty + bonus,
+			score: h.score + lp + wordPenalty,
 		})
 	}
 }
@@ -315,16 +300,4 @@ func NewRecognizer(lex *Lexicon, model lm.Model, ch *Channel, cfg DecoderConfig)
 		Lex: lex, Model: model, Channel: ch,
 		decoder: NewDecoder(lex, model, em, cfg),
 	}
-}
-
-// Decoder returns the underlying decoder (for constrained re-decoding).
-func (r *Recognizer) Decoder() *Decoder { return r.decoder }
-
-// WithNameConstraint returns a new Recognizer sharing this one's lexicon,
-// LM and channel but restricting name emissions to the given set — the
-// second-pass configuration of §IV.A.1.
-func (r *Recognizer) WithNameConstraint(names map[string]bool, bonus float64) *Recognizer {
-	d := NewDecoder(r.Lex, r.Model, NewEmissionModel(r.Channel.Config()), r.decoder.cfg)
-	d.allowedNames, d.nameBonus = names, bonus
-	return &Recognizer{Lex: r.Lex, Model: r.Model, Channel: r.Channel, decoder: d}
 }

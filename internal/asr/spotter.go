@@ -125,25 +125,3 @@ func (s *Spotter) Find(keyword string, observed []phonetics.Phone) []Spot {
 	}
 	return kept
 }
-
-// FindAll spots every keyword, returning hits grouped by keyword.
-func (s *Spotter) FindAll(keywords []string, observed []phonetics.Phone) map[string][]Spot {
-	out := make(map[string][]Spot)
-	for _, kw := range keywords {
-		if hits := s.Find(kw, observed); len(hits) > 0 {
-			out[kw] = hits
-		}
-	}
-	return out
-}
-
-// SpotWords is a convenience for spotting in utterances generated from
-// a reference: it renders words to phones through the lexicon, corrupts
-// nothing, and spots. Returns nil on out-of-lexicon reference words.
-func (s *Spotter) SpotWords(keyword string, reference []string) []Spot {
-	phones, err := s.lex.Phones(reference)
-	if err != nil {
-		return nil
-	}
-	return s.Find(keyword, phones)
-}

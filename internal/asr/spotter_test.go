@@ -24,8 +24,8 @@ func spotterSetup(t *testing.T) (*Spotter, *Recognizer) {
 
 func TestSpotterFindsCleanKeyword(t *testing.T) {
 	sp, _ := spotterSetup(t)
-	ref := strings.Fields("i want a discount please")
-	hits := sp.SpotWords("discount", ref)
+	phones := mustPhones(t, sp.lex, strings.Fields("i want a discount please"))
+	hits := sp.Find("discount", phones)
 	if len(hits) != 1 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -33,7 +33,6 @@ func TestSpotterFindsCleanKeyword(t *testing.T) {
 		t.Errorf("clean confidence = %v", hits[0].Confidence)
 	}
 	// The span should sit inside the utterance, not cover it all.
-	phones, _ := sp.lex.Phones(ref)
 	if hits[0].Span.End-hits[0].Span.Start >= len(phones) {
 		t.Errorf("span too wide: %v of %d", hits[0].Span, len(phones))
 	}
@@ -42,7 +41,7 @@ func TestSpotterFindsCleanKeyword(t *testing.T) {
 func TestSpotterRejectsAbsentKeyword(t *testing.T) {
 	sp, _ := spotterSetup(t)
 	ref := strings.Fields("i want to book a car")
-	if hits := sp.SpotWords("discount", ref); len(hits) != 0 {
+	if hits := sp.Find("discount", mustPhones(t, sp.lex, ref)); len(hits) != 0 {
 		t.Errorf("false alarm: %v", hits)
 	}
 }
@@ -80,7 +79,7 @@ func TestSpotterUnknownKeyword(t *testing.T) {
 func TestSpotterMultipleOccurrences(t *testing.T) {
 	sp, _ := spotterSetup(t)
 	ref := strings.Fields("discount please discount")
-	hits := sp.SpotWords("discount", ref)
+	hits := sp.Find("discount", mustPhones(t, sp.lex, ref))
 	if len(hits) != 2 {
 		t.Fatalf("expected 2 hits, got %v", hits)
 	}
@@ -94,12 +93,14 @@ func TestSpotterMultipleOccurrences(t *testing.T) {
 func TestSpotterFindAll(t *testing.T) {
 	sp, _ := spotterSetup(t)
 	ref := strings.Fields("i want a discount please")
-	got := sp.FindAll([]string{"discount", "please", "smith"}, mustPhones(t, sp.lex, ref))
-	if len(got["discount"]) != 1 || len(got["please"]) != 1 {
-		t.Errorf("FindAll = %v", got)
+	obs := mustPhones(t, sp.lex, ref)
+	for _, kw := range []string{"discount", "please"} {
+		if hits := sp.Find(kw, obs); len(hits) != 1 {
+			t.Errorf("Find(%q) = %v", kw, hits)
+		}
 	}
-	if _, ok := got["smith"]; ok {
-		t.Errorf("phantom keyword: %v", got["smith"])
+	if hits := sp.Find("smith", obs); len(hits) != 0 {
+		t.Errorf("phantom keyword: %v", hits)
 	}
 }
 

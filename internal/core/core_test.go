@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bivoc/internal/annotate"
 	"bivoc/internal/asr"
+	"bivoc/internal/mining"
 	"bivoc/internal/synth"
 )
 
@@ -363,21 +365,16 @@ func TestAgentNotesDeterministicAndNoisy(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := world.GenerateCalls(0, 1)
-	notes := world.AgentNotes(calls)
-	if len(notes) != len(calls) {
-		t.Fatalf("%d notes for %d calls", len(notes), len(calls))
-	}
-	for i, n := range notes {
-		if n == "" {
-			t.Fatalf("empty note for call %s", calls[i].ID)
+	notes := make([]string, len(calls))
+	for i, c := range calls {
+		if notes[i] = world.AgentNote(c); notes[i] == "" {
+			t.Fatalf("empty note for call %s", c.ID)
 		}
 	}
 	// Deterministic: regenerating the same world yields identical notes.
 	world2, _ := synth.NewCarRentalWorld(fastWorld())
-	calls2 := world2.GenerateCalls(0, 1)
-	notes2 := world2.AgentNotes(calls2)
-	for i := range notes {
-		if notes[i] != notes2[i] {
+	for i, c := range world2.GenerateCalls(0, 1) {
+		if notes[i] != world2.AgentNote(c) {
 			t.Fatalf("note %d differs across identical seeds", i)
 		}
 	}
@@ -556,6 +553,10 @@ func TestStreamMonitorLiveQueries(t *testing.T) {
 	observed := make(chan int, 1)
 	doneClosed := make(chan struct{})
 	cfg.Monitor = func(m *StreamMonitor) {
+		// Poll on a short ticker, as the -stream dashboard does: each
+		// Snapshot after an Add seals every document so far.
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
 		maxSeen := 0
 		for {
 			select {
@@ -566,10 +567,12 @@ func TestStreamMonitorLiveQueries(t *testing.T) {
 				}
 				close(doneClosed)
 				return
-			default:
-				if n := m.Live().Len(); n > maxSeen {
-					maxSeen = n
-				}
+			case <-tick.C:
+				m.Live().Snapshot(func(ix *mining.Index) {
+					if n := ix.Len(); n > maxSeen {
+						maxSeen = n
+					}
+				})
 				for _, st := range m.StageStats() {
 					if st.Errors != 0 {
 						panic("unexpected stage error")

@@ -27,9 +27,10 @@ type StreamMonitor struct {
 // errors, queue depth, latency). Safe to call while the run is in flight.
 func (m *StreamMonitor) StageStats() []pipeline.StageStats { return m.stats() }
 
-// Live returns the streaming mining index. Every query on it (Counts,
-// Associate, RelativeFrequency, ...) answers over the documents added so
-// far — reporting stays available while data keeps arriving.
+// Live returns the streaming mining index. Its Snapshot hands out a
+// sealed *mining.Index over the documents added so far, and every query
+// (Count, Associate, RelativeFrequency, ...) runs on that view, so
+// reporting stays available while data keeps arriving.
 func (m *StreamMonitor) Live() *mining.StreamIndex { return m.live }
 
 // Done is closed when the pipeline finishes (drain or abort). Monitor

@@ -99,16 +99,6 @@ func abs(v float64) float64 {
 	return v
 }
 
-// Weights returns a copy of the current attribute weights, for reporting
-// and tests.
-func (e *Engine) Weights() map[Attribute]float64 {
-	out := make(map[Attribute]float64, len(e.weights))
-	for k, v := range e.weights {
-		out[k] = v
-	}
-	return out
-}
-
 // GoldLabel is the true entity for an evaluation document.
 type GoldLabel struct {
 	Table string

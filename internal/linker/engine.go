@@ -143,9 +143,6 @@ func schemaCol(s warehouse.Schema, name string) int {
 	return -1
 }
 
-// Weight returns the current weight of an attribute.
-func (e *Engine) Weight(at Attribute) float64 { return e.weights[at] }
-
 // SetWeight overrides one attribute weight (tests and ablations).
 func (e *Engine) SetWeight(at Attribute, w float64) { e.weights[at] = w }
 

@@ -137,12 +137,12 @@ func TestLinkNaiveOracleEquivalence(t *testing.T) {
 	// either engine move both, so the comparison holds after it too.
 	at := Attribute{Table: "customers", Column: "name"}
 	e.SetWeight(at, 0.9)
-	if naive.Weight(at) != 0.9 {
-		t.Fatalf("SetWeight on the engine did not reach its naive view: %v", naive.Weight(at))
+	if naive.weights[at] != 0.9 {
+		t.Fatalf("SetWeight on the engine did not reach its naive view: %v", naive.weights[at])
 	}
 	naive.LearnWeights(docs, 2)
-	if !reflect.DeepEqual(e.Weights(), naive.Weights()) {
-		t.Fatalf("LearnWeights on the naive view did not move the engine:\n%v\n%v", e.Weights(), naive.Weights())
+	if !reflect.DeepEqual(e.weights, naive.weights) {
+		t.Fatalf("LearnWeights on the naive view did not move the engine:\n%v\n%v", e.weights, naive.weights)
 	}
 	for di, doc := range docs {
 		check(di, 2, doc)

@@ -274,14 +274,14 @@ func TestLearnWeightsIsDeterministic(t *testing.T) {
 		e := wideEngine(t)
 		h := e.LearnWeights(docs, 4)
 		if run == 0 {
-			history, weights = h, e.Weights()
+			history, weights = h, e.weights
 			continue
 		}
 		if !reflect.DeepEqual(h, history) {
 			t.Fatalf("run %d history %v, run 0 %v", run, h, history)
 		}
-		if w := e.Weights(); !reflect.DeepEqual(w, weights) {
-			t.Fatalf("run %d weights %v, run 0 %v", run, w, weights)
+		if !reflect.DeepEqual(e.weights, weights) {
+			t.Fatalf("run %d weights %v, run 0 %v", run, e.weights, weights)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package linker
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -187,10 +188,10 @@ func TestNewEngineValidation(t *testing.T) {
 func TestInitialWeightsUniformPerTable(t *testing.T) {
 	e := testEngine(t, testDB(t))
 	// customers has two configured attrs (name, phone) → 0.5 each.
-	if w := e.Weight(Attribute{"customers", "name"}); w != 0.5 {
+	if w := e.weights[Attribute{"customers", "name"}]; w != 0.5 {
 		t.Errorf("customers.name weight = %v", w)
 	}
-	if w := e.Weight(Attribute{"cards", "number"}); w != 0.5 {
+	if w := e.weights[Attribute{"cards", "number"}]; w != 0.5 {
 		t.Errorf("cards.number weight = %v", w)
 	}
 }
@@ -344,7 +345,7 @@ func TestLearnWeightsConvergesAndNormalizes(t *testing.T) {
 	}
 	// Weights stay normalized per table.
 	totals := map[string]float64{}
-	for at, w := range e.Weights() {
+	for at, w := range e.weights {
 		if w < 0 {
 			t.Errorf("negative weight for %v", at)
 		}
@@ -369,8 +370,8 @@ func TestLearnWeightsFavorsInformativeAttribute(t *testing.T) {
 		{{Text: "susan", Type: TokName}, {Text: "miller", Type: TokName}, {Text: "250", Type: TokAmount}},
 	}
 	e.LearnWeights(docs, 5)
-	nameW := e.Weight(Attribute{"transactions", "customer"})
-	amountW := e.Weight(Attribute{"transactions", "amount"})
+	nameW := e.weights[Attribute{"transactions", "customer"}]
+	amountW := e.weights[Attribute{"transactions", "amount"}]
 	if nameW <= amountW {
 		t.Errorf("name weight %v should exceed amount weight %v", nameW, amountW)
 	}
@@ -378,12 +379,11 @@ func TestLearnWeightsFavorsInformativeAttribute(t *testing.T) {
 
 func TestLearnWeightsEmptyDocs(t *testing.T) {
 	e := testEngine(t, testDB(t))
-	before := e.Weights()
+	before := maps.Clone(e.weights)
 	e.LearnWeights(nil, 3)
-	after := e.Weights()
 	for at, w := range before {
-		if abs(after[at]-w) > 1e-9 {
-			t.Errorf("weights changed with no data: %v %v→%v", at, w, after[at])
+		if abs(e.weights[at]-w) > 1e-9 {
+			t.Errorf("weights changed with no data: %v %v→%v", at, w, e.weights[at])
 		}
 	}
 }

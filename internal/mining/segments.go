@@ -78,7 +78,7 @@ func NewSegmentSet(segs ...*Index) *SegmentSet {
 
 // Seal builds the sealed segment of docs. It is the one way an index is
 // made from documents — a daemon's publish, its recovered WAL tail, a
-// StreamIndex query or Seal and MergeSegments all end here: docs is
+// StreamIndex Snapshot or Seal and MergeSegments all end here: docs is
 // sorted by ID in place and indexed in that order, so the result does
 // not depend on the order the documents arrived in and positions are in
 // ID order (see Backing). A repeated document ID panics: it means an

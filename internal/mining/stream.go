@@ -12,16 +12,16 @@ import (
 // queried concurrently — the Customer-Experience-Data-Mart requirement
 // that reporting stays available while data keeps arriving.
 //
-// A StreamIndex holds the documents it was given, not an index. A query
-// answers over a sealed view of exactly the documents whose Add had
-// completed when it asked: the first query after an Add seals a copy of
-// them (the package-level Seal), under the lock, and every query runs
-// on that immutable view outside it until the next Add. A query
-// therefore returns the same result a sealed Index over those documents
-// would, whatever order they arrived in. Adds only append a document,
-// so writers hold the lock for microseconds; a query after an Add costs
-// one Seal of what has arrived, which a dashboard that asks every few
-// hundred milliseconds pays once per tick.
+// A StreamIndex holds the documents it was given, not an index. It is
+// queried through Snapshot, which hands out a sealed view of exactly the
+// documents whose Add had completed when it asked: the first Snapshot
+// after an Add seals a copy of them (the package-level Seal), under the
+// lock, and every query runs on that immutable *Index outside it until
+// the next Add. A query therefore returns the same result a sealed Index
+// over those documents would, whatever order they arrived in. Adds only
+// append a document, so writers hold the lock for microseconds; a
+// Snapshot after an Add costs one Seal of what has arrived, which a
+// dashboard that asks every few hundred milliseconds pays once per tick.
 //
 // Once the stream ends, Seal seals the documents themselves, once, and
 // returns that *Index.
@@ -88,48 +88,6 @@ func (s *StreamIndex) current() *Index {
 	return s.view
 }
 
-// Len returns the number of documents added so far.
-func (s *StreamIndex) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.docs)
-}
-
-// Count returns how many documents added so far match the dimension.
-func (s *StreamIndex) Count(d Dim) int { return s.current().Count(d) }
-
-// CountBoth returns how many documents added so far match both
-// dimensions.
-func (s *StreamIndex) CountBoth(a, b Dim) int { return s.current().CountBoth(a, b) }
-
-// Associate builds a two-dimensional association table over the
-// documents added at call time (see Index.Associate).
-func (s *StreamIndex) Associate(rows, cols []Dim, confidence float64) *AssocTable {
-	return s.current().Associate(rows, cols, confidence)
-}
-
-// RelativeFrequency runs the relevancy analysis over the documents
-// added at call time (see Index.RelativeFrequency).
-func (s *StreamIndex) RelativeFrequency(category string, featured Dim) []Relevance {
-	return s.current().RelativeFrequency(category, featured)
-}
-
-// Trend returns per-bucket counts for a dimension over the documents
-// added at call time.
-func (s *StreamIndex) Trend(d Dim) []TrendPoint { return s.current().Trend(d) }
-
-// DrillDown returns the documents matching both dimensions, sorted by ID.
-func (s *StreamIndex) DrillDown(a, b Dim) []Document { return s.current().DrillDown(a, b) }
-
-// ConceptsInCategory returns the category's canonical forms by document
-// frequency over the documents added at call time.
-func (s *StreamIndex) ConceptsInCategory(category string) []string {
-	return s.current().ConceptsInCategory(category)
-}
-
-// FieldValues returns the distinct values of a structured field.
-func (s *StreamIndex) FieldValues(field string) []string { return s.current().FieldValues(field) }
-
 // Snapshot runs fn with the sealed view over the documents added so far,
 // so that several queries answer over one document set. The view never
 // changes: a later Add makes a new one, and fn may keep it.
@@ -139,8 +97,8 @@ func (s *StreamIndex) Snapshot(fn func(ix *Index)) { fn(s.current()) }
 // holds every document in ID order (the package-level Seal), so the
 // result is identical no matter how pipeline scheduling interleaved the
 // Adds. The documents are sealed themselves, once — a view a query made
-// over all of them already is that index. Queries on the StreamIndex
-// keep working against the sealed contents. Seal is idempotent.
+// over all of them already is that index. Snapshot keeps handing out
+// that index. Seal is idempotent.
 func (s *StreamIndex) Seal() *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -41,18 +41,17 @@ func streamCorpus(n int) []Document {
 	return docs
 }
 
+// viewOf is the sealed view Snapshot hands out over the documents added
+// to si so far.
+func viewOf(si *StreamIndex) *Index {
+	var view *Index
+	si.Snapshot(func(ix *Index) { view = ix })
+	return view
+}
+
 // queryFingerprint captures every analysis surface over an index so two
 // indexes can be compared for behavioural equality.
-func queryFingerprint(t *testing.T, q interface {
-	Count(Dim) int
-	CountBoth(a, b Dim) int
-	Associate(rows, cols []Dim, confidence float64) *AssocTable
-	RelativeFrequency(category string, featured Dim) []Relevance
-	Trend(d Dim) []TrendPoint
-	DrillDown(a, b Dim) []Document
-	ConceptsInCategory(category string) []string
-	FieldValues(field string) []string
-}) string {
+func queryFingerprint(t *testing.T, q *Index) string {
 	t.Helper()
 	rows := []Dim{ConceptDim("color", "red"), ConceptDim("color", "green"), ConceptDim("color", "blue")}
 	cols := []Dim{FieldDim("outcome", "won"), FieldDim("outcome", "lost")}
@@ -98,7 +97,7 @@ func TestStreamIndexMatchesBatchIndex(t *testing.T) {
 	wg.Wait()
 
 	// Pre-seal: queries must already agree (order-insensitive analyses).
-	if got, want := queryFingerprint(t, si), queryFingerprint(t, batch); got != want {
+	if got, want := queryFingerprint(t, viewOf(si)), queryFingerprint(t, batch); got != want {
 		t.Fatalf("pre-seal stream results diverge from batch:\n--- stream ---\n%s--- batch ---\n%s", got, want)
 	}
 
@@ -144,7 +143,8 @@ func TestStreamIndexAddWhileQuery(t *testing.T) {
 					return
 				default:
 				}
-				n := si.Len()
+				view := viewOf(si)
+				n := view.Len()
 				if n < prevLen {
 					select {
 					case readerErr <- fmt.Sprintf("Len went backwards: %d then %d", prevLen, n):
@@ -153,7 +153,7 @@ func TestStreamIndexAddWhileQuery(t *testing.T) {
 					return
 				}
 				prevLen = n
-				tbl := si.Associate(rows, cols, 0.95)
+				tbl := view.Associate(rows, cols, 0.95)
 				for _, row := range tbl.Cells {
 					for _, cell := range row {
 						if cell.Ncell > cell.N {
@@ -165,15 +165,13 @@ func TestStreamIndexAddWhileQuery(t *testing.T) {
 						}
 					}
 				}
-				si.RelativeFrequency("shape", FieldDim("outcome", "won"))
-				si.Trend(ConceptDim("color", "red"))
-				si.DrillDown(ConceptDim("color", "blue"), FieldDim("outcome", "lost"))
-				si.ConceptsInCategory("color")
-				si.Snapshot(func(ix *Index) {
-					if ix.Count(CategoryDim("color")) > ix.Len() {
-						panic("snapshot count exceeds len")
-					}
-				})
+				view.RelativeFrequency("shape", FieldDim("outcome", "won"))
+				view.Trend(ConceptDim("color", "red"))
+				view.DrillDown(ConceptDim("color", "blue"), FieldDim("outcome", "lost"))
+				view.ConceptsInCategory("color")
+				if view.Count(CategoryDim("color")) > view.Len() {
+					panic("snapshot count exceeds len")
+				}
 			}
 		}()
 	}
@@ -209,8 +207,8 @@ func TestStreamIndexAddWhileQuery(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if si.Len() != len(docs) {
-		t.Fatalf("indexed %d docs, want %d", si.Len(), len(docs))
+	if n := viewOf(si).Len(); n != len(docs) {
+		t.Fatalf("indexed %d docs, want %d", n, len(docs))
 	}
 }
 
@@ -222,8 +220,7 @@ func TestStreamViewIsASnapshot(t *testing.T) {
 	docs := streamCorpus(400)
 	si := NewStreamIndex()
 	si.AddBatch(docs[:200])
-	var kept *Index
-	si.Snapshot(func(ix *Index) { kept = ix })
+	kept := viewOf(si)
 	want := queryFingerprint(t, kept)
 
 	var wg sync.WaitGroup
@@ -265,10 +262,11 @@ func TestStreamViewIsASnapshot(t *testing.T) {
 		t.Fatalf("kept view's answers changed after the Adds:\n--- now ---\n%s--- then ---\n%s", got, want)
 	}
 
-	if got, want := si.Count(CategoryDim("color")), len(docs); got != want {
+	now := viewOf(si)
+	if got, want := now.Count(CategoryDim("color")), len(docs); got != want {
 		t.Fatalf("a new query counts %d documents, want %d", got, want)
 	}
-	if got, want := queryFingerprint(t, si), queryFingerprint(t, Seal(slices.Clone(docs))); got != want {
+	if got, want := queryFingerprint(t, now), queryFingerprint(t, Seal(slices.Clone(docs))); got != want {
 		t.Fatalf("a new query misses added documents:\n--- stream ---\n%s--- batch ---\n%s", got, want)
 	}
 }
@@ -283,9 +281,9 @@ func TestStreamIndexSealSemantics(t *testing.T) {
 	if second := si.Seal(); second != first {
 		t.Fatal("Seal is not idempotent")
 	}
-	// Queries keep answering over the sealed contents.
-	if si.Len() != 10 {
-		t.Fatalf("post-seal Len %d, want 10", si.Len())
+	// Snapshot keeps handing out the sealed index.
+	if view := viewOf(si); view != first || view.Len() != 10 {
+		t.Fatalf("post-seal view holds %d documents and is the sealed index: %v; want 10 and true", view.Len(), view == first)
 	}
 	defer func() {
 		if recover() == nil {

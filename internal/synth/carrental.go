@@ -134,7 +134,7 @@ const (
 	// strongly.
 	strongShare = 0.5
 	// valueShift and discountShift are applied to trained agents'
-	// propensities when Trained is set (see TrainAgents).
+	// propensities when Trained is set (see TrainAgentSet).
 	valueShift    = 0.10
 	discountShift = 0.07
 )
@@ -270,18 +270,6 @@ func randomPhone(r *rng.RNG) string {
 		digits[i] = byte('0' + r.Intn(10))
 	}
 	return string(digits)
-}
-
-// TrainAgents marks the first n agents as trained, shifting their
-// value-selling and discount propensities by the configured amounts —
-// the §V.C intervention ("these 20 agents were told about the findings
-// ... asked to use value selling phrases more generously").
-func (w *CarRentalWorld) TrainAgents(n int) {
-	idx := make([]int, 0, n)
-	for i := 0; i < n && i < len(w.Agents); i++ {
-		idx = append(idx, i)
-	}
-	w.TrainAgentSet(idx)
 }
 
 // TrainAgentSet trains a specific set of agents (by index). Experiment

@@ -54,12 +54,3 @@ func (w *CarRentalWorld) AgentNote(call Call) string {
 	clean := strings.Join(parts, ". ")
 	return noise.New(noise.AgentNoteNoise).Apply(r, clean)
 }
-
-// AgentNotes returns one note per call.
-func (w *CarRentalWorld) AgentNotes(calls []Call) []string {
-	out := make([]string, len(calls))
-	for i, c := range calls {
-		out[i] = w.AgentNote(c)
-	}
-	return out
-}

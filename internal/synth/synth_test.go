@@ -198,7 +198,8 @@ func TestTrainAgentsShiftsPropensities(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := w.Agents[0].PValueSelling
-	w.TrainAgents(5)
+	firstFive := []int{0, 1, 2, 3, 4}
+	w.TrainAgentSet(firstFive)
 	for i := 0; i < 5; i++ {
 		if !w.Agents[i].Trained {
 			t.Errorf("agent %d not trained", i)
@@ -212,7 +213,7 @@ func TestTrainAgentsShiftsPropensities(t *testing.T) {
 	}
 	// Idempotent.
 	after := w.Agents[0].PValueSelling
-	w.TrainAgents(5)
+	w.TrainAgentSet(firstFive)
 	if w.Agents[0].PValueSelling != after {
 		t.Error("re-training shifted propensities again")
 	}

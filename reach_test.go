@@ -16,27 +16,37 @@ import (
 )
 
 // reachOracles are the reference implementations the equivalence suites
-// compare the product paths against: nothing shipped calls them, and a
-// test that lost its reference would compare a run with itself. Each is
-// named with the test that holds it. Nothing else belongs here.
+// compare the product paths against, and the baselines the ablation
+// benchmarks measure the shipped design against: nothing shipped calls
+// them. A test that lost its reference would compare a run with itself,
+// and an ablation that lost its baseline would measure nothing. Each is
+// named with the test or benchmark that holds it. Nothing else belongs
+// here: an oracle or an ablation baseline, and no method because its
+// type is public.
 var reachOracles = []string{
 	"bivoc/internal/mining.Index.Naive",   // voctest.CheckQueriers: every mining, store, server and fed equivalence suite
 	"bivoc/internal/mining.Index.Backing", // what Naive needs of an index it did not build (TestNaiveViewSharesTheBacking)
 	"bivoc/internal/linker.Engine.Naive",  // TestLinkGoldenCarRentalEquivalence, linker/equiv_test.go
+
+	"bivoc/internal/linker.Engine.LinkFullScan",       // BenchmarkAblationFaginVsFullScan
+	"bivoc/internal/linker.Engine.LinkIndividualBest", // BenchmarkAblationCombinedVsIndividualEntities
+	"bivoc/internal/linker.Engine.LearnWeights",       // BenchmarkEMWeightLearning, BenchmarkAblationEMVsUniformWeights
+	"bivoc/internal/linker.Engine.Evaluate",           // BenchmarkAblationEMVsUniformWeights
 }
 
 // TestEveryInternalFunctionIsReachable holds the north star's "code kept
 // for call paths nothing produces any more is deleted" for everything
 // under internal/: a function there must be reachable from something
 // shipped. The roots are main and init of every command and example,
-// package-level initialisers, the exported functions of package bivoc and
-// the exported methods of the types it aliases, everything in
-// cmd/bivocbench (a module of its own that no product change may edit)
-// and in internal/voctest (test support), and reachOracles. From them
-// the walk follows every mention of a function in a reachable body, and
-// for every type a reachable body handles, the methods through which it
-// satisfies an interface the program mentions. Tests are not roots: a
-// function only tests call is reported, with its position.
+// package-level initialisers, the exported functions of package bivoc,
+// everything in cmd/bivocbench (a module of its own that no product
+// change may edit) and in internal/voctest (test support), and
+// reachOracles. A method is no root because bivoc.go aliases its type: it
+// lives by its callers like any other function. From the roots the walk
+// follows every mention of a function in a reachable body, and for every
+// type a reachable body handles, the methods through which it satisfies
+// an interface the program mentions. Tests are not roots: a function only
+// tests call is reported, with its position.
 func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	l, _ := loadModule(t)
 	w := &reachWalk{
@@ -78,22 +88,6 @@ func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	for name := range oracle {
 		t.Errorf("reachOracles names %s, which does not exist", name)
 	}
-	// bivoc.go's aliases are the named public API: their exported methods
-	// stay whole whether or not a binary calls them.
-	root := l.pkgs["bivoc"]
-	for _, name := range root.types.Scope().Names() {
-		tn, ok := root.types.Scope().Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() || !tn.IsAlias() {
-			continue
-		}
-		if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					w.reach(m)
-				}
-			}
-		}
-	}
 	for _, p := range l.pkgs {
 		for _, e := range p.inits {
 			w.mention(p, e)
@@ -110,7 +104,7 @@ func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is reached by no command, example, export of package bivoc, benchmark probe or oracle", d)
+		t.Errorf("%s is reached by no command, example, export of package bivoc, benchmark probe, oracle or ablation baseline", d)
 	}
 }
 
