@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 
 	"bivoc/internal/mining"
@@ -13,10 +14,17 @@ import (
 	"bivoc/internal/voctest"
 )
 
+// assoc2x2 is a two-rows × two-columns /v1/associate query: about 600
+// bytes over the parity corpus, a body that fits one segment plain.
+var assoc2x2 = url.Values{
+	"row": {mining.ConceptDim("topic", "billing").Label(), mining.ConceptDim("topic", "coverage").Label()},
+	"col": {mining.FieldDim("outcome", "reservation").Label(), mining.FieldDim("outcome", "unbooked").Label()},
+}
+
 // TestFedGzipNegotiation pins response compression on the coordinator:
 // a gzip-accepting client gets a gzip body whose decompressed bytes are
-// byte-identical to the plain response of the same query, and
-// coordinator errors stay plain.
+// byte-identical to the plain response of the same query, a merged body
+// under GzipMinSize is sent plain, and coordinator errors stay plain.
 func TestFedGzipNegotiation(t *testing.T) {
 	docs := voctest.ParityDocs(120)
 	const shards = 2
@@ -47,9 +55,10 @@ func TestFedGzipNegotiation(t *testing.T) {
 		return resp, body
 	}
 
-	big := "/v1/associate?" + url.Values{
-		"row": {mining.ConceptDim("topic", "billing").Label(), mining.ConceptDim("topic", "coverage").Label()},
-		"col": {mining.FieldDim("outcome", "reservation").Label(), mining.FieldDim("outcome", "unbooked").Label()},
+	// A drill-down's ten documents are past GzipMinSize.
+	big := "/v1/drilldown?" + url.Values{
+		"row": {mining.ConceptDim("topic", "billing").Label()},
+		"col": {mining.FieldDim("outcome", "reservation").Label()},
 	}.Encode()
 
 	plainResp, plain := rawGet(base+big, "identity")
@@ -79,6 +88,20 @@ func TestFedGzipNegotiation(t *testing.T) {
 		t.Errorf("decompressed coordinator body drifted:\n gz    %s\n plain %s", got, plain)
 	}
 
+	// A merged mid-size body — past the old 256-byte threshold, under
+	// GzipMinSize — is sent plain to a gzip client, and still varies on
+	// Accept-Encoding.
+	midResp, midBody := rawGet(base+"/v1/associate?"+assoc2x2.Encode(), "gzip")
+	if midResp.Header.Get("Content-Encoding") != "" {
+		t.Fatalf("a 2x2 associate merged body was %s-encoded", midResp.Header.Get("Content-Encoding"))
+	}
+	if len(midBody) < 256 || len(midBody) >= server.GzipMinSize {
+		t.Fatalf("2x2 associate body is %d bytes, want 256 ≤ n < GzipMinSize for this case", len(midBody))
+	}
+	if !strings.Contains(strings.Join(midResp.Header.Values("Vary"), ","), "Accept-Encoding") {
+		t.Error("mid-size merged response missing Vary: Accept-Encoding")
+	}
+
 	// Coordinator errors stay plain.
 	errResp, _ := rawGet(base+"/v1/count?dim=nope%5Bmissing", "gzip")
 	if errResp.StatusCode != http.StatusBadRequest {
@@ -86,5 +109,29 @@ func TestFedGzipNegotiation(t *testing.T) {
 	}
 	if errResp.Header.Get("Content-Encoding") != "" {
 		t.Errorf("coordinator error was %s-encoded", errResp.Header.Get("Content-Encoding"))
+	}
+}
+
+// TestPlainResponseUnderGzipMinSizeFitsOneSegment holds GzipMinSize to
+// the rule it is derived from, for the coordinator, whose head is the
+// longer of the two daemons' by its per-shard generation and epoch
+// vectors: over four shards, a 200 /v1 response whose plain body is one
+// byte under the threshold, with its head at its longest
+// (voctest.LongestHead), fits one 1460-byte TCP segment.
+func TestPlainResponseUnderGzipMinSizeFitsOneSegment(t *testing.T) {
+	docs := voctest.ParityDocs(120)
+	const shards = 4
+	var servers []*server.Server
+	for i := 0; i < shards; i++ {
+		servers = append(servers, startShard(t, docs, i, shards, server.Config{Addr: "127.0.0.1:0"}))
+	}
+	waitIngestDone(t, servers...)
+	c := startCoordinator(t, Config{Addr: "127.0.0.1:0", Shards: shardAddrs(servers)})
+	head, body := voctest.KeepAliveHead(t, c.Addr(), "/v1/associate?"+assoc2x2.Encode())
+	if !bytes.HasPrefix(head, []byte("HTTP/1.1 200 ")) || len(body) >= server.GzipMinSize || bytes.Contains(head, []byte("Content-Encoding")) {
+		t.Fatalf("want a plain 200 under GzipMinSize, got %d body bytes after %q", len(body), head)
+	}
+	if n := voctest.LongestHead(t, head, server.GzipMinSize-1, server.EpochHeader); n+server.GzipMinSize-1 > 1460 {
+		t.Errorf("a %d-byte head and a %d-byte body make %d bytes, past one 1460-byte segment:\n%s", n, server.GzipMinSize-1, n+server.GzipMinSize-1, head)
 	}
 }

@@ -141,8 +141,10 @@ type outcome struct {
 	fs     server.FedStatus
 }
 
-// write answers a GET with the outcome; the caller has set the vectors. A relayed or local error is sent plain, as a daemon sends one —
-// the relayed one with the newline a frame does not carry.
+// write answers a GET with the outcome; the caller has set the vectors.
+// A relayed or local error is sent plain, as a daemon sends one, and the
+// relayed one gets the newline a frame does not carry. The merged body
+// goes through server.WriteJSONBody, under bivocd's compression rule.
 func (o outcome) write(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case o.relay != nil:

@@ -25,10 +25,17 @@ import (
 // response — which is what lets the byte-identity suites compare daemons
 // whatever each client negotiated.
 
-// GzipMinSize is the smallest plain body worth compressing: below it
-// the gzip envelope (header + CRC trailer) eats the savings and the
-// response is sent identity-encoded even to gzip-accepting clients.
-const GzipMinSize = 256
+// GzipMinSize is the smallest plain body worth compressing. A smaller
+// one is sent identity-encoded even to gzip-accepting clients, because
+// its whole response already fits one 1460-byte TCP segment (a 1500-byte
+// Ethernet MTU less 40 bytes of IP and TCP headers), so compressing it
+// saves no packet and only costs CPU. The status line and the longest
+// header block either daemon sends take about 250 bytes (a 4-shard
+// coordinator, with its per-shard X-Bivoc-Epoch and X-Bivoc-Generation
+// vectors; bivocd's are about 190): 1460 - 250 leaves 1210, of which
+// about 100 are kept for generation numbers to grow. Both daemons'
+// TestPlainResponseUnderGzipMinSizeFitsOneSegment hold the arithmetic.
+const GzipMinSize = 1100
 
 // CachedBody is one marshaled response body in both encodings: the
 // canonical plain bytes and, lazily, their gzip form — or the finding
@@ -47,7 +54,7 @@ type CachedBody struct {
 // GOMAXPROCS are ever built (gzipBuilt). A BestSpeed flate compressor is
 // 1.2 MB of state (the hash chains of the other levels are inline in it,
 // beside the fast encoder's own table and window), so allocating one per
-// body — every cache miss of 256 bytes or more — would be most of a
+// body — every cache miss of GzipMinSize bytes or more — would be most of a
 // miss's allocation and feed the collector accordingly. The set is fixed
 // rather than a sync.Pool so that what it holds is bounded and does not
 // depend on when the last collection ran.

@@ -47,6 +47,13 @@ func TestAcceptsGzip(t *testing.T) {
 	}
 }
 
+// assoc2x2 is a two-rows × two-columns /v1/associate query: about 600
+// bytes over the parity corpus, a body that fits one segment plain.
+var assoc2x2 = url.Values{
+	"row": {mining.ConceptDim("topic", "billing").Label(), mining.ConceptDim("topic", "coverage").Label()},
+	"col": {mining.FieldDim("outcome", "reservation").Label(), mining.FieldDim("outcome", "unbooked").Label()},
+}
+
 // rawGet fetches rawurl with an explicit Accept-Encoding header;
 // setting the header by hand disables net/http's transparent
 // decompression, so the body comes back exactly as sent on the wire.
@@ -84,17 +91,17 @@ func gunzip(t *testing.T, data []byte) []byte {
 
 // TestGzipNegotiation pins the response-compression contract: a
 // gzip-accepting client gets a gzip body whose decompressed bytes are
-// identical to the plain response, small bodies and errors stay plain,
-// and every /v1 response varies on Accept-Encoding.
+// identical to the plain response, bodies under GzipMinSize and errors
+// stay plain, and every /v1 response varies on Accept-Encoding.
 func TestGzipNegotiation(t *testing.T) {
 	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(120))})
 	waitIngestDone(t, s)
 	base := "http://" + s.Addr()
 
-	// /v1/associate over two rows × two cols is far past GzipMinSize.
-	big := "/v1/associate?" + url.Values{
-		"row": {mining.ConceptDim("topic", "billing").Label(), mining.ConceptDim("topic", "coverage").Label()},
-		"col": {mining.FieldDim("outcome", "reservation").Label(), mining.FieldDim("outcome", "unbooked").Label()},
+	// A drill-down's ten documents are past GzipMinSize.
+	big := "/v1/drilldown?" + url.Values{
+		"row": {mining.ConceptDim("topic", "billing").Label()},
+		"col": {mining.FieldDim("outcome", "reservation").Label()},
 	}.Encode()
 
 	plainResp, plain := rawGet(t, base+big, "identity")
@@ -123,6 +130,24 @@ func TestGzipNegotiation(t *testing.T) {
 	_, zBody2 := rawGet(t, base+big, "gzip")
 	if !bytes.Equal(zBody, zBody2) {
 		t.Error("cached gzip replay served different bytes")
+	}
+
+	// A mid-size body — past the old 256-byte threshold, under
+	// GzipMinSize — is sent plain to a gzip client, and still varies on
+	// Accept-Encoding.
+	mid := "/v1/associate?" + assoc2x2.Encode()
+	midResp, midBody := rawGet(t, base+mid, "gzip")
+	if midResp.Header.Get("Content-Encoding") != "" {
+		t.Fatalf("a 2x2 associate body was %s-encoded", midResp.Header.Get("Content-Encoding"))
+	}
+	if len(midBody) < 256 || len(midBody) >= GzipMinSize {
+		t.Fatalf("2x2 associate body is %d bytes, want 256 ≤ n < GzipMinSize for this case", len(midBody))
+	}
+	if !strings.Contains(strings.Join(midResp.Header.Values("Vary"), ","), "Accept-Encoding") {
+		t.Error("mid-size plain response missing Vary: Accept-Encoding")
+	}
+	if _, idBody := rawGet(t, base+mid, "identity"); !bytes.Equal(midBody, idBody) {
+		t.Error("the mid-size body a gzip client got differs from the identity one")
 	}
 
 	// A body under GzipMinSize stays plain even for a gzip client.
@@ -161,6 +186,70 @@ func TestGzipNegotiation(t *testing.T) {
 		t.Error("gzip;q=0 body drifted from the plain body")
 	}
 }
+
+// TestPlainResponseUnderGzipMinSizeFitsOneSegment holds GzipMinSize to
+// the rule it is derived from, for bivocd: a 200 /v1 response whose plain
+// body is one byte under the threshold, with its head at its longest
+// (voctest.LongestHead), fits one 1460-byte TCP segment — so sending it
+// plain costs no packet gzip would have saved. A header added to every
+// response fails it before it turns small responses into two packets.
+func TestPlainResponseUnderGzipMinSizeFitsOneSegment(t *testing.T) {
+	s := startServer(t, Config{Source: sliceSource(voctest.ParityDocs(120))})
+	waitIngestDone(t, s)
+	head, body := voctest.KeepAliveHead(t, s.Addr(), "/v1/associate?"+assoc2x2.Encode())
+	if !bytes.HasPrefix(head, []byte("HTTP/1.1 200 ")) || len(body) >= GzipMinSize || bytes.Contains(head, []byte("Content-Encoding")) {
+		t.Fatalf("want a plain 200 under GzipMinSize, got %d body bytes after %q", len(body), head)
+	}
+	if n := voctest.LongestHead(t, head, GzipMinSize-1, EpochHeader); n+GzipMinSize-1 > 1460 {
+		t.Errorf("a %d-byte head and a %d-byte body make %d bytes, past one 1460-byte segment:\n%s", n, GzipMinSize-1, n+GzipMinSize-1, head)
+	}
+}
+
+// TestMidSizeBodyNeverCompresses pins what a body of 256 ≤ n <
+// GzipMinSize costs a gzip-accepting request: exactly the allocations of
+// an identity request, on a miss (a fresh CachedBody) and on a hit (the
+// cached one again), and no compression on either.
+func TestMidSizeBodyNeverCompresses(t *testing.T) {
+	plain := twoKB(t)[:600]
+	identity := httptest.NewRequest("GET", "/v1/associate", nil)
+	gz := httptest.NewRequest("GET", "/v1/associate", nil)
+	gz.Header.Set("Accept-Encoding", "gzip")
+	w := discard{http.Header{}}
+	var last *CachedBody
+	miss := func(r *http.Request) func() {
+		return func() {
+			clear(w.h)
+			last = &CachedBody{Plain: plain}
+			WriteJSONBody(w, r, http.StatusOK, last)
+		}
+	}
+	if id, z := testing.AllocsPerRun(100, miss(identity)), testing.AllocsPerRun(100, miss(gz)); z != id {
+		t.Errorf("a %d-byte miss allocates %.1f objects for a gzip client, %.1f for an identity one", len(plain), z, id)
+	}
+	if last.gzipRan() {
+		t.Errorf("a %d-byte miss compressed its body", len(plain))
+	}
+	cached := &CachedBody{Plain: plain}
+	hit := func(r *http.Request) func() {
+		return func() {
+			clear(w.h)
+			WriteJSONBody(w, r, http.StatusOK, cached)
+		}
+	}
+	if id, z := testing.AllocsPerRun(100, hit(identity)), testing.AllocsPerRun(100, hit(gz)); z != id {
+		t.Errorf("a %d-byte hit allocates %.1f objects for a gzip client, %.1f for an identity one", len(plain), z, id)
+	}
+	if cached.gzipRan() {
+		t.Errorf("a %d-byte hit compressed its body", len(plain))
+	}
+}
+
+// discard is a ResponseWriter that keeps only its header map.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header         { return d.h }
+func (d discard) Write(b []byte) (int, error) { return len(b), nil }
+func (d discard) WriteHeader(int)             {}
 
 // TestMarshalBodyAllocs pins both halves of the pooled-marshal
 // contract: marshalBody renders exactly append(json.Marshal(v), '\n'),

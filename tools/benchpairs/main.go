@@ -9,8 +9,11 @@
 // .bench_build/pairs-parent, runs BENCHMARK.json's command there and in the
 // working tree once per seed — pair i runs the parent first when i is odd
 // and the change first when it is even — at the benchmark's run_seconds,
-// keeps every result line in .bench_build/pairs-WORKLOAD.jsonl, removes the
-// extracted tree, and prints the table. A metric is "unresolved" when
+// appends every result line to .bench_build/pairs-WORKLOAD.jsonl (a second
+// set of the same comparison keeps the first), removes the extracted tree,
+// and prints the table of this set. Each line also says which side ran
+// first, the processors, the Go version and the working tree's commit,
+// with whether the tree differed from it. A metric is "unresolved" when
 // either side's interquartile range exceeds its bound as a share of the
 // median (unless every change run reads better than every parent run), a
 // "regression" when the change's median is worse than the parent's by more
@@ -31,6 +34,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -55,13 +59,19 @@ type result struct {
 	} `json:"metrics"`
 }
 
-// record is one line of pairs-WORKLOAD.jsonl.
+// record is one line of pairs-WORKLOAD.jsonl. Commit and Dirty describe
+// the working tree, whichever side the line is.
 type record struct {
-	Pair   int             `json:"pair"`
-	Seed   string          `json:"seed"`
-	Side   string          `json:"side"`
-	Rev    string          `json:"rev"`
-	Result json.RawMessage `json:"result"`
+	Pair      int             `json:"pair"`
+	Seed      string          `json:"seed"`
+	Side      string          `json:"side"`
+	Rev       string          `json:"rev"`
+	First     string          `json:"first"`
+	Nproc     int             `json:"nproc"`
+	GoVersion string          `json:"go_version"`
+	Commit    string          `json:"commit"`
+	Dirty     bool            `json:"dirty"`
+	Result    json.RawMessage `json:"result"`
 }
 
 func main() {
@@ -93,7 +103,11 @@ func run(rev, workload string, seeds []string) error {
 	}
 	defer os.RemoveAll(parent)
 
-	log, err := os.Create(filepath.Join(".bench_build", "pairs-"+workload+".jsonl"))
+	commit, dirty, err := treeState()
+	if err != nil {
+		return err
+	}
+	log, err := os.OpenFile(filepath.Join(".bench_build", "pairs-"+workload+".jsonl"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -119,7 +133,8 @@ func run(rev, workload string, seeds []string) error {
 			if side == "change" {
 				tree = "working tree"
 			}
-			rec, _ := json.Marshal(record{Pair: i + 1, Seed: seed, Side: side, Rev: tree, Result: line})
+			rec, _ := json.Marshal(record{Pair: i + 1, Seed: seed, Side: side, Rev: tree, First: order[0],
+				Nproc: runtime.NumCPU(), GoVersion: runtime.Version(), Commit: commit, Dirty: dirty, Result: line})
 			if _, err := log.Write(append(rec, '\n')); err != nil {
 				return err
 			}
@@ -128,6 +143,20 @@ func run(rev, workload string, seeds []string) error {
 	}
 	report(os.Stdout, b, rev, workload, runs["parent"], runs["change"])
 	return log.Close()
+}
+
+// treeState returns the working tree's commit and whether the tree
+// differs from it (untracked files included).
+func treeState() (commit string, dirty bool, err error) {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "", false, fmt.Errorf("git rev-parse HEAD: %w", err)
+	}
+	status, err := exec.Command("git", "status", "--porcelain").Output()
+	if err != nil {
+		return "", false, fmt.Errorf("git status: %w", err)
+	}
+	return strings.TrimSpace(string(head)), len(bytes.TrimSpace(status)) > 0, nil
 }
 
 // extract writes the tree of rev into dir, replacing whatever was there.
@@ -211,44 +240,60 @@ func report(w io.Writer, b benchmark, rev, workload string, parent, change []res
 	fmt.Fprintf(w, "failed: parent %v, change %v; correct: parent %v, change %v\n", failed(parent), failed(change), correct(parent), correct(change))
 	fmt.Fprintf(w, "%-14s %-6s %-30s %-30s %-7s %-6s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "verdict")
 	for _, m := range b.EndToEnd {
-		p, c := values(parent, m.Name), values(change, m.Name)
-		better := func(x, y float64) bool { // x reads better than y
-			if m.Better == "higher" {
-				return x > y
-			}
-			return x < y
-		}
-		wins := 0
-		for i := range p {
-			if better(c[i], p[i]) {
-				wins++
-			}
-		}
-		pm, pq1, pq3 := quartiles(p)
-		cm, cq1, cq3 := quartiles(c)
-		everyRun := len(p) > 0
-		for _, x := range c {
-			for _, y := range p {
-				everyRun = everyRun && better(x, y)
-			}
-		}
-		verdict := "within bound"
-		worse := (cm - pm) / pm
-		if m.Better == "higher" {
-			worse = -worse
-		}
-		switch {
-		case (spread(pm, pq1, pq3) > m.Bound || spread(cm, cq1, cq3) > m.Bound) && !everyRun:
-			verdict = "unresolved"
-		case worse > m.Bound:
-			verdict = "regression"
-		case 10*wins >= 9*len(p) && math.Abs(cm-pm) > pq3-pq1:
-			verdict = "gain"
-		}
+		j := judge(m.Better, m.Bound, values(parent, m.Name), values(change, m.Name))
 		fmt.Fprintf(w, "%-14s %-6s %-30s %-30s %-7.3f %-6s %s\n", m.Name, m.Better,
-			fmt.Sprintf("%.4g [%.4g, %.4g]", pm, pq1, pq3), fmt.Sprintf("%.4g [%.4g, %.4g]", cm, cq1, cq3),
-			cm/pm, fmt.Sprintf("%d/%d", wins, len(p)), verdict)
+			fmt.Sprintf("%.4g [%.4g, %.4g]", j.pm, j.pq1, j.pq3), fmt.Sprintf("%.4g [%.4g, %.4g]", j.cm, j.cq1, j.cq3),
+			j.cm/j.pm, fmt.Sprintf("%d/%d", j.wins, len(parent)), j.verdict)
 	}
+}
+
+// judgement is one metric's row: both sides' medians and quartiles, the
+// pairs the change won and the verdict.
+type judgement struct {
+	pm, pq1, pq3 float64
+	cm, cq1, cq3 float64
+	wins         int
+	verdict      string
+}
+
+// judge reads one metric over paired runs (p[i] and c[i] are pair i's
+// parent and change values); better is "higher" or "lower" and bound the
+// metric's bound from BENCHMARK.json.
+func judge(better string, bound float64, p, c []float64) judgement {
+	beats := func(x, y float64) bool { // x reads better than y
+		if better == "higher" {
+			return x > y
+		}
+		return x < y
+	}
+	var j judgement
+	for i := range p {
+		if beats(c[i], p[i]) {
+			j.wins++
+		}
+	}
+	j.pm, j.pq1, j.pq3 = quartiles(p)
+	j.cm, j.cq1, j.cq3 = quartiles(c)
+	everyRun := len(p) > 0
+	for _, x := range c {
+		for _, y := range p {
+			everyRun = everyRun && beats(x, y)
+		}
+	}
+	j.verdict = "within bound"
+	worse := (j.cm - j.pm) / j.pm
+	if better == "higher" {
+		worse = -worse
+	}
+	switch {
+	case (spread(j.pm, j.pq1, j.pq3) > bound || spread(j.cm, j.cq1, j.cq3) > bound) && !everyRun:
+		j.verdict = "unresolved"
+	case worse > bound:
+		j.verdict = "regression"
+	case 10*j.wins >= 9*len(p) && math.Abs(j.cm-j.pm) > j.pq3-j.pq1:
+		j.verdict = "gain"
+	}
+	return j
 }
 
 func values(runs []result, metric string) []float64 {
